@@ -12,12 +12,14 @@ from functools import lru_cache
 
 from .linalg import (
     ComplexMatrix,
+    compose_permutations,
     density_matrix,
     kron,
     partial_trace,
     permutation_matrix,
+    permute,
 )
-from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
+from .states import BlochVector, ThermalSpec, thermal_probs
 
 MEMORY, ENERGY, ANCILLA = 0, 1, 2
 SUBSYSTEM_DIMS = (2, 2, 2)
@@ -73,15 +75,15 @@ class CnotGate:
         if self.control == self.target:
             raise ValueError("control and target must differ")
 
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        """Column -> row map: the target bit flips where the control bit is set."""
+        control, target = 4 >> self.control, 4 >> self.target  # bit weights in 4m + 2e + a
+        return tuple(i ^ target if i & control else i for i in range(8))
+
 
 def cnot_unitary(gate: CnotGate) -> ComplexMatrix:
-    perm = []
-    for i in range(8):
-        bits = list(_bits(i))
-        if bits[gate.control]:
-            bits[gate.target] ^= 1
-        perm.append(_index(*bits))
-    return permutation_matrix(perm)
+    return permutation_matrix(gate.permutation)
 
 
 def build_circuit() -> tuple[CnotGate, ...]:
@@ -94,32 +96,24 @@ def build_circuit() -> tuple[CnotGate, ...]:
     )
 
 
+def circuit_permutation(gates: tuple[CnotGate, ...]) -> tuple[int, ...]:
+    """Column -> row map of the circuit; the first gate acts first."""
+    if not gates:
+        raise ValueError("empty circuit")
+    return compose_permutations(*(gate.permutation for gate in gates))
+
+
 def circuit_unitary(gates: tuple[CnotGate, ...]) -> ComplexMatrix:
     """Product of the gate unitaries; the first gate acts first."""
-    product = None
-    for gate in gates:
-        u = cnot_unitary(gate)
-        product = u if product is None else u @ product
-    if product is None:
-        raise ValueError("empty circuit")
-    return product
+    return permutation_matrix(circuit_permutation(gates))
 
 
 def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate rho by the erasure unitary.
-
-    The unitary is a permutation matrix, so conjugation is an exact index
-    relabeling: no arithmetic touches the entries.
-    """
+    """Conjugate rho by the erasure unitary, an exact index relabeling."""
     rho = density_matrix(rho)
     if rho.dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho.dim}")
-    perm = build_erasure_unitary().permutation
-    rows = [[0.0 + 0.0j] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            rows[perm[i]][perm[j]] = rho[i, j]
-    return ComplexMatrix(rows)
+    return permute(rho, ERASURE_PERMUTATION)
 
 
 def reservoir_final_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
@@ -176,6 +170,7 @@ __all__ = [
     "CnotGate",
     "cnot_unitary",
     "build_circuit",
+    "circuit_permutation",
     "circuit_unitary",
     "apply_channel",
     "reservoir_final_closed_form",

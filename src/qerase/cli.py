@@ -114,27 +114,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One erase run: input state, thermal data, and the unit system."""
-
-    bloch: BlochVector
-    spec: ThermalSpec
-    units: str
-
-    def __post_init__(self):
-        if self.units not in ("natural", "SI"):
-            raise ValueError(f"units must be 'natural' or 'SI', got {self.units!r}")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """Grid sweep at fixed Bloch radius over the whole sphere."""
+    """Grid sweep at fixed Bloch radius over the whole sphere. The gap and
+    temperature are checked by EnergyLevels and ThermalSpec."""
 
     r: float
     n_theta: int
     n_phi: int
-    delta: float
-    beta: float
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
@@ -143,31 +129,25 @@ class SweepConfig:
             raise ValueError("need at least 2 polar samples")
         if self.n_phi < 1:
             raise ValueError("need at least 1 azimuthal sample")
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if math.isnan(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _run_spec(args: argparse.Namespace) -> tuple[ThermalSpec, str]:
+    """Thermal data of one erase run and its unit system; ThermalSpec checks
+    the gap and the temperature."""
     units = "SI" if (args.delta_si is not None or args.units == "SI") else "natural"
     if args.delta_si is not None:
         if args.delta is not None:
             raise ValueError("give either --delta or --delta-si, not both")
-        if args.delta_si <= 0.0:
-            raise ValueError(f"delta must be positive, got {args.delta_si!r}")
         delta = args.delta_si
     else:
         delta = 1.0 if args.delta is None else args.delta
-        if delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {delta!r}")
     k_b = K_B_SI if units == "SI" else 1.0
     if args.temperature is not None:
         spec = ThermalSpec.from_temperature(args.temperature, delta, k_b)
     else:
         beta = math.inf if args.beta is None else args.beta
         spec = ThermalSpec.from_beta(beta, delta, k_b)
-    return RunConfig(bloch=args.bloch, spec=spec, units=units)
+    return spec, units
 
 
 def _report_fields(report: ErasureReport) -> dict:
@@ -187,21 +167,22 @@ def _report_fields(report: ErasureReport) -> dict:
 
 
 def cmd_erase(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    report = analyze(config.bloch, config.spec)
+    spec, units = _run_spec(args)
+    bloch = args.bloch
+    report = analyze(bloch, spec)
     inputs = {
-        "bloch": [_tag(config.bloch.r_x), _tag(config.bloch.r_y), _tag(config.bloch.r_z)],
-        "beta": _tag(config.spec.beta),
-        "temperature": _tag(config.spec.temperature),
-        "delta": _tag(config.spec.delta),
-        "k_B": _tag(config.spec.k_B),
+        "bloch": [_tag(bloch.r_x), _tag(bloch.r_y), _tag(bloch.r_z)],
+        "beta": _tag(spec.beta),
+        "temperature": _tag(spec.temperature),
+        "delta": _tag(spec.delta),
+        "k_B": _tag(spec.k_B),
     }
     fields = _report_fields(report)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "erase",
-            "units": config.units,
+            "units": units,
             "inputs": inputs,
             "report": fields,
         }
@@ -211,14 +192,14 @@ def cmd_erase(args: argparse.Namespace) -> int:
         writer = csv.writer(buf)
         header = ["r_x", "r_y", "r_z", "beta", "temperature", "delta", "k_B", "units"]
         row = [
-            _fmt(config.bloch.r_x),
-            _fmt(config.bloch.r_y),
-            _fmt(config.bloch.r_z),
-            _fmt(config.spec.beta),
-            _fmt(config.spec.temperature),
-            _fmt(config.spec.delta),
-            _fmt(config.spec.k_B),
-            config.units,
+            _fmt(bloch.r_x),
+            _fmt(bloch.r_y),
+            _fmt(bloch.r_z),
+            _fmt(spec.beta),
+            _fmt(spec.temperature),
+            _fmt(spec.delta),
+            _fmt(spec.k_B),
+            units,
         ]
         for key, value in fields.items():
             header.append(key)
@@ -228,10 +209,10 @@ def cmd_erase(args: argparse.Namespace) -> int:
         writer.writerow(row)
         _emit(buf.getvalue(), args.output)
     else:
-        lines = [f"erasure run ({config.units} units)"]
+        lines = [f"erasure run ({units} units)"]
         shown = dict(inputs)
         shown["bloch"] = "(" + ", ".join(_fmt(v) for v in (
-            config.bloch.r_x, config.bloch.r_y, config.bloch.r_z)) + ")"
+            bloch.r_x, bloch.r_y, bloch.r_z)) + ")"
         for key, value in {**shown, **fields}.items():
             lines.append(f"  {key:<18} {value}")
         _emit("\n".join(lines) + "\n", args.output)
@@ -239,15 +220,12 @@ def cmd_erase(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    config = SweepConfig(r=args.r, n_theta=args.n_theta, n_phi=args.n_phi)
+    levels = EnergyLevels(delta=args.delta)
     if args.temperature is not None:
-        beta = ThermalSpec.from_temperature(args.temperature, args.delta).beta
+        spec = ThermalSpec.from_temperature(args.temperature, args.delta)
     else:
-        beta = math.inf if args.beta is None else args.beta
-    config = SweepConfig(
-        r=args.r, n_theta=args.n_theta, n_phi=args.n_phi, delta=args.delta, beta=beta
-    )
-    levels = EnergyLevels(delta=config.delta)
-    spec = ThermalSpec.from_beta(config.beta, config.delta)
+        spec = ThermalSpec.from_beta(math.inf if args.beta is None else args.beta, args.delta)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)
@@ -261,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 config.r * sin_t * math.sin(phi),
                 config.r * cos_t,
             )
-            t_limit = limit_temperature(b, levels) / config.delta
+            t_limit = limit_temperature(b, levels) / levels.delta
             writer.writerow(
                 [
                     _fmt(theta),

@@ -1,9 +1,12 @@
-"""Dense complex matrices sized for few-qubit work.
+"""Dense complex matrices sized for few-qubit work, and basis permutations.
 
 Everything here is plain Python on tuples of complex numbers: products,
 Kronecker products, partial traces, and a cyclic Jacobi eigensolver for
 Hermitian matrices. Dimensions never exceed 8x8 in this package, so no
 external linear-algebra dependency is used.
+
+A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
+of the 1 in column c. It is applied and composed without a dense product.
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ def _check_same_dim(a: ComplexMatrix, b: ComplexMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
 
 
-def zeros(dim: int) -> ComplexMatrix:
-    return ComplexMatrix([[0.0] * dim for _ in range(dim)])
-
-
 def identity(dim: int) -> ComplexMatrix:
     return ComplexMatrix(
         [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
@@ -115,15 +114,39 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
     )
 
 
+def _check_permutation(perm: Sequence[int], n: int) -> None:
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
+
+
 def permutation_matrix(perm: Sequence[int]) -> ComplexMatrix:
     """Matrix sending basis column c to basis row perm[c]."""
     n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
+    _check_permutation(perm, n)
     rows = [[0.0] * n for _ in range(n)]
     for col, row in enumerate(perm):
         rows[row][col] = 1.0
     return ComplexMatrix(rows)
+
+
+def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
+    """P rho P^T for P = permutation_matrix(perm).
+
+    Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
+    arithmetic touches the entries.
+    """
+    _check_permutation(perm, rho.dim)
+    inverse = sorted(range(rho.dim), key=perm.__getitem__)  # row r comes from inverse[r]
+    r = rho.rows
+    return ComplexMatrix(tuple(r[i][j] for j in inverse) for i in inverse)
+
+
+def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
+    """Column -> row map of the product of the permutations; `first` acts first."""
+    product = tuple(first)
+    for perm in rest:
+        product = tuple(perm[row] for row in product)
+    return product
 
 
 def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -255,10 +278,6 @@ class HermitianSpectrum:
     @property
     def smallest(self) -> float:
         return self.eigenvalues[0]
-
-    @property
-    def largest(self) -> float:
-        return self.eigenvalues[-1]
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> HermitianSpectrum:

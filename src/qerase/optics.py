@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
-from .linalg import ComplexMatrix, diagonal, kron, matmul, partial_trace, permutation_matrix
+from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace
+from .linalg import permutation_matrix, permute
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
 from .channel import ERASURE_PERMUTATION
 
@@ -49,6 +49,10 @@ class PBS:
         if self.path_a == self.path_b:
             raise ValueError("a beam splitter needs two distinct paths")
 
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return _swap(mode_index(POL_V, self.path_a), mode_index(POL_V, self.path_b))
+
 
 @dataclass(frozen=True)
 class HWP:
@@ -60,8 +64,19 @@ class HWP:
         if self.path not in PATHS:
             raise ValueError(f"path must be in 1..4, got {self.path!r}")
 
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return _swap(mode_index(POL_H, self.path), mode_index(POL_V, self.path))
+
 
 OpticalElement = Union[PBS, HWP]
+
+
+def _swap(a: int, b: int) -> tuple[int, ...]:
+    """Column -> row map exchanging modes a and b, fixing the other six."""
+    perm = list(range(8))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
 
 
 @dataclass(frozen=True)
@@ -88,27 +103,21 @@ class PathDistribution:
 
 
 def pbs_unitary(element: PBS) -> ComplexMatrix:
-    perm = list(range(8))
-    a = mode_index(POL_V, element.path_a)
-    b = mode_index(POL_V, element.path_b)
-    perm[a], perm[b] = b, a
-    return permutation_matrix(perm)
+    return permutation_matrix(element.permutation)
 
 
 def hwp_unitary(element: HWP) -> ComplexMatrix:
-    perm = list(range(8))
-    h = mode_index(POL_H, element.path)
-    v = mode_index(POL_V, element.path)
-    perm[h], perm[v] = v, h
-    return permutation_matrix(perm)
+    return permutation_matrix(element.permutation)
+
+
+def _element_permutation(element: OpticalElement) -> tuple[int, ...]:
+    if not isinstance(element, (PBS, HWP)):
+        raise TypeError(f"not an optical element: {element!r}")
+    return element.permutation
 
 
 def element_unitary(element: OpticalElement) -> ComplexMatrix:
-    if isinstance(element, PBS):
-        return pbs_unitary(element)
-    if isinstance(element, HWP):
-        return hwp_unitary(element)
-    raise TypeError(f"not an optical element: {element!r}")
+    return permutation_matrix(_element_permutation(element))
 
 
 def default_erasure_circuit() -> tuple[OpticalElement, ...]:
@@ -123,19 +132,18 @@ def default_erasure_circuit() -> tuple[OpticalElement, ...]:
     )
 
 
-def compose(elements: tuple[OpticalElement, ...]) -> ComplexMatrix:
-    product = None
-    for element in elements:
-        u = element_unitary(element)
-        product = u if product is None else matmul(u, product)
-    if product is None:
+def _circuit_permutation(elements: tuple[OpticalElement, ...]) -> tuple[int, ...]:
+    if not elements:
         raise ValueError("empty optical circuit")
-    return product
+    return compose_permutations(*map(_element_permutation, elements))
 
 
-@lru_cache(maxsize=1)
-def _default_unitary() -> ComplexMatrix:
-    return compose(default_erasure_circuit())
+def compose(elements: tuple[OpticalElement, ...]) -> ComplexMatrix:
+    """Mode unitary of the circuit; the first element acts first."""
+    return permutation_matrix(_circuit_permutation(elements))
+
+
+DEFAULT_CIRCUIT_PERMUTATION = _circuit_permutation(default_erasure_circuit())
 
 
 def optical_permutation(unitary: ComplexMatrix) -> tuple[int, ...]:
@@ -155,13 +163,7 @@ def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     rho_in = kron(
         qubit_from_bloch(pol), diagonal([dist.p_1, dist.p_2, 0.0, 0.0])
     )
-    u = _default_unitary()
-    perm = optical_permutation(u)
-    rows = [[0.0 + 0.0j] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            rows[perm[i]][perm[j]] = rho_in[i, j]
-    return ComplexMatrix(rows)
+    return permute(rho_in, DEFAULT_CIRCUIT_PERMUTATION)
 
 
 def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
@@ -216,7 +218,7 @@ class EncodingEquivalence:
 
 
 def verify_encoding_equivalence() -> EncodingEquivalence:
-    opt_perm = optical_permutation(_default_unitary())
+    opt_perm = DEFAULT_CIRCUIT_PERMUTATION
     mismatches = []
     for i in PHYSICAL_INPUT_INDICES:
         got = opt_perm[channel_to_optical_index(i)]

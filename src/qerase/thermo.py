@@ -174,10 +174,15 @@ def analyze(
 
     The closed forms are what gets reported; each is recomputed from the
     propagated density matrices and the two routes must agree to 1e-10,
-    otherwise ArithmeticError flags the internal inconsistency.
+    otherwise ArithmeticError flags the internal inconsistency. Explicit
+    `levels` must share the gap of `spec`, whose Gibbs weights use it.
     """
     if levels is None:
         levels = EnergyLevels(delta=spec.delta)
+    elif levels.delta != spec.delta:
+        raise ValueError(
+            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
+        )
     hams = build_hamiltonians(levels)
 
     rho_memory = qubit_from_bloch(b)

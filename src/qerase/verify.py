@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .linalg import ComplexMatrix, frobenius_distance, is_unitary
+from .linalg import ComplexMatrix, is_unitary
 from .states import (
     BlochVector,
     EnergyLevels,
@@ -25,7 +25,7 @@ from .channel import (
     apply_channel,
     build_circuit,
     build_erasure_unitary,
-    circuit_unitary,
+    circuit_permutation,
     final_state_closed_form,
     memory_ground_fidelity,
     memory_marginal,
@@ -40,10 +40,8 @@ from .thermo import (
     von_neumann_entropy,
 )
 from .optics import (
+    DEFAULT_CIRCUIT_PERMUTATION,
     mode_index,
-    optical_permutation,
-    compose,
-    default_erasure_circuit,
     verify_encoding_equivalence,
 )
 
@@ -62,8 +60,8 @@ class CheckResult:
         return self.status in ("pass", "skip")
 
 
-def _random_bloch(rng: random.Random) -> BlochVector:
-    # rejection-sample the unit ball
+def random_bloch(rng: random.Random) -> BlochVector:
+    """Uniform draw from the unit ball, by rejection from the cube."""
     while True:
         x, y, z = (rng.uniform(-1.0, 1.0) for _ in range(3))
         if x * x + y * y + z * z <= 1.0:
@@ -97,20 +95,20 @@ def check_permutation_identity(matrix: ComplexMatrix) -> CheckResult:
 
 def check_circuit_synthesis() -> CheckResult:
     gates = build_circuit()
-    dist = frobenius_distance(
-        circuit_unitary(gates), build_erasure_unitary().matrix
-    )
+    perm = circuit_permutation(gates)
+    # permutation matrices that differ in k columns lie sqrt(2k) apart
+    moved = sum(a != b for a, b in zip(perm, ERASURE_PERMUTATION))
     return _result(
         "circuit_synthesis",
-        dist == 0.0,
-        f"{len(gates)} CNOTs, Frobenius distance {dist!r}",
+        perm == ERASURE_PERMUTATION,
+        f"{len(gates)} CNOTs, Frobenius distance {math.sqrt(2 * moved)!r}",
     )
 
 
 def check_closed_form(draws: int, rng: random.Random) -> CheckResult:
     worst = 0.0
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         propagated = apply_channel(composite_initial(b, spec))
         closed = final_state_closed_form(b, spec)
@@ -129,7 +127,7 @@ def check_closed_form(draws: int, rng: random.Random) -> CheckResult:
 def check_memory_reset(draws: int, rng: random.Random) -> CheckResult:
     worst = 1.0
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         fid = memory_ground_fidelity(apply_channel(composite_initial(b, spec)))
         worst = min(worst, fid)
@@ -141,7 +139,7 @@ def check_memory_reset(draws: int, rng: random.Random) -> CheckResult:
 def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
     worst = 0.0
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         rho_i = composite_initial(b, spec)
         gap = abs(von_neumann_entropy(apply_channel(rho_i)) - von_neumann_entropy(rho_i))
@@ -160,7 +158,7 @@ def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
 def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
     worst = 0.0
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         rho_f = apply_channel(composite_initial(b, spec))
         measured = von_neumann_entropy(qubit_from_bloch(b)) - von_neumann_entropy(
@@ -182,7 +180,7 @@ def check_memory_heat_temperature_independence(
 ) -> CheckResult:
     levels = EnergyLevels()
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         reports = [
             analyze(b, ThermalSpec(beta=beta), levels).q_memory for beta in BETA_GRID
         ]
@@ -203,7 +201,7 @@ def check_memory_heat_temperature_independence(
 def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
     levels = EnergyLevels()
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         for beta in BETA_GRID:
             q_r = heat_reservoir(b, ThermalSpec(beta=beta), levels)
             if q_r < 0.0:
@@ -227,7 +225,7 @@ def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
 def check_energy_conservation(draws: int, rng: random.Random) -> CheckResult:
     worst = 0.0
     for k in range(draws):
-        b = _random_bloch(rng)
+        b = random_bloch(rng)
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         report = analyze(b, spec)
         gap = abs((report.u_initial - report.u_final) - report.photon_energy)
@@ -264,7 +262,7 @@ def check_commutator(delta: float) -> CheckResult:
 
 
 def check_optics_transformations() -> CheckResult:
-    perm = optical_permutation(compose(default_erasure_circuit()))
+    perm = DEFAULT_CIRCUIT_PERMUTATION
     wanted = {
         (0, 1): (0, 1),  # |H,1> -> |H,1>
         (0, 2): (0, 4),  # |H,2> -> |H,4>

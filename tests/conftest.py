@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qerase.linalg import ComplexMatrix
+from qerase.verify import random_bloch  # noqa: F401  (shared by the test modules)
 
 # One line per acceptance criterion, replayed in the terminal summary so the
 # verdicts survive pytest's output capture.
@@ -46,15 +47,6 @@ def assert_matrix_close(m: ComplexMatrix, expected, atol: float = 1e-12) -> None
     got = to_numpy(m)
     want = expected if isinstance(expected, np.ndarray) else to_numpy(expected)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
-
-
-def random_bloch(rng: random.Random):
-    from qerase.states import BlochVector
-
-    while True:
-        x, y, z = (rng.uniform(-1.0, 1.0) for _ in range(3))
-        if x * x + y * y + z * z <= 1.0:
-            return BlochVector(x, y, z)
 
 
 def random_density(rng: random.Random, dim: int) -> ComplexMatrix:

@@ -124,6 +124,14 @@ class TestCnotSynthesis:
         with pytest.raises(ValueError, match="empty"):
             circuit_unitary(())
 
+    def test_numpy_gate_product_is_the_unitary(self):
+        # dense route: the first gate is the rightmost factor
+        product = np.eye(8)
+        for gate in build_circuit():
+            product = to_numpy(cnot_unitary(gate)) @ product
+        np.testing.assert_array_equal(product, to_numpy(build_erasure_unitary().matrix))
+        np.testing.assert_array_equal(product, to_numpy(circuit_unitary(build_circuit())))
+
 
 class TestApplyChannel:
     def test_ground_input_is_fixed_point(self):

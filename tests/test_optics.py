@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import assert_matrix_close, random_bloch
+from conftest import assert_matrix_close, random_bloch, to_numpy
 from qerase.linalg import diagonal, identity, is_unitary, matmul, trace
 from qerase.states import BlochVector, qubit_from_bloch
 from qerase.channel import ERASURE_PERMUTATION
@@ -111,6 +112,17 @@ class TestComposition:
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             compose(())
+
+    def test_numpy_element_product_is_the_composition(self):
+        # dense route: the first element is the rightmost factor
+        product = np.eye(8)
+        for element in default_erasure_circuit():
+            product = to_numpy(element_unitary(element)) @ product
+        np.testing.assert_array_equal(product, to_numpy(compose(default_erasure_circuit())))
+
+    def test_compose_rejects_unknown_element(self):
+        with pytest.raises(TypeError, match="optical element"):
+            compose((PBS(1, 2), "mirror"))
 
     def test_optical_permutation_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="relabeling"):

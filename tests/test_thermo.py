@@ -403,6 +403,21 @@ class TestAnalyze:
             plain.u_initial - plain.u_final, abs=1e-12
         )
 
+    def test_contradictory_gap_rejected(self):
+        # Gibbs weights at gap 1 must not be mixed with heats at gap 2
+        with pytest.raises(ValueError, match="gap"):
+            analyze(
+                BlochVector(0.5, 0.0, 0.0),
+                ThermalSpec.from_temperature(0.9, delta=1.0),
+                EnergyLevels(delta=2.0),
+            )
+        consistent = analyze(
+            BlochVector(0.5, 0.0, 0.0),
+            ThermalSpec.from_temperature(0.9, delta=2.0),
+            EnergyLevels(delta=2.0),
+        )
+        assert consistent.q_reservoir == pytest.approx(0.8045, abs=1e-4)
+
     def test_zero_temperature_returns_every_joule(self):
         report = analyze(BlochVector(0.2, 0.2, 0.2), ThermalSpec.from_beta(math.inf))
         assert report.q_reservoir == -report.q_memory

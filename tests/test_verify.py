@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from qerase.linalg import ComplexMatrix
-from qerase.channel import build_erasure_unitary
+from qerase.linalg import ComplexMatrix, frobenius_distance
+from qerase.channel import build_circuit, build_erasure_unitary, circuit_unitary
 from qerase.verify import (
     CheckResult,
     all_passed,
@@ -50,6 +50,17 @@ class TestIndividualChecks:
         result = check_circuit_synthesis()
         assert result.status == "pass"
         assert "4 CNOTs" in result.detail
+
+    def test_circuit_synthesis_reports_the_dense_distance(self, monkeypatch):
+        # with the last gate dropped the tuples differ; the reported distance
+        # is the Frobenius distance of the dense matrices
+        short = build_circuit()[:-1]
+        monkeypatch.setattr("qerase.verify.build_circuit", lambda: short)
+        result = check_circuit_synthesis()
+        assert result.status == "fail"
+        dist = frobenius_distance(circuit_unitary(short), build_erasure_unitary().matrix)
+        assert dist > 0.0
+        assert result.detail == f"3 CNOTs, Frobenius distance {dist!r}"
 
     def test_closed_form_sampling(self):
         result = check_closed_form(draws=50, rng=random.Random(1))
