@@ -11,8 +11,11 @@ of the 1 in column c. It is applied and composed without a dense product.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 HERMITICITY_TOL = 1e-12
@@ -29,16 +32,15 @@ class ComplexMatrix:
     __slots__ = ("_rows", "_dim")
 
     def __init__(self, rows: Iterable[Iterable[complex]]):
-        entries = tuple(tuple(complex(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(complex, row)) for row in rows)
         n = len(entries)
         if n == 0:
             raise ValueError("matrix must have at least one row")
         for row in entries:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-            for x in row:
-                if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-                    raise ValueError("matrix entries must be finite")
+            if not all(map(cmath.isfinite, row)):
+                raise ValueError("matrix entries must be finite")
         self._rows = entries
         self._dim = n
 
@@ -177,6 +179,16 @@ def trace(m: ComplexMatrix) -> complex:
     return sum(m.rows[i][i] for i in range(m.dim))
 
 
+def trace_product(a: ComplexMatrix, b: ComplexMatrix) -> complex:
+    """Tr(a b) = sum_ik a_ik b_ki, without forming a b.
+
+    Each diagonal entry is summed as `matmul` sums it, so the result equals
+    trace(matmul(a, b)) exactly.
+    """
+    _check_same_dim(a, b)
+    return sum(sum(map(mul, row, col)) for row, col in zip(a.rows, zip(*b.rows)))
+
+
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
     na, nb = a.dim, b.dim
@@ -219,32 +231,45 @@ def partial_trace(
         raise ValueError(
             f"dimension mismatch: product of dims is {total}, matrix is {rho.dim}"
         )
-    keep_list = sorted(set(int(k) for k in keep))
-    if not keep_list:
+    keep_sorted = tuple(sorted(set(int(k) for k in keep)))
+    if not keep_sorted:
         raise ValueError("keep set must be nonempty")
-    if keep_list[0] < 0 or keep_list[-1] >= len(dims):
+    if keep_sorted[0] < 0 or keep_sorted[-1] >= len(dims):
         raise ValueError(f"keep indices out of range for {len(dims)} subsystems")
-    traced = [k for k in range(len(dims)) if k not in keep_list]
+    entries = [x for row in rho.rows for x in row].__getitem__
+    return ComplexMatrix(
+        tuple(sum(map(entries, summed)) for summed in row)
+        for row in _partial_trace_tables(dims, keep_sorted)
+    )
+
+
+@lru_cache(maxsize=64)
+def _partial_trace_tables(
+    dims: tuple[int, ...], keep: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row-major positions of the entries summed into each kept-block entry.
+
+    `keep` is sorted and validated against `dims` by the caller.
+    """
+    traced = [k for k in range(len(dims)) if k not in keep]
 
     def flat(kept_vals: Sequence[int], traced_vals: Sequence[int]) -> int:
-        pos = {k: v for k, v in zip(keep_list, kept_vals)}
+        pos = {k: v for k, v in zip(keep, kept_vals)}
         pos.update({k: v for k, v in zip(traced, traced_vals)})
         idx = 0
         for k, d in enumerate(dims):
             idx = idx * d + pos[k]
         return idx
 
-    kept_multi = list(_mixed_radix(tuple(dims[k] for k in keep_list)))
+    kept_multi = list(_mixed_radix(tuple(dims[k] for k in keep)))
     traced_multi = list(_mixed_radix(tuple(dims[k] for k in traced)))
     # flat-index lists per kept multi-index, one entry per traced multi-index
     flats = [[flat(kv, tv) for tv in traced_multi] for kv in kept_multi]
-    r = rho.rows
-    out = []
-    for fi in flats:
-        out.append(
-            tuple(sum(r[a][b] for a, b in zip(fi, fj)) for fj in flats)
-        )
-    return ComplexMatrix(out)
+    total = math.prod(dims)
+    return tuple(
+        tuple(tuple(a * total + b for a, b in zip(fi, fj)) for fj in flats)
+        for fi in flats
+    )
 
 
 def _mixed_radix(dims: tuple[int, ...]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import (
@@ -21,7 +22,7 @@ from .linalg import (
     identity,
     kron,
     matmul,
-    trace,
+    trace_product,
 )
 from .states import (
     BlochVector,
@@ -47,7 +48,9 @@ class HamiltonianSet:
     h_total: ComplexMatrix
 
 
+@lru_cache(maxsize=64)
 def build_hamiltonians(levels: EnergyLevels) -> HamiltonianSet:
+    """Diagonal Hamiltonians of `levels`, built once per distinct level set."""
     e0, eps, d = levels.memory_ground, levels.reservoir_ground, levels.delta
     h_m = diagonal([e0, e0 + d])
     h_r = diagonal([eps, eps, eps + d, eps + d])
@@ -84,19 +87,33 @@ def heat_memory(b: BlochVector, levels: EnergyLevels) -> float:
 
 def heat_reservoir(b: BlochVector, spec: ThermalSpec, levels: EnergyLevels) -> float:
     """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e)."""
+    _check_same_gap(spec, levels)
     p_g, p_e = thermal_probs(spec)
     return (levels.delta / 2.0) * (1.0 - b.r_z) * (p_g - p_e)
 
 
 def photon_energy(b: BlochVector, spec: ThermalSpec, levels: EnergyLevels) -> float:
     """Energy carried off radiatively: -(Q_M + Q_R) = delta (1 - r_z) p_e."""
+    _check_same_gap(spec, levels)
     _, p_e = thermal_probs(spec)
     return levels.delta * (1.0 - b.r_z) * p_e
 
 
+def _check_same_gap(spec: ThermalSpec, levels: EnergyLevels) -> None:
+    """Reject level data whose gap differs from the one in the Gibbs weights."""
+    if levels.delta != spec.delta:
+        raise ValueError(
+            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
+        )
+
+
 def internal_energy(rho: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
-    rho = density_matrix(rho)
-    return trace(matmul(rho, hamiltonians.h_total)).real
+    return _energy(density_matrix(rho), hamiltonians)
+
+
+def _energy(rho: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
+    """Tr[rho H_total] of a state the caller has already validated."""
+    return trace_product(rho, hamiltonians.h_total).real
 
 
 def commutator_norm(unitary: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
@@ -179,25 +196,22 @@ def analyze(
     """
     if levels is None:
         levels = EnergyLevels(delta=spec.delta)
-    elif levels.delta != spec.delta:
-        raise ValueError(
-            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
-        )
+    else:
+        _check_same_gap(spec, levels)
     hams = build_hamiltonians(levels)
 
     rho_memory = qubit_from_bloch(b)
     rho_initial = composite_initial(b, spec)
-    rho_final = apply_channel(rho_initial)
+    rho_final = apply_channel(rho_initial)  # validates rho_initial
+    memory_final = memory_marginal(rho_final)
 
     delta_s = entropy_decrease(b)
     s_initial = von_neumann_entropy(rho_memory)
-    s_final = von_neumann_entropy(memory_marginal(rho_final))
+    s_final = von_neumann_entropy(memory_final)
     _require_close("entropy decrease", delta_s, s_initial - s_final)
 
     q_m = heat_memory(b, levels)
-    q_m_trace = _subsystem_heat(
-        memory_marginal(rho_initial), memory_marginal(rho_final), hams.h_memory
-    )
+    q_m_trace = _subsystem_heat(memory_marginal(rho_initial), memory_final, hams.h_memory)
     _require_close("memory heat", q_m, q_m_trace)
 
     q_r = heat_reservoir(b, spec, levels)
@@ -206,7 +220,7 @@ def analyze(
     )
     _require_close("reservoir heat", q_r, q_r_trace)
 
-    u_i = internal_energy(rho_initial, hams)
+    u_i = _energy(rho_initial, hams)
     u_f = internal_energy(rho_final, hams)
     radiated = photon_energy(b, spec, levels)
     _require_close("photon energy", radiated, u_i - u_f)
@@ -236,7 +250,7 @@ def analyze(
 def _subsystem_heat(
     marginal_before: ComplexMatrix, marginal_after: ComplexMatrix, h: ComplexMatrix
 ) -> float:
-    return trace(matmul(marginal_after - marginal_before, h)).real
+    return trace_product(marginal_after - marginal_before, h).real
 
 
 def _require_close(name: str, closed: float, traced: float, scale: float = 1.0) -> None:

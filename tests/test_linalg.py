@@ -23,7 +23,14 @@ from qerase.linalg import (
     permutation_matrix,
     permute,
     trace,
+    trace_product,
 )
+
+
+def random_complex(rng: random.Random, dim: int) -> ComplexMatrix:
+    return ComplexMatrix(
+        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)] for _ in range(dim)]
+    )
 
 
 class TestComplexMatrix:
@@ -40,6 +47,10 @@ class TestComplexMatrix:
             ComplexMatrix([[math.nan, 0], [0, 1]])
         with pytest.raises(ValueError, match="finite"):
             ComplexMatrix([[1, complex(0, math.inf)], [0, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            ComplexMatrix([[1, 0], [complex(-math.inf, 0), 1]])
+        with pytest.raises(ValueError, match="finite"):
+            ComplexMatrix([[1, 0], [0, complex(1, math.nan)]])
 
     def test_entries_are_immutable_tuples(self):
         m = ComplexMatrix([[1, 2], [3, 4]])
@@ -155,6 +166,28 @@ class TestProducts:
             np.linalg.norm(to_numpy(a) - to_numpy(b)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_trace_product_against_numpy(self, dim):
+        rng = random.Random(40 + dim)
+        for _ in range(5):
+            a = random_complex(rng, dim)
+            b = random_complex(rng, dim)
+            want = np.trace(to_numpy(a) @ to_numpy(b))
+            assert abs(trace_product(a, b) - want) <= 1e-12
+
+    def test_trace_product_equals_matmul_trace_exactly(self):
+        rng = random.Random(19)
+        for dim in (2, 4, 8):
+            a = random_complex(rng, dim)
+            h = diagonal([rng.uniform(-2, 2) for _ in range(dim)])
+            b = random_complex(rng, dim)
+            assert trace_product(a, h) == trace(matmul(a, h))
+            assert trace_product(a, b) == trace(matmul(a, b))
+
+    def test_trace_product_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            trace_product(identity(2), identity(4))
+
 
 class TestPartialTrace:
     def test_bell_state_marginals_are_maximally_mixed(self):
@@ -208,6 +241,25 @@ class TestPartialTrace:
     def test_out_of_range_keep_rejected(self):
         with pytest.raises(ValueError, match="range"):
             partial_trace(identity(4), (2, 2), {2})
+
+    def test_keep_container_does_not_matter(self):
+        rng = random.Random(20)
+        rho = random_density(rng, 8)
+        want = partial_trace(rho, (2, 2, 2), {0, 2})
+        assert partial_trace(rho, (2, 2, 2), [2, 0, 2]) == want
+        assert partial_trace(rho, (2, 2, 2), (k for k in (2, 0))) == want
+
+    def test_errors_repeat_after_cached_success(self):
+        partial_trace(identity(4), (2, 2), {0})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+                partial_trace(identity(4), (2, 0), {0})
+            with pytest.raises(ValueError, match="keep set must be nonempty"):
+                partial_trace(identity(4), (2, 2), set())
+            with pytest.raises(ValueError, match="keep indices out of range for 2 subsystems"):
+                partial_trace(identity(4), (2, 2), {-1})
+            with pytest.raises(ValueError, match="keep indices out of range for 2 subsystems"):
+                partial_trace(identity(4), (2, 2), {0, 2})
 
 
 class TestEigensolver:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase.thermo
 from conftest import random_bloch, to_numpy
 from qerase.linalg import ComplexMatrix, diagonal, identity, kron
 from qerase.states import BlochVector, EnergyLevels, ThermalSpec, composite_initial, qubit_from_bloch
@@ -175,6 +176,17 @@ class TestHeats:
     def test_photon_energy_zero_at_zero_temperature(self):
         spec = ThermalSpec.from_beta(math.inf)
         assert photon_energy(BlochVector(), spec, EnergyLevels()) == 0.0
+
+    @pytest.mark.parametrize("closed_form", [heat_reservoir, photon_energy])
+    def test_contradictory_gap_rejected(self, closed_form):
+        # Gibbs weights at gap 1 must not be mixed with heats at gap 2
+        b = BlochVector(0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="gap mismatch: levels.delta = 2.0, spec.delta = 1.0"):
+            closed_form(b, ThermalSpec.from_temperature(0.9, delta=1.0), EnergyLevels(delta=2.0))
+        consistent = ThermalSpec.from_temperature(0.9, delta=2.0)
+        assert heat_reservoir(b, consistent, EnergyLevels(delta=2.0)) == pytest.approx(
+            0.8045, abs=1e-4
+        )
 
     def test_heats_against_trace_route(self):
         rng = random.Random(53)
@@ -417,6 +429,29 @@ class TestAnalyze:
             EnergyLevels(delta=2.0),
         )
         assert consistent.q_reservoir == pytest.approx(0.8045, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "attr, quantity",
+        [
+            ("entropy_decrease", "entropy decrease"),
+            ("heat_memory", "memory heat"),
+            ("heat_reservoir", "reservoir heat"),
+            ("photon_energy", "photon energy"),
+            ("limit_temperature", "limit temperature"),
+        ],
+    )
+    def test_cross_check_catches_a_perturbed_closed_form(self, monkeypatch, attr, quantity):
+        """A closed form off by 1e-8 relative fails its own comparison.
+
+        Natural units only: in SI units the absolute route tolerance cannot
+        see such an error yet (ROADMAP item 2a).
+        """
+        original = getattr(qerase.thermo, attr)
+        monkeypatch.setattr(
+            qerase.thermo, attr, lambda *args: (1.0 + 1e-8) * original(*args)
+        )
+        with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
+            analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
 
     def test_zero_temperature_returns_every_joule(self):
         report = analyze(BlochVector(0.2, 0.2, 0.2), ThermalSpec.from_beta(math.inf))
