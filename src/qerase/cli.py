@@ -4,9 +4,13 @@ Subcommands: `erase` (one run, full thermodynamic report), `sweep` (CSV over
 a Bloch-sphere grid), `optics` (photon simulation), `verify` (self-check
 battery), and `convert-units` (natural temperature units vs kelvin).
 
+Each `cmd_*` handler returns a payload of plain values; `render` turns it
+into JSON or the subcommand's CSV/text layout, and `main` writes that out.
+
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 I/O failure.
-All floats are emitted with 12 significant digits; infinities and undefined
-ratios become the JSON-safe tags "infinite" and "undefined".
+Floats are emitted with 12 significant digits, except the optics text
+matrix, which shows 6 decimals. Infinities and undefined ratios become the
+tags "infinite" and "undefined" in every format.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
+from .linalg import ComplexMatrix
 from .states import BlochVector, EnergyLevels, ThermalSpec
-from .thermo import ErasureReport, analyze, entropy_decrease, heat_memory, heat_reservoir, limit_temperature
+from .thermo import analyze, entropy_decrease, heat_memory, heat_reservoir, limit_temperature
 from .optics import (
     MODE_LABELS,
     PATH_LABELS,
@@ -49,25 +53,21 @@ SWEEP_COLUMNS = (
 )
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "undefined"
-    if math.isinf(x):
-        return "infinite" if x > 0 else "-infinite"
-    return f"{x:.12g}"
-
-
 def _tag(x: float):
     """Float for JSON, or a tag string when JSON has no literal for it."""
     if math.isnan(x):
         return "undefined"
     if math.isinf(x):
         return "infinite" if x > 0 else "-infinite"
-    return _round12(x)
+    return float(f"{x:.12g}")
+
+
+def _fmt(x: float | bool) -> str:
+    """Text and CSV form of a float or a flag."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    tagged = _tag(x)
+    return tagged if isinstance(tagged, str) else f"{x:.12g}"
 
 
 def _parse_float(text: str) -> float:
@@ -113,27 +113,15 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid sweep at fixed Bloch radius over the whole sphere. The gap and
-    temperature are checked by EnergyLevels and ThermalSpec."""
-
-    r: float
-    n_theta: int
-    n_phi: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"radius must lie in [0, 1], got {self.r!r}")
-        if self.n_theta < 2:
-            raise ValueError("need at least 2 polar samples")
-        if self.n_phi < 1:
-            raise ValueError("need at least 1 azimuthal sample")
+def _thermal_spec(args: argparse.Namespace, delta: float, k_B: float) -> ThermalSpec:
+    """--temperature, else --beta (default inf), at gap `delta`; ThermalSpec
+    checks the gap and the temperature."""
+    if args.temperature is not None:
+        return ThermalSpec.from_temperature(args.temperature, delta, k_B)
+    return ThermalSpec.from_beta(math.inf if args.beta is None else args.beta, delta, k_B)
 
 
-def _run_spec(args: argparse.Namespace) -> tuple[ThermalSpec, str]:
-    """Thermal data of one erase run and its unit system; ThermalSpec checks
-    the gap and the temperature."""
+def cmd_erase(args: argparse.Namespace) -> dict:
     units = "SI" if (args.delta_si is not None or args.units == "SI") else "natural"
     if args.delta_si is not None:
         if args.delta is not None:
@@ -141,127 +129,67 @@ def _run_spec(args: argparse.Namespace) -> tuple[ThermalSpec, str]:
         delta = args.delta_si
     else:
         delta = 1.0 if args.delta is None else args.delta
-    k_b = K_B_SI if units == "SI" else 1.0
-    if args.temperature is not None:
-        spec = ThermalSpec.from_temperature(args.temperature, delta, k_b)
-    else:
-        beta = math.inf if args.beta is None else args.beta
-        spec = ThermalSpec.from_beta(beta, delta, k_b)
-    return spec, units
-
-
-def _report_fields(report: ErasureReport) -> dict:
-    return {
-        "delta_S": _tag(report.delta_s),
-        "Q_M": _tag(report.q_memory),
-        "Q_R": _tag(report.q_reservoir),
-        "Q_E": _tag(report.q_environment),
-        "photon_energy": _tag(report.photon_energy),
-        "U_initial": _tag(report.u_initial),
-        "U_final": _tag(report.u_final),
-        "T": _tag(report.temperature),
-        "T_limit": _tag(report.t_limit),
-        "landauer_violated": report.landauer_violated,
-        "landauer_margin": _tag(report.landauer_margin),
-    }
-
-
-def cmd_erase(args: argparse.Namespace) -> int:
-    spec, units = _run_spec(args)
+    spec = _thermal_spec(args, delta, K_B_SI if units == "SI" else 1.0)
     bloch = args.bloch
     report = analyze(bloch, spec)
-    inputs = {
-        "bloch": [_tag(bloch.r_x), _tag(bloch.r_y), _tag(bloch.r_z)],
-        "beta": _tag(spec.beta),
-        "temperature": _tag(spec.temperature),
-        "delta": _tag(spec.delta),
-        "k_B": _tag(spec.k_B),
+    return {
+        "units": units,
+        "inputs": {
+            "bloch": (bloch.r_x, bloch.r_y, bloch.r_z),
+            "beta": spec.beta,
+            "temperature": spec.temperature,
+            "delta": spec.delta,
+            "k_B": spec.k_B,
+        },
+        "report": {
+            "delta_S": report.delta_s,
+            "Q_M": report.q_memory,
+            "Q_R": report.q_reservoir,
+            "Q_E": report.q_environment,
+            "photon_energy": report.photon_energy,
+            "U_initial": report.u_initial,
+            "U_final": report.u_final,
+            "T": report.temperature,
+            "T_limit": report.t_limit,
+            "landauer_violated": report.landauer_violated,
+            "landauer_margin": report.landauer_margin,
+        },
     }
-    fields = _report_fields(report)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "erase",
-            "units": units,
-            "inputs": inputs,
-            "report": fields,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = ["r_x", "r_y", "r_z", "beta", "temperature", "delta", "k_B", "units"]
-        row = [
-            _fmt(bloch.r_x),
-            _fmt(bloch.r_y),
-            _fmt(bloch.r_z),
-            _fmt(spec.beta),
-            _fmt(spec.temperature),
-            _fmt(spec.delta),
-            _fmt(spec.k_B),
-            units,
-        ]
-        for key, value in fields.items():
-            header.append(key)
-            row.append(str(value).lower() if isinstance(value, bool) else
-                       value if isinstance(value, str) else _fmt(value))
-        writer.writerow(header)
-        writer.writerow(row)
-        _emit(buf.getvalue(), args.output)
-    else:
-        lines = [f"erasure run ({units} units)"]
-        shown = dict(inputs)
-        shown["bloch"] = "(" + ", ".join(_fmt(v) for v in (
-            bloch.r_x, bloch.r_y, bloch.r_z)) + ")"
-        for key, value in {**shown, **fields}.items():
-            lines.append(f"  {key:<18} {value}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(r=args.r, n_theta=args.n_theta, n_phi=args.n_phi)
+def cmd_sweep(args: argparse.Namespace) -> dict:
+    """Grid at fixed Bloch radius over the whole sphere."""
+    r, n_theta, n_phi = args.r, args.n_theta, args.n_phi
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"radius must lie in [0, 1], got {r!r}")
+    if n_theta < 2:
+        raise ValueError("need at least 2 polar samples")
+    if n_phi < 1:
+        raise ValueError("need at least 1 azimuthal sample")
     levels = EnergyLevels(delta=args.delta)
-    if args.temperature is not None:
-        spec = ThermalSpec.from_temperature(args.temperature, args.delta)
-    else:
-        spec = ThermalSpec.from_beta(math.inf if args.beta is None else args.beta, args.delta)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_COLUMNS)
-    for i in range(config.n_theta):
-        theta = i * math.pi / (config.n_theta - 1)
+    spec = _thermal_spec(args, args.delta, 1.0)
+    rows = []
+    for i in range(n_theta):
+        theta = i * math.pi / (n_theta - 1)
         sin_t, cos_t = math.sin(theta), math.cos(theta)
-        for j in range(config.n_phi):
-            phi = j * 2.0 * math.pi / config.n_phi
-            b = BlochVector(
-                config.r * sin_t * math.cos(phi),
-                config.r * sin_t * math.sin(phi),
-                config.r * cos_t,
-            )
-            t_limit = limit_temperature(b, levels) / levels.delta
-            writer.writerow(
-                [
-                    _fmt(theta),
-                    _fmt(phi),
-                    _fmt(b.r_x),
-                    _fmt(b.r_y),
-                    _fmt(b.r_z),
-                    _fmt(entropy_decrease(b)),
-                    _fmt(heat_memory(b, levels)),
-                    _fmt(heat_reservoir(b, spec, levels)),
-                    _fmt(t_limit),
-                ]
-            )
-    _emit(buf.getvalue(), args.output)
-    return 0
+        for j in range(n_phi):
+            phi = j * 2.0 * math.pi / n_phi
+            b = BlochVector(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi), r * cos_t)
+            rows.append((
+                theta,
+                phi,
+                b.r_x,
+                b.r_y,
+                b.r_z,
+                entropy_decrease(b),
+                heat_memory(b, levels),
+                heat_reservoir(b, spec, levels),
+                limit_temperature(b, levels) / levels.delta,
+            ))
+    return {"rows": rows}
 
 
-def _matrix_json(m) -> list:
-    return [[[_round12(x.real), _round12(x.imag)] for x in row] for row in m.rows]
-
-
-def cmd_optics(args: argparse.Namespace) -> int:
+def cmd_optics(args: argparse.Namespace) -> dict:
     dist = PathDistribution(p_1=args.p1, p_2=1.0 - args.p1)
     state = simulate(args.pol, dist)
     marginal = path_marginal(state)
@@ -269,105 +197,146 @@ def cmd_optics(args: argparse.Namespace) -> int:
     deviation = max(
         abs(marginal[i, j] - closed[i, j]) for i in range(4) for j in range(4)
     )
-    fidelity_h = polarization_marginal(state)[0, 0].real
-    equivalence = verify_encoding_equivalence()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "optics",
+    return {
         "inputs": {
-            "pol": [_tag(args.pol.r_x), _tag(args.pol.r_y), _tag(args.pol.r_z)],
-            "p_1": _tag(dist.p_1),
-            "p_2": _tag(dist.p_2),
+            "pol": (args.pol.r_x, args.pol.r_y, args.pol.r_z),
+            "p_1": dist.p_1,
+            "p_2": dist.p_2,
         },
-        "mode_labels": list(MODE_LABELS),
-        "final_state": _matrix_json(state),
-        "polarization_fidelity_H": _tag(fidelity_h),
-        "path_labels": list(PATH_LABELS),
-        "path_marginal": _matrix_json(marginal),
-        "closed_form_max_deviation": _tag(deviation),
-        "encoding_equivalent": equivalence.equivalent,
+        "mode_labels": MODE_LABELS,
+        "final_state": state,
+        "polarization_fidelity_H": polarization_marginal(state)[0, 0].real,
+        "path_labels": PATH_LABELS,
+        "path_marginal": marginal,
+        "closed_form_max_deviation": deviation,
+        "encoding_equivalent": verify_encoding_equivalence().equivalent,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = [
-            "optical erasure run",
-            f"  pol bloch        {payload['inputs']['pol']}",
-            f"  path weights     p1 = {_fmt(dist.p_1)}, p2 = {_fmt(dist.p_2)}",
-            f"  H fidelity       {_fmt(fidelity_h)}",
-            f"  closed-form gap  {_fmt(deviation)}",
-            f"  encodings agree  {str(equivalence.equivalent).lower()}",
-            "  path marginal (rows/cols: " + ", ".join(PATH_LABELS) + ")",
-        ]
-        for row in marginal.rows:
-            lines.append(
-                "    "
-                + "  ".join(f"{x.real:+.6f}{x.imag:+.6f}j" for x in row)
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {args.delta!r}")
+def cmd_verify(args: argparse.Namespace) -> dict:
+    if not 0.0 <= args.delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {args.delta!r}")
     if args.draws < 1:
         raise ValueError(f"draws must be >= 1, got {args.draws!r}")
     results = run_verification(delta=args.delta, draws=args.draws, seed=args.seed)
-    passed = all_passed(results)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "parameters": {"delta": _tag(args.delta), "draws": args.draws, "seed": args.seed},
-            "checks": [
-                {"name": r.name, "status": r.status, "detail": r.detail}
-                for r in results
-            ],
-            "passed": passed,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = []
-        for r in results:
-            lines.append(f"{r.status.upper():<5} {r.name}: {r.detail}")
-        lines.append("all checks passed" if passed else "FAILURES above")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if passed else 1
+    return {
+        "parameters": {"delta": args.delta, "draws": args.draws, "seed": args.seed},
+        "checks": [{"name": r.name, "status": r.status, "detail": r.detail} for r in results],
+        "passed": all_passed(results),
+    }
 
 
-def cmd_convert_units(args: argparse.Namespace) -> int:
+def cmd_convert_units(args: argparse.Namespace) -> dict:
     delta = args.delta_si
     if delta <= 0.0 or not math.isfinite(delta):
         raise ValueError(f"--delta-si must be positive, got {delta!r}")
     if (args.kelvin is None) == (args.natural is None):
         raise ValueError("give exactly one of --kelvin or --natural")
+    given = args.natural if args.kelvin is None else args.kelvin
+    if not given >= 0.0:
+        raise ValueError(f"temperature must be >= 0, got {given!r}")
     scale = delta / K_B_SI  # kelvin per natural unit
     if args.kelvin is not None:
-        kelvin = args.kelvin
-        if kelvin < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {kelvin!r}")
-        natural = kelvin / scale
+        kelvin, natural = given, given / scale
     else:
-        natural = args.natural
-        if natural < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {natural!r}")
-        kelvin = natural * scale
+        kelvin, natural = given * scale, given
     beta_delta = math.inf if kelvin == 0.0 else (
         0.0 if math.isinf(kelvin) else scale / kelvin
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "convert-units",
-        "delta_si": _tag(delta),
-        "k_B": _tag(K_B_SI),
-        "kelvin_per_natural": _tag(scale),
-        "kelvin": _tag(kelvin),
-        "natural": _tag(natural),
-        "beta_delta": _tag(beta_delta),
+    return {
+        "delta_si": delta,
+        "k_B": K_B_SI,
+        "kelvin_per_natural": scale,
+        "kelvin": kelvin,
+        "natural": natural,
+        "beta_delta": beta_delta,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+
+
+def _jsonable(value):
+    """`value` with floats tagged, complex numbers as [re, im] and matrices
+    as lists of rows."""
+    if isinstance(value, float):
+        return _tag(value)
+    if isinstance(value, complex):
+        return [_tag(value.real), _tag(value.imag)]
+    if isinstance(value, ComplexMatrix):
+        value = value.rows
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _erase_csv(payload: dict) -> str:
+    inputs, report = dict(payload["inputs"]), payload["report"]
+    values = [*inputs.pop("bloch"), *inputs.values()]
+    return _csv([
+        ["r_x", "r_y", "r_z", *inputs, "units", *report],
+        [*map(_fmt, values), payload["units"], *map(_fmt, report.values())],
+    ])
+
+
+def _erase_text(payload: dict) -> str:
+    fields = _jsonable({**payload["inputs"], **payload["report"]})
+    fields["bloch"] = "(" + ", ".join(map(_fmt, payload["inputs"]["bloch"])) + ")"
+    return _lines([f"erasure run ({payload['units']} units)"]
+                  + [f"  {key:<18} {value}" for key, value in fields.items()])
+
+
+def _sweep_csv(payload: dict) -> str:
+    return _csv([SWEEP_COLUMNS, *([_fmt(x) for x in row] for row in payload["rows"])])
+
+
+def _optics_text(payload: dict) -> str:
+    inputs = payload["inputs"]
+    return _lines([
+        "optical erasure run",
+        f"  pol bloch        {_jsonable(inputs['pol'])}",
+        f"  path weights     p1 = {_fmt(inputs['p_1'])}, p2 = {_fmt(inputs['p_2'])}",
+        f"  H fidelity       {_fmt(payload['polarization_fidelity_H'])}",
+        f"  closed-form gap  {_fmt(payload['closed_form_max_deviation'])}",
+        f"  encodings agree  {_fmt(payload['encoding_equivalent'])}",
+        "  path marginal (rows/cols: " + ", ".join(payload["path_labels"]) + ")",
+        *("    " + "  ".join(f"{x.real:+.6f}{x.imag:+.6f}j" for x in row)
+          for row in payload["path_marginal"].rows),
+    ])
+
+
+def _verify_text(payload: dict) -> str:
+    return _lines(
+        [f"{c['status'].upper():<5} {c['name']}: {c['detail']}" for c in payload["checks"]]
+        + ["all checks passed" if payload["passed"] else "FAILURES above"]
+    )
+
+
+LAYOUTS = {
+    ("erase", "csv"): _erase_csv,
+    ("erase", "text"): _erase_text,
+    ("sweep", "csv"): _sweep_csv,
+    ("optics", "text"): _optics_text,
+    ("verify", "text"): _verify_text,
+}
+
+
+def render(command: str, payload: dict, fmt: str) -> str:
+    """The bytes `qerase <command> --format <fmt>` prints for `payload`."""
+    if fmt == "json":
+        document = {"schema_version": SCHEMA_VERSION, "command": command}
+        document.update(_jsonable(payload))
+        return json.dumps(document, indent=2) + "\n"
+    return LAYOUTS[command, fmt](payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="inverse temperature for Q_R (default inf)")
     sweep_thermal.add_argument("--temperature", type=_parse_float, default=None)
     p_sweep.add_argument("--output", default=None, metavar="PATH")
-    p_sweep.set_defaults(handler=cmd_sweep)
+    p_sweep.set_defaults(handler=cmd_sweep, format="csv")
 
     p_optics = sub.add_parser("optics", help="single-photon simulation of the channel")
     p_optics.add_argument("--pol", type=_parse_pol, default=BlochVector(),
@@ -436,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert_group.add_argument("--natural", type=_parse_float, default=None,
                                help="temperature in units of delta/k_B")
     p_convert.add_argument("--output", default=None, metavar="PATH")
-    p_convert.set_defaults(handler=cmd_convert_units)
+    p_convert.set_defaults(handler=cmd_convert_units, format="json")
 
     return parser
 
@@ -444,13 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        _emit(render(args.command, payload, args.format), args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0 if payload.get("passed", True) else 1
 
 
 def run() -> None:

@@ -190,9 +190,11 @@ def analyze(
     """Run the channel on (b, spec) and report all erasure thermodynamics.
 
     The closed forms are what gets reported; each is recomputed from the
-    propagated density matrices and the two routes must agree to 1e-10,
-    otherwise ArithmeticError flags the internal inconsistency. Explicit
-    `levels` must share the gap of `spec`, whose Gibbs weights use it.
+    propagated density matrices and the two routes must agree to 1e-10: in
+    nats for the entropy, in units of the gap for the energies, and
+    relative to T_limit above 1. Otherwise ArithmeticError flags the
+    internal inconsistency. Explicit `levels` must share the gap of `spec`,
+    whose Gibbs weights use it.
     """
     if levels is None:
         levels = EnergyLevels(delta=spec.delta)
@@ -208,27 +210,29 @@ def analyze(
     delta_s = entropy_decrease(b)
     s_initial = von_neumann_entropy(rho_memory)
     s_final = von_neumann_entropy(memory_final)
-    _require_close("entropy decrease", delta_s, s_initial - s_final)
+    _require_close("entropy decrease", delta_s, s_initial - s_final, ROUTE_TOL)
+    energy_tol = ROUTE_TOL * levels.delta
 
     q_m = heat_memory(b, levels)
     q_m_trace = _subsystem_heat(memory_marginal(rho_initial), memory_final, hams.h_memory)
-    _require_close("memory heat", q_m, q_m_trace)
+    _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec, levels)
     q_r_trace = _subsystem_heat(
         reservoir_marginal(rho_initial), reservoir_marginal(rho_final), hams.h_reservoir
     )
-    _require_close("reservoir heat", q_r, q_r_trace)
+    _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
     u_i = _energy(rho_initial, hams)
     u_f = internal_energy(rho_final, hams)
     radiated = photon_energy(b, spec, levels)
-    _require_close("photon energy", radiated, u_i - u_f)
+    _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
     t_limit = limit_temperature(b, levels, spec.k_B)
     if delta_s > 0.0:
         _require_close(
-            "limit temperature", t_limit, -q_m / (spec.k_B * delta_s), scale=t_limit
+            "limit temperature", t_limit, -q_m / (spec.k_B * delta_s),
+            ROUTE_TOL * max(1.0, abs(t_limit)),
         )
 
     verdict = landauer_check(q_m, spec.temperature, delta_s, spec.k_B)
@@ -253,8 +257,7 @@ def _subsystem_heat(
     return trace_product(marginal_after - marginal_before, h).real
 
 
-def _require_close(name: str, closed: float, traced: float, scale: float = 1.0) -> None:
-    tol = ROUTE_TOL * max(1.0, abs(scale))
+def _require_close(name: str, closed: float, traced: float, tol: float) -> None:
     if abs(closed - traced) > tol:
         raise ArithmeticError(
             f"{name}: closed form {closed!r} and trace route {traced!r} disagree"

@@ -105,22 +105,32 @@ def check_circuit_synthesis() -> CheckResult:
     )
 
 
-def check_closed_form(draws: int, rng: random.Random) -> CheckResult:
+def _sampled(name, draws, rng, deviation, tol, fail_fmt, pass_fmt) -> CheckResult:
+    """Draw `draws` Bloch vectors, the k-th at beta = BETA_GRID[k % 5], and
+    fail at the first whose `deviation(b, spec)` exceeds `tol`. `fail_fmt`
+    gets `k` and that `gap`; `pass_fmt` gets `draws` and the `worst` gap."""
     worst = 0.0
     for k in range(draws):
         b = random_bloch(rng)
-        spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
+        gap = deviation(b, ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)]))
+        worst = max(worst, gap)
+        if gap > tol:
+            return _result(name, False, fail_fmt.format(k=k, gap=gap))
+    return _result(name, True, pass_fmt.format(draws=draws, worst=worst))
+
+
+def check_closed_form(draws: int, rng: random.Random) -> CheckResult:
+    def deviation(b, spec):
         propagated = apply_channel(composite_initial(b, spec))
         closed = final_state_closed_form(b, spec)
-        for i in range(8):
-            for j in range(8):
-                worst = max(worst, abs(propagated[i, j] - closed[i, j]))
-        if worst > 1e-12:
-            return _result(
-                "closed_form", False, f"draw {k}: entry deviation {worst:.3e}"
-            )
-    return _result(
-        "closed_form", True, f"{draws} draws, worst entry deviation {worst:.3e}"
+        return max(
+            abs(propagated[i, j] - closed[i, j]) for i in range(8) for j in range(8)
+        )
+
+    return _sampled(
+        "closed_form", draws, rng, deviation, 1e-12,
+        "draw {k}: entry deviation {gap:.3e}",
+        "{draws} draws, worst entry deviation {worst:.3e}",
     )
 
 
@@ -137,41 +147,29 @@ def check_memory_reset(draws: int, rng: random.Random) -> CheckResult:
 
 
 def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
-    worst = 0.0
-    for k in range(draws):
-        b = random_bloch(rng)
-        spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
+    def deviation(b, spec):
         rho_i = composite_initial(b, spec)
-        gap = abs(von_neumann_entropy(apply_channel(rho_i)) - von_neumann_entropy(rho_i))
-        worst = max(worst, gap)
-        if gap > 1e-10:
-            return _result(
-                "entropy_conservation", False, f"draw {k}: |S_f - S_i| = {gap:.3e}"
-            )
-    return _result(
-        "entropy_conservation",
-        True,
-        f"{draws} draws, unitary invariance of S within {worst:.3e}",
+        return abs(von_neumann_entropy(apply_channel(rho_i)) - von_neumann_entropy(rho_i))
+
+    return _sampled(
+        "entropy_conservation", draws, rng, deviation, 1e-10,
+        "draw {k}: |S_f - S_i| = {gap:.3e}",
+        "{draws} draws, unitary invariance of S within {worst:.3e}",
     )
 
 
 def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
-    worst = 0.0
-    for k in range(draws):
-        b = random_bloch(rng)
-        spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
+    def deviation(b, spec):
         rho_f = apply_channel(composite_initial(b, spec))
         measured = von_neumann_entropy(qubit_from_bloch(b)) - von_neumann_entropy(
             memory_marginal(rho_f)
         )
-        gap = abs(measured - entropy_decrease(b))
-        worst = max(worst, gap)
-        if gap > 1e-10:
-            return _result(
-                "memory_entropy_drop", False, f"draw {k}: route gap {gap:.3e}"
-            )
-    return _result(
-        "memory_entropy_drop", True, f"{draws} draws, closed vs spectral within {worst:.3e}"
+        return abs(measured - entropy_decrease(b))
+
+    return _sampled(
+        "memory_entropy_drop", draws, rng, deviation, 1e-10,
+        "draw {k}: route gap {gap:.3e}",
+        "{draws} draws, closed vs spectral within {worst:.3e}",
     )
 
 
@@ -223,23 +221,14 @@ def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
 
 
 def check_energy_conservation(draws: int, rng: random.Random) -> CheckResult:
-    worst = 0.0
-    for k in range(draws):
-        b = random_bloch(rng)
-        spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
+    def deviation(b, spec):
         report = analyze(b, spec)
-        gap = abs((report.u_initial - report.u_final) - report.photon_energy)
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            return _result(
-                "energy_conservation",
-                False,
-                f"draw {k}: U_i - U_f misses the photon energy by {gap:.3e}",
-            )
-    return _result(
-        "energy_conservation",
-        True,
-        f"{draws} draws, U_i - U_f = photon energy within {worst:.3e}",
+        return abs((report.u_initial - report.u_final) - report.photon_energy)
+
+    return _sampled(
+        "energy_conservation", draws, rng, deviation, 1e-12,
+        "draw {k}: U_i - U_f misses the photon energy by {gap:.3e}",
+        "{draws} draws, U_i - U_f = photon energy within {worst:.3e}",
     )
 
 

@@ -353,6 +353,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--draws", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_two_before_the_battery(self, capsys, monkeypatch, delta):
+        def battery(**kwargs):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr("qerase.cli.run_verification", battery)
+        code, out, err = run_cli(capsys, "verify", "--delta", delta)
+        assert code == 2
+        assert out == ""
+        assert f"delta must be finite and >= 0, got {float(delta)!r}" in err
+
 
 class TestConvertUnits:
     def test_kelvin_to_natural(self, capsys):
@@ -395,6 +406,15 @@ class TestConvertUnits:
     def test_non_positive_gap_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "convert-units", "--delta-si", "0", "--kelvin", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("direction", ["--kelvin", "--natural"])
+    def test_nan_temperature_exits_two(self, capsys, direction):
+        code, out, err = run_cli(
+            capsys, "convert-units", "--delta-si", "1.986e-22", direction, "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "temperature must be >= 0, got nan" in err
 
 
 class TestParserPlumbing:

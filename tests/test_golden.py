@@ -89,6 +89,9 @@ CASES = [
     ("exit2_verify_delta", ["verify", "--delta", "-1"], 2),
     ("exit2_convert_gap", ["convert-units", "--delta-si", "0", "--kelvin", "1"], 2),
     ("exit2_convert_direction", ["convert-units", "--delta-si", "1e-22"], 2),
+    ("exit2_convert_nan_kelvin", ["convert-units", "--delta-si", "1.986e-22",
+                                  "--kelvin", "nan"], 2),
+    ("exit2_verify_nan_delta", ["verify", "--delta", "nan"], 2),
     ("exit3_erase_output", ["erase", "--output", MISSING_DIR], 3),
     ("exit3_sweep_output", ["sweep", "--r", "0.5", "--n-theta", "2", "--n-phi", "1",
                             "--output", MISSING_DIR], 3),
@@ -123,6 +126,20 @@ def test_golden_output(name, argv, code, tmp_path, monkeypatch):
     assert got_out.encode("utf-8") == want
     if code >= 2:
         assert want == b""
+
+
+WRITTEN = [c for c in CASES if c[2] < 2]
+
+
+@pytest.mark.parametrize("name,argv,code", WRITTEN, ids=[c[0] for c in WRITTEN])
+def test_output_file_holds_the_golden_bytes(name, argv, code, tmp_path, monkeypatch):
+    """With `--output FILE` the same bytes go to the file and none to stdout."""
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "out.txt"
+    got_code, got_out = run_case(name, [*argv, "--output", str(target)])
+    assert got_code == code
+    assert got_out == ""
+    assert target.read_bytes() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
 def test_every_golden_file_has_a_case():

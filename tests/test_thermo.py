@@ -441,17 +441,18 @@ class TestAnalyze:
         ],
     )
     def test_cross_check_catches_a_perturbed_closed_form(self, monkeypatch, attr, quantity):
-        """A closed form off by 1e-8 relative fails its own comparison.
-
-        Natural units only: in SI units the absolute route tolerance cannot
-        see such an error yet (ROADMAP item 2a).
+        """A closed form off by 1e-8 relative fails its own comparison, in
+        natural units and at an SI gap of 1.986e-22 J, where the energies
+        are about 1e-22 J and an absolute tolerance would accept any error.
         """
         original = getattr(qerase.thermo, attr)
         monkeypatch.setattr(
             qerase.thermo, attr, lambda *args: (1.0 + 1e-8) * original(*args)
         )
-        with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
-            analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
+        si = ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23)
+        for spec in (ThermalSpec.from_beta(1.0), si):
+            with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
+                analyze(BlochVector(0.3, -0.2, 0.4), spec)
 
     def test_zero_temperature_returns_every_joule(self):
         report = analyze(BlochVector(0.2, 0.2, 0.2), ThermalSpec.from_beta(math.inf))

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
-from qerase.linalg import ComplexMatrix, frobenius_distance
+import qerase.verify
+from qerase.linalg import ComplexMatrix, frobenius_distance, identity
 from qerase.channel import build_circuit, build_erasure_unitary, circuit_unitary
 from qerase.verify import (
     CheckResult,
@@ -11,6 +13,9 @@ from qerase.verify import (
     check_closed_form,
     check_commutator,
     check_encoding_equivalence,
+    check_energy_conservation,
+    check_entropy_conservation,
+    check_memory_entropy_drop,
     check_memory_reset,
     check_optics_transformations,
     check_permutation_identity,
@@ -81,6 +86,59 @@ class TestIndividualChecks:
     def test_optics_checks(self):
         assert check_optics_transformations().status == "pass"
         assert check_encoding_equivalence().status == "pass"
+
+
+def _first_call_shifted(fn):
+    """`fn` with 1e-3 added to the result of its first call only: a shift
+    on every call would cancel in S_f - S_i."""
+    shifts = iter([1e-3])
+    return lambda *args: fn(*args) + next(shifts, 0.0)
+
+
+class TestSampledCheckFailures:
+    """A sampled check stops at the first draw over its tolerance and names
+    it. Each case corrupts what one check compares so that draw 0 is off by
+    1e-3."""
+
+    @pytest.mark.parametrize(
+        "check,attr,corrupt,detail",
+        [
+            (
+                check_closed_form,
+                "final_state_closed_form",
+                lambda f: lambda b, spec: f(b, spec) + 1e-3 * identity(8),
+                "draw 0: entry deviation 1.000e-03",
+            ),
+            (
+                check_entropy_conservation,
+                "von_neumann_entropy",
+                _first_call_shifted,
+                "draw 0: |S_f - S_i| = 1.000e-03",
+            ),
+            (
+                check_memory_entropy_drop,
+                "entropy_decrease",
+                lambda f: lambda b: f(b) + 1e-3,
+                "draw 0: route gap 1.000e-03",
+            ),
+            (
+                check_energy_conservation,
+                "analyze",
+                lambda f: lambda b, spec: dataclasses.replace(
+                    f(b, spec), photon_energy=f(b, spec).photon_energy + 1e-3
+                ),
+                "draw 0: U_i - U_f misses the photon energy by 1.000e-03",
+            ),
+        ],
+        ids=["closed_form", "entropy_conservation", "memory_entropy_drop",
+             "energy_conservation"],
+    )
+    def test_first_failing_draw_is_reported(self, monkeypatch, check, attr, corrupt, detail):
+        monkeypatch.setattr(qerase.verify, attr, corrupt(getattr(qerase.verify, attr)))
+        result = check(draws=5, rng=random.Random(4))
+        assert result.name == check.__name__.removeprefix("check_")
+        assert result.status == "fail"
+        assert result.detail == detail
 
 
 class TestBattery:
