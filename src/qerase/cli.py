@@ -7,7 +7,8 @@ battery), and `convert-units` (natural temperature units vs kelvin).
 Each `cmd_*` handler returns a payload of plain values; `render` turns it
 into JSON or the subcommand's CSV/text layout, and `main` writes that out.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 I/O failure.
+Exit codes: 0 success, 1 verification or cross-check failure, 2 bad input,
+3 I/O failure.
 Floats are emitted with 12 significant digits, except the optics text
 matrix, which shows 6 decimals. Infinities and undefined ratios become the
 tags "infinite" and "undefined" in every format.
@@ -230,8 +231,6 @@ def cmd_convert_units(args: argparse.Namespace) -> dict:
     delta = args.delta_si
     if delta <= 0.0 or not math.isfinite(delta):
         raise ValueError(f"--delta-si must be positive, got {delta!r}")
-    if (args.kelvin is None) == (args.natural is None):
-        raise ValueError("give exactly one of --kelvin or --natural")
     given = args.natural if args.kelvin is None else args.kelvin
     if not given >= 0.0:
         raise ValueError(f"temperature must be >= 0, got {given!r}")
@@ -415,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = args.handler(args)
         _emit(render(args.command, payload, args.format), args.output)
+    except ArithmeticError as exc:  # e.g. a failed cross-check in `analyze`
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ of the 1 in column c. It is applied and composed without a dense product.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -251,34 +252,22 @@ def _partial_trace_tables(
 
     `keep` is sorted and validated against `dims` by the caller.
     """
-    traced = [k for k in range(len(dims)) if k not in keep]
-
-    def flat(kept_vals: Sequence[int], traced_vals: Sequence[int]) -> int:
-        pos = {k: v for k, v in zip(keep, kept_vals)}
-        pos.update({k: v for k, v in zip(traced, traced_vals)})
-        idx = 0
-        for k, d in enumerate(dims):
-            idx = idx * d + pos[k]
-        return idx
-
-    kept_multi = list(_mixed_radix(tuple(dims[k] for k in keep)))
-    traced_multi = list(_mixed_radix(tuple(dims[k] for k in traced)))
-    # flat-index lists per kept multi-index, one entry per traced multi-index
-    flats = [[flat(kv, tv) for tv in traced_multi] for kv in kept_multi]
-    total = math.prod(dims)
+    labels = [  # (kept digits, traced digits) of each flat index
+        (tuple(d for k, d in enumerate(digits) if k in keep),
+         tuple(d for k, d in enumerate(digits) if k not in keep))
+        for digits in itertools.product(*map(range, dims))
+    ]
+    blocks = sorted({kept for kept, _ in labels})
+    total = len(labels)
     return tuple(
-        tuple(tuple(a * total + b for a, b in zip(fi, fj)) for fj in flats)
-        for fi in flats
+        tuple(
+            tuple(a * total + b
+                  for a, (kept_a, traced_a) in enumerate(labels) if kept_a == row
+                  for b, (kept_b, traced_b) in enumerate(labels)
+                  if kept_b == col and traced_b == traced_a)
+            for col in blocks)
+        for row in blocks
     )
-
-
-def _mixed_radix(dims: tuple[int, ...]):
-    if not dims:
-        yield ()
-        return
-    for head in range(dims[0]):
-        for rest in _mixed_radix(dims[1:]):
-            yield (head,) + rest
 
 
 def hermiticity_defect(m: ComplexMatrix) -> float:

@@ -42,7 +42,6 @@ ROUTE_TOL = 1e-10
 class HamiltonianSet:
     """Memory, reservoir, and composite Hamiltonians for fixed level data."""
 
-    levels: EnergyLevels
     h_memory: ComplexMatrix
     h_reservoir: ComplexMatrix
     h_total: ComplexMatrix
@@ -55,7 +54,7 @@ def build_hamiltonians(levels: EnergyLevels) -> HamiltonianSet:
     h_m = diagonal([e0, e0 + d])
     h_r = diagonal([eps, eps, eps + d, eps + d])
     h_total = kron(h_m, identity(4)) + kron(identity(2), h_r)
-    return HamiltonianSet(levels=levels, h_memory=h_m, h_reservoir=h_r, h_total=h_total)
+    return HamiltonianSet(h_memory=h_m, h_reservoir=h_r, h_total=h_total)
 
 
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
@@ -128,21 +127,17 @@ def limit_temperature(
 ) -> float:
     """Temperature at which the erasure stops beating the entropy bound.
 
-    Returns +inf when the bound holds at every temperature (pure inputs
-    with r_z < 1) and NaN when the ratio degenerates (r_z = 1).
+    T_limit = -Q_M / (k_B dS), from `heat_memory` and `entropy_decrease`.
+    Returns +inf when no entropy is removed but heat is (pure inputs with
+    r_z < 1) and NaN when neither is (r_z = 1).
     """
     if k_B <= 0.0 or not math.isfinite(k_B):
         raise ValueError(f"k_B must be positive and finite, got {k_B!r}")
-    r = min(b.r, 1.0)
-    numer = levels.delta * (1.0 - b.r_z)
-    if r >= 1.0:
-        return math.nan if numer == 0.0 else math.inf
-    bracket = (
-        math.log(4.0)
-        - r * math.log((1.0 + r) ** 2)
-        - (1.0 - r) * math.log((1.0 - r) * (1.0 + r))
-    )
-    return numer / (k_B * bracket)
+    q_m = heat_memory(b, levels)
+    delta_s = entropy_decrease(b)
+    if delta_s == 0.0:
+        return math.nan if q_m == 0.0 else math.inf
+    return -q_m / (k_B * delta_s)
 
 
 class LandauerVerdict(NamedTuple):
@@ -224,7 +219,7 @@ def analyze(
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
     u_i = _energy(rho_initial, hams)
-    u_f = internal_energy(rho_final, hams)
+    u_f = _energy(rho_final, hams)  # a relabeling of rho_initial
     radiated = photon_energy(b, spec, levels)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 

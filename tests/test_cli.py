@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import qerase.thermo
 from qerase.states import BlochVector, EnergyLevels, ThermalSpec
 from qerase.thermo import analyze, limit_temperature
 from qerase.cli import SWEEP_COLUMNS, build_parser, main
@@ -189,6 +190,29 @@ class TestEraseCommand:
     def test_negative_beta_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "erase", "--beta", "-2")
         assert code == 2
+
+    def test_failed_cross_check_exits_one_without_a_traceback(self, capsys, monkeypatch):
+        original = qerase.thermo.heat_reservoir
+        monkeypatch.setattr(
+            qerase.thermo, "heat_reservoir", lambda *args: (1.0 + 1e-8) * original(*args)
+        )
+        code, out, err = run_cli(capsys, "erase")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: reservoir heat: closed form ")
+        assert "Traceback" not in err
+
+    def test_near_pure_memory_reports_the_heat_entropy_ratio(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "erase", "--format", "csv", "--beta", "10",
+            "--bloch=-0.09177774222663736,0.5804673280311704,-0.8090947728161947",
+        )
+        assert code == 0
+        header, data = list(csv.reader(io.StringIO(out)))
+        record = dict(zip(header, data))
+        assert float(record["T_limit"]) == pytest.approx(
+            -float(record["Q_M"]) / float(record["delta_S"]), rel=1e-11
+        )
 
 
 class TestSweepCommand:
