@@ -10,7 +10,6 @@ and simulates the equivalent single-photon optical circuit.
 
 from .linalg import (
     ComplexMatrix,
-    HermitianSpectrum,
     dagger,
     density_matrix,
     diagonal,
@@ -62,7 +61,6 @@ from .thermo import (
     entropy_decrease,
     heat_memory,
     heat_reservoir,
-    internal_energy,
     landauer_check,
     limit_temperature,
     photon_energy,
@@ -77,11 +75,9 @@ from .optics import (
     compose,
     default_erasure_circuit,
     element_unitary,
-    hwp_unitary,
     mode_index,
     path_final_closed_form,
     path_marginal,
-    pbs_unitary,
     polarization_marginal,
     simulate,
     verify_encoding_equivalence,

@@ -14,9 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Iterable, Sequence
 
 HERMITICITY_TOL = 1e-12
@@ -180,16 +178,6 @@ def trace(m: ComplexMatrix) -> complex:
     return sum(m.rows[i][i] for i in range(m.dim))
 
 
-def trace_product(a: ComplexMatrix, b: ComplexMatrix) -> complex:
-    """Tr(a b) = sum_ik a_ik b_ki, without forming a b.
-
-    Each diagonal entry is summed as `matmul` sums it, so the result equals
-    trace(matmul(a, b)) exactly.
-    """
-    _check_same_dim(a, b)
-    return sum(sum(map(mul, row, col)) for row, col in zip(a.rows, zip(*b.rows)))
-
-
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
     na, nb = a.dim, b.dim
@@ -283,19 +271,8 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigenvalues of a Hermitian matrix, ascending."""
-
-    eigenvalues: tuple[float, ...]
-
-    @property
-    def smallest(self) -> float:
-        return self.eigenvalues[0]
-
-
-def hermitian_eigenvalues(m: ComplexMatrix) -> HermitianSpectrum:
-    """Eigenvalues via cyclic Jacobi rotations with complex phases.
+def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
+    """Ascending eigenvalues via cyclic Jacobi rotations with complex phases.
 
     Sweeps run until the off-diagonal Frobenius norm drops below 1e-13;
     failure to converge in 60 sweeps raises ArithmeticError.
@@ -325,7 +302,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> HermitianSpectrum:
             )
         )
         if off < JACOBI_OFF_TOL:
-            return HermitianSpectrum(tuple(sorted(a[i][i].real for i in range(n))))
+            return tuple(sorted(a[i][i].real for i in range(n)))
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -374,7 +351,7 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
         for i in range(n)
     )
     if gershgorin_min < EIGENVALUE_FLOOR:
-        lo = hermitian_eigenvalues(m).smallest
+        lo = hermitian_eigenvalues(m)[0]
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(
                 f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}"

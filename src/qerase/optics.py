@@ -102,14 +102,6 @@ class PathDistribution:
         return cls(p_1=p_g, p_2=p_e)
 
 
-def pbs_unitary(element: PBS) -> ComplexMatrix:
-    return permutation_matrix(element.permutation)
-
-
-def hwp_unitary(element: HWP) -> ComplexMatrix:
-    return permutation_matrix(element.permutation)
-
-
 def _element_permutation(element: OpticalElement) -> tuple[int, ...]:
     if not isinstance(element, (PBS, HWP)):
         raise TypeError(f"not an optical element: {element!r}")

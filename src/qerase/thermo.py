@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from operator import sub
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import (
-    ComplexMatrix,
-    density_matrix,
-    diagonal,
-    frobenius_distance,
-    hermitian_eigenvalues,
-    identity,
-    kron,
-    matmul,
-    trace_product,
-)
+from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
 from .states import (
     BlochVector,
     EnergyLevels,
@@ -40,21 +30,22 @@ ROUTE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HamiltonianSet:
-    """Memory, reservoir, and composite Hamiltonians for fixed level data."""
+    """Level energies of the memory (2), reservoir (4) and composite (8): each
+    Hamiltonian is diagonal, and total[4m + k] = memory[m] + reservoir[k]."""
 
-    h_memory: ComplexMatrix
-    h_reservoir: ComplexMatrix
-    h_total: ComplexMatrix
+    memory: tuple[float, ...]
+    reservoir: tuple[float, ...]
+    total: tuple[float, ...]
 
 
-@lru_cache(maxsize=64)
 def build_hamiltonians(levels: EnergyLevels) -> HamiltonianSet:
-    """Diagonal Hamiltonians of `levels`, built once per distinct level set."""
+    """Level energies of `levels`: memory (e0, e0 + delta), reservoir
+    (eps, eps, eps + delta, eps + delta), and their sums for the composite."""
     e0, eps, d = levels.memory_ground, levels.reservoir_ground, levels.delta
-    h_m = diagonal([e0, e0 + d])
-    h_r = diagonal([eps, eps, eps + d, eps + d])
-    h_total = kron(h_m, identity(4)) + kron(identity(2), h_r)
-    return HamiltonianSet(h_memory=h_m, h_reservoir=h_r, h_total=h_total)
+    memory = tuple(map(float, (e0, e0 + d)))
+    reservoir = tuple(map(float, (eps, eps, eps + d, eps + d)))
+    total = tuple(m + r for m in memory for r in reservoir)
+    return HamiltonianSet(memory=memory, reservoir=reservoir, total=total)
 
 
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
@@ -65,7 +56,7 @@ def von_neumann_entropy(rho: ComplexMatrix) -> float:
     """
     rho = density_matrix(rho)
     s = 0.0
-    for lam in hermitian_eigenvalues(rho).eigenvalues:
+    for lam in hermitian_eigenvalues(rho):
         if lam > 0.0:
             s -= lam * math.log(lam)
     return max(s, 0.0)
@@ -106,20 +97,20 @@ def _check_same_gap(spec: ThermalSpec, levels: EnergyLevels) -> None:
         )
 
 
-def internal_energy(rho: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
-    return _energy(density_matrix(rho), hamiltonians)
+def commutator_norm(perm: Sequence[int], hamiltonians: HamiltonianSet) -> float:
+    """Frobenius norm of [U, H_total] for the permutation U with column -> row
+    map `perm`; nonzero gap means U cannot conserve energy on its own, which
+    is why the emitted photon appears.
 
-
-def _energy(rho: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
-    """Tr[rho H_total] of a state the caller has already validated."""
-    return trace_product(rho, hamiltonians.h_total).real
-
-
-def commutator_norm(unitary: ComplexMatrix, hamiltonians: HamiltonianSet) -> float:
-    """Frobenius norm of [U, H_total]; nonzero gap means U cannot conserve
-    energy on its own, which is why the emitted photon appears."""
-    h = hamiltonians.h_total
-    return frobenius_distance(matmul(unitary, h), matmul(h, unitary))
+    Column c of [U, H] holds E_c - E_perm[c] in row perm[c] and zeros
+    elsewhere; the squares are added in row order.
+    """
+    energies = hamiltonians.total
+    _check_permutation(perm, len(energies))
+    total = 0.0
+    for col in sorted(range(len(perm)), key=perm.__getitem__):
+        total += (energies[col] - energies[perm[col]]) ** 2
+    return math.sqrt(total)
 
 
 def limit_temperature(
@@ -209,17 +200,17 @@ def analyze(
     energy_tol = ROUTE_TOL * levels.delta
 
     q_m = heat_memory(b, levels)
-    q_m_trace = _subsystem_heat(memory_marginal(rho_initial), memory_final, hams.h_memory)
+    q_m_trace = _subsystem_heat(memory_marginal(rho_initial), memory_final, hams.memory)
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec, levels)
     q_r_trace = _subsystem_heat(
-        reservoir_marginal(rho_initial), reservoir_marginal(rho_final), hams.h_reservoir
+        reservoir_marginal(rho_initial), reservoir_marginal(rho_final), hams.reservoir
     )
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
-    u_i = _energy(rho_initial, hams)
-    u_f = _energy(rho_final, hams)  # a relabeling of rho_initial
+    u_i = _level_sum(_populations(rho_initial), hams.total)
+    u_f = _level_sum(_populations(rho_final), hams.total)
     radiated = photon_energy(b, spec, levels)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
@@ -247,9 +238,23 @@ def analyze(
 
 
 def _subsystem_heat(
-    marginal_before: ComplexMatrix, marginal_after: ComplexMatrix, h: ComplexMatrix
+    before: ComplexMatrix, after: ComplexMatrix, energies: Sequence[float]
 ) -> float:
-    return trace_product(marginal_after - marginal_before, h).real
+    """Tr[(after - before) H] for a diagonal H: population change times level."""
+    return _level_sum(map(sub, _populations(after), _populations(before)), energies)
+
+
+def _populations(rho: ComplexMatrix) -> list[float]:
+    return [row[i].real for i, row in enumerate(rho.rows)]
+
+
+def _level_sum(weights: Iterable[float], energies: Sequence[float]) -> float:
+    """Sum of w_i E_i added left to right, without the compensation that
+    `sum` applies to floats from Python 3.12 on."""
+    total = 0.0
+    for w, e in zip(weights, energies):
+        total += w * e
+    return total
 
 
 def _require_close(name: str, closed: float, traced: float, tol: float) -> None:

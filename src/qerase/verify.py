@@ -240,7 +240,7 @@ def check_commutator(delta: float) -> CheckResult:
             detail="degenerate levels (delta = 0): U commutes with H",
         )
     hams = build_hamiltonians(EnergyLevels(delta=delta))
-    norm = commutator_norm(build_erasure_unitary().matrix, hams)
+    norm = commutator_norm(ERASURE_PERMUTATION, hams)
     expected = math.sqrt(8.0) * delta
     ok = norm > 0.0 and abs(norm - expected) <= 1e-12 * expected
     return _result(

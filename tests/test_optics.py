@@ -18,12 +18,10 @@ from qerase.optics import (
     compose,
     default_erasure_circuit,
     element_unitary,
-    hwp_unitary,
     mode_index,
     optical_permutation,
     path_final_closed_form,
     path_marginal,
-    pbs_unitary,
     polarization_marginal,
     simulate,
     verify_encoding_equivalence,
@@ -63,11 +61,11 @@ class TestElements:
             HWP(9)
 
     def test_pbs_swaps_vertical_only(self):
-        u = pbs_unitary(PBS(1, 2))
+        u = element_unitary(PBS(1, 2))
         assert optical_permutation(u) == (0, 1, 2, 3, 5, 4, 6, 7)
 
     def test_hwp_flips_polarization_on_one_path(self):
-        u = hwp_unitary(HWP(2))
+        u = element_unitary(HWP(2))
         assert optical_permutation(u) == (0, 5, 2, 3, 4, 1, 6, 7)
 
     def test_elements_are_involutions(self):

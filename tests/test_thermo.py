@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qerase.thermo
 from conftest import random_bloch, to_numpy
-from qerase.linalg import ComplexMatrix, diagonal, identity, kron
+from qerase.linalg import ComplexMatrix, diagonal, identity
 from qerase.states import BlochVector, EnergyLevels, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
@@ -19,7 +19,6 @@ from qerase.thermo import (
     entropy_decrease,
     heat_memory,
     heat_reservoir,
-    internal_energy,
     landauer_check,
     limit_temperature,
     photon_energy,
@@ -42,27 +41,24 @@ radii = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 class TestHamiltonians:
     def test_default_spectrum(self):
         hams = build_hamiltonians(EnergyLevels())
-        assert hams.h_memory.rows == ((0, 0), (0, 1))
-        assert hams.h_reservoir.rows == (
-            (0, 0, 0, 0),
-            (0, 0, 0, 0),
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
-        )
-        assert [hams.h_total[i, i] for i in range(8)] == [0, 0, 1, 1, 1, 1, 2, 2]
+        assert hams.memory == (0, 1)
+        assert hams.reservoir == (0, 0, 1, 1)
+        assert hams.total == (0, 0, 1, 1, 1, 1, 2, 2)
 
     def test_offsets_shift_the_diagonal(self):
         hams = build_hamiltonians(
             EnergyLevels(memory_ground=2.0, reservoir_ground=3.0, delta=1.5)
         )
-        assert hams.h_memory[1, 1] == 3.5
-        assert hams.h_reservoir[0, 0] == 3.0
-        assert hams.h_total[7, 7] == 2.0 + 1.5 + 3.0 + 1.5
+        assert hams.memory[1] == 3.5
+        assert hams.reservoir[0] == 3.0
+        assert hams.total[7] == 2.0 + 1.5 + 3.0 + 1.5
 
     def test_total_is_sum_of_local_terms(self):
         hams = build_hamiltonians(EnergyLevels(delta=0.7))
-        want = kron(hams.h_memory, identity(4)) + kron(identity(2), hams.h_reservoir)
-        assert hams.h_total == want
+        want = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
+            np.eye(2), np.diag(hams.reservoir)
+        )
+        assert np.array_equal(np.diag(hams.total), want)
 
 
 class TestVonNeumannEntropy:
@@ -192,8 +188,8 @@ class TestHeats:
         rng = random.Random(53)
         levels = EnergyLevels()
         hams = build_hamiltonians(levels)
-        h_m = to_numpy(hams.h_memory)
-        h_r = to_numpy(hams.h_reservoir)
+        h_m = np.diag(hams.memory)
+        h_r = np.diag(hams.reservoir)
         for beta in (0.0, 0.7, 5.0, math.inf):
             spec = ThermalSpec.from_beta(beta)
             b = random_bloch(rng)
@@ -212,49 +208,69 @@ class TestHeats:
 
 class TestInternalEnergy:
     def test_mixed_memory_zero_temperature(self):
-        rho = composite_initial(BlochVector(), ThermalSpec.from_beta(math.inf))
-        assert internal_energy(rho, build_hamiltonians(EnergyLevels())) == 0.5
+        report = analyze(BlochVector(), ThermalSpec.from_beta(math.inf))
+        assert report.u_initial == 0.5
 
     def test_offsets_add_up(self):
-        rho = composite_initial(BlochVector(0, 0, 1), ThermalSpec.from_beta(math.inf))
-        hams = build_hamiltonians(
-            EnergyLevels(memory_ground=2.0, reservoir_ground=3.0, delta=1.0)
-        )
-        assert internal_energy(rho, hams) == pytest.approx(5.0, abs=1e-14)
+        levels = EnergyLevels(memory_ground=2.0, reservoir_ground=3.0, delta=1.0)
+        report = analyze(BlochVector(0, 0, 1), ThermalSpec.from_beta(math.inf), levels)
+        assert report.u_initial == pytest.approx(5.0, abs=1e-14)
 
     def test_energy_gap_paid_by_photon(self):
         rng = random.Random(54)
-        hams = build_hamiltonians(EnergyLevels())
         for beta in (0.0, 1.0, math.inf):
             spec = ThermalSpec.from_beta(beta)
             b = random_bloch(rng)
-            rho_i = composite_initial(b, spec)
-            rho_f = apply_channel(rho_i)
-            gap = internal_energy(rho_i, hams) - internal_energy(rho_f, hams)
+            report = analyze(b, spec)
+            gap = report.u_initial - report.u_final
             assert gap == pytest.approx(
                 photon_energy(b, spec, EnergyLevels()), abs=1e-12
             )
+
+    @pytest.mark.parametrize("delta,k_B", [(1.0, 1.0), (1.986e-22, 1.380649e-23)])
+    def test_energies_against_numpy_trace(self, delta, k_B):
+        # ground offsets of both signs; the dense H is built in numpy
+        rng = random.Random(55)
+        for _ in range(40):
+            levels = EnergyLevels(
+                memory_ground=rng.uniform(-5.0, 5.0) * delta,
+                reservoir_ground=rng.uniform(-5.0, 5.0) * delta,
+                delta=delta,
+            )
+            spec = ThermalSpec.from_temperature(rng.uniform(0.05, 20.0) * delta / k_B,
+                                                delta=delta, k_B=k_B)
+            b = random_bloch(rng)
+            report = analyze(b, spec, levels)
+            hams = build_hamiltonians(levels)
+            h = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
+                np.eye(2), np.diag(hams.reservoir)
+            )
+            rho = composite_initial(b, spec)
+            rho_i, rho_f = to_numpy(rho), to_numpy(apply_channel(rho))
+            bound = 1e-12 * max(map(abs, hams.total))
+            assert abs(report.u_initial - np.trace(rho_i @ h).real) <= bound
+            assert abs(report.u_final - np.trace(rho_f @ h).real) <= bound
 
 
 class TestCommutator:
     def test_frozen_norm(self):
         norm = commutator_norm(
-            build_erasure_unitary().matrix, build_hamiltonians(EnergyLevels())
+            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels())
         )
         assert norm == COMMUTATOR_NORM
 
     def test_scales_linearly_with_gap(self):
         norm = commutator_norm(
-            build_erasure_unitary().matrix, build_hamiltonians(EnergyLevels(delta=2.0))
+            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels(delta=2.0))
         )
         assert norm == pytest.approx(2.0 * COMMUTATOR_NORM, rel=1e-15)
 
     def test_against_numpy(self):
         u = to_numpy(build_erasure_unitary().matrix)
-        h = to_numpy(build_hamiltonians(EnergyLevels(delta=0.6)).h_total)
+        h = np.diag(build_hamiltonians(EnergyLevels(delta=0.6)).total)
         want = np.linalg.norm(u @ h - h @ u)
         got = commutator_norm(
-            build_erasure_unitary().matrix, build_hamiltonians(EnergyLevels(delta=0.6))
+            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels(delta=0.6))
         )
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -262,7 +278,31 @@ class TestCommutator:
         # total excitation-count-like diagonal that the permutation preserves
         # is not available here; the identity works as the trivial case
         hams = build_hamiltonians(EnergyLevels())
-        assert commutator_norm(identity(8), hams) == 0.0
+        assert commutator_norm(tuple(range(8)), hams) == 0.0
+
+    @pytest.mark.parametrize("levels", [
+        EnergyLevels(delta=0.6),
+        EnergyLevels(memory_ground=-2.5, reservoir_ground=1.25, delta=1.0),
+        EnergyLevels(memory_ground=3e-22, reservoir_ground=-1e-22, delta=1.986e-22),
+    ])
+    def test_random_permutations_against_numpy(self, levels):
+        rng = random.Random(56)
+        hams = build_hamiltonians(levels)
+        h = np.diag(hams.total)
+        for _ in range(50):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            p = np.zeros((8, 8))
+            p[perm, range(8)] = 1.0
+            want = np.linalg.norm(p @ h - h @ p)
+            assert commutator_norm(tuple(perm), hams) == pytest.approx(
+                want, rel=1e-14, abs=1e-14 * levels.delta
+            )
+
+    @pytest.mark.parametrize("perm", [(0, 5, 3, 6, 2, 7, 1), (0, 5, 3, 6, 2, 7, 1, 1)])
+    def test_rejects_a_non_permutation(self, perm):
+        with pytest.raises(ValueError, match="not a permutation of 0..7"):
+            commutator_norm(perm, build_hamiltonians(EnergyLevels()))
 
 
 class TestLimitTemperature:
