@@ -67,8 +67,9 @@ def _fmt(x: float | bool) -> str:
     """Text and CSV form of a float or a flag."""
     if isinstance(x, bool):
         return str(x).lower()
-    tagged = _tag(x)
-    return tagged if isinstance(tagged, str) else f"{x:.12g}"
+    if math.isfinite(x):
+        return f"{x:.12g}"
+    return _tag(x)
 
 
 def _parse_float(text: str) -> float:

@@ -180,18 +180,11 @@ def trace(m: ComplexMatrix) -> complex:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
-    na, nb = a.dim, b.dim
-    out = []
-    for ia in range(na):
-        for ib in range(nb):
-            out.append(
-                tuple(
-                    a.rows[ia][ja] * b.rows[ib][jb]
-                    for ja in range(na)
-                    for jb in range(nb)
-                )
-            )
-    return ComplexMatrix(out)
+    return ComplexMatrix(
+        tuple(x * y for x in row_a for y in row_b)
+        for row_a in a.rows
+        for row_b in b.rows
+    )
 
 
 def frobenius_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:
@@ -327,12 +320,50 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     raise ArithmeticError("Jacobi eigensolver did not converge in 60 sweeps")
 
 
+def _smallest_eigenvalue(m: ComplexMatrix) -> float:
+    """Smallest eigenvalue of a Hermitian m, one diagonal block at a time.
+
+    Indices i and j share a block when r[i][j] or r[j][i] is nonzero, so m
+    is block diagonal up to a relabeling and its spectrum is the union of
+    the blocks' spectra. A 1x1 block is its real diagonal entry, a 2x2 block
+    is solved in closed form on the off-diagonal entry symmetrized as the
+    Jacobi solver symmetrizes it, and only larger blocks run that solver.
+    """
+    r = m.rows
+    unseen = list(range(m.dim))
+    lo = math.inf
+    while unseen:
+        block = [unseen.pop(0)]
+        for i in block:  # the loop also visits the indices it appends
+            linked = [j for j in unseen if r[i][j] or r[j][i]]
+            for j in linked:
+                unseen.remove(j)
+            block.extend(linked)
+        if len(block) == 1:
+            i = block[0]
+            lam = r[i][i].real
+        elif len(block) == 2:
+            i, j = block
+            a, d = r[i][i].real, r[j][j].real
+            off = 0.5 * (r[i][j] + r[j][i].conjugate())
+            lam = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
+        else:
+            block.sort()
+            lam = hermitian_eigenvalues(
+                ComplexMatrix(tuple(r[i][j] for j in block) for i in block)
+            )[0]
+        lo = min(lo, lam)
+    return lo
+
+
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
     eigenvalues above -1e-10. A Gershgorin bound screens the spectrum
-    first; only matrices that fail it pay for a full eigensolve.
+    first. A matrix that fails it gets its smallest eigenvalue exactly,
+    block by block over the connected components of its nonzero pattern:
+    1x1 and 2x2 blocks in closed form, larger blocks by Jacobi rotations.
     """
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
@@ -351,7 +382,7 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
         for i in range(n)
     )
     if gershgorin_min < EIGENVALUE_FLOOR:
-        lo = hermitian_eigenvalues(m)[0]
+        lo = _smallest_eigenvalue(m)
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(
                 f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}"

@@ -1,14 +1,17 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_matrix_close, random_density, random_hermitian, to_numpy
+from conftest import assert_matrix_close, random_bloch, random_density, random_hermitian, to_numpy
 from qerase.linalg import (
+    EIGENVALUE_FLOOR,
     ComplexMatrix,
+    _smallest_eigenvalue,
     compose_permutations,
     dagger,
     density_matrix,
@@ -24,6 +27,7 @@ from qerase.linalg import (
     permute,
     trace,
 )
+from qerase.states import BlochVector, qubit_from_bloch
 
 
 class TestComplexMatrix:
@@ -149,6 +153,32 @@ class TestProducts:
         b = random_hermitian(rng, 3)
         # numpy contracts complex products with FMA, so allow an ulp of slack
         assert_matrix_close(kron(a, b), np.kron(to_numpy(a), to_numpy(b)), atol=1e-15)
+
+    @pytest.mark.parametrize("na, nb", [(2, 4), (4, 2), (3, 2)])
+    def test_kron_equals_numpy_exactly(self, na, nb):
+        rng = random.Random(100 * na + nb)
+
+        def draw(n, parts):
+            return ComplexMatrix(
+                [[complex(rng.choice(parts), rng.choice(parts)) for _ in range(n)]
+                 for _ in range(n)]
+            )
+
+        # dyadic entries multiply exactly on either side, so any misplaced
+        # entry shows even in numpy's complex128 product
+        dyadic = [k / 8 for k in range(-16, 17)]
+        a, b = draw(na, dyadic), draw(nb, dyadic)
+        assert np.array_equal(to_numpy(kron(a, b)), np.kron(to_numpy(a), to_numpy(b)))
+        # on object arrays numpy forms each entry as one Python product, so
+        # general entries must match bit for bit too
+        gauss = [rng.gauss(0, 1) for _ in range(64)]
+        a, b = draw(na, gauss), draw(nb, gauss)
+        want = np.kron(np.array(a.rows, dtype=object), np.array(b.rows, dtype=object))
+        assert kron(a, b).rows == tuple(map(tuple, want.tolist()))
+
+    def test_kron_rejects_an_overflowing_product(self):
+        with pytest.raises(ValueError, match="finite"):
+            kron(diagonal([1e200, 1.0]), diagonal([1e200, 0.5]))
 
     def test_trace_and_frobenius(self):
         rng = random.Random(14)
@@ -307,6 +337,97 @@ class TestDensityValidation:
         rho = ComplexMatrix([[0.5, 0.6], [0.6, 0.5]])
         with pytest.raises(ValueError, match="eigenvalue"):
             density_matrix(rho)
+
+    @staticmethod
+    def _qubit_blocks(rng):
+        """Random 2x2 density blocks: full rank, uniform in the Bloch ball,
+        and near pure with 1 - r log-uniform down to 1e-14."""
+        for _ in range(200):
+            yield random_density(rng, 2)
+            yield qubit_from_bloch(random_bloch(rng))
+            r = 1.0 - 10.0 ** rng.uniform(-14, -1)
+            v = [rng.gauss(0, 1) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            yield qubit_from_bloch(BlochVector(*(r * x / norm for x in v)))
+
+    def test_closed_form_2x2_matches_numpy_and_jacobi(self):
+        rng = random.Random(22)
+        for m in self._qubit_blocks(rng):
+            lo = _smallest_eigenvalue(m)
+            want = np.linalg.eigvalsh(to_numpy(m))
+            tol = 4 * math.ulp(max(abs(want[0]), abs(want[1])))
+            assert abs(lo - want[0]) <= tol
+            assert abs(lo - hermitian_eigenvalues(m)[0]) <= tol
+
+    def test_closed_form_2x2_matches_exact_arithmetic_on_indefinite_blocks(self):
+        rng = random.Random(23)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(300):
+                m = random_hermitian(rng, 2)
+                (a, b), (_, d) = m.rows
+                a, d = Decimal(a.real), Decimal(d.real)
+                radius = (((a - d) / 2) ** 2 + Decimal(b.real) ** 2 + Decimal(b.imag) ** 2).sqrt()
+                exact = (a + d) / 2 - radius
+                top = (a + d) / 2 + radius
+                scale = float(max(abs(exact), abs(top)))
+                assert abs(Decimal(_smallest_eigenvalue(m)) - exact) <= 2 * Decimal(math.ulp(scale))
+
+    def test_block_screen_decides_as_the_full_spectrum(self):
+        """Random, randomly permuted block-diagonal states with the smallest
+        eigenvalue placed within 1e-9 of the floor, on either side."""
+        rng = random.Random(24)
+        decided = {True: 0, False: 0}
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            h = np.zeros((n, n), dtype=complex)
+            start = 0
+            while start < n:
+                k = rng.randint(1, n - start)
+                h[start:start + k, start:start + k] = to_numpy(random_hermitian(rng, k))
+                start += k
+            order = list(range(n))
+            rng.shuffle(order)
+            h = h[np.ix_(order, order)]
+            mu = np.linalg.eigvalsh(h)
+            target = EIGENVALUE_FLOOR + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14, -9)
+            # eigenvalues scale(mu - mu[0]) + target, trace 1
+            scale = (1.0 - n * target) / (mu.sum() - n * mu[0])
+            m = ComplexMatrix((scale * (h - mu[0] * np.eye(n)) + target * np.eye(n)).tolist())
+            lo = hermitian_eigenvalues(m)[0]
+            if abs(lo - EIGENVALUE_FLOOR) < 1e-14:
+                continue
+            rejects = lo < EIGENVALUE_FLOOR
+            if rejects:
+                with pytest.raises(ValueError, match="eigenvalue"):
+                    density_matrix(m)
+            else:
+                assert density_matrix(m) is m
+            decided[rejects] += 1
+        assert min(decided.values()) > 200
+
+    def test_rejects_negative_eigenvalue_hidden_in_a_3x3_block(self):
+        # diagonal 1/3 and couplings 0.4: eigenvalues 1.133 and -0.067 (twice)
+        block = (1, 4, 6)
+        rows = [[0.0] * 8 for _ in range(8)]
+        for i in block:
+            for j in block:
+                rows[i][j] = 1.0 / 3.0 if i == j else 0.4
+        with pytest.raises(ValueError, match="eigenvalue"):
+            density_matrix(rows)
+
+    @pytest.mark.parametrize("i, j", [(2, 5), (5, 2)])
+    def test_one_sided_link_joins_a_block(self, i, j):
+        """r[i][j] = 1e-13 with its mirror 0 is within the hermiticity
+        tolerance, and it still couples i and j: as one block the pair has
+        eigenvalue x - 5e-14 below the floor, though each diagonal x is above."""
+        x = EIGENVALUE_FLOOR + 2.5e-14
+        rows = [[0.0] * 8 for _ in range(8)]
+        rows[i][i] = rows[j][j] = x
+        rows[0][0] = 1.0 - 2.0 * x
+        rows[i][j] = 1e-13
+        with pytest.raises(ValueError, match="eigenvalue"):
+            density_matrix(rows)
 
 
 class TestUnitary:

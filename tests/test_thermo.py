@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase.linalg
 import qerase.thermo
 from conftest import random_bloch, to_numpy
-from qerase.linalg import ComplexMatrix, diagonal, identity
+from qerase.linalg import EIGENVALUE_FLOOR, ComplexMatrix, diagonal, identity
 from qerase.states import BlochVector, EnergyLevels, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
@@ -399,6 +400,41 @@ class TestLandauerCheck:
     def test_verdict_matches_margin_sign(self, q_m, t, ds):
         verdict = landauer_check(q_m, t, ds)
         assert verdict.violated == (verdict.margin > 0.0)
+
+
+class TestEigensolveCount:
+    """The density checks on the propagation path solve no 8x8 spectrum:
+    its states are 1x1 and 2x2 blocks, so only the entropies run Jacobi."""
+
+    B = BlochVector(0.9, 0.0, -0.3)
+    SPEC = ThermalSpec.from_beta(1.0)
+
+    @pytest.fixture
+    def solved_dims(self, monkeypatch):
+        dims = []
+        original = qerase.linalg.hermitian_eigenvalues
+
+        def counted(m):
+            dims.append(m.dim)
+            return original(m)
+
+        monkeypatch.setattr(qerase.linalg, "hermitian_eigenvalues", counted)
+        monkeypatch.setattr(qerase.thermo, "hermitian_eigenvalues", counted)
+        return dims
+
+    def test_composite_state_fails_the_gershgorin_screen(self):
+        r = composite_initial(self.B, self.SPEC).rows
+        bound = min(r[i][i].real - sum(abs(x) for j, x in enumerate(r[i]) if j != i)
+                    for i in range(8))
+        assert bound < EIGENVALUE_FLOOR
+
+    def test_apply_channel_solves_nothing(self, solved_dims):
+        apply_channel(composite_initial(self.B, self.SPEC))
+        assert solved_dims == []
+
+    def test_analyze_solves_only_the_two_entropies(self, solved_dims):
+        analyze(self.B, self.SPEC)
+        assert solved_dims == [2, 2]
 
 
 class TestAnalyze:
