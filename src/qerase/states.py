@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import ComplexMatrix, density_matrix, diagonal, kron
 
@@ -30,6 +31,8 @@ class BlochVector:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
+            if abs(v) > 1.0 + BLOCH_NORM_TOL:  # before `r`, whose squares can overflow
+                raise ValueError(f"unphysical Bloch vector: |{name}| = {abs(v)!r} exceeds 1")
         if self.r > 1.0 + BLOCH_NORM_TOL:
             raise ValueError(f"unphysical Bloch vector: |r| = {self.r!r} exceeds 1")
 
@@ -167,5 +170,11 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state: memory qubit (x) preselected thermal reservoir."""
-    reservoir = preselect_l0(gibbs_four_level(spec))
-    return kron(qubit_from_bloch(b), reservoir)
+    return kron(qubit_from_bloch(b), _reservoir_initial(spec))
+
+
+@lru_cache(maxsize=64)
+def _reservoir_initial(spec: ThermalSpec) -> ComplexMatrix:
+    """The preselected thermal reservoir, built and validated once per spec;
+    ThermalSpec is frozen and ComplexMatrix immutable, so sharing is safe."""
+    return preselect_l0(gibbs_four_level(spec))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
@@ -22,7 +21,7 @@ from .states import (
     qubit_from_bloch,
     thermal_probs,
 )
-from .channel import apply_channel, memory_marginal, reservoir_marginal
+from .channel import apply_channel, memory_marginal
 
 LN2 = math.log(2.0)
 ROUTE_TOL = 1e-10
@@ -181,6 +180,10 @@ def analyze(
     relative to T_limit above 1. Otherwise ArithmeticError flags the
     internal inconsistency. Explicit `levels` must share the gap of `spec`,
     whose Gibbs weights use it.
+
+    The traced heats and energies are sums over the 8 composite populations;
+    a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
+    diagonal, so no marginal is formed for it.
     """
     if levels is None:
         levels = EnergyLevels(delta=spec.delta)
@@ -199,18 +202,20 @@ def analyze(
     _require_close("entropy decrease", delta_s, s_initial - s_final, ROUTE_TOL)
     energy_tol = ROUTE_TOL * levels.delta
 
+    pops_i, pops_f = _populations(rho_initial), _populations(rho_final)
+    # population change of composite level i = 4m + k (memory m, reservoir k)
+    change = [after - before for before, after in zip(pops_i, pops_f)]
+
     q_m = heat_memory(b, levels)
-    q_m_trace = _subsystem_heat(memory_marginal(rho_initial), memory_final, hams.memory)
+    q_m_trace = _level_sum(change, [hams.memory[i >> 2] for i in range(8)])
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec, levels)
-    q_r_trace = _subsystem_heat(
-        reservoir_marginal(rho_initial), reservoir_marginal(rho_final), hams.reservoir
-    )
+    q_r_trace = _level_sum(change, [hams.reservoir[i & 3] for i in range(8)])
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
-    u_i = _level_sum(_populations(rho_initial), hams.total)
-    u_f = _level_sum(_populations(rho_final), hams.total)
+    u_i = _level_sum(pops_i, hams.total)
+    u_f = _level_sum(pops_f, hams.total)
     radiated = photon_energy(b, spec, levels)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
@@ -235,13 +240,6 @@ def analyze(
         landauer_violated=verdict.violated,
         landauer_margin=verdict.margin,
     )
-
-
-def _subsystem_heat(
-    before: ComplexMatrix, after: ComplexMatrix, energies: Sequence[float]
-) -> float:
-    """Tr[(after - before) H] for a diagonal H: population change times level."""
-    return _level_sum(map(sub, _populations(after), _populations(before)), energies)
 
 
 def _populations(rho: ComplexMatrix) -> list[float]:

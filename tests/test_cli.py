@@ -341,6 +341,12 @@ class TestOpticsCommand:
         code, _, _ = run_cli(capsys, "optics", "--p1", "1.5")
         assert code == 2
 
+    def test_overflowing_polarization_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optics", "--pol=1e200,0,0"])
+        assert excinfo.value.code == 2
+        assert "unphysical Bloch vector" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passing_battery_exits_zero(self, capsys):

@@ -73,6 +73,7 @@ CASES = [
     ("verify_forced_failure_text", ["verify", "--format", "text"], 1),
     ("exit2_no_command", [], 2),
     ("exit2_bad_bloch", ["erase", "--bloch", "0.9,0.9,0.9"], 2),
+    ("exit2_overflow_bloch", ["erase", "--bloch=1e200,0,0"], 2),
     ("exit2_beta_and_temperature", ["erase", "--beta", "1", "--temperature", "1"], 2),
     ("exit2_delta_conflict", ["erase", "--delta", "1", "--delta-si", "1e-22"], 2),
     ("exit2_negative_delta", ["erase", "--delta", "-1"], 2),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase.states
 from conftest import assert_matrix_close
-from qerase.linalg import ComplexMatrix, diagonal, trace
+from qerase.linalg import ComplexMatrix, diagonal, kron, trace
 from qerase.states import (
     BlochVector,
     EnergyLevels,
@@ -45,6 +46,11 @@ class TestBlochVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             BlochVector(math.inf, 0.0, 0.0)
+
+    @pytest.mark.parametrize("components", [(1e200, 0, 0), (0, -1e200, 0), (0.5, 0, 1e155)])
+    def test_rejects_a_component_whose_square_overflows(self, components):
+        with pytest.raises(ValueError, match="unphysical Bloch vector"):
+            BlochVector(*components)
 
     def test_frozen(self):
         b = BlochVector(0.1, 0.2, 0.3)
@@ -210,6 +216,40 @@ class TestCompositeInitial:
         # memory coherence times reservoir ground weight
         assert rho[0, 4] == pytest.approx(mem[0, 1] * p_g, abs=1e-15)
         assert rho[2, 6] == pytest.approx(mem[0, 1] * p_e, abs=1e-15)
+
+    @pytest.fixture
+    def preselections(self, monkeypatch):
+        """Count preselect_l0 calls, starting from an empty reservoir cache."""
+        calls = []
+        original = qerase.states.preselect_l0
+
+        def counted(rho):
+            calls.append(rho)
+            return original(rho)
+
+        qerase.states._reservoir_initial.cache_clear()
+        monkeypatch.setattr(qerase.states, "preselect_l0", counted)
+        yield calls
+        qerase.states._reservoir_initial.cache_clear()
+
+    def test_reservoir_state_is_built_once_per_thermal_point(self, preselections):
+        b = BlochVector(0.5, 0.1, -0.2)
+        first, equal = ThermalSpec.from_beta(0.7), ThermalSpec.from_beta(0.7)
+        assert first == equal and first is not equal
+        composite_initial(b, first)
+        composite_initial(BlochVector(0.0, 0.3, 0.1), equal)
+        assert len(preselections) == 1
+        composite_initial(b, ThermalSpec.from_beta(0.7, delta=2.0))
+        assert len(preselections) == 2
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
+    def test_cached_reservoir_gives_the_uncached_product(self, beta):
+        b = BlochVector(0.5, 0.1, -0.2)
+        spec = ThermalSpec.from_beta(beta)
+        for _ in range(2):  # the cold call and the cached one
+            assert composite_initial(b, spec) == kron(
+                qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec))
+            )
 
     @settings(max_examples=30)
     @given(bloch_vectors, st.floats(min_value=0.0, max_value=20.0, allow_nan=False))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase.channel
 import qerase.linalg
 import qerase.thermo
 from conftest import random_bloch, to_numpy
@@ -437,6 +439,23 @@ class TestEigensolveCount:
         assert solved_dims == [2, 2]
 
 
+class TestPartialTraceCount:
+    """The heats are read from the composite populations, so analyze forms
+    one marginal: the final memory state, whose spectrum the entropy needs."""
+
+    def test_analyze_traces_out_only_the_final_reservoir(self, monkeypatch):
+        kept = []
+        original = qerase.channel.partial_trace
+
+        def counted(rho, dims, keep):
+            kept.append(set(keep))
+            return original(rho, dims, keep)
+
+        monkeypatch.setattr(qerase.channel, "partial_trace", counted)
+        analyze(BlochVector(0.9, 0.0, -0.3), ThermalSpec.from_beta(1.0))
+        assert kept == [{0}]
+
+
 class TestAnalyze:
     def test_report_fields_match_the_closed_forms(self):
         b = BlochVector(0.3, -0.2, 0.4)
@@ -529,6 +548,40 @@ class TestAnalyze:
         for spec in (ThermalSpec.from_beta(1.0), si):
             with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
                 analyze(BlochVector(0.3, -0.2, 0.4), spec)
+
+    @staticmethod
+    def _wrong_channel_outcome(pair):
+        """The comparison that a swap of output rows `pair` fails, or None
+        when the swap is invisible to every comparison."""
+        low, high = pair
+        if {low, high} in ({0, 2}, {0, 3}, {1, 2}, {1, 3}):
+            return "reservoir heat"  # moves population across the reservoir gap
+        if low < 4 <= high:
+            return "entropy decrease"  # leaves population in the excited memory
+        return None  # swaps energy-degenerate or empty rows: nothing to see
+
+    @pytest.mark.parametrize(
+        "pair", list(itertools.combinations(range(8), 2)),
+        ids=[f"swap{a}{b}" for a, b in itertools.combinations(range(8), 2)],
+    )
+    def test_cross_check_catches_a_wrong_channel(self, monkeypatch, pair):
+        """A channel whose output rows `pair` are swapped fails the comparison
+        it disturbs, in natural units and at the SI gap; the swaps the
+        heats, energies and memory entropy cannot see still report."""
+        low, high = pair
+        swap = {low: high, high: low}
+        monkeypatch.setattr(
+            qerase.channel, "ERASURE_PERMUTATION",
+            tuple(swap.get(row, row) for row in qerase.channel.ERASURE_PERMUTATION),
+        )
+        expected = self._wrong_channel_outcome(pair)
+        si = ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23)
+        for spec in (ThermalSpec.from_beta(1.0), si):
+            if expected is None:
+                assert isinstance(analyze(BlochVector(0.3, -0.2, 0.4), spec), ErasureReport)
+            else:
+                with pytest.raises(ArithmeticError, match=f"^{expected}: "):
+                    analyze(BlochVector(0.3, -0.2, 0.4), spec)
 
     # (Bloch vector, beta in natural units, SI?) of the near-pure draws that
     # perfbench's analyze batches raise on when T_limit is computed from an
