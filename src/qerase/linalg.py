@@ -14,8 +14,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -42,6 +43,17 @@ class ComplexMatrix:
                 raise ValueError("matrix entries must be finite")
         self._rows = entries
         self._dim = n
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[complex, ...], ...]) -> "ComplexMatrix":
+        """Wrap n tuples of n complex values built from checked entries;
+        a product or a sum of finite entries can still overflow."""
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+            raise ValueError("matrix entries must be finite")
+        m = object.__new__(cls)
+        m._rows = rows
+        m._dim = len(rows)
+        return m
 
     @property
     def dim(self) -> int:
@@ -136,10 +148,17 @@ def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
     Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
     arithmetic touches the entries.
     """
-    _check_permutation(perm, rho.dim)
-    inverse = sorted(range(rho.dim), key=perm.__getitem__)  # row r comes from inverse[r]
-    r = rho.rows
-    return ComplexMatrix(tuple(r[i][j] for j in inverse) for i in inverse)
+    pick = _relabeling(tuple(perm), rho.dim)
+    return ComplexMatrix._from_rows(tuple(map(pick, pick(rho.rows))))
+
+
+@lru_cache(maxsize=64)
+def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[Sequence], tuple]:
+    """Validate perm once; return a getter of a row's entries in new order
+    (`tuple` for n = 1, where an itemgetter would return the bare entry)."""
+    _check_permutation(perm, n)
+    inverse = sorted(range(n), key=perm.__getitem__)  # row r comes from inverse[r]
+    return operator.itemgetter(*inverse) if n > 1 else tuple
 
 
 def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
@@ -180,11 +199,11 @@ def trace(m: ComplexMatrix) -> complex:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
-    return ComplexMatrix(
+    return ComplexMatrix._from_rows(tuple(
         tuple(x * y for x in row_a for y in row_b)
         for row_a in a.rows
         for row_b in b.rows
-    )
+    ))
 
 
 def frobenius_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:
@@ -219,10 +238,10 @@ def partial_trace(
     if keep_sorted[0] < 0 or keep_sorted[-1] >= len(dims):
         raise ValueError(f"keep indices out of range for {len(dims)} subsystems")
     entries = [x for row in rho.rows for x in row].__getitem__
-    return ComplexMatrix(
+    return ComplexMatrix._from_rows(tuple(
         tuple(sum(map(entries, summed)) for summed in row)
         for row in _partial_trace_tables(dims, keep_sorted)
-    )
+    ))
 
 
 @lru_cache(maxsize=64)
@@ -367,7 +386,20 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     """
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    defect = hermiticity_defect(m)
+    r, n = m.rows, m.dim
+    # one walk over the upper triangle and diagonal: defect and Gershgorin radii
+    defect = 0.0
+    radii = [0.0] * n
+    for i, row in enumerate(r):
+        for j in range(i, n):
+            x, y = row[j], r[j][i]
+            if x or y:  # a pair of zeros adds nothing
+                d = abs(x - y.conjugate())
+                if d > defect:
+                    defect = d
+                if j > i:
+                    radii[i] += abs(x)
+                    radii[j] += abs(y)
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -375,12 +407,7 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    r = m.rows
-    n = m.dim
-    gershgorin_min = min(
-        r[i][i].real - sum(abs(r[i][j]) for j in range(n) if j != i)
-        for i in range(n)
-    )
+    gershgorin_min = min(r[i][i].real - radii[i] for i in range(n))
     if gershgorin_min < EIGENVALUE_FLOOR:
         lo = _smallest_eigenvalue(m)
         if lo < EIGENVALUE_FLOOR:

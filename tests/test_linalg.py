@@ -75,6 +75,32 @@ class TestComplexMatrix:
             identity(2) + identity(3)
 
 
+class TestInternalConstructor:
+    """kron, permute and partial_trace skip the public constructor's
+    conversion; their results must still be what it would build."""
+
+    def test_results_match_public_construction(self):
+        rng = random.Random(31)
+        results = [permute(ComplexMatrix([[1.0]]), (0,))]
+        for dim in (2, 4, 8):
+            rho = random_density(rng, dim)
+            perm = list(range(dim))
+            rng.shuffle(perm)
+            results.append(permute(rho, perm))
+        for na, nb in ((1, 2), (2, 4), (4, 2)):
+            results.append(kron(random_density(rng, na), random_hermitian(rng, nb)))
+        rho = random_density(rng, 8)
+        for dims, keep in (((2, 4), {0}), ((2, 4), {1}), ((2, 2, 2), {0, 2}), ((8,), {0})):
+            results.append(partial_trace(rho, dims, keep))
+        for m in results:
+            rebuilt = ComplexMatrix(m.rows)
+            assert m == rebuilt and hash(m) == hash(rebuilt)
+            assert type(m.rows) is tuple and m.dim == len(m.rows)
+            for row in m.rows:
+                assert type(row) is tuple and len(row) == m.dim
+                assert all(type(x) is complex for x in row)
+
+
 class TestConstructors:
     def test_identity(self):
         assert identity(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -110,6 +136,32 @@ class TestPermutations:
             permute(rho, (0, 0))
         with pytest.raises(ValueError, match="permutation"):
             permute(rho, (0, 1, 2))
+
+    def test_one_by_one_permutes_to_itself(self):
+        m = ComplexMatrix([[0.25 - 0.5j]])
+        for perm in ((0,), [0]):
+            got = permute(m, perm)
+            assert got == m
+            assert got.rows == ((0.25 - 0.5j,),)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_list_and_tuple_give_equal_results(self, dim):
+        rng = random.Random(80 + dim)
+        rho = random_density(rng, dim)
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        assert permute(rho, perm) == permute(rho, tuple(perm))
+
+    def test_errors_repeat_after_cached_success(self):
+        rho = diagonal([0.5, 0.5])
+        permute(rho, (1, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="permutation"):
+                permute(rho, (0, 0))
+            with pytest.raises(ValueError, match="permutation"):
+                permute(rho, (0, 1, 2))
+            with pytest.raises(ValueError, match="permutation"):
+                permute(diagonal([0.25] * 4), (1, 0))
 
     def test_compose_matches_numpy_product(self):
         # the first permutation acts first, so its matrix is the rightmost factor
@@ -250,6 +302,10 @@ class TestPartialTrace:
         assert partial_trace(rho, (2, 2, 2), [2, 0, 2]) == want
         assert partial_trace(rho, (2, 2, 2), (k for k in (2, 0))) == want
 
+    def test_rejects_an_overflowing_sum(self):
+        with pytest.raises(ValueError, match="finite"):
+            partial_trace(diagonal([1e308, 1e308, 1.0, 1.0]), (2, 2), {0})
+
     def test_errors_repeat_after_cached_success(self):
         partial_trace(identity(4), (2, 2), {0})
         for _ in range(2):
@@ -321,6 +377,11 @@ class TestDensityValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             density_matrix(ComplexMatrix([[0.5, 0.5], [0, 0.5]]))
+
+    def test_rejects_imaginary_diagonal(self):
+        # the defect includes the diagonal, where conj(m[i,i]) must equal m[i,i]
+        with pytest.raises(ValueError, match="Hermitian"):
+            density_matrix(ComplexMatrix([[0.5 + 1e-11j, 0], [0, 0.5 - 1e-11j]]))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
