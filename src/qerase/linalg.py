@@ -224,41 +224,44 @@ def partial_trace(
     significant in the flat index; the kept subsystems retain their
     relative order.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ValueError("subsystem dimensions must be positive")
-    total = math.prod(dims)
-    if total != rho.dim:
-        raise ValueError(
-            f"dimension mismatch: product of dims is {total}, matrix is {rho.dim}"
-        )
-    keep_sorted = tuple(sorted(set(int(k) for k in keep)))
-    if not keep_sorted:
-        raise ValueError("keep set must be nonempty")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= len(dims):
-        raise ValueError(f"keep indices out of range for {len(dims)} subsystems")
     entries = [x for row in rho.rows for x in row].__getitem__
     return ComplexMatrix._from_rows(tuple(
         tuple(sum(map(entries, summed)) for summed in row)
-        for row in _partial_trace_tables(dims, keep_sorted)
+        for row in _trace_plan(tuple(dims), tuple(keep), rho.dim)
     ))
 
 
 @lru_cache(maxsize=64)
-def _partial_trace_tables(
-    dims: tuple[int, ...], keep: tuple[int, ...]
+def _trace_plan(
+    dims: tuple[int, ...], keep: tuple[int, ...], n: int
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Row-major positions of the entries summed into each kept-block entry.
+    """Validate a partial trace of an n x n matrix once; return the row-major
+    positions of the entries summed into each kept-block entry.
 
-    `keep` is sorted and validated against `dims` by the caller.
+    Non-integral values are rejected, not truncated. An integral float such
+    as 2.0 hashes like 2, so the two share a cached plan.
     """
+    if any(int(d) != d for d in dims):
+        raise ValueError("subsystem dimensions must be integers")
+    dims = tuple(map(int, dims))
+    if any(d <= 0 for d in dims):
+        raise ValueError("subsystem dimensions must be positive")
+    total = math.prod(dims)
+    if total != n:
+        raise ValueError(f"dimension mismatch: product of dims is {total}, matrix is {n}")
+    if any(int(k) != k for k in keep):
+        raise ValueError("keep indices must be integers")
+    keep = tuple(sorted(set(map(int, keep))))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep indices out of range for {len(dims)} subsystems")
     labels = [  # (kept digits, traced digits) of each flat index
         (tuple(d for k, d in enumerate(digits) if k in keep),
          tuple(d for k, d in enumerate(digits) if k not in keep))
         for digits in itertools.product(*map(range, dims))
     ]
     blocks = sorted({kept for kept, _ in labels})
-    total = len(labels)
     return tuple(
         tuple(
             tuple(a * total + b
@@ -286,16 +289,24 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues via cyclic Jacobi rotations with complex phases.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-13;
-    failure to converge in 60 sweeps raises ArithmeticError.
+    Sweeps run until the off-diagonal Frobenius norm drops below
+    1e-13 * max(1, ||m||_F); failure to converge in 60 sweeps raises
+    ArithmeticError. A 2x2 input that one rotation settles takes a
+    straight-line copy of the loop, with the same bits.
     """
     defect = hermiticity_defect(m)
     if defect > EIGENSOLVER_INPUT_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {EIGENSOLVER_INPUT_TOL:.0e}"
         )
-    n = m.dim
-    a = [list(row) for row in m.rows]
+    spectrum = _jacobi_2x2(m.rows) if m.dim == 2 else None
+    return spectrum if spectrum is not None else _jacobi_eigenvalues(m.rows)
+
+
+def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
+    """The cyclic Jacobi loop of `hermitian_eigenvalues`, for any size."""
+    n = len(rows)
+    a = [list(row) for row in rows]
     # symmetrize so the iteration sees an exactly Hermitian matrix
     for i in range(n):
         a[i][i] = complex(a[i][i].real, 0.0)
@@ -303,7 +314,9 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
             avg = 0.5 * (a[i][j] + a[j][i].conjugate())
             a[i][j] = avg
             a[j][i] = avg.conjugate()
-    skip_tol = JACOBI_OFF_TOL / 64.0
+    # rounding leaves an off-diagonal norm of order eps * ||A||_F
+    off_tol = JACOBI_OFF_TOL * max(1.0, math.hypot(*(abs(x) for row in a for x in row)))
+    skip_tol = off_tol / 64.0
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(
             sum(
@@ -313,7 +326,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
                 if i != j
             )
         )
-        if off < JACOBI_OFF_TOL:
+        if off < off_tol:
             return tuple(sorted(a[i][i].real for i in range(n)))
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -337,6 +350,36 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
                     a[p][j] = c * apj - s * phase * aqj
                     a[q][j] = s * apj + c * phase * aqj
     raise ArithmeticError("Jacobi eigensolver did not converge in 60 sweeps")
+
+
+def _jacobi_2x2(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, float] | None:
+    """`_jacobi_eigenvalues` on a 2x2, written out: the same operations in the
+    same order, so the same bits. Returns None when one rotation leaves the
+    off-diagonal norm above tolerance; the caller then runs the loop."""
+    (a00, a01), (a10, a11) = rows
+    a00 = complex(a00.real, 0.0)
+    a01 = 0.5 * (a01 + a10.conjugate())
+    a10 = a01.conjugate()
+    a11 = complex(a11.real, 0.0)
+    mag = abs(a01)  # |a10| is the same float
+    off_tol = JACOBI_OFF_TOL * max(1.0, math.hypot(abs(a00), mag, mag, abs(a11)))
+    sq = mag ** 2
+    if math.sqrt(sq + sq) >= off_tol:
+        # then mag = off / sqrt(2) exceeds the loop's skip_tol = off_tol / 64
+        phase = a01 / mag
+        tau = (a11.real - a00.real) / (2.0 * mag)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        pc = phase.conjugate()
+        a00, a01 = c * a00 - s * pc * a01, s * a00 + c * pc * a01
+        a10, a11 = c * a10 - s * pc * a11, s * a10 + c * pc * a11
+        a00, a10 = c * a00 - s * phase * a10, s * a00 + c * phase * a10
+        a01, a11 = c * a01 - s * phase * a11, s * a01 + c * phase * a11
+        if not math.sqrt(abs(a01) ** 2 + abs(a10) ** 2) < off_tol:
+            return None
+    d0, d1 = a00.real, a11.real
+    return (d1, d0) if d1 < d0 else (d0, d1)  # sorted(), ties kept in order
 
 
 def _smallest_eigenvalue(m: ComplexMatrix) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -7,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase.linalg
 from conftest import assert_matrix_close, random_bloch, random_density, random_hermitian, to_numpy
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
+    JACOBI_OFF_TOL,
     ComplexMatrix,
+    _jacobi_2x2,
+    _jacobi_eigenvalues,
     _smallest_eigenvalue,
+    _trace_plan,
     compose_permutations,
     dagger,
     density_matrix,
@@ -317,6 +323,64 @@ class TestPartialTrace:
                 partial_trace(identity(4), (2, 2), {-1})
             with pytest.raises(ValueError, match="keep indices out of range for 2 subsystems"):
                 partial_trace(identity(4), (2, 2), {0, 2})
+            with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+                partial_trace(identity(4), (2.5, 2), {0})
+            with pytest.raises(ValueError, match="keep indices must be integers"):
+                partial_trace(identity(4), (2, 2), {0.5})
+
+    def test_rejects_non_integral_dims_and_keep(self):
+        rho = identity(4) * 0.25
+        want = partial_trace(rho, (2, 2), {0})
+        _trace_plan.cache_clear()
+        for _ in ("(2, 2) not cached", "(2, 2) cached"):
+            with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+                partial_trace(rho, (2.7, 2), {0})
+            with pytest.raises(ValueError, match="keep indices must be integers"):
+                partial_trace(rho, (2, 2), {0.9})
+            # integral floats are integers: the same plan and an int product
+            assert partial_trace(rho, (2.0, 2), {0.0}) == want
+            with pytest.raises(ValueError, match="product of dims is 4, matrix is 8"):
+                partial_trace(identity(8), (2.0, 2), {0})
+            assert partial_trace(rho, (2, 2), {0}) == want
+
+    @pytest.mark.parametrize("dims, keep", [
+        ((2, 2, 2), {0}), ((2, 2, 2), {1, 2}), ((2, 4), {0}), ((2, 4), {1}),
+    ])
+    def test_sums_run_in_flat_order_from_int_zero(self, dims, keep):
+        # sum() from int 0 turns a -0.0 part into 0.0, and the order fixes the
+        # rounding: both must stay as they were for the reports' bits to stay
+        rng = random.Random(43)
+
+        def part():
+            return rng.choice((0.0, -0.0)) if rng.random() < 0.7 else rng.gauss(0.0, 1.0)
+
+        states = [ComplexMatrix([[complex(-0.0, -0.0)] * 8] * 8)]
+        states += [ComplexMatrix([[complex(part(), part()) for _ in range(8)] for _ in range(8)])
+                   for _ in range(20)]
+        for rho in states:
+            want = _reference_partial_trace(rho.rows, dims, keep)
+            assert repr(partial_trace(rho, dims, keep).rows) == repr(want)
+
+
+def _reference_partial_trace(rows, dims, keep):
+    """Each kept-block entry as sum(), from int 0, over the traced digits in
+    lexicographic order, which is increasing flat index."""
+    kept = sorted(keep)
+    traced = [k for k in range(len(dims)) if k not in kept]
+
+    def flat(kept_digits, traced_digits):
+        digits = dict(zip(kept, kept_digits)) | dict(zip(traced, traced_digits))
+        index = 0
+        for k, d in enumerate(dims):
+            index = index * d + digits[k]
+        return index
+
+    blocks = list(itertools.product(*(range(dims[k]) for k in kept)))
+    rests = list(itertools.product(*(range(dims[k]) for k in traced)))
+    return tuple(
+        tuple(sum(rows[flat(u, t)][flat(v, t)] for t in rests) for v in blocks)
+        for u in blocks
+    )
 
 
 class TestEigensolver:
@@ -358,6 +422,79 @@ class TestEigensolver:
         h = random_hermitian(rng, 5)
         spec = hermitian_eigenvalues(h)
         assert sum(spec) == pytest.approx(trace(h).real, abs=1e-11)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_large_entries_converge(self, scale):
+        # rounding leaves an off-diagonal norm near eps * ||A||_F, above an
+        # absolute 1e-13 once the entries are large
+        rng = random.Random(int(math.log10(scale)))
+        qubit = [[0.7, 0.15 + 0.1j], [0.15 - 0.1j, 0.3]]
+        for rows in (qubit, random_hermitian(rng, 2).rows, random_hermitian(rng, 5).rows):
+            m = ComplexMatrix(rows) * scale
+            want = np.linalg.eigvalsh(to_numpy(m))
+            got = hermitian_eigenvalues(m)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale * len(rows))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_two_by_two_path_matches_the_loop_bit_for_bit(self, data):
+        rows = data.draw(_qubit_rows())
+        want = _jacobi_eigenvalues(rows)
+        fast = _jacobi_2x2(rows)
+        assert fast is None or repr(fast) == repr(want)
+        assert repr(hermitian_eigenvalues(ComplexMatrix(rows))) == repr(want)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-17, 1e-16])
+    def test_two_by_two_falls_back_to_the_loop(self, monkeypatch, tol):
+        # below the rounding floor one rotation cannot settle the matrix, so
+        # the loop runs from the start and must give what it gives alone
+        monkeypatch.setattr(qerase.linalg, "JACOBI_OFF_TOL", tol)
+
+        def outcome(solve, rows):
+            try:
+                return repr(solve(rows))
+            except ArithmeticError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        rng = random.Random(47)
+        fallbacks = 0
+        for _ in range(100):
+            rows = random_density(rng, 2).rows
+            fallbacks += _jacobi_2x2(rows) is None
+            want = outcome(_jacobi_eigenvalues, rows)
+            assert outcome(lambda r: hermitian_eigenvalues(ComplexMatrix(r)), rows) == want
+        assert fallbacks > 0
+
+
+@st.composite
+def _qubit_rows(draw):
+    """2x2 Hermitian rows around a qubit state: Bloch directions with 1 - r
+    log-uniform in [1e-16, 1], exact diagonals, degenerate pairs, off-diagonal
+    norms near JACOBI_OFF_TOL, signed zeros and scaled entries."""
+    u = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    norm = math.sqrt(sum(c * c for c in u))
+    u = [c / norm for c in u] if norm > 1e-3 else [0.0, 0.0, 1.0]
+    r = 1.0 - 10.0 ** draw(st.floats(-16.0, 0.0))
+    x, y, z = (r * c for c in u)
+    kind = draw(st.sampled_from(["bloch", "diagonal", "degenerate", "near_tol", "zeros"]))
+    if kind == "diagonal":
+        x = y = 0.0
+    elif kind == "degenerate":
+        z = 0.0
+    elif kind == "near_tol":
+        # off = sqrt(2) |a01| and a01 = (x - iy) / 2
+        size = JACOBI_OFF_TOL * draw(st.floats(0.25, 4.0)) * math.sqrt(2.0)
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        x, y = size * math.cos(angle), size * math.sin(angle)
+    rows = [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]]
+    if kind == "zeros":
+        signed = st.sampled_from([0.0, -0.0])
+        rows[0][0] = complex(draw(st.sampled_from([0.0, -0.0, rows[0][0].real])), draw(signed))
+        rows[1][1] = complex(draw(st.sampled_from([0.0, -0.0, rows[1][1].real])), draw(signed))
+        rows[0][1] = complex(draw(st.sampled_from([0.0, -0.0, x / 2])), draw(signed))
+        rows[1][0] = rows[0][1].conjugate()
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-3, 7.0, 1e6, 1e12]))
+    return tuple(tuple(complex(scale * v) for v in row) for row in rows)
 
 
 class TestDensityValidation:
