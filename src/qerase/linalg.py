@@ -289,16 +289,18 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues via cyclic Jacobi rotations with complex phases.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
+    A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
+    rounding grows with the entries, so the input check scales as the sweeps
+    do. Sweeps run until the off-diagonal Frobenius norm drops below
     1e-13 * max(1, ||m||_F); failure to converge in 60 sweeps raises
     ArithmeticError. A 2x2 input that one rotation settles takes a
     straight-line copy of the loop, with the same bits.
     """
     defect = hermiticity_defect(m)
-    if defect > EIGENSOLVER_INPUT_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {EIGENSOLVER_INPUT_TOL:.0e}"
-        )
+    if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
+        tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, itertools.chain(*m.rows))))
+        if defect > tol:
+            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
     spectrum = _jacobi_2x2(m.rows) if m.dim == 2 else None
     return spectrum if spectrum is not None else _jacobi_eigenvalues(m.rows)
 
@@ -382,57 +384,39 @@ def _jacobi_2x2(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, float] | 
     return (d1, d0) if d1 < d0 else (d0, d1)  # sorted(), ties kept in order
 
 
-def _smallest_eigenvalue(m: ComplexMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian m, one diagonal block at a time.
-
-    Indices i and j share a block when r[i][j] or r[j][i] is nonzero, so m
-    is block diagonal up to a relabeling and its spectrum is the union of
-    the blocks' spectra. A 1x1 block is its real diagonal entry, a 2x2 block
-    is solved in closed form on the off-diagonal entry symmetrized as the
-    Jacobi solver symmetrizes it, and only larger blocks run that solver.
-    """
-    r = m.rows
-    unseen = list(range(m.dim))
-    lo = math.inf
-    while unseen:
-        block = [unseen.pop(0)]
-        for i in block:  # the loop also visits the indices it appends
-            linked = [j for j in unseen if r[i][j] or r[j][i]]
-            for j in linked:
-                unseen.remove(j)
-            block.extend(linked)
-        if len(block) == 1:
-            i = block[0]
-            lam = r[i][i].real
-        elif len(block) == 2:
-            i, j = block
-            a, d = r[i][i].real, r[j][j].real
-            off = 0.5 * (r[i][j] + r[j][i].conjugate())
-            lam = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
-        else:
-            block.sort()
-            lam = hermitian_eigenvalues(
-                ComplexMatrix(tuple(r[i][j] for j in block) for i in block)
-            )[0]
-        lo = min(lo, lam)
-    return lo
+def _block_minimum(r: tuple[tuple[complex, ...], ...], block: Sequence[int]) -> float:
+    """Smallest eigenvalue of the Hermitian block of rows r on the ascending
+    indices `block`. A 1x1 block is its real diagonal entry, a 2x2 block is
+    solved in closed form on the off-diagonal entry symmetrized as the Jacobi
+    solver symmetrizes it, and only larger blocks run that solver."""
+    if len(block) == 1:
+        return r[block[0]][block[0]].real
+    if len(block) == 2:
+        i, j = block
+        a, d = r[i][i].real, r[j][j].real
+        off = 0.5 * (r[i][j] + r[j][i].conjugate())
+        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
+    return hermitian_eigenvalues(
+        ComplexMatrix(tuple(r[i][j] for j in block) for i in block)
+    )[0]
 
 
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10. A Gershgorin bound screens the spectrum
-    first. A matrix that fails it gets its smallest eigenvalue exactly,
-    block by block over the connected components of its nonzero pattern:
-    1x1 and 2x2 blocks in closed form, larger blocks by Jacobi rotations.
+    eigenvalues above -1e-10. Indices i and j share a block when r[i][j] or
+    r[j][i] is nonzero, so m is block diagonal up to a relabeling and its
+    spectrum is the union of the blocks' spectra. One walk finds the blocks
+    with the defect, and each block's smallest eigenvalue is then exact.
     """
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
     r, n = m.rows, m.dim
-    # one walk over the upper triangle and diagonal: defect and Gershgorin radii
+    # one walk over the upper triangle and diagonal: the defect, and the
+    # blocks; blocks[i] is the ascending index list that i's block shares
     defect = 0.0
-    radii = [0.0] * n
+    blocks = [[i] for i in range(n)]
     for i, row in enumerate(r):
         for j in range(i, n):
             x, y = row[j], r[j][i]
@@ -440,9 +424,10 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
                 d = abs(x - y.conjugate())
                 if d > defect:
                     defect = d
-                if j > i:
-                    radii[i] += abs(x)
-                    radii[j] += abs(y)
+                if blocks[j] is not blocks[i]:  # the pair links two blocks
+                    merged = sorted(blocks[i] + blocks[j])
+                    for k in merged:
+                        blocks[k] = merged
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -450,13 +435,9 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    gershgorin_min = min(r[i][i].real - radii[i] for i in range(n))
-    if gershgorin_min < EIGENVALUE_FLOOR:
-        lo = _smallest_eigenvalue(m)
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}"
-            )
+    lo = min(_block_minimum(r, b) for i, b in enumerate(blocks) if b[0] == i)  # each block once
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
     return m
 
 

@@ -154,9 +154,9 @@ def gibbs_four_level(spec: ThermalSpec) -> ComplexMatrix:
 
 def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
     """Project the reservoir onto the l0 ancilla sector and renormalize."""
+    rho = density_matrix(rho)
     if rho.dim != 4:
         raise ValueError(f"expected an energy-ancilla state, got dimension {rho.dim}")
-    rho = density_matrix(rho)
     keep = (0, 2)  # (g, l0) and (e, l0)
     weight = sum(rho[i, i].real for i in keep)
     if weight <= 0.0:

@@ -14,9 +14,9 @@ from qerase.linalg import (
     EIGENVALUE_FLOOR,
     JACOBI_OFF_TOL,
     ComplexMatrix,
+    _block_minimum,
     _jacobi_2x2,
     _jacobi_eigenvalues,
-    _smallest_eigenvalue,
     _trace_plan,
     compose_permutations,
     dagger,
@@ -435,6 +435,23 @@ class TestEigensolver:
             got = hermitian_eigenvalues(m)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale * len(rows))
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_accepts_rounded_products_with_large_entries(self, scale):
+        # A A^dagger rounds its (i, j) and (j, i) entries apart by about
+        # eps * ||A A^dagger||_F, above an absolute 1e-10 at these scales
+        rng = np.random.default_rng(1)
+        for n in (2, 3, 5, 8):
+            a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+            h = a @ a.conj().T
+            want = np.linalg.eigvalsh(h)
+            got = hermitian_eigenvalues(ComplexMatrix(h.tolist()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * n * want[-1])
+
+    def test_scaled_input_check_still_rejects_non_hermitian(self):
+        m = ComplexMatrix([[1e6, 1.0], [0.0, 1e6]])
+        with pytest.raises(ValueError, match="Hermitian: defect 1.000e\\+00 exceeds 0.000141"):
+            hermitian_eigenvalues(m)
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_two_by_two_path_matches_the_loop_bit_for_bit(self, data):
@@ -551,7 +568,7 @@ class TestDensityValidation:
     def test_closed_form_2x2_matches_numpy_and_jacobi(self):
         rng = random.Random(22)
         for m in self._qubit_blocks(rng):
-            lo = _smallest_eigenvalue(m)
+            lo = _block_minimum(m.rows, (0, 1))
             want = np.linalg.eigvalsh(to_numpy(m))
             tol = 4 * math.ulp(max(abs(want[0]), abs(want[1])))
             assert abs(lo - want[0]) <= tol
@@ -569,7 +586,8 @@ class TestDensityValidation:
                 exact = (a + d) / 2 - radius
                 top = (a + d) / 2 + radius
                 scale = float(max(abs(exact), abs(top)))
-                assert abs(Decimal(_smallest_eigenvalue(m)) - exact) <= 2 * Decimal(math.ulp(scale))
+                lo = _block_minimum(m.rows, (0, 1))
+                assert abs(Decimal(lo) - exact) <= 2 * Decimal(math.ulp(scale))
 
     def test_block_screen_decides_as_the_full_spectrum(self):
         """Random, randomly permuted block-diagonal states with the smallest
@@ -613,6 +631,25 @@ class TestDensityValidation:
                 rows[i][j] = 1.0 / 3.0 if i == j else 0.4
         with pytest.raises(ValueError, match="eigenvalue"):
             density_matrix(rows)
+
+    @pytest.mark.parametrize("c, accepted", [(0.2, False), (0.15, True)])
+    def test_walk_merges_blocks_that_hold_several_indices(self, c, accepted):
+        """Links (0,3), (1,2), (2,3): the walk labels {0,3} and {1,2} before
+        (2,3) merges them into the path 0-3-2-1, whose smallest eigenvalue is
+        0.25 - 2c cos(pi/5), though each linked pair alone has 0.25 - c."""
+        rows = np.zeros((8, 8))
+        rows[range(4), range(4)] = 0.25
+        for i, j in ((0, 3), (1, 2), (2, 3)):
+            rows[i, j] = rows[j, i] = c
+        path = np.linalg.eigvalsh(rows[:4, :4])[0]
+        assert path == pytest.approx(0.25 - 2.0 * c * math.cos(math.pi / 5.0), abs=1e-15)
+        lo = np.linalg.eigvalsh(rows)[0]  # the other four indices add eigenvalue 0
+        assert bool(lo >= EIGENVALUE_FLOOR) is accepted
+        if accepted:
+            assert density_matrix(rows.tolist()) == ComplexMatrix(rows.tolist())
+        else:
+            with pytest.raises(ValueError, match=f"eigenvalue {lo:.3e} below"):
+                density_matrix(rows.tolist())
 
     @pytest.mark.parametrize("i, j", [(2, 5), (5, 2)])
     def test_one_sided_link_joins_a_block(self, i, j):

@@ -186,6 +186,10 @@ class TestGibbsAndPreselection:
         with pytest.raises(ValueError, match="preselection impossible"):
             preselect_l0(rho)
 
+    def test_preselection_accepts_raw_rows(self):
+        rows = [[0.3, 0, 0.1j, 0], [0, 0.4, 0, 0], [-0.1j, 0, 0.2, 0], [0, 0, 0, 0.1]]
+        assert preselect_l0(rows) == preselect_l0(ComplexMatrix(rows))
+
     def test_preselection_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             preselect_l0(diagonal([0.5, 0.5]))
