@@ -82,6 +82,5 @@ from .optics import (
     simulate,
     verify_encoding_equivalence,
 )
-from .verify import CheckResult, all_passed, run_verification
 
 __version__ = "0.1.0"

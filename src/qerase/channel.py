@@ -156,26 +156,3 @@ def reservoir_marginal(rho: ComplexMatrix) -> ComplexMatrix:
 def memory_ground_fidelity(rho: ComplexMatrix) -> float:
     """Overlap <g| tr_R(rho) |g> of the memory marginal with the ground state."""
     return memory_marginal(rho)[0, 0].real
-
-
-__all__ = [
-    "MEMORY",
-    "ENERGY",
-    "ANCILLA",
-    "SUBSYSTEM_DIMS",
-    "BASIS_LABELS",
-    "ERASURE_PERMUTATION",
-    "ErasureUnitary",
-    "build_erasure_unitary",
-    "CnotGate",
-    "cnot_unitary",
-    "build_circuit",
-    "circuit_permutation",
-    "circuit_unitary",
-    "apply_channel",
-    "reservoir_final_closed_form",
-    "final_state_closed_form",
-    "memory_marginal",
-    "reservoir_marginal",
-    "memory_ground_fidelity",
-]

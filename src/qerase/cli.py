@@ -185,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
                 b.r_z,
                 entropy_decrease(b),
                 heat_memory(b, levels),
-                heat_reservoir(b, spec, levels),
+                heat_reservoir(b, spec),
                 limit_temperature(b, levels) / levels.delta,
             ))
     return {"rows": rows}

@@ -15,8 +15,8 @@ import cmath
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -24,6 +24,7 @@ EIGENVALUE_FLOOR = -1e-10
 EIGENSOLVER_INPUT_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 60
+UNITARITY_TOL = 1e-12
 
 
 class ComplexMatrix:
@@ -441,6 +442,6 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     return m
 
 
-def is_unitary(m: ComplexMatrix, tol: float = 1e-12) -> bool:
+def is_unitary(m: ComplexMatrix) -> bool:
     product = matmul(dagger(m), m)
-    return frobenius_distance(product, identity(m.dim)) <= tol
+    return frobenius_distance(product, identity(m.dim)) <= UNITARITY_TOL

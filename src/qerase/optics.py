@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace
 from .linalg import permutation_matrix, permute
@@ -69,7 +68,7 @@ class HWP:
         return _swap(mode_index(POL_H, self.path), mode_index(POL_V, self.path))
 
 
-OpticalElement = Union[PBS, HWP]
+OpticalElement = PBS | HWP
 
 
 def _swap(a: int, b: int) -> tuple[int, ...]:
@@ -138,17 +137,6 @@ def compose(elements: tuple[OpticalElement, ...]) -> ComplexMatrix:
 DEFAULT_CIRCUIT_PERMUTATION = _circuit_permutation(default_erasure_circuit())
 
 
-def optical_permutation(unitary: ComplexMatrix) -> tuple[int, ...]:
-    """Column -> row map of a permutation-valued mode unitary."""
-    perm = []
-    for col in range(unitary.dim):
-        hits = [row for row in range(unitary.dim) if unitary[row, col] != 0]
-        if len(hits) != 1 or unitary[hits[0], col] != 1.0:
-            raise ValueError(f"column {col} is not a basis relabeling")
-        perm.append(hits[0])
-    return tuple(perm)
-
-
 def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Send polarization state `pol` on paths weighted by `dist` through the
     default circuit; returns the full 8x8 mode state."""
@@ -202,18 +190,15 @@ class EncodingEquivalence:
 
     equivalent: bool
     mismatches: tuple[str, ...]
-    optical_permutation: tuple[int, ...]
-    channel_permutation: tuple[int, ...]
 
     def __bool__(self) -> bool:
         return self.equivalent
 
 
 def verify_encoding_equivalence() -> EncodingEquivalence:
-    opt_perm = DEFAULT_CIRCUIT_PERMUTATION
     mismatches = []
     for i in PHYSICAL_INPUT_INDICES:
-        got = opt_perm[channel_to_optical_index(i)]
+        got = DEFAULT_CIRCUIT_PERMUTATION[channel_to_optical_index(i)]
         want = channel_to_optical_index(ERASURE_PERMUTATION[i])
         if got != want:
             mismatches.append(
@@ -223,6 +208,4 @@ def verify_encoding_equivalence() -> EncodingEquivalence:
     return EncodingEquivalence(
         equivalent=not mismatches,
         mismatches=tuple(mismatches),
-        optical_permutation=opt_perm,
-        channel_permutation=ERASURE_PERMUTATION,
     )

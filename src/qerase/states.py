@@ -102,14 +102,6 @@ class ThermalSpec:
             return 0.0
         return 1.0 / (self.k_B * self.beta)
 
-    @property
-    def p_g(self) -> float:
-        return thermal_probs(self)[0]
-
-    @property
-    def p_e(self) -> float:
-        return thermal_probs(self)[1]
-
 
 def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:
     """Gibbs weights (p_g, p_e) of the energy qubit at spec.beta."""

@@ -9,8 +9,9 @@ cross-checks the two routes before reporting.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
 from .states import (
@@ -74,26 +75,18 @@ def heat_memory(b: BlochVector, levels: EnergyLevels) -> float:
     return -(levels.delta / 2.0) * (1.0 - b.r_z)
 
 
-def heat_reservoir(b: BlochVector, spec: ThermalSpec, levels: EnergyLevels) -> float:
-    """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e)."""
-    _check_same_gap(spec, levels)
+def heat_reservoir(b: BlochVector, spec: ThermalSpec) -> float:
+    """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e), with
+    delta = spec.delta, the gap of the Gibbs weights."""
     p_g, p_e = thermal_probs(spec)
-    return (levels.delta / 2.0) * (1.0 - b.r_z) * (p_g - p_e)
+    return (spec.delta / 2.0) * (1.0 - b.r_z) * (p_g - p_e)
 
 
-def photon_energy(b: BlochVector, spec: ThermalSpec, levels: EnergyLevels) -> float:
-    """Energy carried off radiatively: -(Q_M + Q_R) = delta (1 - r_z) p_e."""
-    _check_same_gap(spec, levels)
+def photon_energy(b: BlochVector, spec: ThermalSpec) -> float:
+    """Energy carried off radiatively: -(Q_M + Q_R) = delta (1 - r_z) p_e,
+    with delta = spec.delta."""
     _, p_e = thermal_probs(spec)
-    return levels.delta * (1.0 - b.r_z) * p_e
-
-
-def _check_same_gap(spec: ThermalSpec, levels: EnergyLevels) -> None:
-    """Reject level data whose gap differs from the one in the Gibbs weights."""
-    if levels.delta != spec.delta:
-        raise ValueError(
-            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
-        )
+    return spec.delta * (1.0 - b.r_z) * p_e
 
 
 def commutator_norm(perm: Sequence[int], hamiltonians: HamiltonianSet) -> float:
@@ -130,9 +123,7 @@ def limit_temperature(
     return -q_m / (k_B * delta_s)
 
 
-class LandauerVerdict(NamedTuple):
-    violated: bool
-    margin: float
+LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
 
 
 def landauer_check(
@@ -187,8 +178,10 @@ def analyze(
     """
     if levels is None:
         levels = EnergyLevels(delta=spec.delta)
-    else:
-        _check_same_gap(spec, levels)
+    elif levels.delta != spec.delta:
+        raise ValueError(
+            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
+        )
     hams = build_hamiltonians(levels)
 
     rho_memory = qubit_from_bloch(b)
@@ -210,13 +203,13 @@ def analyze(
     q_m_trace = _level_sum(change, [hams.memory[i >> 2] for i in range(8)])
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
-    q_r = heat_reservoir(b, spec, levels)
+    q_r = heat_reservoir(b, spec)
     q_r_trace = _level_sum(change, [hams.reservoir[i & 3] for i in range(8)])
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
     u_i = _level_sum(pops_i, hams.total)
     u_f = _level_sum(pops_f, hams.total)
-    radiated = photon_energy(b, spec, levels)
+    radiated = photon_energy(b, spec)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
     t_limit = limit_temperature(b, levels, spec.k_B)

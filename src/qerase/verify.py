@@ -201,14 +201,14 @@ def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
     for k in range(draws):
         b = random_bloch(rng)
         for beta in BETA_GRID:
-            q_r = heat_reservoir(b, ThermalSpec(beta=beta), levels)
+            q_r = heat_reservoir(b, ThermalSpec(beta=beta))
             if q_r < 0.0:
                 return _result(
                     "reservoir_heat_sign",
                     False,
                     f"draw {k}: Q_R = {q_r!r} negative at beta = {beta}",
                 )
-    zero_t = heat_reservoir(BlochVector(), ThermalSpec(beta=math.inf), levels)
+    zero_t = heat_reservoir(BlochVector(), ThermalSpec(beta=math.inf))
     expected = -heat_memory(BlochVector(), levels)
     ok = zero_t == expected
     return _result(

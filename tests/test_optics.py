@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import assert_matrix_close, random_bloch, to_numpy
-from qerase.linalg import diagonal, identity, is_unitary, matmul, trace
+from qerase.linalg import identity, is_unitary, matmul, permutation_matrix, trace
 from qerase.states import BlochVector, qubit_from_bloch
-from qerase.channel import ERASURE_PERMUTATION
 from qerase.optics import (
+    DEFAULT_CIRCUIT_PERMUTATION,
     HWP,
     MODE_LABELS,
     PBS,
@@ -19,7 +19,6 @@ from qerase.optics import (
     default_erasure_circuit,
     element_unitary,
     mode_index,
-    optical_permutation,
     path_final_closed_form,
     path_marginal,
     polarization_marginal,
@@ -61,12 +60,12 @@ class TestElements:
             HWP(9)
 
     def test_pbs_swaps_vertical_only(self):
-        u = element_unitary(PBS(1, 2))
-        assert optical_permutation(u) == (0, 1, 2, 3, 5, 4, 6, 7)
+        assert PBS(1, 2).permutation == (0, 1, 2, 3, 5, 4, 6, 7)
+        assert element_unitary(PBS(1, 2)) == permutation_matrix((0, 1, 2, 3, 5, 4, 6, 7))
 
     def test_hwp_flips_polarization_on_one_path(self):
-        u = element_unitary(HWP(2))
-        assert optical_permutation(u) == (0, 5, 2, 3, 4, 1, 6, 7)
+        assert HWP(2).permutation == (0, 5, 2, 3, 4, 1, 6, 7)
+        assert element_unitary(HWP(2)) == permutation_matrix((0, 5, 2, 3, 4, 1, 6, 7))
 
     def test_elements_are_involutions(self):
         for element in (PBS(1, 3), HWP(4)):
@@ -92,20 +91,20 @@ class TestComposition:
 
     def test_composed_permutation_frozen(self):
         u = compose(default_erasure_circuit())
-        assert optical_permutation(u) == COMPOSED_PERMUTATION
+        assert u == permutation_matrix(COMPOSED_PERMUTATION)
         assert is_unitary(u)
 
     def test_physical_transformations(self):
-        perm = optical_permutation(compose(default_erasure_circuit()))
-        assert perm[mode_index(0, 1)] == mode_index(0, 1)  # H1 -> H1
-        assert perm[mode_index(0, 2)] == mode_index(0, 4)  # H2 -> H4
-        assert perm[mode_index(1, 1)] == mode_index(0, 2)  # V1 -> H2
-        assert perm[mode_index(1, 2)] == mode_index(0, 3)  # V2 -> H3
+        u, mode = to_numpy(compose(default_erasure_circuit())), np.eye(8)
+        assert np.array_equal(u @ mode[mode_index(0, 1)], mode[mode_index(0, 1)])  # H1 -> H1
+        assert np.array_equal(u @ mode[mode_index(0, 2)], mode[mode_index(0, 4)])  # H2 -> H4
+        assert np.array_equal(u @ mode[mode_index(1, 1)], mode[mode_index(0, 2)])  # V1 -> H2
+        assert np.array_equal(u @ mode[mode_index(1, 2)], mode[mode_index(0, 3)])  # V2 -> H3
 
     def test_first_element_applied_first(self):
         # PBS(1,2) then HWP(2): V1 -> V2 -> H2
-        u = compose((PBS(1, 2), HWP(2)))
-        assert optical_permutation(u)[mode_index(1, 1)] == mode_index(0, 2)
+        u, mode = to_numpy(compose((PBS(1, 2), HWP(2)))), np.eye(8)
+        assert np.array_equal(u @ mode[mode_index(1, 1)], mode[mode_index(0, 2)])
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -121,10 +120,6 @@ class TestComposition:
     def test_compose_rejects_unknown_element(self):
         with pytest.raises(TypeError, match="optical element"):
             compose((PBS(1, 2), "mirror"))
-
-    def test_optical_permutation_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="relabeling"):
-            optical_permutation(diagonal([0.5] * 8))
 
 
 class TestPathDistribution:
@@ -213,8 +208,7 @@ class TestEncodingEquivalence:
         assert outcome.equivalent
         assert bool(outcome)
         assert outcome.mismatches == ()
-        assert outcome.channel_permutation == ERASURE_PERMUTATION
-        assert outcome.optical_permutation == COMPOSED_PERMUTATION
+        assert DEFAULT_CIRCUIT_PERMUTATION == COMPOSED_PERMUTATION
 
     def test_optical_state_mirrors_reservoir_state(self):
         # path populations (1, 2, 3, 4) correspond to reservoir levels

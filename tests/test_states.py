@@ -89,10 +89,6 @@ class TestThermalSpec:
         spec = ThermalSpec.from_temperature(2.5, delta=1.3, k_B=0.7)
         assert spec.temperature == pytest.approx(2.5, rel=1e-15)
 
-    def test_probability_properties_match_function(self):
-        spec = ThermalSpec.from_beta(0.8)
-        assert (spec.p_g, spec.p_e) == thermal_probs(spec)
-
 
 class TestThermalProbs:
     def test_zero_temperature_exact(self):

@@ -1,10 +1,14 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+loads none of the standard modules it does not use."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qerase").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "qerase").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -36,3 +40,39 @@ def test_guard_sees_a_third_party_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import numpy.linalg\nfrom scipy import sparse\nfrom . import linalg\n")
     assert absolute_imports(probe) == ["numpy", "scipy"]
+
+
+def loaded_modules(*args: str) -> set[str]:
+    """Every module a fresh `python -S` loads while running `args`, read from
+    its `-X importtime` log; module names do not depend on the host's speed."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def not_needed(loaded: set[str], unused: set[str]) -> list[str]:
+    """The modules of `unused` that were loaded, less those `dataclasses`
+    brings itself: its `inspect` imports `typing` on some interpreters
+    (3.13.13, not 3.13.0), which the package cannot leave out."""
+    return sorted((loaded & unused) - loaded_modules("-c", "import dataclasses"))
+
+
+def test_package_import_leaves_out_typing_random_and_verify():
+    loaded = loaded_modules("-c", "import qerase")
+    assert "qerase.linalg" in loaded
+    assert not_needed(loaded, {"typing", "random", "qerase.verify"}) == []
+
+
+def test_erase_command_leaves_out_typing():
+    loaded = loaded_modules("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
+    assert "qerase.cli" in loaded
+    assert not_needed(loaded, {"typing"}) == []
