@@ -23,7 +23,6 @@ from .linalg import (
 )
 from .states import (
     BlochVector,
-    EnergyLevels,
     ThermalSpec,
     bloch_from_qubit,
     composite_initial,

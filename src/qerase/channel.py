@@ -123,7 +123,11 @@ def reservoir_final_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMat
     between (g, l0) and (e, l1), coherences connect the energy levels
     within each thermal branch.
     """
-    p_g, p_e = thermal_probs(spec)
+    return _branch_split(b, *thermal_probs(spec))
+
+
+def _branch_split(b: BlochVector, p_g: float, p_e: float) -> ComplexMatrix:
+    """The state above for branch weights p_g and p_e, indexed 2e + a."""
     up = (1.0 + b.r_z) / 2.0
     down = (1.0 - b.r_z) / 2.0
     off = (b.r_x - 1j * b.r_y) / 2.0

@@ -24,7 +24,7 @@ import math
 import sys
 
 from .linalg import ComplexMatrix
-from .states import BlochVector, EnergyLevels, ThermalSpec
+from .states import BlochVector, ThermalSpec
 from .thermo import analyze, entropy_decrease, heat_memory, heat_reservoir, limit_temperature
 from .optics import (
     MODE_LABELS,
@@ -36,7 +36,6 @@ from .optics import (
     simulate,
     verify_encoding_equivalence,
 )
-from .verify import DEFAULT_SEED, all_passed, run_verification
 
 SCHEMA_VERSION = "1"
 K_B_SI = 1.380649e-23  # J/K
@@ -168,7 +167,6 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         raise ValueError("need at least 2 polar samples")
     if n_phi < 1:
         raise ValueError("need at least 1 azimuthal sample")
-    levels = EnergyLevels(delta=args.delta)
     spec = _thermal_spec(args, args.delta, 1.0)
     rows = []
     for i in range(n_theta):
@@ -184,9 +182,9 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
                 b.r_y,
                 b.r_z,
                 entropy_decrease(b),
-                heat_memory(b, levels),
+                heat_memory(b, spec),
                 heat_reservoir(b, spec),
-                limit_temperature(b, levels) / levels.delta,
+                limit_temperature(b, spec) / spec.delta,
             ))
     return {"rows": rows}
 
@@ -216,15 +214,18 @@ def cmd_optics(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
+    from . import verify  # only this subcommand loads the battery
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     if not 0.0 <= args.delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {args.delta!r}")
     if args.draws < 1:
         raise ValueError(f"draws must be >= 1, got {args.draws!r}")
-    results = run_verification(delta=args.delta, draws=args.draws, seed=args.seed)
+    results = verify.run_verification(delta=args.delta, draws=args.draws, seed=seed)
     return {
-        "parameters": {"delta": args.delta, "draws": args.draws, "seed": args.seed},
+        "parameters": {"delta": args.delta, "draws": args.draws, "seed": seed},
         "checks": [{"name": r.name, "status": r.status, "detail": r.detail} for r in results],
-        "passed": all_passed(results),
+        "passed": verify.all_passed(results),
     }
 
 
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--delta", type=float, default=1.0,
                           help="gap for the commutator check; 0 skips it")
     p_verify.add_argument("--draws", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None)  # None: verify.DEFAULT_SEED
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.add_argument("--output", default=None, metavar="PATH")
     p_verify.set_defaults(handler=cmd_verify)

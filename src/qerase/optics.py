@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace
 from .linalg import permutation_matrix, permute
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
-from .channel import ERASURE_PERMUTATION
+from .channel import ERASURE_PERMUTATION, _branch_split
 
 POL_H, POL_V = 0, 1
 PATHS = (1, 2, 3, 4)
@@ -148,20 +148,10 @@ def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
 
 def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Path marginal after the circuit: populations on paths 1 and 4 carry
-    (1 +/- r_z)/2, coherences bridge paths 1-2 and 3-4."""
-    up = (1.0 + pol.r_z) / 2.0
-    down = (1.0 - pol.r_z) / 2.0
-    off = (pol.r_x - 1j * pol.r_y) / 2.0
-    rows = [[0.0 + 0.0j] * 4 for _ in range(4)]
-    rows[0][0] = up * dist.p_1
-    rows[1][1] = down * dist.p_1
-    rows[0][1] = off * dist.p_1
-    rows[1][0] = off.conjugate() * dist.p_1
-    rows[3][3] = up * dist.p_2
-    rows[2][2] = down * dist.p_2
-    rows[3][2] = off * dist.p_2
-    rows[2][3] = off.conjugate() * dist.p_2
-    return ComplexMatrix(rows)
+    (1 +/- r_z)/2, coherences bridge paths 1-2 and 3-4. It is the channel's
+    post-erasure reservoir with p_g = p_1, p_e = p_2, relabeled from index
+    2e + a to path - 1 = e + 2a."""
+    return permute(_branch_split(pol, dist.p_1, dist.p_2), (0, 2, 1, 3))
 
 
 def polarization_marginal(rho: ComplexMatrix) -> ComplexMatrix:

@@ -42,24 +42,9 @@ class BlochVector:
 
 
 @dataclass(frozen=True)
-class EnergyLevels:
-    """Ground energies of memory and reservoir plus the shared gap delta."""
-
-    memory_ground: float = 0.0
-    reservoir_ground: float = 0.0
-    delta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("memory_ground", "reservoir_ground", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-
-
-@dataclass(frozen=True)
 class ThermalSpec:
-    """Reservoir temperature expressed as inverse temperature beta.
+    """Inverse temperature beta, the gap delta that memory and reservoir
+    share, and Boltzmann's constant k_B.
 
     beta may be math.inf (zero temperature) or 0 (infinite temperature).
     """

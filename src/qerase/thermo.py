@@ -1,9 +1,9 @@
 """Thermodynamics of the erasure: entropy transfer, heats, limit temperature.
 
-Conventions: entropies in nats, k_B = 1 unless passed explicitly, heat
-positive when it flows *into* the named subsystem. Every closed form has a
-trace-based twin computed from the propagated states, and `analyze`
-cross-checks the two routes before reporting.
+Conventions: entropies in nats, heat positive when it flows *into* the
+named subsystem, the gap delta and k_B taken from the `ThermalSpec`. Every
+closed form has a trace-based twin computed from the propagated states, and
+`analyze` cross-checks the two routes before reporting.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
 from .states import (
     BlochVector,
-    EnergyLevels,
     ThermalSpec,
     composite_initial,
     qubit_from_bloch,
@@ -38,12 +37,12 @@ class HamiltonianSet:
     total: tuple[float, ...]
 
 
-def build_hamiltonians(levels: EnergyLevels) -> HamiltonianSet:
-    """Level energies of `levels`: memory (e0, e0 + delta), reservoir
-    (eps, eps, eps + delta, eps + delta), and their sums for the composite."""
-    e0, eps, d = levels.memory_ground, levels.reservoir_ground, levels.delta
-    memory = tuple(map(float, (e0, e0 + d)))
-    reservoir = tuple(map(float, (eps, eps, eps + d, eps + d)))
+def build_hamiltonians(spec: ThermalSpec) -> HamiltonianSet:
+    """Level energies at gap d = spec.delta, ground levels at 0: memory
+    (0, d), reservoir (0, 0, d, d), and their sums for the composite."""
+    d = float(spec.delta)
+    memory = (0.0, d)
+    reservoir = (0.0, 0.0, d, d)
     total = tuple(m + r for m in memory for r in reservoir)
     return HamiltonianSet(memory=memory, reservoir=reservoir, total=total)
 
@@ -70,16 +69,17 @@ def entropy_decrease(b: BlochVector) -> float:
     return LN2 - r * math.log(1.0 + r) - 0.5 * (1.0 - r) * math.log((1.0 - r) * (1.0 + r))
 
 
-def heat_memory(b: BlochVector, levels: EnergyLevels) -> float:
+def heat_memory(b: BlochVector, spec: ThermalSpec) -> float:
     """Heat received by the memory; always -(delta/2)(1 - r_z) <= 0."""
-    return -(levels.delta / 2.0) * (1.0 - b.r_z)
+    return -(spec.delta / 2.0) * (1.0 - b.r_z)
 
 
 def heat_reservoir(b: BlochVector, spec: ThermalSpec) -> float:
     """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e), with
-    delta = spec.delta, the gap of the Gibbs weights."""
-    p_g, p_e = thermal_probs(spec)
-    return (spec.delta / 2.0) * (1.0 - b.r_z) * (p_g - p_e)
+    delta = spec.delta, the gap of the Gibbs weights. p_g - p_e is taken as
+    tanh(beta delta / 2), which keeps full relative precision as beta -> 0,
+    where the difference of the two weights cancels."""
+    return (spec.delta / 2.0) * (1.0 - b.r_z) * math.tanh(spec.beta * spec.delta / 2.0)
 
 
 def photon_energy(b: BlochVector, spec: ThermalSpec) -> float:
@@ -105,22 +105,18 @@ def commutator_norm(perm: Sequence[int], hamiltonians: HamiltonianSet) -> float:
     return math.sqrt(total)
 
 
-def limit_temperature(
-    b: BlochVector, levels: EnergyLevels, k_B: float = 1.0
-) -> float:
+def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
     """Temperature at which the erasure stops beating the entropy bound.
 
-    T_limit = -Q_M / (k_B dS), from `heat_memory` and `entropy_decrease`.
-    Returns +inf when no entropy is removed but heat is (pure inputs with
-    r_z < 1) and NaN when neither is (r_z = 1).
+    T_limit = -Q_M / (k_B dS), from `heat_memory` and `entropy_decrease`;
+    it does not depend on spec.beta. Returns +inf when no entropy is removed
+    but heat is (pure inputs with r_z < 1) and NaN when neither is (r_z = 1).
     """
-    if k_B <= 0.0 or not math.isfinite(k_B):
-        raise ValueError(f"k_B must be positive and finite, got {k_B!r}")
-    q_m = heat_memory(b, levels)
+    q_m = heat_memory(b, spec)
     delta_s = entropy_decrease(b)
     if delta_s == 0.0:
         return math.nan if q_m == 0.0 else math.inf
-    return -q_m / (k_B * delta_s)
+    return -q_m / (spec.k_B * delta_s)
 
 
 LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
@@ -160,29 +156,20 @@ class ErasureReport:
     landauer_margin: float
 
 
-def analyze(
-    b: BlochVector, spec: ThermalSpec, levels: EnergyLevels | None = None
-) -> ErasureReport:
+def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     """Run the channel on (b, spec) and report all erasure thermodynamics.
 
     The closed forms are what gets reported; each is recomputed from the
     propagated density matrices and the two routes must agree to 1e-10: in
     nats for the entropy, in units of the gap for the energies, and
     relative to T_limit above 1. Otherwise ArithmeticError flags the
-    internal inconsistency. Explicit `levels` must share the gap of `spec`,
-    whose Gibbs weights use it.
+    internal inconsistency.
 
     The traced heats and energies are sums over the 8 composite populations;
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
     diagonal, so no marginal is formed for it.
     """
-    if levels is None:
-        levels = EnergyLevels(delta=spec.delta)
-    elif levels.delta != spec.delta:
-        raise ValueError(
-            f"gap mismatch: levels.delta = {levels.delta!r}, spec.delta = {spec.delta!r}"
-        )
-    hams = build_hamiltonians(levels)
+    hams = build_hamiltonians(spec)
 
     rho_memory = qubit_from_bloch(b)
     rho_initial = composite_initial(b, spec)
@@ -193,13 +180,13 @@ def analyze(
     s_initial = von_neumann_entropy(rho_memory)
     s_final = von_neumann_entropy(memory_final)
     _require_close("entropy decrease", delta_s, s_initial - s_final, ROUTE_TOL)
-    energy_tol = ROUTE_TOL * levels.delta
+    energy_tol = ROUTE_TOL * spec.delta
 
     pops_i, pops_f = _populations(rho_initial), _populations(rho_final)
     # population change of composite level i = 4m + k (memory m, reservoir k)
     change = [after - before for before, after in zip(pops_i, pops_f)]
 
-    q_m = heat_memory(b, levels)
+    q_m = heat_memory(b, spec)
     q_m_trace = _level_sum(change, [hams.memory[i >> 2] for i in range(8)])
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
@@ -212,7 +199,7 @@ def analyze(
     radiated = photon_energy(b, spec)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
-    t_limit = limit_temperature(b, levels, spec.k_B)
+    t_limit = limit_temperature(b, spec)
     if delta_s > 0.0:
         _require_close(
             "limit temperature", t_limit, -q_m / (spec.k_B * delta_s),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .linalg import ComplexMatrix, is_unitary
 from .states import (
     BlochVector,
-    EnergyLevels,
     ThermalSpec,
     composite_initial,
     qubit_from_bloch,
@@ -176,14 +175,12 @@ def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
 def check_memory_heat_temperature_independence(
     draws: int, rng: random.Random
 ) -> CheckResult:
-    levels = EnergyLevels()
+    specs = [ThermalSpec(beta=beta) for beta in BETA_GRID]
     for k in range(draws):
         b = random_bloch(rng)
-        reports = [
-            analyze(b, ThermalSpec(beta=beta), levels).q_memory for beta in BETA_GRID
-        ]
+        reports = [analyze(b, spec).q_memory for spec in specs]
         spread = max(reports) - min(reports)
-        if spread > 1e-12 or abs(reports[0] - heat_memory(b, levels)) > 1e-12:
+        if spread > 1e-12 or abs(reports[0] - heat_memory(b, specs[0])) > 1e-12:
             return _result(
                 "memory_heat_temperature_independence",
                 False,
@@ -197,7 +194,6 @@ def check_memory_heat_temperature_independence(
 
 
 def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
-    levels = EnergyLevels()
     for k in range(draws):
         b = random_bloch(rng)
         for beta in BETA_GRID:
@@ -208,8 +204,9 @@ def check_reservoir_heat_sign(draws: int, rng: random.Random) -> CheckResult:
                     False,
                     f"draw {k}: Q_R = {q_r!r} negative at beta = {beta}",
                 )
-    zero_t = heat_reservoir(BlochVector(), ThermalSpec(beta=math.inf))
-    expected = -heat_memory(BlochVector(), levels)
+    cold = ThermalSpec(beta=math.inf)
+    zero_t = heat_reservoir(BlochVector(), cold)
+    expected = -heat_memory(BlochVector(), cold)
     ok = zero_t == expected
     return _result(
         "reservoir_heat_sign",
@@ -239,7 +236,7 @@ def check_commutator(delta: float) -> CheckResult:
             status="skip",
             detail="degenerate levels (delta = 0): U commutes with H",
         )
-    hams = build_hamiltonians(EnergyLevels(delta=delta))
+    hams = build_hamiltonians(ThermalSpec(beta=0.0, delta=delta))
     norm = commutator_norm(ERASURE_PERMUTATION, hams)
     expected = math.sqrt(8.0) * delta
     ok = norm > 0.0 and abs(norm - expected) <= 1e-12 * expected

@@ -38,7 +38,6 @@ from qerase.optics import (
 )
 from qerase.states import (
     BlochVector,
-    EnergyLevels,
     ThermalSpec,
     composite_initial,
     qubit_from_bloch,
@@ -57,8 +56,8 @@ from qerase.thermo import (
 BETA_GRID = (0.0, 0.1, 1.0, 10.0, math.inf)
 POL_H = 0  # polarization index of |H> in the mode layout
 
-LEVELS = EnergyLevels()
-HAMILTONIANS = build_hamiltonians(LEVELS)
+UNIT_GAP = ThermalSpec.from_beta(1.0)  # delta = k_B = 1; Q_M and T_limit ignore beta
+HAMILTONIANS = build_hamiltonians(UNIT_GAP)
 H_MEMORY_NP = np.diag([0.0, 1.0])
 H_RESERVOIR_NP = np.diag([0.0, 0.0, 1.0, 1.0])
 
@@ -87,13 +86,13 @@ class TestCriterion1:
     def test_limit_temperature_classical_bit(self, criterion):
         with criterion(1, "limit temperature: 12 digits natural, ~10 K in SI"):
             start = time.perf_counter()
-            natural = limit_temperature(BlochVector(), LEVELS)
+            natural = limit_temperature(BlochVector(), UNIT_GAP)
             target = 1.0 / math.log(4.0)
             assert f"{natural:.12g}" == f"{target:.12g}"
             assert abs(natural - target) <= 1e-12 * target
 
-            si_levels = EnergyLevels(delta=1.986e-22)
-            kelvin = limit_temperature(BlochVector(), si_levels, k_B=1.380649e-23)
+            si_gap = ThermalSpec.from_beta(1.0, delta=1.986e-22, k_B=1.380649e-23)
+            kelvin = limit_temperature(BlochVector(), si_gap)
             elapsed = time.perf_counter() - start
             assert 9.9 <= kelvin <= 10.9
             assert elapsed < 1.0
@@ -184,20 +183,20 @@ class TestCriterion6:
                     r_f = reservoir_marginal_numpy(rho_f)
                     q_m_trace = float(np.trace(H_MEMORY_NP @ (m_f - m_i)).real)
                     q_r_trace = float(np.trace(H_RESERVOIR_NP @ (r_f - r_i)).real)
-                    assert abs(heat_memory(b, LEVELS) - q_m_trace) < 1e-12
+                    assert abs(heat_memory(b, UNIT_GAP) - q_m_trace) < 1e-12
                     assert abs(heat_reservoir(b, spec) - q_r_trace) < 1e-12
                     q_memory_by_beta.append(q_m_trace)
                 assert max(q_memory_by_beta) - min(q_memory_by_beta) < 1e-12
                 zero_t = ThermalSpec.from_beta(math.inf)
-                assert heat_reservoir(b, zero_t) == -heat_memory(b, LEVELS)
+                assert heat_reservoir(b, zero_t) == -heat_memory(b, UNIT_GAP)
 
 
 class TestCriterion7:
     def test_landauer_verdict_flips_at_the_limit(self, criterion):
         with criterion(7, "verdict flips exactly once, at T_l within 1e-9"):
             b = BlochVector()
-            t_limit = limit_temperature(b, LEVELS)
-            q_m = heat_memory(b, LEVELS)
+            t_limit = limit_temperature(b, UNIT_GAP)
+            q_m = heat_memory(b, UNIT_GAP)
             delta_s = entropy_decrease(b)
 
             temperature = 0.5 * t_limit

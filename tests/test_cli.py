@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qerase.thermo
-from qerase.states import BlochVector, EnergyLevels, ThermalSpec
+from qerase.states import BlochVector, ThermalSpec
 from qerase.thermo import analyze, limit_temperature
 from qerase.cli import SWEEP_COLUMNS, build_parser, main
 from qerase.verify import CheckResult
@@ -243,7 +243,7 @@ class TestSweepCommand:
             float(record["r_x"]), float(record["r_y"]), float(record["r_z"])
         )
         assert float(record["T_limit"]) == pytest.approx(
-            limit_temperature(b, EnergyLevels()), rel=1e-9
+            limit_temperature(b, ThermalSpec(beta=math.inf)), rel=1e-9
         )
         assert float(record["Q_M"]) == pytest.approx(-(1 - b.r_z) / 2, rel=1e-9)
 
@@ -372,7 +372,7 @@ class TestVerifyCommand:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "qerase.cli.run_verification",
+            "qerase.verify.run_verification",
             lambda **kwargs: [CheckResult(name="forced", status="fail", detail="boom")],
         )
         code, out, _ = run_cli(capsys, "verify")
@@ -388,7 +388,7 @@ class TestVerifyCommand:
         def battery(**kwargs):
             raise AssertionError("the battery ran")
 
-        monkeypatch.setattr("qerase.cli.run_verification", battery)
+        monkeypatch.setattr("qerase.verify.run_verification", battery)
         code, out, err = run_cli(capsys, "verify", "--delta", delta)
         assert code == 2
         assert out == ""

@@ -111,7 +111,7 @@ def run_case(name: str, argv: list[str]) -> tuple[int, str]:
     return. The forced-failure cases replace the battery with one failing
     check, as tests/test_cli.py does."""
     out = io.StringIO()
-    battery = (mock.patch("qerase.cli.run_verification", _forced_failure)
+    battery = (mock.patch("qerase.verify.run_verification", _forced_failure)
                if "forced_failure" in name else nullcontext())
     with redirect_stdout(out), redirect_stderr(io.StringIO()), battery:
         try:

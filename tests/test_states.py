@@ -11,7 +11,6 @@ from conftest import assert_matrix_close
 from qerase.linalg import ComplexMatrix, diagonal, kron, trace
 from qerase.states import (
     BlochVector,
-    EnergyLevels,
     ThermalSpec,
     bloch_from_qubit,
     composite_initial,
@@ -67,9 +66,15 @@ class TestThermalSpec:
         with pytest.raises(ValueError):
             ThermalSpec.from_beta(math.nan)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            ThermalSpec.from_beta(1.0, delta=0.0)
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            ThermalSpec.from_beta(1.0, delta=delta)
+
+    @pytest.mark.parametrize("k_B", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_k_b(self, k_B):
+        with pytest.raises(ValueError, match="k_B must be positive and finite"):
+            ThermalSpec.from_beta(1.0, k_B=k_B)
 
     def test_zero_temperature_is_infinite_beta(self):
         spec = ThermalSpec.from_temperature(0.0)
@@ -259,15 +264,3 @@ class TestCompositeInitial:
         assert trace(rho).real == pytest.approx(1.0, abs=1e-13)
 
 
-class TestEnergyLevels:
-    def test_defaults(self):
-        levels = EnergyLevels()
-        assert (levels.memory_ground, levels.reservoir_ground, levels.delta) == (0, 0, 1)
-
-    def test_rejects_non_positive_gap(self):
-        with pytest.raises(ValueError, match="delta"):
-            EnergyLevels(delta=0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            EnergyLevels(memory_ground=math.nan)

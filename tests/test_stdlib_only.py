@@ -73,6 +73,7 @@ def test_package_import_leaves_out_typing_random_and_verify():
 
 
 def test_erase_command_leaves_out_typing():
+    """`erase` loads neither `typing` nor the `verify` battery and its `random`."""
     loaded = loaded_modules("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
     assert "qerase.cli" in loaded
-    assert not_needed(loaded, {"typing"}) == []
+    assert not_needed(loaded, {"typing", "random", "qerase.verify"}) == []

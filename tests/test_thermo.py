@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ import qerase.linalg
 import qerase.thermo
 from conftest import random_bloch, to_numpy
 from qerase.linalg import ComplexMatrix, diagonal, identity
-from qerase.states import BlochVector, EnergyLevels, ThermalSpec, composite_initial, qubit_from_bloch
+from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
     ErasureReport,
@@ -43,21 +44,13 @@ radii = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 class TestHamiltonians:
     def test_default_spectrum(self):
-        hams = build_hamiltonians(EnergyLevels())
+        hams = build_hamiltonians(ThermalSpec(beta=1.0))
         assert hams.memory == (0, 1)
         assert hams.reservoir == (0, 0, 1, 1)
         assert hams.total == (0, 0, 1, 1, 1, 1, 2, 2)
 
-    def test_offsets_shift_the_diagonal(self):
-        hams = build_hamiltonians(
-            EnergyLevels(memory_ground=2.0, reservoir_ground=3.0, delta=1.5)
-        )
-        assert hams.memory[1] == 3.5
-        assert hams.reservoir[0] == 3.0
-        assert hams.total[7] == 2.0 + 1.5 + 3.0 + 1.5
-
     def test_total_is_sum_of_local_terms(self):
-        hams = build_hamiltonians(EnergyLevels(delta=0.7))
+        hams = build_hamiltonians(ThermalSpec(beta=1.0, delta=0.7))
         want = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
             np.eye(2), np.diag(hams.reservoir)
         )
@@ -132,30 +125,46 @@ class TestEntropyDecrease:
 
 class TestHeats:
     def test_memory_heat_frozen(self):
-        assert heat_memory(BlochVector(), EnergyLevels()) == -0.5
-        assert heat_memory(BlochVector(0, 0, 1), EnergyLevels()) == 0.0
-        assert heat_memory(BlochVector(0, 0, -1), EnergyLevels()) == -1.0
+        spec = ThermalSpec(beta=1.0)
+        assert heat_memory(BlochVector(), spec) == -0.5
+        assert heat_memory(BlochVector(0, 0, 1), spec) == 0.0
+        assert heat_memory(BlochVector(0, 0, -1), spec) == -1.0
 
     def test_memory_heat_ignores_transverse_components(self):
-        levels = EnergyLevels()
-        assert heat_memory(BlochVector(0.8, 0, 0.1), levels) == heat_memory(
-            BlochVector(0, -0.3, 0.1), levels
+        spec = ThermalSpec(beta=1.0)
+        assert heat_memory(BlochVector(0.8, 0, 0.1), spec) == heat_memory(
+            BlochVector(0, -0.3, 0.1), spec
         )
 
     def test_memory_heat_scales_with_gap(self):
-        assert heat_memory(BlochVector(), EnergyLevels(delta=3.0)) == -1.5
+        assert heat_memory(BlochVector(), ThermalSpec(beta=1.0, delta=3.0)) == -1.5
 
     def test_reservoir_heat_zero_temperature_balances_memory(self):
         rng = random.Random(51)
-        levels = EnergyLevels(delta=1.7)
         spec = ThermalSpec.from_beta(math.inf, delta=1.7)
         for _ in range(20):
             b = random_bloch(rng)
-            assert heat_reservoir(b, spec) == -heat_memory(b, levels)
+            assert heat_reservoir(b, spec) == -heat_memory(b, spec)
 
     def test_reservoir_heat_infinite_temperature_vanishes(self):
         spec = ThermalSpec.from_beta(0.0)
         assert heat_reservoir(BlochVector(), spec) == 0.0
+
+    @pytest.mark.parametrize("beta_delta", [1e-5, 1e-8, 1e-11, 1e-14])
+    @pytest.mark.parametrize("delta,k_B", [(1.0, 1.0), (1.986e-22, 1.380649e-23)])
+    def test_reservoir_heat_high_temperature_against_decimal_oracle(
+        self, beta_delta, delta, k_B
+    ):
+        # p_g - p_e ~ beta delta / 2 cancels as beta -> 0; the oracle evaluates
+        # (delta/2)(1 - r_z) tanh(beta delta / 2) from the same floats in 60 digits
+        b = BlochVector(0.3, -0.2, 0.4)
+        spec = ThermalSpec.from_beta(beta_delta / delta, delta=delta, k_B=k_B)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            d = decimal.Decimal(spec.delta)
+            e2 = (decimal.Decimal(spec.beta) * d).exp()  # exp(2 * beta delta / 2)
+            tanh = (e2 - 1) / (e2 + 1)
+            want = float(d / 2 * (1 - decimal.Decimal(b.r_z)) * tanh)
+        assert abs(heat_reservoir(b, spec) - want) <= 4 * math.ulp(want)
 
     def test_reservoir_heat_never_negative(self):
         rng = random.Random(52)
@@ -167,8 +176,7 @@ class TestHeats:
     def test_photon_energy_closes_the_books(self):
         b = BlochVector(0.2, 0.1, -0.4)
         spec = ThermalSpec.from_beta(1.3)
-        levels = EnergyLevels()
-        total = heat_memory(b, levels) + heat_reservoir(b, spec)
+        total = heat_memory(b, spec) + heat_reservoir(b, spec)
         assert photon_energy(b, spec) == pytest.approx(-total, abs=1e-15)
 
     def test_photon_energy_zero_at_zero_temperature(self):
@@ -177,8 +185,7 @@ class TestHeats:
 
     def test_heats_against_trace_route(self):
         rng = random.Random(53)
-        levels = EnergyLevels()
-        hams = build_hamiltonians(levels)
+        hams = build_hamiltonians(ThermalSpec(beta=1.0))
         h_m = np.diag(hams.memory)
         h_r = np.diag(hams.reservoir)
         for beta in (0.0, 0.7, 5.0, math.inf):
@@ -193,7 +200,7 @@ class TestHeats:
                 (to_numpy(reservoir_marginal(rho_f)) - to_numpy(reservoir_marginal(rho_i)))
                 @ h_r
             ).real
-            assert heat_memory(b, levels) == pytest.approx(q_m_trace, abs=1e-12)
+            assert heat_memory(b, spec) == pytest.approx(q_m_trace, abs=1e-12)
             assert heat_reservoir(b, spec) == pytest.approx(q_r_trace, abs=1e-12)
 
 
@@ -201,11 +208,6 @@ class TestInternalEnergy:
     def test_mixed_memory_zero_temperature(self):
         report = analyze(BlochVector(), ThermalSpec.from_beta(math.inf))
         assert report.u_initial == 0.5
-
-    def test_offsets_add_up(self):
-        levels = EnergyLevels(memory_ground=2.0, reservoir_ground=3.0, delta=1.0)
-        report = analyze(BlochVector(0, 0, 1), ThermalSpec.from_beta(math.inf), levels)
-        assert report.u_initial == pytest.approx(5.0, abs=1e-14)
 
     def test_energy_gap_paid_by_photon(self):
         rng = random.Random(54)
@@ -218,19 +220,14 @@ class TestInternalEnergy:
 
     @pytest.mark.parametrize("delta,k_B", [(1.0, 1.0), (1.986e-22, 1.380649e-23)])
     def test_energies_against_numpy_trace(self, delta, k_B):
-        # ground offsets of both signs; the dense H is built in numpy
+        # the dense H is built in numpy
         rng = random.Random(55)
         for _ in range(40):
-            levels = EnergyLevels(
-                memory_ground=rng.uniform(-5.0, 5.0) * delta,
-                reservoir_ground=rng.uniform(-5.0, 5.0) * delta,
-                delta=delta,
-            )
             spec = ThermalSpec.from_temperature(rng.uniform(0.05, 20.0) * delta / k_B,
                                                 delta=delta, k_B=k_B)
             b = random_bloch(rng)
-            report = analyze(b, spec, levels)
-            hams = build_hamiltonians(levels)
+            report = analyze(b, spec)
+            hams = build_hamiltonians(spec)
             h = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
                 np.eye(2), np.diag(hams.reservoir)
             )
@@ -244,35 +241,36 @@ class TestInternalEnergy:
 class TestCommutator:
     def test_frozen_norm(self):
         norm = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels())
+            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0))
         )
         assert norm == COMMUTATOR_NORM
 
     def test_scales_linearly_with_gap(self):
         norm = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels(delta=2.0))
+            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0, delta=2.0))
         )
         assert norm == pytest.approx(2.0 * COMMUTATOR_NORM, rel=1e-15)
 
     def test_against_numpy(self):
         u = to_numpy(build_erasure_unitary().matrix)
-        h = np.diag(build_hamiltonians(EnergyLevels(delta=0.6)).total)
+        h = np.diag(build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6)).total)
         want = np.linalg.norm(u @ h - h @ u)
         got = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(EnergyLevels(delta=0.6))
+            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6))
         )
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_vanishes_for_commuting_observable(self):
         # total excitation-count-like diagonal that the permutation preserves
         # is not available here; the identity works as the trivial case
-        hams = build_hamiltonians(EnergyLevels())
+        hams = build_hamiltonians(ThermalSpec(beta=1.0))
         assert commutator_norm(tuple(range(8)), hams) == 0.0
 
+    # `levels`: the spec whose gap sets the level energies
     @pytest.mark.parametrize("levels", [
-        EnergyLevels(delta=0.6),
-        EnergyLevels(memory_ground=-2.5, reservoir_ground=1.25, delta=1.0),
-        EnergyLevels(memory_ground=3e-22, reservoir_ground=-1e-22, delta=1.986e-22),
+        ThermalSpec(beta=1.0, delta=0.6),
+        ThermalSpec(beta=1.0, delta=1.0),
+        ThermalSpec(beta=1.0, delta=1.986e-22, k_B=1.380649e-23),
     ])
     def test_random_permutations_against_numpy(self, levels):
         rng = random.Random(56)
@@ -291,59 +289,54 @@ class TestCommutator:
     @pytest.mark.parametrize("perm", [(0, 5, 3, 6, 2, 7, 1), (0, 5, 3, 6, 2, 7, 1, 1)])
     def test_rejects_a_non_permutation(self, perm):
         with pytest.raises(ValueError, match="not a permutation of 0..7"):
-            commutator_norm(perm, build_hamiltonians(EnergyLevels()))
+            commutator_norm(perm, build_hamiltonians(ThermalSpec(beta=1.0)))
 
 
 class TestLimitTemperature:
     def test_frozen_values(self):
-        assert limit_temperature(BlochVector(), EnergyLevels()) == T_LIMIT_MIXED
-        assert (
-            limit_temperature(BlochVector(0, 0, 0.5), EnergyLevels())
-            == T_LIMIT_RZ_HALF
-        )
+        spec = ThermalSpec(beta=1.0)
+        assert limit_temperature(BlochVector(), spec) == T_LIMIT_MIXED
+        assert limit_temperature(BlochVector(0, 0, 0.5), spec) == T_LIMIT_RZ_HALF
 
     def test_si_units(self):
         t = limit_temperature(
-            BlochVector(), EnergyLevels(delta=1.986e-22), k_B=1.380649e-23
+            BlochVector(), ThermalSpec(beta=1.0, delta=1.986e-22, k_B=1.380649e-23)
         )
         assert t == pytest.approx(T_LIMIT_SI_KELVIN, rel=1e-12)
 
     def test_pure_state_below_pole_is_infinite(self):
-        assert math.isinf(limit_temperature(BlochVector(1, 0, 0), EnergyLevels()))
-        assert math.isinf(limit_temperature(BlochVector(0, 0, -1), EnergyLevels()))
+        spec = ThermalSpec(beta=1.0)
+        assert math.isinf(limit_temperature(BlochVector(1, 0, 0), spec))
+        assert math.isinf(limit_temperature(BlochVector(0, 0, -1), spec))
 
     def test_ground_state_is_undefined(self):
-        assert math.isnan(limit_temperature(BlochVector(0, 0, 1), EnergyLevels()))
+        assert math.isnan(limit_temperature(BlochVector(0, 0, 1), ThermalSpec(beta=1.0)))
 
     def test_matches_heat_entropy_ratio(self):
         rng = random.Random(55)
-        levels = EnergyLevels(delta=1.9)
+        spec = ThermalSpec(beta=1.0, delta=1.9)
         for _ in range(25):
             b = random_bloch(rng)
             if b.r >= 1.0:
                 continue
-            want = -heat_memory(b, levels) / entropy_decrease(b)
-            assert limit_temperature(b, levels) == want
+            want = -heat_memory(b, spec) / entropy_decrease(b)
+            assert limit_temperature(b, spec) == want
 
     def test_near_unit_radius_stays_finite(self):
         # r*r would round to 1 here; the factored log must survive
         b = BlochVector(1.0 - 1e-17, 0.0, 0.0)
-        t = limit_temperature(b, EnergyLevels())
+        t = limit_temperature(b, ThermalSpec(beta=1.0))
         assert math.isfinite(t) or math.isinf(t)
 
     def test_decreases_with_rz_at_fixed_radius(self):
         r = 0.6
         values = [
             limit_temperature(
-                BlochVector(math.sqrt(r * r - rz * rz), 0.0, rz), EnergyLevels()
+                BlochVector(math.sqrt(r * r - rz * rz), 0.0, rz), ThermalSpec(beta=1.0)
             )
             for rz in (-0.6, -0.3, 0.0, 0.3, 0.6)
         ]
         assert values == sorted(values, reverse=True)
-
-    def test_rejects_bad_k_b(self):
-        with pytest.raises(ValueError, match="k_B"):
-            limit_temperature(BlochVector(), EnergyLevels(), k_B=0.0)
 
 
 class TestLandauerCheck:
@@ -446,14 +439,13 @@ class TestAnalyze:
     def test_report_fields_match_the_closed_forms(self):
         b = BlochVector(0.3, -0.2, 0.4)
         spec = ThermalSpec.from_beta(1.0)
-        levels = EnergyLevels()
         report = analyze(b, spec)
         assert report.delta_s == entropy_decrease(b)
-        assert report.q_memory == heat_memory(b, levels)
+        assert report.q_memory == heat_memory(b, spec)
         assert report.q_reservoir == heat_reservoir(b, spec)
         assert report.q_environment == -report.q_memory
         assert report.photon_energy == photon_energy(b, spec)
-        assert report.t_limit == limit_temperature(b, levels)
+        assert report.t_limit == limit_temperature(b, spec)
         assert report.temperature == spec.temperature
 
     def test_ground_state_input_is_a_no_op(self):
@@ -476,40 +468,18 @@ class TestAnalyze:
 
     def test_verdict_flips_across_the_limit(self):
         b = BlochVector()
-        t_l = limit_temperature(b, EnergyLevels())
+        t_l = limit_temperature(b, ThermalSpec(beta=1.0))
         below = analyze(b, ThermalSpec.from_temperature(0.9 * t_l))
         above = analyze(b, ThermalSpec.from_temperature(1.1 * t_l))
         assert not below.landauer_violated
         assert above.landauer_violated
 
-    def test_explicit_levels_shift_energies_not_heats(self):
-        b = BlochVector(0.1, 0.0, -0.3)
-        spec = ThermalSpec.from_beta(1.5)
-        plain = analyze(b, spec)
-        shifted = analyze(
-            b, spec, EnergyLevels(memory_ground=2.0, reservoir_ground=1.0, delta=1.0)
-        )
-        assert shifted.q_memory == plain.q_memory
-        assert shifted.q_reservoir == plain.q_reservoir
-        assert shifted.u_initial == pytest.approx(plain.u_initial + 3.0, abs=1e-12)
-        assert shifted.u_initial - shifted.u_final == pytest.approx(
-            plain.u_initial - plain.u_final, abs=1e-12
-        )
-
     def test_contradictory_gap_rejected(self):
-        # Gibbs weights at gap 1 must not be mixed with heats at gap 2
-        with pytest.raises(ValueError, match="gap mismatch: levels.delta = 2.0, spec.delta = 1.0"):
-            analyze(
-                BlochVector(0.5, 0.0, 0.0),
-                ThermalSpec.from_temperature(0.9, delta=1.0),
-                EnergyLevels(delta=2.0),
-            )
-        consistent = analyze(
-            BlochVector(0.5, 0.0, 0.0),
-            ThermalSpec.from_temperature(0.9, delta=2.0),
-            EnergyLevels(delta=2.0),
-        )
-        assert consistent.q_reservoir == pytest.approx(0.8045, abs=1e-4)
+        # one spec carries the gap of both the Gibbs weights and the heats,
+        # so no second gap can contradict it; at gap 2 Q_R is 0.8045, where
+        # gap-1 weights with gap-2 heats would give 0.5047
+        report = analyze(BlochVector(0.5, 0.0, 0.0), ThermalSpec.from_temperature(0.9, delta=2.0))
+        assert report.q_reservoir == pytest.approx(0.8045, abs=1e-4)
 
     @pytest.mark.parametrize(
         "attr, quantity",
