@@ -131,16 +131,13 @@ def _branch_split(b: BlochVector, p_g: float, p_e: float) -> ComplexMatrix:
     up = (1.0 + b.r_z) / 2.0
     down = (1.0 - b.r_z) / 2.0
     off = (b.r_x - 1j * b.r_y) / 2.0
-    rows = [[0.0 + 0.0j] * 4 for _ in range(4)]
-    rows[0][0] = up * p_g
-    rows[2][2] = down * p_g
-    rows[0][2] = off * p_g
-    rows[2][0] = off.conjugate() * p_g
-    rows[3][3] = up * p_e
-    rows[1][1] = down * p_e
-    rows[3][1] = off * p_e
-    rows[1][3] = off.conjugate() * p_e
-    return ComplexMatrix(rows)
+    z = 0j
+    return ComplexMatrix._from_flat((
+        complex(up * p_g), z, off * p_g, z,
+        z, complex(down * p_e), z, off.conjugate() * p_e,
+        off.conjugate() * p_g, z, complex(down * p_g), z,
+        z, off * p_e, z, complex(up * p_e),
+    ), 4)
 
 
 def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

@@ -5,6 +5,10 @@ Kronecker products, partial traces, and a cyclic Jacobi eigensolver for
 Hermitian matrices. Dimensions never exceed 8x8 in this package, so no
 external linear-algebra dependency is used.
 
+A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
+derived from it. Permutations, Kronecker orders and partial traces are index
+plans over the flat tuple, each validated and cached once per shape.
+
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense product.
 """
@@ -28,9 +32,9 @@ UNITARITY_TOL = 1e-12
 
 
 class ComplexMatrix:
-    """Immutable square complex matrix."""
+    """Immutable square complex matrix, stored as one row-major tuple."""
 
-    __slots__ = ("_rows", "_dim")
+    __slots__ = ("_flat", "_dim")
 
     def __init__(self, rows: Iterable[Iterable[complex]]):
         entries = tuple(tuple(map(complex, row)) for row in rows)
@@ -42,18 +46,18 @@ class ComplexMatrix:
                 raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
             if not all(map(cmath.isfinite, row)):
                 raise ValueError("matrix entries must be finite")
-        self._rows = entries
+        self._flat = tuple(itertools.chain.from_iterable(entries))
         self._dim = n
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[complex, ...], ...]) -> "ComplexMatrix":
-        """Wrap n tuples of n complex values built from checked entries;
-        a product or a sum of finite entries can still overflow."""
-        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+    def _from_flat(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
+        """Wrap n * n complex values in row-major order, built from checked
+        entries; a product or a sum of finite entries can still overflow."""
+        if not all(map(cmath.isfinite, flat)):
             raise ValueError("matrix entries must be finite")
         m = object.__new__(cls)
-        m._rows = rows
-        m._dim = len(rows)
+        m._flat = flat
+        m._dim = n
         return m
 
     @property
@@ -62,42 +66,41 @@ class ComplexMatrix:
 
     @property
     def rows(self) -> tuple[tuple[complex, ...], ...]:
-        return self._rows
+        return tuple(zip(*[iter(self._flat)] * self._dim))
 
     def __getitem__(self, key: tuple[int, int]) -> complex:
         i, j = key
-        return self._rows[i][j]
+        index = range(self._dim)  # bounds and negative indices as on rows
+        return self._flat[index[i] * self._dim + index[j]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._flat == other._flat  # n * n entries fix n
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._flat)
 
     def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
         _check_same_dim(self, other)
-        return ComplexMatrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
+        return ComplexMatrix._from_flat(
+            tuple(map(operator.add, self._flat, other._flat)), self._dim
         )
 
     def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
         _check_same_dim(self, other)
-        return ComplexMatrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
+        return ComplexMatrix._from_flat(
+            tuple(map(operator.sub, self._flat, other._flat)), self._dim
         )
 
     def __mul__(self, scalar: complex) -> "ComplexMatrix":
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return ComplexMatrix(tuple(scalar * x for x in row) for row in self._rows)
+        return ComplexMatrix._from_flat(tuple(scalar * x for x in self._flat), self._dim)
 
     __rmul__ = __mul__
 
@@ -107,25 +110,33 @@ class ComplexMatrix:
         return matmul(self, other)
 
     def __repr__(self) -> str:
-        return f"ComplexMatrix({[list(row) for row in self._rows]!r})"
+        return f"ComplexMatrix({[list(row) for row in self.rows]!r})"
 
 
 def _check_same_dim(a: ComplexMatrix, b: ComplexMatrix) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    if a._dim != b._dim:
+        raise ValueError(f"dimension mismatch: {a._dim} != {b._dim}")
 
 
 def identity(dim: int) -> ComplexMatrix:
-    return ComplexMatrix(
-        [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-    )
+    return diagonal([1.0] * dim)
 
 
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
     n = len(values)
-    return ComplexMatrix(
-        [[values[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-    )
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    flat = [0j] * (n * n)
+    flat[::n + 1] = map(complex, values)
+    return ComplexMatrix._from_flat(tuple(flat), n)
+
+
+def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """`operator.itemgetter` of the positions, returning a tuple for one
+    position too: a slice index gives a tuple where an int gives the entry."""
+    if len(positions) == 1:
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions)
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -149,17 +160,16 @@ def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
     Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
     arithmetic touches the entries.
     """
-    pick = _relabeling(tuple(perm), rho.dim)
-    return ComplexMatrix._from_rows(tuple(map(pick, pick(rho.rows))))
+    return ComplexMatrix._from_flat(_relabeling(tuple(perm), rho._dim)(rho._flat), rho._dim)
 
 
 @lru_cache(maxsize=64)
-def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[Sequence], tuple]:
-    """Validate perm once; return a getter of a row's entries in new order
-    (`tuple` for n = 1, where an itemgetter would return the bare entry)."""
+def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[tuple], tuple]:
+    """Validate perm once; return a getter of the n * n flat entries in
+    their new order."""
     _check_permutation(perm, n)
     inverse = sorted(range(n), key=perm.__getitem__)  # row r comes from inverse[r]
-    return operator.itemgetter(*inverse) if n > 1 else tuple
+    return _getter([r * n + c for r in inverse for c in inverse])
 
 
 def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
@@ -172,47 +182,46 @@ def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[in
 
 def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     _check_same_dim(a, b)
-    n = a.dim
-    ar, br = a.rows, b.rows
-    out = []
-    for i in range(n):
-        row_a = ar[i]
-        out.append(
-            tuple(
-                sum(row_a[k] * br[k][j] for k in range(n))
-                for j in range(n)
-            )
-        )
-    return ComplexMatrix(out)
+    n, af = a._dim, a._flat
+    cols = [b._flat[j::n] for j in range(n)]
+    return ComplexMatrix._from_flat(tuple(
+        sum(map(operator.mul, af[i:i + n], col))
+        for i in range(0, n * n, n)
+        for col in cols
+    ), n)
 
 
 def dagger(m: ComplexMatrix) -> ComplexMatrix:
-    n = m.dim
-    r = m.rows
-    return ComplexMatrix(
-        [tuple(r[j][i].conjugate() for j in range(n)) for i in range(n)]
+    n = m._dim
+    return ComplexMatrix._from_flat(
+        tuple(x.conjugate() for j in range(n) for x in m._flat[j::n]), n
     )
 
 
 def trace(m: ComplexMatrix) -> complex:
-    return sum(m.rows[i][i] for i in range(m.dim))
+    return sum(m._flat[::m._dim + 1])
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
-    return ComplexMatrix._from_rows(tuple(
-        tuple(x * y for x in row_a for y in row_b)
-        for row_a in a.rows
-        for row_b in b.rows
-    ))
+    products = tuple(itertools.starmap(operator.mul, itertools.product(a._flat, b._flat)))
+    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim)(products), a._dim * b._dim)
+
+
+@lru_cache(maxsize=64)
+def _kron_order(na: int, nb: int) -> Callable[[tuple], tuple]:
+    """Getter putting the products a[p] * b[q], p major, in row-major order:
+    entry (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]."""
+    return _getter([(ia * na + ja) * nb * nb + ib * nb + jb
+                    for ia in range(na) for ib in range(nb)
+                    for ja in range(na) for jb in range(nb)])
 
 
 def frobenius_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:
     _check_same_dim(a, b)
     total = 0.0
-    for ra, rb in zip(a.rows, b.rows):
-        for x, y in zip(ra, rb):
-            total += abs(x - y) ** 2
+    for x, y in zip(a._flat, b._flat):
+        total += abs(x - y) ** 2
     return math.sqrt(total)
 
 
@@ -225,19 +234,19 @@ def partial_trace(
     significant in the flat index; the kept subsystems retain their
     relative order.
     """
-    entries = [x for row in rho.rows for x in row].__getitem__
-    return ComplexMatrix._from_rows(tuple(
-        tuple(sum(map(entries, summed)) for summed in row)
-        for row in _trace_plan(tuple(dims), tuple(keep), rho.dim)
-    ))
+    getters = _trace_plan(tuple(dims), tuple(keep), rho._dim)
+    flat = tuple(map(sum, zip(*[pick(rho._flat) for pick in getters])))
+    return ComplexMatrix._from_flat(flat, math.isqrt(len(flat)))
 
 
 @lru_cache(maxsize=64)
 def _trace_plan(
     dims: tuple[int, ...], keep: tuple[int, ...], n: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Validate a partial trace of an n x n matrix once; return the row-major
-    positions of the entries summed into each kept-block entry.
+) -> tuple[Callable[[tuple], tuple], ...]:
+    """Validate a partial trace of an n x n matrix once; return one getter
+    per value of the traced digits, in lexicographic order. Each picks every
+    kept-block entry's term with those digits, in row-major order, so the
+    summed picks add each entry's terms in increasing flat index.
 
     Non-integral values are rejected, not truncated. An integral float such
     as 2.0 hashes like 2, so the two share a cached plan.
@@ -262,26 +271,21 @@ def _trace_plan(
          tuple(d for k, d in enumerate(digits) if k not in keep))
         for digits in itertools.product(*map(range, dims))
     ]
+    index = {label: i for i, label in enumerate(labels)}
     blocks = sorted({kept for kept, _ in labels})
     return tuple(
-        tuple(
-            tuple(a * total + b
-                  for a, (kept_a, traced_a) in enumerate(labels) if kept_a == row
-                  for b, (kept_b, traced_b) in enumerate(labels)
-                  if kept_b == col and traced_b == traced_a)
-            for col in blocks)
-        for row in blocks
+        _getter([index[u, t] * total + index[v, t] for u in blocks for v in blocks])
+        for t in sorted({traced for _, traced in labels})
     )
 
 
 def hermiticity_defect(m: ComplexMatrix) -> float:
     """Largest |m[i,j] - conj(m[j,i])| over all entries."""
-    n = m.dim
-    r = m.rows
+    n, flat = m._dim, m._flat
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
-            d = abs(r[i][j] - r[j][i].conjugate())
+            d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
             if d > worst:
                 worst = d
     return worst
@@ -299,10 +303,10 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """
     defect = hermiticity_defect(m)
     if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
-        tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, itertools.chain(*m.rows))))
+        tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, m._flat)))
         if defect > tol:
             raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
-    spectrum = _jacobi_2x2(m.rows) if m.dim == 2 else None
+    spectrum = _jacobi_2x2((m._flat[:2], m._flat[2:])) if m._dim == 2 else None
     return spectrum if spectrum is not None else _jacobi_eigenvalues(m.rows)
 
 
@@ -385,50 +389,55 @@ def _jacobi_2x2(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, float] | 
     return (d1, d0) if d1 < d0 else (d0, d1)  # sorted(), ties kept in order
 
 
-def _block_minimum(r: tuple[tuple[complex, ...], ...], block: Sequence[int]) -> float:
-    """Smallest eigenvalue of the Hermitian block of rows r on the ascending
-    indices `block`. A 1x1 block is its real diagonal entry, a 2x2 block is
-    solved in closed form on the off-diagonal entry symmetrized as the Jacobi
-    solver symmetrizes it, and only larger blocks run that solver."""
+def _block_minimum(flat: tuple[complex, ...], n: int, block: Sequence[int]) -> float:
+    """Smallest eigenvalue of the Hermitian block, on the ascending indices
+    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
+    is its real diagonal entry, a 2x2 block is solved in closed form on the
+    off-diagonal entry symmetrized as the Jacobi solver symmetrizes it, and
+    only larger blocks run that solver."""
     if len(block) == 1:
-        return r[block[0]][block[0]].real
+        return flat[block[0] * (n + 1)].real
     if len(block) == 2:
         i, j = block
-        a, d = r[i][i].real, r[j][j].real
-        off = 0.5 * (r[i][j] + r[j][i].conjugate())
+        a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
+        off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
         return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
-    return hermitian_eigenvalues(
-        ComplexMatrix(tuple(r[i][j] for j in block) for i in block)
-    )[0]
+    return hermitian_eigenvalues(ComplexMatrix._from_flat(
+        tuple(flat[i * n + j] for i in block for j in block), len(block)
+    ))[0]
 
 
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10. Indices i and j share a block when r[i][j] or
-    r[j][i] is nonzero, so m is block diagonal up to a relabeling and its
-    spectrum is the union of the blocks' spectra. One walk finds the blocks
-    with the defect, and each block's smallest eigenvalue is then exact.
+    eigenvalues above -1e-10. Indices i and j share a block when m[i, j] or
+    m[j, i] is nonzero, so m is block diagonal up to a relabeling and its
+    spectrum is the union of the blocks' spectra. One walk over the nonzero
+    entries finds the blocks with the defect, and each block's smallest
+    eigenvalue is then exact.
     """
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    r, n = m.rows, m.dim
-    # one walk over the upper triangle and diagonal: the defect, and the
-    # blocks; blocks[i] is the ascending index list that i's block shares
+    flat, n = m._flat, m._dim
+    # one walk over the nonzero entries, each unordered pair once (a pair of
+    # zeros adds nothing): the defect, and the blocks; blocks[i] is the
+    # ascending index list that i's block shares
     defect = 0.0
     blocks = [[i] for i in range(n)]
-    for i, row in enumerate(r):
-        for j in range(i, n):
-            x, y = row[j], r[j][i]
-            if x or y:  # a pair of zeros adds nothing
-                d = abs(x - y.conjugate())
-                if d > defect:
-                    defect = d
-                if blocks[j] is not blocks[i]:  # the pair links two blocks
-                    merged = sorted(blocks[i] + blocks[j])
-                    for k in merged:
-                        blocks[k] = merged
+    for p in itertools.compress(range(n * n), flat):
+        i, j = divmod(p, n)
+        if i > j:
+            if flat[j * n + i]:
+                continue  # the pair is taken at its nonzero upper entry
+            i, j = j, i
+        d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
+        if d > defect:
+            defect = d
+        if blocks[j] is not blocks[i]:  # the pair links two blocks
+            merged = sorted(blocks[i] + blocks[j])
+            for k in merged:
+                blocks[k] = merged
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -436,7 +445,8 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    lo = min(_block_minimum(r, b) for i, b in enumerate(blocks) if b[0] == i)  # each block once
+    # each block once, at its smallest index
+    lo = min(_block_minimum(flat, n, b) for i, b in enumerate(blocks) if b[0] == i)
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
     return m
@@ -444,4 +454,4 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
 
 def is_unitary(m: ComplexMatrix) -> bool:
     product = matmul(dagger(m), m)
-    return frobenius_distance(product, identity(m.dim)) <= UNITARITY_TOL
+    return frobenius_distance(product, identity(m._dim)) <= UNITARITY_TOL

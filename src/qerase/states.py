@@ -41,6 +41,11 @@ class BlochVector:
         return math.sqrt(self.r_x**2 + self.r_y**2 + self.r_z**2)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThermalSpec:
     """Inverse temperature beta, the gap delta that memory and reservoir
@@ -56,10 +61,8 @@ class ThermalSpec:
     def __post_init__(self):
         if math.isnan(self.beta) or self.beta < 0.0:
             raise ValueError(f"inverse temperature must be >= 0, got {self.beta!r}")
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
-            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        if not math.isfinite(self.k_B) or self.k_B <= 0.0:
-            raise ValueError(f"k_B must be positive and finite, got {self.k_B!r}")
+        _check_positive("delta", self.delta)
+        _check_positive("k_B", self.k_B)
 
     @classmethod
     def from_beta(cls, beta: float, delta: float = 1.0, k_B: float = 1.0) -> "ThermalSpec":
@@ -100,11 +103,8 @@ def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:
 def qubit_from_bloch(b: BlochVector) -> ComplexMatrix:
     """Qubit density matrix in the (|g>, |e>) basis; sigma_z |g> = +|g>."""
     off = (b.r_x - 1j * b.r_y) / 2.0
-    return ComplexMatrix(
-        [
-            [(1.0 + b.r_z) / 2.0, off],
-            [off.conjugate(), (1.0 - b.r_z) / 2.0],
-        ]
+    return ComplexMatrix._from_flat(
+        (complex((1.0 + b.r_z) / 2.0), off, off.conjugate(), complex((1.0 - b.r_z) / 2.0)), 2
     )
 
 

@@ -17,6 +17,7 @@ from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian
 from .states import (
     BlochVector,
     ThermalSpec,
+    _check_positive,
     composite_initial,
     qubit_from_bloch,
     thermal_probs,
@@ -130,6 +131,7 @@ def landauer_check(
     The margin is Q_M + k_B T dS; a positive margin means less heat was
     dissipated than the bound demands, i.e. the bound is violated.
     """
+    _check_positive("k_B", k_B)
     if math.isnan(temperature) or temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature!r}")
     if math.isnan(delta_s) or delta_s < 0.0:
@@ -223,7 +225,7 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
 
 
 def _populations(rho: ComplexMatrix) -> list[float]:
-    return [row[i].real for i, row in enumerate(rho.rows)]
+    return [x.real for x in rho._flat[::rho._dim + 1]]
 
 
 def _level_sum(weights: Iterable[float], energies: Sequence[float]) -> float:

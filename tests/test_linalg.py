@@ -107,6 +107,218 @@ class TestInternalConstructor:
                 assert all(type(x) is complex for x in row)
 
 
+def _bits(m):
+    """Every entry as the hex of its parts, so -0.0 and 0.0 differ."""
+    return [(x.real.hex(), x.imag.hex()) for row in m.rows for x in row]
+
+
+def _random_matrix(rng, n):
+    """Complex entries of which about a third are zeros of either sign."""
+    def part():
+        return rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
+
+    return ComplexMatrix([[complex(part(), part()) for _ in range(n)] for _ in range(n)])
+
+
+class TestFlatKernelsBitForBit:
+    """Each kernel against an explicit index loop over the rows, with the
+    arithmetic in the order the row-based kernels used."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_storage_views_agree(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(10):
+            m = _random_matrix(rng, n)
+            rebuilt = ComplexMatrix(m.rows)
+            assert rebuilt == m and hash(rebuilt) == hash(m) and _bits(rebuilt) == _bits(m)
+            for i in range(n):
+                for j in range(n):
+                    assert m[i, j] == m.rows[i][j]
+                    assert m[i - n, j - n] == m.rows[i][j]
+            with pytest.raises(IndexError):
+                m[n, 0]
+            with pytest.raises(IndexError):
+                m[0, n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_entrywise_arithmetic_trace_and_distance(self, n):
+        rng = random.Random(510 + n)
+        for _ in range(10):
+            a, b = _random_matrix(rng, n), _random_matrix(rng, n)
+            ra, rb = a.rows, b.rows
+            for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+                want = [[op(ra[i][j], rb[i][j]) for j in range(n)] for i in range(n)]
+                assert _bits(got) == _bits(ComplexMatrix(want))
+            for scalar in (2, -0.5, 1.5 - 2j, -0.0):
+                want = [[scalar * ra[i][j] for j in range(n)] for i in range(n)]
+                assert _bits(scalar * a) == _bits(a * scalar) == _bits(ComplexMatrix(want))
+            tr = 0
+            for i in range(n):
+                tr = tr + ra[i][i]
+            assert repr(trace(a)) == repr(tr)
+            total = 0.0
+            for i in range(n):
+                for j in range(n):
+                    total += abs(ra[i][j] - rb[i][j]) ** 2
+            assert repr(frobenius_distance(a, b)) == repr(math.sqrt(total))
+            want = [[sum(ra[i][k] * rb[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            assert _bits(matmul(a, b)) == _bits(ComplexMatrix(want))
+            want = [[ra[j][i].conjugate() for j in range(n)] for i in range(n)]
+            assert _bits(dagger(a)) == _bits(ComplexMatrix(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_diagonal_and_permute(self, n):
+        rng = random.Random(520 + n)
+        for _ in range(10):
+            values = [_random_matrix(rng, 1)[0, 0] for _ in range(n)]
+            values[0] = rng.choice((values[0], 0.25, -1))  # floats and ints too
+            want = [[complex(values[i]) if i == j else 0j for j in range(n)] for i in range(n)]
+            assert _bits(diagonal(values)) == _bits(ComplexMatrix(want))
+            m = _random_matrix(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want = [[0j] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    want[perm[i]][perm[j]] = m.rows[i][j]
+            assert _bits(permute(m, perm)) == _bits(ComplexMatrix(want))
+
+    @pytest.mark.parametrize("na, nb", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (4, 2), (3, 2)])
+    def test_kron(self, na, nb):
+        rng = random.Random(530 + 10 * na + nb)
+        for _ in range(10):
+            a, b = _random_matrix(rng, na), _random_matrix(rng, nb)
+            want = [[0j] * (na * nb) for _ in range(na * nb)]
+            for ia in range(na):
+                for ja in range(na):
+                    for ib in range(nb):
+                        for jb in range(nb):
+                            want[ia * nb + ib][ja * nb + jb] = a.rows[ia][ja] * b.rows[ib][jb]
+            assert _bits(kron(a, b)) == _bits(ComplexMatrix(want))
+
+    @pytest.mark.parametrize("dims, keep", [
+        *(((2, 2, 2), set(keep)) for r in (1, 2, 3) for keep in itertools.combinations(range(3), r)),
+        ((2, 4), {0}), ((2, 4), {1}), ((2, 4), {0, 1}),
+        ((1, 2, 4), {0}), ((1,), {0}), ((8,), {0}),
+    ])
+    def test_partial_trace(self, dims, keep):
+        rng = random.Random(540 + len(dims) + 10 * len(keep))
+        n = math.prod(dims)
+        for _ in range(20):
+            m = _random_matrix(rng, n)
+            got = partial_trace(m, dims, keep)
+            want = _reference_partial_trace(m.rows, dims, keep)
+            assert _bits(got) == _bits(ComplexMatrix(want))
+            assert got.dim == math.prod(dims[k] for k in keep)
+
+    def test_density_matrix_decides_as_the_row_walk(self):
+        """5,000 sparse near-Hermitian matrices: accept or reject, and the
+        message, must be those of the row-by-row walk kept below."""
+        rng = random.Random(550)
+        seen = {}
+        for _ in range(5000):
+            rows = _sparse_hermitian(rng, rng.choice((1, 2, 3, 4, 8)))
+            want = _outcome(_row_walk_density_check, rows)
+            assert _outcome(density_matrix, rows) == want
+            assert _outcome(density_matrix, ComplexMatrix(rows)) == want
+            kind = next((k for k in ("Hermitian", "trace", "eigenvalue") if k in want), want)
+            seen[kind] = seen.get(kind, 0) + 1
+        assert len(seen) == 4 and min(seen.values()) >= 200, seen
+
+
+def _outcome(check, rows):
+    try:
+        check(rows)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _sparse_hermitian(rng, n):
+    """Hermitian rows with a sparse coupling pattern and zeros of either
+    sign. Some get a one-sided 1e-13 link between two otherwise unlinked
+    indices whose diagonals sit just above the eigenvalue floor, a defect
+    near the hermiticity tolerance, a trace off by 1e-11, or couplings
+    strong enough for a negative eigenvalue."""
+    zero = lambda: complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))  # noqa: E731
+    rows = [[zero() for _ in range(n)] for _ in range(n)]
+    weights = [rng.choice((0.0, rng.random())) for _ in range(n)]
+    weights[rng.randrange(n)] += 0.5
+    for i in range(n):
+        rows[i][i] = complex(weights[i] / sum(weights), rng.choice((0.0, -0.0)))
+    strength = rng.choice((0.3, 1.0, 2.0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.25:
+                bound = math.sqrt(rows[i][i].real * rows[j][j].real)
+                rows[i][j] = complex(rng.gauss(0, strength * bound), rng.gauss(0, strength * bound))
+                rows[j][i] = rows[i][j].conjugate()
+    kind = rng.random()
+    if kind < 0.2 and n > 2:
+        i, j, k = rng.sample(range(n), 3)
+        x = EIGENVALUE_FLOOR + 2.5e-14
+        for a in range(n):  # unlink i and j from the rest
+            for b in (i, j):
+                if a != b:
+                    rows[a][b] = rows[b][a] = zero()
+        rows[k][k] += rows[i][i].real + rows[j][j].real - 2.0 * x
+        rows[i][i] = rows[j][j] = complex(x)
+        if rng.random() < 0.5:
+            i, j = j, i
+        rows[i][j] = complex(1e-13)
+    elif kind < 0.4 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] += complex(rng.uniform(0.5e-12, 1.5e-12), 0.0)
+    elif kind < 0.5:
+        rows[0][0] += 1e-11
+    return rows
+
+
+def _row_walk_density_check(m):
+    """The oracle: a density check that walks the upper triangle and the
+    diagonal of the rows in order, with its own 2x2 closed form."""
+    if not isinstance(m, ComplexMatrix):
+        m = ComplexMatrix(m)
+    r, n = m.rows, m.dim
+    defect = 0.0
+    blocks = [[i] for i in range(n)]
+    for i, row in enumerate(r):
+        for j in range(i, n):
+            x, y = row[j], r[j][i]
+            if x or y:  # a pair of zeros adds nothing
+                d = abs(x - y.conjugate())
+                if d > defect:
+                    defect = d
+                if blocks[j] is not blocks[i]:  # the pair links two blocks
+                    merged = sorted(blocks[i] + blocks[j])
+                    for k in merged:
+                        blocks[k] = merged
+    if defect > qerase.linalg.HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {qerase.linalg.HERMITICITY_TOL:.0e}"
+        )
+    tr = sum(m.rows[i][i] for i in range(m.dim))
+    if abs(tr - 1.0) > qerase.linalg.TRACE_TOL:
+        raise ValueError(f"trace {tr!r} differs from 1 by more than {qerase.linalg.TRACE_TOL:.0e}")
+    lo = min(_row_block_minimum(r, b) for i, b in enumerate(blocks) if b[0] == i)  # each block once
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
+    return m
+
+
+def _row_block_minimum(r, block):
+    if len(block) == 1:
+        return r[block[0]][block[0]].real
+    if len(block) == 2:
+        i, j = block
+        a, d = r[i][i].real, r[j][j].real
+        off = 0.5 * (r[i][j] + r[j][i].conjugate())
+        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
+    return hermitian_eigenvalues(
+        ComplexMatrix(tuple(r[i][j] for j in block) for i in block)
+    )[0]
+
+
 class TestConstructors:
     def test_identity(self):
         assert identity(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -568,7 +780,7 @@ class TestDensityValidation:
     def test_closed_form_2x2_matches_numpy_and_jacobi(self):
         rng = random.Random(22)
         for m in self._qubit_blocks(rng):
-            lo = _block_minimum(m.rows, (0, 1))
+            lo = _block_minimum(m._flat, 2, (0, 1))
             want = np.linalg.eigvalsh(to_numpy(m))
             tol = 4 * math.ulp(max(abs(want[0]), abs(want[1])))
             assert abs(lo - want[0]) <= tol
@@ -586,7 +798,7 @@ class TestDensityValidation:
                 exact = (a + d) / 2 - radius
                 top = (a + d) / 2 + radius
                 scale = float(max(abs(exact), abs(top)))
-                lo = _block_minimum(m.rows, (0, 1))
+                lo = _block_minimum(m._flat, 2, (0, 1))
                 assert abs(Decimal(lo) - exact) <= 2 * Decimal(math.ulp(scale))
 
     def test_block_screen_decides_as_the_full_spectrum(self):

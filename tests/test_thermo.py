@@ -372,6 +372,12 @@ class TestLandauerCheck:
         with pytest.raises(ValueError, match="entropy"):
             landauer_check(-0.5, 1.0, -0.1)
 
+    @pytest.mark.parametrize("k_B", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_k_b(self, k_B):
+        # a NaN or negative k_B must not read as "bound holds"
+        with pytest.raises(ValueError, match=f"^k_B must be positive and finite, got {k_B!r}$"):
+            landauer_check(-0.5, 1.0, 0.5, k_B=k_B)
+
     @settings(max_examples=100)
     @given(
         st.floats(min_value=-2.0, max_value=0.0, allow_nan=False),
