@@ -10,14 +10,10 @@ and simulates the equivalent single-photon optical circuit.
 
 from .linalg import (
     ComplexMatrix,
-    dagger,
     density_matrix,
     diagonal,
-    frobenius_distance,
     hermitian_eigenvalues,
-    identity,
     kron,
-    matmul,
     partial_trace,
     trace,
 )

@@ -1,9 +1,9 @@
 """Dense complex matrices sized for few-qubit work, and basis permutations.
 
-Everything here is plain Python on tuples of complex numbers: products,
-Kronecker products, partial traces, and a cyclic Jacobi eigensolver for
-Hermitian matrices. Dimensions never exceed 8x8 in this package, so no
-external linear-algebra dependency is used.
+Everything here is plain Python on tuples of complex numbers: Kronecker
+products, partial traces, density-matrix validation, a unitarity test and a
+cyclic Jacobi eigensolver for Hermitian matrices. Dimensions never exceed 8x8
+in this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. Permutations, Kronecker orders and partial traces are index
@@ -81,45 +81,8 @@ class ComplexMatrix:
     def __hash__(self) -> int:
         return hash(self._flat)
 
-    def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        _check_same_dim(self, other)
-        return ComplexMatrix._from_flat(
-            tuple(map(operator.add, self._flat, other._flat)), self._dim
-        )
-
-    def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        _check_same_dim(self, other)
-        return ComplexMatrix._from_flat(
-            tuple(map(operator.sub, self._flat, other._flat)), self._dim
-        )
-
-    def __mul__(self, scalar: complex) -> "ComplexMatrix":
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        return ComplexMatrix._from_flat(tuple(scalar * x for x in self._flat), self._dim)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"ComplexMatrix({[list(row) for row in self.rows]!r})"
-
-
-def _check_same_dim(a: ComplexMatrix, b: ComplexMatrix) -> None:
-    if a._dim != b._dim:
-        raise ValueError(f"dimension mismatch: {a._dim} != {b._dim}")
-
-
-def identity(dim: int) -> ComplexMatrix:
-    return diagonal([1.0] * dim)
 
 
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
@@ -180,24 +143,6 @@ def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[in
     return product
 
 
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _check_same_dim(a, b)
-    n, af = a._dim, a._flat
-    cols = [b._flat[j::n] for j in range(n)]
-    return ComplexMatrix._from_flat(tuple(
-        sum(map(operator.mul, af[i:i + n], col))
-        for i in range(0, n * n, n)
-        for col in cols
-    ), n)
-
-
-def dagger(m: ComplexMatrix) -> ComplexMatrix:
-    n = m._dim
-    return ComplexMatrix._from_flat(
-        tuple(x.conjugate() for j in range(n) for x in m._flat[j::n]), n
-    )
-
-
 def trace(m: ComplexMatrix) -> complex:
     return sum(m._flat[::m._dim + 1])
 
@@ -215,14 +160,6 @@ def _kron_order(na: int, nb: int) -> Callable[[tuple], tuple]:
     return _getter([(ia * na + ja) * nb * nb + ib * nb + jb
                     for ia in range(na) for ib in range(nb)
                     for ja in range(na) for jb in range(nb)])
-
-
-def frobenius_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:
-    _check_same_dim(a, b)
-    total = 0.0
-    for x, y in zip(a._flat, b._flat):
-        total += abs(x - y) ** 2
-    return math.sqrt(total)
 
 
 def partial_trace(
@@ -453,5 +390,13 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
 
 
 def is_unitary(m: ComplexMatrix) -> bool:
-    product = matmul(dagger(m), m)
-    return frobenius_distance(product, identity(m._dim)) <= UNITARITY_TOL
+    """||U^dagger U - 1||_F <= UNITARITY_TOL. Entry (i, j) of U^dagger U is the
+    inner product of columns i and j; the Frobenius sum runs in row-major order."""
+    n = m._dim
+    cols = [m._flat[j::n] for j in range(n)]
+    total = 0.0
+    for i, left in enumerate(cols):
+        conj = [x.conjugate() for x in left]
+        for j, right in enumerate(cols):
+            total += abs(sum(map(operator.mul, conj, right)) - (i == j)) ** 2
+    return math.sqrt(total) <= UNITARITY_TOL

@@ -74,21 +74,18 @@ class ThermalSpec:
     ) -> "ThermalSpec":
         if math.isnan(temperature) or temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {temperature!r}")
-        if temperature == 0.0:
-            beta = math.inf
-        elif math.isinf(temperature):
-            beta = 0.0
-        else:
-            beta = 1.0 / (k_B * temperature)
-        return cls(beta=beta, delta=delta, k_B=k_B)
+        _check_positive("k_B", k_B)
+        return cls(beta=_reciprocal(k_B * temperature), delta=delta, k_B=k_B)
 
     @property
     def temperature(self) -> float:
-        if self.beta == 0.0:
-            return math.inf
-        if math.isinf(self.beta):
-            return 0.0
-        return 1.0 / (self.k_B * self.beta)
+        return _reciprocal(self.k_B * self.beta)
+
+
+def _reciprocal(x: float) -> float:
+    """1 / x for x >= 0, with 1 / 0 = inf: a k_B T or k_B beta that is 0,
+    or underflows to 0, means the other is infinite."""
+    return math.inf if x == 0.0 else 1.0 / x
 
 
 def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:

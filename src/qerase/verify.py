@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .linalg import ComplexMatrix, is_unitary
+from .linalg import UNITARITY_TOL, ComplexMatrix, is_unitary
 from .states import (
     BlochVector,
     ThermalSpec,
@@ -73,7 +73,9 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
 
 def check_unitarity(matrix: ComplexMatrix) -> CheckResult:
     ok = is_unitary(matrix)
-    return _result("unitarity", ok, "U†U = 1 within 1e-12" if ok else "U†U != 1")
+    return _result(
+        "unitarity", ok, f"U†U = 1 within {UNITARITY_TOL:.0e}" if ok else "U†U != 1"
+    )
 
 
 def check_permutation_identity(matrix: ComplexMatrix) -> CheckResult:

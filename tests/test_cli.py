@@ -102,6 +102,17 @@ class TestEraseCommand:
         assert doc["inputs"]["k_B"] == pytest.approx(1.380649e-23, rel=1e-12)
         assert doc["report"]["T_limit"] == pytest.approx(10.3762518612822, rel=1e-11)
 
+    @pytest.mark.parametrize("thermal, want", [
+        (["--delta-si", "1e-22", "--temperature", "1e-310"], ("infinite", 0.0)),
+        (["--units", "SI", "--beta", "1e-310"], (1e-310, "infinite")),
+    ], ids=["cold", "hot"])
+    def test_underflowing_si_product_is_not_an_error(self, capsys, thermal, want):
+        # k_B T or k_B beta rounds to 0: beta or T is infinite, exit 0
+        code, out, err = run_cli(capsys, "erase", *thermal)
+        assert (code, err) == (0, "")
+        inputs = json.loads(out)["inputs"]
+        assert (inputs["beta"], inputs["temperature"]) == want
+
     def test_ground_state_tags_undefined_limit(self, capsys):
         _, out, _ = run_cli(capsys, "erase", "--bloch", "0,0,1", "--beta", "2")
         doc = json.loads(out)

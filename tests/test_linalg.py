@@ -19,15 +19,11 @@ from qerase.linalg import (
     _jacobi_eigenvalues,
     _trace_plan,
     compose_permutations,
-    dagger,
     density_matrix,
     diagonal,
-    frobenius_distance,
     hermitian_eigenvalues,
-    identity,
     is_unitary,
     kron,
-    matmul,
     partial_trace,
     permutation_matrix,
     permute,
@@ -63,22 +59,10 @@ class TestComplexMatrix:
 
     def test_equality_and_hash(self):
         a = ComplexMatrix([[1, 0], [0, 1]])
-        b = identity(2)
+        b = diagonal([1.0, 1.0])
         assert a == b
         assert hash(a) == hash(b)
         assert a != diagonal([0, 0])
-
-    def test_arithmetic(self):
-        a = ComplexMatrix([[1, 2j], [0, 1]])
-        b = ComplexMatrix([[1, 0], [1j, 1]])
-        assert (a + b).rows == ((2, 2j), (1j, 2))
-        assert (a - b).rows == ((0, 2j), (-1j, 0))
-        assert (2 * a).rows == ((2, 4j), (0, 2))
-        assert_matrix_close(a @ b, to_numpy(a) @ to_numpy(b), atol=0)
-
-    def test_add_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            identity(2) + identity(3)
 
 
 class TestInternalConstructor:
@@ -144,27 +128,11 @@ class TestFlatKernelsBitForBit:
     def test_entrywise_arithmetic_trace_and_distance(self, n):
         rng = random.Random(510 + n)
         for _ in range(10):
-            a, b = _random_matrix(rng, n), _random_matrix(rng, n)
-            ra, rb = a.rows, b.rows
-            for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
-                want = [[op(ra[i][j], rb[i][j]) for j in range(n)] for i in range(n)]
-                assert _bits(got) == _bits(ComplexMatrix(want))
-            for scalar in (2, -0.5, 1.5 - 2j, -0.0):
-                want = [[scalar * ra[i][j] for j in range(n)] for i in range(n)]
-                assert _bits(scalar * a) == _bits(a * scalar) == _bits(ComplexMatrix(want))
+            a = _random_matrix(rng, n)
             tr = 0
             for i in range(n):
-                tr = tr + ra[i][i]
+                tr = tr + a.rows[i][i]
             assert repr(trace(a)) == repr(tr)
-            total = 0.0
-            for i in range(n):
-                for j in range(n):
-                    total += abs(ra[i][j] - rb[i][j]) ** 2
-            assert repr(frobenius_distance(a, b)) == repr(math.sqrt(total))
-            want = [[sum(ra[i][k] * rb[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-            assert _bits(matmul(a, b)) == _bits(ComplexMatrix(want))
-            want = [[ra[j][i].conjugate() for j in range(n)] for i in range(n)]
-            assert _bits(dagger(a)) == _bits(ComplexMatrix(want))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_diagonal_and_permute(self, n):
@@ -320,9 +288,6 @@ def _row_block_minimum(r, block):
 
 
 class TestConstructors:
-    def test_identity(self):
-        assert identity(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
     def test_diagonal(self):
         assert diagonal([1, 2j]).rows == ((1, 0), (0, 2j))
 
@@ -398,25 +363,6 @@ class TestPermutations:
 
 
 class TestProducts:
-    def test_matmul_against_numpy(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            a = random_hermitian(rng, 5)
-            b = random_hermitian(rng, 5)
-            assert_matrix_close(matmul(a, b), to_numpy(a) @ to_numpy(b), atol=1e-13)
-
-    def test_matmul_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(identity(2), identity(4))
-
-    def test_dagger_reverses_products(self):
-        rng = random.Random(12)
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        assert_matrix_close(
-            dagger(matmul(a, b)), matmul(dagger(b), dagger(a)), atol=1e-13
-        )
-
     def test_kron_matches_numpy_convention(self):
         rng = random.Random(13)
         a = random_hermitian(rng, 2)
@@ -450,15 +396,6 @@ class TestProducts:
         with pytest.raises(ValueError, match="finite"):
             kron(diagonal([1e200, 1.0]), diagonal([1e200, 0.5]))
 
-    def test_trace_and_frobenius(self):
-        rng = random.Random(14)
-        a = random_hermitian(rng, 6)
-        b = random_hermitian(rng, 6)
-        assert trace(a) == pytest.approx(np.trace(to_numpy(a)), abs=1e-13)
-        assert frobenius_distance(a, b) == pytest.approx(
-            np.linalg.norm(to_numpy(a) - to_numpy(b)), abs=1e-12
-        )
-
 
 class TestPartialTrace:
     def test_bell_state_marginals_are_maximally_mixed(self):
@@ -471,7 +408,7 @@ class TestPartialTrace:
             ]
         )
         for keep in ({0}, {1}):
-            assert_matrix_close(partial_trace(bell, (2, 2), keep), 0.5 * identity(2))
+            assert_matrix_close(partial_trace(bell, (2, 2), keep), diagonal([0.5, 0.5]))
 
     def test_product_state_factors_recovered(self):
         rng = random.Random(15)
@@ -503,15 +440,15 @@ class TestPartialTrace:
 
     def test_dimension_product_must_match(self):
         with pytest.raises(ValueError, match="mismatch"):
-            partial_trace(identity(8), (2, 2), {0})
+            partial_trace(diagonal([1.0] * 8), (2, 2), {0})
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(identity(4), (2, 2), set())
+            partial_trace(diagonal([1.0] * 4), (2, 2), set())
 
     def test_out_of_range_keep_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            partial_trace(identity(4), (2, 2), {2})
+            partial_trace(diagonal([1.0] * 4), (2, 2), {2})
 
     def test_keep_container_does_not_matter(self):
         rng = random.Random(20)
@@ -525,23 +462,23 @@ class TestPartialTrace:
             partial_trace(diagonal([1e308, 1e308, 1.0, 1.0]), (2, 2), {0})
 
     def test_errors_repeat_after_cached_success(self):
-        partial_trace(identity(4), (2, 2), {0})
+        partial_trace(diagonal([1.0] * 4), (2, 2), {0})
         for _ in range(2):
             with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
-                partial_trace(identity(4), (2, 0), {0})
+                partial_trace(diagonal([1.0] * 4), (2, 0), {0})
             with pytest.raises(ValueError, match="keep set must be nonempty"):
-                partial_trace(identity(4), (2, 2), set())
+                partial_trace(diagonal([1.0] * 4), (2, 2), set())
             with pytest.raises(ValueError, match="keep indices out of range for 2 subsystems"):
-                partial_trace(identity(4), (2, 2), {-1})
+                partial_trace(diagonal([1.0] * 4), (2, 2), {-1})
             with pytest.raises(ValueError, match="keep indices out of range for 2 subsystems"):
-                partial_trace(identity(4), (2, 2), {0, 2})
+                partial_trace(diagonal([1.0] * 4), (2, 2), {0, 2})
             with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
-                partial_trace(identity(4), (2.5, 2), {0})
+                partial_trace(diagonal([1.0] * 4), (2.5, 2), {0})
             with pytest.raises(ValueError, match="keep indices must be integers"):
-                partial_trace(identity(4), (2, 2), {0.5})
+                partial_trace(diagonal([1.0] * 4), (2, 2), {0.5})
 
     def test_rejects_non_integral_dims_and_keep(self):
-        rho = identity(4) * 0.25
+        rho = diagonal([0.25] * 4)
         want = partial_trace(rho, (2, 2), {0})
         _trace_plan.cache_clear()
         for _ in ("(2, 2) not cached", "(2, 2) cached"):
@@ -552,7 +489,7 @@ class TestPartialTrace:
             # integral floats are integers: the same plan and an int product
             assert partial_trace(rho, (2.0, 2), {0.0}) == want
             with pytest.raises(ValueError, match="product of dims is 4, matrix is 8"):
-                partial_trace(identity(8), (2.0, 2), {0})
+                partial_trace(diagonal([1.0] * 8), (2.0, 2), {0})
             assert partial_trace(rho, (2, 2), {0}) == want
 
     @pytest.mark.parametrize("dims, keep", [
@@ -642,7 +579,7 @@ class TestEigensolver:
         rng = random.Random(int(math.log10(scale)))
         qubit = [[0.7, 0.15 + 0.1j], [0.15 - 0.1j, 0.3]]
         for rows in (qubit, random_hermitian(rng, 2).rows, random_hermitian(rng, 5).rows):
-            m = ComplexMatrix(rows) * scale
+            m = ComplexMatrix([[scale * x for x in row] for row in rows])
             want = np.linalg.eigvalsh(to_numpy(m))
             got = hermitian_eigenvalues(m)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale * len(rows))
@@ -738,7 +675,7 @@ class TestDensityValidation:
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            density_matrix(identity(2))
+            density_matrix(diagonal([1.0, 1.0]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -879,7 +816,23 @@ class TestDensityValidation:
 
 class TestUnitary:
     def test_identity_is_unitary(self):
-        assert is_unitary(identity(5))
+        assert is_unitary(diagonal([1.0] * 5))
 
     def test_scaled_identity_is_not(self):
-        assert not is_unitary(0.5 * identity(5))
+        assert not is_unitary(diagonal([0.5] * 5))
+
+    def test_agrees_with_numpy_on_scaled_complex_unitaries(self):
+        # QR of a complex Gaussian gives a dense unitary Q; sQ has defect
+        # ||(sQ)^dagger sQ - I||_F near sqrt(n) |s^2 - 1|, well inside 1e-12
+        # for s <= 1 + 1e-13 and well outside it for s >= 1 + 1e-12
+        rng = np.random.default_rng(7)
+        decided = {True: 0, False: 0}
+        for n in (1, 2, 4, 8):
+            for _ in range(30):
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                for s in (1.0, 1.0 + 1e-14, 1.0 + 1e-13, 1.0 + 1e-12, 1.0 + 1e-11, 0.9):
+                    u = s * q
+                    want = bool(np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12)
+                    assert is_unitary(ComplexMatrix(u.tolist())) == want
+                    decided[want] += 1
+        assert decided == {True: 360, False: 360}

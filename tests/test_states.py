@@ -75,6 +75,8 @@ class TestThermalSpec:
     def test_rejects_bad_k_b(self, k_B):
         with pytest.raises(ValueError, match="k_B must be positive and finite"):
             ThermalSpec.from_beta(1.0, k_B=k_B)
+        with pytest.raises(ValueError, match="k_B must be positive and finite"):
+            ThermalSpec.from_temperature(1.0, k_B=k_B)
 
     def test_zero_temperature_is_infinite_beta(self):
         spec = ThermalSpec.from_temperature(0.0)
@@ -85,6 +87,14 @@ class TestThermalSpec:
         spec = ThermalSpec.from_temperature(math.inf)
         assert spec.beta == 0.0
         assert math.isinf(spec.temperature)
+
+    def test_underflowing_products_read_as_infinite(self):
+        # k_B T and k_B beta round to 0 below the smallest subnormal: the
+        # other side is then infinite, as at T = 0 or beta = 0
+        cold = ThermalSpec.from_temperature(1e-310, delta=1e-22, k_B=1.380649e-23)
+        assert cold.beta == math.inf and cold.temperature == 0.0
+        hot = ThermalSpec.from_beta(1e-310, delta=1e-22, k_B=1.380649e-23)
+        assert hot.beta == 1e-310 and hot.temperature == math.inf
 
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError, match="temperature"):

@@ -12,7 +12,7 @@ import qerase.channel
 import qerase.linalg
 import qerase.thermo
 from conftest import random_bloch, to_numpy
-from qerase.linalg import ComplexMatrix, diagonal, identity
+from qerase.linalg import ComplexMatrix, diagonal
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
@@ -82,7 +82,7 @@ class TestVonNeumannEntropy:
 
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError, match="trace"):
-            von_neumann_entropy(identity(2))
+            von_neumann_entropy(diagonal([1.0, 1.0]))
 
 
 class TestEntropyDecrease:

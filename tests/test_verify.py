@@ -1,10 +1,12 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import qerase.verify
-from qerase.linalg import ComplexMatrix, frobenius_distance, identity
+from conftest import to_numpy
+from qerase.linalg import ComplexMatrix
 from qerase.channel import build_circuit, build_erasure_unitary, circuit_unitary
 from qerase.verify import (
     CheckResult,
@@ -36,7 +38,7 @@ class TestIndividualChecks:
         assert check_unitarity(build_erasure_unitary().matrix).status == "pass"
 
     def test_unitarity_fails_on_scaled_matrix(self):
-        broken = 0.9 * build_erasure_unitary().matrix
+        broken = ComplexMatrix((0.9 * to_numpy(build_erasure_unitary().matrix)).tolist())
         assert check_unitarity(broken).status == "fail"
 
     def test_permutation_identity_passes(self):
@@ -63,7 +65,8 @@ class TestIndividualChecks:
         monkeypatch.setattr("qerase.verify.build_circuit", lambda: short)
         result = check_circuit_synthesis()
         assert result.status == "fail"
-        dist = frobenius_distance(circuit_unitary(short), build_erasure_unitary().matrix)
+        target = build_erasure_unitary().matrix
+        dist = float(np.linalg.norm(to_numpy(circuit_unitary(short)) - to_numpy(target)))
         assert dist > 0.0
         assert result.detail == f"3 CNOTs, Frobenius distance {dist!r}"
 
@@ -106,7 +109,9 @@ class TestSampledCheckFailures:
             (
                 check_closed_form,
                 "final_state_closed_form",
-                lambda f: lambda b, spec: f(b, spec) + 1e-3 * identity(8),
+                lambda f: lambda b, spec: ComplexMatrix(
+                    (to_numpy(f(b, spec)) + 1e-3 * np.eye(8)).tolist()
+                ),
                 "draw 0: entry deviation 1.000e-03",
             ),
             (
