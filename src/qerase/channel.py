@@ -7,7 +7,6 @@ memory qubit in |g><g| whenever the reservoir was preselected on l0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (
@@ -19,6 +18,7 @@ from .linalg import (
     permutation_matrix,
     permute,
 )
+from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, thermal_probs
 
 MEMORY, ENERGY, ANCILLA = 0, 1, 2
@@ -43,12 +43,14 @@ def _index(m: int, e: int, a: int) -> int:
     return 4 * m + 2 * e + a
 
 
-@dataclass(frozen=True)
-class ErasureUnitary:
+class ErasureUnitary(Record):
     """Erasure unitary with its permutation action cached alongside."""
 
-    matrix: ComplexMatrix
-    permutation: tuple[int, ...]
+    __slots__ = ("matrix", "permutation")
+
+    def __init__(self, matrix: ComplexMatrix, permutation: tuple[int, ...]):
+        _set_field(self, "matrix", matrix)
+        _set_field(self, "permutation", permutation)
 
 
 @lru_cache(maxsize=1)
@@ -60,14 +62,14 @@ def build_erasure_unitary() -> ErasureUnitary:
     return ErasureUnitary(matrix=permutation_matrix(perm), permutation=perm)
 
 
-@dataclass(frozen=True)
-class CnotGate:
+class CnotGate(Record):
     """CNOT with named control/target subsystems (0=memory, 1=energy, 2=ancilla)."""
 
-    control: int
-    target: int
+    __slots__ = ("control", "target")
 
-    def __post_init__(self):
+    def __init__(self, control: int, target: int):
+        _set_field(self, "control", control)
+        _set_field(self, "target", target)
         for name in ("control", "target"):
             v = getattr(self, name)
             if v not in (MEMORY, ENERGY, ANCILLA):

@@ -10,10 +10,10 @@ paths, half-wave plates flip the polarization on one path. Mode index:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace
 from .linalg import permutation_matrix, permute
+from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
 from .channel import ERASURE_PERMUTATION, _branch_split
 
@@ -34,14 +34,14 @@ def mode_index(pol: int, path: int) -> int:
     return 4 * pol + (path - 1)
 
 
-@dataclass(frozen=True)
-class PBS:
+class PBS(Record):
     """Polarizing beam splitter joining two paths: V swaps, H passes."""
 
-    path_a: int
-    path_b: int
+    __slots__ = ("path_a", "path_b")
 
-    def __post_init__(self):
+    def __init__(self, path_a: int, path_b: int):
+        _set_field(self, "path_a", path_a)
+        _set_field(self, "path_b", path_b)
         for name in ("path_a", "path_b"):
             if getattr(self, name) not in PATHS:
                 raise ValueError(f"{name} must be in 1..4, got {getattr(self, name)!r}")
@@ -53,13 +53,13 @@ class PBS:
         return _swap(mode_index(POL_V, self.path_a), mode_index(POL_V, self.path_b))
 
 
-@dataclass(frozen=True)
-class HWP:
+class HWP(Record):
     """Half-wave plate on one path: flips H <-> V there."""
 
-    path: int
+    __slots__ = ("path",)
 
-    def __post_init__(self):
+    def __init__(self, path: int):
+        _set_field(self, "path", path)
         if self.path not in PATHS:
             raise ValueError(f"path must be in 1..4, got {self.path!r}")
 
@@ -78,14 +78,14 @@ def _swap(a: int, b: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True)
-class PathDistribution:
+class PathDistribution(Record):
     """Input weights on paths 1 and 2 (paths 3 and 4 start empty)."""
 
-    p_1: float
-    p_2: float
+    __slots__ = ("p_1", "p_2")
 
-    def __post_init__(self):
+    def __init__(self, p_1: float, p_2: float):
+        _set_field(self, "p_1", p_1)
+        _set_field(self, "p_2", p_2)
         for name in ("p_1", "p_2"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
@@ -173,13 +173,15 @@ def channel_to_optical_index(i: int) -> int:
 PHYSICAL_INPUT_INDICES = (0, 2, 4, 6)  # the l0-preselected sector
 
 
-@dataclass(frozen=True)
-class EncodingEquivalence:
+class EncodingEquivalence(Record):
     """Comparison of the optical circuit with the abstract channel on the
     four physical inputs (photon entering on path 1 or 2)."""
 
-    equivalent: bool
-    mismatches: tuple[str, ...]
+    __slots__ = ("equivalent", "mismatches")
+
+    def __init__(self, equivalent: bool, mismatches: tuple[str, ...]):
+        _set_field(self, "equivalent", equivalent)
+        _set_field(self, "mismatches", mismatches)
 
     def __bool__(self) -> bool:
         return self.equivalent

@@ -10,23 +10,23 @@ memory (x) energy (x) ancilla, index = 4m + 2e + a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import ComplexMatrix, density_matrix, diagonal, kron
+from .record import Record, _set_field
 
 BLOCH_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(Record):
     """Bloch vector of the memory qubit; must satisfy |r| <= 1."""
 
-    r_x: float = 0.0
-    r_y: float = 0.0
-    r_z: float = 0.0
+    __slots__ = ("r_x", "r_y", "r_z")
 
-    def __post_init__(self):
+    def __init__(self, r_x: float = 0.0, r_y: float = 0.0, r_z: float = 0.0):
+        _set_field(self, "r_x", r_x)
+        _set_field(self, "r_y", r_y)
+        _set_field(self, "r_z", r_z)
         for name in ("r_x", "r_y", "r_z"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -46,19 +46,19 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ThermalSpec:
+class ThermalSpec(Record):
     """Inverse temperature beta, the gap delta that memory and reservoir
     share, and Boltzmann's constant k_B.
 
     beta may be math.inf (zero temperature) or 0 (infinite temperature).
     """
 
-    beta: float
-    delta: float = 1.0
-    k_B: float = 1.0
+    __slots__ = ("beta", "delta", "k_B")
 
-    def __post_init__(self):
+    def __init__(self, beta: float, delta: float = 1.0, k_B: float = 1.0):
+        _set_field(self, "beta", beta)
+        _set_field(self, "delta", delta)
+        _set_field(self, "k_B", k_B)
         if math.isnan(self.beta) or self.beta < 0.0:
             raise ValueError(f"inverse temperature must be >= 0, got {self.beta!r}")
         _check_positive("delta", self.delta)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
+from .record import Record, _set_field
 from .states import (
     BlochVector,
     ThermalSpec,
@@ -28,14 +28,18 @@ LN2 = math.log(2.0)
 ROUTE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HamiltonianSet:
+class HamiltonianSet(Record):
     """Level energies of the memory (2), reservoir (4) and composite (8): each
     Hamiltonian is diagonal, and total[4m + k] = memory[m] + reservoir[k]."""
 
-    memory: tuple[float, ...]
-    reservoir: tuple[float, ...]
-    total: tuple[float, ...]
+    __slots__ = ("memory", "reservoir", "total")
+
+    def __init__(
+        self, memory: tuple[float, ...], reservoir: tuple[float, ...], total: tuple[float, ...]
+    ):
+        _set_field(self, "memory", memory)
+        _set_field(self, "reservoir", reservoir)
+        _set_field(self, "total", total)
 
 
 def build_hamiltonians(spec: ThermalSpec) -> HamiltonianSet:
@@ -141,21 +145,31 @@ def landauer_check(
     return LandauerVerdict(violated=margin > 0.0, margin=margin)
 
 
-@dataclass(frozen=True)
-class ErasureReport:
+class ErasureReport(Record):
     """Every thermodynamic quantity of one erasure run."""
 
-    delta_s: float
-    q_memory: float
-    q_reservoir: float
-    q_environment: float
-    photon_energy: float
-    u_initial: float
-    u_final: float
-    t_limit: float
-    temperature: float
-    landauer_violated: bool
-    landauer_margin: float
+    __slots__ = (
+        "delta_s", "q_memory", "q_reservoir", "q_environment", "photon_energy",
+        "u_initial", "u_final", "t_limit", "temperature", "landauer_violated",
+        "landauer_margin",
+    )
+
+    def __init__(
+        self, delta_s: float, q_memory: float, q_reservoir: float, q_environment: float,
+        photon_energy: float, u_initial: float, u_final: float, t_limit: float,
+        temperature: float, landauer_violated: bool, landauer_margin: float,
+    ):
+        _set_field(self, "delta_s", delta_s)
+        _set_field(self, "q_memory", q_memory)
+        _set_field(self, "q_reservoir", q_reservoir)
+        _set_field(self, "q_environment", q_environment)
+        _set_field(self, "photon_energy", photon_energy)
+        _set_field(self, "u_initial", u_initial)
+        _set_field(self, "u_final", u_final)
+        _set_field(self, "t_limit", t_limit)
+        _set_field(self, "temperature", temperature)
+        _set_field(self, "landauer_violated", landauer_violated)
+        _set_field(self, "landauer_margin", landauer_margin)
 
 
 def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .linalg import UNITARITY_TOL, ComplexMatrix, is_unitary
+from .record import Record, _set_field
 from .states import (
     BlochVector,
     ThermalSpec,
@@ -48,11 +48,16 @@ DEFAULT_SEED = 20240801
 BETA_GRID = (0.0, 0.1, 1.0, 10.0, math.inf)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass", "fail", or "skip"
-    detail: str
+class CheckResult(Record):
+    """Outcome of one self-check: its name, "pass", "fail" or "skip", and a
+    line of detail."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        _set_field(self, "name", name)
+        _set_field(self, "status", status)
+        _set_field(self, "detail", detail)
 
     @property
     def passed(self) -> bool:
@@ -124,9 +129,7 @@ def check_closed_form(draws: int, rng: random.Random) -> CheckResult:
     def deviation(b, spec):
         propagated = apply_channel(composite_initial(b, spec))
         closed = final_state_closed_form(b, spec)
-        return max(
-            abs(propagated[i, j] - closed[i, j]) for i in range(8) for j in range(8)
-        )
+        return max(abs(p - c) for p, c in zip(propagated._flat, closed._flat))
 
     return _sampled(
         "closed_form", draws, rng, deviation, 1e-12,

@@ -125,7 +125,7 @@ class TestFlatKernelsBitForBit:
                 m[0, n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
-    def test_entrywise_arithmetic_trace_and_distance(self, n):
+    def test_trace(self, n):
         rng = random.Random(510 + n)
         for _ in range(10):
             a = _random_matrix(rng, n)

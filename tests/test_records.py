@@ -1,0 +1,134 @@
+"""The value types behave as the frozen dataclasses they replaced: the same
+repr bytes, equality only within one class, the hash of the field tuple,
+read-only fields, defaults and keyword construction, and pickle and copy
+round trips."""
+
+import copy
+import pickle
+
+import pytest
+
+from qerase.channel import CnotGate, ErasureUnitary
+from qerase.linalg import ComplexMatrix
+from qerase.optics import HWP, PBS, EncodingEquivalence, PathDistribution
+from qerase.states import BlochVector, ThermalSpec
+from qerase.thermo import ErasureReport, HamiltonianSet
+from qerase.verify import CheckResult
+
+# (class, fields in order as (name, value), defaults, repr of the parent's dataclass)
+CASES = [
+    (
+        BlochVector,
+        (("r_x", 0.1), ("r_y", -0.25), ("r_z", 0.5)),
+        {"r_x": 0.0, "r_y": 0.0, "r_z": 0.0},
+        "BlochVector(r_x=0.1, r_y=-0.25, r_z=0.5)",
+    ),
+    (
+        ThermalSpec,
+        (("beta", 0.5), ("delta", 1.986e-22), ("k_B", 1.380649e-23)),
+        {"delta": 1.0, "k_B": 1.0},
+        "ThermalSpec(beta=0.5, delta=1.986e-22, k_B=1.380649e-23)",
+    ),
+    (
+        ErasureUnitary,
+        (("matrix", ComplexMatrix([[0, 1], [1, 0]])), ("permutation", (1, 0))),
+        {},
+        "ErasureUnitary(matrix=ComplexMatrix([[0j, (1+0j)], [(1+0j), 0j]]), permutation=(1, 0))",
+    ),
+    (
+        CnotGate,
+        (("control", 0), ("target", 2)),
+        {},
+        "CnotGate(control=0, target=2)",
+    ),
+    (
+        HamiltonianSet,
+        (("memory", (0.0, 1.0)), ("reservoir", (0.0, 0.0, 1.0, 1.0)), ("total", (0.0,))),
+        {},
+        "HamiltonianSet(memory=(0.0, 1.0), reservoir=(0.0, 0.0, 1.0, 1.0), total=(0.0,))",
+    ),
+    (
+        ErasureReport,
+        (
+            ("delta_s", 0.5), ("q_memory", -0.25), ("q_reservoir", 0.125),
+            ("q_environment", 0.25), ("photon_energy", 0.125), ("u_initial", 1.5),
+            ("u_final", 1.375), ("t_limit", 2.0), ("temperature", 3.0),
+            ("landauer_violated", True), ("landauer_margin", 1e-3),
+        ),
+        {},
+        "ErasureReport(delta_s=0.5, q_memory=-0.25, q_reservoir=0.125, q_environment=0.25, "
+        "photon_energy=0.125, u_initial=1.5, u_final=1.375, t_limit=2.0, temperature=3.0, "
+        "landauer_violated=True, landauer_margin=0.001)",
+    ),
+    (
+        PBS,
+        (("path_a", 1), ("path_b", 2)),
+        {},
+        "PBS(path_a=1, path_b=2)",
+    ),
+    (
+        HWP,
+        (("path", 3),),
+        {},
+        "HWP(path=3)",
+    ),
+    (
+        PathDistribution,
+        (("p_1", 0.75), ("p_2", 0.25)),
+        {},
+        "PathDistribution(p_1=0.75, p_2=0.25)",
+    ),
+    (
+        EncodingEquivalence,
+        (("equivalent", False), ("mismatches", ("x",))),
+        {},
+        "EncodingEquivalence(equivalent=False, mismatches=('x',))",
+    ),
+    (
+        CheckResult,
+        (("name", "unitarity"), ("status", "pass"), ("detail", "ok")),
+        {},
+        "CheckResult(name='unitarity', status='pass', detail='ok')",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_record_contract(cls, fields, defaults, text):
+    kwargs = dict(fields)
+    values = tuple(kwargs.values())
+    x = cls(**kwargs)
+
+    assert repr(x) == text
+    assert tuple(getattr(x, name) for name in kwargs) == values
+    assert cls(*values) == x and not (cls(*values) != x)
+
+    subclass = type(cls.__name__, (cls,), {"__slots__": ()})
+    for other in (values, subclass(**kwargs)):
+        assert x != other and other != x
+        assert not (x == other or other == x)
+
+    assert hash(x) == hash(values)
+
+    for name, value in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.unknown = 1
+    assert repr(x) == text
+
+    required = {name: value for name, value in fields if name not in defaults}
+    built = cls(**required)
+    assert {name: getattr(built, name) for name in defaults} == defaults
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in required.items() if k != name})
+
+    lowest = 2 if cls is ErasureUnitary else 0  # protocols 0 and 1 refuse its ComplexMatrix
+    for protocol in range(lowest, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(x, protocol))
+        assert type(clone) is cls and clone == x and repr(clone) == text
+    for clone in (copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is cls and clone == x and repr(clone) == text

@@ -59,21 +59,20 @@ def loaded_modules(*args: str) -> set[str]:
     }
 
 
-def not_needed(loaded: set[str], unused: set[str]) -> list[str]:
-    """The modules of `unused` that were loaded, less those `dataclasses`
-    brings itself: its `inspect` imports `typing` on some interpreters
-    (3.13.13, not 3.13.0), which the package cannot leave out."""
-    return sorted((loaded & unused) - loaded_modules("-c", "import dataclasses"))
+UNUSED = {"dataclasses", "inspect", "typing", "random", "qerase.verify"}
 
 
 def test_package_import_leaves_out_typing_random_and_verify():
+    """`import qerase` loads no `dataclasses` (nor its `inspect`, which
+    imports `typing` on some interpreters), `typing`, `random` or `verify`."""
     loaded = loaded_modules("-c", "import qerase")
     assert "qerase.linalg" in loaded
-    assert not_needed(loaded, {"typing", "random", "qerase.verify"}) == []
+    assert sorted(loaded & UNUSED) == []
 
 
 def test_erase_command_leaves_out_typing():
-    """`erase` loads neither `typing` nor the `verify` battery and its `random`."""
+    """`erase` loads neither `dataclasses`, `inspect` and `typing` nor the
+    `verify` battery and its `random`."""
     loaded = loaded_modules("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
     assert "qerase.cli" in loaded
-    assert not_needed(loaded, {"typing", "random", "qerase.verify"}) == []
+    assert sorted(loaded & UNUSED) == []
