@@ -5,8 +5,6 @@ The channel is a basis permutation: on bit triples (m, e, a) it acts as
 memory qubit in |g><g| whenever the reservoir was preselected on l0.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .linalg import (

@@ -14,8 +14,6 @@ matrix, which shows 6 decimals. Infinities and undefined ratios become the
 tags "infinite" and "undefined" in every format.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io

@@ -13,8 +13,6 @@ A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense product.
 """
 
-from __future__ import annotations
-
 import cmath
 import itertools
 import math
@@ -83,6 +81,11 @@ class ComplexMatrix:
 
     def __repr__(self) -> str:
         return f"ComplexMatrix({[list(row) for row in self.rows]!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, as a
+        # Record does; every protocol from 0 takes this route
+        return type(self), (self.rows,)
 
 
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
@@ -344,16 +347,32 @@ def _block_minimum(flat: tuple[complex, ...], n: int, block: Sequence[int]) -> f
     ))[0]
 
 
-def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
-    """Validate m as a density matrix and return it.
+def _block_eigenvalues(
+    flat: tuple[complex, ...], n: int, block: Sequence[int]
+) -> tuple[float, ...]:
+    """Ascending eigenvalues of the Hermitian block, on the ascending indices
+    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
+    is its real diagonal entry, a 2x2 block goes through `_jacobi_2x2` and
+    only larger blocks, or a 2x2 that one rotation does not settle, run the
+    Jacobi loop: the bits `hermitian_eigenvalues` gives on the block alone."""
+    if len(block) == 1:
+        return (flat[block[0] * (n + 1)].real,)
+    if len(block) == 2:
+        i, j = block
+        rows = ((flat[i * (n + 1)], flat[i * n + j]), (flat[j * n + i], flat[j * (n + 1)]))
+        spectrum = _jacobi_2x2(rows)
+        if spectrum is not None:
+            return spectrum
+    else:
+        rows = tuple(tuple(flat[i * n + j] for j in block) for i in block)
+    return _jacobi_eigenvalues(rows)
 
-    Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10. Indices i and j share a block when m[i, j] or
-    m[j, i] is nonzero, so m is block diagonal up to a relabeling and its
-    spectrum is the union of the blocks' spectra. One walk over the nonzero
-    entries finds the blocks with the defect, and each block's smallest
-    eigenvalue is then exact.
-    """
+
+def _density_blocks(
+    m: ComplexMatrix | Iterable[Iterable[complex]],
+) -> tuple[ComplexMatrix, list[list[int]]]:
+    """The checks of `density_matrix`: return m, as a ComplexMatrix, and the
+    blocks of its nonzero pattern, each once, in order of smallest index."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
     flat, n = m._flat, m._dim
@@ -382,11 +401,38 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    # each block once, at its smallest index
-    lo = min(_block_minimum(flat, n, b) for i, b in enumerate(blocks) if b[0] == i)
+    blocks = [b for i, b in enumerate(blocks) if b[0] == i]  # each block once
+    lo = min(_block_minimum(flat, n, b) for b in blocks)
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
-    return m
+    return m, blocks
+
+
+def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
+    """Validate m as a density matrix and return it.
+
+    Checks hermiticity within 1e-12, unit trace within 1e-12, and
+    eigenvalues above -1e-10, in that order. Indices i and j share a block
+    when m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a
+    relabeling and its spectrum is the union of the blocks' spectra. One
+    walk over the nonzero entries finds the blocks with the defect, and each
+    block's smallest eigenvalue is then exact. `_density_spectrum` runs the
+    same pass and keeps the blocks for the whole spectrum.
+    """
+    return _density_blocks(m)[0]
+
+
+def _density_spectrum(m: ComplexMatrix | Iterable[Iterable[complex]]) -> list[float]:
+    """The eigenvalues of m once m passes `density_matrix`'s checks (the same
+    order and messages). Each block of the nonzero pattern is solved on its
+    own, so a block-diagonal 8x8 solves its 1x1 and 2x2 blocks; the union is
+    sorted ascending, the order `hermitian_eigenvalues` gives a sum over it."""
+    m, blocks = _density_blocks(m)
+    spectrum = []
+    for b in blocks:
+        spectrum += _block_eigenvalues(m._flat, m._dim, b)
+    spectrum.sort()
+    return spectrum
 
 
 def is_unitary(m: ComplexMatrix) -> bool:

@@ -7,8 +7,6 @@ paths, half-wave plates flip the polarization on one path. Mode index:
 4 * pol + (path - 1) with H=0, V=1.
 """
 
-from __future__ import annotations
-
 import math
 
 from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace

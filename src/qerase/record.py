@@ -6,8 +6,6 @@ no code is generated per class at import. A subclass lists its fields in
 `_set_field(self, name, value)` before it checks them.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 # Stores a field from `__init__`, past `Record.__setattr__`, which refuses.

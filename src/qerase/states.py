@@ -7,8 +7,6 @@ Basis order puts the leftmost subsystem most significant:
 memory (x) energy (x) ancilla, index = 4m + 2e + a.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 
@@ -150,5 +148,12 @@ def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
 @lru_cache(maxsize=64)
 def _reservoir_initial(spec: ThermalSpec) -> ComplexMatrix:
     """The preselected thermal reservoir, built and validated once per spec;
-    ThermalSpec is frozen and ComplexMatrix immutable, so sharing is safe."""
-    return preselect_l0(gibbs_four_level(spec))
+    ThermalSpec is frozen and ComplexMatrix immutable, so sharing is safe.
+
+    It equals preselect_l0(gibbs_four_level(spec)) entry for entry, built as
+    one diagonal from the Gibbs weights with the same divisions: the l0
+    weights p/2 over the l0 sector's weight."""
+    p_g, p_e = thermal_probs(spec)
+    g, e = p_g / 2.0, p_e / 2.0
+    weight = g + e
+    return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))

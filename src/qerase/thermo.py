@@ -6,19 +6,17 @@ closed form has a trace-based twin computed from the propagated states, and
 `analyze` cross-checks the two routes before reporting.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .linalg import ComplexMatrix, _check_permutation, density_matrix, hermitian_eigenvalues
+from .linalg import ComplexMatrix, _check_permutation, _density_spectrum, kron
 from .record import Record, _set_field
 from .states import (
     BlochVector,
     ThermalSpec,
     _check_positive,
-    composite_initial,
+    _reservoir_initial,
     qubit_from_bloch,
     thermal_probs,
 )
@@ -53,14 +51,15 @@ def build_hamiltonians(spec: ThermalSpec) -> HamiltonianSet:
 
 
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
-    """-Tr[rho ln rho] in nats via the Jacobi spectrum.
+    """-Tr[rho ln rho] in nats, summed over the ascending spectrum.
 
-    Eigenvalues in [-1e-10, 0] are treated as exact zeros; anything lower
-    is rejected by the density-matrix validation.
+    The spectrum comes from the density-matrix validation's own pass: each
+    block of the nonzero pattern is solved on its own, a 2x2 block with the
+    bits `hermitian_eigenvalues` gives it. Eigenvalues in [-1e-10, 0] are
+    treated as exact zeros; anything lower is rejected by that validation.
     """
-    rho = density_matrix(rho)
     s = 0.0
-    for lam in hermitian_eigenvalues(rho):
+    for lam in _density_spectrum(rho):
         if lam > 0.0:
             s -= lam * math.log(lam)
     return max(s, 0.0)
@@ -188,7 +187,7 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     hams = build_hamiltonians(spec)
 
     rho_memory = qubit_from_bloch(b)
-    rho_initial = composite_initial(b, spec)
+    rho_initial = kron(rho_memory, _reservoir_initial(spec))  # = composite_initial(b, spec)
     rho_final = apply_channel(rho_initial)  # validates rho_initial
     memory_final = memory_marginal(rho_final)
 

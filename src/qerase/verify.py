@@ -6,8 +6,6 @@ as parameters where that helps testing (a deliberately corrupted unitary
 should fail the permutation check, for instance).
 """
 
-from __future__ import annotations
-
 import math
 import random
 

@@ -30,6 +30,7 @@ from qerase.linalg import (
     trace,
 )
 from qerase.states import BlochVector, qubit_from_bloch
+from qerase.thermo import von_neumann_entropy
 
 
 class TestComplexMatrix:
@@ -812,6 +813,33 @@ class TestDensityValidation:
         rows[i][j] = 1e-13
         with pytest.raises(ValueError, match="eigenvalue"):
             density_matrix(rows)
+
+    def test_entropy_rejects_as_density_matrix(self):
+        """von_neumann_entropy validates in density_matrix's own pass: each
+        of 5,000 sparse near-Hermitian matrices is accepted by both or
+        rejected by both with the same message."""
+        rng = random.Random(551)
+        rejected = 0
+        for _ in range(5000):
+            rows = _sparse_hermitian(rng, rng.choice((1, 2, 3, 4, 8)))
+            want = _outcome(density_matrix, rows)
+            assert _outcome(von_neumann_entropy, rows) == want
+            assert _outcome(von_neumann_entropy, ComplexMatrix(rows)) == want
+            rejected += want != "ok"
+        assert 1000 < rejected < 4000
+
+    def test_entropy_checks_in_density_matrix_order(self):
+        # each matrix fails every check from its message's on: hermiticity
+        # first, then the trace, then the eigenvalue floor
+        cases = [
+            ([[1.5, 0.5], [0.0, -0.25]], "not Hermitian"),
+            ([[1.5, 0.0], [0.0, -0.25]], "trace"),
+            ([[1.25, 0.0], [0.0, -0.25]], "eigenvalue -2.500e-01 below"),
+        ]
+        for rows, message in cases:
+            for check in (density_matrix, von_neumann_entropy):
+                with pytest.raises(ValueError, match=message):
+                    check(rows)
 
 
 class TestUnitary:

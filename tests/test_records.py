@@ -126,9 +126,19 @@ def test_record_contract(cls, fields, defaults, text):
         with pytest.raises(TypeError):
             cls(**{k: v for k, v in required.items() if k != name})
 
-    lowest = 2 if cls is ErasureUnitary else 0  # protocols 0 and 1 refuse its ComplexMatrix
-    for protocol in range(lowest, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(x, protocol))
         assert type(clone) is cls and clone == x and repr(clone) == text
     for clone in (copy.copy(x), copy.deepcopy(x)):
         assert type(clone) is cls and clone == x and repr(clone) == text
+
+
+def test_complex_matrix_round_trips():
+    m = ComplexMatrix(
+        [[0.25, 0.5 - 0.125j, -0.0], [0.5 + 0.125j, 0.75, 1e-300j], [0j, -1e-300j, 0.0]]
+    )
+    bits = [(x.real.hex(), x.imag.hex()) for x in m._flat]
+    clones = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(m), copy.deepcopy(m)]:
+        assert type(clone) is ComplexMatrix and clone == m and repr(clone) == repr(m)
+        assert [(x.real.hex(), x.imag.hex()) for x in clone._flat] == bits

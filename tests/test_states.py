@@ -233,29 +233,48 @@ class TestCompositeInitial:
         assert rho[2, 6] == pytest.approx(mem[0, 1] * p_e, abs=1e-15)
 
     @pytest.fixture
-    def preselections(self, monkeypatch):
-        """Count preselect_l0 calls, starting from an empty reservoir cache."""
+    def reservoir_builds(self, monkeypatch):
+        """Count reservoir builds, each of which reads the Gibbs weights once,
+        starting from an empty reservoir cache."""
         calls = []
-        original = qerase.states.preselect_l0
+        original = qerase.states.thermal_probs
 
-        def counted(rho):
-            calls.append(rho)
-            return original(rho)
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
 
         qerase.states._reservoir_initial.cache_clear()
-        monkeypatch.setattr(qerase.states, "preselect_l0", counted)
+        monkeypatch.setattr(qerase.states, "thermal_probs", counted)
         yield calls
         qerase.states._reservoir_initial.cache_clear()
 
-    def test_reservoir_state_is_built_once_per_thermal_point(self, preselections):
+    def test_reservoir_state_is_built_once_per_thermal_point(self, reservoir_builds):
         b = BlochVector(0.5, 0.1, -0.2)
         first, equal = ThermalSpec.from_beta(0.7), ThermalSpec.from_beta(0.7)
         assert first == equal and first is not equal
         composite_initial(b, first)
         composite_initial(BlochVector(0.0, 0.3, 0.1), equal)
-        assert len(preselections) == 1
+        assert len(reservoir_builds) == 1
         composite_initial(b, ThermalSpec.from_beta(0.7, delta=2.0))
-        assert len(preselections) == 2
+        assert len(reservoir_builds) == 2
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    @pytest.mark.parametrize("beta_delta", [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, math.inf])
+    def test_reservoir_has_the_preselected_bits(self, beta_delta, units):
+        """The reservoir is one diagonal built from the Gibbs weights; every
+        entry, signed zeros included, is the bits of preselect_l0 applied to
+        the Gibbs state."""
+        delta, k_B = (1.986e-22, 1.380649e-23) if units == "si" else (1.0, 1.0)
+        specs = [ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)]
+        if units == "si":
+            specs.append(ThermalSpec.from_temperature(300.0, delta=delta, k_B=k_B))
+
+        def bits(m):
+            return [(x.real.hex(), x.imag.hex()) for x in m._flat]
+
+        for spec in specs:
+            want = bits(preselect_l0(gibbs_four_level(spec)))
+            assert bits(qerase.states._reservoir_initial.__wrapped__(spec)) == want
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
     def test_cached_reservoir_gives_the_uncached_product(self, beta):

@@ -59,20 +59,21 @@ def loaded_modules(*args: str) -> set[str]:
     }
 
 
-UNUSED = {"dataclasses", "inspect", "typing", "random", "qerase.verify"}
+UNUSED = {"__future__", "dataclasses", "inspect", "typing", "random", "qerase.verify"}
 
 
 def test_package_import_leaves_out_typing_random_and_verify():
-    """`import qerase` loads no `dataclasses` (nor its `inspect`, which
-    imports `typing` on some interpreters), `typing`, `random` or `verify`."""
+    """`import qerase` loads no `__future__`, `dataclasses` (nor its
+    `inspect`, which imports `typing` on some interpreters), `typing`,
+    `random` or `verify`."""
     loaded = loaded_modules("-c", "import qerase")
     assert "qerase.linalg" in loaded
     assert sorted(loaded & UNUSED) == []
 
 
 def test_erase_command_leaves_out_typing():
-    """`erase` loads neither `dataclasses`, `inspect` and `typing` nor the
-    `verify` battery and its `random`."""
+    """`erase` loads neither `__future__`, `dataclasses`, `inspect` and
+    `typing` nor the `verify` battery and its `random`."""
     loaded = loaded_modules("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
     assert "qerase.cli" in loaded
     assert sorted(loaded & UNUSED) == []

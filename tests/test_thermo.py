@@ -1,7 +1,10 @@
 import decimal
+import importlib.util
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,15 @@ from hypothesis import strategies as st
 import qerase.channel
 import qerase.linalg
 import qerase.thermo
-from conftest import random_bloch, to_numpy
-from qerase.linalg import ComplexMatrix, diagonal
+from conftest import random_bloch, random_density, to_numpy
+from qerase.linalg import (
+    EIGENVALUE_FLOOR,
+    ComplexMatrix,
+    density_matrix,
+    diagonal,
+    hermitian_eigenvalues,
+    permute,
+)
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
@@ -83,6 +93,106 @@ class TestVonNeumannEntropy:
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError, match="trace"):
             von_neumann_entropy(diagonal([1.0, 1.0]))
+
+
+def _whole_matrix_entropy(rho):
+    """The whole-matrix route: -sum lam ln lam over
+    hermitian_eigenvalues(density_matrix(rho)), ascending."""
+    s = 0.0
+    for lam in hermitian_eigenvalues(density_matrix(rho)):
+        if lam > 0.0:
+            s -= lam * math.log(lam)
+    return max(s, 0.0)
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, loaded by path: the seeded analyze batches."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("qerase_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _block_state(rng, n):
+    """An n x n density matrix made of random full-rank blocks of 1 to 4
+    indices, weighted, then relabeled by a random permutation."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(4, n - sum(sizes))))
+    weights = [rng.random() + 0.05 for _ in sizes]
+    rows = [[0j] * n for _ in range(n)]
+    at = 0
+    for k, w in zip(sizes, weights):
+        block = random_density(rng, k).rows
+        for i in range(k):
+            for j in range(k):
+                rows[at + i][at + j] = block[i][j] * (w / sum(weights))
+        at += k
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute(ComplexMatrix(rows), perm)
+
+
+class TestEntropyFromTheValidationPass:
+    """von_neumann_entropy reads the spectrum off density_matrix's blocks: a
+    qubit keeps the bits of the whole-matrix route, and larger block states
+    agree with numpy."""
+
+    @staticmethod
+    def assert_same_bits(rho):
+        assert von_neumann_entropy(rho).hex() == _whole_matrix_entropy(rho).hex()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memory_states_of_the_analyze_batches(self, seed):
+        workloads = _bench_workloads()
+        matched = 0
+        for draw in workloads.analyze_batch(seed):
+            b = BlochVector(*draw.bloch)
+            if draw.si:
+                spec = ThermalSpec.from_temperature(draw.temperature, draw.delta, draw.k_B)
+            else:
+                spec = ThermalSpec.from_beta(draw.beta)
+            final = memory_marginal(apply_channel(composite_initial(b, spec)))
+            for rho in (qubit_from_bloch(b), final):
+                self.assert_same_bits(rho)
+                matched += 1
+        assert matched == 2 * workloads.BATCH
+
+    def test_near_pure_diagonal_and_one_sided_links(self):
+        rng = random.Random(71)
+        states = []
+        for k in range(1, 17):
+            r = 1.0 - 10.0**-k
+            states.append(qubit_from_bloch(BlochVector(0.0, 0.0, r)))
+            x, y, z = (rng.gauss(0.0, 1.0) for _ in range(3))
+            norm = math.sqrt(x * x + y * y + z * z)
+            states.append(qubit_from_bloch(BlochVector(r * x / norm, r * y / norm, r * z / norm)))
+        for p in (0.0, -0.0, 1e-300, 1e-13, 0.25, 0.5, 0.75, 1.0):
+            states.append(diagonal([p, 1.0 - p]))
+            states.append(diagonal([1.0 - p, p]))
+        for a in (EIGENVALUE_FLOOR + 2.5e-14, 0.0, 1e-13, 0.3, 0.5):
+            for link in ((1e-13, 0.0), (0.0, 1e-13), (1e-13j, 0.0), (0.0, -1e-13j)):
+                states.append(ComplexMatrix([[a, link[0]], [link[1], 1.0 - a]]))
+        for rho in states:
+            self.assert_same_bits(rho)
+
+    def test_block_states_match_numpy(self):
+        # both routes round each eigenvalue within a few u, weighted in the
+        # sum by |ln lam + 1|: measured worst 4 ulp of 1 here. The composite
+        # states' empty l1 rows give exact zeros, which eigvalsh returns as
+        # noise of order u, each adding about u |ln u|; below n u they count as 0
+        rng = random.Random(72)
+        states = [_block_state(rng, n) for n in (4, 8) for _ in range(150)]
+        for _ in range(30):
+            rho = composite_initial(random_bloch(rng), ThermalSpec.from_beta(rng.uniform(0, 5)))
+            states += [rho, apply_channel(rho)]
+        for rho in states:
+            lam = np.linalg.eigvalsh(to_numpy(rho))
+            noise = rho.dim * math.ulp(1.0)
+            want = -math.fsum(float(x) * math.log(x) for x in lam if x > noise)
+            assert abs(von_neumann_entropy(rho) - want) <= 8 * math.ulp(1.0)
 
 
 class TestEntropyDecrease:
@@ -391,7 +501,8 @@ class TestLandauerCheck:
 
 class TestEigensolveCount:
     """The density checks on the propagation path solve no 8x8 spectrum:
-    its states are 1x1 and 2x2 blocks, so only the entropies run Jacobi."""
+    its states are 1x1 and 2x2 blocks, so only the entropies solve spectra,
+    block by block in the validation's own pass."""
 
     B = BlochVector(0.9, 0.0, -0.3)
     SPEC = ThermalSpec.from_beta(1.0)
@@ -406,8 +517,20 @@ class TestEigensolveCount:
             return original(m)
 
         monkeypatch.setattr(qerase.linalg, "hermitian_eigenvalues", counted)
-        monkeypatch.setattr(qerase.thermo, "hermitian_eigenvalues", counted)
         return dims
+
+    @pytest.fixture
+    def solved_blocks(self, monkeypatch):
+        """Size of every block whose spectrum the entropies solve."""
+        sizes = []
+        original = qerase.linalg._block_eigenvalues
+
+        def counted(flat, n, block):
+            sizes.append(len(block))
+            return original(flat, n, block)
+
+        monkeypatch.setattr(qerase.linalg, "_block_eigenvalues", counted)
+        return sizes
 
     def test_composite_state_fails_the_gershgorin_screen(self):
         # the precondition of both siblings: coherences 0-4 and 2-6 make
@@ -419,9 +542,12 @@ class TestEigensolveCount:
         apply_channel(composite_initial(self.B, self.SPEC))
         assert solved_dims == []
 
-    def test_analyze_solves_only_the_two_entropies(self, solved_dims):
+    def test_analyze_solves_only_the_two_entropies(self, solved_dims, solved_blocks):
+        # the initial memory is one 2x2 block; the final one, erased to |g>,
+        # is two 1x1 blocks; no whole-matrix solve runs and no block exceeds 2x2
         analyze(self.B, self.SPEC)
-        assert solved_dims == [2, 2]
+        assert solved_blocks == [2, 1, 1]
+        assert solved_dims == []
 
 
 class TestPartialTraceCount:
