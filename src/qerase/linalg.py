@@ -2,7 +2,8 @@
 
 Everything here is plain Python on tuples of complex numbers: Kronecker
 products, partial traces, density-matrix validation, a unitarity test and a
-cyclic Jacobi eigensolver for Hermitian matrices. Dimensions never exceed 8x8
+Hermitian eigensolver that solves each block of the nonzero pattern alone: in
+closed form up to 2x2, by cyclic Jacobi above. Dimensions never exceed 8x8
 in this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
@@ -219,39 +220,87 @@ def _trace_plan(
     )
 
 
-def hermiticity_defect(m: ComplexMatrix) -> float:
-    """Largest |m[i,j] - conj(m[j,i])| over all entries."""
-    n, flat = m._dim, m._flat
-    worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
-            if d > worst:
-                worst = d
-    return worst
+def _walk(m: ComplexMatrix) -> tuple[float, list[list[int]]]:
+    """One walk over the nonzero entries of m, each unordered pair once (a
+    pair of zeros adds nothing): the largest |m[i,j] - conj(m[j,i])|, and the
+    blocks of the nonzero pattern, each once, in order of smallest index.
+    Indices i and j share a block when m[i, j] or m[j, i] is nonzero, so m is
+    block diagonal up to a relabeling and its spectrum is the union of the
+    blocks' spectra."""
+    flat, n = m._flat, m._dim
+    defect = 0.0
+    blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
+    for p in itertools.compress(range(n * n), flat):
+        i, j = divmod(p, n)
+        if i > j:
+            if flat[j * n + i]:
+                continue  # the pair is taken at its nonzero upper entry
+            i, j = j, i
+        d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
+        if d > defect:
+            defect = d
+        if blocks[j] is not blocks[i]:  # the pair links two blocks
+            merged = sorted(blocks[i] + blocks[j])
+            for k in merged:
+                blocks[k] = merged
+    return defect, [b for i, b in enumerate(blocks) if b[0] == i]
+
+
+def _block_eigenvalues(
+    flat: tuple[complex, ...], n: int, block: Sequence[int]
+) -> tuple[float, ...]:
+    """Ascending eigenvalues of the Hermitian block, on the ascending indices
+    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
+    is its real diagonal entry. A 2x2 block is (a + d)/2 -/+ hypot((a - d)/2,
+    |b|) in closed form, on its real diagonal a, d and its off-diagonal entry
+    symmetrized as b = (m[i,j] + conj(m[j,i]))/2. A block of 3 or more runs
+    the Jacobi loop."""
+    if len(block) == 1:
+        return (flat[block[0] * (n + 1)].real,)
+    if len(block) == 2:
+        i, j = block
+        a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
+        off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
+        mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
+        return (mean - radius, mean + radius)
+    return _jacobi_eigenvalues(tuple(tuple(flat[i * n + j] for j in block) for i in block))
+
+
+def _spectrum(m: ComplexMatrix, blocks: list[list[int]]) -> list[float]:
+    """The union of the blocks' spectra, each block solved once, ascending."""
+    spectrum = []
+    for b in blocks:
+        spectrum += _block_eigenvalues(m._flat, m._dim, b)
+    spectrum.sort()
+    return spectrum
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
-    """Ascending eigenvalues via cyclic Jacobi rotations with complex phases.
+    """Ascending eigenvalues, each block of the nonzero pattern solved on its
+    own as `density_matrix` solves it, so a diagonal entry comes back exact.
 
     A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
     rounding grows with the entries, so the input check scales as the sweeps
-    do. Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-13 * max(1, ||m||_F); failure to converge in 60 sweeps raises
-    ArithmeticError. A 2x2 input that one rotation settles takes a
-    straight-line copy of the loop, with the same bits.
+    do. A block of 3 or more runs cyclic Jacobi rotations with complex
+    phases until its off-diagonal Frobenius norm drops below
+    1e-13 * max(1, ||block||_F); failure to converge in 60 sweeps raises
+    ArithmeticError. A solve that overflows the float range raises
+    OverflowError; entries near 1e308 can do so.
     """
-    defect = hermiticity_defect(m)
+    defect, blocks = _walk(m)
     if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
         tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, m._flat)))
         if defect > tol:
             raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
-    spectrum = _jacobi_2x2((m._flat[:2], m._flat[2:])) if m._dim == 2 else None
-    return spectrum if spectrum is not None else _jacobi_eigenvalues(m.rows)
+    spectrum = _spectrum(m, blocks)
+    if math.isinf(spectrum[0]) or math.isinf(spectrum[-1]):  # sorted: any inf is at an end
+        raise OverflowError("eigenvalue solve overflowed the float range")
+    return tuple(spectrum)
 
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
-    """The cyclic Jacobi loop of `hermitian_eigenvalues`, for any size."""
+    """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
+    the solve of a block of 3 or more in `_block_eigenvalues`."""
     n = len(rows)
     a = [list(row) for row in rows]
     # symmetrize so the iteration sees an exactly Hermitian matrix
@@ -299,101 +348,14 @@ def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, .
     raise ArithmeticError("Jacobi eigensolver did not converge in 60 sweeps")
 
 
-def _jacobi_2x2(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, float] | None:
-    """`_jacobi_eigenvalues` on a 2x2, written out: the same operations in the
-    same order, so the same bits. Returns None when one rotation leaves the
-    off-diagonal norm above tolerance; the caller then runs the loop."""
-    (a00, a01), (a10, a11) = rows
-    a00 = complex(a00.real, 0.0)
-    a01 = 0.5 * (a01 + a10.conjugate())
-    a10 = a01.conjugate()
-    a11 = complex(a11.real, 0.0)
-    mag = abs(a01)  # |a10| is the same float
-    off_tol = JACOBI_OFF_TOL * max(1.0, math.hypot(abs(a00), mag, mag, abs(a11)))
-    sq = mag ** 2
-    if math.sqrt(sq + sq) >= off_tol:
-        # then mag = off / sqrt(2) exceeds the loop's skip_tol = off_tol / 64
-        phase = a01 / mag
-        tau = (a11.real - a00.real) / (2.0 * mag)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
-        pc = phase.conjugate()
-        a00, a01 = c * a00 - s * pc * a01, s * a00 + c * pc * a01
-        a10, a11 = c * a10 - s * pc * a11, s * a10 + c * pc * a11
-        a00, a10 = c * a00 - s * phase * a10, s * a00 + c * phase * a10
-        a01, a11 = c * a01 - s * phase * a11, s * a01 + c * phase * a11
-        if not math.sqrt(abs(a01) ** 2 + abs(a10) ** 2) < off_tol:
-            return None
-    d0, d1 = a00.real, a11.real
-    return (d1, d0) if d1 < d0 else (d0, d1)  # sorted(), ties kept in order
-
-
-def _block_minimum(flat: tuple[complex, ...], n: int, block: Sequence[int]) -> float:
-    """Smallest eigenvalue of the Hermitian block, on the ascending indices
-    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
-    is its real diagonal entry, a 2x2 block is solved in closed form on the
-    off-diagonal entry symmetrized as the Jacobi solver symmetrizes it, and
-    only larger blocks run that solver."""
-    if len(block) == 1:
-        return flat[block[0] * (n + 1)].real
-    if len(block) == 2:
-        i, j = block
-        a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
-        off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
-        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(off))
-    return hermitian_eigenvalues(ComplexMatrix._from_flat(
-        tuple(flat[i * n + j] for i in block for j in block), len(block)
-    ))[0]
-
-
-def _block_eigenvalues(
-    flat: tuple[complex, ...], n: int, block: Sequence[int]
-) -> tuple[float, ...]:
-    """Ascending eigenvalues of the Hermitian block, on the ascending indices
-    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
-    is its real diagonal entry, a 2x2 block goes through `_jacobi_2x2` and
-    only larger blocks, or a 2x2 that one rotation does not settle, run the
-    Jacobi loop: the bits `hermitian_eigenvalues` gives on the block alone."""
-    if len(block) == 1:
-        return (flat[block[0] * (n + 1)].real,)
-    if len(block) == 2:
-        i, j = block
-        rows = ((flat[i * (n + 1)], flat[i * n + j]), (flat[j * n + i], flat[j * (n + 1)]))
-        spectrum = _jacobi_2x2(rows)
-        if spectrum is not None:
-            return spectrum
-    else:
-        rows = tuple(tuple(flat[i * n + j] for j in block) for i in block)
-    return _jacobi_eigenvalues(rows)
-
-
-def _density_blocks(
+def _density_spectrum(
     m: ComplexMatrix | Iterable[Iterable[complex]],
-) -> tuple[ComplexMatrix, list[list[int]]]:
-    """The checks of `density_matrix`: return m, as a ComplexMatrix, and the
-    blocks of its nonzero pattern, each once, in order of smallest index."""
+) -> tuple[ComplexMatrix, list[float]]:
+    """The checks of `density_matrix`: return m, as a ComplexMatrix, and its
+    ascending spectrum, each block of the nonzero pattern solved once."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    flat, n = m._flat, m._dim
-    # one walk over the nonzero entries, each unordered pair once (a pair of
-    # zeros adds nothing): the defect, and the blocks; blocks[i] is the
-    # ascending index list that i's block shares
-    defect = 0.0
-    blocks = [[i] for i in range(n)]
-    for p in itertools.compress(range(n * n), flat):
-        i, j = divmod(p, n)
-        if i > j:
-            if flat[j * n + i]:
-                continue  # the pair is taken at its nonzero upper entry
-            i, j = j, i
-        d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
-        if d > defect:
-            defect = d
-        if blocks[j] is not blocks[i]:  # the pair links two blocks
-            merged = sorted(blocks[i] + blocks[j])
-            for k in merged:
-                blocks[k] = merged
+    defect, blocks = _walk(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -401,38 +363,23 @@ def _density_blocks(
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    blocks = [b for i, b in enumerate(blocks) if b[0] == i]  # each block once
-    lo = min(_block_minimum(flat, n, b) for b in blocks)
-    if lo < EIGENVALUE_FLOOR:
-        raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
-    return m, blocks
+    spectrum = _spectrum(m, blocks)
+    if spectrum[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {spectrum[0]:.3e} below {EIGENVALUE_FLOOR:.0e}")
+    return m, spectrum
 
 
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10, in that order. Indices i and j share a block
-    when m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a
-    relabeling and its spectrum is the union of the blocks' spectra. One
-    walk over the nonzero entries finds the blocks with the defect, and each
-    block's smallest eigenvalue is then exact. `_density_spectrum` runs the
-    same pass and keeps the blocks for the whole spectrum.
+    eigenvalues above -1e-10, in that order. One walk over the nonzero
+    entries finds the defect and the blocks of the nonzero pattern; each
+    block is then solved once, as `hermitian_eigenvalues` solves it, and the
+    smallest eigenvalue is the floor test's. `von_neumann_entropy` runs the
+    same pass and keeps the spectrum.
     """
-    return _density_blocks(m)[0]
-
-
-def _density_spectrum(m: ComplexMatrix | Iterable[Iterable[complex]]) -> list[float]:
-    """The eigenvalues of m once m passes `density_matrix`'s checks (the same
-    order and messages). Each block of the nonzero pattern is solved on its
-    own, so a block-diagonal 8x8 solves its 1x1 and 2x2 blocks; the union is
-    sorted ascending, the order `hermitian_eigenvalues` gives a sum over it."""
-    m, blocks = _density_blocks(m)
-    spectrum = []
-    for b in blocks:
-        spectrum += _block_eigenvalues(m._flat, m._dim, b)
-    spectrum.sort()
-    return spectrum
+    return _density_spectrum(m)[0]
 
 
 def is_unitary(m: ComplexMatrix) -> bool:

@@ -13,7 +13,7 @@ from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial
 from .linalg import permutation_matrix, permute
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
-from .channel import ERASURE_PERMUTATION, _branch_split
+from .channel import ERASURE_PERMUTATION, _bits, _branch_split
 
 POL_H, POL_V = 0, 1
 PATHS = (1, 2, 3, 4)
@@ -164,7 +164,7 @@ def channel_to_optical_index(i: int) -> int:
     """Abstract basis index (m, e, a) -> mode index: pol = m, path = 1 + e + 2a."""
     if not 0 <= i < 8:
         raise ValueError(f"basis index must be in 0..7, got {i!r}")
-    m, e, a = (i >> 2) & 1, (i >> 1) & 1, i & 1
+    m, e, a = _bits(i)
     return mode_index(m, 1 + e + 2 * a)
 
 

@@ -53,13 +53,13 @@ def build_hamiltonians(spec: ThermalSpec) -> HamiltonianSet:
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
     """-Tr[rho ln rho] in nats, summed over the ascending spectrum.
 
-    The spectrum comes from the density-matrix validation's own pass: each
-    block of the nonzero pattern is solved on its own, a 2x2 block with the
-    bits `hermitian_eigenvalues` gives it. Eigenvalues in [-1e-10, 0] are
-    treated as exact zeros; anything lower is rejected by that validation.
+    The spectrum is the one the density-matrix validation solved for its
+    eigenvalue floor, each block of the nonzero pattern once: the bits
+    `hermitian_eigenvalues` gives. Eigenvalues in [-1e-10, 0] are treated as
+    exact zeros; anything lower is rejected by that validation.
     """
     s = 0.0
-    for lam in _density_spectrum(rho):
+    for lam in _density_spectrum(rho)[1]:
         if lam > 0.0:
             s -= lam * math.log(lam)
     return max(s, 0.0)

@@ -4,6 +4,9 @@ Each case runs `qerase.cli.main` in process and compares stdout with
 `tests/golden/<name>.out` byte for byte. The files pin every format, the
 12-digit rounding, the `infinite`/`undefined` tags and every `verify`
 detail string, so a refactor that changes no behaviour changes no file.
+The cases run once more in a `python -S` interpreter, where site-packages
+are off the path, so the CLI must print the same bytes on the standard
+library alone.
 
 Regenerate the files only for a deliberate output change:
 
@@ -11,6 +14,9 @@ Regenerate the files only for a deliberate output change:
 """
 
 import io
+import json
+import os
+import subprocess
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,6 +28,7 @@ from qerase.cli import main
 from qerase.verify import CheckResult
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 MISSING_DIR = "no-such-directory/out.txt"
 
 # (name, argv, exit code)
@@ -144,6 +151,55 @@ def test_output_file_holds_the_golden_bytes(name, argv, code, tmp_path, monkeypa
     assert got_code == code
     assert got_out == ""
     assert target.read_bytes() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+# `run_case` over [name, argv] pairs read from stdin, with the standard
+# library alone; writes {name: [exit code, stdout]} as JSON
+STDLIB_ONLY_RUNNER = """
+import io, json, sys
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from unittest import mock
+from qerase.cli import main
+from qerase.verify import CheckResult
+
+def forced_failure(**kwargs):
+    return [CheckResult(name="forced", status="fail", detail="boom")]
+
+results = {}
+for name, argv in json.load(sys.stdin):
+    out = io.StringIO()
+    battery = (mock.patch("qerase.verify.run_verification", forced_failure)
+               if "forced_failure" in name else nullcontext())
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), battery:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results[name] = [code, out.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def _python_s(args, cwd, stdin=""):
+    return subprocess.run(
+        [sys.executable, "-S", *args], input=stdin.encode("utf-8"), capture_output=True,
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), check=False,
+    )
+
+
+def test_golden_output_on_the_standard_library_alone(tmp_path):
+    """Every case in one `python -S` interpreter, and `verify_json` once more
+    through `python -S -m qerase`, so the entry point stays covered."""
+    done = _python_s(["-c", STDLIB_ONLY_RUNNER], tmp_path, json.dumps([c[:2] for c in CASES]))
+    assert done.returncode == 0, done.stderr.decode()
+    results = json.loads(done.stdout)
+    for name, _, code in CASES:
+        got_code, got_out = results[name]
+        assert (name, got_code) == (name, code)
+        assert got_out.encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes(), name
+    entry = _python_s(["-m", "qerase", "verify", "--draws", "40"], tmp_path)
+    assert entry.returncode == 0, entry.stderr.decode()
+    assert entry.stdout == (GOLDEN_DIR / "verify_json.out").read_bytes()
 
 
 def test_every_golden_file_has_a_case():

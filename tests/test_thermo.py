@@ -23,7 +23,13 @@ from qerase.linalg import (
     hermitian_eigenvalues,
     permute,
 )
-from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
+from qerase.states import (
+    BlochVector,
+    ThermalSpec,
+    _reservoir_initial,
+    composite_initial,
+    qubit_from_bloch,
+)
 from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
 from qerase.thermo import (
     ErasureReport,
@@ -95,8 +101,8 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(diagonal([1.0, 1.0]))
 
 
-def _whole_matrix_entropy(rho):
-    """The whole-matrix route: -sum lam ln lam over
+def _public_route_entropy(rho):
+    """The public route: -sum lam ln lam over
     hermitian_eigenvalues(density_matrix(rho)), ascending."""
     s = 0.0
     for lam in hermitian_eigenvalues(density_matrix(rho)):
@@ -137,12 +143,12 @@ def _block_state(rng, n):
 
 class TestEntropyFromTheValidationPass:
     """von_neumann_entropy reads the spectrum off density_matrix's blocks: a
-    qubit keeps the bits of the whole-matrix route, and larger block states
-    agree with numpy."""
+    qubit keeps the bits of the public `hermitian_eigenvalues` route, and
+    larger block states agree with numpy."""
 
     @staticmethod
     def assert_same_bits(rho):
-        assert von_neumann_entropy(rho).hex() == _whole_matrix_entropy(rho).hex()
+        assert von_neumann_entropy(rho).hex() == _public_route_entropy(rho).hex()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_memory_states_of_the_analyze_batches(self, seed):
@@ -501,8 +507,8 @@ class TestLandauerCheck:
 
 class TestEigensolveCount:
     """The density checks on the propagation path solve no 8x8 spectrum:
-    its states are 1x1 and 2x2 blocks, so only the entropies solve spectra,
-    block by block in the validation's own pass."""
+    its states are 1x1 and 2x2 blocks, and the validation solves each block
+    once, handing the spectrum to the entropy."""
 
     B = BlochVector(0.9, 0.0, -0.3)
     SPEC = ThermalSpec.from_beta(1.0)
@@ -521,18 +527,18 @@ class TestEigensolveCount:
 
     @pytest.fixture
     def solved_blocks(self, monkeypatch):
-        """Size of every block whose spectrum the entropies solve."""
-        sizes = []
+        """(entries, block) of every block whose spectrum is solved."""
+        calls = []
         original = qerase.linalg._block_eigenvalues
 
         def counted(flat, n, block):
-            sizes.append(len(block))
+            calls.append((flat, tuple(block)))
             return original(flat, n, block)
 
         monkeypatch.setattr(qerase.linalg, "_block_eigenvalues", counted)
-        return sizes
+        return calls
 
-    def test_composite_state_fails_the_gershgorin_screen(self):
+    def test_composite_state_has_two_coherent_blocks(self):
         # the precondition of both siblings: coherences 0-4 and 2-6 make
         # density_matrix solve two 2x2 blocks, so "solves nothing" is not vacuous
         r = composite_initial(self.B, self.SPEC).rows
@@ -543,11 +549,30 @@ class TestEigensolveCount:
         assert solved_dims == []
 
     def test_analyze_solves_only_the_two_entropies(self, solved_dims, solved_blocks):
-        # the initial memory is one 2x2 block; the final one, erased to |g>,
-        # is two 1x1 blocks; no whole-matrix solve runs and no block exceeds 2x2
-        analyze(self.B, self.SPEC)
-        assert solved_blocks == [2, 1, 1]
+        # the 8x8 check solves the coherent pairs {0,4} and {2,6} and four
+        # 1x1 blocks; the initial memory is one 2x2 block; the final one,
+        # erased to |g>, is two 1x1 blocks; a cold reservoir cache adds the
+        # reservoir's own check, four 1x1 blocks
+        _reservoir_initial.cache_clear()
+        for reservoir in ([1, 1, 1, 1], []):  # cold, then warm
+            solved_blocks.clear()
+            analyze(self.B, self.SPEC)
+            sizes = [len(block) for _, block in solved_blocks]
+            assert sizes == reservoir + [2, 1, 2, 1, 1, 1] + [2] + [1, 1]
+            assert len(set(solved_blocks)) == len(solved_blocks)  # each block once
         assert solved_dims == []
+
+    def test_dense_state_entropy_solves_once(self, monkeypatch):
+        loop_sizes = []
+        original = qerase.linalg._jacobi_eigenvalues
+
+        def counted(rows):
+            loop_sizes.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(qerase.linalg, "_jacobi_eigenvalues", counted)
+        von_neumann_entropy(random_density(random.Random(73), 8))
+        assert loop_sizes == [8]
 
 
 class TestPartialTraceCount:
