@@ -3,9 +3,9 @@
 A three-qubit permutation unitary (memory, reservoir energy, angular-momentum
 ancilla) resets an arbitrary memory state to its ground state while the
 reservoir absorbs the lost information. The package builds the states and the
-unitary (directly and as four CNOTs), evaluates the erasure thermodynamics
-including the temperature below which the standard dissipation bound fails,
-and simulates the equivalent single-photon optical circuit.
+unitary (a permutation checked against four CNOTs), evaluates the erasure
+thermodynamics including the temperature below which the standard dissipation
+bound fails, and simulates the equivalent single-photon optical circuit.
 """
 
 from .linalg import (
@@ -15,6 +15,7 @@ from .linalg import (
     hermitian_eigenvalues,
     kron,
     partial_trace,
+    permutation_matrix,
     trace,
 )
 from .states import (
@@ -34,12 +35,9 @@ from .channel import (
     ERASURE_PERMUTATION,
     MEMORY,
     CnotGate,
-    ErasureUnitary,
     apply_channel,
     build_circuit,
-    build_erasure_unitary,
-    circuit_unitary,
-    cnot_unitary,
+    circuit_permutation,
     final_state_closed_form,
     memory_ground_fidelity,
     memory_marginal,
@@ -67,9 +65,7 @@ from .optics import (
     PBS,
     EncodingEquivalence,
     PathDistribution,
-    compose,
     default_erasure_circuit,
-    element_unitary,
     mode_index,
     path_final_closed_form,
     path_marginal,

@@ -1,11 +1,11 @@
 """The erasure unitary on memory (x) energy (x) ancilla and its CNOT synthesis.
 
-The channel is a basis permutation: on bit triples (m, e, a) it acts as
-(m, e, a) -> (a, m XOR e, e XOR a). Conjugating any input by it leaves the
-memory qubit in |g><g| whenever the reservoir was preselected on l0.
+The channel is a basis permutation, held as its column -> row tuple
+`ERASURE_PERMUTATION` and derived from its action on bit triples,
+(m, e, a) -> (a, m XOR e, e XOR a); the four CNOTs of `build_circuit` check
+it. Conjugating any input by it leaves the memory qubit in |g><g| whenever the
+reservoir was preselected on l0.
 """
-
-from functools import lru_cache
 
 from .linalg import (
     ComplexMatrix,
@@ -13,7 +13,6 @@ from .linalg import (
     density_matrix,
     kron,
     partial_trace,
-    permutation_matrix,
     permute,
 )
 from .record import Record, _set_field
@@ -29,35 +28,13 @@ BASIS_LABELS = tuple(
     for a in range(2)
 )
 
-# column -> row images of the permutation (m, e, a) -> (a, m^e, e^a)
-ERASURE_PERMUTATION = (0, 5, 3, 6, 2, 7, 1, 4)
-
 
 def _bits(index: int) -> tuple[int, int, int]:
     return ((index >> 2) & 1, (index >> 1) & 1, index & 1)
 
 
-def _index(m: int, e: int, a: int) -> int:
-    return 4 * m + 2 * e + a
-
-
-class ErasureUnitary(Record):
-    """Erasure unitary with its permutation action cached alongside."""
-
-    __slots__ = ("matrix", "permutation")
-
-    def __init__(self, matrix: ComplexMatrix, permutation: tuple[int, ...]):
-        _set_field(self, "matrix", matrix)
-        _set_field(self, "permutation", permutation)
-
-
-@lru_cache(maxsize=1)
-def build_erasure_unitary() -> ErasureUnitary:
-    perm = tuple(
-        _index(a, m ^ e, e ^ a) for m, e, a in map(_bits, range(8))
-    )
-    assert perm == ERASURE_PERMUTATION
-    return ErasureUnitary(matrix=permutation_matrix(perm), permutation=perm)
+# column -> row images of the permutation (m, e, a) -> (a, m^e, e^a)
+ERASURE_PERMUTATION = tuple(4 * a + 2 * (m ^ e) + (e ^ a) for m, e, a in map(_bits, range(8)))
 
 
 class CnotGate(Record):
@@ -70,7 +47,7 @@ class CnotGate(Record):
         _set_field(self, "target", target)
         for name in ("control", "target"):
             v = getattr(self, name)
-            if v not in (MEMORY, ENERGY, ANCILLA):
+            if not isinstance(v, int) or v not in (MEMORY, ENERGY, ANCILLA):
                 raise ValueError(f"{name} must be one of 0, 1, 2, got {v!r}")
         if self.control == self.target:
             raise ValueError("control and target must differ")
@@ -80,10 +57,6 @@ class CnotGate(Record):
         """Column -> row map: the target bit flips where the control bit is set."""
         control, target = 4 >> self.control, 4 >> self.target  # bit weights in 4m + 2e + a
         return tuple(i ^ target if i & control else i for i in range(8))
-
-
-def cnot_unitary(gate: CnotGate) -> ComplexMatrix:
-    return permutation_matrix(gate.permutation)
 
 
 def build_circuit() -> tuple[CnotGate, ...]:
@@ -96,16 +69,18 @@ def build_circuit() -> tuple[CnotGate, ...]:
     )
 
 
-def circuit_permutation(gates: tuple[CnotGate, ...]) -> tuple[int, ...]:
-    """Column -> row map of the circuit; the first gate acts first."""
-    if not gates:
+def circuit_permutation(elements: tuple) -> tuple[int, ...]:
+    """Column -> row map of a circuit of CNOT gates or optical elements; the
+    first element acts first."""
+    if not elements:
         raise ValueError("empty circuit")
-    return compose_permutations(*(gate.permutation for gate in gates))
-
-
-def circuit_unitary(gates: tuple[CnotGate, ...]) -> ComplexMatrix:
-    """Product of the gate unitaries; the first gate acts first."""
-    return permutation_matrix(circuit_permutation(gates))
+    perms = []
+    for element in elements:
+        perm = getattr(element, "permutation", None)
+        if perm is None:
+            raise TypeError(f"not a CNOT gate or optical element: {element!r}")
+        perms.append(perm)
+    return compose_permutations(*perms)
 
 
 def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:

@@ -9,11 +9,10 @@ paths, half-wave plates flip the polarization on one path. Mode index:
 
 import math
 
-from .linalg import ComplexMatrix, compose_permutations, diagonal, kron, partial_trace
-from .linalg import permutation_matrix, permute
+from .linalg import ComplexMatrix, diagonal, kron, partial_trace, permute
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
-from .channel import ERASURE_PERMUTATION, _bits, _branch_split
+from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
 
 POL_H, POL_V = 0, 1
 PATHS = (1, 2, 3, 4)
@@ -24,10 +23,15 @@ PATH_LABELS = tuple(f"path {path}" for path in PATHS)
 PROBABILITY_TOL = 1e-12
 
 
+def _is_path(path: int) -> bool:
+    """An int in 1..4; a float such as 2.0 compares equal but cannot index."""
+    return isinstance(path, int) and path in PATHS
+
+
 def mode_index(pol: int, path: int) -> int:
-    if pol not in (POL_H, POL_V):
+    if not isinstance(pol, int) or pol not in (POL_H, POL_V):
         raise ValueError(f"polarization must be 0 (H) or 1 (V), got {pol!r}")
-    if path not in PATHS:
+    if not _is_path(path):
         raise ValueError(f"path must be in 1..4, got {path!r}")
     return 4 * pol + (path - 1)
 
@@ -41,7 +45,7 @@ class PBS(Record):
         _set_field(self, "path_a", path_a)
         _set_field(self, "path_b", path_b)
         for name in ("path_a", "path_b"):
-            if getattr(self, name) not in PATHS:
+            if not _is_path(getattr(self, name)):
                 raise ValueError(f"{name} must be in 1..4, got {getattr(self, name)!r}")
         if self.path_a == self.path_b:
             raise ValueError("a beam splitter needs two distinct paths")
@@ -58,7 +62,7 @@ class HWP(Record):
 
     def __init__(self, path: int):
         _set_field(self, "path", path)
-        if self.path not in PATHS:
+        if not _is_path(self.path):
             raise ValueError(f"path must be in 1..4, got {self.path!r}")
 
     @property
@@ -99,16 +103,6 @@ class PathDistribution(Record):
         return cls(p_1=p_g, p_2=p_e)
 
 
-def _element_permutation(element: OpticalElement) -> tuple[int, ...]:
-    if not isinstance(element, (PBS, HWP)):
-        raise TypeError(f"not an optical element: {element!r}")
-    return element.permutation
-
-
-def element_unitary(element: OpticalElement) -> ComplexMatrix:
-    return permutation_matrix(_element_permutation(element))
-
-
 def default_erasure_circuit() -> tuple[OpticalElement, ...]:
     """Element sequence realizing the erasure on the photon, first element first."""
     return (
@@ -121,18 +115,7 @@ def default_erasure_circuit() -> tuple[OpticalElement, ...]:
     )
 
 
-def _circuit_permutation(elements: tuple[OpticalElement, ...]) -> tuple[int, ...]:
-    if not elements:
-        raise ValueError("empty optical circuit")
-    return compose_permutations(*map(_element_permutation, elements))
-
-
-def compose(elements: tuple[OpticalElement, ...]) -> ComplexMatrix:
-    """Mode unitary of the circuit; the first element acts first."""
-    return permutation_matrix(_circuit_permutation(elements))
-
-
-DEFAULT_CIRCUIT_PERMUTATION = _circuit_permutation(default_erasure_circuit())
+DEFAULT_CIRCUIT_PERMUTATION = circuit_permutation(default_erasure_circuit())
 
 
 def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:

@@ -9,7 +9,7 @@ should fail the permutation check, for instance).
 import math
 import random
 
-from .linalg import UNITARITY_TOL, ComplexMatrix, is_unitary
+from .linalg import UNITARITY_TOL, ComplexMatrix, is_unitary, permutation_matrix
 from .record import Record, _set_field
 from .states import (
     BlochVector,
@@ -21,7 +21,6 @@ from .channel import (
     ERASURE_PERMUTATION,
     apply_channel,
     build_circuit,
-    build_erasure_unitary,
     circuit_permutation,
     final_state_closed_form,
     memory_ground_fidelity,
@@ -293,7 +292,7 @@ def run_verification(
     """Full battery. `draws` scales the sampling checks; the eigensolver-heavy
     ones run a fixed small count so the battery stays fast."""
     rng = random.Random(seed)
-    u = build_erasure_unitary().matrix
+    u = permutation_matrix(ERASURE_PERMUTATION)
     small = max(5, draws // 40)
     return [
         check_unitarity(u),

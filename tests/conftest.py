@@ -43,6 +43,15 @@ def to_numpy(m: ComplexMatrix) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in m.rows], dtype=complex)
 
 
+def numpy_permutation(perm) -> np.ndarray:
+    """Dense matrix of a column -> row tuple, column c's single 1 in row
+    perm[c], built by numpy without `qerase.linalg.permutation_matrix`."""
+    n = len(perm)
+    p = np.zeros((n, n))
+    p[list(perm), range(n)] = 1.0
+    return p
+
+
 def assert_matrix_close(m: ComplexMatrix, expected, atol: float = 1e-12) -> None:
     got = to_numpy(m)
     want = expected if isinstance(expected, np.ndarray) else to_numpy(expected)

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import assert_matrix_close, random_bloch, to_numpy
-from qerase.linalg import diagonal, is_unitary, trace
+from conftest import assert_matrix_close, numpy_permutation, random_bloch, to_numpy
+from qerase.linalg import diagonal, permutation_matrix, trace
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import (
     ANCILLA,
@@ -16,9 +16,7 @@ from qerase.channel import (
     CnotGate,
     apply_channel,
     build_circuit,
-    build_erasure_unitary,
-    circuit_unitary,
-    cnot_unitary,
+    circuit_permutation,
     final_state_closed_form,
     memory_ground_fidelity,
     memory_marginal,
@@ -31,40 +29,43 @@ BETAS = (0.0, 0.1, 1.0, 10.0, math.inf)
 
 class TestErasureUnitary:
     def test_frozen_permutation(self):
+        # the one hand-written copy of the tuple: qerase derives it from the
+        # bit formula, and the CNOT circuit is checked against it below
         assert ERASURE_PERMUTATION == (0, 5, 3, 6, 2, 7, 1, 4)
-        assert build_erasure_unitary().permutation == ERASURE_PERMUTATION
 
     def test_every_entry(self):
-        u = build_erasure_unitary().matrix
+        # the dense export route against the independent numpy matrix
+        u = permutation_matrix(ERASURE_PERMUTATION)
+        np.testing.assert_array_equal(to_numpy(u), numpy_permutation(ERASURE_PERMUTATION))
         for col in range(8):
             for row in range(8):
                 want = 1.0 if row == ERASURE_PERMUTATION[col] else 0.0
                 assert u[row, col] == want
 
     def test_bit_action(self):
-        # (m, e, a) -> (a, m xor e, e xor a)
-        u = build_erasure_unitary().matrix
+        # (m, e, a) -> (a, m xor e, e xor a), read off the channel itself
         for m in range(2):
             for e in range(2):
                 for a in range(2):
                     col = 4 * m + 2 * e + a
                     row = 4 * a + 2 * (m ^ e) + (e ^ a)
-                    assert u[row, col] == 1.0
+                    basis = diagonal([1.0 if i == col else 0.0 for i in range(8)])
+                    assert apply_channel(basis)[row, row] == 1.0
 
     def test_unitarity(self):
-        u = to_numpy(build_erasure_unitary().matrix)
+        u = numpy_permutation(ERASURE_PERMUTATION)
         np.testing.assert_array_equal(u.conj().T @ u, np.eye(8))
 
     def test_inverse_permutation(self):
         inverse = tuple(ERASURE_PERMUTATION.index(i) for i in range(8))
         assert inverse == (0, 6, 4, 2, 7, 1, 3, 5)
-        u_dagger = to_numpy(build_erasure_unitary().matrix).conj().T
+        u_dagger = numpy_permutation(ERASURE_PERMUTATION).conj().T
         for col in range(8):
             assert u_dagger[inverse[col], col] == 1.0
 
     def test_order_seven(self):
         # 0 is fixed; the other indices form a single 7-cycle
-        u = to_numpy(build_erasure_unitary().matrix)
+        u = numpy_permutation(ERASURE_PERMUTATION)
         np.testing.assert_array_equal(np.linalg.matrix_power(u, 7), np.eye(8))
         for k in range(1, 7):
             assert not np.array_equal(np.linalg.matrix_power(u, k), np.eye(8))
@@ -83,15 +84,22 @@ class TestCnotSynthesis:
         with pytest.raises(ValueError, match="one of"):
             CnotGate(control=3, target=0)
 
+    def test_gate_rejects_float_subsystems(self):
+        # 1.0 == 1, but a float bit index cannot shift: reject it up front
+        with pytest.raises(ValueError, match="control must be one of"):
+            CnotGate(control=1.0, target=2)
+        with pytest.raises(ValueError, match="target must be one of"):
+            CnotGate(control=1, target=2.0)
+
     def test_cnot_action(self):
         # control memory, target energy: |1,0,0> -> |1,1,0>
-        u = cnot_unitary(CnotGate(control=MEMORY, target=ENERGY))
+        u = numpy_permutation(CnotGate(control=MEMORY, target=ENERGY).permutation)
         assert u[6, 4] == 1.0 and u[4, 6] == 1.0
         assert u[0, 0] == 1.0
-        assert is_unitary(u)
+        np.testing.assert_array_equal(u.T @ u, np.eye(8))
 
     def test_cnot_is_involution(self):
-        u = to_numpy(cnot_unitary(CnotGate(control=ANCILLA, target=MEMORY)))
+        u = numpy_permutation(CnotGate(control=ANCILLA, target=MEMORY).permutation)
         np.testing.assert_array_equal(u @ u, np.eye(8))
 
     def test_circuit_is_four_gates_in_fixed_order(self):
@@ -104,32 +112,32 @@ class TestCnotSynthesis:
         ]
 
     def test_circuit_reproduces_unitary_exactly(self):
-        assert circuit_unitary(build_circuit()) == build_erasure_unitary().matrix
-        difference = to_numpy(circuit_unitary(build_circuit())) - to_numpy(
-            build_erasure_unitary().matrix
-        )
-        assert np.linalg.norm(difference) == 0.0
+        assert circuit_permutation(build_circuit()) == ERASURE_PERMUTATION
+        dense = numpy_permutation(circuit_permutation(build_circuit()))
+        assert np.linalg.norm(dense - numpy_permutation(ERASURE_PERMUTATION)) == 0.0
 
     def test_first_gate_applied_first(self):
         gates = (
             CnotGate(control=MEMORY, target=ENERGY),
             CnotGate(control=ENERGY, target=ANCILLA),
         )
-        u = circuit_unitary(gates)
         # start from |1,0,0>: first M->E gives |1,1,0>, then E->A gives |1,1,1>
-        assert u[7, 4] == 1.0
+        assert circuit_permutation(gates)[4] == 7
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            circuit_unitary(())
+            circuit_permutation(())
 
     def test_numpy_gate_product_is_the_unitary(self):
         # dense route: the first gate is the rightmost factor
         product = np.eye(8)
         for gate in build_circuit():
-            product = to_numpy(cnot_unitary(gate)) @ product
-        np.testing.assert_array_equal(product, to_numpy(build_erasure_unitary().matrix))
-        np.testing.assert_array_equal(product, to_numpy(circuit_unitary(build_circuit())))
+            product = numpy_permutation(gate.permutation) @ product
+        np.testing.assert_array_equal(product, numpy_permutation(ERASURE_PERMUTATION))
+        np.testing.assert_array_equal(product, to_numpy(permutation_matrix(ERASURE_PERMUTATION)))
+        np.testing.assert_array_equal(
+            product, numpy_permutation(circuit_permutation(build_circuit()))
+        )
 
 
 class TestApplyChannel:
@@ -139,7 +147,7 @@ class TestApplyChannel:
 
     def test_matches_numpy_conjugation(self):
         rng = random.Random(42)
-        u = to_numpy(build_erasure_unitary().matrix)
+        u = numpy_permutation(ERASURE_PERMUTATION)
         for k in range(25):
             b = random_bloch(rng)
             spec = ThermalSpec.from_beta(BETAS[k % len(BETAS)])

@@ -189,7 +189,8 @@ def _python_s(args, cwd, stdin=""):
 
 def test_golden_output_on_the_standard_library_alone(tmp_path):
     """Every case in one `python -S` interpreter, and `verify_json` once more
-    through `python -S -m qerase`, so the entry point stays covered."""
+    through `python -S -m qerase` and `python -O -S -m qerase`, so the entry
+    point stays covered and no check hides in an `assert` that -O strips."""
     done = _python_s(["-c", STDLIB_ONLY_RUNNER], tmp_path, json.dumps([c[:2] for c in CASES]))
     assert done.returncode == 0, done.stderr.decode()
     results = json.loads(done.stdout)
@@ -197,9 +198,10 @@ def test_golden_output_on_the_standard_library_alone(tmp_path):
         got_code, got_out = results[name]
         assert (name, got_code) == (name, code)
         assert got_out.encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes(), name
-    entry = _python_s(["-m", "qerase", "verify", "--draws", "40"], tmp_path)
-    assert entry.returncode == 0, entry.stderr.decode()
-    assert entry.stdout == (GOLDEN_DIR / "verify_json.out").read_bytes()
+    for optimize in ([], ["-O"]):
+        entry = _python_s([*optimize, "-m", "qerase", "verify", "--draws", "40"], tmp_path)
+        assert entry.returncode == 0, (optimize, entry.stderr.decode())
+        assert entry.stdout == (GOLDEN_DIR / "verify_json.out").read_bytes(), optimize
 
 
 def test_every_golden_file_has_a_case():

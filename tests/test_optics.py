@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import assert_matrix_close, random_bloch, to_numpy
-from qerase.linalg import is_unitary, permutation_matrix, trace
+from conftest import assert_matrix_close, numpy_permutation, random_bloch
+from qerase.linalg import trace
 from qerase.states import BlochVector, qubit_from_bloch
+from qerase.channel import circuit_permutation
 from qerase.optics import (
     DEFAULT_CIRCUIT_PERMUTATION,
     HWP,
@@ -15,9 +16,7 @@ from qerase.optics import (
     PHYSICAL_INPUT_INDICES,
     PathDistribution,
     channel_to_optical_index,
-    compose,
     default_erasure_circuit,
-    element_unitary,
     mode_index,
     path_final_closed_form,
     path_marginal,
@@ -47,6 +46,13 @@ class TestModeIndex:
         with pytest.raises(ValueError, match="path"):
             mode_index(0, 5)
 
+    def test_rejects_float_arguments(self):
+        # 2.0 == 2 passes a membership test, but a mode index must be an int
+        with pytest.raises(ValueError, match="path must be in 1..4, got 2.0"):
+            mode_index(0, 2.0)
+        with pytest.raises(ValueError, match="polarization must be 0 .H. or 1 .V., got 1.0"):
+            mode_index(1.0, 2)
+
 
 class TestElements:
     def test_pbs_validation(self):
@@ -59,23 +65,32 @@ class TestElements:
         with pytest.raises(ValueError, match="path"):
             HWP(9)
 
+    def test_pbs_rejects_float_paths(self):
+        # 1.0 == 1 passes a membership test, but .permutation cannot index with it
+        with pytest.raises(ValueError, match="path_a must be in 1..4, got 1.0"):
+            PBS(1.0, 2)
+        with pytest.raises(ValueError, match="path_b must be in 1..4, got 2.0"):
+            PBS(1, 2.0)
+
+    def test_hwp_rejects_float_path(self):
+        with pytest.raises(ValueError, match="path must be in 1..4, got 2.0"):
+            HWP(2.0)
+
     def test_pbs_swaps_vertical_only(self):
         assert PBS(1, 2).permutation == (0, 1, 2, 3, 5, 4, 6, 7)
-        assert element_unitary(PBS(1, 2)) == permutation_matrix((0, 1, 2, 3, 5, 4, 6, 7))
 
     def test_hwp_flips_polarization_on_one_path(self):
         assert HWP(2).permutation == (0, 5, 2, 3, 4, 1, 6, 7)
-        assert element_unitary(HWP(2)) == permutation_matrix((0, 5, 2, 3, 4, 1, 6, 7))
 
     def test_elements_are_involutions(self):
         for element in (PBS(1, 3), HWP(4)):
-            u = element_unitary(element)
-            np.testing.assert_array_equal(to_numpy(u) @ to_numpy(u), np.eye(8))
-            assert is_unitary(u)
+            u = numpy_permutation(element.permutation)
+            np.testing.assert_array_equal(u @ u, np.eye(8))
+            np.testing.assert_array_equal(u.T @ u, np.eye(8))
 
     def test_dispatch_rejects_unknown_element(self):
         with pytest.raises(TypeError, match="optical element"):
-            element_unitary("mirror")
+            circuit_permutation(("mirror",))
 
 
 class TestComposition:
@@ -90,12 +105,13 @@ class TestComposition:
         )
 
     def test_composed_permutation_frozen(self):
-        u = compose(default_erasure_circuit())
-        assert u == permutation_matrix(COMPOSED_PERMUTATION)
-        assert is_unitary(u)
+        assert circuit_permutation(default_erasure_circuit()) == COMPOSED_PERMUTATION
+        assert DEFAULT_CIRCUIT_PERMUTATION == COMPOSED_PERMUTATION
+        u = numpy_permutation(COMPOSED_PERMUTATION)
+        np.testing.assert_array_equal(u.T @ u, np.eye(8))
 
     def test_physical_transformations(self):
-        u, mode = to_numpy(compose(default_erasure_circuit())), np.eye(8)
+        u, mode = numpy_permutation(DEFAULT_CIRCUIT_PERMUTATION), np.eye(8)
         assert np.array_equal(u @ mode[mode_index(0, 1)], mode[mode_index(0, 1)])  # H1 -> H1
         assert np.array_equal(u @ mode[mode_index(0, 2)], mode[mode_index(0, 4)])  # H2 -> H4
         assert np.array_equal(u @ mode[mode_index(1, 1)], mode[mode_index(0, 2)])  # V1 -> H2
@@ -103,23 +119,25 @@ class TestComposition:
 
     def test_first_element_applied_first(self):
         # PBS(1,2) then HWP(2): V1 -> V2 -> H2
-        u, mode = to_numpy(compose((PBS(1, 2), HWP(2)))), np.eye(8)
+        u, mode = numpy_permutation(circuit_permutation((PBS(1, 2), HWP(2)))), np.eye(8)
         assert np.array_equal(u @ mode[mode_index(1, 1)], mode[mode_index(0, 2)])
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            compose(())
+            circuit_permutation(())
 
     def test_numpy_element_product_is_the_composition(self):
         # dense route: the first element is the rightmost factor
         product = np.eye(8)
         for element in default_erasure_circuit():
-            product = to_numpy(element_unitary(element)) @ product
-        np.testing.assert_array_equal(product, to_numpy(compose(default_erasure_circuit())))
+            product = numpy_permutation(element.permutation) @ product
+        np.testing.assert_array_equal(
+            product, numpy_permutation(circuit_permutation(default_erasure_circuit()))
+        )
 
     def test_compose_rejects_unknown_element(self):
         with pytest.raises(TypeError, match="optical element"):
-            compose((PBS(1, 2), "mirror"))
+            circuit_permutation((PBS(1, 2), "mirror"))
 
 
 class TestPathDistribution:

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from qerase.channel import CnotGate, ErasureUnitary
+from qerase.channel import CnotGate
 from qerase.linalg import ComplexMatrix
 from qerase.optics import HWP, PBS, EncodingEquivalence, PathDistribution
 from qerase.states import BlochVector, ThermalSpec
@@ -28,12 +28,6 @@ CASES = [
         (("beta", 0.5), ("delta", 1.986e-22), ("k_B", 1.380649e-23)),
         {"delta": 1.0, "k_B": 1.0},
         "ThermalSpec(beta=0.5, delta=1.986e-22, k_B=1.380649e-23)",
-    ),
-    (
-        ErasureUnitary,
-        (("matrix", ComplexMatrix([[0, 1], [1, 0]])), ("permutation", (1, 0))),
-        {},
-        "ErasureUnitary(matrix=ComplexMatrix([[0j, (1+0j)], [(1+0j), 0j]]), permutation=(1, 0))",
     ),
     (
         CnotGate,

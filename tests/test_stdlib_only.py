@@ -36,6 +36,24 @@ def test_every_absolute_import_is_stdlib():
     assert not outside, sorted(outside)
 
 
+def asserts(path: Path) -> list[int]:
+    """Line of every `assert` statement in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_check_depends_on_assert():
+    """`python -O` strips `assert`, so no check in the package may use one."""
+    found = [f"{path.name}:{line}" for path in SOURCES for line in asserts(path)]
+    assert not found, found
+
+
+def test_assert_guard_sees_an_assert(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = 1\nassert x == 1, 'message'\n")
+    assert asserts(probe) == [2]
+
+
 def test_guard_sees_a_third_party_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import numpy.linalg\nfrom scipy import sparse\nfrom . import linalg\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qerase.channel
 import qerase.linalg
 import qerase.thermo
-from conftest import random_bloch, random_density, to_numpy
+from conftest import numpy_permutation, random_bloch, random_density, to_numpy
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
@@ -30,7 +30,7 @@ from qerase.states import (
     composite_initial,
     qubit_from_bloch,
 )
-from qerase.channel import apply_channel, build_erasure_unitary, memory_marginal, reservoir_marginal
+from qerase.channel import ERASURE_PERMUTATION, apply_channel, memory_marginal, reservoir_marginal
 from qerase.thermo import (
     ErasureReport,
     analyze,
@@ -141,14 +141,47 @@ def _block_state(rng, n):
     return permute(ComplexMatrix(rows), perm)
 
 
+def _decimal_entropy(rho):
+    """-sum lam ln lam over the exact spectrum of a 2x2 state's Hermitian
+    part, (a+d)/2 -/+ sqrt(((a-d)/2)^2 + |b|^2) with b = (rho01 + conj(rho10))/2,
+    in 50-digit decimal arithmetic. Negative eigenvalues count as zeros, as
+    in von_neumann_entropy. Returns the entropy and the exact eigenvalues."""
+    (a, b), (c, d) = rho.rows
+    with decimal.localcontext(decimal.Context(prec=50)):
+        a, d = decimal.Decimal(a.real), decimal.Decimal(d.real)
+        re = (decimal.Decimal(b.real) + decimal.Decimal(c.real)) / 2
+        im = (decimal.Decimal(b.imag) - decimal.Decimal(c.imag)) / 2
+        radius = (((a - d) / 2) ** 2 + re**2 + im**2).sqrt()
+        spectrum = ((a + d) / 2 - radius, (a + d) / 2 + radius)
+        s = -sum(lam * lam.ln() for lam in spectrum if lam > 0)
+        return max(s, decimal.Decimal(0)), spectrum
+
+
+def _entropy_bound(spectrum):
+    """What rounding the spectrum allows. Each eigenvalue is within
+    e = ulp(1) of exact (pinned on 2x2 density blocks in test_linalg), and
+    moving lam by e moves -lam ln lam by about e (|ln lam| + 1); below e
+    the slope is read at e, where the term is at most e |ln e|. One more e
+    per eigenvalue covers the rounding of its term and of the sum."""
+    e = math.ulp(1.0)
+    return sum(e * (abs(math.log(max(float(lam), e))) + 2) for lam in spectrum)
+
+
 class TestEntropyFromTheValidationPass:
     """von_neumann_entropy reads the spectrum off density_matrix's blocks: a
-    qubit keeps the bits of the public `hermitian_eigenvalues` route, and
-    larger block states agree with numpy."""
+    qubit keeps the bits of the public `hermitian_eigenvalues` route and
+    agrees with a 50-digit decimal evaluation of -sum lam ln lam, and larger
+    block states agree with numpy."""
 
     @staticmethod
     def assert_same_bits(rho):
         assert von_neumann_entropy(rho).hex() == _public_route_entropy(rho).hex()
+
+    @staticmethod
+    def assert_near_decimal(rho):
+        want, spectrum = _decimal_entropy(rho)
+        error = abs(decimal.Decimal(von_neumann_entropy(rho)) - want)
+        assert error <= decimal.Decimal(_entropy_bound(spectrum))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_memory_states_of_the_analyze_batches(self, seed):
@@ -163,6 +196,7 @@ class TestEntropyFromTheValidationPass:
             final = memory_marginal(apply_channel(composite_initial(b, spec)))
             for rho in (qubit_from_bloch(b), final):
                 self.assert_same_bits(rho)
+                self.assert_near_decimal(rho)
                 matched += 1
         assert matched == 2 * workloads.BATCH
 
@@ -183,6 +217,7 @@ class TestEntropyFromTheValidationPass:
                 states.append(ComplexMatrix([[a, link[0]], [link[1], 1.0 - a]]))
         for rho in states:
             self.assert_same_bits(rho)
+            self.assert_near_decimal(rho)
 
     def test_block_states_match_numpy(self):
         # both routes round each eigenvalue within a few u, weighted in the
@@ -356,23 +391,21 @@ class TestInternalEnergy:
 
 class TestCommutator:
     def test_frozen_norm(self):
-        norm = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0))
-        )
+        norm = commutator_norm(ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0)))
         assert norm == COMMUTATOR_NORM
 
     def test_scales_linearly_with_gap(self):
         norm = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0, delta=2.0))
+            ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0, delta=2.0))
         )
         assert norm == pytest.approx(2.0 * COMMUTATOR_NORM, rel=1e-15)
 
     def test_against_numpy(self):
-        u = to_numpy(build_erasure_unitary().matrix)
+        u = numpy_permutation(ERASURE_PERMUTATION)
         h = np.diag(build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6)).total)
         want = np.linalg.norm(u @ h - h @ u)
         got = commutator_norm(
-            build_erasure_unitary().permutation, build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6))
+            ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6))
         )
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -540,13 +573,14 @@ class TestEigensolveCount:
 
     def test_composite_state_has_two_coherent_blocks(self):
         # the precondition of both siblings: coherences 0-4 and 2-6 make
-        # density_matrix solve two 2x2 blocks, so "solves nothing" is not vacuous
+        # density_matrix solve two 2x2 blocks, so "no whole matrix" is not vacuous
         r = composite_initial(self.B, self.SPEC).rows
         assert r[0][4] != 0.0 and r[2][6] != 0.0
 
-    def test_apply_channel_solves_nothing(self, solved_dims):
+    def test_apply_channel_solves_no_whole_matrix(self, solved_dims, solved_blocks):
         apply_channel(composite_initial(self.B, self.SPEC))
         assert solved_dims == []
+        assert solved_blocks and all(len(block) <= 2 for _, block in solved_blocks)
 
     def test_analyze_solves_only_the_two_entropies(self, solved_dims, solved_blocks):
         # the 8x8 check solves the coherent pairs {0,4} and {2,6} and four

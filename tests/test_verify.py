@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import qerase.verify
-from conftest import to_numpy
-from qerase.linalg import ComplexMatrix
+from conftest import numpy_permutation, to_numpy
+from qerase.linalg import ComplexMatrix, permutation_matrix
 from qerase.thermo import ErasureReport
-from qerase.channel import build_circuit, build_erasure_unitary, circuit_unitary
+from qerase.channel import ERASURE_PERMUTATION, build_circuit, circuit_permutation
 from qerase.verify import (
     CheckResult,
     all_passed,
@@ -42,19 +42,19 @@ def _swap_columns(matrix: ComplexMatrix, a: int, b: int) -> ComplexMatrix:
 
 class TestIndividualChecks:
     def test_unitarity_passes_on_real_unitary(self):
-        assert check_unitarity(build_erasure_unitary().matrix).status == "pass"
+        assert check_unitarity(permutation_matrix(ERASURE_PERMUTATION)).status == "pass"
 
     def test_unitarity_fails_on_scaled_matrix(self):
-        broken = ComplexMatrix((0.9 * to_numpy(build_erasure_unitary().matrix)).tolist())
+        broken = ComplexMatrix((0.9 * numpy_permutation(ERASURE_PERMUTATION)).tolist())
         assert check_unitarity(broken).status == "fail"
 
     def test_permutation_identity_passes(self):
-        result = check_permutation_identity(build_erasure_unitary().matrix)
+        result = check_permutation_identity(permutation_matrix(ERASURE_PERMUTATION))
         assert result.status == "pass"
 
     def test_permutation_identity_catches_swapped_columns(self):
         # still unitary, but no longer the erasure map
-        mutated = _swap_columns(build_erasure_unitary().matrix, 1, 2)
+        mutated = _swap_columns(permutation_matrix(ERASURE_PERMUTATION), 1, 2)
         assert check_unitarity(mutated).status == "pass"
         result = check_permutation_identity(mutated)
         assert result.status == "fail"
@@ -72,8 +72,8 @@ class TestIndividualChecks:
         monkeypatch.setattr("qerase.verify.build_circuit", lambda: short)
         result = check_circuit_synthesis()
         assert result.status == "fail"
-        target = build_erasure_unitary().matrix
-        dist = float(np.linalg.norm(to_numpy(circuit_unitary(short)) - to_numpy(target)))
+        target = numpy_permutation(ERASURE_PERMUTATION)
+        dist = float(np.linalg.norm(numpy_permutation(circuit_permutation(short)) - target))
         assert dist > 0.0
         assert result.detail == f"3 CNOTs, Frobenius distance {dist!r}"
 
