@@ -15,7 +15,6 @@ from .linalg import (
     hermitian_eigenvalues,
     kron,
     partial_trace,
-    permutation_matrix,
     trace,
 )
 from .states import (
@@ -46,10 +45,8 @@ from .channel import (
 )
 from .thermo import (
     ErasureReport,
-    HamiltonianSet,
     LandauerVerdict,
     analyze,
-    build_hamiltonians,
     commutator_norm,
     entropy_decrease,
     heat_memory,

@@ -1,8 +1,8 @@
 """Dense complex matrices sized for few-qubit work, and basis permutations.
 
 Everything here is plain Python on tuples of complex numbers: Kronecker
-products, partial traces, density-matrix validation, a unitarity test and a
-Hermitian eigensolver that solves each block of the nonzero pattern alone: in
+products, partial traces, density-matrix validation and a Hermitian
+eigensolver that solves each block of the nonzero pattern alone: in
 closed form up to 2x2, by cyclic Jacobi above. Dimensions never exceed 8x8
 in this package, so no external linear-algebra dependency is used.
 
@@ -11,7 +11,7 @@ derived from it. Permutations, Kronecker orders and partial traces are index
 plans over the flat tuple, each validated and cached once per shape.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
-of the 1 in column c. It is applied and composed without a dense product.
+of the 1 in column c. It is applied and composed without a dense matrix.
 """
 
 import cmath
@@ -27,7 +27,6 @@ EIGENVALUE_FLOOR = -1e-10
 EIGENSOLVER_INPUT_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 60
-UNITARITY_TOL = 1e-12
 
 
 class ComplexMatrix:
@@ -111,18 +110,9 @@ def _check_permutation(perm: Sequence[int], n: int) -> None:
         raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
 
 
-def permutation_matrix(perm: Sequence[int]) -> ComplexMatrix:
-    """Matrix sending basis column c to basis row perm[c]."""
-    n = len(perm)
-    _check_permutation(perm, n)
-    rows = [[0.0] * n for _ in range(n)]
-    for col, row in enumerate(perm):
-        rows[row][col] = 1.0
-    return ComplexMatrix(rows)
-
-
 def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
-    """P rho P^T for P = permutation_matrix(perm).
+    """P rho P^T for the permutation matrix P whose column c has its 1 in
+    row perm[c].
 
     Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
     arithmetic touches the entries.
@@ -381,15 +371,3 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     """
     return _density_spectrum(m)[0]
 
-
-def is_unitary(m: ComplexMatrix) -> bool:
-    """||U^dagger U - 1||_F <= UNITARITY_TOL. Entry (i, j) of U^dagger U is the
-    inner product of columns i and j; the Frobenius sum runs in row-major order."""
-    n = m._dim
-    cols = [m._flat[j::n] for j in range(n)]
-    total = 0.0
-    for i, left in enumerate(cols):
-        conj = [x.conjugate() for x in left]
-        for j, right in enumerate(cols):
-            total += abs(sum(map(operator.mul, conj, right)) - (i == j)) ** 2
-    return math.sqrt(total) <= UNITARITY_TOL

@@ -156,16 +156,18 @@ PHYSICAL_INPUT_INDICES = (0, 2, 4, 6)  # the l0-preselected sector
 
 class EncodingEquivalence(Record):
     """Comparison of the optical circuit with the abstract channel on the
-    four physical inputs (photon entering on path 1 or 2)."""
+    four physical inputs (photon entering on path 1 or 2): the encodings are
+    equivalent exactly when no input mismatches."""
 
-    __slots__ = ("equivalent", "mismatches")
+    __slots__ = ("mismatches",)
 
-    def __init__(self, equivalent: bool, mismatches: tuple[str, ...]):
-        _set_field(self, "equivalent", equivalent)
+    def __init__(self, mismatches: tuple[str, ...]):
         _set_field(self, "mismatches", mismatches)
 
     def __bool__(self) -> bool:
-        return self.equivalent
+        return not self.mismatches
+
+    equivalent = property(__bool__)
 
 
 def verify_encoding_equivalence() -> EncodingEquivalence:
@@ -178,7 +180,4 @@ def verify_encoding_equivalence() -> EncodingEquivalence:
                 f"input {MODE_LABELS[channel_to_optical_index(i)]}: circuit sends it to "
                 f"{MODE_LABELS[got]}, channel says {MODE_LABELS[want]}"
             )
-    return EncodingEquivalence(
-        equivalent=not mismatches,
-        mismatches=tuple(mismatches),
-    )
+    return EncodingEquivalence(mismatches=tuple(mismatches))

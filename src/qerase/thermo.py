@@ -20,34 +20,22 @@ from .states import (
     qubit_from_bloch,
     thermal_probs,
 )
-from .channel import apply_channel, memory_marginal
+from .channel import _bits, apply_channel, memory_marginal
 
 LN2 = math.log(2.0)
 ROUTE_TOL = 1e-10
 
 
-class HamiltonianSet(Record):
-    """Level energies of the memory (2), reservoir (4) and composite (8): each
-    Hamiltonian is diagonal, and total[4m + k] = memory[m] + reservoir[k]."""
-
-    __slots__ = ("memory", "reservoir", "total")
-
-    def __init__(
-        self, memory: tuple[float, ...], reservoir: tuple[float, ...], total: tuple[float, ...]
-    ):
-        _set_field(self, "memory", memory)
-        _set_field(self, "reservoir", reservoir)
-        _set_field(self, "total", total)
+# Every Hamiltonian is diagonal, ground level at 0: its level energies are delta
+# times the excitations m (memory), e (reservoir) of basis index 4m + 2e + a.
+_MEMORY_LEVELS, _RESERVOIR_LEVELS, _ = zip(*map(_bits, range(8)))
+_COMPOSITE_LEVELS = tuple(m + e for m, e in zip(_MEMORY_LEVELS, _RESERVOIR_LEVELS))
 
 
-def build_hamiltonians(spec: ThermalSpec) -> HamiltonianSet:
-    """Level energies at gap d = spec.delta, ground levels at 0: memory
-    (0, d), reservoir (0, 0, d, d), and their sums for the composite."""
+def _energies(levels: Sequence[int], spec: ThermalSpec) -> list[float]:
+    """Level energies at gap spec.delta for the excitation counts `levels`."""
     d = float(spec.delta)
-    memory = (0.0, d)
-    reservoir = (0.0, 0.0, d, d)
-    total = tuple(m + r for m in memory for r in reservoir)
-    return HamiltonianSet(memory=memory, reservoir=reservoir, total=total)
+    return [d * n for n in levels]
 
 
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
@@ -93,15 +81,16 @@ def photon_energy(b: BlochVector, spec: ThermalSpec) -> float:
     return spec.delta * (1.0 - b.r_z) * p_e
 
 
-def commutator_norm(perm: Sequence[int], hamiltonians: HamiltonianSet) -> float:
+def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     """Frobenius norm of [U, H_total] for the permutation U with column -> row
-    map `perm`; nonzero gap means U cannot conserve energy on its own, which
-    is why the emitted photon appears.
+    map `perm` and the composite Hamiltonian at gap spec.delta; nonzero gap
+    means U cannot conserve energy on its own, which is why the emitted
+    photon appears.
 
     Column c of [U, H] holds E_c - E_perm[c] in row perm[c] and zeros
     elsewhere; the squares are added in row order.
     """
-    energies = hamiltonians.total
+    energies = _energies(_COMPOSITE_LEVELS, spec)
     _check_permutation(perm, len(energies))
     total = 0.0
     for col in sorted(range(len(perm)), key=perm.__getitem__):
@@ -184,8 +173,6 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
     diagonal, so no marginal is formed for it.
     """
-    hams = build_hamiltonians(spec)
-
     rho_memory = qubit_from_bloch(b)
     rho_initial = kron(rho_memory, _reservoir_initial(spec))  # = composite_initial(b, spec)
     rho_final = apply_channel(rho_initial)  # validates rho_initial
@@ -202,15 +189,16 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     change = [after - before for before, after in zip(pops_i, pops_f)]
 
     q_m = heat_memory(b, spec)
-    q_m_trace = _level_sum(change, [hams.memory[i >> 2] for i in range(8)])
+    q_m_trace = _level_sum(change, _energies(_MEMORY_LEVELS, spec))
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec)
-    q_r_trace = _level_sum(change, [hams.reservoir[i & 3] for i in range(8)])
+    q_r_trace = _level_sum(change, _energies(_RESERVOIR_LEVELS, spec))
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
-    u_i = _level_sum(pops_i, hams.total)
-    u_f = _level_sum(pops_f, hams.total)
+    energies = _energies(_COMPOSITE_LEVELS, spec)
+    u_i = _level_sum(pops_i, energies)
+    u_f = _level_sum(pops_f, energies)
     radiated = photon_energy(b, spec)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 

@@ -1,15 +1,15 @@
 """Self-checks wiring the closed forms against the propagated states.
 
 Each check returns a CheckResult instead of raising, so the CLI can print
-the whole battery even when something breaks. The checks take their inputs
-as parameters where that helps testing (a deliberately corrupted unitary
-should fail the permutation check, for instance).
+the whole battery even when something breaks. Every operator is checked as
+its column -> row tuple, and the permutation check reads the map that
+`apply_channel` applies, so a channel that moves an unpopulated column fails.
 """
 
 import math
 import random
 
-from .linalg import UNITARITY_TOL, ComplexMatrix, is_unitary, permutation_matrix
+from .linalg import diagonal
 from .record import Record, _set_field
 from .states import (
     BlochVector,
@@ -28,7 +28,6 @@ from .channel import (
 )
 from .thermo import (
     analyze,
-    build_hamiltonians,
     commutator_norm,
     entropy_decrease,
     heat_memory,
@@ -73,27 +72,24 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, status="pass" if ok else "fail", detail=detail)
 
 
-def check_unitarity(matrix: ComplexMatrix) -> CheckResult:
-    ok = is_unitary(matrix)
+def check_unitarity(perm: tuple[int, ...]) -> CheckResult:
+    """A basis permutation has U†U = 1, exactly, when it is a bijection of 0..7."""
+    ok = sorted(perm) == list(range(8))
     return _result(
-        "unitarity", ok, f"U†U = 1 within {UNITARITY_TOL:.0e}" if ok else "U†U != 1"
+        "unitarity", ok,
+        "U†U = 1 within 1e-12" if ok else f"U†U != 1: {tuple(perm)} is no bijection of 0..7",
     )
 
 
-def check_permutation_identity(matrix: ComplexMatrix) -> CheckResult:
-    expected = ERASURE_PERMUTATION
-    for col in range(8):
-        for row in range(8):
-            want = 1.0 if row == expected[col] else 0.0
-            if matrix[row, col] != want:
-                return _result(
-                    "permutation_identity",
-                    False,
-                    f"entry ({row},{col}) is {matrix[row, col]!r}, expected {want}",
-                )
-    return _result(
-        "permutation_identity", True, f"columns map by {expected}"
-    )
+def check_permutation_identity() -> CheckResult:
+    """Read the map that `apply_channel` applies: column c of the channel is
+    the image of |c><c|, which must be exactly |p><p| for p =
+    ERASURE_PERMUTATION[c]."""
+    projectors = [diagonal([float(i == k) for i in range(8)]) for k in range(8)]
+    for col, row in enumerate(ERASURE_PERMUTATION):
+        if apply_channel(projectors[col]) != projectors[row]:
+            return _result("permutation_identity", False, f"column {col} does not map to row {row}")
+    return _result("permutation_identity", True, f"columns map by {ERASURE_PERMUTATION}")
 
 
 def check_circuit_synthesis() -> CheckResult:
@@ -238,8 +234,7 @@ def check_commutator(delta: float) -> CheckResult:
             status="skip",
             detail="degenerate levels (delta = 0): U commutes with H",
         )
-    hams = build_hamiltonians(ThermalSpec(beta=0.0, delta=delta))
-    norm = commutator_norm(ERASURE_PERMUTATION, hams)
+    norm = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=0.0, delta=delta))
     expected = math.sqrt(8.0) * delta
     ok = norm > 0.0 and abs(norm - expected) <= 1e-12 * expected
     return _result(
@@ -292,11 +287,10 @@ def run_verification(
     """Full battery. `draws` scales the sampling checks; the eigensolver-heavy
     ones run a fixed small count so the battery stays fast."""
     rng = random.Random(seed)
-    u = permutation_matrix(ERASURE_PERMUTATION)
     small = max(5, draws // 40)
     return [
-        check_unitarity(u),
-        check_permutation_identity(u),
+        check_unitarity(ERASURE_PERMUTATION),
+        check_permutation_identity(),
         check_circuit_synthesis(),
         check_closed_form(draws, rng),
         check_memory_reset(draws, rng),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_matrix_close, numpy_permutation, random_bloch, to_numpy
-from qerase.linalg import diagonal, permutation_matrix, trace
+from qerase.linalg import diagonal, trace
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import (
     ANCILLA,
@@ -34,13 +34,14 @@ class TestErasureUnitary:
         assert ERASURE_PERMUTATION == (0, 5, 3, 6, 2, 7, 1, 4)
 
     def test_every_entry(self):
-        # the dense export route against the independent numpy matrix
-        u = permutation_matrix(ERASURE_PERMUTATION)
-        np.testing.assert_array_equal(to_numpy(u), numpy_permutation(ERASURE_PERMUTATION))
+        # the channel's image of each basis projector against the independent
+        # numpy matrix, which has a single 1 in each column
+        u = numpy_permutation(ERASURE_PERMUTATION)
         for col in range(8):
-            for row in range(8):
-                want = 1.0 if row == ERASURE_PERMUTATION[col] else 0.0
-                assert u[row, col] == want
+            assert [row for row in range(8) if u[row, col] == 1.0] == [ERASURE_PERMUTATION[col]]
+            projector = np.diag(np.eye(8)[col])
+            got = apply_channel(diagonal(np.eye(8)[col].tolist()))
+            np.testing.assert_array_equal(to_numpy(got), u @ projector @ u.T)
 
     def test_bit_action(self):
         # (m, e, a) -> (a, m xor e, e xor a), read off the channel itself
@@ -134,7 +135,6 @@ class TestCnotSynthesis:
         for gate in build_circuit():
             product = numpy_permutation(gate.permutation) @ product
         np.testing.assert_array_equal(product, numpy_permutation(ERASURE_PERMUTATION))
-        np.testing.assert_array_equal(product, to_numpy(permutation_matrix(ERASURE_PERMUTATION)))
         np.testing.assert_array_equal(
             product, numpy_permutation(circuit_permutation(build_circuit()))
         )

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qerase.linalg
-from conftest import assert_matrix_close, random_bloch, random_density, random_hermitian, to_numpy
+from conftest import (
+    assert_matrix_close,
+    numpy_permutation,
+    random_bloch,
+    random_density,
+    random_hermitian,
+    to_numpy,
+)
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
@@ -20,10 +27,8 @@ from qerase.linalg import (
     density_matrix,
     diagonal,
     hermitian_eigenvalues,
-    is_unitary,
     kron,
     partial_trace,
-    permutation_matrix,
     permute,
     trace,
 )
@@ -290,16 +295,6 @@ class TestConstructors:
     def test_diagonal(self):
         assert diagonal([1, 2j]).rows == ((1, 0), (0, 2j))
 
-    def test_permutation_matrix_column_to_row(self):
-        p = permutation_matrix([1, 2, 0])
-        # column 0 carries its 1 in row 1
-        assert p[1, 0] == 1 and p[2, 1] == 1 and p[0, 2] == 1
-        assert trace(p) == 0
-
-    def test_permutation_matrix_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            permutation_matrix([0, 0, 2])
-
 
 class TestPermutations:
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -309,7 +304,7 @@ class TestPermutations:
             rho = random_density(rng, dim)
             perm = list(range(dim))
             rng.shuffle(perm)
-            p = to_numpy(permutation_matrix(perm))
+            p = numpy_permutation(perm)
             assert_matrix_close(permute(rho, perm), p @ to_numpy(rho) @ p.T, atol=0)
 
     def test_permute_rejects_non_permutation(self):
@@ -356,8 +351,8 @@ class TestPermutations:
                 perms.append(perm)
             want = np.eye(8)
             for perm in perms:
-                want = to_numpy(permutation_matrix(perm)) @ want
-            got = to_numpy(permutation_matrix(compose_permutations(*perms)))
+                want = numpy_permutation(perm) @ want
+            got = numpy_permutation(compose_permutations(*perms))
             np.testing.assert_array_equal(got, want)
 
 
@@ -838,27 +833,3 @@ class TestDensityValidation:
             for check in (density_matrix, von_neumann_entropy):
                 with pytest.raises(ValueError, match=message):
                     check(rows)
-
-
-class TestUnitary:
-    def test_identity_is_unitary(self):
-        assert is_unitary(diagonal([1.0] * 5))
-
-    def test_scaled_identity_is_not(self):
-        assert not is_unitary(diagonal([0.5] * 5))
-
-    def test_agrees_with_numpy_on_scaled_complex_unitaries(self):
-        # QR of a complex Gaussian gives a dense unitary Q; sQ has defect
-        # ||(sQ)^dagger sQ - I||_F near sqrt(n) |s^2 - 1|, well inside 1e-12
-        # for s <= 1 + 1e-13 and well outside it for s >= 1 + 1e-12
-        rng = np.random.default_rng(7)
-        decided = {True: 0, False: 0}
-        for n in (1, 2, 4, 8):
-            for _ in range(30):
-                q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-                for s in (1.0, 1.0 + 1e-14, 1.0 + 1e-13, 1.0 + 1e-12, 1.0 + 1e-11, 0.9):
-                    u = s * q
-                    want = bool(np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12)
-                    assert is_unitary(ComplexMatrix(u.tolist())) == want
-                    decided[want] += 1
-        assert decided == {True: 360, False: 360}

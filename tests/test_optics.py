@@ -14,6 +14,7 @@ from qerase.optics import (
     MODE_LABELS,
     PBS,
     PHYSICAL_INPUT_INDICES,
+    EncodingEquivalence,
     PathDistribution,
     channel_to_optical_index,
     default_erasure_circuit,
@@ -223,10 +224,18 @@ class TestEncodingEquivalence:
 
     def test_encodings_agree(self):
         outcome = verify_encoding_equivalence()
-        assert outcome.equivalent
+        assert outcome.equivalent is True
         assert bool(outcome)
         assert outcome.mismatches == ()
         assert DEFAULT_CIRCUIT_PERMUTATION == COMPOSED_PERMUTATION
+
+    def test_equivalence_is_derived_from_the_mismatches(self):
+        # one fact held once: a record that lists a mismatch cannot claim equivalence
+        broken = EncodingEquivalence(mismatches=("input |H,1>: wrong",))
+        assert broken.equivalent is False and not broken
+        assert EncodingEquivalence(mismatches=()).equivalent is True
+        with pytest.raises(TypeError):
+            EncodingEquivalence(equivalent=True, mismatches=("input |H,1>: wrong",))
 
     def test_optical_state_mirrors_reservoir_state(self):
         # path populations (1, 2, 3, 4) correspond to reservoir levels

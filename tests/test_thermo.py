@@ -32,9 +32,12 @@ from qerase.states import (
 )
 from qerase.channel import ERASURE_PERMUTATION, apply_channel, memory_marginal, reservoir_marginal
 from qerase.thermo import (
+    _COMPOSITE_LEVELS,
+    _MEMORY_LEVELS,
+    _RESERVOIR_LEVELS,
     ErasureReport,
+    _energies,
     analyze,
-    build_hamiltonians,
     commutator_norm,
     entropy_decrease,
     heat_memory,
@@ -58,19 +61,30 @@ COMMUTATOR_NORM = 2.8284271247461903  # 2 sqrt(2)
 radii = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def numpy_hamiltonians(delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Memory, reservoir (index 2e + a) and composite Hamiltonians at gap
+    delta, ground levels at 0, built in numpy."""
+    h_m = np.diag([0.0, delta])
+    h_r = np.diag([0.0, 0.0, delta, delta])
+    return h_m, h_r, np.kron(h_m, np.eye(4)) + np.kron(np.eye(2), h_r)
+
+
 class TestHamiltonians:
+    """Each Hamiltonian is diagonal: its level energies on the composite
+    basis index 4m + 2e + a."""
+
     def test_default_spectrum(self):
-        hams = build_hamiltonians(ThermalSpec(beta=1.0))
-        assert hams.memory == (0, 1)
-        assert hams.reservoir == (0, 0, 1, 1)
-        assert hams.total == (0, 0, 1, 1, 1, 1, 2, 2)
+        spec = ThermalSpec(beta=1.0)
+        assert _energies(_MEMORY_LEVELS, spec) == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert _energies(_RESERVOIR_LEVELS, spec) == [0, 0, 1, 1, 0, 0, 1, 1]
+        assert _energies(_COMPOSITE_LEVELS, spec) == [0, 0, 1, 1, 1, 1, 2, 2]
 
     def test_total_is_sum_of_local_terms(self):
-        hams = build_hamiltonians(ThermalSpec(beta=1.0, delta=0.7))
-        want = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
-            np.eye(2), np.diag(hams.reservoir)
-        )
-        assert np.array_equal(np.diag(hams.total), want)
+        spec = ThermalSpec(beta=1.0, delta=0.7)
+        total = _energies(_COMPOSITE_LEVELS, spec)
+        local = zip(_energies(_MEMORY_LEVELS, spec), _energies(_RESERVOIR_LEVELS, spec))
+        assert total == [m + r for m, r in local]
+        assert np.array_equal(np.diag(total), numpy_hamiltonians(0.7)[2])
 
 
 class TestVonNeumannEntropy:
@@ -336,9 +350,7 @@ class TestHeats:
 
     def test_heats_against_trace_route(self):
         rng = random.Random(53)
-        hams = build_hamiltonians(ThermalSpec(beta=1.0))
-        h_m = np.diag(hams.memory)
-        h_r = np.diag(hams.reservoir)
+        h_m, h_r, _ = numpy_hamiltonians(1.0)
         for beta in (0.0, 0.7, 5.0, math.inf):
             spec = ThermalSpec.from_beta(beta)
             b = random_bloch(rng)
@@ -378,42 +390,34 @@ class TestInternalEnergy:
                                                 delta=delta, k_B=k_B)
             b = random_bloch(rng)
             report = analyze(b, spec)
-            hams = build_hamiltonians(spec)
-            h = np.kron(np.diag(hams.memory), np.eye(4)) + np.kron(
-                np.eye(2), np.diag(hams.reservoir)
-            )
+            h = numpy_hamiltonians(delta)[2]
             rho = composite_initial(b, spec)
             rho_i, rho_f = to_numpy(rho), to_numpy(apply_channel(rho))
-            bound = 1e-12 * max(map(abs, hams.total))
+            bound = 1e-12 * np.abs(h).max()
             assert abs(report.u_initial - np.trace(rho_i @ h).real) <= bound
             assert abs(report.u_final - np.trace(rho_f @ h).real) <= bound
 
 
 class TestCommutator:
     def test_frozen_norm(self):
-        norm = commutator_norm(ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0)))
+        norm = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=1.0))
         assert norm == COMMUTATOR_NORM
 
     def test_scales_linearly_with_gap(self):
-        norm = commutator_norm(
-            ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0, delta=2.0))
-        )
+        norm = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=1.0, delta=2.0))
         assert norm == pytest.approx(2.0 * COMMUTATOR_NORM, rel=1e-15)
 
     def test_against_numpy(self):
         u = numpy_permutation(ERASURE_PERMUTATION)
-        h = np.diag(build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6)).total)
+        h = numpy_hamiltonians(0.6)[2]
         want = np.linalg.norm(u @ h - h @ u)
-        got = commutator_norm(
-            ERASURE_PERMUTATION, build_hamiltonians(ThermalSpec(beta=1.0, delta=0.6))
-        )
+        got = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=1.0, delta=0.6))
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_vanishes_for_commuting_observable(self):
         # total excitation-count-like diagonal that the permutation preserves
         # is not available here; the identity works as the trivial case
-        hams = build_hamiltonians(ThermalSpec(beta=1.0))
-        assert commutator_norm(tuple(range(8)), hams) == 0.0
+        assert commutator_norm(tuple(range(8)), ThermalSpec(beta=1.0)) == 0.0
 
     # `levels`: the spec whose gap sets the level energies
     @pytest.mark.parametrize("levels", [
@@ -423,22 +427,21 @@ class TestCommutator:
     ])
     def test_random_permutations_against_numpy(self, levels):
         rng = random.Random(56)
-        hams = build_hamiltonians(levels)
-        h = np.diag(hams.total)
+        h = numpy_hamiltonians(levels.delta)[2]
         for _ in range(50):
             perm = list(range(8))
             rng.shuffle(perm)
             p = np.zeros((8, 8))
             p[perm, range(8)] = 1.0
             want = np.linalg.norm(p @ h - h @ p)
-            assert commutator_norm(tuple(perm), hams) == pytest.approx(
+            assert commutator_norm(tuple(perm), levels) == pytest.approx(
                 want, rel=1e-14, abs=1e-14 * levels.delta
             )
 
     @pytest.mark.parametrize("perm", [(0, 5, 3, 6, 2, 7, 1), (0, 5, 3, 6, 2, 7, 1, 1)])
     def test_rejects_a_non_permutation(self, perm):
         with pytest.raises(ValueError, match="not a permutation of 0..7"):
-            commutator_norm(perm, build_hamiltonians(ThermalSpec(beta=1.0)))
+            commutator_norm(perm, ThermalSpec(beta=1.0))
 
 
 class TestLimitTemperature:

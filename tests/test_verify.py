@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+import qerase.channel
 import qerase.verify
 from conftest import numpy_permutation, to_numpy
-from qerase.linalg import ComplexMatrix, permutation_matrix
+from qerase.cli import main
+from qerase.linalg import ComplexMatrix
 from qerase.thermo import ErasureReport
 from qerase.channel import ERASURE_PERMUTATION, build_circuit, circuit_permutation
 from qerase.verify import (
@@ -33,32 +36,69 @@ def _photon_shifted(report: ErasureReport) -> ErasureReport:
     return ErasureReport(**fields)
 
 
-def _swap_columns(matrix: ComplexMatrix, a: int, b: int) -> ComplexMatrix:
-    rows = [list(row) for row in matrix.rows]
-    for row in rows:
-        row[a], row[b] = row[b], row[a]
-    return ComplexMatrix(rows)
+def _swap_columns(perm: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    swapped = list(perm)
+    swapped[a], swapped[b] = perm[b], perm[a]
+    return tuple(swapped)
+
+
+L1_COLUMNS = (1, 3, 5, 7)  # the inputs with the ancilla in l1, which preselection leaves empty
+
+
+def _l1_rearrangements() -> list[tuple[int, ...]]:
+    """The 23 wrong channel maps that keep the image of every l0 column and
+    only rearrange the images of the l1 columns: no check on states sees them."""
+    images = tuple(ERASURE_PERMUTATION[c] for c in L1_COLUMNS)
+    wrong = []
+    for shuffled in itertools.permutations(images):
+        if shuffled != images:
+            perm = list(ERASURE_PERMUTATION)
+            for col, row in zip(L1_COLUMNS, shuffled):
+                perm[col] = row
+            wrong.append(tuple(perm))
+    return wrong
 
 
 class TestIndividualChecks:
     def test_unitarity_passes_on_real_unitary(self):
-        assert check_unitarity(permutation_matrix(ERASURE_PERMUTATION)).status == "pass"
+        result = check_unitarity(ERASURE_PERMUTATION)
+        assert result.status == "pass"
+        assert result.detail == "U†U = 1 within 1e-12"
 
-    def test_unitarity_fails_on_scaled_matrix(self):
-        broken = ComplexMatrix((0.9 * numpy_permutation(ERASURE_PERMUTATION)).tolist())
-        assert check_unitarity(broken).status == "fail"
+    def test_unitarity_fails_on_a_non_bijection(self):
+        # column 1 lands on row 0 as column 0 does, so row 5 is never reached
+        assert check_unitarity((0, 0, 3, 6, 2, 7, 1, 4)).status == "fail"
+        assert check_unitarity(ERASURE_PERMUTATION[:7]).status == "fail"
 
     def test_permutation_identity_passes(self):
-        result = check_permutation_identity(permutation_matrix(ERASURE_PERMUTATION))
+        result = check_permutation_identity()
         assert result.status == "pass"
+        assert result.detail == "columns map by (0, 5, 3, 6, 2, 7, 1, 4)"
 
-    def test_permutation_identity_catches_swapped_columns(self):
+    def test_permutation_identity_catches_swapped_columns(self, monkeypatch):
         # still unitary, but no longer the erasure map
-        mutated = _swap_columns(permutation_matrix(ERASURE_PERMUTATION), 1, 2)
+        mutated = _swap_columns(ERASURE_PERMUTATION, 1, 2)
         assert check_unitarity(mutated).status == "pass"
-        result = check_permutation_identity(mutated)
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", mutated)
+        result = check_permutation_identity()
         assert result.status == "fail"
-        assert "entry" in result.detail
+        assert "column 1" in result.detail
+
+    def test_permutation_identity_reads_the_applied_map(self, monkeypatch):
+        # the check reads the channel through `apply_channel`, one basis
+        # projector |c><c| per column, in column order
+        inputs = []
+        apply = qerase.verify.apply_channel
+
+        def recorded(rho):
+            inputs.append(to_numpy(rho))
+            return apply(rho)
+
+        monkeypatch.setattr(qerase.verify, "apply_channel", recorded)
+        assert check_permutation_identity().status == "pass"
+        assert len(inputs) == 8
+        for col, rho in enumerate(inputs):
+            np.testing.assert_array_equal(rho, np.diag(np.eye(8)[col]))
 
     def test_circuit_synthesis_passes(self):
         result = check_circuit_synthesis()
@@ -149,6 +189,25 @@ class TestSampledCheckFailures:
         assert result.name == check.__name__.removeprefix("check_")
         assert result.status == "fail"
         assert result.detail == detail
+
+
+class TestWrongChannelMaps:
+    def test_there_are_23_l1_rearrangements(self):
+        wrong = _l1_rearrangements()
+        assert len(set(wrong)) == 23 and ERASURE_PERMUTATION not in wrong
+        assert all(sorted(perm) == list(range(8)) for perm in wrong)
+
+    @pytest.mark.parametrize("wrong", _l1_rearrangements(), ids=str)
+    def test_battery_fails_every_l1_rearrangement(self, monkeypatch, capsys, wrong):
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", wrong)
+        results = run_verification(draws=40)
+        # the states the checks draw never populate an l1 column, so only the
+        # check that reads the applied map sees the fault
+        assert [r.name for r in results if not r.passed] == ["permutation_identity"]
+        first = next(c for c in range(8) if wrong[c] != ERASURE_PERMUTATION[c])
+        assert f"column {first} " in results[1].detail
+        assert main(["verify", "--draws", "40"]) == 1
+        assert "permutation_identity" in capsys.readouterr().out
 
 
 class TestBattery:
