@@ -20,7 +20,6 @@ from .linalg import (
 from .states import (
     BlochVector,
     ThermalSpec,
-    bloch_from_qubit,
     composite_initial,
     gibbs_four_level,
     preselect_l0,
@@ -29,7 +28,6 @@ from .states import (
 )
 from .channel import (
     ANCILLA,
-    BASIS_LABELS,
     ENERGY,
     ERASURE_PERMUTATION,
     MEMORY,

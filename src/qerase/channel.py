@@ -21,13 +21,6 @@ from .states import BlochVector, ThermalSpec, thermal_probs
 MEMORY, ENERGY, ANCILLA = 0, 1, 2
 SUBSYSTEM_DIMS = (2, 2, 2)
 
-BASIS_LABELS = tuple(
-    f"|{'ge'[m]}_M; {'ge'[e]}_R, l{a}>"
-    for m in range(2)
-    for e in range(2)
-    for a in range(2)
-)
-
 
 def _bits(index: int) -> tuple[int, int, int]:
     return ((index >> 2) & 1, (index >> 1) & 1, index & 1)

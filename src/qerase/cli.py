@@ -231,24 +231,19 @@ def cmd_convert_units(args: argparse.Namespace) -> dict:
     delta = args.delta_si
     if delta <= 0.0 or not math.isfinite(delta):
         raise ValueError(f"--delta-si must be positive, got {delta!r}")
-    given = args.natural if args.kelvin is None else args.kelvin
-    if not given >= 0.0:
-        raise ValueError(f"temperature must be >= 0, got {given!r}")
     scale = delta / K_B_SI  # kelvin per natural unit
     if args.kelvin is not None:
-        kelvin, natural = given, given / scale
+        kelvin, natural = args.kelvin, args.kelvin / scale
     else:
-        kelvin, natural = given * scale, given
-    beta_delta = math.inf if kelvin == 0.0 else (
-        0.0 if math.isinf(kelvin) else scale / kelvin
-    )
+        kelvin, natural = args.natural * scale, args.natural
+    spec = ThermalSpec.from_temperature(kelvin, delta, K_B_SI)  # as `erase --delta-si` builds it
     return {
         "delta_si": delta,
         "k_B": K_B_SI,
         "kelvin_per_natural": scale,
         "kelvin": kelvin,
         "natural": natural,
-        "beta_delta": beta_delta,
+        "beta_delta": spec.beta * spec.delta,
     }
 
 

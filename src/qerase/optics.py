@@ -98,8 +98,8 @@ class PathDistribution(Record):
             )
 
     @classmethod
-    def from_beta(cls, beta: float, delta: float = 1.0) -> "PathDistribution":
-        p_g, p_e = thermal_probs(ThermalSpec(beta=beta, delta=delta))
+    def from_beta(cls, beta: float) -> "PathDistribution":
+        p_g, p_e = thermal_probs(ThermalSpec(beta=beta))
         return cls(p_1=p_g, p_2=p_e)
 
 

@@ -44,6 +44,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if math.isnan(value) or value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 class ThermalSpec(Record):
     """Inverse temperature beta, the gap delta that memory and reservoir
     share, and Boltzmann's constant k_B.
@@ -57,8 +62,7 @@ class ThermalSpec(Record):
         _set_field(self, "beta", beta)
         _set_field(self, "delta", delta)
         _set_field(self, "k_B", k_B)
-        if math.isnan(self.beta) or self.beta < 0.0:
-            raise ValueError(f"inverse temperature must be >= 0, got {self.beta!r}")
+        _check_nonnegative("inverse temperature", self.beta)
         _check_positive("delta", self.delta)
         _check_positive("k_B", self.k_B)
 
@@ -70,8 +74,7 @@ class ThermalSpec(Record):
     def from_temperature(
         cls, temperature: float, delta: float = 1.0, k_B: float = 1.0
     ) -> "ThermalSpec":
-        if math.isnan(temperature) or temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {temperature!r}")
+        _check_nonnegative("temperature", temperature)
         _check_positive("k_B", k_B)
         return cls(beta=_reciprocal(k_B * temperature), delta=delta, k_B=k_B)
 
@@ -87,9 +90,7 @@ def _reciprocal(x: float) -> float:
 
 
 def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:
-    """Gibbs weights (p_g, p_e) of the energy qubit at spec.beta."""
-    if math.isinf(spec.beta):
-        return (1.0, 0.0)
+    """Gibbs weights (p_g, p_e) of the energy qubit at spec.beta; (1, 0) at beta = inf."""
     w = math.exp(-spec.beta * spec.delta)
     p_g = 1.0 / (1.0 + w)
     return (p_g, w * p_g)
@@ -100,17 +101,6 @@ def qubit_from_bloch(b: BlochVector) -> ComplexMatrix:
     off = (b.r_x - 1j * b.r_y) / 2.0
     return ComplexMatrix._from_flat(
         (complex((1.0 + b.r_z) / 2.0), off, off.conjugate(), complex((1.0 - b.r_z) / 2.0)), 2
-    )
-
-
-def bloch_from_qubit(rho: ComplexMatrix) -> BlochVector:
-    rho = density_matrix(rho)
-    if rho.dim != 2:
-        raise ValueError(f"expected a qubit state, got dimension {rho.dim}")
-    return BlochVector(
-        r_x=2.0 * rho[0, 1].real,
-        r_y=-2.0 * rho[0, 1].imag,
-        r_z=(rho[0, 0] - rho[1, 1]).real,
     )
 
 

@@ -15,6 +15,7 @@ from .record import Record, _set_field
 from .states import (
     BlochVector,
     ThermalSpec,
+    _check_nonnegative,
     _check_positive,
     _reservoir_initial,
     qubit_from_bloch,
@@ -124,10 +125,8 @@ def landauer_check(
     dissipated than the bound demands, i.e. the bound is violated.
     """
     _check_positive("k_B", k_B)
-    if math.isnan(temperature) or temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature!r}")
-    if math.isnan(delta_s) or delta_s < 0.0:
-        raise ValueError(f"entropy decrease must be >= 0, got {delta_s!r}")
+    _check_nonnegative("temperature", temperature)
+    _check_nonnegative("entropy decrease", delta_s)
     rhs = 0.0 if delta_s == 0.0 else k_B * temperature * delta_s
     margin = q_memory + rhs
     return LandauerVerdict(violated=margin > 0.0, margin=margin)

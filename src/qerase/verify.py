@@ -107,11 +107,16 @@ def check_circuit_synthesis() -> CheckResult:
 def _sampled(name, draws, rng, deviation, tol, fail_fmt, pass_fmt) -> CheckResult:
     """Draw `draws` Bloch vectors, the k-th at beta = BETA_GRID[k % 5], and
     fail at the first whose `deviation(b, spec)` exceeds `tol`. `fail_fmt`
-    gets `k` and that `gap`; `pass_fmt` gets `draws` and the `worst` gap."""
+    gets `k` and that `gap`; `pass_fmt` gets `draws` and the `worst` gap. A
+    draw whose deviation raises ArithmeticError, as `analyze` does when its
+    two routes disagree, fails with the error's message."""
     worst = 0.0
     for k in range(draws):
         b = random_bloch(rng)
-        gap = deviation(b, ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)]))
+        try:
+            gap = deviation(b, ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)]))
+        except ArithmeticError as exc:
+            return _result(name, False, f"draw {k}: {exc}")
         worst = max(worst, gap)
         if gap > tol:
             return _result(name, False, fail_fmt.format(k=k, gap=gap))
@@ -173,21 +178,18 @@ def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
 def check_memory_heat_temperature_independence(
     draws: int, rng: random.Random
 ) -> CheckResult:
+    """Each draw runs `analyze` at every beta of the grid: Q_M must not move,
+    and must equal its closed form."""
     specs = [ThermalSpec(beta=beta) for beta in BETA_GRID]
-    for k in range(draws):
-        b = random_bloch(rng)
+
+    def deviation(b, _):
         reports = [analyze(b, spec).q_memory for spec in specs]
-        spread = max(reports) - min(reports)
-        if spread > 1e-12 or abs(reports[0] - heat_memory(b, specs[0])) > 1e-12:
-            return _result(
-                "memory_heat_temperature_independence",
-                False,
-                f"draw {k}: Q_M spread {spread:.3e} across beta grid",
-            )
-    return _result(
-        "memory_heat_temperature_independence",
-        True,
-        f"{draws} draws x {len(BETA_GRID)} betas, Q_M spread <= 1e-12",
+        return max(max(reports) - min(reports), abs(reports[0] - heat_memory(b, specs[0])))
+
+    return _sampled(
+        "memory_heat_temperature_independence", draws, rng, deviation, 1e-12,
+        "draw {k}: Q_M spread {gap:.3e} across beta grid",
+        f"{{draws}} draws x {len(BETA_GRID)} betas, Q_M spread <= 1e-12",
     )
 
 

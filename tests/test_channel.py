@@ -9,7 +9,6 @@ from qerase.linalg import diagonal, trace
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import (
     ANCILLA,
-    BASIS_LABELS,
     ENERGY,
     ERASURE_PERMUTATION,
     MEMORY,
@@ -70,12 +69,6 @@ class TestErasureUnitary:
         np.testing.assert_array_equal(np.linalg.matrix_power(u, 7), np.eye(8))
         for k in range(1, 7):
             assert not np.array_equal(np.linalg.matrix_power(u, k), np.eye(8))
-
-    def test_basis_labels(self):
-        assert len(BASIS_LABELS) == 8
-        assert BASIS_LABELS[0] == "|g_M; g_R, l0>"
-        assert BASIS_LABELS[5] == "|e_M; g_R, l1>"
-        assert BASIS_LABELS[7] == "|e_M; e_R, l1>"
 
 
 class TestCnotSynthesis:

@@ -10,7 +10,7 @@ import pytest
 import qerase.thermo
 from qerase.states import BlochVector, ThermalSpec
 from qerase.thermo import analyze, limit_temperature
-from qerase.cli import SWEEP_COLUMNS, build_parser, main
+from qerase.cli import K_B_SI, SWEEP_COLUMNS, build_parser, cmd_convert_units, cmd_erase, main
 from qerase.verify import CheckResult
 
 
@@ -180,6 +180,17 @@ class TestEraseCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["erase", "--bloch", "0.9,0.9,0.9"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--beta", "abc"], "argument --beta: not a number: 'abc'"),
+        (["--bloch", "1,2"], "expected three comma-separated components, got '1,2'"),
+        (["--bloch", "a,b,c"], "non-numeric component in 'a,b,c'"),
+    ])
+    def test_malformed_argument_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["erase", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_beta_and_temperature_conflict(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -432,6 +443,25 @@ class TestConvertUnits:
         doc = json.loads(out)
         assert doc["beta_delta"] == "infinite"
         assert doc["natural"] == 0.0
+
+    def test_beta_delta_is_the_one_erase_runs_at(self):
+        # at this gap and temperature, (delta / k_B) / T and (1 / (k_B T)) delta
+        # differ in the last bit; both subcommands must take the second
+        parser = build_parser()
+        erase = cmd_erase(parser.parse_args(
+            ["erase", "--delta-si", "1.986e-22", "--temperature", "4.2"]
+        ))["inputs"]
+        convert = cmd_convert_units(parser.parse_args(
+            ["convert-units", "--delta-si", "1.986e-22", "--kelvin", "4.2"]
+        ))
+        assert convert["beta_delta"] == erase["beta"] * erase["delta"]
+
+    def test_negative_natural_temperature_is_reported_in_kelvin(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert-units", "--delta-si", "1.986e-22", "--natural", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert f"temperature must be >= 0, got {-1.986e-22 / K_B_SI!r}" in err
 
     def test_requires_exactly_one_direction(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

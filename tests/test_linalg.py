@@ -44,6 +44,8 @@ class TestComplexMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ComplexMatrix([])
+        with pytest.raises(ValueError, match="at least one row"):
+            diagonal([])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -67,6 +69,7 @@ class TestComplexMatrix:
         assert a == b
         assert hash(a) == hash(b)
         assert a != diagonal([0, 0])
+        assert (a == "x") is False
 
 
 class TestInternalConstructor:
@@ -550,6 +553,13 @@ class TestEigensolver:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(ComplexMatrix([[0, 1], [0, 0]]))
+
+    def test_jacobi_raises_when_out_of_sweeps(self, monkeypatch):
+        # a dense 3x3 block is the smallest that runs the Jacobi loop
+        monkeypatch.setattr(qerase.linalg, "JACOBI_MAX_SWEEPS", 0)
+        dense = ComplexMatrix([[2, 1, 1j], [1, 3, 0.5], [-1j, 0.5, 1]])
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            hermitian_eigenvalues(dense)
 
     def test_known_qubit_spectrum(self):
         # Bloch radius 0.5 along x: eigenvalues (1 -/+ 0.5)/2

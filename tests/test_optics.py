@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import qerase.optics
 from conftest import assert_matrix_close, numpy_permutation, random_bloch
 from qerase.linalg import trace
 from qerase.states import BlochVector, qubit_from_bloch
@@ -228,6 +229,15 @@ class TestEncodingEquivalence:
         assert bool(outcome)
         assert outcome.mismatches == ()
         assert DEFAULT_CIRCUIT_PERMUTATION == COMPOSED_PERMUTATION
+
+    def test_mismatch_names_the_input_and_both_images(self, monkeypatch):
+        # a circuit with no element leaves every mode in place
+        monkeypatch.setattr(qerase.optics, "DEFAULT_CIRCUIT_PERMUTATION", tuple(range(8)))
+        assert verify_encoding_equivalence().mismatches == (
+            "input |H,2>: circuit sends it to |H,2>, channel says |H,4>",
+            "input |V,1>: circuit sends it to |V,1>, channel says |H,2>",
+            "input |V,2>: circuit sends it to |V,2>, channel says |H,3>",
+        )
 
     def test_equivalence_is_derived_from_the_mismatches(self):
         # one fact held once: a record that lists a mismatch cannot claim equivalence

@@ -1,17 +1,29 @@
 """The README quick-start runs on the standard library alone and prints what
-its comments say."""
+its comments say, and each CLI example prints what the README shows."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qerase.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text("utf-8")
+
+# a `qerase ...` command alone in a sh block, then the JSON it prints
+JSON_EXAMPLES = re.findall(r"```sh\n(qerase [^\n]*)\n```\s*```json\n(.*?)```", README, re.S)
+# a `qerase ...` command with a `# <report field>: <value> K` comment
+COMMENTED = re.findall(r"^(qerase [^#\n]*?)\s+# (\w+): (\S+) K$", README, re.M)
 
 
 def quick_start() -> str:
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
     assert len(blocks) == 1, f"expected one python block in README.md, found {len(blocks)}"
     return blocks[0]
 
@@ -41,3 +53,29 @@ def test_quick_start_prints_what_its_comments_say():
     assert len(lines) == len(want), lines
     for line, prefix in zip(lines, want):
         assert line.startswith(prefix), (line, prefix)
+
+
+def run_example(command: str, capsys) -> dict:
+    argv = shlex.split(command)[1:]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_every_cli_example_is_found():
+    assert [shlex.split(cmd)[1] for cmd, _ in JSON_EXAMPLES] == ["erase", "convert-units"]
+    assert [key for _, key, _ in COMMENTED] == ["T_limit"]
+
+
+@pytest.mark.parametrize("command,shown", JSON_EXAMPLES, ids=[c for c, _ in JSON_EXAMPLES])
+def test_cli_example_prints_the_json_shown(command, shown, capsys):
+    got, want = run_example(command, capsys), json.loads(shown)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == value, key
+
+
+@pytest.mark.parametrize("command,key,value", COMMENTED, ids=[c for c, _, _ in COMMENTED])
+def test_cli_example_comment_states_the_reported_kelvin(command, key, value, capsys):
+    got = run_example(command, capsys)
+    assert got["units"] == "SI"
+    assert got["report"][key] == float(value)

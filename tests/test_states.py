@@ -12,7 +12,6 @@ from qerase.linalg import ComplexMatrix, diagonal, kron, trace
 from qerase.states import (
     BlochVector,
     ThermalSpec,
-    bloch_from_qubit,
     composite_initial,
     gibbs_four_level,
     preselect_l0,
@@ -144,22 +143,6 @@ class TestQubitFromBloch:
         assert rho[1, 1] == pytest.approx(0.3)
         assert rho[0, 1] == pytest.approx(0.3 + 0.1j)
         assert rho[1, 0] == pytest.approx(0.3 - 0.1j)
-
-    @settings(max_examples=100)
-    @given(bloch_vectors)
-    def test_round_trip(self, b):
-        back = bloch_from_qubit(qubit_from_bloch(b))
-        assert back.r_x == pytest.approx(b.r_x, abs=1e-13)
-        assert back.r_y == pytest.approx(b.r_y, abs=1e-13)
-        assert back.r_z == pytest.approx(b.r_z, abs=1e-13)
-
-    def test_bloch_from_qubit_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError, match="qubit"):
-            bloch_from_qubit(diagonal([0.25] * 4))
-
-    def test_bloch_from_qubit_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="trace"):
-            bloch_from_qubit(diagonal([1.0, 1.0]))
 
 
 class TestGibbsAndPreselection:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from qerase.verify import (
     check_energy_conservation,
     check_entropy_conservation,
     check_memory_entropy_drop,
+    check_memory_heat_temperature_independence,
     check_memory_reset,
     check_optics_transformations,
     check_permutation_identity,
+    check_reservoir_heat_sign,
     check_unitarity,
     run_verification,
 )
@@ -138,6 +142,40 @@ class TestIndividualChecks:
         assert check_encoding_equivalence().status == "pass"
 
 
+class TestCheckFailures:
+    """Each check names what it found wrong when what it reads is corrupted."""
+
+    def test_memory_reset_names_the_first_unreset_draw(self, monkeypatch):
+        monkeypatch.setattr(qerase.verify, "memory_ground_fidelity", lambda rho: 0.5)
+        result = check_memory_reset(draws=5, rng=random.Random(4))
+        assert (result.status, result.detail) == ("fail", "draw 0: fidelity 0.5")
+
+    def test_reservoir_heat_sign_catches_a_negative_heat(self, monkeypatch):
+        monkeypatch.setattr(qerase.verify, "heat_reservoir", lambda b, spec: -1e-3)
+        result = check_reservoir_heat_sign(draws=5, rng=random.Random(4))
+        assert result.status == "fail"
+        assert result.detail == "draw 0: Q_R = -0.001 negative at beta = 0.0"
+
+    def test_reservoir_heat_sign_checks_the_zero_temperature_balance(self, monkeypatch):
+        monkeypatch.setattr(qerase.verify, "heat_reservoir", lambda b, spec: 0.0)
+        result = check_reservoir_heat_sign(draws=5, rng=random.Random(4))
+        assert result.status == "fail"
+        assert result.detail == "at T = 0, Q_R = 0.0 but -Q_M = 0.5"
+
+    def test_commutator_fails_on_a_vanishing_norm(self, monkeypatch):
+        monkeypatch.setattr(qerase.verify, "commutator_norm", lambda perm, spec: 0.0)
+        result = check_commutator(1.0)
+        assert result.status == "fail"
+        assert result.detail == "|[U, H]|_F = 0.0 (2*sqrt(2)*delta = 2.8284271247461903)"
+
+    def test_optics_transformations_name_the_misrouted_input(self, monkeypatch):
+        # with no element in the circuit, |H,1> stays put but |H,2> does too
+        monkeypatch.setattr(qerase.verify, "DEFAULT_CIRCUIT_PERMUTATION", tuple(range(8)))
+        result = check_optics_transformations()
+        assert result.status == "fail"
+        assert result.detail == "input (pol=0, path=2) lands on mode 1, expected 3"
+
+
 def _first_call_shifted(fn):
     """`fn` with 1e-3 added to the result of its first call only: a shift
     on every call would cancel in S_f - S_i."""
@@ -179,9 +217,15 @@ class TestSampledCheckFailures:
                 lambda f: lambda b, spec: _photon_shifted(f(b, spec)),
                 "draw 0: U_i - U_f misses the photon energy by 1.000e-03",
             ),
+            (
+                check_memory_heat_temperature_independence,
+                "heat_memory",
+                lambda f: lambda b, spec: f(b, spec) + 1e-3,
+                "draw 0: Q_M spread 1.000e-03 across beta grid",
+            ),
         ],
         ids=["closed_form", "entropy_conservation", "memory_entropy_drop",
-             "energy_conservation"],
+             "energy_conservation", "memory_heat_temperature_independence"],
     )
     def test_first_failing_draw_is_reported(self, monkeypatch, check, attr, corrupt, detail):
         monkeypatch.setattr(qerase.verify, attr, corrupt(getattr(qerase.verify, attr)))
@@ -208,6 +252,23 @@ class TestWrongChannelMaps:
         assert f"column {first} " in results[1].detail
         assert main(["verify", "--draws", "40"]) == 1
         assert "permutation_identity" in capsys.readouterr().out
+
+
+    def test_battery_lists_every_check_when_analyze_raises(self, monkeypatch, capsys):
+        # this map breaks the reservoir heat, so `analyze` refuses to answer;
+        # the two checks that call it fail and name the draw and the refusal
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", (3, 5, 0, 6, 2, 7, 1, 4))
+        results = run_verification(draws=40)
+        assert len(results) == 13
+        refused = {r.name: r for r in results if "closed form" in r.detail}
+        assert sorted(refused) == ["energy_conservation", "memory_heat_temperature_independence"]
+        for result in refused.values():
+            assert result.status == "fail"
+            assert re.fullmatch(r"draw \d+: reservoir heat: closed form .* disagree", result.detail)
+        assert main(["verify", "--draws", "40"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert [c["name"] for c in doc["checks"]] == [r.name for r in results]
 
 
 class TestBattery:
