@@ -58,7 +58,6 @@ from .optics import (
     HWP,
     MODE_LABELS,
     PBS,
-    EncodingEquivalence,
     PathDistribution,
     default_erasure_circuit,
     mode_index,

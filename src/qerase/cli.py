@@ -123,6 +123,8 @@ def _thermal_spec(args: argparse.Namespace, delta: float, k_B: float) -> Thermal
 def cmd_erase(args: argparse.Namespace) -> dict:
     units = "SI" if (args.delta_si is not None or args.units == "SI") else "natural"
     if args.delta_si is not None:
+        if args.units == "natural":
+            raise ValueError("--delta-si is in joules; it cannot run with --units natural")
         if args.delta is not None:
             raise ValueError("give either --delta or --delta-si, not both")
         delta = args.delta_si
@@ -207,7 +209,7 @@ def cmd_optics(args: argparse.Namespace) -> dict:
         "path_labels": PATH_LABELS,
         "path_marginal": marginal,
         "closed_form_max_deviation": deviation,
-        "encoding_equivalent": verify_encoding_equivalence().equivalent,
+        "encoding_equivalent": not verify_encoding_equivalence(),
     }
 
 
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="level gap (default 1 in natural units)")
     p_erase.add_argument("--delta-si", type=float, default=None, metavar="JOULES",
                          help="level gap in joules; implies --units SI")
-    p_erase.add_argument("--units", choices=("natural", "SI"), default="natural")
+    p_erase.add_argument("--units", choices=("natural", "SI"), default=None)
     p_erase.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_erase.add_argument("--output", default=None, metavar="PATH")
     p_erase.set_defaults(handler=cmd_erase)

@@ -273,9 +273,9 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     rounding grows with the entries, so the input check scales as the sweeps
     do. A block of 3 or more runs cyclic Jacobi rotations with complex
     phases until its off-diagonal Frobenius norm drops below
-    1e-13 * max(1, ||block||_F); failure to converge in 60 sweeps raises
-    ArithmeticError. A solve that overflows the float range raises
-    OverflowError; entries near 1e308 can do so.
+    1e-13 * max(1, ||block||_F); failure to converge in JACOBI_MAX_SWEEPS
+    sweeps raises ArithmeticError. A solve that overflows the float range
+    raises OverflowError; entries near 1e308 can do so.
     """
     defect, blocks = _walk(m)
     if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
@@ -335,7 +335,7 @@ def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, .
                     apj, aqj = a[p][j], a[q][j]
                     a[p][j] = c * apj - s * phase * aqj
                     a[q][j] = s * apj + c * phase * aqj
-    raise ArithmeticError("Jacobi eigensolver did not converge in 60 sweeps")
+    raise ArithmeticError(f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def _density_spectrum(

@@ -36,6 +36,12 @@ def mode_index(pol: int, path: int) -> int:
     return 4 * pol + (path - 1)
 
 
+# abstract basis index 4m + 2e + a -> mode index: pol = m, path = 1 + e + 2a
+CHANNEL_TO_MODE = tuple(mode_index(m, 1 + e + 2 * a) for m, e, a in map(_bits, range(8)))
+# the l0-preselected sector: the photon enters on path 1 or 2
+PHYSICAL_INPUT_INDICES = tuple(i for i in range(8) if not _bits(i)[2])
+
+
 class PBS(Record):
     """Polarizing beam splitter joining two paths: V swaps, H passes."""
 
@@ -131,8 +137,8 @@ def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexM
     """Path marginal after the circuit: populations on paths 1 and 4 carry
     (1 +/- r_z)/2, coherences bridge paths 1-2 and 3-4. It is the channel's
     post-erasure reservoir with p_g = p_1, p_e = p_2, relabeled from index
-    2e + a to path - 1 = e + 2a."""
-    return permute(_branch_split(pol, dist.p_1, dist.p_2), (0, 2, 1, 3))
+    2e + a to path - 1 = e + 2a by the reservoir half of CHANNEL_TO_MODE."""
+    return permute(_branch_split(pol, dist.p_1, dist.p_2), CHANNEL_TO_MODE[:4])
 
 
 def polarization_marginal(rho: ComplexMatrix) -> ComplexMatrix:
@@ -143,41 +149,18 @@ def path_marginal(rho: ComplexMatrix) -> ComplexMatrix:
     return partial_trace(rho, (2, 4), keep={1})
 
 
-def channel_to_optical_index(i: int) -> int:
-    """Abstract basis index (m, e, a) -> mode index: pol = m, path = 1 + e + 2a."""
-    if not 0 <= i < 8:
-        raise ValueError(f"basis index must be in 0..7, got {i!r}")
-    m, e, a = _bits(i)
-    return mode_index(m, 1 + e + 2 * a)
-
-
-PHYSICAL_INPUT_INDICES = (0, 2, 4, 6)  # the l0-preselected sector
-
-
-class EncodingEquivalence(Record):
-    """Comparison of the optical circuit with the abstract channel on the
-    four physical inputs (photon entering on path 1 or 2): the encodings are
-    equivalent exactly when no input mismatches."""
-
-    __slots__ = ("mismatches",)
-
-    def __init__(self, mismatches: tuple[str, ...]):
-        _set_field(self, "mismatches", mismatches)
-
-    def __bool__(self) -> bool:
-        return not self.mismatches
-
-    equivalent = property(__bool__)
-
-
-def verify_encoding_equivalence() -> EncodingEquivalence:
+def verify_encoding_equivalence() -> tuple[str, ...]:
+    """Mismatches of the optical circuit against the abstract channel on the
+    four physical inputs (photon entering on path 1 or 2); the encodings are
+    equivalent exactly when there are none."""
     mismatches = []
     for i in PHYSICAL_INPUT_INDICES:
-        got = DEFAULT_CIRCUIT_PERMUTATION[channel_to_optical_index(i)]
-        want = channel_to_optical_index(ERASURE_PERMUTATION[i])
+        mode = CHANNEL_TO_MODE[i]
+        got = DEFAULT_CIRCUIT_PERMUTATION[mode]
+        want = CHANNEL_TO_MODE[ERASURE_PERMUTATION[i]]
         if got != want:
             mismatches.append(
-                f"input {MODE_LABELS[channel_to_optical_index(i)]}: circuit sends it to "
+                f"input {MODE_LABELS[mode]}: circuit sends it to "
                 f"{MODE_LABELS[got]}, channel says {MODE_LABELS[want]}"
             )
-    return EncodingEquivalence(mismatches=tuple(mismatches))
+    return tuple(mismatches)

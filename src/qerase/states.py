@@ -115,7 +115,10 @@ def gibbs_four_level(spec: ThermalSpec) -> ComplexMatrix:
 
 
 def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
-    """Project the reservoir onto the l0 ancilla sector and renormalize."""
+    """Project the reservoir onto the l0 ancilla sector and renormalize.
+
+    The result is validated too: an l0 weight within the eigenvalue floor
+    of zero can scale a negative population into a negative eigenvalue."""
     rho = density_matrix(rho)
     if rho.dim != 4:
         raise ValueError(f"expected an energy-ancilla state, got dimension {rho.dim}")
@@ -127,7 +130,7 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
     for i in keep:
         for j in keep:
             rows[i][j] = rho[i, j] / weight
-    return ComplexMatrix(rows)
+    return density_matrix(rows)
 
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

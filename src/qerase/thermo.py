@@ -33,12 +33,6 @@ _MEMORY_LEVELS, _RESERVOIR_LEVELS, _ = zip(*map(_bits, range(8)))
 _COMPOSITE_LEVELS = tuple(m + e for m, e in zip(_MEMORY_LEVELS, _RESERVOIR_LEVELS))
 
 
-def _energies(levels: Sequence[int], spec: ThermalSpec) -> list[float]:
-    """Level energies at gap spec.delta for the excitation counts `levels`."""
-    d = float(spec.delta)
-    return [d * n for n in levels]
-
-
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
     """-Tr[rho ln rho] in nats, summed over the ascending spectrum.
 
@@ -91,11 +85,11 @@ def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     Column c of [U, H] holds E_c - E_perm[c] in row perm[c] and zeros
     elsewhere; the squares are added in row order.
     """
-    energies = _energies(_COMPOSITE_LEVELS, spec)
-    _check_permutation(perm, len(energies))
+    levels, d = _COMPOSITE_LEVELS, float(spec.delta)
+    _check_permutation(perm, len(levels))
     total = 0.0
     for col in sorted(range(len(perm)), key=perm.__getitem__):
-        total += (energies[col] - energies[perm[col]]) ** 2
+        total += (d * levels[col] - d * levels[perm[col]]) ** 2
     return math.sqrt(total)
 
 
@@ -166,7 +160,8 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     propagated density matrices and the two routes must agree to 1e-10: in
     nats for the entropy, in units of the gap for the energies, and
     relative to T_limit above 1. Otherwise ArithmeticError flags the
-    internal inconsistency.
+    internal inconsistency, as it does for a negative entropy decrease,
+    which the route tolerance can miss near purity.
 
     The traced heats and energies are sums over the 8 composite populations;
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
@@ -188,16 +183,15 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     change = [after - before for before, after in zip(pops_i, pops_f)]
 
     q_m = heat_memory(b, spec)
-    q_m_trace = _level_sum(change, _energies(_MEMORY_LEVELS, spec))
+    q_m_trace = _level_sum(change, _MEMORY_LEVELS, spec.delta)
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec)
-    q_r_trace = _level_sum(change, _energies(_RESERVOIR_LEVELS, spec))
+    q_r_trace = _level_sum(change, _RESERVOIR_LEVELS, spec.delta)
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
-    energies = _energies(_COMPOSITE_LEVELS, spec)
-    u_i = _level_sum(pops_i, energies)
-    u_f = _level_sum(pops_f, energies)
+    u_i = _level_sum(pops_i, _COMPOSITE_LEVELS, spec.delta)
+    u_f = _level_sum(pops_f, _COMPOSITE_LEVELS, spec.delta)
     radiated = photon_energy(b, spec)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
@@ -208,6 +202,8 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
             ROUTE_TOL * max(1.0, abs(t_limit)),
         )
 
+    if delta_s < 0.0:  # a failed closed form, not a bad input for landauer_check
+        raise ArithmeticError(f"entropy decrease: closed form {delta_s!r} is negative")
     verdict = landauer_check(q_m, spec.temperature, delta_s, spec.k_B)
     return ErasureReport(
         delta_s=delta_s,
@@ -228,12 +224,14 @@ def _populations(rho: ComplexMatrix) -> list[float]:
     return [x.real for x in rho._flat[::rho._dim + 1]]
 
 
-def _level_sum(weights: Iterable[float], energies: Sequence[float]) -> float:
-    """Sum of w_i E_i added left to right, without the compensation that
-    `sum` applies to floats from Python 3.12 on."""
+def _level_sum(weights: Iterable[float], levels: Sequence[int], delta: float) -> float:
+    """Sum of w_i E_i over the level energies E_i = delta * n_i, added left
+    to right, without the compensation that `sum` applies to floats from
+    Python 3.12 on."""
+    d = float(delta)
     total = 0.0
-    for w, e in zip(weights, energies):
-        total += w * e
+    for w, n in zip(weights, levels):
+        total += w * (d * n)
     return total
 
 

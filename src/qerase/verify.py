@@ -271,15 +271,15 @@ def check_optics_transformations() -> CheckResult:
 
 
 def check_encoding_equivalence() -> CheckResult:
-    outcome = verify_encoding_equivalence()
-    if outcome:
+    mismatches = verify_encoding_equivalence()
+    if not mismatches:
         return _result(
             "encoding_equivalence",
             True,
             "optical circuit matches the channel on all four physical inputs",
         )
     return _result(
-        "encoding_equivalence", False, "; ".join(outcome.mismatches)
+        "encoding_equivalence", False, "; ".join(mismatches)
     )
 
 

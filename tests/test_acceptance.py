@@ -252,7 +252,7 @@ class TestCriterion9:
                 closed = to_numpy(path_final_closed_form(pol, dist))
                 assert float(np.abs(marginal - closed).max()) < 1e-12
 
-            assert verify_encoding_equivalence().equivalent is True
+            assert verify_encoding_equivalence() == ()
 
 
 class TestCriterion10:

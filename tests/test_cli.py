@@ -204,6 +204,18 @@ class TestEraseCommand:
         assert code == 2
         assert "either" in err
 
+    def test_natural_units_with_an_si_gap_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "erase", "--units", "natural", "--delta-si", "1.986e-22"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --delta-si is in joules; it cannot run with --units natural\n"
+
+    def test_si_units_with_an_si_gap_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "erase", "--units", "SI", "--delta-si", "1.986e-22")
+        assert code == 0
+        assert json.loads(out)["units"] == "SI"
+
     def test_negative_delta_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "erase", "--delta", "-1")
         assert code == 2
@@ -223,6 +235,16 @@ class TestEraseCommand:
         assert out == ""
         assert err.startswith("error: reservoir heat: closed form ")
         assert "Traceback" not in err
+
+    def test_negative_entropy_closed_form_exits_one(self, capsys, monkeypatch):
+        # near purity dS ~ 1.5e-11 is below the route tolerance, so only the
+        # sign check sees the flip; it is a failed check, not a bad input
+        original = qerase.thermo.entropy_decrease
+        monkeypatch.setattr(qerase.thermo, "entropy_decrease", lambda b: -original(b))
+        code, out, err = run_cli(capsys, "erase", "--bloch", "0,0,0.999999999999", "--beta", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: entropy decrease: closed form -")
+        assert err.endswith(" is negative\n")
 
     def test_near_pure_memory_reports_the_heat_entropy_ratio(self, capsys):
         code, out, _ = run_cli(

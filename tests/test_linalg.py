@@ -558,7 +558,7 @@ class TestEigensolver:
         # a dense 3x3 block is the smallest that runs the Jacobi loop
         monkeypatch.setattr(qerase.linalg, "JACOBI_MAX_SWEEPS", 0)
         dense = ComplexMatrix([[2, 1, 1j], [1, 3, 0.5], [-1j, 0.5, 1]])
-        with pytest.raises(ArithmeticError, match="did not converge"):
+        with pytest.raises(ArithmeticError, match="did not converge in 0 sweeps"):
             hermitian_eigenvalues(dense)
 
     def test_known_qubit_spectrum(self):

@@ -10,13 +10,13 @@ import pytest
 
 from qerase.channel import CnotGate
 from qerase.linalg import ComplexMatrix
-from qerase.optics import HWP, PBS, EncodingEquivalence, PathDistribution
+from qerase.optics import HWP, PBS, PathDistribution
 from qerase.states import BlochVector, ThermalSpec
 from qerase.thermo import ErasureReport
 from qerase.verify import CheckResult
 
 # (class, fields in order as (name, value), defaults, repr of the parent's
-# dataclass; EncodingEquivalence has since dropped its derived `equivalent`)
+# dataclass)
 CASES = [
     (
         BlochVector,
@@ -66,12 +66,6 @@ CASES = [
         (("p_1", 0.75), ("p_2", 0.25)),
         {},
         "PathDistribution(p_1=0.75, p_2=0.25)",
-    ),
-    (
-        EncodingEquivalence,
-        (("mismatches", ("x",)),),
-        {},
-        "EncodingEquivalence(mismatches=('x',))",
     ),
     (
         CheckResult,

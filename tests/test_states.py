@@ -192,6 +192,12 @@ class TestGibbsAndPreselection:
         with pytest.raises(ValueError, match="trace"):
             preselect_l0(diagonal([1.0, 1.0, 0.0, 0.0]))
 
+    def test_preselection_rejects_an_unphysical_result(self):
+        # -5e-11 passes the input's eigenvalue floor of -1e-10, but divided by
+        # the l0 weight 5e-11 it would return diag(-1, 0, 2, 0)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            preselect_l0(diagonal([-5e-11, 0.5, 1e-10, 0.5 - 5e-11]))
+
 
 class TestCompositeInitial:
     def test_structure_at_zero_temperature(self):

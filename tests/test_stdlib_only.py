@@ -60,6 +60,40 @@ def test_guard_sees_a_third_party_import(tmp_path):
     assert absolute_imports(probe) == ["numpy", "scipy"]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Every name an `import` or `from ... import` binds in one source file
+    that no other line of it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.extend((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    """A deletion must not strand an import. `__init__.py` is exempt: its
+    imports are the public re-exports."""
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for name in unused_imports(path)
+    ]
+    assert not found, found
+
+
+def test_import_guard_sees_an_unused_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\nimport os.path\nfrom json import dumps as d, loads\n"
+        "print(os.sep, loads)\n"
+    )
+    assert unused_imports(probe) == ["math", "d"]
+
+
 def loaded_modules(*args: str) -> set[str]:
     """Every module a fresh `python -S` loads while running `args`, read from
     its `-X importtime` log; module names do not depend on the host's speed."""
