@@ -8,7 +8,10 @@ in this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. Permutations, Kronecker orders and partial traces are index
-plans over the flat tuple, each validated and cached once per shape.
+plans over the flat tuple, each validated and cached once per shape; a
+partial trace is one gather of every kept entry's terms. The density check
+reads a plan cached once per nonzero pattern: every state here is a qubit
+(x) a diagonal reservoir, so a few patterns serve every check.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -53,6 +56,12 @@ class ComplexMatrix:
         entries; a product or a sum of finite entries can still overflow."""
         if not all(map(cmath.isfinite, flat)):
             raise ValueError("matrix entries must be finite")
+        return cls._wrap(flat, n)
+
+    @classmethod
+    def _wrap(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
+        """Wrap n * n complex values in row-major order that are already
+        known finite: the entries of a checked matrix, only moved."""
         m = object.__new__(cls)
         m._flat = flat
         m._dim = n
@@ -98,8 +107,11 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
 
 
 def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """`operator.itemgetter` of the positions, returning a tuple for one
-    position too: a slice index gives a tuple where an int gives the entry."""
+    """`operator.itemgetter` of the positions, returning a tuple for none or
+    one position too: a slice index gives a tuple where an int gives the
+    entry."""
+    if not positions:
+        return operator.itemgetter(slice(0))
     if len(positions) == 1:
         return operator.itemgetter(slice(positions[0], positions[0] + 1))
     return operator.itemgetter(*positions)
@@ -115,9 +127,10 @@ def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
     row perm[c].
 
     Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
-    arithmetic touches the entries.
+    arithmetic touches the entries, and they were checked finite when rho
+    was built.
     """
-    return ComplexMatrix._from_flat(_relabeling(tuple(perm), rho._dim)(rho._flat), rho._dim)
+    return ComplexMatrix._wrap(_relabeling(tuple(perm), rho._dim)(rho._flat), rho._dim)
 
 
 @lru_cache(maxsize=64)
@@ -163,21 +176,23 @@ def partial_trace(
 
     `dims` lists subsystem dimensions with the leftmost factor most
     significant in the flat index; the kept subsystems retain their
-    relative order.
+    relative order. One cached gather lists each kept entry's terms in
+    increasing flat index, and each entry is their `sum`.
     """
-    getters = _trace_plan(tuple(dims), tuple(keep), rho._dim)
-    flat = tuple(map(sum, zip(*[pick(rho._flat) for pick in getters])))
-    return ComplexMatrix._from_flat(flat, math.isqrt(len(flat)))
+    pick, terms, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
+    flat = tuple(map(sum, zip(*[iter(pick(rho._flat))] * terms)))
+    return ComplexMatrix._from_flat(flat, dim)
 
 
 @lru_cache(maxsize=64)
 def _trace_plan(
     dims: tuple[int, ...], keep: tuple[int, ...], n: int
-) -> tuple[Callable[[tuple], tuple], ...]:
-    """Validate a partial trace of an n x n matrix once; return one getter
-    per value of the traced digits, in lexicographic order. Each picks every
-    kept-block entry's term with those digits, in row-major order, so the
-    summed picks add each entry's terms in increasing flat index.
+) -> tuple[Callable[[tuple], tuple], int, int]:
+    """Validate a partial trace of an n x n matrix once; return one getter,
+    the number of terms of each output entry and the output dimension. The
+    getter lists the kept-block entries in row-major order and, within each,
+    its terms by the traced digits in lexicographic order, which is
+    increasing flat index: each run of `terms` values is summed in turn.
 
     Non-integral values are rejected, not truncated. An integral float such
     as 2.0 hashes like 2, so the two share a cached plan.
@@ -204,36 +219,46 @@ def _trace_plan(
     ]
     index = {label: i for i, label in enumerate(labels)}
     blocks = sorted({kept for kept, _ in labels})
-    return tuple(
-        _getter([index[u, t] * total + index[v, t] for u in blocks for v in blocks])
-        for t in sorted({traced for _, traced in labels})
-    )
+    rests = sorted({traced for _, traced in labels})
+    pick = _getter([index[u, t] * total + index[v, t]
+                    for u in blocks for v in blocks for t in rests])
+    return pick, len(rests), len(blocks)
 
 
-def _walk(m: ComplexMatrix) -> tuple[float, list[list[int]]]:
-    """One walk over the nonzero entries of m, each unordered pair once (a
-    pair of zeros adds nothing): the largest |m[i,j] - conj(m[j,i])|, and the
-    blocks of the nonzero pattern, each once, in order of smallest index.
-    Indices i and j share a block when m[i, j] or m[j, i] is nonzero, so m is
-    block diagonal up to a relabeling and its spectrum is the union of the
-    blocks' spectra."""
+def _walk(m: ComplexMatrix) -> tuple[float, tuple[tuple[int, ...], ...]]:
+    """The largest |m[i,j] - conj(m[j,i])| over the unordered pairs with a
+    nonzero member (a pair of zeros adds nothing), and the blocks of the
+    nonzero pattern, each once, in order of smallest index. Indices i and j
+    share a block when m[i, j] or m[j, i] is nonzero, so m is block diagonal
+    up to a relabeling and its spectrum is the union of the blocks' spectra.
+
+    Both come from a plan cached per nonzero pattern: the pairs and the
+    blocks depend only on where the nonzero entries sit."""
     flat, n = m._flat, m._dim
-    defect = 0.0
+    upper, lower, blocks = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
+    defects = map(operator.sub, upper(flat), map(complex.conjugate, lower(flat)))
+    return max(map(abs, defects), default=0.0), blocks
+
+
+@lru_cache(maxsize=64)
+def _pattern_plan(
+    nonzero: tuple[int, ...], n: int
+) -> tuple[Callable[[tuple], tuple], Callable[[tuple], tuple], tuple[tuple[int, ...], ...]]:
+    """For the n x n pattern whose nonzero flat positions are `nonzero`:
+    getters of m[i,j] and of m[j,i] over each pair i <= j with a nonzero
+    member, and the blocks of the pattern, merged once here."""
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in nonzero)})
     blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
-    for p in itertools.compress(range(n * n), flat):
-        i, j = divmod(p, n)
-        if i > j:
-            if flat[j * n + i]:
-                continue  # the pair is taken at its nonzero upper entry
-            i, j = j, i
-        d = abs(flat[i * n + j] - flat[j * n + i].conjugate())
-        if d > defect:
-            defect = d
+    for i, j in pairs:
         if blocks[j] is not blocks[i]:  # the pair links two blocks
             merged = sorted(blocks[i] + blocks[j])
             for k in merged:
                 blocks[k] = merged
-    return defect, [b for i, b in enumerate(blocks) if b[0] == i]
+    return (
+        _getter([i * n + j for i, j in pairs]),
+        _getter([j * n + i for i, j in pairs]),
+        tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i),
+    )
 
 
 def _block_eigenvalues(
@@ -256,7 +281,7 @@ def _block_eigenvalues(
     return _jacobi_eigenvalues(tuple(tuple(flat[i * n + j] for j in block) for i in block))
 
 
-def _spectrum(m: ComplexMatrix, blocks: list[list[int]]) -> list[float]:
+def _spectrum(m: ComplexMatrix, blocks: Iterable[Sequence[int]]) -> list[float]:
     """The union of the blocks' spectra, each block solved once, ascending."""
     spectrum = []
     for b in blocks:
@@ -363,11 +388,12 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10, in that order. One walk over the nonzero
-    entries finds the defect and the blocks of the nonzero pattern; each
-    block is then solved once, as `hermitian_eigenvalues` solves it, and the
-    smallest eigenvalue is the floor test's. `von_neumann_entropy` runs the
-    same pass and keeps the spectrum.
+    eigenvalues above -1e-10, in that order. The plan cached for m's
+    nonzero pattern gives the defect, over the pairs with a nonzero member,
+    and the blocks of the pattern; each block is then solved once, as
+    `hermitian_eigenvalues` solves it, and the smallest eigenvalue is the
+    floor test's. `von_neumann_entropy` runs the same pass and keeps the
+    spectrum.
     """
     return _density_spectrum(m)[0]
 

@@ -236,7 +236,7 @@ def _level_sum(weights: Iterable[float], levels: Sequence[int], delta: float) ->
 
 
 def _require_close(name: str, closed: float, traced: float, tol: float) -> None:
-    if abs(closed - traced) > tol:
+    if not abs(closed - traced) <= tol:  # a NaN on either route fails too
         raise ArithmeticError(
             f"{name}: closed form {closed!r} and trace route {traced!r} disagree"
         )

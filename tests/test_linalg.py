@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qerase
 import qerase.linalg
 from conftest import (
     assert_matrix_close,
@@ -23,6 +24,7 @@ from qerase.linalg import (
     _block_eigenvalues,
     _jacobi_eigenvalues,
     _trace_plan,
+    _walk,
     compose_permutations,
     density_matrix,
     diagonal,
@@ -32,7 +34,7 @@ from qerase.linalg import (
     permute,
     trace,
 )
-from qerase.states import BlochVector, qubit_from_bloch
+from qerase.states import BlochVector, ThermalSpec, qubit_from_bloch
 from qerase.thermo import von_neumann_entropy
 
 
@@ -188,7 +190,9 @@ class TestFlatKernelsBitForBit:
 
     def test_density_matrix_decides_as_the_row_walk(self):
         """5,000 sparse near-Hermitian matrices: accept or reject, and the
-        message, must be those of the row-by-row walk kept below."""
+        message, must be those of the row-by-row walk kept below, and the
+        pattern plan's defect and blocks the walk's own, bit for bit; the
+        all-zero matrix and 1x1 matrices as well."""
         rng = random.Random(550)
         seen = {}
         for _ in range(5000):
@@ -196,9 +200,20 @@ class TestFlatKernelsBitForBit:
             want = _outcome(_row_walk_density_check, rows)
             assert _outcome(density_matrix, rows) == want
             assert _outcome(density_matrix, ComplexMatrix(rows)) == want
+            _assert_walk_is_the_row_walk(rows)
             kind = next((k for k in ("Hermitian", "trace", "eigenvalue") if k in want), want)
             seen[kind] = seen.get(kind, 0) + 1
         assert len(seen) == 4 and min(seen.values()) >= 200, seen
+        for rows in ([[complex(-0.0, -0.0)] * 4] * 4, [[0j]], [[complex(1.0, 2e-13)]]):
+            _assert_walk_is_the_row_walk(rows)
+
+
+def _assert_walk_is_the_row_walk(rows):
+    m = ComplexMatrix(rows)
+    defect, blocks = _walk(m)
+    want_defect, want_blocks = _row_walk(m)
+    assert defect.hex() == want_defect.hex()
+    assert blocks == tuple(map(tuple, want_blocks))
 
 
 def _outcome(check, rows):
@@ -254,6 +269,25 @@ def _row_walk_density_check(m):
     diagonal of the rows in order, with its own 2x2 closed form."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
+    r = m.rows
+    defect, blocks = _row_walk(m)
+    if defect > qerase.linalg.HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {qerase.linalg.HERMITICITY_TOL:.0e}"
+        )
+    tr = sum(m.rows[i][i] for i in range(m.dim))
+    if abs(tr - 1.0) > qerase.linalg.TRACE_TOL:
+        raise ValueError(f"trace {tr!r} differs from 1 by more than {qerase.linalg.TRACE_TOL:.0e}")
+    lo = min(_row_block_minimum(r, b) for b in blocks)
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
+    return m
+
+
+def _row_walk(m):
+    """The largest hermiticity defect over the upper triangle and the
+    diagonal, pairs of zeros skipped, and the blocks of the nonzero pattern,
+    each once, in order of smallest index."""
     r, n = m.rows, m.dim
     defect = 0.0
     blocks = [[i] for i in range(n)]
@@ -268,17 +302,7 @@ def _row_walk_density_check(m):
                     merged = sorted(blocks[i] + blocks[j])
                     for k in merged:
                         blocks[k] = merged
-    if defect > qerase.linalg.HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {qerase.linalg.HERMITICITY_TOL:.0e}"
-        )
-    tr = sum(m.rows[i][i] for i in range(m.dim))
-    if abs(tr - 1.0) > qerase.linalg.TRACE_TOL:
-        raise ValueError(f"trace {tr!r} differs from 1 by more than {qerase.linalg.TRACE_TOL:.0e}")
-    lo = min(_row_block_minimum(r, b) for i, b in enumerate(blocks) if b[0] == i)  # each block once
-    if lo < EIGENVALUE_FLOOR:
-        raise ValueError(f"matrix has eigenvalue {lo:.3e} below {EIGENVALUE_FLOOR:.0e}")
-    return m
+    return defect, [b for i, b in enumerate(blocks) if b[0] == i]  # each block once
 
 
 def _row_block_minimum(r, block):
@@ -843,3 +867,29 @@ class TestDensityValidation:
             for check in (density_matrix, von_neumann_entropy):
                 with pytest.raises(ValueError, match=message):
                     check(rows)
+
+    def test_the_edge_grid_fills_few_pattern_plans(self):
+        """Every state the package builds is a qubit (x) a diagonal
+        reservoir, so its nonzero patterns are few, edge cases included:
+        analyze and the propagate calls over pure states on and off the z
+        axis, the exact ground state, beta in {0, 1, inf} and an SI gap
+        must fill a small part of the pattern-plan cache and evict nothing."""
+        blochs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                  (0.6, 0.0, 0.8), (0.3, -0.2, 0.4), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
+        specs = [ThermalSpec.from_beta(beta) for beta in (0.0, 1.0, math.inf)]
+        specs.append(ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23))
+        qerase.linalg._pattern_plan.cache_clear()
+        for (x, y, z), spec in itertools.product(blochs, specs):
+            b = BlochVector(x, y, z)
+            qerase.analyze(b, spec)
+            final = qerase.apply_channel(qerase.composite_initial(b, spec))
+            qerase.memory_ground_fidelity(final)
+            qerase.reservoir_marginal(final)
+            qerase.reservoir_final_closed_form(b, spec)
+            dist = qerase.PathDistribution.from_beta(spec.beta * spec.delta)
+            photon = qerase.simulate(b, dist)
+            qerase.path_marginal(photon)
+            qerase.polarization_marginal(photon)
+            qerase.path_final_closed_form(b, dist)
+        info = qerase.linalg._pattern_plan.cache_info()
+        assert info.misses == info.currsize <= info.maxsize // 4, info

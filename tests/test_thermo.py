@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qerase.channel
 import qerase.linalg
 import qerase.thermo
+from qerase.cli import main
 from conftest import numpy_permutation, random_bloch, random_density, to_numpy
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
@@ -56,6 +57,14 @@ T_LIMIT_MIXED = 0.7213475204444817  # 1/ln 4
 T_LIMIT_RZ_HALF = 0.4445747387342618
 T_LIMIT_SI_KELVIN = 10.3762518612822  # gap 1.986e-22 J
 COMMUTATOR_NORM = 2.8284271247461903  # 2 sqrt(2)
+# each closed form that analyze cross-checks, and the name its error gives
+CLOSED_FORMS = [
+    ("entropy_decrease", "entropy decrease"),
+    ("heat_memory", "memory heat"),
+    ("heat_reservoir", "reservoir heat"),
+    ("photon_energy", "photon energy"),
+    ("limit_temperature", "limit temperature"),
+]
 
 radii = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -671,16 +680,7 @@ class TestAnalyze:
         report = analyze(BlochVector(0.5, 0.0, 0.0), ThermalSpec.from_temperature(0.9, delta=2.0))
         assert report.q_reservoir == pytest.approx(0.8045, abs=1e-4)
 
-    @pytest.mark.parametrize(
-        "attr, quantity",
-        [
-            ("entropy_decrease", "entropy decrease"),
-            ("heat_memory", "memory heat"),
-            ("heat_reservoir", "reservoir heat"),
-            ("photon_energy", "photon energy"),
-            ("limit_temperature", "limit temperature"),
-        ],
-    )
+    @pytest.mark.parametrize("attr, quantity", CLOSED_FORMS)
     def test_cross_check_catches_a_perturbed_closed_form(self, monkeypatch, attr, quantity):
         """A closed form off by 1e-8 relative fails its own comparison, in
         natural units and at an SI gap of 1.986e-22 J, where the energies
@@ -694,6 +694,19 @@ class TestAnalyze:
         for spec in (ThermalSpec.from_beta(1.0), si):
             with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
                 analyze(BlochVector(0.3, -0.2, 0.4), spec)
+
+    @pytest.mark.parametrize("attr, quantity", CLOSED_FORMS)
+    def test_cross_check_catches_a_nan_closed_form(self, monkeypatch, capsys, attr, quantity):
+        """NaN compares false with any tolerance: a closed form that turns
+        NaN fails its comparison, and `erase` exits 1 instead of printing
+        the quantity as `undefined`."""
+        monkeypatch.setattr(qerase.thermo, attr, lambda *args: math.nan)
+        with pytest.raises(ArithmeticError, match=f"^{quantity}: closed form nan "):
+            analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
+        code = main(["erase", "--bloch", "0.3,-0.2,0.4", "--beta", "1", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {quantity}: closed form nan ")
 
     def test_negative_entropy_decrease_is_a_failed_closed_form(self, monkeypatch):
         """Near purity dS ~ 1.5e-11 is below the route tolerance, so a sign
