@@ -2,9 +2,9 @@
 
 Everything here is plain Python on tuples of complex numbers: Kronecker
 products, partial traces, density-matrix validation and a Hermitian
-eigensolver that solves each block of the nonzero pattern alone: in
-closed form up to 2x2, by cyclic Jacobi above. Dimensions never exceed 8x8
-in this package, so no external linear-algebra dependency is used.
+eigensolver that solves each block of the nonzero pattern alone, in one
+loop: in closed form up to 2x2, by cyclic Jacobi above. Dimensions never
+exceed 8x8 in this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. Permutations, Kronecker orders and partial traces are index
@@ -236,8 +236,12 @@ def _walk(m: ComplexMatrix) -> tuple[float, tuple[tuple[int, ...], ...]]:
     blocks depend only on where the nonzero entries sit."""
     flat, n = m._flat, m._dim
     upper, lower, blocks = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
-    defects = map(operator.sub, upper(flat), map(complex.conjugate, lower(flat)))
-    return max(map(abs, defects), default=0.0), blocks
+    defect = 0.0
+    for x, y in zip(upper(flat), lower(flat)):
+        d = abs(x - y.conjugate())
+        if d > defect:
+            defect = d
+    return defect, blocks
 
 
 @lru_cache(maxsize=64)
@@ -261,38 +265,36 @@ def _pattern_plan(
     )
 
 
-def _block_eigenvalues(
-    flat: tuple[complex, ...], n: int, block: Sequence[int]
-) -> tuple[float, ...]:
-    """Ascending eigenvalues of the Hermitian block, on the ascending indices
-    `block`, of the n x n matrix with row-major entries `flat`. A 1x1 block
-    is its real diagonal entry. A 2x2 block is (a + d)/2 -/+ hypot((a - d)/2,
-    |b|) in closed form, on its real diagonal a, d and its off-diagonal entry
-    symmetrized as b = (m[i,j] + conj(m[j,i]))/2. A block of 3 or more runs
-    the Jacobi loop."""
-    if len(block) == 1:
-        return (flat[block[0] * (n + 1)].real,)
-    if len(block) == 2:
-        i, j = block
-        a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
-        off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
-        mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
-        return (mean - radius, mean + radius)
-    return _jacobi_eigenvalues(tuple(tuple(flat[i * n + j] for j in block) for i in block))
-
-
 def _spectrum(m: ComplexMatrix, blocks: Iterable[Sequence[int]]) -> list[float]:
-    """The union of the blocks' spectra, each block solved once, ascending."""
+    """The union of the blocks' spectra, each block solved once, ascending.
+
+    The blocks are solved in order: a 1x1 block is its real diagonal entry;
+    a 2x2 block is (a + d)/2 -/+ hypot((a - d)/2, |b|) in closed form, on
+    its real diagonal a, d and its off-diagonal entry symmetrized as
+    b = (m[i,j] + conj(m[j,i]))/2; a block of 3 or more runs the Jacobi
+    loop."""
+    flat, n = m._flat, m._dim
     spectrum = []
-    for b in blocks:
-        spectrum += _block_eigenvalues(m._flat, m._dim, b)
+    for block in blocks:
+        if len(block) == 1:
+            spectrum.append(flat[block[0] * (n + 1)].real)
+        elif len(block) == 2:
+            i, j = block
+            a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
+            off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
+            mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
+            spectrum += (mean - radius, mean + radius)
+        else:
+            rows = tuple(tuple(flat[i * n + j] for j in block) for i in block)
+            spectrum += _jacobi_eigenvalues(rows)
     spectrum.sort()
     return spectrum
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues, each block of the nonzero pattern solved on its
-    own as `density_matrix` solves it, so a diagonal entry comes back exact.
+    own in `_spectrum`, as `density_matrix` solves it, so a diagonal entry
+    comes back exact.
 
     A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
     rounding grows with the entries, so the input check scales as the sweeps
@@ -315,7 +317,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
     """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
-    the solve of a block of 3 or more in `_block_eigenvalues`."""
+    the solve of a block of 3 or more in `_spectrum`."""
     n = len(rows)
     a = [list(row) for row in rows]
     # symmetrize so the iteration sees an exactly Hermitian matrix

@@ -8,7 +8,7 @@ closed form has a trace-based twin computed from the propagated states, and
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .linalg import ComplexMatrix, _check_permutation, _density_spectrum, kron
 from .record import Record, _set_field
@@ -165,7 +165,9 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
 
     The traced heats and energies are sums over the 8 composite populations;
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
-    diagonal, so no marginal is formed for it.
+    diagonal, so no marginal is formed for it. One pass over the two
+    diagonals builds both heats and both energies. Where no entropy is
+    removed, T_limit must be +inf, or NaN when no heat flows either.
     """
     rho_memory = qubit_from_bloch(b)
     rho_initial = kron(rho_memory, _reservoir_initial(spec))  # = composite_initial(b, spec)
@@ -178,20 +180,27 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     _require_close("entropy decrease", delta_s, s_initial - s_final, ROUTE_TOL)
     energy_tol = ROUTE_TOL * spec.delta
 
-    pops_i, pops_f = _populations(rho_initial), _populations(rho_final)
-    # population change of composite level i = 4m + k (memory m, reservoir k)
-    change = [after - before for before, after in zip(pops_i, pops_f)]
+    # each sum adds w * (delta * n) left to right, without the compensation
+    # that `sum` applies to floats from Python 3.12 on
+    d = float(spec.delta)
+    q_m_trace = q_r_trace = u_i = u_f = 0.0
+    for before, after, m, e, n in zip(
+        rho_initial._flat[::9], rho_final._flat[::9],  # the diagonals of 8 x 8
+        _MEMORY_LEVELS, _RESERVOIR_LEVELS, _COMPOSITE_LEVELS,
+    ):
+        before, after = before.real, after.real
+        change = after - before
+        q_m_trace += change * (d * m)
+        q_r_trace += change * (d * e)
+        u_i += before * (d * n)
+        u_f += after * (d * n)
 
     q_m = heat_memory(b, spec)
-    q_m_trace = _level_sum(change, _MEMORY_LEVELS, spec.delta)
     _require_close("memory heat", q_m, q_m_trace, energy_tol)
 
     q_r = heat_reservoir(b, spec)
-    q_r_trace = _level_sum(change, _RESERVOIR_LEVELS, spec.delta)
     _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
 
-    u_i = _level_sum(pops_i, _COMPOSITE_LEVELS, spec.delta)
-    u_f = _level_sum(pops_f, _COMPOSITE_LEVELS, spec.delta)
     radiated = photon_energy(b, spec)
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
@@ -201,6 +210,9 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
             "limit temperature", t_limit, -q_m / (spec.k_B * delta_s),
             ROUTE_TOL * max(1.0, abs(t_limit)),
         )
+    elif delta_s == 0.0 and not (math.isnan(t_limit) if q_m == 0.0 else t_limit == math.inf):
+        raise ArithmeticError(f"limit temperature: closed form {t_limit!r} with no entropy "
+                              f"removed and memory heat {q_m!r}")
 
     if delta_s < 0.0:  # a failed closed form, not a bad input for landauer_check
         raise ArithmeticError(f"entropy decrease: closed form {delta_s!r} is negative")
@@ -218,21 +230,6 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
         landauer_violated=verdict.violated,
         landauer_margin=verdict.margin,
     )
-
-
-def _populations(rho: ComplexMatrix) -> list[float]:
-    return [x.real for x in rho._flat[::rho._dim + 1]]
-
-
-def _level_sum(weights: Iterable[float], levels: Sequence[int], delta: float) -> float:
-    """Sum of w_i E_i over the level energies E_i = delta * n_i, added left
-    to right, without the compensation that `sum` applies to floats from
-    Python 3.12 on."""
-    d = float(delta)
-    total = 0.0
-    for w, n in zip(weights, levels):
-        total += w * (d * n)
-    return total
 
 
 def _require_close(name: str, closed: float, traced: float, tol: float) -> None:

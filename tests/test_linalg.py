@@ -21,7 +21,6 @@ from conftest import (
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
-    _block_eigenvalues,
     _jacobi_eigenvalues,
     _trace_plan,
     _walk,
@@ -193,10 +192,8 @@ class TestFlatKernelsBitForBit:
         message, must be those of the row-by-row walk kept below, and the
         pattern plan's defect and blocks the walk's own, bit for bit; the
         all-zero matrix and 1x1 matrices as well."""
-        rng = random.Random(550)
         seen = {}
-        for _ in range(5000):
-            rows = _sparse_hermitian(rng, rng.choice((1, 2, 3, 4, 8)))
+        for rows in _sparse_batch():
             want = _outcome(_row_walk_density_check, rows)
             assert _outcome(density_matrix, rows) == want
             assert _outcome(density_matrix, ComplexMatrix(rows)) == want
@@ -206,6 +203,58 @@ class TestFlatKernelsBitForBit:
         assert len(seen) == 4 and min(seen.values()) >= 200, seen
         for rows in ([[complex(-0.0, -0.0)] * 4] * 4, [[0j]], [[complex(1.0, 2e-13)]]):
             _assert_walk_is_the_row_walk(rows)
+
+    def test_spectra_are_the_per_block_solves(self):
+        """On the same 5,000 matrices, and on two whose 1x1 blocks hold
+        zeros of either sign, `hermitian_eigenvalues` and
+        `von_neumann_entropy` give the bits, in order, of the per-block solve
+        kept below, so each signed zero keeps its place."""
+        z, half = complex(-0.0, 0.0), complex(0.5)
+        signed_zeros = [
+            [[z, 0j, 0j], [0j, 0j, 0j], [0j, 0j, 1 + 0j]],
+            [[half, 0j, half, 0j], [0j, z, 0j, 0j], [half, 0j, half, 0j], [0j, 0j, 0j, z]],
+        ]
+        entropies = 0
+        for rows in _sparse_batch() + signed_zeros:
+            m = ComplexMatrix(rows)
+            want = _per_block_spectrum(m)
+            assert list(map(float.hex, hermitian_eigenvalues(m))) == list(map(float.hex, want))
+            if _outcome(density_matrix, m) == "ok":
+                s = 0.0
+                for lam in want:
+                    if lam > 0.0:
+                        s -= lam * math.log(lam)
+                assert von_neumann_entropy(m).hex() == max(s, 0.0).hex()
+                entropies += 1
+        assert entropies > 2000
+
+
+def _sparse_batch():
+    """The 5,000 sparse near-Hermitian matrices of the row-walk tests."""
+    rng = random.Random(550)
+    return [_sparse_hermitian(rng, rng.choice((1, 2, 3, 4, 8))) for _ in range(5000)]
+
+
+def _per_block_spectrum(m):
+    """The ascending union of the blocks' spectra, each block solved by its
+    own call in block order: a 1x1 block its real diagonal entry, a 2x2 the
+    closed form, a larger one the Jacobi loop."""
+    flat, n = m._flat, m.dim
+    spectrum = []
+    for block in _row_walk(m)[1]:
+        if len(block) == 1:
+            spectrum += (flat[block[0] * (n + 1)].real,)
+        elif len(block) == 2:
+            i, j = block
+            a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
+            off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
+            mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
+            spectrum += (mean - radius, mean + radius)
+        else:
+            spectrum += _jacobi_eigenvalues(tuple(tuple(flat[i * n + j] for j in block)
+                                                  for i in block))
+    spectrum.sort()
+    return spectrum
 
 
 def _assert_walk_is_the_row_walk(rows):
@@ -729,7 +778,7 @@ class TestDensityValidation:
     def test_closed_form_2x2_matches_numpy_and_jacobi(self):
         rng = random.Random(22)
         for m in self._qubit_blocks(rng):
-            got = _block_eigenvalues(m._flat, 2, (0, 1))
+            got = hermitian_eigenvalues(m)
             want = np.linalg.eigvalsh(to_numpy(m))
             jacobi = _jacobi_eigenvalues(m.rows)
             tol = 4 * math.ulp(max(abs(want[0]), abs(want[1])))
@@ -763,7 +812,7 @@ class TestDensityValidation:
                 radius = (((a - d) / 2) ** 2 + Decimal(b.real) ** 2 + Decimal(b.imag) ** 2).sqrt()
                 exact = ((a + d) / 2 - radius, (a + d) / 2 + radius)
                 scale = float(max(map(abs, exact)))
-                for lam, want in zip(_block_eigenvalues(m._flat, 2, (0, 1)), exact):
+                for lam, want in zip(hermitian_eigenvalues(m), exact):
                     assert abs(Decimal(lam) - want) <= 2 * Decimal(math.ulp(scale))
 
     def test_block_screen_decides_as_the_full_spectrum(self):

@@ -570,13 +570,13 @@ class TestEigensolveCount:
     def solved_blocks(self, monkeypatch):
         """(entries, block) of every block whose spectrum is solved."""
         calls = []
-        original = qerase.linalg._block_eigenvalues
+        original = qerase.linalg._spectrum
 
-        def counted(flat, n, block):
-            calls.append((flat, tuple(block)))
-            return original(flat, n, block)
+        def counted(m, blocks):
+            calls.extend((m._flat, tuple(block)) for block in blocks)
+            return original(m, blocks)
 
-        monkeypatch.setattr(qerase.linalg, "_block_eigenvalues", counted)
+        monkeypatch.setattr(qerase.linalg, "_spectrum", counted)
         return calls
 
     def test_composite_state_has_two_coherent_blocks(self):
@@ -615,6 +615,83 @@ class TestEigensolveCount:
         monkeypatch.setattr(qerase.linalg, "_jacobi_eigenvalues", counted)
         von_neumann_entropy(random_density(random.Random(73), 8))
         assert loop_sizes == [8]
+
+
+class TestTracedEnergiesBitForBit:
+    """The trace route's heats and energies, bit for bit those of two
+    population lists and four left-to-right level sums, copied below."""
+
+    @staticmethod
+    def _level_sums(b, spec):
+        def populations(rho):
+            return [x.real for x in rho._flat[::rho._dim + 1]]
+
+        def level_sum(weights, levels, delta):
+            d = float(delta)
+            total = 0.0
+            for w, n in zip(weights, levels):
+                total += w * (d * n)
+            return total
+
+        rho_initial = composite_initial(b, spec)
+        pops_i, pops_f = populations(rho_initial), populations(apply_channel(rho_initial))
+        change = [after - before for before, after in zip(pops_i, pops_f)]
+        u_i = level_sum(pops_i, _COMPOSITE_LEVELS, spec.delta)
+        u_f = level_sum(pops_f, _COMPOSITE_LEVELS, spec.delta)
+        traced = {
+            "memory heat": level_sum(change, _MEMORY_LEVELS, spec.delta),
+            "reservoir heat": level_sum(change, _RESERVOIR_LEVELS, spec.delta),
+            "photon energy": u_i - u_f,
+        }
+        return traced, u_i, u_f
+
+    @staticmethod
+    def _draws(rng):
+        """1,200 (Bloch vector, spec): natural units at gaps 1 and 0.6 and
+        the SI gap; beta 0, inf, on verify's grid or log-uniform; one in four
+        memories near pure, with the pure states on and off the z axis."""
+        for k in range(1200):
+            if k % 4 == 0:
+                v = [rng.gauss(0, 1) for _ in range(3)]
+                if k % 16 == 0:
+                    v = [0.0, 0.0, rng.choice((1.0, -1.0))]
+                r = rng.choice((1.0, 1.0 - 10.0 ** rng.uniform(-12, -3)))
+                norm = math.sqrt(sum(x * x for x in v))
+                b = BlochVector(*(r * x / norm for x in v))
+            else:
+                b = random_bloch(rng)
+            beta = rng.choice((0.0, math.inf, 0.1, 1.0, 10.0, None))
+            if beta is None:
+                beta = 1.0 / math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            unit = k % 3
+            if unit == 2:  # SI: the same beta * delta, temperature in kelvin
+                delta, k_B = 1.986e-22, 1.380649e-23
+                kelvin = math.inf if beta == 0.0 else delta / (k_B * beta)
+                yield b, ThermalSpec.from_temperature(kelvin, delta=delta, k_B=k_B)
+            else:
+                yield b, ThermalSpec.from_beta(beta, delta=(1.0, 0.6)[unit])
+
+    def test_every_traced_energy_is_the_level_sum(self, monkeypatch):
+        calls = []
+        original = qerase.thermo._require_close
+
+        def recorded(name, closed, traced, tol):
+            calls.append((name, traced))
+            original(name, closed, traced, tol)
+
+        monkeypatch.setattr(qerase.thermo, "_require_close", recorded)
+        checked = 0
+        for b, spec in self._draws(random.Random(2401)):
+            calls.clear()
+            report = analyze(b, spec)
+            want, u_i, u_f = self._level_sums(b, spec)
+            got = {name: traced for name, traced in calls if name in want}
+            assert got.keys() == want.keys()
+            for name, traced in got.items():
+                assert traced.hex() == want[name].hex(), (b, spec, name)
+            assert (report.u_initial.hex(), report.u_final.hex()) == (u_i.hex(), u_f.hex())
+            checked += 1
+        assert checked == 1200
 
 
 class TestPartialTraceCount:
@@ -707,6 +784,26 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {quantity}: closed form nan ")
+
+    @pytest.mark.parametrize("bloch, patched", [
+        ("0.6,0,0.8", math.nan), ("0.6,0,0.8", 2.0), ("0,0,1", 1.0), ("0,0,1", math.inf),
+    ], ids=["pure-nan", "pure-finite", "ground-finite", "ground-inf"])
+    def test_limit_temperature_is_checked_when_no_entropy_is_removed(
+        self, monkeypatch, capsys, bloch, patched
+    ):
+        """With dS = 0 the closed form must follow its own rule: +inf when
+        the memory gives off heat (a pure state off the ground state), NaN
+        at the ground state, where none flows. Any other value fails, and
+        `erase` exits 1 instead of printing it."""
+        monkeypatch.setattr(qerase.thermo, "limit_temperature", lambda *args: patched)
+        b = BlochVector(*map(float, bloch.split(",")))
+        assert entropy_decrease(b) == 0.0
+        with pytest.raises(ArithmeticError, match="^limit temperature: closed form "):
+            analyze(b, ThermalSpec.from_beta(1.0))
+        code = main(["erase", "--bloch", bloch, "--beta", "1", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: limit temperature: closed form ")
 
     def test_negative_entropy_decrease_is_a_failed_closed_form(self, monkeypatch):
         """Near purity dS ~ 1.5e-11 is below the route tolerance, so a sign
