@@ -2,9 +2,10 @@
 
 The channel is a basis permutation, held as its column -> row tuple
 `ERASURE_PERMUTATION` and derived from its action on bit triples,
-(m, e, a) -> (a, m XOR e, e XOR a); the four CNOTs of `build_circuit` check
-it. Conjugating any input by it leaves the memory qubit in |g><g| whenever the
-reservoir was preselected on l0.
+(m, e, a) -> (a, m XOR e, e XOR a). The four CNOTs of `build_circuit` are the
+check: their composition is taken once at import, and `apply_channel` refuses
+to apply a tuple that differs from it. Conjugating any input by the channel
+leaves the memory qubit in |g><g| whenever the reservoir was preselected on l0.
 """
 
 from .linalg import (
@@ -76,11 +77,21 @@ def circuit_permutation(elements: tuple) -> tuple[int, ...]:
     return compose_permutations(*perms)
 
 
+_CNOT_PERMUTATION = circuit_permutation(build_circuit())
+
+
 def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate rho by the erasure unitary, an exact index relabeling."""
+    """Conjugate rho by the erasure unitary, an exact index relabeling.
+
+    Raises ArithmeticError when `ERASURE_PERMUTATION` is not the map the
+    four CNOTs compose, whether or not the state populates the columns where
+    the two differ."""
     rho = density_matrix(rho)
     if rho.dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho.dim}")
+    if ERASURE_PERMUTATION != _CNOT_PERMUTATION:
+        raise ArithmeticError(f"erasure permutation: {ERASURE_PERMUTATION} "
+                              f"is not the CNOT circuit's {_CNOT_PERMUTATION}")
     return permute(rho, ERASURE_PERMUTATION)
 
 

@@ -15,7 +15,6 @@ tags "infinite" and "undefined" in every format.
 """
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -24,16 +23,6 @@ import sys
 from .linalg import ComplexMatrix
 from .states import BlochVector, ThermalSpec
 from .thermo import analyze, entropy_decrease, heat_memory, heat_reservoir, limit_temperature
-from .optics import (
-    MODE_LABELS,
-    PATH_LABELS,
-    PathDistribution,
-    path_final_closed_form,
-    path_marginal,
-    polarization_marginal,
-    simulate,
-    verify_encoding_equivalence,
-)
 
 SCHEMA_VERSION = "1"
 K_B_SI = 1.380649e-23  # J/K
@@ -190,10 +179,12 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def cmd_optics(args: argparse.Namespace) -> dict:
-    dist = PathDistribution(p_1=args.p1, p_2=1.0 - args.p1)
-    state = simulate(args.pol, dist)
-    marginal = path_marginal(state)
-    closed = path_final_closed_form(args.pol, dist)
+    from . import optics  # only this subcommand simulates the photon
+
+    dist = optics.PathDistribution(p_1=args.p1, p_2=1.0 - args.p1)
+    state = optics.simulate(args.pol, dist)
+    marginal = optics.path_marginal(state)
+    closed = optics.path_final_closed_form(args.pol, dist)
     deviation = max(
         abs(marginal[i, j] - closed[i, j]) for i in range(4) for j in range(4)
     )
@@ -203,13 +194,13 @@ def cmd_optics(args: argparse.Namespace) -> dict:
             "p_1": dist.p_1,
             "p_2": dist.p_2,
         },
-        "mode_labels": MODE_LABELS,
+        "mode_labels": optics.MODE_LABELS,
         "final_state": state,
-        "polarization_fidelity_H": polarization_marginal(state)[0, 0].real,
-        "path_labels": PATH_LABELS,
+        "polarization_fidelity_H": optics.polarization_marginal(state)[0, 0].real,
+        "path_labels": optics.PATH_LABELS,
         "path_marginal": marginal,
         "closed_form_max_deviation": deviation,
-        "encoding_equivalent": not verify_encoding_equivalence(),
+        "encoding_equivalent": not optics.verify_encoding_equivalence(),
     }
 
 
@@ -266,6 +257,8 @@ def _jsonable(value):
 
 
 def _csv(rows) -> str:
+    import csv  # only the CSV layouts need it
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import qerase.channel
 from qerase.linalg import ComplexMatrix
 from qerase.verify import random_bloch  # noqa: F401  (shared by the test modules)
 
@@ -17,6 +18,19 @@ def pytest_terminal_summary(terminalreporter) -> None:
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def wrong_channel(monkeypatch):
+    """Install a wrong erasure map in `qerase.channel` together with the same
+    map as `apply_channel`'s CNOT reference, so the map passes the per-call
+    check and reaches the states and the checks that come after it."""
+
+    def install(perm: tuple[int, ...]) -> None:
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", perm)
+        monkeypatch.setattr(qerase.channel, "_CNOT_PERMUTATION", perm)
+
+    return install
 
 
 @pytest.fixture

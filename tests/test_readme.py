@@ -1,6 +1,7 @@
 """The README quick-start runs on the standard library alone and prints what
 its comments say, and each CLI example prints what the README shows."""
 
+import ast
 import json
 import os
 import re
@@ -53,6 +54,21 @@ def test_quick_start_prints_what_its_comments_say():
     assert len(lines) == len(want), lines
     for line, prefix in zip(lines, want):
         assert line.startswith(prefix), (line, prefix)
+
+
+def test_quick_start_never_loads_optics():
+    """The README says the quick start loads no optics: the package binds
+    each name on first use."""
+    code = quick_start() + "\nimport sys\nprint(sorted(sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "qerase.thermo" in loaded and "qerase.optics" not in loaded
 
 
 def run_example(command: str, capsys) -> dict:

@@ -114,18 +114,47 @@ def loaded_modules(*args: str) -> set[str]:
 UNUSED = {"__future__", "dataclasses", "inspect", "typing", "random", "qerase.verify"}
 
 
+SUBMODULES = {f"qerase.{m}" for m in ("linalg", "record", "states", "channel", "thermo", "optics")}
+ERASE = ("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
+
+
 def test_package_import_leaves_out_typing_random_and_verify():
-    """`import qerase` loads no `__future__`, `dataclasses` (nor its
-    `inspect`, which imports `typing` on some interpreters), `typing`,
-    `random` or `verify`."""
-    loaded = loaded_modules("-c", "import qerase")
-    assert "qerase.linalg" in loaded
+    """The package with every submodule loaded (which `import qerase` alone
+    does not do) has no `__future__`, `dataclasses` (nor its `inspect`, which
+    imports `typing` on some interpreters), `typing`, `random` or `verify`."""
+    loaded = loaded_modules("-c", "import qerase; qerase.analyze; qerase.simulate")
+    assert loaded >= SUBMODULES
     assert sorted(loaded & UNUSED) == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded = loaded_modules("-c", "import qerase")
+    assert "qerase" in loaded
+    assert sorted(name for name in loaded if name.startswith("qerase.")) == []
+
+
+def test_analyze_leaves_out_optics():
+    loaded = loaded_modules("-c", "import qerase; qerase.analyze")
+    assert "qerase.thermo" in loaded
+    assert "qerase.optics" not in loaded
+
+
+def test_simulate_leaves_out_thermo():
+    loaded = loaded_modules("-c", "import qerase; qerase.simulate")
+    assert "qerase.optics" in loaded
+    assert "qerase.thermo" not in loaded
 
 
 def test_erase_command_leaves_out_typing():
     """`erase` loads neither `__future__`, `dataclasses`, `inspect` and
     `typing` nor the `verify` battery and its `random`."""
-    loaded = loaded_modules("-m", "qerase", "erase", "--bloch", "0.5,0,0", "--temperature", "0.9")
+    loaded = loaded_modules(*ERASE)
     assert "qerase.cli" in loaded
     assert sorted(loaded & UNUSED) == []
+
+
+def test_erase_command_leaves_out_optics_and_csv():
+    """Only `optics` simulates the photon and only the CSV layouts write CSV."""
+    loaded = loaded_modules(*ERASE)
+    assert "qerase.thermo" in loaded
+    assert sorted(loaded & {"qerase.optics", "csv"}) == []

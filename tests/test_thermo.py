@@ -829,16 +829,14 @@ class TestAnalyze:
         "pair", list(itertools.combinations(range(8), 2)),
         ids=[f"swap{a}{b}" for a, b in itertools.combinations(range(8), 2)],
     )
-    def test_cross_check_catches_a_wrong_channel(self, monkeypatch, pair):
-        """A channel whose output rows `pair` are swapped fails the comparison
-        it disturbs, in natural units and at the SI gap; the swaps the
-        heats, energies and memory entropy cannot see still report."""
+    def test_cross_check_catches_a_wrong_channel(self, wrong_channel, pair):
+        """A channel whose output rows `pair` are swapped, and which gets past
+        `apply_channel`'s operator check, fails the comparison it disturbs, in
+        natural units and at the SI gap; the swaps the heats, energies and
+        memory entropy cannot see still report."""
         low, high = pair
         swap = {low: high, high: low}
-        monkeypatch.setattr(
-            qerase.channel, "ERASURE_PERMUTATION",
-            tuple(swap.get(row, row) for row in qerase.channel.ERASURE_PERMUTATION),
-        )
+        wrong_channel(tuple(swap.get(row, row) for row in ERASURE_PERMUTATION))
         expected = self._wrong_channel_outcome(pair)
         si = ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23)
         for spec in (ThermalSpec.from_beta(1.0), si):
@@ -847,6 +845,42 @@ class TestAnalyze:
             else:
                 with pytest.raises(ArithmeticError, match=f"^{expected}: "):
                     analyze(BlochVector(0.3, -0.2, 0.4), spec)
+
+    @staticmethod
+    def _short_cycles() -> list[tuple[int, ...]]:
+        """The 28 transpositions and 112 3-cycles of the 8 basis rows, each
+        as its row -> row map."""
+        cycles = []
+        for size in (2, 3):
+            for rows in itertools.combinations(range(8), size):
+                for rest in itertools.permutations(rows[1:]):  # each cycle once
+                    cycle = (rows[0], *rest)
+                    sigma = list(range(8))
+                    for row, image in zip(cycle, cycle[1:] + cycle[:1]):
+                        sigma[row] = image
+                    cycles.append(tuple(sigma))
+        return cycles
+
+    def test_every_short_cycle_after_the_channel_raises(self, monkeypatch, capsys):
+        """Each transposition and 3-cycle of the output rows, composed after
+        the erasure, makes `analyze` raise on every input and `erase` exit 1,
+        the maps whose final state no state comparison can tell from the true
+        one among them."""
+        cycles = self._short_cycles()
+        assert len(set(cycles)) == 140 and tuple(range(8)) not in cycles
+        inputs = [
+            (BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0)),
+            (BlochVector(0.5, 0.0, 0.0), ThermalSpec.from_temperature(0.9)),
+            (BlochVector(0.1, 0.6, -0.5), ThermalSpec.from_beta(2.0)),
+        ]
+        for sigma in cycles:
+            wrong = tuple(sigma[row] for row in ERASURE_PERMUTATION)
+            monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", wrong)
+            for b, spec in inputs:
+                with pytest.raises(ArithmeticError, match=r"^erasure permutation: \("):
+                    analyze(b, spec)
+            assert main(["erase", "--bloch", "0.5,0,0", "--temperature", "0.9"]) == 1
+        assert capsys.readouterr().out == ""
 
     # (Bloch vector, beta in natural units, SI?) of the near-pure draws that
     # perfbench's analyze batches raise on when T_limit is computed from an

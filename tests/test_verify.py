@@ -79,11 +79,12 @@ class TestIndividualChecks:
         assert result.status == "pass"
         assert result.detail == "columns map by (0, 5, 3, 6, 2, 7, 1, 4)"
 
-    def test_permutation_identity_catches_swapped_columns(self, monkeypatch):
-        # still unitary, but no longer the erasure map
+    def test_permutation_identity_catches_swapped_columns(self, wrong_channel):
+        # still unitary, but no longer the erasure map; the check compares
+        # with its own copy, so it sees the map past apply_channel's check
         mutated = _swap_columns(ERASURE_PERMUTATION, 1, 2)
         assert check_unitarity(mutated).status == "pass"
-        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", mutated)
+        wrong_channel(mutated)
         result = check_permutation_identity()
         assert result.status == "fail"
         assert "column 1" in result.detail
@@ -242,8 +243,8 @@ class TestWrongChannelMaps:
         assert all(sorted(perm) == list(range(8)) for perm in wrong)
 
     @pytest.mark.parametrize("wrong", _l1_rearrangements(), ids=str)
-    def test_battery_fails_every_l1_rearrangement(self, monkeypatch, capsys, wrong):
-        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", wrong)
+    def test_battery_fails_every_l1_rearrangement(self, wrong_channel, capsys, wrong):
+        wrong_channel(wrong)  # past apply_channel's own check
         results = run_verification(draws=40)
         # the states the checks draw never populate an l1 column, so only the
         # check that reads the applied map sees the fault
@@ -254,10 +255,32 @@ class TestWrongChannelMaps:
         assert "permutation_identity" in capsys.readouterr().out
 
 
-    def test_battery_lists_every_check_when_analyze_raises(self, monkeypatch, capsys):
-        # this map breaks the reservoir heat, so `analyze` refuses to answer;
-        # the two checks that call it fail and name the draw and the refusal
-        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", (3, 5, 0, 6, 2, 7, 1, 4))
+    def test_battery_lists_a_map_that_apply_channel_refuses(self, monkeypatch, capsys):
+        # with the map changed alone, apply_channel refuses it on every call:
+        # each check that applies the channel fails with the refusal, and the
+        # battery still lists all 13 checks
+        wrong = _l1_rearrangements()[0]
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", wrong)
+        results = run_verification(draws=40)
+        assert len(results) == 13
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == [
+            "permutation_identity", "closed_form", "memory_reset", "entropy_conservation",
+            "memory_entropy_drop", "memory_heat_temperature_independence",
+            "energy_conservation",
+        ]
+        refusal = f"erasure permutation: {wrong} is not the CNOT circuit's {ERASURE_PERMUTATION}"
+        assert failed[0].detail == refusal
+        assert all(r.detail == f"draw 0: {refusal}" for r in failed[1:])
+        assert main(["verify", "--draws", "40"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == [r.name for r in results]
+
+    def test_battery_lists_every_check_when_analyze_raises(self, wrong_channel, capsys):
+        # this map, past apply_channel's own check, breaks the reservoir heat,
+        # so `analyze` refuses to answer; the two checks that call it fail and
+        # name the draw and the refusal
+        wrong_channel((3, 5, 0, 6, 2, 7, 1, 4))
         results = run_verification(draws=40)
         assert len(results) == 13
         refused = {r.name: r for r in results if "closed form" in r.detail}
