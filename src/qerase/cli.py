@@ -22,7 +22,7 @@ import sys
 
 from .linalg import ComplexMatrix
 from .states import BlochVector, ThermalSpec
-from .thermo import analyze, entropy_decrease, heat_memory, heat_reservoir, limit_temperature
+from .thermo import _limit_rule, analyze, entropy_decrease, heat_memory, heat_reservoir
 
 SCHEMA_VERSION = "1"
 K_B_SI = 1.380649e-23  # J/K
@@ -164,16 +164,10 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         for j in range(n_phi):
             phi = j * 2.0 * math.pi / n_phi
             b = BlochVector(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi), r * cos_t)
+            delta_s, q_m = entropy_decrease(b), heat_memory(b, spec)  # T_limit reuses both
             rows.append((
-                theta,
-                phi,
-                b.r_x,
-                b.r_y,
-                b.r_z,
-                entropy_decrease(b),
-                heat_memory(b, spec),
-                heat_reservoir(b, spec),
-                limit_temperature(b, spec) / spec.delta,
+                theta, phi, b.r_x, b.r_y, b.r_z, delta_s, q_m, heat_reservoir(b, spec),
+                _limit_rule(q_m, delta_s, spec.k_B) / spec.delta,
             ))
     return {"rows": rows}
 

@@ -93,18 +93,22 @@ def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     return math.sqrt(total)
 
 
+def _limit_rule(q_m: float, delta_s: float, k_B: float) -> float:
+    """The one T_limit rule, -q_m / (k_B delta_s): +inf where no entropy is
+    removed but heat is, NaN where neither is."""
+    if delta_s == 0.0:
+        return math.nan if q_m == 0.0 else math.inf
+    return -q_m / (k_B * delta_s)
+
+
 def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
     """Temperature at which the erasure stops beating the entropy bound.
 
-    T_limit = -Q_M / (k_B dS), from `heat_memory` and `entropy_decrease`;
-    it does not depend on spec.beta. Returns +inf when no entropy is removed
-    but heat is (pure inputs with r_z < 1) and NaN when neither is (r_z = 1).
+    `_limit_rule` applied to `heat_memory`, `entropy_decrease` and spec.k_B,
+    so it does not depend on spec.beta: +inf for pure inputs with r_z < 1,
+    NaN at r_z = 1.
     """
-    q_m = heat_memory(b, spec)
-    delta_s = entropy_decrease(b)
-    if delta_s == 0.0:
-        return math.nan if q_m == 0.0 else math.inf
-    return -q_m / (spec.k_B * delta_s)
+    return _limit_rule(heat_memory(b, spec), entropy_decrease(b), spec.k_B)
 
 
 LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
@@ -156,18 +160,19 @@ class ErasureReport(Record):
 def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     """Run the channel on (b, spec) and report all erasure thermodynamics.
 
-    The closed forms are what gets reported; each is recomputed from the
-    propagated density matrices and the two routes must agree to 1e-10: in
-    nats for the entropy, in units of the gap for the energies, and
-    relative to T_limit above 1. Otherwise ArithmeticError flags the
-    internal inconsistency, as it does for a negative entropy decrease,
-    which the route tolerance can miss near purity.
+    The closed forms are what gets reported; the entropy and the energies
+    are recomputed from the propagated density matrices and the two routes
+    must agree to 1e-10: in nats for the entropy, in units of the gap for
+    the energies. T_limit must agree with the one rule, `_limit_rule`, on
+    the dS and Q_M that passed: to 1e-10 relative to the rule's value above
+    1, and exactly where the rule is +inf or NaN. Otherwise ArithmeticError
+    flags the internal inconsistency, as it does for a negative entropy
+    decrease, which the route tolerance can miss near purity.
 
     The traced heats and energies are sums over the 8 composite populations;
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
     diagonal, so no marginal is formed for it. One pass over the two
-    diagonals builds both heats and both energies. Where no entropy is
-    removed, T_limit must be +inf, or NaN when no heat flows either.
+    diagonals builds both heats and both energies.
     """
     rho_memory = qubit_from_bloch(b)
     rho_initial = kron(rho_memory, _reservoir_initial(spec))  # = composite_initial(b, spec)
@@ -205,14 +210,15 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     _require_close("photon energy", radiated, u_i - u_f, energy_tol)
 
     t_limit = limit_temperature(b, spec)
-    if delta_s > 0.0:
-        _require_close(
-            "limit temperature", t_limit, -q_m / (spec.k_B * delta_s),
-            ROUTE_TOL * max(1.0, abs(t_limit)),
+    rule = _limit_rule(q_m, delta_s, spec.k_B)
+    # the tolerance scales on the rule, never on the closed form; the rule's
+    # +inf and NaN, where no entropy is removed, must be matched exactly
+    tol = ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0
+    same = t_limit == rule or math.isnan(t_limit) and math.isnan(rule)
+    if not (same or abs(t_limit - rule) <= tol):
+        raise ArithmeticError(
+            f"limit temperature: closed form {t_limit!r} and rule {rule!r} disagree"
         )
-    elif delta_s == 0.0 and not (math.isnan(t_limit) if q_m == 0.0 else t_limit == math.inf):
-        raise ArithmeticError(f"limit temperature: closed form {t_limit!r} with no entropy "
-                              f"removed and memory heat {q_m!r}")
 
     if delta_s < 0.0:  # a failed closed form, not a bad input for landauer_check
         raise ArithmeticError(f"entropy decrease: closed form {delta_s!r} is negative")

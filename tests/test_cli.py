@@ -7,10 +7,26 @@ import sys
 
 import pytest
 
+import qerase.cli
 import qerase.thermo
 from qerase.states import BlochVector, ThermalSpec
-from qerase.thermo import analyze, limit_temperature
-from qerase.cli import K_B_SI, SWEEP_COLUMNS, build_parser, cmd_convert_units, cmd_erase, main
+from qerase.thermo import (
+    analyze,
+    entropy_decrease,
+    heat_memory,
+    heat_reservoir,
+    limit_temperature,
+)
+from qerase.cli import (
+    K_B_SI,
+    SWEEP_COLUMNS,
+    _fmt,
+    build_parser,
+    cmd_convert_units,
+    cmd_erase,
+    cmd_sweep,
+    main,
+)
 from qerase.verify import CheckResult
 
 
@@ -290,6 +306,50 @@ class TestSweepCommand:
             limit_temperature(b, ThermalSpec(beta=math.inf)), rel=1e-9
         )
         assert float(record["Q_M"]) == pytest.approx(-(1 - b.r_z) / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("thermal", [["--beta", "inf"], ["--temperature", "0.9"]],
+                             ids=["cold", "warm"])
+    @pytest.mark.parametrize("delta", ["1", "2"])
+    @pytest.mark.parametrize("r", ["0", "0.5", repr(1.0 - 1e-9), "1"])
+    def test_every_cell_is_the_public_closed_form(self, capsys, r, delta, thermal):
+        """Each row prints, bit for bit, the public closed forms on the row's
+        own BlochVector, T_limit as `limit_temperature` over the gap."""
+        argv = ["sweep", "--r", r, "--n-theta", "5", "--n-phi", "4", "--delta", delta, *thermal]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        args = build_parser().parse_args(argv)
+        raw = cmd_sweep(args)["rows"]
+        d = float(delta)
+        spec = (ThermalSpec.from_temperature(0.9, d) if "--temperature" in thermal
+                else ThermalSpec.from_beta(math.inf, d))
+        assert len(rows) == len(raw) == 5 * 4
+        for row, (theta, phi, r_x, r_y, r_z, *_) in zip(rows, raw):
+            b = BlochVector(r_x, r_y, r_z)
+            assert row == [_fmt(x) for x in (
+                theta, phi, b.r_x, b.r_y, b.r_z, entropy_decrease(b), heat_memory(b, spec),
+                heat_reservoir(b, spec), limit_temperature(b, spec) / spec.delta,
+            )]
+
+    def test_each_row_evaluates_entropy_and_memory_heat_once(self, capsys, monkeypatch):
+        """ΔS and Q_M run once per row, counted through the CLI's bindings
+        and the thermo module's, which `limit_temperature` reads."""
+        calls = {"entropy_decrease": 0, "heat_memory": 0}
+        for name in calls:
+            original = getattr(qerase.thermo, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(qerase.thermo, name, counted)
+            monkeypatch.setattr(qerase.cli, name, counted)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--r", "0.5", "--n-theta", "4", "--n-phi", "3",
+            "--temperature", "0.9",
+        )
+        assert code == 0
+        assert calls == {"entropy_decrease": 12, "heat_memory": 12}
 
     def test_zero_temperature_default_balances_heats(self, capsys):
         _, out, _ = run_cli(

@@ -805,6 +805,21 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err.startswith("error: limit temperature: closed form ")
 
+    @pytest.mark.parametrize("patched", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_limit_temperature_is_checked_where_entropy_is_removed(
+        self, monkeypatch, capsys, patched
+    ):
+        """Where dS > 0 the rule is finite, and the tolerance scales on it,
+        not on the closed form: an infinite closed form fails, and `erase`
+        exits 1 instead of printing it as `infinite`."""
+        monkeypatch.setattr(qerase.thermo, "limit_temperature", lambda *args: patched)
+        with pytest.raises(ArithmeticError, match="^limit temperature: closed form "):
+            analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
+        code = main(["erase", "--bloch", "0.3,-0.2,0.4", "--beta", "1", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: limit temperature: closed form ")
+
     def test_negative_entropy_decrease_is_a_failed_closed_form(self, monkeypatch):
         """Near purity dS ~ 1.5e-11 is below the route tolerance, so a sign
         flip passes the comparison; it must still raise ArithmeticError, not
