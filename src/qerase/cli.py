@@ -179,9 +179,7 @@ def cmd_optics(args: argparse.Namespace) -> dict:
     state = optics.simulate(args.pol, dist)
     marginal = optics.path_marginal(state)
     closed = optics.path_final_closed_form(args.pol, dist)
-    deviation = max(
-        abs(marginal[i, j] - closed[i, j]) for i in range(4) for j in range(4)
-    )
+    deviation = max(abs(m - c) for m, c in zip(marginal._flat, closed._flat))
     return {
         "inputs": {
             "pol": (args.pol.r_x, args.pol.r_y, args.pol.r_z),

@@ -9,7 +9,8 @@ exceed 8x8 in this package, so no external linear-algebra dependency is used.
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. Permutations, Kronecker orders and partial traces are index
 plans over the flat tuple, each validated and cached once per shape; a
-partial trace is one gather of every kept entry's terms. The density check
+Kronecker order may carry a relabeling, and a partial trace is one gather of
+every kept entry's terms. The density check
 reads a plan cached once per nonzero pattern: every state here is a qubit
 (x) a diagonal reservoir, so a few patterns serve every check.
 
@@ -101,9 +102,12 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
     n = len(values)
     if n == 0:
         raise ValueError("matrix must have at least one row")
+    entries = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, entries)):  # the n values; the rest are 0j
+        raise ValueError("matrix entries must be finite")
     flat = [0j] * (n * n)
-    flat[::n + 1] = map(complex, values)
-    return ComplexMatrix._from_flat(tuple(flat), n)
+    flat[::n + 1] = entries
+    return ComplexMatrix._wrap(tuple(flat), n)
 
 
 def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -156,17 +160,27 @@ def trace(m: ComplexMatrix) -> complex:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
+    return _kron(a, b, None)
+
+
+def _kron(a: ComplexMatrix, b: ComplexMatrix, perm: tuple[int, ...] | None) -> ComplexMatrix:
+    """`permute(kron(a, b), perm)` in one gather of the products, or
+    `kron(a, b)` for perm None."""
     products = tuple(itertools.starmap(operator.mul, itertools.product(a._flat, b._flat)))
-    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim)(products), a._dim * b._dim)
+    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim, perm)(products), a._dim * b._dim)
 
 
 @lru_cache(maxsize=64)
-def _kron_order(na: int, nb: int) -> Callable[[tuple], tuple]:
+def _kron_order(na: int, nb: int, perm: tuple[int, ...] | None) -> Callable[[tuple], tuple]:
     """Getter putting the products a[p] * b[q], p major, in row-major order:
-    entry (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]."""
-    return _getter([(ia * na + ja) * nb * nb + ib * nb + jb
-                    for ia in range(na) for ib in range(nb)
-                    for ja in range(na) for jb in range(nb)])
+    entry (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]; then, unless
+    perm is None, in the order `permute` gives, composed into one gather."""
+    order = tuple((ia * na + ja) * nb * nb + ib * nb + jb
+                  for ia in range(na) for ib in range(nb)
+                  for ja in range(na) for jb in range(nb))
+    if perm is not None:
+        order = _relabeling(perm, na * nb)(order)  # validates perm
+    return _getter(order)
 
 
 def partial_trace(

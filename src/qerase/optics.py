@@ -9,7 +9,7 @@ paths, half-wave plates flip the polarization on one path. Mode index:
 
 import math
 
-from .linalg import ComplexMatrix, diagonal, kron, partial_trace, permute
+from .linalg import ComplexMatrix, _kron, diagonal, partial_trace, permute
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
 from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
@@ -127,10 +127,8 @@ DEFAULT_CIRCUIT_PERMUTATION = circuit_permutation(default_erasure_circuit())
 def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Send polarization state `pol` on paths weighted by `dist` through the
     default circuit; returns the full 8x8 mode state."""
-    rho_in = kron(
-        qubit_from_bloch(pol), diagonal([dist.p_1, dist.p_2, 0.0, 0.0])
-    )
-    return permute(rho_in, DEFAULT_CIRCUIT_PERMUTATION)
+    return _kron(qubit_from_bloch(pol), diagonal([dist.p_1, dist.p_2, 0.0, 0.0]),
+                 DEFAULT_CIRCUIT_PERMUTATION)
 
 
 def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:

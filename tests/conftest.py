@@ -72,6 +72,19 @@ def assert_matrix_close(m: ComplexMatrix, expected, atol: float = 1e-12) -> None
     np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
+def entry_bits(m: ComplexMatrix) -> list[tuple[str, str]]:
+    """Every entry as the hex of its parts, so -0.0 and 0.0 differ."""
+    return [(x.real.hex(), x.imag.hex()) for row in m.rows for x in row]
+
+
+def random_matrix(rng: random.Random, n: int) -> ComplexMatrix:
+    """Complex entries of which about a third are zeros of either sign."""
+    def part():
+        return rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
+
+    return ComplexMatrix([[complex(part(), part()) for _ in range(n)] for _ in range(n)])
+
+
 def random_density(rng: random.Random, dim: int) -> ComplexMatrix:
     """Random full-rank density matrix, built as normalized A A-dagger."""
     a = np.array(

@@ -4,8 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import assert_matrix_close, numpy_permutation, random_bloch, to_numpy
-from qerase.linalg import diagonal, trace
+from conftest import (
+    assert_matrix_close,
+    numpy_permutation,
+    random_bloch,
+    random_matrix,
+    to_numpy,
+)
+from qerase.linalg import ComplexMatrix, diagonal, trace
 from qerase.states import BlochVector, ThermalSpec, composite_initial, qubit_from_bloch
 from qerase.channel import (
     ANCILLA,
@@ -166,6 +172,37 @@ class TestApplyChannel:
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError, match="trace"):
             apply_channel(diagonal([1.0] * 8))
+
+
+class TestMemoryGroundFidelity:
+    def test_bits_of_the_marginal_entry(self):
+        # the terms of entry (0, 0) are the diagonal entries 0..3; in half
+        # the draws each part of each is a zero of either sign
+        rng = random.Random(44)
+        for k in range(200):
+            m = random_matrix(rng, 8)
+            if k % 2:
+                flat = list(m._flat)
+                for t in range(4):
+                    flat[9 * t] = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+                m = ComplexMatrix(zip(*[iter(flat)] * 8))
+            want = memory_marginal(m)[0, 0].real
+            assert memory_ground_fidelity(m).hex() == want.hex()
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            memory_ground_fidelity(diagonal([1.0, 0.0, 0.0, 0.0]))
+
+    def test_overflow_in_the_read_entry_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            memory_ground_fidelity(diagonal([1e308, 1e308] + [0.0] * 6))
+
+    def test_overflow_in_an_unread_entry_is_not_seen(self):
+        # the narrowed behaviour: only <g| tr_R rho |g> is summed and checked
+        m = diagonal([0.5, 0.5, 0.0, 0.0, 1e308, 1e308, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            memory_marginal(m)
+        assert memory_ground_fidelity(m) == 1.0
 
 
 class TestClosedForm:

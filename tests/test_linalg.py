@@ -12,10 +12,12 @@ import qerase
 import qerase.linalg
 from conftest import (
     assert_matrix_close,
+    entry_bits,
     numpy_permutation,
     random_bloch,
     random_density,
     random_hermitian,
+    random_matrix,
     to_numpy,
 )
 from qerase.linalg import (
@@ -99,19 +101,6 @@ class TestInternalConstructor:
                 assert all(type(x) is complex for x in row)
 
 
-def _bits(m):
-    """Every entry as the hex of its parts, so -0.0 and 0.0 differ."""
-    return [(x.real.hex(), x.imag.hex()) for row in m.rows for x in row]
-
-
-def _random_matrix(rng, n):
-    """Complex entries of which about a third are zeros of either sign."""
-    def part():
-        return rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
-
-    return ComplexMatrix([[complex(part(), part()) for _ in range(n)] for _ in range(n)])
-
-
 class TestFlatKernelsBitForBit:
     """Each kernel against an explicit index loop over the rows, with the
     arithmetic in the order the row-based kernels used."""
@@ -120,9 +109,10 @@ class TestFlatKernelsBitForBit:
     def test_storage_views_agree(self, n):
         rng = random.Random(500 + n)
         for _ in range(10):
-            m = _random_matrix(rng, n)
+            m = random_matrix(rng, n)
             rebuilt = ComplexMatrix(m.rows)
-            assert rebuilt == m and hash(rebuilt) == hash(m) and _bits(rebuilt) == _bits(m)
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+            assert entry_bits(rebuilt) == entry_bits(m)
             for i in range(n):
                 for j in range(n):
                     assert m[i, j] == m.rows[i][j]
@@ -136,7 +126,7 @@ class TestFlatKernelsBitForBit:
     def test_trace(self, n):
         rng = random.Random(510 + n)
         for _ in range(10):
-            a = _random_matrix(rng, n)
+            a = random_matrix(rng, n)
             tr = 0
             for i in range(n):
                 tr = tr + a.rows[i][i]
@@ -146,31 +136,36 @@ class TestFlatKernelsBitForBit:
     def test_diagonal_and_permute(self, n):
         rng = random.Random(520 + n)
         for _ in range(10):
-            values = [_random_matrix(rng, 1)[0, 0] for _ in range(n)]
+            values = [random_matrix(rng, 1)[0, 0] for _ in range(n)]
             values[0] = rng.choice((values[0], 0.25, -1))  # floats and ints too
             want = [[complex(values[i]) if i == j else 0j for j in range(n)] for i in range(n)]
-            assert _bits(diagonal(values)) == _bits(ComplexMatrix(want))
-            m = _random_matrix(rng, n)
+            assert entry_bits(diagonal(values)) == entry_bits(ComplexMatrix(want))
+            # only the n values are checked, and each part of each one is
+            bad = complex(rng.choice((math.nan, math.inf, -math.inf)), rng.gauss(0.0, 1.0))
+            values[rng.randrange(n)] = rng.choice((bad, complex(bad.imag, bad.real)))
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                diagonal(values)
+            m = random_matrix(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
             want = [[0j] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
                     want[perm[i]][perm[j]] = m.rows[i][j]
-            assert _bits(permute(m, perm)) == _bits(ComplexMatrix(want))
+            assert entry_bits(permute(m, perm)) == entry_bits(ComplexMatrix(want))
 
     @pytest.mark.parametrize("na, nb", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (4, 2), (3, 2)])
     def test_kron(self, na, nb):
         rng = random.Random(530 + 10 * na + nb)
         for _ in range(10):
-            a, b = _random_matrix(rng, na), _random_matrix(rng, nb)
+            a, b = random_matrix(rng, na), random_matrix(rng, nb)
             want = [[0j] * (na * nb) for _ in range(na * nb)]
             for ia in range(na):
                 for ja in range(na):
                     for ib in range(nb):
                         for jb in range(nb):
                             want[ia * nb + ib][ja * nb + jb] = a.rows[ia][ja] * b.rows[ib][jb]
-            assert _bits(kron(a, b)) == _bits(ComplexMatrix(want))
+            assert entry_bits(kron(a, b)) == entry_bits(ComplexMatrix(want))
 
     @pytest.mark.parametrize("dims, keep", [
         *(((2, 2, 2), set(keep)) for r in (1, 2, 3) for keep in itertools.combinations(range(3), r)),
@@ -181,10 +176,10 @@ class TestFlatKernelsBitForBit:
         rng = random.Random(540 + len(dims) + 10 * len(keep))
         n = math.prod(dims)
         for _ in range(20):
-            m = _random_matrix(rng, n)
+            m = random_matrix(rng, n)
             got = partial_trace(m, dims, keep)
             want = _reference_partial_trace(m.rows, dims, keep)
-            assert _bits(got) == _bits(ComplexMatrix(want))
+            assert entry_bits(got) == entry_bits(ComplexMatrix(want))
             assert got.dim == math.prod(dims[k] for k in keep)
 
     def test_density_matrix_decides_as_the_row_walk(self):
@@ -922,12 +917,14 @@ class TestDensityValidation:
         reservoir, so its nonzero patterns are few, edge cases included:
         analyze and the propagate calls over pure states on and off the z
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
-        must fill a small part of the pattern-plan cache and evict nothing."""
+        must fill a small part of the pattern-plan cache and evict nothing,
+        and fill two Kronecker-order plans."""
         blochs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                   (0.6, 0.0, 0.8), (0.3, -0.2, 0.4), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
         specs = [ThermalSpec.from_beta(beta) for beta in (0.0, 1.0, math.inf)]
         specs.append(ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23))
         qerase.linalg._pattern_plan.cache_clear()
+        qerase.linalg._kron_order.cache_clear()
         for (x, y, z), spec in itertools.product(blochs, specs):
             b = BlochVector(x, y, z)
             qerase.analyze(b, spec)
@@ -942,3 +939,6 @@ class TestDensityValidation:
             qerase.path_final_closed_form(b, dist)
         info = qerase.linalg._pattern_plan.cache_info()
         assert info.misses == info.currsize <= info.maxsize // 4, info
+        # the plain 2 x 4 order, and simulate's with the circuit's relabeling
+        info = qerase.linalg._kron_order.cache_info()
+        assert info.misses == info.currsize == 2, info

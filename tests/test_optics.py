@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import qerase.optics
-from conftest import assert_matrix_close, numpy_permutation, random_bloch
-from qerase.linalg import trace
+from conftest import assert_matrix_close, entry_bits, numpy_permutation, random_bloch
+from qerase.linalg import diagonal, kron, permute, trace
 from qerase.states import BlochVector, qubit_from_bloch
 from qerase.channel import circuit_permutation
 from qerase.optics import (
@@ -203,6 +203,18 @@ class TestSimulation:
         rho = path_final_closed_form(pol, PathDistribution(1.0, 0.0))
         assert rho[0, 1] == pytest.approx(-0.25j, abs=1e-15)
         assert rho[1, 0] == pytest.approx(0.25j, abs=1e-15)
+
+    def test_one_gather_has_the_bits_of_kron_then_permute(self):
+        rng = random.Random(62)
+        pols = [BlochVector(0.0, -0.0, 1.0), BlochVector(-0.0, 0.0, -0.0),
+                BlochVector(0.6, -0.0, -0.8), BlochVector(-0.0, -0.5, 0.0)]
+        pols += [random_bloch(rng) for _ in range(20)]
+        for pol in pols:
+            for p1 in (1.0, 0.75, rng.random()):  # p1 = 1 gives p2 = 0
+                dist = PathDistribution(p_1=p1, p_2=1.0 - p1)
+                want = permute(kron(qubit_from_bloch(pol), diagonal([p1, dist.p_2, 0, 0])),
+                               DEFAULT_CIRCUIT_PERMUTATION)
+                assert entry_bits(simulate(pol, dist)) == entry_bits(want)
 
     def test_single_path_input_stays_normalized(self):
         state = simulate(BlochVector(0, 0, 1), PathDistribution(1.0, 0.0))
