@@ -12,6 +12,7 @@ import cmath
 
 from .linalg import (
     ComplexMatrix,
+    _relabeling,
     _trace_plan,
     compose_permutations,
     density_matrix,
@@ -108,18 +109,22 @@ def reservoir_final_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMat
     return _branch_split(b, *thermal_probs(spec))
 
 
-def _branch_split(b: BlochVector, p_g: float, p_e: float) -> ComplexMatrix:
-    """The state above for branch weights p_g and p_e, indexed 2e + a."""
+def _branch_split(
+    b: BlochVector, p_g: float, p_e: float, perm: tuple[int, ...] | None = None
+) -> ComplexMatrix:
+    """The state above for branch weights p_g and p_e, indexed 2e + a, or,
+    unless perm is None, `permute(state, perm)` in one cached gather."""
     up = (1.0 + b.r_z) / 2.0
     down = (1.0 - b.r_z) / 2.0
     off = (b.r_x - 1j * b.r_y) / 2.0
     z = 0j
-    return ComplexMatrix._from_flat((
+    flat = (
         complex(up * p_g), z, off * p_g, z,
         z, complex(down * p_e), z, off.conjugate() * p_e,
         off.conjugate() * p_g, z, complex(down * p_g), z,
         z, off * p_e, z, complex(up * p_e),
-    ), 4)
+    )
+    return ComplexMatrix._from_flat(flat if perm is None else _relabeling(perm, 4)(flat), 4)
 
 
 def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

@@ -10,9 +10,10 @@ A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. Permutations, Kronecker orders and partial traces are index
 plans over the flat tuple, each validated and cached once per shape; a
 Kronecker order may carry a relabeling, and a partial trace is one gather of
-every kept entry's terms. The density check
-reads a plan cached once per nonzero pattern: every state here is a qubit
-(x) a diagonal reservoir, so a few patterns serve every check.
+every kept entry's terms. Every state here is a qubit (x) a diagonal
+reservoir: its Kronecker product is formed from the diagonal's n values,
+one product per distinct entry, and the density check reads a plan cached
+once per nonzero pattern, so a few patterns serve every check.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -99,26 +100,33 @@ class ComplexMatrix:
 
 
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
-    n = len(values)
-    if n == 0:
-        raise ValueError("matrix must have at least one row")
-    entries = tuple(map(complex, values))
-    if not all(map(cmath.isfinite, entries)):  # the n values; the rest are 0j
-        raise ValueError("matrix entries must be finite")
+    entries = _diagonal_values(values)
+    n = len(entries)
     flat = [0j] * (n * n)
     flat[::n + 1] = entries
     return ComplexMatrix._wrap(tuple(flat), n)
 
 
-def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+def _diagonal_values(values: Sequence[complex]) -> list[complex]:
+    """A diagonal's n >= 1 values as complex, each checked finite; the rest
+    of its entries are 0j."""
+    entries = list(map(complex, values))
+    if not entries:
+        raise ValueError("matrix must have at least one row")
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("matrix entries must be finite")
+    return entries
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """`operator.itemgetter` of the positions, returning a tuple for none or
-    one position too: a slice index gives a tuple where an int gives the
-    entry."""
+    one position too, from a tuple or a list."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
     if not positions:
-        return operator.itemgetter(slice(0))
-    if len(positions) == 1:
-        return operator.itemgetter(slice(positions[0], positions[0] + 1))
-    return operator.itemgetter(*positions)
+        return lambda flat: ()
+    p = positions[0]
+    return lambda flat: (flat[p],)
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -160,22 +168,43 @@ def trace(m: ComplexMatrix) -> complex:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem."""
-    return _kron(a, b, None)
-
-
-def _kron(a: ComplexMatrix, b: ComplexMatrix, perm: tuple[int, ...] | None) -> ComplexMatrix:
-    """`permute(kron(a, b), perm)` in one gather of the products, or
-    `kron(a, b)` for perm None."""
     products = tuple(itertools.starmap(operator.mul, itertools.product(a._flat, b._flat)))
-    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim, perm)(products), a._dim * b._dim)
+    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim, False, None)(products),
+                                    a._dim * b._dim)
+
+
+def _kron(
+    a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None
+) -> ComplexMatrix:
+    """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
+    None, bit for bit from na^2 (nb + 1) products: each of its entries is
+    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the table holds
+    each a[p] times each value and one 0j, and one cached plan gathers it.
+    The values are checked as `diagonal` checks them, then the table: x * 0j
+    is finite for finite x, so it is rejected as the whole product would be."""
+    factors = _diagonal_values(values)
+    nb = len(factors)
+    factors.append(0j)
+    table = [x * f for x in a._flat for f in factors]
+    if not all(map(cmath.isfinite, table)):
+        raise ValueError("matrix entries must be finite")
+    return ComplexMatrix._wrap(_kron_order(a._dim, nb, True, perm)(table), a._dim * nb)
 
 
 @lru_cache(maxsize=64)
-def _kron_order(na: int, nb: int, perm: tuple[int, ...] | None) -> Callable[[tuple], tuple]:
-    """Getter putting the products a[p] * b[q], p major, in row-major order:
-    entry (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]; then, unless
-    perm is None, in the order `permute` gives, composed into one gather."""
-    order = tuple((ia * na + ja) * nb * nb + ib * nb + jb
+def _kron_order(
+    na: int, nb: int, diag: bool, perm: tuple[int, ...] | None
+) -> Callable[[Sequence], tuple]:
+    """Getter putting a product table in row-major order: entry
+    (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]. The table lists, p
+    major, a[p] times b's nb * nb entries, or, for a diagonal b (diag), times
+    its nb values and then 0j. Unless perm is None, the order `permute` gives is
+    composed into the same gather."""
+    if diag:  # b's values, then 0j
+        width, column = nb + 1, lambda ib, jb: ib if ib == jb else nb
+    else:  # b's entries
+        width, column = nb * nb, lambda ib, jb: ib * nb + jb
+    order = tuple((ia * na + ja) * width + column(ib, jb)
                   for ia in range(na) for ib in range(nb)
                   for ja in range(na) for jb in range(nb))
     if perm is not None:

@@ -9,7 +9,7 @@ paths, half-wave plates flip the polarization on one path. Mode index:
 
 import math
 
-from .linalg import ComplexMatrix, _kron, diagonal, partial_trace, permute
+from .linalg import ComplexMatrix, _kron, partial_trace
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
 from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
@@ -126,8 +126,9 @@ DEFAULT_CIRCUIT_PERMUTATION = circuit_permutation(default_erasure_circuit())
 
 def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Send polarization state `pol` on paths weighted by `dist` through the
-    default circuit; returns the full 8x8 mode state."""
-    return _kron(qubit_from_bloch(pol), diagonal([dist.p_1, dist.p_2, 0.0, 0.0]),
+    default circuit; returns the full 8x8 mode state, the bits of
+    `permute(kron(qubit, diagonal([p_1, p_2, 0, 0])), ...)` in one gather."""
+    return _kron(qubit_from_bloch(pol), [dist.p_1, dist.p_2, 0.0, 0.0],
                  DEFAULT_CIRCUIT_PERMUTATION)
 
 
@@ -135,8 +136,9 @@ def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexM
     """Path marginal after the circuit: populations on paths 1 and 4 carry
     (1 +/- r_z)/2, coherences bridge paths 1-2 and 3-4. It is the channel's
     post-erasure reservoir with p_g = p_1, p_e = p_2, relabeled from index
-    2e + a to path - 1 = e + 2a by the reservoir half of CHANNEL_TO_MODE."""
-    return permute(_branch_split(pol, dist.p_1, dist.p_2), CHANNEL_TO_MODE[:4])
+    2e + a to path - 1 = e + 2a by the reservoir half of CHANNEL_TO_MODE,
+    in the same gather that forms it."""
+    return _branch_split(pol, dist.p_1, dist.p_2, CHANNEL_TO_MODE[:4])
 
 
 def polarization_marginal(rho: ComplexMatrix) -> ComplexMatrix:

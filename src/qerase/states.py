@@ -10,7 +10,7 @@ memory (x) energy (x) ancilla, index = 4m + 2e + a.
 import math
 from functools import lru_cache
 
-from .linalg import ComplexMatrix, density_matrix, diagonal, kron
+from .linalg import ComplexMatrix, _kron, density_matrix, diagonal
 from .record import Record, _set_field
 
 BLOCH_NORM_TOL = 1e-12
@@ -134,8 +134,9 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
-    """8x8 initial state: memory qubit (x) preselected thermal reservoir."""
-    return kron(qubit_from_bloch(b), _reservoir_initial(spec))
+    """8x8 initial state: memory qubit (x) preselected thermal reservoir,
+    formed from the reservoir's diagonal with the bits of their `kron`."""
+    return _kron(qubit_from_bloch(b), _reservoir_initial(spec)._flat[::5], None)
 
 
 @lru_cache(maxsize=64)

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .linalg import ComplexMatrix, _check_permutation, _density_spectrum, kron
+from .linalg import ComplexMatrix, _check_permutation, _density_spectrum, _kron
 from .record import Record, _set_field
 from .states import (
     BlochVector,
@@ -175,7 +175,8 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     diagonals builds both heats and both energies.
     """
     rho_memory = qubit_from_bloch(b)
-    rho_initial = kron(rho_memory, _reservoir_initial(spec))  # = composite_initial(b, spec)
+    # = composite_initial(b, spec), from the memory state formed above
+    rho_initial = _kron(rho_memory, _reservoir_initial(spec)._flat[::5], None)
     rho_final = apply_channel(rho_initial)  # validates rho_initial
     memory_final = memory_marginal(rho_final)
 

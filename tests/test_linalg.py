@@ -24,6 +24,7 @@ from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
     _jacobi_eigenvalues,
+    _kron,
     _trace_plan,
     _walk,
     compose_permutations,
@@ -35,6 +36,7 @@ from qerase.linalg import (
     permute,
     trace,
 )
+from qerase.optics import DEFAULT_CIRCUIT_PERMUTATION
 from qerase.states import BlochVector, ThermalSpec, qubit_from_bloch
 from qerase.thermo import von_neumann_entropy
 
@@ -167,6 +169,50 @@ class TestFlatKernelsBitForBit:
                             want[ia * nb + ib][ja * nb + jb] = a.rows[ia][ja] * b.rows[ib][jb]
             assert entry_bits(kron(a, b)) == entry_bits(ComplexMatrix(want))
 
+    @pytest.mark.parametrize("na, nb", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
+    def test_diagonal_kron(self, na, nb):
+        """The diagonal route, from a's entries and b's n values, gives the
+        bits of `kron(a, diagonal(values))`, plain and relabeled, or its
+        error: entries and values with zeros of either sign, and every
+        fifth draw a 1e200 * 1e200 product that overflows."""
+        rng = random.Random(560 + 10 * na + nb)
+        n = na * nb
+        perms = [DEFAULT_CIRCUIT_PERMUTATION] if n == 8 else []
+        for trial in range(25):
+            a = random_matrix(rng, na)
+            values = [rng.choice((0.0, -0.0, rng.gauss(0.0, 1.0),
+                                  complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))))
+                      for _ in range(nb)]
+            if trial % 5 == 0:
+                a = ComplexMatrix([[1e200 if (i, j) == (0, 0) else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(a.rows)])
+                values[rng.randrange(nb)] = 1e200
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for p in (None, tuple(perm), *perms):
+                def dense(p=p):
+                    joint = kron(a, diagonal(values))
+                    return joint if p is None else permute(joint, p)
+
+                # equal matrices hold equal tuples; the bits tell -0.0 from 0.0
+                got, want = _raised(lambda p=p: _kron(a, values, p)), _raised(dense)
+                assert got == want
+                if isinstance(want, ComplexMatrix):
+                    assert entry_bits(got) == entry_bits(want)
+        bad = (0,) * n  # not a permutation, refused with permute's message
+        assert _raised(lambda: _kron(a, values, bad)) == _raised(
+            lambda: permute(kron(a, diagonal(values)), bad))
+
+    def test_diagonal_kron_rejects_values_as_diagonal_does(self):
+        a = random_matrix(random.Random(57), 2)
+        for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(-math.inf, 0)):
+            values = [0.5, 0.0, bad, -0.0]
+            want = _raised(lambda: diagonal(values))
+            assert want == ("ValueError", "matrix entries must be finite")
+            for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
+                assert _raised(lambda: _kron(a, values, perm)) == want
+        assert _raised(lambda: _kron(a, [], None)) == _raised(lambda: diagonal([]))
+
     @pytest.mark.parametrize("dims, keep", [
         *(((2, 2, 2), set(keep)) for r in (1, 2, 3) for keep in itertools.combinations(range(3), r)),
         ((2, 4), {0}), ((2, 4), {1}), ((2, 4), {0, 1}),
@@ -258,6 +304,14 @@ def _assert_walk_is_the_row_walk(rows):
     want_defect, want_blocks = _row_walk(m)
     assert defect.hex() == want_defect.hex()
     assert blocks == tuple(map(tuple, want_blocks))
+
+
+def _raised(call):
+    """call()'s result, or the type name and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _outcome(check, rows):
@@ -918,7 +972,8 @@ class TestDensityValidation:
         analyze and the propagate calls over pure states on and off the z
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
         must fill a small part of the pattern-plan cache and evict nothing,
-        and fill two Kronecker-order plans."""
+        and fill two Kronecker-order plans, both for a diagonal right
+        factor."""
         blochs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                   (0.6, 0.0, 0.8), (0.3, -0.2, 0.4), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
         specs = [ThermalSpec.from_beta(beta) for beta in (0.0, 1.0, math.inf)]
@@ -939,6 +994,10 @@ class TestDensityValidation:
             qerase.path_final_closed_form(b, dist)
         info = qerase.linalg._pattern_plan.cache_info()
         assert info.misses == info.currsize <= info.maxsize // 4, info
-        # the plain 2 x 4 order, and simulate's with the circuit's relabeling
+        # a qubit (x) 4 diagonal values: the plain order of the composite
+        # state, and simulate's with the circuit's relabeling
         info = qerase.linalg._kron_order.cache_info()
         assert info.misses == info.currsize == 2, info
+        for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
+            qerase.linalg._kron_order(2, 4, True, perm)
+        assert qerase.linalg._kron_order.cache_info().misses == 2

@@ -8,7 +8,7 @@ import qerase.optics
 from conftest import assert_matrix_close, entry_bits, numpy_permutation, random_bloch
 from qerase.linalg import diagonal, kron, permute, trace
 from qerase.states import BlochVector, qubit_from_bloch
-from qerase.channel import circuit_permutation
+from qerase.channel import _branch_split, circuit_permutation
 from qerase.optics import (
     CHANNEL_TO_MODE,
     DEFAULT_CIRCUIT_PERMUTATION,
@@ -215,6 +215,18 @@ class TestSimulation:
                 want = permute(kron(qubit_from_bloch(pol), diagonal([p1, dist.p_2, 0, 0])),
                                DEFAULT_CIRCUIT_PERMUTATION)
                 assert entry_bits(simulate(pol, dist)) == entry_bits(want)
+
+    def test_path_closed_form_has_the_bits_of_split_then_permute(self):
+        rng = random.Random(63)
+        pols = [BlochVector(0.0, -0.0, 1.0), BlochVector(-0.0, 0.0, -0.0),
+                BlochVector(0.6, -0.0, -0.8), BlochVector(-0.0, -0.5, 0.0)]
+        pols += [random_bloch(rng) for _ in range(20)]
+        for pol in pols:
+            for p1 in (1.0, 0.0, 0.75, rng.random()):
+                dist = PathDistribution(p_1=p1, p_2=1.0 - p1)
+                want = permute(_branch_split(pol, p1, dist.p_2), CHANNEL_TO_MODE[:4])
+                got = path_final_closed_form(pol, dist)
+                assert got == want and entry_bits(got) == entry_bits(want)
 
     def test_single_path_input_stays_normalized(self):
         state = simulate(BlochVector(0, 0, 1), PathDistribution(1.0, 0.0))
