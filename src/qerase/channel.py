@@ -16,6 +16,7 @@ from .linalg import (
     _trace_plan,
     compose_permutations,
     density_matrix,
+    diagonal,
     kron,
     partial_trace,
     permute,
@@ -129,8 +130,7 @@ def _branch_split(
 
 def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 post-erasure state: memory reset to |g><g|, reservoir as above."""
-    ground = ComplexMatrix([[1.0, 0.0], [0.0, 0.0]])
-    return kron(ground, reservoir_final_closed_form(b, spec))
+    return kron(diagonal((1.0, 0.0)), reservoir_final_closed_form(b, spec))
 
 
 def memory_marginal(rho: ComplexMatrix) -> ComplexMatrix:
@@ -147,7 +147,7 @@ def memory_ground_fidelity(rho: ComplexMatrix) -> float:
     The bits of `memory_marginal(rho)[0, 0].real`: the trace plan lists the
     terms of entry (0, 0) first, and they are summed alone, in that order.
     Only that sum is checked finite, so an overflow in one of the marginal's
-    other three entries, which raised ValueError before, no longer does."""
+    other three entries does not raise."""
     pick, terms, _ = _trace_plan(SUBSYSTEM_DIMS, (MEMORY,), rho._dim)
     overlap = sum(pick(rho._flat)[:terms])
     if not cmath.isfinite(overlap):

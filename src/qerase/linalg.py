@@ -7,13 +7,13 @@ loop: in closed form up to 2x2, by cyclic Jacobi above. Dimensions never
 exceed 8x8 in this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
-derived from it. Permutations, Kronecker orders and partial traces are index
-plans over the flat tuple, each validated and cached once per shape; a
-Kronecker order may carry a relabeling, and a partial trace is one gather of
-every kept entry's terms. Every state here is a qubit (x) a diagonal
-reservoir: its Kronecker product is formed from the diagonal's n values,
-one product per distinct entry, and the density check reads a plan cached
-once per nonzero pattern, so a few patterns serve every check.
+derived from it. The package forms its matrices from flat entries or diagonal
+values, each scanned for finiteness once. Permutations, Kronecker orders and
+partial traces are index plans over the flat tuple, each validated and cached
+once per shape; a Kronecker order may carry a relabeling, and a partial trace
+is one gather of every kept entry's terms. Every state here is a qubit (x) a
+diagonal reservoir, formed from the diagonal's n values, one product per
+distinct entry; the density check reads a plan cached per nonzero pattern.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -100,22 +100,17 @@ class ComplexMatrix:
 
 
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
-    entries = _diagonal_values(values)
-    n = len(entries)
-    flat = [0j] * (n * n)
-    flat[::n + 1] = entries
-    return ComplexMatrix._wrap(tuple(flat), n)
-
-
-def _diagonal_values(values: Sequence[complex]) -> list[complex]:
-    """A diagonal's n >= 1 values as complex, each checked finite; the rest
-    of its entries are 0j."""
+    """The n x n matrix with the n >= 1 values, as complex, on its diagonal.
+    One scan of the values checks every entry: the rest are 0j."""
     entries = list(map(complex, values))
-    if not entries:
+    n = len(entries)
+    if not n:
         raise ValueError("matrix must have at least one row")
     if not all(map(cmath.isfinite, entries)):
         raise ValueError("matrix entries must be finite")
-    return entries
+    flat = [0j] * (n * n)
+    flat[::n + 1] = entries
+    return ComplexMatrix._wrap(tuple(flat), n)
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -174,17 +169,20 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
 
 def _kron(
-    a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None
+    a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None = None
 ) -> ComplexMatrix:
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
     None, bit for bit from na^2 (nb + 1) products: each of its entries is
     a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the table holds
     each a[p] times each value and one 0j, and one cached plan gathers it.
-    The values are checked as `diagonal` checks them, then the table: x * 0j
-    is finite for finite x, so it is rejected as the whole product would be."""
-    factors = _diagonal_values(values)
-    nb = len(factors)
-    factors.append(0j)
+    One scan of the table checks values and products alike: x * 0j is finite
+    for finite x, and a value v that is not finite makes every a[p] * v
+    non-finite (x * nan, x * inf and 0 * inf are), so the table is rejected
+    exactly when `diagonal` or the whole product would be."""
+    factors = [*map(complex, values), 0j]
+    nb = len(factors) - 1
+    if not nb:
+        raise ValueError("matrix must have at least one row")
     table = [x * f for x in a._flat for f in factors]
     if not all(map(cmath.isfinite, table)):
         raise ValueError("matrix entries must be finite")

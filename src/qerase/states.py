@@ -122,32 +122,31 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
     rho = density_matrix(rho)
     if rho.dim != 4:
         raise ValueError(f"expected an energy-ancilla state, got dimension {rho.dim}")
-    keep = (0, 2)  # (g, l0) and (e, l0)
-    weight = sum(rho[i, i].real for i in keep)
+    flat = rho._flat
+    weight = sum(flat[p].real for p in (0, 10))  # (g, l0) and (e, l0)
     if weight <= 0.0:
         raise ValueError("preselection impossible: no weight in the l0 sector")
-    rows = [[0.0 + 0.0j] * 4 for _ in range(4)]
-    for i in keep:
-        for j in keep:
-            rows[i][j] = rho[i, j] / weight
-    return density_matrix(rows)
+    block = [0j] * 16
+    for p in (0, 2, 8, 10):  # the l0 block: rows and columns 0 and 2
+        block[p] = flat[p] / weight
+    return density_matrix(ComplexMatrix._from_flat(tuple(block), 4))
 
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state: memory qubit (x) preselected thermal reservoir,
     formed from the reservoir's diagonal with the bits of their `kron`."""
-    return _kron(qubit_from_bloch(b), _reservoir_initial(spec)._flat[::5], None)
+    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec))
 
 
 @lru_cache(maxsize=64)
-def _reservoir_initial(spec: ThermalSpec) -> ComplexMatrix:
-    """The preselected thermal reservoir, built and validated once per spec;
-    ThermalSpec is frozen and ComplexMatrix immutable, so sharing is safe.
+def _reservoir_diagonal(spec: ThermalSpec) -> tuple[complex, ...]:
+    """The preselected thermal reservoir's four diagonal values, its matrix
+    built and validated once per spec; the tuple is shared, immutable.
 
-    It equals preselect_l0(gibbs_four_level(spec)) entry for entry, built as
-    one diagonal from the Gibbs weights with the same divisions: the l0
-    weights p/2 over the l0 sector's weight."""
+    They are preselect_l0(gibbs_four_level(spec))'s diagonal entry for entry,
+    built from the Gibbs weights with the same divisions: the l0 weights p/2
+    over the l0 sector's weight."""
     p_g, p_e = thermal_probs(spec)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
-    return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))
+    return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))._flat[::5]

@@ -17,7 +17,7 @@ from .states import (
     ThermalSpec,
     _check_nonnegative,
     _check_positive,
-    _reservoir_initial,
+    _reservoir_diagonal,
     qubit_from_bloch,
     thermal_probs,
 )
@@ -176,7 +176,7 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     """
     rho_memory = qubit_from_bloch(b)
     # = composite_initial(b, spec), from the memory state formed above
-    rho_initial = _kron(rho_memory, _reservoir_initial(spec)._flat[::5], None)
+    rho_initial = _kron(rho_memory, _reservoir_diagonal(spec))
     rho_final = apply_channel(rho_initial)  # validates rho_initial
     memory_final = memory_marginal(rho_final)
 

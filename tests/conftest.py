@@ -77,6 +77,14 @@ def entry_bits(m: ComplexMatrix) -> list[tuple[str, str]]:
     return [(x.real.hex(), x.imag.hex()) for row in m.rows for x in row]
 
 
+def raised(call):
+    """call()'s result, or the type name and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def random_matrix(rng: random.Random, n: int) -> ComplexMatrix:
     """Complex entries of which about a third are zeros of either sign."""
     def part():

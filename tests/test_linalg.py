@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import qerase
 import qerase.linalg
+import qerase.states
 from conftest import (
     assert_matrix_close,
     entry_bits,
     numpy_permutation,
+    raised,
     random_bloch,
     random_density,
     random_hermitian,
@@ -101,6 +103,47 @@ class TestInternalConstructor:
             for row in m.rows:
                 assert type(row) is tuple and len(row) == m.dim
                 assert all(type(x) is complex for x in row)
+
+
+    def test_the_package_builds_no_matrix_from_rows(self, monkeypatch, capsys):
+        """Every matrix qerase forms for itself comes from flat entries or
+        diagonal values: analyze in natural and SI units with a cold and a
+        warm reservoir cache, the propagate calls, the preselection and the
+        closed-form final state, verify and two CLI runs never parse rows."""
+        from qerase.cli import main
+        from qerase.verify import run_verification
+
+        built = []
+        original = ComplexMatrix.__init__
+
+        def counted(self, rows):
+            built.append(rows)
+            original(self, rows)
+
+        b = BlochVector(0.3, -0.2, 0.4)
+        specs = [ThermalSpec.from_beta(0.7),
+                 ThermalSpec.from_temperature(300.0, delta=1.986e-22, k_B=1.380649e-23)]
+        qerase.states._reservoir_diagonal.cache_clear()
+        monkeypatch.setattr(ComplexMatrix, "__init__", counted)
+        for spec in specs + specs:  # cold, then warm
+            qerase.analyze(b, spec)
+        for spec in specs:
+            final = qerase.apply_channel(qerase.composite_initial(b, spec))
+            qerase.memory_ground_fidelity(final)
+            qerase.reservoir_marginal(final)
+            qerase.reservoir_final_closed_form(b, spec)
+            dist = qerase.PathDistribution.from_beta(spec.beta * spec.delta)
+            photon = qerase.simulate(b, dist)
+            qerase.path_marginal(photon)
+            qerase.polarization_marginal(photon)
+            qerase.path_final_closed_form(b, dist)
+            qerase.preselect_l0(qerase.gibbs_four_level(spec))
+            qerase.final_state_closed_form(b, spec)
+        run_verification(draws=5)
+        assert main(["optics", "--pol", "H"]) == 0
+        assert main(["erase"]) == 0
+        capsys.readouterr()
+        assert built == []
 
 
 class TestFlatKernelsBitForBit:
@@ -195,23 +238,34 @@ class TestFlatKernelsBitForBit:
                     return joint if p is None else permute(joint, p)
 
                 # equal matrices hold equal tuples; the bits tell -0.0 from 0.0
-                got, want = _raised(lambda p=p: _kron(a, values, p)), _raised(dense)
+                got, want = raised(lambda p=p: _kron(a, values, p)), raised(dense)
                 assert got == want
                 if isinstance(want, ComplexMatrix):
                     assert entry_bits(got) == entry_bits(want)
         bad = (0,) * n  # not a permutation, refused with permute's message
-        assert _raised(lambda: _kron(a, values, bad)) == _raised(
+        assert raised(lambda: _kron(a, values, bad)) == raised(
             lambda: permute(kron(a, diagonal(values)), bad))
 
     def test_diagonal_kron_rejects_values_as_diagonal_does(self):
-        a = random_matrix(random.Random(57), 2)
-        for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(-math.inf, 0)):
-            values = [0.5, 0.0, bad, -0.0]
-            want = _raised(lambda: diagonal(values))
-            assert want == ("ValueError", "matrix entries must be finite")
-            for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
-                assert _raised(lambda: _kron(a, values, perm)) == want
-        assert _raised(lambda: _kron(a, [], None)) == _raised(lambda: diagonal([]))
+        """The product table is the only scan: a value that is not finite
+        makes every product with it non-finite, so it is rejected as
+        `diagonal` rejects it, also where each product is 0 * inf = nan
+        (a left factor of zeros of either sign) or meets a signed zero."""
+        inf, nan = math.inf, math.nan
+        zeros = ComplexMatrix([[complex(0.0, -0.0), complex(-0.0, 0.0)],
+                               [complex(-0.0, -0.0), 0j]])
+        signed = ComplexMatrix([[complex(1.5, -0.0), complex(-0.0, 2.0)],
+                                [complex(0.0, -3.0), complex(-0.5, 0.0)]])
+        bads = (nan, inf, -inf, complex(0.5, nan), complex(-inf, 0),
+                complex(inf, 0), complex(0, nan), complex(-inf, inf))
+        for a in (random_matrix(random.Random(57), 2), zeros, signed):
+            for bad in bads:
+                values = [0.5, 0.0, bad, -0.0]
+                want = raised(lambda: diagonal(values))
+                assert want == ("ValueError", "matrix entries must be finite")
+                for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
+                    assert raised(lambda: _kron(a, values, perm)) == want
+            assert raised(lambda: _kron(a, [], None)) == raised(lambda: diagonal([]))
 
     @pytest.mark.parametrize("dims, keep", [
         *(((2, 2, 2), set(keep)) for r in (1, 2, 3) for keep in itertools.combinations(range(3), r)),
@@ -304,14 +358,6 @@ def _assert_walk_is_the_row_walk(rows):
     want_defect, want_blocks = _row_walk(m)
     assert defect.hex() == want_defect.hex()
     assert blocks == tuple(map(tuple, want_blocks))
-
-
-def _raised(call):
-    """call()'s result, or the type name and message of what it raised."""
-    try:
-        return call()
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _outcome(check, rows):

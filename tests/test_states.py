@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qerase.states
-from conftest import assert_matrix_close
-from qerase.linalg import ComplexMatrix, diagonal, kron, trace
+from conftest import assert_matrix_close, entry_bits, raised, random_density
+from qerase.linalg import ComplexMatrix, density_matrix, diagonal, kron, trace
 from qerase.states import (
     BlochVector,
     ThermalSpec,
@@ -199,6 +199,79 @@ class TestGibbsAndPreselection:
             preselect_l0(diagonal([-5e-11, 0.5, 1e-10, 0.5 - 5e-11]))
 
 
+    def test_flat_preselection_has_the_row_list_bits(self):
+        """preselect_l0 reads the l0 block off the flat entries; it gives the
+        bits, or the (type, message) of the error, of the row-list form it
+        replaced, on coherent states whose l0 weight falls to the eigenvalue
+        floor, with zeros of either sign, and on each way it can refuse."""
+        rng = random.Random(97)
+        results = []
+        for _ in range(500):
+            rho = _coherent_reservoir(rng)
+            got, want = raised(lambda: preselect_l0(rho)), raised(lambda: _preselect_rows(rho))
+            assert got == want
+            if isinstance(want, ComplexMatrix):
+                assert entry_bits(got) == entry_bits(want)
+                results.append(got)
+        assert len(results) > 400
+        tiny = 5e-321  # two of them: an l0 weight that 1e-11 / weight overflows
+        refusals = {  # a part of each message, and an input refused with it
+            "not Hermitian": ComplexMatrix([[0.5, 0.1, 0, 0], [0, 0.5, 0, 0],
+                                            [0, 0, 0, 0], [0, 0, 0, 0]]),
+            "dimension 2": diagonal([0.5, 0.5]),
+            "no weight in the l0 sector": diagonal([-5e-11, 0.5, 5e-11, 0.5]),
+            "entries must be finite": ComplexMatrix([[tiny, 0, 1e-11, 0], [0, 0.5, 0, 0],
+                                                     [1e-11, 0, tiny, 0], [0, 0, 0, 0.5]]),
+            "eigenvalue -1.000e+00": diagonal([-5e-11, 0.5, 1e-10, 0.5 - 5e-11]),
+        }
+        for message, rho in refusals.items():
+            want = raised(lambda: _preselect_rows(rho))
+            assert raised(lambda: preselect_l0(rho)) == want
+            assert want[0] == "ValueError" and message in want[1], want
+
+def _preselect_rows(rho):
+    """The row-list preselection: the oracle of the flat one."""
+    rho = density_matrix(rho)
+    if rho.dim != 4:
+        raise ValueError(f"expected an energy-ancilla state, got dimension {rho.dim}")
+    keep = (0, 2)  # (g, l0) and (e, l0)
+    weight = sum(rho[i, i].real for i in keep)
+    if weight <= 0.0:
+        raise ValueError("preselection impossible: no weight in the l0 sector")
+    rows = [[0.0 + 0.0j] * 4 for _ in range(4)]
+    for i in keep:
+        for j in keep:
+            rows[i][j] = rho[i, j] / weight
+    return density_matrix(rows)
+
+
+def _coherent_reservoir(rng):
+    """A 4x4 density matrix: a random full-rank state with weight 10^-11 to 1
+    mixed into one on l1 (indices 1, 3), so its l0 weight is as small; half
+    of the draws move up to 5e-11 of l0 population to l1, which can leave a
+    population below zero by as much as the eigenvalue floor allows. Entries
+    between the parts of a random partition, a pinching that keeps the state
+    positive, become zeros of either sign, as do the diagonal's imaginary
+    parts."""
+    eps = 10.0 ** rng.uniform(-11.0, 0.0)
+    flat = [eps * x for x in random_density(rng, 4)._flat]
+    for p, x in zip((5, 7, 13, 15), random_density(rng, 2)._flat):
+        flat[p] += (1.0 - eps) * x
+    if rng.random() < 0.5:
+        shift = rng.uniform(0.0, 5e-11)
+        flat[rng.choice((0, 10))] -= shift
+        flat[5] += shift
+    parts = rng.choice((((0, 1, 2, 3),), ((0, 2), (1, 3)), ((0,), (2,), (1, 3))))
+    part = {i: k for k, members in enumerate(parts) for i in members}
+    zero = (0.0, -0.0)
+    for i in range(4):
+        for j in range(4):
+            if part[i] != part[j]:
+                flat[4 * i + j] = complex(rng.choice(zero), rng.choice(zero))
+        flat[5 * i] = complex(flat[5 * i].real, rng.choice(zero))
+    return ComplexMatrix([flat[4 * i:4 * i + 4] for i in range(4)])
+
+
 class TestCompositeInitial:
     def test_structure_at_zero_temperature(self):
         rho = composite_initial(BlochVector(0, 0, 1), ThermalSpec.from_beta(math.inf))
@@ -232,10 +305,10 @@ class TestCompositeInitial:
             calls.append(spec)
             return original(spec)
 
-        qerase.states._reservoir_initial.cache_clear()
+        qerase.states._reservoir_diagonal.cache_clear()
         monkeypatch.setattr(qerase.states, "thermal_probs", counted)
         yield calls
-        qerase.states._reservoir_initial.cache_clear()
+        qerase.states._reservoir_diagonal.cache_clear()
 
     def test_reservoir_state_is_built_once_per_thermal_point(self, reservoir_builds):
         b = BlochVector(0.5, 0.1, -0.2)
@@ -250,20 +323,20 @@ class TestCompositeInitial:
     @pytest.mark.parametrize("units", ["natural", "si"])
     @pytest.mark.parametrize("beta_delta", [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, math.inf])
     def test_reservoir_has_the_preselected_bits(self, beta_delta, units):
-        """The reservoir is one diagonal built from the Gibbs weights; every
-        entry, signed zeros included, is the bits of preselect_l0 applied to
-        the Gibbs state."""
+        """The reservoir is cached as the four values of one diagonal built
+        from the Gibbs weights; each, signed zeros included, has the bits of
+        the diagonal of preselect_l0 applied to the Gibbs state."""
         delta, k_B = (1.986e-22, 1.380649e-23) if units == "si" else (1.0, 1.0)
         specs = [ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)]
         if units == "si":
             specs.append(ThermalSpec.from_temperature(300.0, delta=delta, k_B=k_B))
 
-        def bits(m):
-            return [(x.real.hex(), x.imag.hex()) for x in m._flat]
+        def bits(values):
+            return [(x.real.hex(), x.imag.hex()) for x in values]
 
         for spec in specs:
-            want = bits(preselect_l0(gibbs_four_level(spec)))
-            assert bits(qerase.states._reservoir_initial.__wrapped__(spec)) == want
+            want = bits(preselect_l0(gibbs_four_level(spec))._flat[::5])
+            assert bits(qerase.states._reservoir_diagonal.__wrapped__(spec)) == want
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
     def test_cached_reservoir_gives_the_uncached_product(self, beta):

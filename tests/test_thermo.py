@@ -27,7 +27,7 @@ from qerase.linalg import (
 from qerase.states import (
     BlochVector,
     ThermalSpec,
-    _reservoir_initial,
+    _reservoir_diagonal,
     composite_initial,
     qubit_from_bloch,
 )
@@ -595,7 +595,7 @@ class TestEigensolveCount:
         # 1x1 blocks; the initial memory is one 2x2 block; the final one,
         # erased to |g>, is two 1x1 blocks; a cold reservoir cache adds the
         # reservoir's own check, four 1x1 blocks
-        _reservoir_initial.cache_clear()
+        _reservoir_diagonal.cache_clear()
         for reservoir in ([1, 1, 1, 1], []):  # cold, then warm
             solved_blocks.clear()
             analyze(self.B, self.SPEC)
