@@ -134,11 +134,11 @@ def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
 
 
 def memory_marginal(rho: ComplexMatrix) -> ComplexMatrix:
-    return partial_trace(rho, SUBSYSTEM_DIMS, keep={MEMORY})
+    return partial_trace(rho, SUBSYSTEM_DIMS, keep=(MEMORY,))
 
 
 def reservoir_marginal(rho: ComplexMatrix) -> ComplexMatrix:
-    return partial_trace(rho, SUBSYSTEM_DIMS, keep={ENERGY, ANCILLA})
+    return partial_trace(rho, SUBSYSTEM_DIMS, keep=(ENERGY, ANCILLA))
 
 
 def memory_ground_fidelity(rho: ComplexMatrix) -> float:

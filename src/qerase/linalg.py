@@ -13,7 +13,8 @@ partial traces are index plans over the flat tuple, each validated and cached
 once per shape; a Kronecker order may carry a relabeling, and a partial trace
 is one gather of every kept entry's terms. Every state here is a qubit (x) a
 diagonal reservoir, formed from the diagonal's n values, one product per
-distinct entry; the density check reads a plan cached per nonzero pattern.
+distinct entry; the density check reads a plan cached per nonzero pattern,
+or, on a 2x2, the same pairs and blocks off its four entries.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -274,8 +275,22 @@ def _walk(m: ComplexMatrix) -> tuple[float, tuple[tuple[int, ...], ...]]:
     up to a relabeling and its spectrum is the union of the blocks' spectra.
 
     Both come from a plan cached per nonzero pattern: the pairs and the
-    blocks depend only on where the nonzero entries sit."""
+    blocks depend only on where the nonzero entries sit. A 2x2 has only two
+    block layouts, so its pairs and blocks are read off its four entries,
+    as that plan lists them, with no pattern key or cache lookup."""
     flat, n = m._flat, m._dim
+    if n == 2:
+        a, b, c, d = flat
+        defect = abs(a - a.conjugate()) if a else 0.0
+        if b or c:
+            x = abs(b - c.conjugate())
+            if x > defect:
+                defect = x
+        if d:
+            x = abs(d - d.conjugate())
+            if x > defect:
+                defect = x
+        return defect, ((0, 1),) if b or c else ((0,), (1,))
     upper, lower, blocks = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
     defect = 0.0
     for x, y in zip(upper(flat), lower(flat)):

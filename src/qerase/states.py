@@ -135,18 +135,20 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state: memory qubit (x) preselected thermal reservoir,
     formed from the reservoir's diagonal with the bits of their `kron`."""
-    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec))
+    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta, spec.delta))
 
 
 @lru_cache(maxsize=64)
-def _reservoir_diagonal(spec: ThermalSpec) -> tuple[complex, ...]:
-    """The preselected thermal reservoir's four diagonal values, its matrix
-    built and validated once per spec; the tuple is shared, immutable.
+def _reservoir_diagonal(beta: float, delta: float) -> tuple[complex, ...]:
+    """The preselected thermal reservoir's four diagonal values at a
+    validated spec's beta and delta, its matrix built and validated once per
+    (beta, delta), the only fields they depend on; the tuple is shared,
+    immutable. The key is two floats, so a hit hashes no ThermalSpec.
 
     They are preselect_l0(gibbs_four_level(spec))'s diagonal entry for entry,
     built from the Gibbs weights with the same divisions: the l0 weights p/2
     over the l0 sector's weight."""
-    p_g, p_e = thermal_probs(spec)
+    p_g, p_e = thermal_probs(ThermalSpec(beta, delta))
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
     return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))._flat[::5]

@@ -323,6 +323,90 @@ class TestFlatKernelsBitForBit:
                 entropies += 1
         assert entropies > 2000
 
+    def test_2x2_walk_is_the_pattern_plan(self, monkeypatch):
+        """For each of the 16 zero patterns of a 2x2, 300 fillings with zeros
+        of either sign, entries of +-1e300 and non-Hermitian off-diagonals:
+        the walk's defect and blocks, read off the four entries, are the bits
+        of the route through the pattern plan, and `density_matrix`,
+        `hermitian_eigenvalues` and `von_neumann_entropy` give the same value
+        or the same error message as on that route."""
+        checks = (density_matrix, hermitian_eigenvalues, von_neumann_entropy)
+        rng = random.Random(552)
+        kinds = set()
+        for pattern in itertools.product((False, True), repeat=4):
+            for _ in range(300):
+                m = _two_by_two(rng, pattern)
+                assert tuple(map(bool, m._flat)) == pattern
+                defect, blocks = _walk(m)
+                want_defect, want_blocks = _plan_walk(m)
+                assert (defect.hex(), blocks) == (want_defect.hex(), want_blocks)
+                got = [_value_or_message(check, m) for check in checks]
+                with monkeypatch.context() as patched:
+                    patched.setattr(qerase.linalg, "_walk", _plan_walk)
+                    assert got == [_value_or_message(check, m) for check in checks]
+                kinds.update(next((k for k in ("Hermitian", "trace", "overflow", "eigenvalue")
+                                   if k in str(out)), "ok") for out in got)
+        assert kinds == {"ok", "Hermitian", "trace", "eigenvalue", "overflow"}, kinds
+
+
+def _two_by_two(rng, pattern):
+    """A 2x2 whose nonzero entries sit where `pattern` is true, zeros of
+    either sign elsewhere: a density matrix, or one with an independent
+    off-diagonal, a part of +-1e300, an imaginary diagonal part near the
+    hermiticity tolerance, or Hermitian entries whose spectrum can overflow."""
+    p = rng.random()
+    off = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) * math.sqrt(p * (1.0 - p))
+    flat = [complex(p, rng.choice((0.0, -0.0))), off, off.conjugate(),
+            complex(1.0 - p, rng.choice((0.0, -0.0)))]
+    if not pattern[0] or not pattern[3]:  # one diagonal entry left: give it the trace
+        flat[0 if pattern[0] else 3] = complex(1.0, rng.choice((0.0, -0.0)))
+    kind = rng.randrange(5)
+    if kind == 4:
+        big = complex(rng.choice((1e300, -1e300)), rng.choice((1e300, -1e300)))
+        flat = [complex(rng.choice((1e300, 1.5e308, -1.5e308))), big, big.conjugate(),
+                complex(rng.choice((1e300, 1.5e308, -1.5e308)))]
+    elif kind == 1:
+        flat[2] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+    elif kind == 2:
+        flat[rng.randrange(4)] = complex(rng.choice((1e300, -1e300, 0.0, -0.0)),
+                                         rng.choice((1e300, -1e300)))
+    elif kind == 3:
+        k = rng.choice((0, 3))
+        flat[k] += complex(0.0, rng.choice((1e-13, -1e-13, 1e-11)))
+    for k, nonzero in enumerate(pattern):
+        if not nonzero:
+            flat[k] = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+        elif not flat[k]:
+            flat[k] = complex(rng.choice((0.0, -0.0)), 0.25)
+    return ComplexMatrix._from_flat(tuple(flat), 2)
+
+
+def _plan_walk(m):
+    """`_walk`'s route for every size: the plan cached per nonzero pattern,
+    built here uncached, and the defect over its pairs."""
+    flat, n = m._flat, m.dim
+    upper, lower, blocks = qerase.linalg._pattern_plan.__wrapped__(
+        tuple(itertools.compress(range(n * n), flat)), n)
+    defect = 0.0
+    for x, y in zip(upper(flat), lower(flat)):
+        d = abs(x - y.conjugate())
+        if d > defect:
+            defect = d
+    return defect, blocks
+
+
+def _value_or_message(check, m):
+    """check(m) as the bits of its value, or its error's type and message."""
+    try:
+        value = check(m)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, ComplexMatrix):
+        return entry_bits(value)
+    if isinstance(value, tuple):
+        return [x.hex() for x in value]
+    return value.hex()
+
 
 def _sparse_batch():
     """The 5,000 sparse near-Hermitian matrices of the row-walk tests."""

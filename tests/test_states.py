@@ -320,6 +320,16 @@ class TestCompositeInitial:
         composite_initial(b, ThermalSpec.from_beta(0.7, delta=2.0))
         assert len(reservoir_builds) == 2
 
+    def test_reservoir_is_shared_by_specs_that_differ_only_in_k_b(self, reservoir_builds):
+        # the reservoir depends on beta and delta alone, and k_B only
+        # converts between beta and a temperature
+        b = BlochVector(0.5, 0.1, -0.2)
+        natural = ThermalSpec(beta=0.7, delta=2.0)
+        si = ThermalSpec(beta=0.7, delta=2.0, k_B=1.380649e-23)
+        assert natural != si
+        assert composite_initial(b, natural) == composite_initial(b, si)
+        assert len(reservoir_builds) == 1
+
     @pytest.mark.parametrize("units", ["natural", "si"])
     @pytest.mark.parametrize("beta_delta", [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, math.inf])
     def test_reservoir_has_the_preselected_bits(self, beta_delta, units):
@@ -336,7 +346,7 @@ class TestCompositeInitial:
 
         for spec in specs:
             want = bits(preselect_l0(gibbs_four_level(spec))._flat[::5])
-            assert bits(qerase.states._reservoir_diagonal.__wrapped__(spec)) == want
+            assert bits(qerase.states._reservoir_diagonal.__wrapped__(spec.beta, spec.delta)) == want
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
     def test_cached_reservoir_gives_the_uncached_product(self, beta):

@@ -604,6 +604,21 @@ class TestEigensolveCount:
             assert len(set(solved_blocks)) == len(solved_blocks)  # each block once
         assert solved_dims == []
 
+    def test_warm_analyze_plans_only_the_8x8_pattern(self, monkeypatch):
+        # the two 2x2 entropies read their pairs and blocks off their four
+        # entries; only apply_channel's 8x8 check consults the pattern plan
+        sizes = []
+        original = qerase.linalg._pattern_plan
+
+        def counted(nonzero, n):
+            sizes.append(n)
+            return original(nonzero, n)
+
+        analyze(self.B, self.SPEC)  # warms the reservoir cache
+        monkeypatch.setattr(qerase.linalg, "_pattern_plan", counted)
+        analyze(self.B, self.SPEC)
+        assert sizes == [8]
+
     def test_dense_state_entropy_solves_once(self, monkeypatch):
         loop_sizes = []
         original = qerase.linalg._jacobi_eigenvalues
@@ -937,6 +952,28 @@ class TestAnalyze:
         assert isinstance(report, ErasureReport)
         with pytest.raises(AttributeError):
             report.delta_s = 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(radii, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+        st.one_of(st.sampled_from([0.0, math.inf]),
+                  st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)),
+        st.booleans(),
+    )
+    def test_verdict_is_landauer_checks_on_the_reported_numbers(self, polar, beta_delta, si):
+        """analyze applies the margin rule without landauer_check's input
+        checks; on the report's own dS, Q_M and T the check gives the same
+        margin, bit for bit, and the same verdict, in natural and SI units and
+        at beta = 0 and inf."""
+        r, theta, phi = polar
+        b = BlochVector(r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi),
+                        r * math.cos(theta))
+        delta, k_B = (1.986e-22, 1.380649e-23) if si else (1.0, 1.0)
+        spec = ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)
+        report = analyze(b, spec)
+        verdict = landauer_check(report.q_memory, report.temperature, report.delta_s, k_B)
+        assert report.landauer_margin.hex() == verdict.margin.hex()
+        assert report.landauer_violated is verdict.violated
 
     def test_random_draws_stay_internally_consistent(self):
         rng = random.Random(56)
