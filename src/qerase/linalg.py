@@ -9,12 +9,15 @@ exceed 8x8 in this package, so no external linear-algebra dependency is used.
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. The package forms its matrices from flat entries or diagonal
 values, each scanned for finiteness once. Permutations, Kronecker orders and
-partial traces are index plans over the flat tuple, each validated and cached
-once per shape; a Kronecker order may carry a relabeling, and a partial trace
-is one gather of every kept entry's terms. Every state here is a qubit (x) a
-diagonal reservoir, formed from the diagonal's n values, one product per
-distinct entry; the density check reads a plan cached per nonzero pattern,
-or, on a 2x2, the same pairs and blocks off its four entries.
+partial traces are plans over the flat tuple, each validated and cached once
+per shape; a Kronecker order may carry a relabeling. A partial trace plan is
+one function compiled from its plain int positions, `lambda f: (0 + f[p] +
+f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so
+each entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without
+a call per entry. Every state here is a qubit (x) a diagonal reservoir,
+formed from the diagonal's n values, one product per distinct entry; the
+density check reads a plan cached per nonzero pattern, or, on a 2x2, the
+same pairs and blocks off its four entries.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -218,23 +221,25 @@ def partial_trace(
 
     `dims` lists subsystem dimensions with the leftmost factor most
     significant in the flat index; the kept subsystems retain their
-    relative order. One cached gather lists each kept entry's terms in
-    increasing flat index, and each entry is their `sum`.
+    relative order. One cached kernel sums each kept entry's terms in
+    increasing flat index, as `sum` does; the entries are then scanned for
+    finiteness, since a sum of finite entries can overflow.
     """
-    pick, terms, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
-    flat = tuple(map(sum, zip(*[iter(pick(rho._flat))] * terms)))
-    return ComplexMatrix._from_flat(flat, dim)
+    kernel, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
+    return ComplexMatrix._from_flat(kernel(rho._flat), dim)
 
 
 @lru_cache(maxsize=64)
 def _trace_plan(
-    dims: tuple[int, ...], keep: tuple[int, ...], n: int
-) -> tuple[Callable[[tuple], tuple], int, int]:
-    """Validate a partial trace of an n x n matrix once; return one getter,
-    the number of terms of each output entry and the output dimension. The
-    getter lists the kept-block entries in row-major order and, within each,
-    its terms by the traced digits in lexicographic order, which is
-    increasing flat index: each run of `terms` values is summed in turn.
+    dims: tuple[int, ...], keep: tuple[int, ...], n: int, corner: bool = False
+) -> tuple[Callable[[tuple], tuple], int]:
+    """Validate a partial trace of an n x n matrix once; return its kernel
+    and the output dimension. The kernel maps the flat entries to the
+    kept-block entries in row-major order, each the sum of its terms by the
+    traced digits in lexicographic order, which is increasing flat index;
+    with `corner`, to entry (0, 0) alone, a 1-tuple. `_sum_kernel` compiles
+    it once here, from positions computed off n and the enumeration order,
+    never from the values passed in.
 
     Non-integral values are rejected, not truncated. An integral float such
     as 2.0 hashes like 2, so the two share a cached plan.
@@ -262,9 +267,27 @@ def _trace_plan(
     index = {label: i for i, label in enumerate(labels)}
     blocks = sorted({kept for kept, _ in labels})
     rests = sorted({traced for _, traced in labels})
-    pick = _getter([index[u, t] * total + index[v, t]
-                    for u in blocks for v in blocks for t in rests])
-    return pick, len(rests), len(blocks)
+    entries = [(u, v) for u in blocks for v in blocks][:1 if corner else None]
+    return _sum_kernel([[index[u, t] * n + index[v, t] for t in rests]
+                        for u, v in entries]), len(blocks)
+
+
+def _sum_kernel(groups: Sequence[Sequence[int]]) -> Callable[[Sequence], tuple]:
+    """One compiled function of a flat tuple f: the tuple of
+    `0 + f[p] + f[q] + ...` over each group of plain int positions.
+
+    The chain runs left to right from int 0, exactly as `sum` adds complex
+    values (through Python 3.13), so it rounds as `sum` does and turns a
+    -0.0 part into +0.0 as `sum` does. The positions are the plan's own
+    ints, the only values in the source. A chain nests one level per term,
+    so a group of more than 100 terms carries its running sum in `s` from
+    one run of 100 to the next, within what the compiler can nest."""
+    def chain(group):
+        runs = ["".join(f" + f[{p}]" for p in group[i:i + 100])
+                for i in range(0, len(group), 100)]
+        return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
+
+    return eval(f"lambda f: ({''.join(chain(group) + ',' for group in groups)})")
 
 
 def _walk(m: ComplexMatrix) -> tuple[float, tuple[tuple[int, ...], ...]]:

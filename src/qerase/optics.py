@@ -11,7 +11,7 @@ import math
 
 from .linalg import ComplexMatrix, _kron, partial_trace
 from .record import Record, _set_field
-from .states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
+from .states import BlochVector, _check_nonnegative, _gibbs, qubit_from_bloch
 from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
 
 POL_H, POL_V = 0, 1
@@ -105,8 +105,11 @@ class PathDistribution(Record):
 
     @classmethod
     def from_beta(cls, beta: float) -> "PathDistribution":
-        p_g, p_e = thermal_probs(ThermalSpec(beta=beta))
-        return cls(p_1=p_g, p_2=p_e)
+        """Paths 1 and 2 weighted as the energy qubit's Gibbs weights at beta,
+        in units of the gap: `thermal_probs(ThermalSpec(beta=beta))`, with
+        ThermalSpec's check of beta and no spec formed."""
+        _check_nonnegative("inverse temperature", beta)
+        return cls(*_gibbs(beta, 1.0))
 
 
 def default_erasure_circuit() -> tuple[OpticalElement, ...]:

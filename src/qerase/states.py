@@ -91,7 +91,13 @@ def _reciprocal(x: float) -> float:
 
 def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:
     """Gibbs weights (p_g, p_e) of the energy qubit at spec.beta; (1, 0) at beta = inf."""
-    w = math.exp(-spec.beta * spec.delta)
+    return _gibbs(spec.beta, spec.delta)
+
+
+def _gibbs(beta: float, delta: float) -> tuple[float, float]:
+    """The Gibbs weights of gap delta at inverse temperature beta, both
+    already checked: the one formula, for callers that hold no spec."""
+    w = math.exp(-beta * delta)
     p_g = 1.0 / (1.0 + w)
     return (p_g, w * p_g)
 
@@ -148,7 +154,7 @@ def _reservoir_diagonal(beta: float, delta: float) -> tuple[complex, ...]:
     They are preselect_l0(gibbs_four_level(spec))'s diagonal entry for entry,
     built from the Gibbs weights with the same divisions: the l0 weights p/2
     over the l0 sector's weight."""
-    p_g, p_e = thermal_probs(ThermalSpec(beta, delta))
+    p_g, p_e = _gibbs(beta, delta)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
     return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))._flat[::5]

@@ -1,7 +1,12 @@
+import builtins
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -779,6 +784,131 @@ def _reference_partial_trace(rows, dims, keep):
         tuple(sum(rows[flat(u, t)][flat(v, t)] for t in rests) for v in blocks)
         for u in blocks
     )
+
+
+def _trace_shapes():
+    """Every dims of one to three positive sizes with a product of at most 8
+    (every factorization into sizes of 2 or more is among them), with each
+    nonempty keep set."""
+    for length in (1, 2, 3):
+        for dims in itertools.product(range(1, 9), repeat=length):
+            if math.prod(dims) <= 8:
+                for r in range(1, length + 1):
+                    for keep in itertools.combinations(range(length), r):
+                        yield dims, keep
+
+
+def _extreme_matrix(rng, n):
+    """Parts drawn from signed zeros, +/-1e308 (whose sums overflow) and
+    ordinary values."""
+    def part():
+        return rng.choice((0.0, -0.0, 0.0, -0.0, 1e308, -1e308, 1.0, rng.gauss(0.0, 1.0)))
+
+    return ComplexMatrix._wrap(tuple(complex(part(), part()) for _ in range(n * n)), n)
+
+
+class _Sly(int):
+    """An int whose text is code: a kernel source built from these texts
+    would divide by zero."""
+
+    def __repr__(self):
+        return "(1 // 0)"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "(1 // 0)"
+
+
+class TestTraceKernels:
+    """Each partial trace plan's compiled kernel against the sum() oracle."""
+
+    def test_every_shape_up_to_8_bit_for_bit(self):
+        rng = random.Random(61)
+        shapes = list(_trace_shapes())
+        assert len(shapes) > 100 and ((2, 2, 2), (0, 1, 2)) in shapes
+        overflows = 0
+        for dims, keep in shapes:
+            n = math.prod(dims)
+            for k in range(12):
+                m = _extreme_matrix(rng, n) if k % 2 else random_matrix(rng, n)
+                want = raised(lambda: ComplexMatrix(_reference_partial_trace(m.rows, dims, keep)))
+                got = raised(lambda: partial_trace(m, dims, keep))
+                if isinstance(want, tuple):
+                    assert got == want == ("ValueError", "matrix entries must be finite")
+                    overflows += 1
+                else:
+                    assert entry_bits(got) == entry_bits(want), (dims, keep)
+        assert overflows > 100
+
+    def test_long_traces_sum_as_sum(self):
+        # more than 100 terms per entry: the running sum carries over runs
+        rng = random.Random(62)
+        for dims, keep in (((2, 150), (0,)), ((1, 101), (0,)), ((3, 100), (0,))):
+            n = math.prod(dims)
+            m = ComplexMatrix._wrap(tuple(complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))
+                                          for _ in range(n * n)), n)
+            want = ComplexMatrix(_reference_partial_trace(m.rows, dims, keep))
+            assert entry_bits(partial_trace(m, dims, keep)) == entry_bits(want)
+
+    def test_source_holds_only_plain_ints(self):
+        """Sizes and keep indices of an int subclass whose text is code give
+        the plain-int matrix: the kernel's source is built from the plan's own
+        positions, never from the values passed in."""
+        rng = random.Random(63)
+        _trace_plan.cache_clear()  # an equal plain-int key must not be found
+        for dims, keep in (((2, 4), (1,)), ((2, 2, 2), (0, 2)), ((8,), (0,)), ((2, 4), (0, 1))):
+            m = random_matrix(rng, math.prod(dims))
+            got = partial_trace(m, tuple(map(_Sly, dims)), tuple(map(_Sly, keep)))
+            want = ComplexMatrix(_reference_partial_trace(m.rows, dims, keep))
+            assert entry_bits(got) == entry_bits(want)
+        _trace_plan.cache_clear()
+
+    def test_a_warm_trace_compiles_nothing(self, monkeypatch):
+        b = BlochVector(0.3, -0.2, 0.4)
+        spec = ThermalSpec.from_beta(0.7)
+        rng = random.Random(64)
+        rho = random_matrix(rng, 8)
+
+        def outputs():
+            final = qerase.apply_channel(qerase.composite_initial(b, spec))
+            photon = qerase.simulate(b, qerase.PathDistribution.from_beta(0.7))
+            marginals = (qerase.memory_marginal(final), qerase.reservoir_marginal(final),
+                         qerase.path_marginal(photon), qerase.polarization_marginal(photon),
+                         partial_trace(rho, (2, 2, 2), (0, 2)))
+            return ([entry_bits(m) for m in marginals],
+                    qerase.memory_ground_fidelity(final).hex(), repr(qerase.analyze(b, spec)))
+
+        want = outputs()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm trace compiled a kernel")
+
+        monkeypatch.setattr(builtins, "eval", refuse)
+        assert outputs() == want
+
+    def test_import_builds_no_kernel(self):
+        """A fresh interpreter that imports the modules compiles no kernel;
+        its first marginal compiles one."""
+        code = (
+            "import builtins\n"
+            "kernels = []\n"
+            "real = builtins.eval\n"
+            "def seen(source, *rest):\n"
+            "    if isinstance(source, str) and source.startswith('lambda f:'):\n"
+            "        kernels.append(source)\n"
+            "    return real(source, *rest)\n"
+            "builtins.eval = seen\n"
+            "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
+            "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
+            "qerase.channel.memory_marginal(qerase.linalg.diagonal([0.125] * 8))\n"
+            "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\n") == ["0 0", "1 1", ""]
 
 
 class TestEigensolver:

@@ -7,7 +7,7 @@ import pytest
 import qerase.optics
 from conftest import assert_matrix_close, entry_bits, numpy_permutation, random_bloch
 from qerase.linalg import diagonal, kron, permute, trace
-from qerase.states import BlochVector, qubit_from_bloch
+from qerase.states import BlochVector, ThermalSpec, qubit_from_bloch, thermal_probs
 from qerase.channel import _branch_split, circuit_permutation
 from qerase.optics import (
     CHANNEL_TO_MODE,
@@ -148,6 +148,22 @@ class TestPathDistribution:
         dist = PathDistribution.from_beta(0.0)
         assert (dist.p_1, dist.p_2) == (0.5, 0.5)
 
+    def test_from_beta_is_the_gibbs_weights_of_a_unit_gap_spec(self):
+        """The bits of thermal_probs(ThermalSpec(beta=beta)), and the error
+        that ThermalSpec raises for a beta it refuses, its type and message."""
+        rng = random.Random(71)
+        betas = [0.0, 1e-300, 5e-324, 0.1, 1, 10, 745.2, 1e300, math.inf, -1.0, -0.0, -1,
+                 -math.inf, math.nan, "x", None]
+        betas += [10.0 ** rng.uniform(-12.0, 3.0) for _ in range(500)]
+        for beta in betas:
+            want = _outcome(lambda: thermal_probs(ThermalSpec(beta=beta)))
+            got = _outcome(lambda: PathDistribution.from_beta(beta))
+            if isinstance(got, PathDistribution):
+                got = (got.p_1, got.p_2)
+            assert repr(got) == repr(want), beta
+        assert _outcome(lambda: PathDistribution.from_beta(-1)) == (
+            "ValueError", "inverse temperature must be >= 0, got -1")
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="probability"):
             PathDistribution(p_1=1.2, p_2=-0.2)
@@ -272,3 +288,11 @@ class TestEncodingEquivalence:
                 assert optical[i, j] == pytest.approx(
                     reservoir[relabel[i], relabel[j]], abs=1e-15
                 )
+
+
+def _outcome(call):
+    """call()'s result, or the type name and message of what it raised."""
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)

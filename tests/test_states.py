@@ -299,14 +299,14 @@ class TestCompositeInitial:
         """Count reservoir builds, each of which reads the Gibbs weights once,
         starting from an empty reservoir cache."""
         calls = []
-        original = qerase.states.thermal_probs
+        original = qerase.states._gibbs
 
-        def counted(spec):
-            calls.append(spec)
-            return original(spec)
+        def counted(beta, delta):
+            calls.append((beta, delta))
+            return original(beta, delta)
 
         qerase.states._reservoir_diagonal.cache_clear()
-        monkeypatch.setattr(qerase.states, "thermal_probs", counted)
+        monkeypatch.setattr(qerase.states, "_gibbs", counted)
         yield calls
         qerase.states._reservoir_diagonal.cache_clear()
 
