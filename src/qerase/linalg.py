@@ -2,9 +2,9 @@
 
 Everything here is plain Python on tuples of complex numbers: Kronecker
 products, partial traces, density-matrix validation and a Hermitian
-eigensolver that solves each block of the nonzero pattern alone, in one
-loop: in closed form up to 2x2, by cyclic Jacobi above. Dimensions never
-exceed 8x8 in this package, so no external linear-algebra dependency is used.
+eigensolver that solves each block of the nonzero pattern alone: in closed
+form up to 2x2, by cyclic Jacobi above. Dimensions never exceed 8x8 in this
+package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. The package forms its matrices from flat entries or diagonal
@@ -15,9 +15,15 @@ one function compiled from its plain int positions, `lambda f: (0 + f[p] +
 f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so
 each entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without
 a call per entry. Every state here is a qubit (x) a diagonal reservoir,
-formed from the diagonal's n values, one product per distinct entry; the
-density check reads a plan cached per nonzero pattern, or, on a 2x2, the
-same pairs and blocks off its four entries.
+formed from the diagonal's n values, one product per distinct entry, by a
+table function compiled per shape, `lambda a, v: (a[0] * v[0], ...)`. The
+density check reads a plan cached per nonzero pattern that carries two
+functions compiled by one `eval` from its positions: the hermiticity defect,
+`lambda f: max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of
+its blocks, `lambda f: sorted((...))`, run only once the checks before it
+have passed. A 2x2 reads the same defect and blocks off its four entries and
+takes its solve from the same compiler. Only first use compiles; importing
+the module compiles nothing.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -178,19 +184,32 @@ def _kron(
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
     None, bit for bit from na^2 (nb + 1) products: each of its entries is
     a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the table holds
-    each a[p] times each value and one 0j, and one cached plan gathers it.
-    One scan of the table checks values and products alike: x * 0j is finite
-    for finite x, and a value v that is not finite makes every a[p] * v
-    non-finite (x * nan, x * inf and 0 * inf are), so the table is rejected
-    exactly when `diagonal` or the whole product would be."""
+    each a[p] times each value and one 0j, made by the kernel cached per
+    (na^2, nb), and one cached plan gathers it. One scan of the table checks
+    values and products alike: x * 0j is finite for finite x, and a value v
+    that is not finite makes every a[p] * v non-finite (x * nan, x * inf and
+    0 * inf are), so the table is rejected exactly when `diagonal` or the
+    whole product would be."""
     factors = [*map(complex, values), 0j]
     nb = len(factors) - 1
     if not nb:
         raise ValueError("matrix must have at least one row")
-    table = [x * f for x in a._flat for f in factors]
+    table = _kron_table(len(a._flat), nb)(a._flat, factors)
     if not all(map(cmath.isfinite, table)):
         raise ValueError("matrix entries must be finite")
     return ComplexMatrix._wrap(_kron_order(a._dim, nb, True, perm)(table), a._dim * nb)
+
+
+@lru_cache(maxsize=64)
+def _kron_table(size: int, nb: int) -> Callable[[tuple, list], tuple]:
+    """One function compiled per shape, of a's `size` flat entries a and
+    nb + 1 factors v: the tuple `(a[0] * v[0], ..., a[0] * v[nb], a[1] *
+    v[0], ...)`, the products `_kron` gathers, p major: the same products,
+    in the same order, as a loop over a and then v, without the loop. Its
+    source holds only plain int positions, never the values."""
+    return eval("lambda a, v: ("
+                + "".join(f"a[{p}] * v[{k}], " for p in range(size) for k in range(nb + 1))
+                + ")")
 
 
 @lru_cache(maxsize=64)
@@ -290,46 +309,50 @@ def _sum_kernel(groups: Sequence[Sequence[int]]) -> Callable[[Sequence], tuple]:
     return eval(f"lambda f: ({''.join(chain(group) + ',' for group in groups)})")
 
 
-def _walk(m: ComplexMatrix) -> tuple[float, tuple[tuple[int, ...], ...]]:
+def _walk(
+    m: ComplexMatrix,
+) -> tuple[float, tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
     """The largest |m[i,j] - conj(m[j,i])| over the unordered pairs with a
-    nonzero member (a pair of zeros adds nothing), and the blocks of the
-    nonzero pattern, each once, in order of smallest index. Indices i and j
-    share a block when m[i, j] or m[j, i] is nonzero, so m is block diagonal
-    up to a relabeling and its spectrum is the union of the blocks' spectra.
+    nonzero member (a pair of zeros adds nothing), the blocks of the nonzero
+    pattern, each once, in order of smallest index, and the solve of those
+    blocks, unrun. Indices i and j share a block when m[i, j] or m[j, i] is
+    nonzero, so m is block diagonal up to a relabeling and its spectrum is
+    the union of the blocks' spectra.
 
-    Both come from a plan cached per nonzero pattern: the pairs and the
-    blocks depend only on where the nonzero entries sit. A 2x2 has only two
-    block layouts, so its pairs and blocks are read off its four entries,
-    as that plan lists them, with no pattern key or cache lookup."""
+    All three come from a plan cached per nonzero pattern: the pairs and the
+    blocks depend only on where the nonzero entries sit. The caller runs the
+    solve on the flat entries only once its own checks have passed, so an
+    input that fails a check never reaches it. A 2x2 has only two block
+    layouts, so its defect and blocks are read off its four entries, as that
+    plan lists them, with no pattern key; its solve is the one that plan
+    would carry, compiled on first use of its layout."""
     flat, n = m._flat, m._dim
     if n == 2:
         a, b, c, d = flat
         defect = abs(a - a.conjugate()) if a else 0.0
+        linked = 0
         if b or c:
-            x = abs(b - c.conjugate())
+            x, linked = abs(b - c.conjugate()), 1
             if x > defect:
                 defect = x
         if d:
             x = abs(d - d.conjugate())
             if x > defect:
                 defect = x
-        return defect, ((0, 1),) if b or c else ((0,), (1,))
-    upper, lower, blocks = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
-    defect = 0.0
-    for x, y in zip(upper(flat), lower(flat)):
-        d = abs(x - y.conjugate())
-        if d > defect:
-            defect = d
-    return defect, blocks
+        blocks, solve = _two_by_two_plan(linked)
+        return defect, blocks, solve
+    defect, blocks, solve = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
+    return defect(flat), blocks, solve
 
 
 @lru_cache(maxsize=64)
 def _pattern_plan(
     nonzero: tuple[int, ...], n: int
-) -> tuple[Callable[[tuple], tuple], Callable[[tuple], tuple], tuple[tuple[int, ...], ...]]:
-    """For the n x n pattern whose nonzero flat positions are `nonzero`:
-    getters of m[i,j] and of m[j,i] over each pair i <= j with a nonzero
-    member, and the blocks of the pattern, merged once here."""
+) -> tuple[Callable[[tuple], float], tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
+    """For the n x n pattern whose nonzero flat positions are `nonzero`: the
+    defect kernel over each pair i <= j with a nonzero member, the blocks of
+    the pattern, merged once here, and their solve kernel, both kernels from
+    `_pattern_kernels`."""
     pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in nonzero)})
     blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
     for i, j in pairs:
@@ -337,43 +360,69 @@ def _pattern_plan(
             merged = sorted(blocks[i] + blocks[j])
             for k in merged:
                 blocks[k] = merged
-    return (
-        _getter([i * n + j for i, j in pairs]),
-        _getter([j * n + i for i, j in pairs]),
-        tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i),
-    )
+    blocks = tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i)
+    defect, solve = _pattern_kernels(pairs, blocks, n)
+    return defect, blocks, solve
 
 
-def _spectrum(m: ComplexMatrix, blocks: Iterable[Sequence[int]]) -> list[float]:
-    """The union of the blocks' spectra, each block solved once, ascending.
+@lru_cache(maxsize=2)
+def _two_by_two_plan(
+    linked: int,
+) -> tuple[tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
+    """The blocks of a 2x2 whose off-diagonal pair is nonzero (linked 1) or
+    zero (0), and their solve kernel, as the pattern plan has them."""
+    blocks = ((0, 1),) if linked else ((0,), (1,))
+    return blocks, _pattern_kernels((), blocks, 2)[1]
 
-    The blocks are solved in order: a 1x1 block is its real diagonal entry;
-    a 2x2 block is (a + d)/2 -/+ hypot((a - d)/2, |b|) in closed form, on
-    its real diagonal a, d and its off-diagonal entry symmetrized as
-    b = (m[i,j] + conj(m[j,i]))/2; a block of 3 or more runs the Jacobi
-    loop."""
-    flat, n = m._flat, m._dim
-    spectrum = []
-    for block in blocks:
+
+def _pattern_kernels(
+    pairs: Sequence[tuple[int, int]], blocks: Sequence[Sequence[int]], n: int
+) -> tuple[Callable[[tuple], float], Callable[[tuple], list[float]]]:
+    """The defect and the solve of an n x n pattern: two functions of the
+    flat entries f, compiled by one `eval` from the plan's own int
+    positions, the only values in the source.
+
+    The defect is `max((abs(f[p] - f[q].conjugate()), ..., 0.0))` over the
+    pairs in order. Each term is finite or inf, and `max` keeps the first
+    of equal values, so it is the value a loop from 0.0 keeping each larger
+    term gives; an `abs` that overflows raises at the same pair.
+
+    The solve is `sorted((...))`, the union of the blocks' spectra in block
+    order, ascending: a 1x1 block is its real diagonal entry, `f[k].real`;
+    a 2x2 block is `(m := (a + d)/2) - (r := hypot((a - d)/2, |b|)), m + r`
+    on its real diagonal a, d and its off-diagonal entry symmetrized as
+    b = (m[i,j] + conj(m[j,i]))/2, each of its four entries read once into
+    a walrus name; a block of 3 or more is `*_jacobi_eigenvalues(rows)` on
+    its rows, the solver looked up when the kernel runs. |b| is
+    `abs(u + v * 1j)` on b's parts u and v, each halved on its own: for
+    finite parts that is the `abs` of the complex b, a zero's sign aside,
+    which `abs` ignores, so the radius keeps its bits; where a part
+    overflows it is inf (v * 1j has a nan real part for an infinite v, and
+    `abs` reads a complex with an infinite part as inf), where halving the
+    complex sum would give nan through 0 * inf, which no floor test
+    rejects."""
+    def solved(block):
         if len(block) == 1:
-            spectrum.append(flat[block[0] * (n + 1)].real)
-        elif len(block) == 2:
+            return f"f[{block[0] * (n + 1)}].real"
+        if len(block) == 2:
             i, j = block
-            a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
-            off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
-            mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
-            spectrum += (mean - radius, mean + radius)
-        else:
-            rows = tuple(tuple(flat[i * n + j] for j in block) for i in block)
-            spectrum += _jacobi_eigenvalues(rows)
-    spectrum.sort()
-    return spectrum
+            a, d = f"(a := f[{i * (n + 1)}].real)", f"(d := f[{j * (n + 1)}].real)"
+            x, y = f"(x := f[{i * n + j}])", f"(y := f[{j * n + i}])"
+            off = f"0.5 * ({x}.real + {y}.real) + 0.5 * (x.imag - y.imag) * 1j"
+            return f"(m := 0.5 * ({a} + {d})) - (r := math.hypot(0.5 * (a - d), abs({off}))), m + r"
+        rows = "".join("(" + "".join(f"f[{i * n + j}], " for j in block) + "), " for i in block)
+        return f"*_jacobi_eigenvalues(({rows}))"
+
+    defects = "".join(f"abs(f[{i * n + j}] - f[{j * n + i}].conjugate()), " for i, j in pairs)
+    return eval(f"lambda f: max(({defects}0.0,)), "
+                f"lambda f: sorted(({''.join(solved(b) + ', ' for b in blocks)}))")
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues, each block of the nonzero pattern solved on its
-    own in `_spectrum`, as `density_matrix` solves it, so a diagonal entry
-    comes back exact.
+    own by the solve kernel `_walk` returns, as `density_matrix` solves it,
+    so a diagonal entry comes back exact. The kernel runs only after the
+    hermiticity check has passed, so a rejected input is never solved.
 
     A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
     rounding grows with the entries, so the input check scales as the sweeps
@@ -383,12 +432,12 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     sweeps raises ArithmeticError. A solve that overflows the float range
     raises OverflowError; entries near 1e308 can do so.
     """
-    defect, blocks = _walk(m)
+    defect, _, solve = _walk(m)
     if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
         tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, m._flat)))
         if defect > tol:
             raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
-    spectrum = _spectrum(m, blocks)
+    spectrum = solve(m._flat)
     if math.isinf(spectrum[0]) or math.isinf(spectrum[-1]):  # sorted: any inf is at an end
         raise OverflowError("eigenvalue solve overflowed the float range")
     return tuple(spectrum)
@@ -396,7 +445,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
     """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
-    the solve of a block of 3 or more in `_spectrum`."""
+    the solve of a block of 3 or more in `_pattern_kernels`."""
     n = len(rows)
     a = [list(row) for row in rows]
     # symmetrize so the iteration sees an exactly Hermitian matrix
@@ -451,7 +500,7 @@ def _density_spectrum(
     ascending spectrum, each block of the nonzero pattern solved once."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    defect, blocks = _walk(m)
+    defect, _, solve = _walk(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -459,7 +508,7 @@ def _density_spectrum(
     tr = trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    spectrum = _spectrum(m, blocks)
+    spectrum = solve(m._flat)
     if spectrum[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {spectrum[0]:.3e} below {EIGENVALUE_FLOOR:.0e}")
     return m, spectrum
@@ -471,10 +520,12 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
     eigenvalues above -1e-10, in that order. The plan cached for m's
     nonzero pattern gives the defect, over the pairs with a nonzero member,
-    and the blocks of the pattern; each block is then solved once, as
-    `hermitian_eigenvalues` solves it, and the smallest eigenvalue is the
-    floor test's. `von_neumann_entropy` runs the same pass and keeps the
-    spectrum.
+    and the solve kernel of the pattern's blocks (`_walk`). The solve runs
+    only after the hermiticity and trace checks have passed, so every error
+    keeps its type, its message and its place in that order; it solves
+    each block once, as `hermitian_eigenvalues` solves it, and the smallest
+    eigenvalue is the floor test's. `von_neumann_entropy` runs the same pass
+    and keeps the spectrum.
     """
     return _density_spectrum(m)[0]
 

@@ -1,4 +1,5 @@
 import builtins
+import functools
 import itertools
 import math
 import os
@@ -289,9 +290,10 @@ class TestFlatKernelsBitForBit:
 
     def test_density_matrix_decides_as_the_row_walk(self):
         """5,000 sparse near-Hermitian matrices: accept or reject, and the
-        message, must be those of the row-by-row walk kept below, and the
-        pattern plan's defect and blocks the walk's own, bit for bit; the
-        all-zero matrix and 1x1 matrices as well."""
+        message, must be those of the row-by-row walk kept below, the
+        pattern plan's defect and blocks the walk's own, bit for bit, and
+        its solve kernel the per-block solve's spectrum; the all-zero matrix
+        and 1x1 matrices as well."""
         seen = {}
         for rows in _sparse_batch():
             want = _outcome(_row_walk_density_check, rows)
@@ -331,10 +333,11 @@ class TestFlatKernelsBitForBit:
     def test_2x2_walk_is_the_pattern_plan(self, monkeypatch):
         """For each of the 16 zero patterns of a 2x2, 300 fillings with zeros
         of either sign, entries of +-1e300 and non-Hermitian off-diagonals:
-        the walk's defect and blocks, read off the four entries, are the bits
-        of the route through the pattern plan, and `density_matrix`,
-        `hermitian_eigenvalues` and `von_neumann_entropy` give the same value
-        or the same error message as on that route."""
+        the walk's defect and blocks, read off the four entries, and the
+        spectrum its solve kernel gives are the bits of the route through
+        the pattern plan, and `density_matrix`, `hermitian_eigenvalues` and
+        `von_neumann_entropy` give the same value or the same error message
+        as on that route."""
         checks = (density_matrix, hermitian_eigenvalues, von_neumann_entropy)
         rng = random.Random(552)
         kinds = set()
@@ -342,9 +345,10 @@ class TestFlatKernelsBitForBit:
             for _ in range(300):
                 m = _two_by_two(rng, pattern)
                 assert tuple(map(bool, m._flat)) == pattern
-                defect, blocks = _walk(m)
-                want_defect, want_blocks = _plan_walk(m)
+                defect, blocks, solve = _walk(m)
+                want_defect, want_blocks, want_solve = _plan_walk(m)
                 assert (defect.hex(), blocks) == (want_defect.hex(), want_blocks)
+                assert _hexes(solve(m._flat)) == _hexes(want_solve(m._flat))
                 got = [_value_or_message(check, m) for check in checks]
                 with monkeypatch.context() as patched:
                     patched.setattr(qerase.linalg, "_walk", _plan_walk)
@@ -352,6 +356,28 @@ class TestFlatKernelsBitForBit:
                 kinds.update(next((k for k in ("Hermitian", "trace", "overflow", "eigenvalue")
                                    if k in str(out)), "ok") for out in got)
         assert kinds == {"ok", "Hermitian", "trace", "eigenvalue", "overflow"}, kinds
+
+
+def _edge_grid():
+    """(b, spec) over pure states on and off the z axis, the exact ground
+    state, the maximally mixed state and others, beta in {0, 1, inf} and an
+    SI gap."""
+    blochs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+              (0.6, 0.0, 0.8), (0.3, -0.2, 0.4), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
+    specs = [ThermalSpec.from_beta(beta) for beta in (0.0, 1.0, math.inf)]
+    specs.append(ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23))
+    return [(BlochVector(*xyz), spec) for xyz, spec in itertools.product(blochs, specs)]
+
+
+def _edge_outputs(b, spec):
+    """The repr of analyze and of the propagate calls' outputs for one draw."""
+    final = qerase.apply_channel(qerase.composite_initial(b, spec))
+    dist = qerase.PathDistribution.from_beta(spec.beta * spec.delta)
+    photon = qerase.simulate(b, dist)
+    return repr((qerase.analyze(b, spec), qerase.memory_ground_fidelity(final),
+                 qerase.reservoir_marginal(final), qerase.reservoir_final_closed_form(b, spec),
+                 qerase.path_marginal(photon), qerase.polarization_marginal(photon),
+                 qerase.path_final_closed_form(b, dist)))
 
 
 def _two_by_two(rng, pattern):
@@ -388,16 +414,18 @@ def _two_by_two(rng, pattern):
 
 def _plan_walk(m):
     """`_walk`'s route for every size: the plan cached per nonzero pattern,
-    built here uncached, and the defect over its pairs."""
+    built and compiled here, in a cache of the test's own, its defect kernel
+    run on m."""
     flat, n = m._flat, m.dim
-    upper, lower, blocks = qerase.linalg._pattern_plan.__wrapped__(
-        tuple(itertools.compress(range(n * n), flat)), n)
-    defect = 0.0
-    for x, y in zip(upper(flat), lower(flat)):
-        d = abs(x - y.conjugate())
-        if d > defect:
-            defect = d
-    return defect, blocks
+    defect, blocks, solve = _own_pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
+    return defect(flat), blocks, solve
+
+
+_own_pattern_plan = functools.cache(qerase.linalg._pattern_plan.__wrapped__)
+
+
+def _hexes(values):
+    return [x.hex() for x in values]
 
 
 def _value_or_message(check, m):
@@ -443,10 +471,11 @@ def _per_block_spectrum(m):
 
 def _assert_walk_is_the_row_walk(rows):
     m = ComplexMatrix(rows)
-    defect, blocks = _walk(m)
+    defect, blocks, solve = _walk(m)
     want_defect, want_blocks = _row_walk(m)
     assert defect.hex() == want_defect.hex()
     assert blocks == tuple(map(tuple, want_blocks))
+    assert _hexes(solve(m._flat)) == _hexes(_per_block_spectrum(m))
 
 
 def _outcome(check, rows):
@@ -888,14 +917,18 @@ class TestTraceKernels:
         assert outputs() == want
 
     def test_import_builds_no_kernel(self):
-        """A fresh interpreter that imports the modules compiles no kernel;
-        its first marginal compiles one."""
+        """A fresh interpreter that imports the modules makes no `eval`
+        call from the package, whatever its source (`namedtuple`'s own, in
+        the standard library, are not the package's); its first marginal
+        compiles one kernel, by one `eval`, and so does each first density
+        check of a pattern, both its kernels at once, and each first
+        Kronecker table; a second round compiles nothing."""
         code = (
-            "import builtins\n"
+            "import builtins, sys\n"
             "kernels = []\n"
             "real = builtins.eval\n"
             "def seen(source, *rest):\n"
-            "    if isinstance(source, str) and source.startswith('lambda f:'):\n"
+            "    if sys._getframe(1).f_globals.get('__name__', '').startswith('qerase'):\n"
             "        kernels.append(source)\n"
             "    return real(source, *rest)\n"
             "builtins.eval = seen\n"
@@ -903,12 +936,18 @@ class TestTraceKernels:
             "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
             "qerase.channel.memory_marginal(qerase.linalg.diagonal([0.125] * 8))\n"
             "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
+            "from qerase.linalg import _kron, density_matrix, diagonal\n"
+            "for _ in range(2):\n"
+            "    density_matrix(diagonal([0.5, 0.5]))\n"
+            "    density_matrix(diagonal([0.125] * 8))\n"
+            "    _kron(diagonal([1.0, 0.0]), [0.5, 0.5])\n"
+            "    print(len(kernels))\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n") == ["0 0", "1 1", ""]
+        assert proc.stdout.split("\n") == ["0 0", "1 1", "4", "4", ""]
 
 
 class TestEigensolver:
@@ -1226,32 +1265,101 @@ class TestDensityValidation:
                 with pytest.raises(ValueError, match=message):
                     check(rows)
 
+    def test_an_overflowing_coupling_is_not_solved_to_nan(self):
+        """A Hermitian coupling of (1e308 + 1e308j): both parts of
+        m[i,j] + conj(m[j,i]) overflow, and halving that complex sum gives
+        nan through 0 * inf, an eigenvalue no floor test rejects. Each part
+        is halved on its own, so the radius is inf: the 2x2 and its 8x8
+        analogue, whose other eigenvalue is 0.5, fail the floor, and
+        `hermitian_eigenvalues` reports the overflow."""
+        x = complex(1e308, 1e308)
+        pair = [[0.5, x], [x.conjugate(), 0.5]]
+        analogue = [[0j] * 8 for _ in range(8)]
+        analogue[0][0] = analogue[1][1] = 0.25
+        analogue[2][2] = 0.5
+        analogue[0][1], analogue[1][0] = x, x.conjugate()
+        for rows in (pair, analogue):
+            for check in (density_matrix, von_neumann_entropy):
+                with pytest.raises(ValueError, match="eigenvalue -inf below"):
+                    check(rows)
+            with pytest.raises(OverflowError, match="overflowed the float range"):
+                hermitian_eigenvalues(ComplexMatrix(rows))
+
+    def test_the_solve_runs_after_the_checks(self, monkeypatch):
+        """Each check raises its own error before any block is solved: the
+        overflowing coupling with trace 1.25 fails the trace, with trace 1
+        the floor; and with no Jacobi sweeps allowed, a dense 3x3 block
+        that is not Hermitian, or Hermitian with trace 2, fails its check
+        where a solve would raise ArithmeticError first."""
+        x = complex(1e308, 1e308)
+        for check in (density_matrix, von_neumann_entropy):
+            with pytest.raises(ValueError, match=r"trace \(1.25\+0j\) differs"):
+                check([[0.75, x], [x.conjugate(), 0.5]])
+            with pytest.raises(ValueError, match="eigenvalue -inf below"):
+                check([[0.5, x], [x.conjugate(), 0.5]])
+        monkeypatch.setattr(qerase.linalg, "JACOBI_MAX_SWEEPS", 0)
+        hermitian = [[0.5, 0.1, 0.1j], [0.1, 0.25, 0.05], [-0.1j, 0.05, 0.25]]
+        skewed = [row[:] for row in hermitian]
+        skewed[2][0] = 0.1j
+        doubled = [[2.0 * v for v in row] for row in hermitian]
+        for check in (density_matrix, von_neumann_entropy):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check(skewed)
+            with pytest.raises(ValueError, match="trace"):
+                check(doubled)
+            with pytest.raises(ArithmeticError, match="did not converge in 0 sweeps"):
+                check(hermitian)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(ComplexMatrix([[1.0, 0.1, 0.1j], [0.1, 1.0, 0.05],
+                                                 [0.1j, 0.05, 1.0]]))
+
+    def test_warm_density_checks_and_tables_compile_nothing(self, monkeypatch):
+        """After one pass of analyze and the propagate calls over the edge
+        grid, a second pass with `builtins.eval` refusing gives the same
+        bits, and so does a density check of every matrix the first pass
+        checked, one of each of the grid's nonzero patterns and more: every
+        pattern's kernels and the Kronecker table come from the caches."""
+        seen = []
+        walk = qerase.linalg._walk
+
+        def recorded(m):
+            seen.append(m)
+            return walk(m)
+
+        def outputs():
+            return [_edge_outputs(b, spec) for b, spec in _edge_grid()]
+
+        def checks():
+            return [[_value_or_message(check, m) for check in (density_matrix, von_neumann_entropy)]
+                    for m in seen]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(qerase.linalg, "_walk", recorded)
+            want = outputs()
+        want_checks = checks()
+        assert len({(m.dim, tuple(map(bool, m._flat))) for m in seen}) >= 8
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm density check or product compiled a kernel")
+
+        monkeypatch.setattr(builtins, "eval", refuse)
+        assert outputs() == want
+        assert checks() == want_checks
+
     def test_the_edge_grid_fills_few_pattern_plans(self):
         """Every state the package builds is a qubit (x) a diagonal
         reservoir, so its nonzero patterns are few, edge cases included:
         analyze and the propagate calls over pure states on and off the z
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
         must fill a small part of the pattern-plan cache and evict nothing,
-        and fill two Kronecker-order plans, both for a diagonal right
-        factor."""
-        blochs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                  (0.6, 0.0, 0.8), (0.3, -0.2, 0.4), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
-        specs = [ThermalSpec.from_beta(beta) for beta in (0.0, 1.0, math.inf)]
-        specs.append(ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23))
+        fill two Kronecker-order plans, both for a diagonal right factor,
+        and build one Kronecker product table, a qubit's 4 entries times 4
+        values."""
         qerase.linalg._pattern_plan.cache_clear()
         qerase.linalg._kron_order.cache_clear()
-        for (x, y, z), spec in itertools.product(blochs, specs):
-            b = BlochVector(x, y, z)
-            qerase.analyze(b, spec)
-            final = qerase.apply_channel(qerase.composite_initial(b, spec))
-            qerase.memory_ground_fidelity(final)
-            qerase.reservoir_marginal(final)
-            qerase.reservoir_final_closed_form(b, spec)
-            dist = qerase.PathDistribution.from_beta(spec.beta * spec.delta)
-            photon = qerase.simulate(b, dist)
-            qerase.path_marginal(photon)
-            qerase.polarization_marginal(photon)
-            qerase.path_final_closed_form(b, dist)
+        qerase.linalg._kron_table.cache_clear()
+        for b, spec in _edge_grid():
+            _edge_outputs(b, spec)
         info = qerase.linalg._pattern_plan.cache_info()
         assert info.misses == info.currsize <= info.maxsize // 4, info
         # a qubit (x) 4 diagonal values: the plain order of the composite
@@ -1261,3 +1369,7 @@ class TestDensityValidation:
         for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
             qerase.linalg._kron_order(2, 4, True, perm)
         assert qerase.linalg._kron_order.cache_info().misses == 2
+        info = qerase.linalg._kron_table.cache_info()
+        assert info.misses == info.currsize == 1, info
+        qerase.linalg._kron_table(4, 4)
+        assert qerase.linalg._kron_table.cache_info().misses == 1

@@ -34,7 +34,7 @@ VERIFY_DIGEST = "d081efdba8c07dc5471b9fd15aaaf97db590f5c157f926e253e11be810d4d5e
 def _ball(rng):
     while True:
         b = tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
-        if sum(x * x for x in b) <= 1.0:
+        if b[0] * b[0] + b[1] * b[1] + b[2] * b[2] <= 1.0:
             return b
 
 
@@ -43,7 +43,7 @@ def _near_pure(rng):
         return (0.0, 0.0, 1.0)
     while True:
         d = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        norm = math.sqrt(sum(x * x for x in d))
+        norm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         if norm > 1e-6:
             break
     r = 1.0 - 10.0 ** rng.uniform(-12.0, -3.0)

@@ -568,15 +568,21 @@ class TestEigensolveCount:
 
     @pytest.fixture
     def solved_blocks(self, monkeypatch):
-        """(entries, block) of every block whose spectrum is solved."""
+        """(entries, block) of every block whose spectrum is solved: each
+        solve kernel `_walk` hands out records its blocks when it runs."""
         calls = []
-        original = qerase.linalg._spectrum
+        original = qerase.linalg._walk
 
-        def counted(m, blocks):
-            calls.extend((m._flat, tuple(block)) for block in blocks)
-            return original(m, blocks)
+        def walked(m):
+            defect, blocks, solve = original(m)
 
-        monkeypatch.setattr(qerase.linalg, "_spectrum", counted)
+            def counted(flat):
+                calls.extend((flat, tuple(block)) for block in blocks)
+                return solve(flat)
+
+            return defect, blocks, counted
+
+        monkeypatch.setattr(qerase.linalg, "_walk", walked)
         return calls
 
     def test_composite_state_has_two_coherent_blocks(self):
@@ -585,7 +591,11 @@ class TestEigensolveCount:
         r = composite_initial(self.B, self.SPEC).rows
         assert r[0][4] != 0.0 and r[2][6] != 0.0
 
-    def test_apply_channel_solves_no_whole_matrix(self, solved_dims, solved_blocks):
+    def test_apply_channel_solves_no_whole_matrix(self, solved_dims, solved_blocks, monkeypatch):
+        def refuse(rows):
+            raise AssertionError(f"a {len(rows)}x{len(rows)} block ran the Jacobi loop")
+
+        monkeypatch.setattr(qerase.linalg, "_jacobi_eigenvalues", refuse)
         apply_channel(composite_initial(self.B, self.SPEC))
         assert solved_dims == []
         assert solved_blocks and all(len(block) <= 2 for _, block in solved_blocks)
