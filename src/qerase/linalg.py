@@ -124,12 +124,11 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """`operator.itemgetter` of the positions, returning a tuple for none or
-    one position too, from a tuple or a list."""
+    """`operator.itemgetter` of the positions, returning a tuple for one
+    position too, from a tuple or a list. There is always a position: every
+    matrix has a row, and so has every factor `_kron` takes."""
     if len(positions) > 1:
         return operator.itemgetter(*positions)
-    if not positions:
-        return lambda flat: ()
     p = positions[0]
     return lambda flat: (flat[p],)
 
@@ -445,9 +444,21 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
     """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
-    the solve of a block of 3 or more in `_pattern_kernels`."""
+    the solve of a block of 3 or more in `_pattern_kernels`.
+
+    A block whose largest real or imaginary part reaches 2**500 is solved
+    times 2**-e, e the exponent `math.frexp` gives that part, so no part
+    reaches 1 and no sum, square or rotation overflows; its eigenvalues
+    are scaled back by 2**(e - 1) * 2, which gives inf where one overflows,
+    where `math.ldexp` would raise. A power of two scales exactly, bar the
+    parts it takes below the normal range, 2**-1022 of the largest or less;
+    a smaller block is solved as it is."""
     n = len(rows)
-    a = [list(row) for row in rows]
+    e = math.frexp(max(abs(p) for row in rows for x in row for p in (x.real, x.imag)))[1]
+    if e > 500:
+        a = [[complex(x.real * 2.0 ** -e, x.imag * 2.0 ** -e) for x in row] for row in rows]
+    else:
+        a = [list(row) for row in rows]
     # symmetrize so the iteration sees an exactly Hermitian matrix
     for i in range(n):
         a[i][i] = complex(a[i][i].real, 0.0)
@@ -468,7 +479,10 @@ def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, .
             )
         )
         if off < off_tol:
-            return tuple(sorted(a[i][i].real for i in range(n)))
+            spectrum = sorted(a[i][i].real for i in range(n))
+            if e > 500:
+                spectrum = [lam * 2.0 ** (e - 1) * 2.0 for lam in spectrum]
+            return tuple(spectrum)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]

@@ -166,14 +166,41 @@ class ErasureReport(Record):
 def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     """Run the channel on (b, spec) and report all erasure thermodynamics.
 
-    The closed forms are what gets reported; the entropy and the energies
-    are recomputed from the propagated density matrices and the two routes
-    must agree to 1e-10: in nats for the entropy, in units of the gap for
-    the energies. T_limit must agree with the one rule, `_limit_rule`, on
-    the dS and Q_M that passed: to 1e-10 relative to the rule's value above
-    1, and exactly where the rule is +inf or NaN. Otherwise ArithmeticError
-    flags the internal inconsistency, as it does for a negative entropy
-    decrease, which the route tolerance can miss near purity.
+    The closed forms are what gets reported, once `_cross_check`'s records
+    are judged in order: the first whose residual is not within its
+    tolerance raises ArithmeticError, as a negative entropy decrease, which
+    the route tolerance can miss near purity, does after them. The entropy
+    and the energies must agree with their trace routes to 1e-10, in nats
+    and in units of the gap; T_limit must agree with the one rule,
+    `_limit_rule`, on the closed-form dS and Q_M, to 1e-10 relative to the
+    rule's value above 1, and exactly where the rule is +inf or NaN.
+    """
+    report, records = _cross_check(b, spec)
+    for name, closed, traced, residual, tol in records:
+        if not residual <= tol:  # a NaN on either route fails too
+            route = "rule" if name == "limit temperature" else "trace route"
+            raise ArithmeticError(f"{name}: closed form {closed!r} and {route} {traced!r} disagree")
+    if report.delta_s < 0.0:  # a failed closed form, not a bad input for landauer_check
+        raise ArithmeticError(f"entropy decrease: closed form {report.delta_s!r} is negative")
+    return report
+
+
+def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list[tuple]]:
+    """`analyze`'s report on (b, spec) and its records (name, closed,
+    traced, residual, tol) for the entropy decrease, the memory heat, the
+    reservoir heat, the photon energy and the limit temperature, in that
+    order, judged by none.
+
+    All records are made before any is judged, so `verify` reads the
+    entropy record whatever a later one holds. Nothing between them raises
+    on a ThermalSpec's inputs, short of a subnormal k_B whose product with
+    dS rounds to 0 in `_limit_rule`: the closed forms, the rule, the margin
+    and `spec.temperature` are plain arithmetic, so `analyze` raises for the
+    record it would raise for judging each as it is made. A residual is
+    |closed - traced|, which a NaN on either route, or inf against inf,
+    leaves above any tolerance. T_limit's is 0 where closed form and rule
+    are equal, NaN matching NaN; its tolerance scales on the rule, never on
+    the closed form, and is 0 where the rule is +inf or NaN.
 
     The traced heats and energies are sums over the 8 composite populations;
     a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
@@ -184,13 +211,8 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     # = composite_initial(b, spec), from the memory state formed above
     rho_initial = _kron(rho_memory, _reservoir_diagonal(spec.beta, spec.delta))
     rho_final = apply_channel(rho_initial)  # validates rho_initial
-    memory_final = memory_marginal(rho_final)
-
     delta_s = entropy_decrease(b)
-    s_initial = von_neumann_entropy(rho_memory)
-    s_final = von_neumann_entropy(memory_final)
-    _require_close("entropy decrease", delta_s, s_initial - s_final, ROUTE_TOL)
-    energy_tol = ROUTE_TOL * spec.delta
+    s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(memory_marginal(rho_final))
 
     # each sum adds w * (delta * n) left to right, without the compensation
     # that `sum` applies to floats from Python 3.12 on
@@ -207,50 +229,22 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
         u_i += before * (d * n)
         u_f += after * (d * n)
 
-    q_m = heat_memory(b, spec)
-    _require_close("memory heat", q_m, q_m_trace, energy_tol)
-
-    q_r = heat_reservoir(b, spec)
-    _require_close("reservoir heat", q_r, q_r_trace, energy_tol)
-
-    radiated = photon_energy(b, spec)
-    _require_close("photon energy", radiated, u_i - u_f, energy_tol)
-
-    t_limit = limit_temperature(b, spec)
-    rule = _limit_rule(q_m, delta_s, spec.k_B)
-    # the tolerance scales on the rule, never on the closed form; the rule's
-    # +inf and NaN, where no entropy is removed, must be matched exactly
-    tol = ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0
+    q_m, q_r, radiated = heat_memory(b, spec), heat_reservoir(b, spec), photon_energy(b, spec)
+    t_limit, rule = limit_temperature(b, spec), _limit_rule(q_m, delta_s, spec.k_B)
     same = t_limit == rule or math.isnan(t_limit) and math.isnan(rule)
-    if not (same or abs(t_limit - rule) <= tol):
-        raise ArithmeticError(
-            f"limit temperature: closed form {t_limit!r} and rule {rule!r} disagree"
-        )
-
-    if delta_s < 0.0:  # a failed closed form, not a bad input for landauer_check
-        raise ArithmeticError(f"entropy decrease: closed form {delta_s!r} is negative")
-    # landauer_check's inputs are established: k_B by ThermalSpec, T >= 0 as
-    # the reciprocal of a non-negative product, dS >= 0 just above (a NaN dS
-    # failed its route check), so the margin rule is applied directly
+    energy_tol = ROUTE_TOL * spec.delta
+    records = [
+        ("entropy decrease", delta_s, s_drop, abs(delta_s - s_drop), ROUTE_TOL),
+        ("memory heat", q_m, q_m_trace, abs(q_m - q_m_trace), energy_tol),
+        ("reservoir heat", q_r, q_r_trace, abs(q_r - q_r_trace), energy_tol),
+        ("photon energy", radiated, u_i - u_f, abs(radiated - (u_i - u_f)), energy_tol),
+        ("limit temperature", t_limit, rule, 0.0 if same else abs(t_limit - rule),
+         ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0),
+    ]
+    # landauer_check's inputs hold once `analyze` has judged the records: k_B
+    # by ThermalSpec, T >= 0 as the reciprocal of a non-negative product,
+    # dS >= 0 (a NaN dS fails its record), so the margin rule applies directly
     temperature = spec.temperature
     margin = _landauer_margin(q_m, temperature, delta_s, spec.k_B)
-    return ErasureReport(
-        delta_s=delta_s,
-        q_memory=q_m,
-        q_reservoir=q_r,
-        q_environment=-q_m,
-        photon_energy=radiated,
-        u_initial=u_i,
-        u_final=u_f,
-        t_limit=t_limit,
-        temperature=temperature,
-        landauer_violated=margin > 0.0,
-        landauer_margin=margin,
-    )
-
-
-def _require_close(name: str, closed: float, traced: float, tol: float) -> None:
-    if not abs(closed - traced) <= tol:  # a NaN on either route fails too
-        raise ArithmeticError(
-            f"{name}: closed form {closed!r} and trace route {traced!r} disagree"
-        )
+    return ErasureReport(delta_s, q_m, q_r, -q_m, radiated, u_i, u_f, t_limit,
+                         temperature, margin > 0.0, margin), records

@@ -11,12 +11,7 @@ import random
 
 from .linalg import diagonal
 from .record import Record, _set_field
-from .states import (
-    BlochVector,
-    ThermalSpec,
-    composite_initial,
-    qubit_from_bloch,
-)
+from .states import BlochVector, ThermalSpec, composite_initial
 from .channel import (
     ERASURE_PERMUTATION,
     apply_channel,
@@ -24,12 +19,11 @@ from .channel import (
     circuit_permutation,
     final_state_closed_form,
     memory_ground_fidelity,
-    memory_marginal,
 )
 from .thermo import (
+    _cross_check,
     analyze,
     commutator_norm,
-    entropy_decrease,
     heat_memory,
     heat_reservoir,
     von_neumann_entropy,
@@ -168,15 +162,10 @@ def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
 
 
 def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
-    def deviation(b, spec):
-        rho_f = apply_channel(composite_initial(b, spec))
-        measured = von_neumann_entropy(qubit_from_bloch(b)) - von_neumann_entropy(
-            memory_marginal(rho_f)
-        )
-        return abs(measured - entropy_decrease(b))
-
+    """Each draw reads the residual of `analyze`'s entropy record: the
+    closed-form dS against the drop in the memory's spectral entropy."""
     return _sampled(
-        "memory_entropy_drop", draws, rng, deviation, 1e-10,
+        "memory_entropy_drop", draws, rng, lambda b, spec: _cross_check(b, spec)[1][0][3], 1e-10,
         "draw {k}: route gap {gap:.3e}",
         "{draws} draws, closed vs spectral within {worst:.3e}",
     )

@@ -1285,6 +1285,29 @@ class TestDensityValidation:
             with pytest.raises(OverflowError, match="overflowed the float range"):
                 hermitian_eigenvalues(ComplexMatrix(rows))
 
+    def test_a_huge_block_of_three_is_solved_scaled(self):
+        """A 3x3 block, diagonal 0.25/0.25/0.5, with a Hermitian coupling x
+        between 0 and 1 and 0.01 between 1 and 2. For x = 1e308 + 1e308j its
+        sums, squares and rotations overflow unscaled, and the Jacobi sweeps
+        ran out with `did not converge`. Solved times 2**-1024, it has the
+        finite eigenvalues 0.25 -+ |x| and about 0.5, which the density
+        checks reject at the floor; at 1.5e308 + 1.5e308j, |x| passes the
+        float range, and the spectrum overflows as the 2x2 solve's does."""
+        def block(x):
+            return [[0.25, x, 0.0], [x.conjugate(), 0.25, 0.01], [0.0, 0.01, 0.5]]
+
+        finite, too_large = block(complex(1e308, 1e308)), block(complex(1.5e308, 1.5e308))
+        scaled = np.linalg.eigvalsh(np.array(finite) * 2.0 ** -1024)
+        want = [np.ldexp(lam, 1024) for lam in scaled]
+        got = hermitian_eigenvalues(ComplexMatrix(finite))
+        assert got == pytest.approx(want, rel=1e-12) and abs(got[0]) == abs(got[2]) > 1.4e308
+        for rows, floor in ((finite, "-1.414e\\+308"), (too_large, "-inf")):
+            for check in (density_matrix, von_neumann_entropy):
+                with pytest.raises(ValueError, match=f"eigenvalue {floor} below"):
+                    check(rows)
+        with pytest.raises(OverflowError, match="overflowed the float range"):
+            hermitian_eigenvalues(ComplexMatrix(too_large))
+
     def test_the_solve_runs_after_the_checks(self, monkeypatch):
         """Each check raises its own error before any block is solved: the
         overflowing coupling with trace 1.25 fails the trace, with trace 1

@@ -697,20 +697,21 @@ class TestTracedEnergiesBitForBit:
                 yield b, ThermalSpec.from_beta(beta, delta=(1.0, 0.6)[unit])
 
     def test_every_traced_energy_is_the_level_sum(self, monkeypatch):
-        calls = []
-        original = qerase.thermo._require_close
+        made = []
+        original = qerase.thermo._cross_check
 
-        def recorded(name, closed, traced, tol):
-            calls.append((name, traced))
-            original(name, closed, traced, tol)
+        def recorded(b, spec):
+            made.append(original(b, spec))
+            return made[-1]
 
-        monkeypatch.setattr(qerase.thermo, "_require_close", recorded)
+        monkeypatch.setattr(qerase.thermo, "_cross_check", recorded)
         checked = 0
         for b, spec in self._draws(random.Random(2401)):
-            calls.clear()
+            made.clear()
             report = analyze(b, spec)
             want, u_i, u_f = self._level_sums(b, spec)
-            got = {name: traced for name, traced in calls if name in want}
+            [(_, records)] = made
+            got = {name: traced for name, _, traced, _, _ in records if name in want}
             assert got.keys() == want.keys()
             for name, traced in got.items():
                 assert traced.hex() == want[name].hex(), (b, spec, name)
@@ -796,6 +797,30 @@ class TestAnalyze:
         for spec in (ThermalSpec.from_beta(1.0), si):
             with pytest.raises(ArithmeticError, match=f"^{quantity}: "):
                 analyze(BlochVector(0.3, -0.2, 0.4), spec)
+
+    @pytest.mark.parametrize("attr, message", [
+        ("entropy_decrease", "entropy decrease: closed form 0.5401710711763238 and trace route "
+         "0.5401710657746133 disagree"),
+        ("heat_memory", "memory heat: closed form -0.30000000299999996 and trace route "
+         "-0.30000000000000004 disagree"),
+        ("heat_reservoir", "reservoir heat: closed form 0.13863514856435435 and trace route "
+         "0.13863514717800293 disagree"),
+        ("photon_energy", "photon energy: closed form 0.1613648544356456 and trace route "
+         "0.16136485282199708 disagree"),
+        ("limit_temperature", "limit temperature: closed form 0.5553796232491565 and rule "
+         "0.5553796176953604 disagree"),
+    ], ids=[attr for attr, _ in CLOSED_FORMS])
+    def test_each_refusal_keeps_its_message(self, monkeypatch, attr, message):
+        """Each comparison's refusal, byte for byte: the message names the
+        quantity, both values by repr, and the trace route or, for T_limit,
+        the rule; perfbench sorts refusals by the name before the colon."""
+        original = getattr(qerase.thermo, attr)
+        monkeypatch.setattr(
+            qerase.thermo, attr, lambda *args: (1.0 + 1e-8) * original(*args)
+        )
+        with pytest.raises(ArithmeticError) as refused:
+            analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("attr, quantity", CLOSED_FORMS)
     def test_cross_check_catches_a_nan_closed_form(self, monkeypatch, capsys, attr, quantity):

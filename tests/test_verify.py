@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 
@@ -194,7 +195,7 @@ class TestSampledCheckFailures:
         [
             (
                 check_closed_form,
-                "final_state_closed_form",
+                "verify.final_state_closed_form",
                 lambda f: lambda b, spec: ComplexMatrix(
                     (to_numpy(f(b, spec)) + 1e-3 * np.eye(8)).tolist()
                 ),
@@ -202,25 +203,25 @@ class TestSampledCheckFailures:
             ),
             (
                 check_entropy_conservation,
-                "von_neumann_entropy",
+                "verify.von_neumann_entropy",
                 _first_call_shifted,
                 "draw 0: |S_f - S_i| = 1.000e-03",
             ),
             (
                 check_memory_entropy_drop,
-                "entropy_decrease",
+                "thermo.entropy_decrease",
                 lambda f: lambda b: f(b) + 1e-3,
                 "draw 0: route gap 1.000e-03",
             ),
             (
                 check_energy_conservation,
-                "analyze",
+                "verify.analyze",
                 lambda f: lambda b, spec: _photon_shifted(f(b, spec)),
                 "draw 0: U_i - U_f misses the photon energy by 1.000e-03",
             ),
             (
                 check_memory_heat_temperature_independence,
-                "heat_memory",
+                "verify.heat_memory",
                 lambda f: lambda b, spec: f(b, spec) + 1e-3,
                 "draw 0: Q_M spread 1.000e-03 across beta grid",
             ),
@@ -229,7 +230,9 @@ class TestSampledCheckFailures:
              "energy_conservation", "memory_heat_temperature_independence"],
     )
     def test_first_failing_draw_is_reported(self, monkeypatch, check, attr, corrupt, detail):
-        monkeypatch.setattr(qerase.verify, attr, corrupt(getattr(qerase.verify, attr)))
+        module, name = attr.split(".")
+        owner = getattr(qerase, module)
+        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
         result = check(draws=5, rng=random.Random(4))
         assert result.name == check.__name__.removeprefix("check_")
         assert result.status == "fail"
@@ -310,6 +313,29 @@ class TestBattery:
         assert [(r.name, r.status, r.detail) for r in a] == [
             (r.name, r.status, r.detail) for r in b
         ]
+
+    def test_entropy_drop_keeps_its_bits(self, monkeypatch):
+        # the 25 entropy draws of the default battery: their worst deviation
+        # and exact sum, whose bits reading analyze's record must keep (the
+        # verify goldens show only 4 digits)
+        gaps = []
+        original = qerase.verify._sampled
+
+        def recorded(name, draws, rng, deviation, *formats):
+            def kept(b, spec):
+                gaps.append(deviation(b, spec))
+                return gaps[-1]
+
+            wrapped = kept if name == "memory_entropy_drop" else deviation
+            return original(name, draws, rng, wrapped, *formats)
+
+        monkeypatch.setattr(qerase.verify, "_sampled", recorded)
+        results = run_verification(draws=1000)
+        assert len(gaps) == 25
+        assert (max(gaps).hex(), math.fsum(gaps).hex()) == (
+            "0x1.6000000000000p-52", "0x1.1500000000000p-49")
+        [detail] = [r.detail for r in results if r.name == "memory_entropy_drop"]
+        assert detail == "25 draws, closed vs spectral within 3.053e-16"
 
     def test_zero_delta_skips_commutator_only(self):
         results = run_verification(delta=0.0, draws=20, seed=3)
