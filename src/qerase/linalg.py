@@ -21,8 +21,8 @@ density check reads a plan cached per nonzero pattern that carries two
 functions compiled by one `eval` from its positions: the hermiticity defect,
 `lambda f: max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of
 its blocks, `lambda f: sorted((...))`, run only once the checks before it
-have passed. A 2x2 reads the same defect and blocks off its four entries and
-takes its solve from the same compiler. Only first use compiles; importing
+have passed. A 2x2 is keyed by its layout, whether its off-diagonal pair is
+nonzero, rather than by its full pattern. Only first use compiles; importing
 the module compiles nothing.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
@@ -321,26 +321,17 @@ def _walk(
     All three come from a plan cached per nonzero pattern: the pairs and the
     blocks depend only on where the nonzero entries sit. The caller runs the
     solve on the flat entries only once its own checks have passed, so an
-    input that fails a check never reaches it. A 2x2 has only two block
-    layouts, so its defect and blocks are read off its four entries, as that
-    plan lists them, with no pattern key; its solve is the one that plan
-    would carry, compiled on first use of its layout."""
+    input that fails a check never reaches it. A 2x2 is keyed by its layout
+    alone, (0, 1, 2, 3) where its off-diagonal pair is nonzero and (0, 3)
+    otherwise: its blocks and solve depend on nothing else, and a pair of
+    zeros the key lists adds a defect term of 0.0, which raises nothing and
+    raises no `max`."""
     flat, n = m._flat, m._dim
     if n == 2:
-        a, b, c, d = flat
-        defect = abs(a - a.conjugate()) if a else 0.0
-        linked = 0
-        if b or c:
-            x, linked = abs(b - c.conjugate()), 1
-            if x > defect:
-                defect = x
-        if d:
-            x = abs(d - d.conjugate())
-            if x > defect:
-                defect = x
-        blocks, solve = _two_by_two_plan(linked)
-        return defect, blocks, solve
-    defect, blocks, solve = _pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
+        nonzero = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)
+    else:
+        nonzero = tuple(itertools.compress(range(n * n), flat))
+    defect, blocks, solve = _pattern_plan(nonzero, n)
     return defect(flat), blocks, solve
 
 
@@ -362,16 +353,6 @@ def _pattern_plan(
     blocks = tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i)
     defect, solve = _pattern_kernels(pairs, blocks, n)
     return defect, blocks, solve
-
-
-@lru_cache(maxsize=2)
-def _two_by_two_plan(
-    linked: int,
-) -> tuple[tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
-    """The blocks of a 2x2 whose off-diagonal pair is nonzero (linked 1) or
-    zero (0), and their solve kernel, as the pattern plan has them."""
-    blocks = ((0, 1),) if linked else ((0,), (1,))
-    return blocks, _pattern_kernels((), blocks, 2)[1]
 
 
 def _pattern_kernels(

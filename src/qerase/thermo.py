@@ -83,22 +83,34 @@ def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     photon appears.
 
     Column c of [U, H] holds E_c - E_perm[c] in row perm[c] and zeros
-    elsewhere; the squares are added in row order.
+    elsewhere; the squares are added in row order. A gap whose exponent e
+    from `math.frexp` passes 500 in size, where a square would overflow or
+    underflow, is taken as delta * 2**-e and the norm scaled back by
+    2**(e - 1) * 2, as `linalg._jacobi_eigenvalues` scales; any other gap is
+    taken as it is.
     """
     levels, d = _COMPOSITE_LEVELS, float(spec.delta)
     _check_permutation(perm, len(levels))
+    mantissa, e = math.frexp(d)
+    scaled = abs(e) > 500
+    if scaled:
+        d = mantissa  # d * 2**-e, exactly
     total = 0.0
     for col in sorted(range(len(perm)), key=perm.__getitem__):
         total += (d * levels[col] - d * levels[perm[col]]) ** 2
-    return math.sqrt(total)
+    norm = math.sqrt(total)
+    return norm * 2.0 ** (e - 1) * 2.0 if scaled else norm
 
 
 def _limit_rule(q_m: float, delta_s: float, k_B: float) -> float:
     """The one T_limit rule, -q_m / (k_B delta_s): +inf where no entropy is
-    removed but heat is, NaN where neither is."""
+    removed but heat is, NaN where neither is. Where a subnormal k_B times
+    dS > 0 rounds to 0, it divides by each in turn, which overflows to inf
+    rather than raising."""
     if delta_s == 0.0:
         return math.nan if q_m == 0.0 else math.inf
-    return -q_m / (k_B * delta_s)
+    product = k_B * delta_s
+    return -q_m / product if product else -q_m / k_B / delta_s
 
 
 def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
@@ -193,9 +205,8 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
 
     All records are made before any is judged, so `verify` reads the
     entropy record whatever a later one holds. Nothing between them raises
-    on a ThermalSpec's inputs, short of a subnormal k_B whose product with
-    dS rounds to 0 in `_limit_rule`: the closed forms, the rule, the margin
-    and `spec.temperature` are plain arithmetic, so `analyze` raises for the
+    on a ThermalSpec's inputs: the closed forms, the rule, the margin and
+    `spec.temperature` are plain arithmetic, so `analyze` raises for the
     record it would raise for judging each as it is made. A residual is
     |closed - traced|, which a NaN on either route, or inf against inf,
     leaves above any tolerance. T_limit's is 0 where closed form and rule

@@ -495,6 +495,15 @@ class TestLimitTemperature:
         ]
         assert values == sorted(values, reverse=True)
 
+    def test_subnormal_k_b_gives_an_infinite_limit(self):
+        # k_B * dS rounds to 0; dividing by each in turn overflows to inf
+        b, spec = BlochVector(0.9, 0, 0), ThermalSpec(beta=1.0, k_B=5e-324)
+        assert limit_temperature(b, spec) == math.inf
+        report = analyze(b, spec)
+        assert (report.t_limit, report.temperature, report.landauer_margin) == (
+            math.inf, math.inf, math.inf)
+        assert report.landauer_violated
+
 
 class TestLandauerCheck:
     def test_frozen_margin_at_twice_the_limit(self):
@@ -614,20 +623,22 @@ class TestEigensolveCount:
             assert len(set(solved_blocks)) == len(solved_blocks)  # each block once
         assert solved_dims == []
 
-    def test_warm_analyze_plans_only_the_8x8_pattern(self, monkeypatch):
-        # the two 2x2 entropies read their pairs and blocks off their four
-        # entries; only apply_channel's 8x8 check consults the pattern plan
-        sizes = []
+    def test_warm_analyze_keys_its_2x2_checks_by_layout(self, monkeypatch):
+        # apply_channel's 8x8 check keys the pattern plan by its nonzero
+        # positions; the two 2x2 entropies form no pattern key, each keyed
+        # by its layout alone, a linked or a diagonal 2x2
+        calls = []
         original = qerase.linalg._pattern_plan
 
         def counted(nonzero, n):
-            sizes.append(n)
+            calls.append((n, nonzero))
             return original(nonzero, n)
 
         analyze(self.B, self.SPEC)  # warms the reservoir cache
         monkeypatch.setattr(qerase.linalg, "_pattern_plan", counted)
         analyze(self.B, self.SPEC)
-        assert sizes == [8]
+        assert [n for n, _ in calls] == [8, 2, 2]
+        assert all(key in ((0, 1, 2, 3), (0, 3)) for _, key in calls[1:])
 
     def test_dense_state_entropy_solves_once(self, monkeypatch):
         loop_sizes = []

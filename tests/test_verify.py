@@ -343,6 +343,15 @@ class TestBattery:
         assert by_name["commutator_nonzero"].status == "skip"
         assert all_passed(results)
 
+    @pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e200, 1e300, 6e307])
+    def test_extreme_gaps_pass_the_commutator_check(self, delta):
+        assert check_commutator(delta).status == "pass"
+
+    def test_a_huge_gap_runs_the_whole_battery(self):
+        results = run_verification(delta=1e200, draws=5)
+        assert len(results) == 13
+        assert all_passed(results)
+
     def test_all_passed_rejects_failures(self):
         good = CheckResult(name="a", status="pass", detail="")
         bad = CheckResult(name="b", status="fail", detail="")
