@@ -8,15 +8,17 @@ package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
 derived from it. The package forms its matrices from flat entries or diagonal
-values, each scanned for finiteness once. Permutations, Kronecker orders and
+values, each scanned for finiteness once. Permutations, Kronecker kernels and
 partial traces are plans over the flat tuple, each validated and cached once
-per shape; a Kronecker order may carry a relabeling. A partial trace plan is
+per shape; a Kronecker kernel may carry a relabeling. A partial trace plan is
 one function compiled from its plain int positions, `lambda f: (0 + f[p] +
 f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so
 each entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without
 a call per entry. Every state here is a qubit (x) a diagonal reservoir,
-formed from the diagonal's n values, one product per distinct entry, by a
-table function compiled per shape, `lambda a, v: (a[0] * v[0], ...)`. The
+formed from the diagonal's n values, one product per distinct entry, by one
+function compiled per shape that returns the products, each made once into
+a walrus name, and the entries that name them, `lambda a, v: (((t0 := a[0]
+* v[0]), ...), (t0, t4, ...))`; the public `kron` is the plain product. The
 density check reads a plan cached per nonzero pattern that carries two
 functions compiled by one `eval` from its positions: the hermiticity defect,
 `lambda f: max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of
@@ -123,16 +125,6 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
     return ComplexMatrix._wrap(tuple(flat), n)
 
 
-def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """`operator.itemgetter` of the positions, returning a tuple for one
-    position too, from a tuple or a list. There is always a position: every
-    matrix has a row, and so has every factor `_kron` takes."""
-    if len(positions) > 1:
-        return operator.itemgetter(*positions)
-    p = positions[0]
-    return lambda flat: (flat[p],)
-
-
 def _check_permutation(perm: Sequence[int], n: int) -> None:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
@@ -155,7 +147,9 @@ def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[tuple], tuple]:
     their new order."""
     _check_permutation(perm, n)
     inverse = sorted(range(n), key=perm.__getitem__)  # row r comes from inverse[r]
-    return _getter([r * n + c for r in inverse for c in inverse])
+    if n == 1:  # itemgetter of one position returns the entry, not a tuple
+        return lambda flat: (flat[0],)
+    return operator.itemgetter(*[r * n + c for r in inverse for c in inverse])
 
 
 def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
@@ -171,10 +165,11 @@ def trace(m: ComplexMatrix) -> complex:
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product; the left factor is the most significant subsystem."""
-    products = tuple(itertools.starmap(operator.mul, itertools.product(a._flat, b._flat)))
-    return ComplexMatrix._from_flat(_kron_order(a._dim, b._dim, False, None)(products),
-                                    a._dim * b._dim)
+    """Kronecker product; the left factor is the most significant subsystem.
+    One multiplication per entry, then one finiteness scan: a product of
+    finite entries can overflow."""
+    flat = tuple(x * y for ra in a.rows for rb in b.rows for x in ra for y in rb)
+    return ComplexMatrix._from_flat(flat, a._dim * b._dim)
 
 
 def _kron(
@@ -182,54 +177,47 @@ def _kron(
 ) -> ComplexMatrix:
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
     None, bit for bit from na^2 (nb + 1) products: each of its entries is
-    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the table holds
-    each a[p] times each value and one 0j, made by the kernel cached per
-    (na^2, nb), and one cached plan gathers it. One scan of the table checks
-    values and products alike: x * 0j is finite for finite x, and a value v
-    that is not finite makes every a[p] * v non-finite (x * nan, x * inf and
-    0 * inf are), so the table is rejected exactly when `diagonal` or the
-    whole product would be."""
+    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the kernel
+    cached per (na, nb, perm) makes each a[p] times each value and one 0j
+    once and returns those products with the entries they form. One scan of
+    the products checks values and products alike: x * 0j is finite for
+    finite x, and a value v that is not finite makes every a[p] * v
+    non-finite (x * nan, x * inf and 0 * inf are), so the products are
+    rejected exactly when `diagonal` or the whole product would be. A perm
+    that is not a permutation is refused when the kernel is looked up,
+    before the scan."""
     factors = [*map(complex, values), 0j]
     nb = len(factors) - 1
     if not nb:
         raise ValueError("matrix must have at least one row")
-    table = _kron_table(len(a._flat), nb)(a._flat, factors)
-    if not all(map(cmath.isfinite, table)):
+    products, entries = _kron_kernel(a._dim, nb, perm)(a._flat, factors)
+    if not all(map(cmath.isfinite, products)):
         raise ValueError("matrix entries must be finite")
-    return ComplexMatrix._wrap(_kron_order(a._dim, nb, True, perm)(table), a._dim * nb)
+    return ComplexMatrix._wrap(entries, a._dim * nb)
 
 
 @lru_cache(maxsize=64)
-def _kron_table(size: int, nb: int) -> Callable[[tuple, list], tuple]:
-    """One function compiled per shape, of a's `size` flat entries a and
-    nb + 1 factors v: the tuple `(a[0] * v[0], ..., a[0] * v[nb], a[1] *
-    v[0], ...)`, the products `_kron` gathers, p major: the same products,
-    in the same order, as a loop over a and then v, without the loop. Its
-    source holds only plain int positions, never the values."""
-    return eval("lambda a, v: ("
-                + "".join(f"a[{p}] * v[{k}], " for p in range(size) for k in range(nb + 1))
-                + ")")
-
-
-@lru_cache(maxsize=64)
-def _kron_order(
-    na: int, nb: int, diag: bool, perm: tuple[int, ...] | None
-) -> Callable[[Sequence], tuple]:
-    """Getter putting a product table in row-major order: entry
-    (ia nb + ib, ja nb + jb) is a[ia, ja] * b[ib, jb]. The table lists, p
-    major, a[p] times b's nb * nb entries, or, for a diagonal b (diag), times
-    its nb values and then 0j. Unless perm is None, the order `permute` gives is
-    composed into the same gather."""
-    if diag:  # b's values, then 0j
-        width, column = nb + 1, lambda ib, jb: ib if ib == jb else nb
-    else:  # b's entries
-        width, column = nb * nb, lambda ib, jb: ib * nb + jb
-    order = tuple((ia * na + ja) * width + column(ib, jb)
-                  for ia in range(na) for ib in range(nb)
-                  for ja in range(na) for jb in range(nb))
+def _kron_kernel(
+    na: int, nb: int, perm: tuple[int, ...] | None
+) -> Callable[[tuple, list], tuple[tuple, tuple]]:
+    """One function compiled by one `eval` per shape, of a's na * na flat
+    entries a and nb + 1 factors v: `lambda a, v: (((t0 := a[0] * v[0]),
+    ..., (tK := a[na^2 - 1] * v[nb])), (tI, tJ, ...))`. The first tuple
+    holds each product once, p major, the products a loop over a and then v
+    makes, so scanning it is scanning every product `_kron` forms. The
+    second lists the (na nb)^2 entries in row-major order, entry (ia nb +
+    ib, ja nb + jb) the product of a[ia, ja] with v[ib] where ib == jb and
+    with v[nb], the 0j, elsewhere; unless perm is None, `_relabeling`,
+    which validates perm, composes the order `permute` gives into that
+    list. The source holds only plain int positions, never the values."""
+    width = nb + 1
+    order = [(ia * na + ja) * width + (ib if ib == jb else nb)
+             for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
     if perm is not None:
-        order = _relabeling(perm, na * nb)(order)  # validates perm
-    return _getter(order)
+        order = _relabeling(perm, na * nb)(order)
+    products = "".join(f"(t{p * width + k} := a[{p}] * v[{k}]), "
+                       for p in range(na * na) for k in range(width))
+    return eval(f"lambda a, v: (({products}), ({''.join(f't{t}, ' for t in order)}))")
 
 
 def partial_trace(

@@ -225,8 +225,10 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     delta_s = entropy_decrease(b)
     s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(memory_marginal(rho_final))
 
-    # each sum adds w * (delta * n) left to right, without the compensation
-    # that `sum` applies to floats from Python 3.12 on
+    # each sum adds its terms left to right, without the compensation that
+    # `sum` applies to floats from Python 3.12 on; an energy term is
+    # w * n * delta, so the exact scaling by n in {0, 1, 2} comes first and a
+    # level energy 2 * delta that overflows is never formed
     d = float(spec.delta)
     q_m_trace = q_r_trace = u_i = u_f = 0.0
     for before, after, m, e, n in zip(
@@ -237,8 +239,8 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
         change = after - before
         q_m_trace += change * (d * m)
         q_r_trace += change * (d * e)
-        u_i += before * (d * n)
-        u_f += after * (d * n)
+        u_i += before * n * d
+        u_f += after * n * d
 
     q_m, q_r, radiated = heat_memory(b, spec), heat_reservoir(b, spec), photon_energy(b, spec)
     t_limit, rule = limit_temperature(b, spec), _limit_rule(q_m, delta_s, spec.k_B)

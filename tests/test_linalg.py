@@ -1375,24 +1375,18 @@ class TestDensityValidation:
         analyze and the propagate calls over pure states on and off the z
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
         must fill a small part of the pattern-plan cache and evict nothing,
-        fill two Kronecker-order plans, both for a diagonal right factor,
-        and build one Kronecker product table, a qubit's 4 entries times 4
-        values."""
+        and fill two Kronecker kernels, both a qubit's 4 entries times 4
+        diagonal values, each holding its own products."""
         qerase.linalg._pattern_plan.cache_clear()
-        qerase.linalg._kron_order.cache_clear()
-        qerase.linalg._kron_table.cache_clear()
+        qerase.linalg._kron_kernel.cache_clear()
         for b, spec in _edge_grid():
             _edge_outputs(b, spec)
         info = qerase.linalg._pattern_plan.cache_info()
         assert info.misses == info.currsize <= info.maxsize // 4, info
-        # a qubit (x) 4 diagonal values: the plain order of the composite
-        # state, and simulate's with the circuit's relabeling
-        info = qerase.linalg._kron_order.cache_info()
+        # the plain order of the composite state, and simulate's with the
+        # circuit's relabeling
+        info = qerase.linalg._kron_kernel.cache_info()
         assert info.misses == info.currsize == 2, info
         for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
-            qerase.linalg._kron_order(2, 4, True, perm)
-        assert qerase.linalg._kron_order.cache_info().misses == 2
-        info = qerase.linalg._kron_table.cache_info()
-        assert info.misses == info.currsize == 1, info
-        qerase.linalg._kron_table(4, 4)
-        assert qerase.linalg._kron_table.cache_info().misses == 1
+            qerase.linalg._kron_kernel(2, 4, perm)
+        assert qerase.linalg._kron_kernel.cache_info().misses == 2

@@ -794,6 +794,12 @@ class TestAnalyze:
         report = analyze(BlochVector(0.5, 0.0, 0.0), ThermalSpec.from_temperature(0.9, delta=2.0))
         assert report.q_reservoir == pytest.approx(0.8045, abs=1e-4)
 
+    def test_a_gap_whose_double_overflows_is_reported(self):
+        # the trace route never forms the level energy 2 * delta, which is
+        # inf here; an empty level would make it 0 * inf = nan
+        report = analyze(BlochVector(), ThermalSpec(beta=1.0, delta=1e308))
+        assert report.u_initial == 5e307
+
     @pytest.mark.parametrize("attr, quantity", CLOSED_FORMS)
     def test_cross_check_catches_a_perturbed_closed_form(self, monkeypatch, attr, quantity):
         """A closed form off by 1e-8 relative fails its own comparison, in

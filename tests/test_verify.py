@@ -343,7 +343,7 @@ class TestBattery:
         assert by_name["commutator_nonzero"].status == "skip"
         assert all_passed(results)
 
-    @pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e200, 1e300, 6e307])
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-300, 1e-160, 1e200, 1e300, 6e307])
     def test_extreme_gaps_pass_the_commutator_check(self, delta):
         assert check_commutator(delta).status == "pass"
 
