@@ -109,7 +109,7 @@ class PathDistribution(Record):
         in units of the gap: `thermal_probs(ThermalSpec(beta=beta))`, with
         ThermalSpec's check of beta and no spec formed."""
         _check_nonnegative("inverse temperature", beta)
-        return cls(*_gibbs(beta, 1.0))
+        return cls(*_gibbs(beta))
 
 
 def default_erasure_circuit() -> tuple[OpticalElement, ...]:

@@ -53,7 +53,9 @@ class ThermalSpec(Record):
     """Inverse temperature beta, the gap delta that memory and reservoir
     share, and Boltzmann's constant k_B.
 
-    beta may be math.inf (zero temperature) or 0 (infinite temperature).
+    beta may be math.inf (zero temperature) or 0 (infinite temperature);
+    delta and k_B may be any positive finite double, subnormals included. A
+    report's infinite energy or T_limit means that the true value overflows.
     """
 
     __slots__ = ("beta", "delta", "k_B")
@@ -91,13 +93,13 @@ def _reciprocal(x: float) -> float:
 
 def thermal_probs(spec: ThermalSpec) -> tuple[float, float]:
     """Gibbs weights (p_g, p_e) of the energy qubit at spec.beta; (1, 0) at beta = inf."""
-    return _gibbs(spec.beta, spec.delta)
+    return _gibbs(spec.beta * spec.delta)
 
 
-def _gibbs(beta: float, delta: float) -> tuple[float, float]:
-    """The Gibbs weights of gap delta at inverse temperature beta, both
-    already checked: the one formula, for callers that hold no spec."""
-    w = math.exp(-beta * delta)
+def _gibbs(x: float) -> tuple[float, float]:
+    """The Gibbs weights at x = beta * delta >= 0, the inverse temperature
+    in units of 1/delta: the one formula, for callers that hold no spec."""
+    w = math.exp(-x)
     p_g = 1.0 / (1.0 + w)
     return (p_g, w * p_g)
 
@@ -141,20 +143,20 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state: memory qubit (x) preselected thermal reservoir,
     formed from the reservoir's diagonal with the bits of their `kron`."""
-    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta, spec.delta))
+    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
 
 
 @lru_cache(maxsize=64)
-def _reservoir_diagonal(beta: float, delta: float) -> tuple[complex, ...]:
+def _reservoir_diagonal(x: float) -> tuple[complex, ...]:
     """The preselected thermal reservoir's four diagonal values at a
-    validated spec's beta and delta, its matrix built and validated once per
-    (beta, delta), the only fields they depend on; the tuple is shared,
-    immutable. The key is two floats, so a hit hashes no ThermalSpec.
+    validated spec's x = beta * delta, its matrix built and validated once
+    per x, the only value they depend on; the tuple is shared, immutable.
+    The key is one float, so a hit hashes no ThermalSpec.
 
     They are preselect_l0(gibbs_four_level(spec))'s diagonal entry for entry,
     built from the Gibbs weights with the same divisions: the l0 weights p/2
     over the l0 sector's weight."""
-    p_g, p_e = _gibbs(beta, delta)
+    p_g, p_e = _gibbs(x)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
     return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))._flat[::5]

@@ -1,9 +1,11 @@
 """Thermodynamics of the erasure: entropy transfer, heats, limit temperature.
 
 Conventions: entropies in nats, heat positive when it flows *into* the
-named subsystem, the gap delta and k_B taken from the `ThermalSpec`. Every
-closed form has a trace-based twin computed from the propagated states, and
-`analyze` cross-checks the two routes before reporting.
+named subsystem. Each closed form `_f` works in units of the gap, on b and
+x = beta delta; only its public `f(b, spec)` and `analyze`'s report scale
+energies by delta and temperatures by delta / k_B. Every closed form has a
+trace-based twin computed from the propagated states, and `analyze`
+cross-checks the two routes, in units of the gap, before reporting.
 """
 
 import math
@@ -17,9 +19,9 @@ from .states import (
     ThermalSpec,
     _check_nonnegative,
     _check_positive,
+    _gibbs,
     _reservoir_diagonal,
     qubit_from_bloch,
-    thermal_probs,
 )
 from .channel import _bits, apply_channel, memory_marginal
 
@@ -56,24 +58,34 @@ def entropy_decrease(b: BlochVector) -> float:
     return LN2 - r * math.log(1.0 + r) - 0.5 * (1.0 - r) * math.log((1.0 - r) * (1.0 + r))
 
 
+def _heat_memory(b: BlochVector) -> float:
+    return -0.5 * (1.0 - b.r_z)
+
+
 def heat_memory(b: BlochVector, spec: ThermalSpec) -> float:
     """Heat received by the memory; always -(delta/2)(1 - r_z) <= 0."""
-    return -(spec.delta / 2.0) * (1.0 - b.r_z)
+    return spec.delta * _heat_memory(b)
+
+
+def _heat_reservoir(b: BlochVector, x: float) -> float:
+    """((1 - r_z)/2)(p_g - p_e), with p_g - p_e taken as tanh(x/2), which
+    keeps full relative precision as x -> 0, where the difference of the two
+    weights cancels."""
+    return 0.5 * (1.0 - b.r_z) * math.tanh(x / 2.0)
 
 
 def heat_reservoir(b: BlochVector, spec: ThermalSpec) -> float:
-    """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e), with
-    delta = spec.delta, the gap of the Gibbs weights. p_g - p_e is taken as
-    tanh(beta delta / 2), which keeps full relative precision as beta -> 0,
-    where the difference of the two weights cancels."""
-    return (spec.delta / 2.0) * (1.0 - b.r_z) * math.tanh(spec.beta * spec.delta / 2.0)
+    """Heat received by the reservoir, (delta/2)(1 - r_z)(p_g - p_e)."""
+    return spec.delta * _heat_reservoir(b, spec.beta * spec.delta)
+
+
+def _photon_energy(b: BlochVector, x: float) -> float:
+    return (1.0 - b.r_z) * _gibbs(x)[1]
 
 
 def photon_energy(b: BlochVector, spec: ThermalSpec) -> float:
-    """Energy carried off radiatively: -(Q_M + Q_R) = delta (1 - r_z) p_e,
-    with delta = spec.delta."""
-    _, p_e = thermal_probs(spec)
-    return spec.delta * (1.0 - b.r_z) * p_e
+    """Energy carried off radiatively: -(Q_M + Q_R) = delta (1 - r_z) p_e."""
+    return spec.delta * _photon_energy(b, spec.beta * spec.delta)
 
 
 def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
@@ -82,45 +94,33 @@ def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     means U cannot conserve energy on its own, which is why the emitted
     photon appears.
 
-    Column c of [U, H] holds E_c - E_perm[c] in row perm[c] and zeros
-    elsewhere; the squares are added in row order. A gap whose exponent e
-    from `math.frexp` passes 500 in size, where a square would overflow or
-    underflow, is taken as delta * 2**-e and the norm scaled back by
-    2**(e - 1) * 2, as `linalg._jacobi_eigenvalues` scales; any other gap is
-    taken as it is.
+    Column c of [U, H] holds E_c - E_perm[c], delta times an integer level
+    difference, in row perm[c] and zeros elsewhere: the norm is delta times
+    the root of the exact integer sum of their squares.
     """
-    levels, d = _COMPOSITE_LEVELS, float(spec.delta)
+    levels = _COMPOSITE_LEVELS
     _check_permutation(perm, len(levels))
-    mantissa, e = math.frexp(d)
-    scaled = abs(e) > 500
-    if scaled:
-        d = mantissa  # d * 2**-e, exactly
-    total = 0.0
-    for col in sorted(range(len(perm)), key=perm.__getitem__):
-        total += (d * levels[col] - d * levels[perm[col]]) ** 2
-    norm = math.sqrt(total)
-    return norm * 2.0 ** (e - 1) * 2.0 if scaled else norm
+    return spec.delta * math.sqrt(sum((levels[c] - levels[r]) ** 2 for c, r in enumerate(perm)))
 
 
-def _limit_rule(q_m: float, delta_s: float, k_B: float) -> float:
-    """The one T_limit rule, -q_m / (k_B delta_s): +inf where no entropy is
-    removed but heat is, NaN where neither is. Where a subnormal k_B times
-    dS > 0 rounds to 0, it divides by each in turn, which overflows to inf
-    rather than raising."""
+def _limit_rule(q_m: float, delta_s: float) -> float:
+    """The one T_limit rule, -q_m / delta_s in units of delta / k_B: +inf
+    where no entropy is removed but heat is, NaN where neither is."""
     if delta_s == 0.0:
         return math.nan if q_m == 0.0 else math.inf
-    product = k_B * delta_s
-    return -q_m / product if product else -q_m / k_B / delta_s
+    return -q_m / delta_s
+
+
+def _limit_temperature(b: BlochVector) -> float:
+    return _limit_rule(_heat_memory(b), entropy_decrease(b))
 
 
 def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
-    """Temperature at which the erasure stops beating the entropy bound.
-
-    `_limit_rule` applied to `heat_memory`, `entropy_decrease` and spec.k_B,
-    so it does not depend on spec.beta: +inf for pure inputs with r_z < 1,
-    NaN at r_z = 1.
+    """Temperature at which the erasure stops beating the entropy bound,
+    `_limit_temperature` times delta / k_B as `analyze` reports it. It does
+    not depend on spec.beta: +inf for pure inputs with r_z < 1, NaN at r_z = 1.
     """
-    return _limit_rule(heat_memory(b, spec), entropy_decrease(b), spec.k_B)
+    return _limit_temperature(b) * spec.delta / spec.k_B
 
 
 LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
@@ -181,11 +181,12 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     The closed forms are what gets reported, once `_cross_check`'s records
     are judged in order: the first whose residual is not within its
     tolerance raises ArithmeticError, as a negative entropy decrease, which
-    the route tolerance can miss near purity, does after them. The entropy
-    and the energies must agree with their trace routes to 1e-10, in nats
-    and in units of the gap; T_limit must agree with the one rule,
-    `_limit_rule`, on the closed-form dS and Q_M, to 1e-10 relative to the
-    rule's value above 1, and exactly where the rule is +inf or NaN.
+    the route tolerance can miss near purity, does after them. The records
+    are in units of the gap, so each tolerance is the same at every delta and
+    k_B: the entropy and the energies agree with their trace routes to 1e-10;
+    T_limit agrees with the one rule, `_limit_rule`, on the closed-form dS
+    and Q_M, to 1e-10 relative to the rule's value above 1, and exactly where
+    the rule is +inf or NaN.
     """
     report, records = _cross_check(b, spec)
     for name, closed, traced, residual, tol in records:
@@ -218,18 +219,16 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     diagonal, so no marginal is formed for it. One pass over the two
     diagonals builds both heats and both energies.
     """
+    x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
     # = composite_initial(b, spec), from the memory state formed above
-    rho_initial = _kron(rho_memory, _reservoir_diagonal(spec.beta, spec.delta))
+    rho_initial = _kron(rho_memory, _reservoir_diagonal(x))
     rho_final = apply_channel(rho_initial)  # validates rho_initial
     delta_s = entropy_decrease(b)
     s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(memory_marginal(rho_final))
 
     # each sum adds its terms left to right, without the compensation that
-    # `sum` applies to floats from Python 3.12 on; an energy term is
-    # w * n * delta, so the exact scaling by n in {0, 1, 2} comes first and a
-    # level energy 2 * delta that overflows is never formed
-    d = float(spec.delta)
+    # `sum` applies to floats from Python 3.12 on
     q_m_trace = q_r_trace = u_i = u_f = 0.0
     for before, after, m, e, n in zip(
         rho_initial._flat[::9], rho_final._flat[::9],  # the diagonals of 8 x 8
@@ -237,27 +236,26 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     ):
         before, after = before.real, after.real
         change = after - before
-        q_m_trace += change * (d * m)
-        q_r_trace += change * (d * e)
-        u_i += before * n * d
-        u_f += after * n * d
+        q_m_trace += change * m
+        q_r_trace += change * e
+        u_i += before * n
+        u_f += after * n
 
-    q_m, q_r, radiated = heat_memory(b, spec), heat_reservoir(b, spec), photon_energy(b, spec)
-    t_limit, rule = limit_temperature(b, spec), _limit_rule(q_m, delta_s, spec.k_B)
+    q_m, q_r, radiated = _heat_memory(b), _heat_reservoir(b, x), _photon_energy(b, x)
+    t_limit, rule = _limit_temperature(b), _limit_rule(q_m, delta_s)
     same = t_limit == rule or math.isnan(t_limit) and math.isnan(rule)
-    energy_tol = ROUTE_TOL * spec.delta
     records = [
         ("entropy decrease", delta_s, s_drop, abs(delta_s - s_drop), ROUTE_TOL),
-        ("memory heat", q_m, q_m_trace, abs(q_m - q_m_trace), energy_tol),
-        ("reservoir heat", q_r, q_r_trace, abs(q_r - q_r_trace), energy_tol),
-        ("photon energy", radiated, u_i - u_f, abs(radiated - (u_i - u_f)), energy_tol),
+        ("memory heat", q_m, q_m_trace, abs(q_m - q_m_trace), ROUTE_TOL),
+        ("reservoir heat", q_r, q_r_trace, abs(q_r - q_r_trace), ROUTE_TOL),
+        ("photon energy", radiated, u_i - u_f, abs(radiated - (u_i - u_f)), ROUTE_TOL),
         ("limit temperature", t_limit, rule, 0.0 if same else abs(t_limit - rule),
          ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0),
     ]
     # landauer_check's inputs hold once `analyze` has judged the records: k_B
     # by ThermalSpec, T >= 0 as the reciprocal of a non-negative product,
     # dS >= 0 (a NaN dS fails its record), so the margin rule applies directly
-    temperature = spec.temperature
-    margin = _landauer_margin(q_m, temperature, delta_s, spec.k_B)
-    return ErasureReport(delta_s, q_m, q_r, -q_m, radiated, u_i, u_f, t_limit,
-                         temperature, margin > 0.0, margin), records
+    d, temperature = spec.delta, spec.temperature
+    margin = _landauer_margin(d * q_m, temperature, delta_s, spec.k_B)
+    return ErasureReport(delta_s, d * q_m, d * q_r, d * -q_m, d * radiated, d * u_i, d * u_f,
+                         t_limit * d / spec.k_B, temperature, margin > 0.0, margin), records

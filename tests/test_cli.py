@@ -242,15 +242,17 @@ class TestEraseCommand:
         assert code == 2
 
     def test_failed_cross_check_exits_one_without_a_traceback(self, capsys, monkeypatch):
-        original = qerase.thermo.heat_reservoir
+        # `analyze` checks Q_R in units of the gap, the closed form `_heat_reservoir`
+        original = qerase.thermo._heat_reservoir
         monkeypatch.setattr(
-            qerase.thermo, "heat_reservoir", lambda *args: (1.0 + 1e-8) * original(*args)
+            qerase.thermo, "_heat_reservoir", lambda *args: (1.0 + 1e-8) * original(*args)
         )
-        code, out, err = run_cli(capsys, "erase")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: reservoir heat: closed form ")
-        assert "Traceback" not in err
+        for gap in ([], ["--delta-si", "1.986e-22", "--temperature", "12"]):
+            code, out, err = run_cli(capsys, "erase", *gap)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: reservoir heat: closed form ")
+            assert "Traceback" not in err
 
     def test_negative_entropy_closed_form_exits_one(self, capsys, monkeypatch):
         # near purity dS ~ 1.5e-11 is below the route tolerance, so only the
@@ -332,9 +334,10 @@ class TestSweepCommand:
             )]
 
     def test_each_row_evaluates_entropy_and_memory_heat_once(self, capsys, monkeypatch):
-        """ΔS and Q_M run once per row, counted through the CLI's bindings
-        and the thermo module's, which `limit_temperature` reads."""
-        calls = {"entropy_decrease": 0, "heat_memory": 0}
+        """ΔS and Q_M, in units of the gap, run once per row, counted through
+        the CLI's bindings and the thermo module's, which `limit_temperature`
+        reads."""
+        calls = {"entropy_decrease": 0, "_heat_memory": 0}
         for name in calls:
             original = getattr(qerase.thermo, name)
 
@@ -349,7 +352,7 @@ class TestSweepCommand:
             "--temperature", "0.9",
         )
         assert code == 0
-        assert calls == {"entropy_decrease": 12, "heat_memory": 12}
+        assert calls == {"entropy_decrease": 12, "_heat_memory": 12}
 
     def test_zero_temperature_default_balances_heats(self, capsys):
         _, out, _ = run_cli(
@@ -373,17 +376,24 @@ class TestSweepCommand:
             assert float(w["Q_M"]) == float(c["Q_M"])
 
     def test_t_limit_column_is_gap_invariant(self, capsys):
-        _, unit, _ = run_cli(
-            capsys, "sweep", "--r", "0.5", "--n-theta", "3", "--n-phi", "1"
-        )
-        _, scaled, _ = run_cli(
-            capsys, "sweep", "--r", "0.5", "--n-theta", "3", "--n-phi", "1",
-            "--delta", "2.5",
-        )
-        unit_rows = list(csv.DictReader(io.StringIO(unit)))
-        scaled_rows = list(csv.DictReader(io.StringIO(scaled)))
+        """T_limit is in units of delta / k_B, taken from the rule on Q_M in
+        units of the gap, so it has the same bits at every gap, the smallest
+        and the largest double included; Q_M scales with the gap."""
+        argv = ["sweep", "--r", "0.5", "--n-theta", "3", "--n-phi", "1", "--temperature", "0.9"]
+        printed, exact = [], []
+        for delta in ("1", "2.5", "0.6", "5e-324", "1.7976931348623157e308"):
+            code, out, _ = run_cli(capsys, *argv, "--delta", delta)
+            assert code == 0
+            printed.append(list(csv.DictReader(io.StringIO(out))))
+            rows = cmd_sweep(build_parser().parse_args([*argv, "--delta", delta]))["rows"]
+            exact.append([row[-1].hex() for row in rows])
+        unit_rows, scaled_rows = printed[:2]
+        assert [row["T_limit"] for row in unit_rows] == [
+            "0.444574738734", "0.889149477469", "1.3337242162"]
+        assert all([row["T_limit"] for row in rows] == [row["T_limit"] for row in unit_rows]
+                   for rows in printed)
+        assert exact == [exact[0]] * 5
         for a, b in zip(unit_rows, scaled_rows):
-            assert float(a["T_limit"]) == pytest.approx(float(b["T_limit"]), rel=1e-12)
             assert float(b["Q_M"]) == pytest.approx(2.5 * float(a["Q_M"]), rel=1e-12)
 
     def test_pole_of_pure_sweep_is_undefined(self, capsys):

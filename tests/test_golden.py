@@ -56,6 +56,8 @@ CASES = [
     ("erase_hot_text", ["erase", "--temperature", "inf", "--format", "text"], 0),
     ("erase_gap_json", ["erase", "--delta", "0.6", "--bloch", "0.3,-0.2,0.4",
                         "--temperature", "0.9"], 0),
+    ("erase_subnormal_gap_json", ["erase", "--bloch=0.58,-0.75,0.07", "--delta", "2.3023e-320",
+                                  "--temperature", "1"], 0),
     ("sweep_pole", ["sweep", "--r", "1", "--n-theta", "3", "--n-phi", "2"], 0),
     ("sweep_warm", ["sweep", "--r", "0.5", "--n-theta", "4", "--n-phi", "3",
                     "--temperature", "0.9", "--delta", "2"], 0),
@@ -72,6 +74,7 @@ CASES = [
     ("verify_delta0_text", ["verify", "--delta", "0", "--draws", "20", "--seed", "3",
                             "--format", "text"], 0),
     ("verify_gap_json", ["verify", "--delta", "0.6", "--draws", "20", "--seed", "3"], 0),
+    ("verify_huge_gap_json", ["verify", "--delta", "7e307", "--draws", "5"], 0),
     ("convert_kelvin", ["convert-units", "--delta-si", "1.986e-22", "--kelvin", "300"], 0),
     ("convert_natural", ["convert-units", "--delta-si", "1.986e-22", "--natural",
                          "0.7213475204444817"], 0),

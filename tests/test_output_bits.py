@@ -26,7 +26,7 @@ T_RANGE = (0.05, 20.0)  # finite temperatures, in units of delta / k_B
 DELTA_SI, K_B_SI = 1.986e-22, 1.380649e-23  # J, J/K
 DRAWS = 600
 
-ANALYZE_DIGEST = "bb74687b1556ff06e8b694f0218383f6fb351ee8380defc6407402974b7c7c06"
+ANALYZE_DIGEST = "822bce11101b94c85f9f98c02a4016181efab31f9c69932404c0df3d9eea0434"
 PROPAGATE_DIGEST = "95c6ee277c632f093f9098d1933964bcd76b7b3938668823359c465e866565df"
 VERIFY_DIGEST = "d081efdba8c07dc5471b9fd15aaaf97db590f5c157f926e253e11be810d4d5e5"
 

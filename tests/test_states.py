@@ -301,9 +301,9 @@ class TestCompositeInitial:
         calls = []
         original = qerase.states._gibbs
 
-        def counted(beta, delta):
-            calls.append((beta, delta))
-            return original(beta, delta)
+        def counted(x):
+            calls.append(x)
+            return original(x)
 
         qerase.states._reservoir_diagonal.cache_clear()
         monkeypatch.setattr(qerase.states, "_gibbs", counted)
@@ -319,6 +319,9 @@ class TestCompositeInitial:
         assert len(reservoir_builds) == 1
         composite_initial(b, ThermalSpec.from_beta(0.7, delta=2.0))
         assert len(reservoir_builds) == 2
+        # the cache key is x = beta * delta, the one value the weights read
+        composite_initial(b, ThermalSpec.from_beta(1.4))
+        assert reservoir_builds == [0.7, 1.4]
 
     def test_reservoir_is_shared_by_specs_that_differ_only_in_k_b(self, reservoir_builds):
         # the reservoir depends on beta and delta alone, and k_B only
@@ -346,7 +349,8 @@ class TestCompositeInitial:
 
         for spec in specs:
             want = bits(preselect_l0(gibbs_four_level(spec))._flat[::5])
-            assert bits(qerase.states._reservoir_diagonal.__wrapped__(spec.beta, spec.delta)) == want
+            x = spec.beta * spec.delta
+            assert bits(qerase.states._reservoir_diagonal.__wrapped__(x)) == want
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
     def test_cached_reservoir_gives_the_uncached_product(self, beta):

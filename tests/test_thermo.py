@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,13 @@ CLOSED_FORMS = [
     ("photon_energy", "photon energy"),
     ("limit_temperature", "limit temperature"),
 ]
+
+
+def gap_form(name: str) -> str:
+    """The function `analyze` calls for the closed form `name`: its twin in
+    units of the gap, `_name`, or `entropy_decrease` itself, which has none."""
+    return name if name == "entropy_decrease" else "_" + name
+
 
 radii = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -470,14 +478,17 @@ class TestLimitTemperature:
         assert math.isnan(limit_temperature(BlochVector(0, 0, 1), ThermalSpec(beta=1.0)))
 
     def test_matches_heat_entropy_ratio(self):
+        """At the unit gap T_limit is -Q_M/dS, bit for bit; at gap 1.9 it is
+        that value times delta / k_B, formed as the report forms it."""
         rng = random.Random(55)
-        spec = ThermalSpec(beta=1.0, delta=1.9)
+        unit, spec = ThermalSpec(beta=1.0), ThermalSpec(beta=1.0, delta=1.9)
         for _ in range(25):
             b = random_bloch(rng)
             if b.r >= 1.0:
                 continue
-            want = -heat_memory(b, spec) / entropy_decrease(b)
-            assert limit_temperature(b, spec) == want
+            want = -heat_memory(b, unit) / entropy_decrease(b)
+            assert limit_temperature(b, unit) == want
+            assert limit_temperature(b, spec) == want * spec.delta / spec.k_B
 
     def test_near_unit_radius_stays_finite(self):
         # r*r would round to 1 here; the factored log must survive
@@ -496,7 +507,7 @@ class TestLimitTemperature:
         assert values == sorted(values, reverse=True)
 
     def test_subnormal_k_b_gives_an_infinite_limit(self):
-        # k_B * dS rounds to 0; dividing by each in turn overflows to inf
+        # T_limit in units of delta / k_B, divided by k_B = 5e-324, overflows to inf
         b, spec = BlochVector(0.9, 0, 0), ThermalSpec(beta=1.0, k_B=5e-324)
         assert limit_temperature(b, spec) == math.inf
         report = analyze(b, spec)
@@ -662,21 +673,20 @@ class TestTracedEnergiesBitForBit:
         def populations(rho):
             return [x.real for x in rho._flat[::rho._dim + 1]]
 
-        def level_sum(weights, levels, delta):
-            d = float(delta)
+        def level_sum(weights, levels):  # in units of the gap
             total = 0.0
             for w, n in zip(weights, levels):
-                total += w * (d * n)
+                total += w * n
             return total
 
         rho_initial = composite_initial(b, spec)
         pops_i, pops_f = populations(rho_initial), populations(apply_channel(rho_initial))
         change = [after - before for before, after in zip(pops_i, pops_f)]
-        u_i = level_sum(pops_i, _COMPOSITE_LEVELS, spec.delta)
-        u_f = level_sum(pops_f, _COMPOSITE_LEVELS, spec.delta)
+        u_i = level_sum(pops_i, _COMPOSITE_LEVELS)
+        u_f = level_sum(pops_f, _COMPOSITE_LEVELS)
         traced = {
-            "memory heat": level_sum(change, _MEMORY_LEVELS, spec.delta),
-            "reservoir heat": level_sum(change, _RESERVOIR_LEVELS, spec.delta),
+            "memory heat": level_sum(change, _MEMORY_LEVELS),
+            "reservoir heat": level_sum(change, _RESERVOIR_LEVELS),
             "photon energy": u_i - u_f,
         }
         return traced, u_i, u_f
@@ -726,7 +736,8 @@ class TestTracedEnergiesBitForBit:
             assert got.keys() == want.keys()
             for name, traced in got.items():
                 assert traced.hex() == want[name].hex(), (b, spec, name)
-            assert (report.u_initial.hex(), report.u_final.hex()) == (u_i.hex(), u_f.hex())
+            assert (report.u_initial.hex(), report.u_final.hex()) == (
+                (spec.delta * u_i).hex(), (spec.delta * u_f).hex())
             checked += 1
         assert checked == 1200
 
@@ -806,9 +817,9 @@ class TestAnalyze:
         natural units and at an SI gap of 1.986e-22 J, where the energies
         are about 1e-22 J and an absolute tolerance would accept any error.
         """
-        original = getattr(qerase.thermo, attr)
+        original = getattr(qerase.thermo, gap_form(attr))
         monkeypatch.setattr(
-            qerase.thermo, attr, lambda *args: (1.0 + 1e-8) * original(*args)
+            qerase.thermo, gap_form(attr), lambda *args: (1.0 + 1e-8) * original(*args)
         )
         si = ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23)
         for spec in (ThermalSpec.from_beta(1.0), si):
@@ -831,9 +842,9 @@ class TestAnalyze:
         """Each comparison's refusal, byte for byte: the message names the
         quantity, both values by repr, and the trace route or, for T_limit,
         the rule; perfbench sorts refusals by the name before the colon."""
-        original = getattr(qerase.thermo, attr)
+        original = getattr(qerase.thermo, gap_form(attr))
         monkeypatch.setattr(
-            qerase.thermo, attr, lambda *args: (1.0 + 1e-8) * original(*args)
+            qerase.thermo, gap_form(attr), lambda *args: (1.0 + 1e-8) * original(*args)
         )
         with pytest.raises(ArithmeticError) as refused:
             analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
@@ -844,7 +855,7 @@ class TestAnalyze:
         """NaN compares false with any tolerance: a closed form that turns
         NaN fails its comparison, and `erase` exits 1 instead of printing
         the quantity as `undefined`."""
-        monkeypatch.setattr(qerase.thermo, attr, lambda *args: math.nan)
+        monkeypatch.setattr(qerase.thermo, gap_form(attr), lambda *args: math.nan)
         with pytest.raises(ArithmeticError, match=f"^{quantity}: closed form nan "):
             analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
         code = main(["erase", "--bloch", "0.3,-0.2,0.4", "--beta", "1", "--format", "csv"])
@@ -862,7 +873,7 @@ class TestAnalyze:
         the memory gives off heat (a pure state off the ground state), NaN
         at the ground state, where none flows. Any other value fails, and
         `erase` exits 1 instead of printing it."""
-        monkeypatch.setattr(qerase.thermo, "limit_temperature", lambda *args: patched)
+        monkeypatch.setattr(qerase.thermo, "_limit_temperature", lambda *args: patched)
         b = BlochVector(*map(float, bloch.split(",")))
         assert entropy_decrease(b) == 0.0
         with pytest.raises(ArithmeticError, match="^limit temperature: closed form "):
@@ -879,7 +890,7 @@ class TestAnalyze:
         """Where dS > 0 the rule is finite, and the tolerance scales on it,
         not on the closed form: an infinite closed form fails, and `erase`
         exits 1 instead of printing it as `infinite`."""
-        monkeypatch.setattr(qerase.thermo, "limit_temperature", lambda *args: patched)
+        monkeypatch.setattr(qerase.thermo, "_limit_temperature", lambda *args: patched)
         with pytest.raises(ArithmeticError, match="^limit temperature: closed form "):
             analyze(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0))
         code = main(["erase", "--bloch", "0.3,-0.2,0.4", "--beta", "1", "--format", "csv"])
@@ -983,15 +994,19 @@ class TestAnalyze:
         ids=["seed1-178", "seed1-373", "seed1-647-si", "seed3-48", "seed3-769", "seed3-989-si"],
     )
     def test_near_pure_limit_temperature_is_the_reported_ratio(self, bloch, beta, si):
+        """At the unit gap T_limit is the report's -Q_M/dS; in SI it is the
+        unit-gap run's T_limit times delta / k_B, bit for bit."""
         if si:  # the same thermal point in joules and kelvins
             delta, k_B = 1.986e-22, 1.380649e-23
             kelvin = math.inf if beta == 0.0 else delta / k_B / beta
             spec = ThermalSpec.from_temperature(kelvin, delta=delta, k_B=k_B)
         else:
             spec = ThermalSpec.from_beta(beta)
+        unit = analyze(BlochVector(*bloch), ThermalSpec(beta=spec.beta * spec.delta))
+        assert unit.delta_s > 0.0
+        assert unit.t_limit == -unit.q_memory / unit.delta_s
         report = analyze(BlochVector(*bloch), spec)
-        assert report.delta_s > 0.0
-        assert report.t_limit == -report.q_memory / (spec.k_B * report.delta_s)
+        assert report.t_limit == unit.t_limit * spec.delta / spec.k_B
 
     def test_zero_temperature_returns_every_joule(self):
         report = analyze(BlochVector(0.2, 0.2, 0.2), ThermalSpec.from_beta(math.inf))
@@ -1036,3 +1051,68 @@ class TestAnalyze:
                 assert report.q_reservoir >= 0.0
                 assert report.photon_energy >= 0.0
                 assert report.landauer_violated == (report.landauer_margin > 0.0)
+
+
+def _outcome(call):
+    """The value of call(), or its error as (type name, message)."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+EDGE_GAPS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+ENERGIES = ("q_memory", "q_reservoir", "q_environment", "photon_energy", "u_initial", "u_final")
+# the smallest value whose double is inf: 2**1024 less half an ulp of the largest double
+OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970
+
+
+class TestScaleCovariance:
+    """`analyze` works in units of the gap and scales the report once, so a
+    run at gap delta and Boltzmann constant k_B is the unit-gap run at
+    beta * delta, times delta for each energy and delta / k_B for T_limit."""
+
+    def test_every_subnormal_gap_gives_a_report(self):
+        """Gaps log-uniform over [5e-324, 1e-310), where one subnormal spacing
+        between the two routes is far more than 1e-10 of the gap."""
+        rng = random.Random(3601)
+        for _ in range(400):
+            delta = max(5e-324, 2.0 ** rng.uniform(-1074.0, math.log2(1e-310)))
+            beta = rng.choice((0.0, 1.0, math.inf, 10.0 ** rng.uniform(-3.0, 3.0)))
+            b = random_bloch(rng)
+            report = analyze(b, ThermalSpec(beta=beta, delta=delta))
+            assert report.q_memory == delta * analyze(b, ThermalSpec(beta=beta * delta)).q_memory
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.tuples(radii, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+        st.one_of(st.sampled_from(EDGE_GAPS), st.builds(
+            math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))),
+        st.sampled_from([1.0, 1.380649e-23, 5e-324]),
+        st.one_of(st.sampled_from([0.0, math.inf]),
+                  st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)),
+    )
+    def test_a_report_is_the_unit_gap_report_scaled(self, polar, delta, k_B, beta_delta):
+        """Bit for bit: dS equal, each energy delta times the unit-gap one,
+        T_limit the unit-gap T_limit times delta / k_B, formed in that order;
+        an inf only where the true value overflows, and a refusal only where
+        the unit-gap run refuses, with the same message."""
+        r, theta, phi = polar
+        b = BlochVector(r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi),
+                        r * math.cos(theta))
+        spec = ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)
+        report = _outcome(lambda: analyze(b, spec))
+        unit = _outcome(lambda: analyze(b, ThermalSpec(beta=spec.beta * delta)))
+        if not isinstance(unit, ErasureReport):
+            assert report == unit
+            return
+        assert repr(report.delta_s) == repr(unit.delta_s)
+        # (reported, unit-gap value, the reported value formed from it, exact scale)
+        scaled = [(getattr(report, f), getattr(unit, f), delta * getattr(unit, f),
+                   Fraction(delta)) for f in ENERGIES]
+        scaled.append((report.t_limit, unit.t_limit, unit.t_limit * delta / k_B,
+                       Fraction(delta) / Fraction(k_B)))
+        for got, natural, want, scale in scaled:
+            assert repr(got) == repr(want)
+            if math.isinf(got) and math.isfinite(natural):
+                assert abs(Fraction(natural) * scale) >= OVERFLOW

@@ -6,13 +6,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qerase.channel
 import qerase.verify
 from conftest import numpy_permutation, to_numpy
 from qerase.cli import main
 from qerase.linalg import ComplexMatrix
-from qerase.thermo import ErasureReport
+from qerase.states import ThermalSpec
+from qerase.thermo import ErasureReport, commutator_norm
 from qerase.channel import ERASURE_PERMUTATION, build_circuit, circuit_permutation
 from qerase.verify import (
     CheckResult,
@@ -343,9 +346,24 @@ class TestBattery:
         assert by_name["commutator_nonzero"].status == "skip"
         assert all_passed(results)
 
-    @pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-300, 1e-160, 1e200, 1e300, 6e307])
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-300, 1e-160, 1e200, 1e300, 6e307,
+                                       7e307, 1.7976931348623157e308])
     def test_extreme_gaps_pass_the_commutator_check(self, delta):
         assert check_commutator(delta).status == "pass"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024)),
+    ))
+    def test_every_finite_gap_passes_the_commutator_check(self, delta):
+        """The norm is delta times 2 sqrt(2), the norm in units of the gap,
+        formed once; the check compares in units of the gap at every delta."""
+        result = check_commutator(delta)
+        assert result.status == "pass"
+        norm = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=0.0, delta=delta))
+        assert norm == delta * math.sqrt(8.0)
+        assert result.detail == f"|[U, H]|_F = {norm!r} (2*sqrt(2)*delta = {norm!r})"
 
     def test_a_huge_gap_runs_the_whole_battery(self):
         results = run_verification(delta=1e200, draws=5)
