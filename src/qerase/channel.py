@@ -91,13 +91,21 @@ def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
     Raises ArithmeticError when `ERASURE_PERMUTATION` is not the map the
     four CNOTs compose, whether or not the state populates the columns where
     the two differ."""
+    return permute(*_checked_input(rho))
+
+
+def _checked_input(rho: ComplexMatrix) -> tuple[ComplexMatrix, tuple[int, ...]]:
+    """The checks of `apply_channel`, in its order: rho validated as an 8x8
+    density matrix, and the erasure permutation it applies, read once and
+    checked against the CNOT composition."""
     rho = density_matrix(rho)
     if rho.dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho.dim}")
-    if ERASURE_PERMUTATION != _CNOT_PERMUTATION:
-        raise ArithmeticError(f"erasure permutation: {ERASURE_PERMUTATION} "
+    perm = ERASURE_PERMUTATION
+    if perm != _CNOT_PERMUTATION:
+        raise ArithmeticError(f"erasure permutation: {perm} "
                               f"is not the CNOT circuit's {_CNOT_PERMUTATION}")
-    return permute(rho, ERASURE_PERMUTATION)
+    return rho, perm
 
 
 def reservoir_final_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

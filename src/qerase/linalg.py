@@ -12,20 +12,25 @@ values, each scanned for finiteness once. Permutations, Kronecker kernels and
 partial traces are plans over the flat tuple, each validated and cached once
 per shape; a Kronecker kernel may carry a relabeling. A partial trace plan is
 one function compiled from its plain int positions, `lambda f: (0 + f[p] +
-f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so
-each entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without
-a call per entry. Every state here is a qubit (x) a diagonal reservoir,
-formed from the diagonal's n values, one product per distinct entry, by one
-function compiled per shape that returns the products, each made once into
-a walrus name, and the entries that name them, `lambda a, v: (((t0 := a[0]
-* v[0]), ...), (t0, t4, ...))`; the public `kron` is the plain product. The
-density check reads a plan cached per nonzero pattern that carries two
-functions compiled by one `eval` from its positions: the hermiticity defect,
-`lambda f: max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of
-its blocks, `lambda f: sorted((...))`, run only once the checks before it
-have passed. A 2x2 is keyed by its layout, whether its off-diagonal pair is
-nonzero, rather than by its full pattern. Only first use compiles; importing
-the module compiles nothing.
+f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so each
+entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without a call
+per entry. `_trace_groups` gives the plan's positions and `_sum_chains` their
+source, so another kernel can hold the same sums: `thermo` reads the final
+memory marginal off the initial state through the channel's relabeling in one
+such kernel. Every state here is a qubit (x) a diagonal reservoir, formed from
+the diagonal's n values, one product per distinct entry, by one function
+compiled per shape that returns the products, each made once into a walrus
+name, and the entries that name them, `lambda a, v: (((t0 := a[0] * v[0]),
+...), (t0, t4, ...))`; the public `kron` is the plain product. The density
+check reads a plan cached per nonzero pattern that carries two functions
+compiled by one `eval` from its positions: the hermiticity defect, `lambda f:
+max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of its blocks,
+`lambda f: sorted((...))`, run only once the checks before it have passed; a
+2x2 block's coupling that overflows when its two parts are summed is summed
+from halved parts, so its radius stays finite wherever the coupling's modulus
+is. A 2x2 is keyed by its layout, whether its off-diagonal pair is nonzero,
+rather than by its full pattern. Only first use compiles; importing the module
+compiles nothing.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -243,9 +248,20 @@ def _trace_plan(
     and the output dimension. The kernel maps the flat entries to the
     kept-block entries in row-major order, each the sum of its terms by the
     traced digits in lexicographic order, which is increasing flat index;
-    with `corner`, to entry (0, 0) alone, a 1-tuple. `_sum_kernel` compiles
-    it once here, from positions computed off n and the enumeration order,
-    never from the values passed in.
+    with `corner`, to entry (0, 0) alone, a 1-tuple. It is compiled once
+    here, `lambda f: (<_sum_chains>)`, from the positions `_trace_groups`
+    computes off n and the enumeration order, never from the values passed
+    in."""
+    groups, dim = _trace_groups(dims, keep, n)
+    return eval(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})"), dim
+
+
+def _trace_groups(
+    dims: tuple[int, ...], keep: tuple[int, ...], n: int
+) -> tuple[list[list[int]], int]:
+    """The checked plan of a partial trace of an n x n matrix: for each
+    kept-block entry in row-major order, the flat positions of its terms in
+    increasing order, and the output dimension.
 
     Non-integral values are rejected, not truncated. An integral float such
     as 2.0 hashes like 2, so the two share a cached plan.
@@ -273,14 +289,13 @@ def _trace_plan(
     index = {label: i for i, label in enumerate(labels)}
     blocks = sorted({kept for kept, _ in labels})
     rests = sorted({traced for _, traced in labels})
-    entries = [(u, v) for u in blocks for v in blocks][:1 if corner else None]
-    return _sum_kernel([[index[u, t] * n + index[v, t] for t in rests]
-                        for u, v in entries]), len(blocks)
+    return [[index[u, t] * n + index[v, t] for t in rests]
+            for u in blocks for v in blocks], len(blocks)
 
 
-def _sum_kernel(groups: Sequence[Sequence[int]]) -> Callable[[Sequence], tuple]:
-    """One compiled function of a flat tuple f: the tuple of
-    `0 + f[p] + f[q] + ...` over each group of plain int positions.
+def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
+    """The source of `0 + f[p] + f[q] + ...` over each group of plain int
+    positions, each chain followed by a comma.
 
     The chain runs left to right from int 0, exactly as `sum` adds complex
     values (through Python 3.13), so it rounds as `sum` does and turns a
@@ -293,7 +308,7 @@ def _sum_kernel(groups: Sequence[Sequence[int]]) -> Callable[[Sequence], tuple]:
                 for i in range(0, len(group), 100)]
         return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 
-    return eval(f"lambda f: ({''.join(chain(group) + ',' for group in groups)})")
+    return "".join(chain(group) + "," for group in groups)
 
 
 def _walk(
@@ -362,13 +377,13 @@ def _pattern_kernels(
     b = (m[i,j] + conj(m[j,i]))/2, each of its four entries read once into
     a walrus name; a block of 3 or more is `*_jacobi_eigenvalues(rows)` on
     its rows, the solver looked up when the kernel runs. |b| is
-    `abs(u + v * 1j)` on b's parts u and v, each halved on its own: for
-    finite parts that is the `abs` of the complex b, a zero's sign aside,
-    which `abs` ignores, so the radius keeps its bits; where a part
-    overflows it is inf (v * 1j has a nan real part for an infinite v, and
-    `abs` reads a complex with an infinite part as inf), where halving the
-    complex sum would give nan through 0 * inf, which no floor test
-    rejects."""
+    `abs(0.5 * u + 0.5 * v * 1j)` on the sums u and v of b's parts, the
+    `abs` of the complex b, a zero's sign aside, which `abs` ignores, while
+    both sums are finite (`u - u == v - v`). Where a sum overflows, each
+    part is halved before it is added and |b| is `math.hypot` of the two
+    halved sums, which are finite: the radius is finite wherever |b| is,
+    and inf where |b| passes the float range, for which the `abs` of a
+    complex with finite parts would raise."""
     def solved(block):
         if len(block) == 1:
             return f"f[{block[0] * (n + 1)}].real"
@@ -376,8 +391,10 @@ def _pattern_kernels(
             i, j = block
             a, d = f"(a := f[{i * (n + 1)}].real)", f"(d := f[{j * (n + 1)}].real)"
             x, y = f"(x := f[{i * n + j}])", f"(y := f[{j * n + i}])"
-            off = f"0.5 * ({x}.real + {y}.real) + 0.5 * (x.imag - y.imag) * 1j"
-            return f"(m := 0.5 * ({a} + {d})) - (r := math.hypot(0.5 * (a - d), abs({off}))), m + r"
+            norm = (f"(abs(0.5 * u + 0.5 * v * 1j) if (u := {x}.real + {y}.real) - u"
+                    f" == (v := x.imag - y.imag) - v else"
+                    f" math.hypot(0.5 * x.real + 0.5 * y.real, 0.5 * x.imag - 0.5 * y.imag))")
+            return f"(m := 0.5 * ({a} + {d})) - (r := math.hypot(0.5 * (a - d), {norm})), m + r"
         rows = "".join("(" + "".join(f"f[{i * n + j}], " for j in block) + "), " for i in block)
         return f"*_jacobi_eigenvalues(({rows}))"
 

@@ -3,16 +3,28 @@
 Conventions: entropies in nats, heat positive when it flows *into* the
 named subsystem. Each closed form `_f` works in units of the gap, on b and
 x = beta delta; only its public `f(b, spec)` and `analyze`'s report scale
-energies by delta and temperatures by delta / k_B. Every closed form has a
-trace-based twin computed from the propagated states, and `analyze`
-cross-checks the two routes, in units of the gap, before reporting.
+energies by delta and temperatures by delta / k_B, the latter in one helper,
+`_in_units`. Every closed form has a trace-based twin, and `analyze`
+cross-checks the two routes, in units of the gap, before reporting. The
+channel permutes the 8 basis states, so the twins are read off the initial
+state by one function compiled on first use per erasure permutation,
+`_route_kernel`, with the bits of propagating the state and tracing it.
 """
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import lru_cache
 
-from .linalg import ComplexMatrix, _check_permutation, _density_spectrum, _kron
+from .linalg import (
+    ComplexMatrix,
+    _check_permutation,
+    _density_spectrum,
+    _kron,
+    _relabeling,
+    _sum_chains,
+    _trace_groups,
+)
 from .record import Record, _set_field
 from .states import (
     BlochVector,
@@ -23,7 +35,7 @@ from .states import (
     _reservoir_diagonal,
     qubit_from_bloch,
 )
-from .channel import _bits, apply_channel, memory_marginal
+from .channel import MEMORY, SUBSYSTEM_DIMS, _bits, _checked_input
 
 LN2 = math.log(2.0)
 ROUTE_TOL = 1e-10
@@ -117,10 +129,24 @@ def _limit_temperature(b: BlochVector) -> float:
 
 def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
     """Temperature at which the erasure stops beating the entropy bound,
-    `_limit_temperature` times delta / k_B as `analyze` reports it. It does
+    `_limit_temperature` in spec's units as `analyze` reports it. It does
     not depend on spec.beta: +inf for pure inputs with r_z < 1, NaN at r_z = 1.
     """
-    return _limit_temperature(b) * spec.delta / spec.k_B
+    return _in_units(_limit_temperature(b), spec)
+
+
+def _in_units(t: float, spec: ThermalSpec) -> float:
+    """A temperature t in units of delta / k_B in spec's own units,
+    (t delta) / k_B; t (delta / k_B) would overflow to a false inf wherever
+    delta / k_B passes the float range. Where the product t delta falls
+    below the normal range, only its few subnormal bits would reach the
+    quotient, so it is formed from delta times 2**600, exactly, and the
+    quotient, below 2**52 there, is scaled back: full precision wherever
+    t delta is at least 2**-1622."""
+    product = t * spec.delta
+    if t and abs(product) < 2.0 ** -1022:
+        return t * (spec.delta * 2.0 ** 600) / spec.k_B * 2.0 ** -600
+    return product / spec.k_B
 
 
 LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
@@ -214,32 +240,25 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     are equal, NaN matching NaN; its tolerance scales on the rule, never on
     the closed form, and is 0 where the rule is +inf or NaN.
 
-    The traced heats and energies are sums over the 8 composite populations;
-    a heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only the
-    diagonal, so no marginal is formed for it. One pass over the two
-    diagonals builds both heats and both energies.
+    The channel is a permutation, so every traced quantity is a fixed set
+    of entries of the initial state. `apply_channel`'s checks run on it and
+    return the permutation they checked; the route kernel compiled for that
+    permutation reads off the initial state the final memory marginal, with
+    the bits of `memory_marginal(apply_channel(rho))`, and the four level
+    sums, with the bits of a loop over the two diagonals, so no final state
+    is formed. A heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only
+    the diagonal, so no marginal is formed for it. The marginal is checked
+    finite, as `memory_marginal` checks it, and a density matrix by the
+    entropy.
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
     # = composite_initial(b, spec), from the memory state formed above
-    rho_initial = _kron(rho_memory, _reservoir_diagonal(x))
-    rho_final = apply_channel(rho_initial)  # validates rho_initial
+    rho_initial, perm = _checked_input(_kron(rho_memory, _reservoir_diagonal(x)))
+    marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(perm)(rho_initial._flat)
     delta_s = entropy_decrease(b)
-    s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(memory_marginal(rho_final))
-
-    # each sum adds its terms left to right, without the compensation that
-    # `sum` applies to floats from Python 3.12 on
-    q_m_trace = q_r_trace = u_i = u_f = 0.0
-    for before, after, m, e, n in zip(
-        rho_initial._flat[::9], rho_final._flat[::9],  # the diagonals of 8 x 8
-        _MEMORY_LEVELS, _RESERVOIR_LEVELS, _COMPOSITE_LEVELS,
-    ):
-        before, after = before.real, after.real
-        change = after - before
-        q_m_trace += change * m
-        q_r_trace += change * e
-        u_i += before * n
-        u_f += after * n
+    s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(
+        ComplexMatrix._from_flat(marginal, 2))
 
     q_m, q_r, radiated = _heat_memory(b), _heat_reservoir(b, x), _photon_energy(b, x)
     t_limit, rule = _limit_temperature(b), _limit_rule(q_m, delta_s)
@@ -258,4 +277,53 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     d, temperature = spec.delta, spec.temperature
     margin = _landauer_margin(d * q_m, temperature, delta_s, spec.k_B)
     return ErasureReport(delta_s, d * q_m, d * q_r, d * -q_m, d * radiated, d * u_i, d * u_f,
-                         t_limit * d / spec.k_B, temperature, margin > 0.0, margin), records
+                         _in_units(t_limit, spec), temperature, margin > 0.0, margin), records
+
+
+@lru_cache(maxsize=64)
+def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """`_cross_check`'s trace route for the channel `perm`: one function of
+    the initial state's flat entries f, compiled by one `eval` from plain int
+    positions, `lambda f: ((<marginal>), q_m, q_r, u_i, u_f)`.
+
+    The channel moves entry (i, j) to (perm[i], perm[j]), so the marginal is
+    the four chains (`linalg._sum_chains`) that `memory_marginal` sums on
+    `permute(rho, perm)`, each position read back through the relabeling.
+    The level sums run over the real parts of the final (a) and initial (b)
+    diagonals, each entry of f read once into a walrus name: the heats add
+    each change a - b times its memory or reservoir level, the energies each
+    population times its composite level, left to right from 0.0 as a loop
+    over the 8 levels adds them (`sum` compensates floats from Python 3.12
+    on). A term of level 0 is left out: a checked state's populations are
+    finite, so the term is a zero, which leaves a running sum from +0.0, never
+    -0.0, as it is. A term of level 1 is its value and one of level 2 twice
+    it, exactly, so each sum keeps the bits of the loop."""
+    source = _relabeling(perm, 8)(range(64))  # final flat position -> initial one
+    groups, _ = _trace_groups(SUBSYSTEM_DIMS, (MEMORY,), 8)
+    bound = set()
+
+    def named(name, expr):  # the first occurrence in the source binds the name
+        if name in bound:
+            return name
+        bound.add(name)
+        return f"({name} := {expr()})"
+
+    def real(p):  # the real part of the diagonal entry at flat position p
+        return named(f"r{p}", lambda: f"f[{p}].real")
+
+    def before(k):
+        return real(9 * k)
+
+    def after(k):
+        return real(source[9 * k])
+
+    def change(k):
+        return named(f"c{k}", lambda: f"{after(k)} - {before(k)}")
+
+    sums = ", ".join(
+        "0.0" + "".join(f" + {value(k)}" + (f" * {n}" if n > 1 else "")
+                        for k, n in enumerate(levels) if n)
+        for value, levels in ((change, _MEMORY_LEVELS), (change, _RESERVOIR_LEVELS),
+                              (before, _COMPOSITE_LEVELS), (after, _COMPOSITE_LEVELS)))
+    marginal = _sum_chains([[source[p] for p in group] for group in groups])
+    return eval(f"lambda f: (({marginal}), {sums})")

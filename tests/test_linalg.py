@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qerase
 import qerase.linalg
 import qerase.states
+import qerase.thermo
 from conftest import (
     assert_matrix_close,
     entry_bits,
@@ -1266,13 +1267,13 @@ class TestDensityValidation:
                     check(rows)
 
     def test_an_overflowing_coupling_is_not_solved_to_nan(self):
-        """A Hermitian coupling of (1e308 + 1e308j): both parts of
+        """A Hermitian coupling of (1.5e308 + 1.5e308j): both parts of
         m[i,j] + conj(m[j,i]) overflow, and halving that complex sum gives
         nan through 0 * inf, an eigenvalue no floor test rejects. Each part
-        is halved on its own, so the radius is inf: the 2x2 and its 8x8
-        analogue, whose other eigenvalue is 0.5, fail the floor, and
-        `hermitian_eigenvalues` reports the overflow."""
-        x = complex(1e308, 1e308)
+        is halved on its own, and |b| passes the float range, so the radius
+        is inf: the 2x2 and its 8x8 analogue, whose other eigenvalue is 0.5,
+        fail the floor, and `hermitian_eigenvalues` reports the overflow."""
+        x = complex(1.5e308, 1.5e308)
         pair = [[0.5, x], [x.conjugate(), 0.5]]
         analogue = [[0j] * 8 for _ in range(8)]
         analogue[0][0] = analogue[1][1] = 0.25
@@ -1284,6 +1285,51 @@ class TestDensityValidation:
                     check(rows)
             with pytest.raises(OverflowError, match="overflowed the float range"):
                 hermitian_eigenvalues(ComplexMatrix(rows))
+
+    def test_a_huge_coupling_keeps_its_finite_spectrum(self):
+        """A Hermitian coupling of (1e308 + 1e308j) between equal diagonals:
+        both parts of m[i,j] + conj(m[j,i]) overflow, but |b| = 1.414e308
+        does not, and the eigenvalues diagonal -+ |b| are finite. The 2x2 and
+        its 8x8 analogue solve to them within an ulp of the exact values, as
+        the 3x3 block of the test below does, and the density checks reject
+        them at the floor with the finite value."""
+        x = complex(1e308, 1e308)
+        pair = [[0.5, x], [x.conjugate(), 0.5]]
+        analogue = [[0j] * 8 for _ in range(8)]
+        analogue[0][0] = analogue[1][1] = 0.25
+        analogue[2][2] = 0.5
+        analogue[0][1], analogue[1][0] = x, x.conjugate()
+        with localcontext() as ctx:
+            ctx.prec = 50
+            norm = (Decimal(x.real) ** 2 + Decimal(x.imag) ** 2).sqrt()
+            for rows, diag, rest in ((pair, 0.5, []), (analogue, 0.25, [0] * 5 + [0.5])):
+                exact = sorted([Decimal(diag) - norm, Decimal(diag) + norm, *map(Decimal, rest)])
+                got = hermitian_eigenvalues(ComplexMatrix(rows))
+                assert len(got) == len(exact)
+                for lam, want in zip(got, exact):
+                    assert abs(Decimal(lam) - want) <= Decimal(math.ulp(float(want)))
+                for check in (density_matrix, von_neumann_entropy):
+                    with pytest.raises(ValueError, match="eigenvalue -1.414e\\+308 below"):
+                        check(rows)
+
+    def test_a_subnormal_coupling_keeps_its_bits(self):
+        """Halving each part of a coupling before the sum would round a
+        subnormal part on its own: 0.5 * 5e-324 is 0. Where neither sum
+        overflows, the 2x2 solve kernel halves the sum, as the row reference
+        does, so couplings of subnormal, tiny normal and plain parts keep
+        their bits, between diagonals drawn from the same parts, small enough
+        for the coupling to set the radius."""
+        rng = random.Random(1271)
+        tiny = (5e-324, -5e-324, 1.5e-323, -2.5e-323, 2.2250738585072e-308, 0.0, -0.0)
+
+        def part():
+            return rng.choice((rng.choice(tiny), rng.gauss(0.0, 1.0),
+                               math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, -1000))))
+
+        for _ in range(2000):
+            m = ComplexMatrix([[part(), complex(part(), part())],
+                               [complex(part(), part()), part()]])
+            assert _hexes(_walk(m)[2](m._flat)) == _hexes(_per_block_spectrum(m))
 
     def test_a_huge_block_of_three_is_solved_scaled(self):
         """A 3x3 block, diagonal 0.25/0.25/0.5, with a Hermitian coupling x
@@ -1314,7 +1360,7 @@ class TestDensityValidation:
         the floor; and with no Jacobi sweeps allowed, a dense 3x3 block
         that is not Hermitian, or Hermitian with trace 2, fails its check
         where a solve would raise ArithmeticError first."""
-        x = complex(1e308, 1e308)
+        x = complex(1.5e308, 1.5e308)
         for check in (density_matrix, von_neumann_entropy):
             with pytest.raises(ValueError, match=r"trace \(1.25\+0j\) differs"):
                 check([[0.75, x], [x.conjugate(), 0.5]])
@@ -1341,7 +1387,8 @@ class TestDensityValidation:
         grid, a second pass with `builtins.eval` refusing gives the same
         bits, and so does a density check of every matrix the first pass
         checked, one of each of the grid's nonzero patterns and more: every
-        pattern's kernels and the Kronecker table come from the caches."""
+        pattern's kernels, the Kronecker table and analyze's route kernel come
+        from the caches, the route one hit per analyze."""
         seen = []
         walk = qerase.linalg._walk
 
@@ -1365,9 +1412,12 @@ class TestDensityValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("a warm density check or product compiled a kernel")
 
+        routes = qerase.thermo._route_kernel.cache_info()
         monkeypatch.setattr(builtins, "eval", refuse)
         assert outputs() == want
         assert checks() == want_checks
+        warm = qerase.thermo._route_kernel.cache_info()
+        assert (warm.misses, warm.hits - routes.hits) == (routes.misses, len(_edge_grid()))
 
     def test_the_edge_grid_fills_few_pattern_plans(self):
         """Every state the package builds is a qubit (x) a diagonal

@@ -16,7 +16,14 @@ import qerase.channel
 import qerase.linalg
 import qerase.thermo
 from qerase.cli import main
-from conftest import numpy_permutation, random_bloch, random_density, to_numpy
+from conftest import (
+    entry_bits,
+    numpy_permutation,
+    raised,
+    random_bloch,
+    random_density,
+    to_numpy,
+)
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
@@ -744,19 +751,93 @@ class TestTracedEnergiesBitForBit:
 
 class TestPartialTraceCount:
     """The heats are read from the composite populations, so analyze forms
-    one marginal: the final memory state, whose spectrum the entropy needs."""
+    one marginal: the final memory state, whose spectrum the entropy needs.
+    The route kernel compiled for the channel's permutation sums it off the
+    initial state, so no partial trace runs, and the reservoir's marginal
+    is never formed."""
+
+    B = BlochVector(0.9, 0.0, -0.3)
+    SPEC = ThermalSpec.from_beta(1.0)
 
     def test_analyze_traces_out_only_the_final_reservoir(self, monkeypatch):
-        kept = []
-        original = qerase.channel.partial_trace
+        rho = composite_initial(self.B, self.SPEC)
+        want = memory_marginal(apply_channel(rho))._flat
+        planned = []
+        original = qerase.thermo._trace_groups
 
-        def counted(rho, dims, keep):
-            kept.append(set(keep))
-            return original(rho, dims, keep)
+        def counted(dims, keep, n):
+            planned.append((dims, keep, n))
+            return original(dims, keep, n)
 
-        monkeypatch.setattr(qerase.channel, "partial_trace", counted)
-        analyze(BlochVector(0.9, 0.0, -0.3), ThermalSpec.from_beta(1.0))
-        assert kept == [{0}]
+        def refuse(*args):
+            raise AssertionError("analyze ran a partial trace")
+
+        monkeypatch.setattr(qerase.thermo, "_trace_groups", counted)
+        monkeypatch.setattr(qerase.channel, "partial_trace", refuse)
+        qerase.thermo._route_kernel.cache_clear()
+        for _ in range(2):  # cold, then warm
+            analyze(self.B, self.SPEC)
+        assert planned == [((2, 2, 2), (0,), 8)]  # one marginal, the memory's
+        info = qerase.thermo._route_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION)(rho._flat)[0]
+        assert len(marginal) == 4 and marginal == want
+
+    def test_one_route_is_compiled_per_permutation(self, wrong_channel):
+        """Each distinct erasure map compiles its route once, however often
+        analyze runs it; going back to a map finds its kernel cached."""
+        swapped = [tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION)
+                   for low, high in ((0, 1), (2, 3), (1, 6))]
+        qerase.thermo._route_kernel.cache_clear()
+        for perm in [ERASURE_PERMUTATION, *swapped, ERASURE_PERMUTATION, swapped[0]]:
+            wrong_channel(perm)
+            for _ in range(3):
+                raised(lambda: analyze(self.B, self.SPEC))
+        info = qerase.thermo._route_kernel.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (4, 4, 14)
+
+
+class TestFusedRouteBitForBit:
+    """The route kernel, bit for bit the marginal and the level sums of the
+    final state that `apply_channel` forms: under the erasure over
+    TestTracedEnergiesBitForBit's 1,200 draws, and under each of its 28 row
+    swaps over a quarter of them, every fourth draw from an offset that
+    cycles with the swap, so one swap in four sees the near-pure draws."""
+
+    @staticmethod
+    def _reference(b, spec):
+        """The final memory marginal's entry bits, and the bits of the
+        entropy drop on it and of the four left-to-right level sums over the
+        two diagonals: the route `analyze` took through the final state."""
+        marginal = memory_marginal(apply_channel(composite_initial(b, spec)))
+        s_drop = von_neumann_entropy(qubit_from_bloch(b)) - von_neumann_entropy(marginal)
+        traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
+        sums = (s_drop, traced["memory heat"], traced["reservoir heat"], u_i, u_f)
+        return entry_bits(marginal), [x.hex() for x in sums]
+
+    @staticmethod
+    def _fused(b, spec):
+        """The same, from the route kernel of the permutation the channel's
+        checks return and from `_cross_check`'s entropy record."""
+        rho_initial, perm = qerase.channel._checked_input(composite_initial(b, spec))
+        marginal, *sums = qerase.thermo._route_kernel(perm)(rho_initial._flat)
+        [(name, _, s_drop, _, _), *_] = qerase.thermo._cross_check(b, spec)[1]
+        assert name == "entropy decrease"
+        return (entry_bits(ComplexMatrix._from_flat(marginal, 2)),
+                [x.hex() for x in (s_drop, *sums)])
+
+    def test_every_route_output_is_the_final_state_route(self, wrong_channel, monkeypatch):
+        draws = list(TestTracedEnergiesBitForBit._draws(random.Random(2401)))
+        reports = [repr(raised(lambda: analyze(b, spec))) for b, spec in draws]
+        for b, spec in draws:
+            assert self._fused(b, spec) == self._reference(b, spec), (b, spec)
+        for k, (low, high) in enumerate(itertools.combinations(range(8), 2)):
+            swap = {low: high, high: low}
+            wrong_channel(tuple(swap.get(row, row) for row in ERASURE_PERMUTATION))
+            for b, spec in draws[k % 4::4]:  # each swap a quarter, near-pure or not
+                assert self._fused(b, spec) == self._reference(b, spec), (b, spec, low, high)
+        monkeypatch.undo()  # the erasure again: no swapped route may serve it
+        assert [repr(raised(lambda: analyze(b, spec))) for b, spec in draws] == reports
 
 
 class TestAnalyze:
@@ -1067,6 +1148,12 @@ ENERGIES = ("q_memory", "q_reservoir", "q_environment", "photon_energy", "u_init
 OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970
 
 
+def _assert_within_two_ulps(got: float, exact: Fraction) -> None:
+    """got is within two rounding steps of the exact value: 2**-52 of it,
+    or the spacing 2**-1074 where it is below the normal range."""
+    assert abs(Fraction(got) - exact) <= abs(exact) / 2 ** 52 + Fraction(2) ** -1074, (got, exact)
+
+
 class TestScaleCovariance:
     """`analyze` works in units of the gap and scales the report once, so a
     run at gap delta and Boltzmann constant k_B is the unit-gap run at
@@ -1083,6 +1170,51 @@ class TestScaleCovariance:
             report = analyze(b, ThermalSpec(beta=beta, delta=delta))
             assert report.q_memory == delta * analyze(b, ThermalSpec(beta=beta * delta)).q_memory
 
+    @pytest.mark.parametrize("delta, k_B, exact", [
+        (5e-324, 5e-324, 0.7213475204444817),
+        (2.3023e-320, 1e-320, 1.6608100026043897),
+    ])
+    def test_a_subnormal_gap_keeps_t_limit(self, delta, k_B, exact):
+        """At subnormal gaps t * delta keeps only a few bits, and a T_limit
+        formed from that product is far off: 1.0 and 1.6605731225296443 on
+        these two points. Both the report and `limit_temperature` give the
+        exact value of the maximally mixed memory, 1 / ln 4 in units of
+        delta / k_B, to within two ulps."""
+        b, spec = BlochVector(), ThermalSpec(beta=1.0, delta=delta, k_B=k_B)
+        want = Fraction(T_LIMIT_MIXED) * Fraction(delta) / Fraction(k_B)
+        report = analyze(b, spec)
+        assert report.t_limit == limit_temperature(b, spec)
+        _assert_within_two_ulps(report.t_limit, want)
+        assert abs(report.t_limit - exact) <= 2 * math.ulp(exact)
+
+    def test_t_limit_at_extreme_gaps_against_exact_arithmetic(self):
+        """Gaps and Boltzmann constants log-uniform over the whole float
+        range, subnormals included: T_limit is within two ulps of the exact
+        scaled value wherever that is finite, bit for bit (t delta) / k_B
+        wherever t delta is normal, and inf only where the exact value
+        overflows, also where delta / k_B alone is past the float range."""
+        rng = random.Random(3701)
+        subnormal = 0
+        for k in range(600):
+            # every other gap below the normal range
+            delta = max(5e-324, 2.0 ** rng.uniform(-1074.0, -1022.0 if k % 2 else 1023.0))
+            k_B = max(5e-324, 2.0 ** rng.uniform(-1074.0, 1023.0))
+            b = random_bloch(rng)
+            t = analyze(b, ThermalSpec(beta=1.0)).t_limit
+            spec = ThermalSpec(beta=1.0, delta=delta, k_B=k_B)
+            got = analyze(b, spec).t_limit
+            assert got == limit_temperature(b, spec)
+            exact = Fraction(t) * Fraction(delta) / Fraction(k_B)
+            if exact >= OVERFLOW:
+                assert got == math.inf
+                continue
+            _assert_within_two_ulps(got, exact)
+            if abs(t * delta) >= 2.0 ** -1022:
+                assert got.hex() == (t * delta / k_B).hex()
+            else:
+                subnormal += 1
+        assert subnormal > 30
+
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
         st.tuples(radii, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
@@ -1094,9 +1226,11 @@ class TestScaleCovariance:
     )
     def test_a_report_is_the_unit_gap_report_scaled(self, polar, delta, k_B, beta_delta):
         """Bit for bit: dS equal, each energy delta times the unit-gap one,
-        T_limit the unit-gap T_limit times delta / k_B, formed in that order;
-        an inf only where the true value overflows, and a refusal only where
-        the unit-gap run refuses, with the same message."""
+        T_limit the unit-gap T_limit t times delta / k_B, formed in that
+        order wherever t * delta is normal, and within two ulps of the exact
+        value where that product falls below the normal range; an inf only
+        where the true value overflows, and a refusal only where the
+        unit-gap run refuses, with the same message."""
         r, theta, phi = polar
         b = BlochVector(r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi),
                         r * math.cos(theta))
@@ -1110,8 +1244,13 @@ class TestScaleCovariance:
         # (reported, unit-gap value, the reported value formed from it, exact scale)
         scaled = [(getattr(report, f), getattr(unit, f), delta * getattr(unit, f),
                    Fraction(delta)) for f in ENERGIES]
-        scaled.append((report.t_limit, unit.t_limit, unit.t_limit * delta / k_B,
-                       Fraction(delta) / Fraction(k_B)))
+        t_delta = unit.t_limit * delta
+        if unit.t_limit and abs(t_delta) < 2.0 ** -1022:
+            _assert_within_two_ulps(report.t_limit,
+                                    Fraction(unit.t_limit) * Fraction(delta) / Fraction(k_B))
+        else:
+            scaled.append((report.t_limit, unit.t_limit, t_delta / k_B,
+                           Fraction(delta) / Fraction(k_B)))
         for got, natural, want, scale in scaled:
             assert repr(got) == repr(want)
             if math.isinf(got) and math.isfinite(natural):
