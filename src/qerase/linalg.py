@@ -22,15 +22,16 @@ the diagonal's n values, one product per distinct entry, by one function
 compiled per shape that returns the products, each made once into a walrus
 name, and the entries that name them, `lambda a, v: (((t0 := a[0] * v[0]),
 ...), (t0, t4, ...))`; the public `kron` is the plain product. The density
-check reads a plan cached per nonzero pattern that carries two functions
-compiled by one `eval` from its positions: the hermiticity defect, `lambda f:
-max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, and the solve of its blocks,
-`lambda f: sorted((...))`, run only once the checks before it have passed; a
-2x2 block's coupling that overflows when its two parts are summed is summed
-from halved parts, so its radius stays finite wherever the coupling's modulus
-is. A 2x2 is keyed by its layout, whether its off-diagonal pair is nonzero,
-rather than by its full pattern. Only first use compiles; importing the module
-compiles nothing.
+check reads a plan cached per nonzero pattern that carries one function
+compiled by one `eval` from its positions, `check(f, h, t)`: the hermiticity
+defect, `max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, then, at most h, the
+trace, a chain over the diagonal, then, within t of 1, the sorted solve of the
+blocks, so one call runs all three and solves only past both tests;
+`hermitian_eigenvalues` calls it with t = inf. A 2x2 block's sum of two
+diagonals or of a coupling's two parts that overflows is formed from halved
+terms, so its eigenvalues stay finite wherever they are. A 2x2 is keyed by its
+layout, whether its off-diagonal pair is nonzero, rather than by its full
+pattern. Only first use compiles; importing the module compiles nothing.
 
 A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
 of the 1 in column c. It is applied and composed without a dense matrix.
@@ -72,10 +73,14 @@ class ComplexMatrix:
     @classmethod
     def _from_flat(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
         """Wrap n * n complex values in row-major order, built from checked
-        entries; a product or a sum of finite entries can still overflow."""
+        entries; a product or a sum of finite entries can still overflow.
+        Formed here, not through `_wrap`: one call fewer per matrix."""
         if not all(map(cmath.isfinite, flat)):
             raise ValueError("matrix entries must be finite")
-        return cls._wrap(flat, n)
+        m = object.__new__(cls)
+        m._flat = flat
+        m._dim = n
+        return m
 
     @classmethod
     def _wrap(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
@@ -294,8 +299,12 @@ def _trace_groups(
 
 
 def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
-    """The source of `0 + f[p] + f[q] + ...` over each group of plain int
-    positions, each chain followed by a comma.
+    """The `_sum_chain` of each group, each followed by a comma."""
+    return "".join(_sum_chain(group) + "," for group in groups)
+
+
+def _sum_chain(group: Sequence[int]) -> str:
+    """The source of `0 + f[p] + f[q] + ...` over the plain int positions.
 
     The chain runs left to right from int 0, exactly as `sum` adds complex
     values (through Python 3.13), so it rounds as `sum` does and turns a
@@ -303,49 +312,61 @@ def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
     ints, the only values in the source. A chain nests one level per term,
     so a group of more than 100 terms carries its running sum in `s` from
     one run of 100 to the next, within what the compiler can nest."""
-    def chain(group):
-        runs = ["".join(f" + f[{p}]" for p in group[i:i + 100])
-                for i in range(0, len(group), 100)]
-        return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
-
-    return "".join(chain(group) + "," for group in groups)
+    runs = ["".join(f" + f[{p}]" for p in group[i:i + 100]) for i in range(0, len(group), 100)]
+    return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 
 
-def _walk(
-    m: ComplexMatrix,
-) -> tuple[float, tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
-    """The largest |m[i,j] - conj(m[j,i])| over the unordered pairs with a
-    nonzero member (a pair of zeros adds nothing), the blocks of the nonzero
-    pattern, each once, in order of smallest index, and the solve of those
-    blocks, unrun. Indices i and j share a block when m[i, j] or m[j, i] is
-    nonzero, so m is block diagonal up to a relabeling and its spectrum is
-    the union of the blocks' spectra.
-
-    All three come from a plan cached per nonzero pattern: the pairs and the
-    blocks depend only on where the nonzero entries sit. The caller runs the
-    solve on the flat entries only once its own checks have passed, so an
-    input that fails a check never reaches it. A 2x2 is keyed by its layout
-    alone, (0, 1, 2, 3) where its off-diagonal pair is nonzero and (0, 3)
-    otherwise: its blocks and solve depend on nothing else, and a pair of
-    zeros the key lists adds a defect term of 0.0, which raises nothing and
-    raises no `max`."""
+def _plan(m: ComplexMatrix) -> tuple[Callable[..., tuple], tuple[tuple[int, ...], ...]]:
+    """The check kernel and the blocks of the plan cached for m's nonzero
+    pattern (`_pattern_plan`). A 2x2 is keyed by its layout alone, (0, 1, 2,
+    3) where its off-diagonal pair is nonzero and (0, 3) otherwise: its
+    blocks and solve depend on nothing else, and a pair of zeros the key
+    lists adds a defect term of 0.0, which raises nothing and raises no
+    `max`."""
     flat, n = m._flat, m._dim
     if n == 2:
         nonzero = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)
     else:
         nonzero = tuple(itertools.compress(range(n * n), flat))
-    defect, blocks, solve = _pattern_plan(nonzero, n)
-    return defect(flat), blocks, solve
+    return _pattern_plan(nonzero, n)
 
 
 @lru_cache(maxsize=64)
 def _pattern_plan(
     nonzero: tuple[int, ...], n: int
-) -> tuple[Callable[[tuple], float], tuple[tuple[int, ...], ...], Callable[[tuple], list[float]]]:
-    """For the n x n pattern whose nonzero flat positions are `nonzero`: the
-    defect kernel over each pair i <= j with a nonzero member, the blocks of
-    the pattern, merged once here, and their solve kernel, both kernels from
-    `_pattern_kernels`."""
+) -> tuple[Callable[..., tuple], tuple[tuple[int, ...], ...]]:
+    """For the n x n pattern whose nonzero flat positions are `nonzero`: its
+    check kernel and its blocks, each once, in order of smallest index, merged
+    here over each pair i <= j with a nonzero member. Indices i and j share a
+    block when m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a
+    relabeling and its spectrum is the union of the blocks' spectra.
+
+    The kernel, compiled by one `eval` from the plan's own int positions, the
+    only values in the source, is `check(f, h=HERMITICITY_TOL, t=TRACE_TOL)`
+    on the flat entries f, its default tolerances bound when it is compiled.
+    It returns `(defect, None, None)` if the defect is above h, else
+    `(defect, trace, None)` if |trace - 1| > t, else `(defect, trace,
+    sorted(spectrum))`: the conditional expression solves only past both
+    tests. The defect is `max((abs(f[p] - f[q].conjugate()), ..., 0.0))` over
+    the pairs in order. Each term is finite or inf, and `max` keeps the first
+    of equal values, so it is the value a loop from 0.0 keeping each larger
+    term gives; an `abs` that overflows raises at the same pair. The trace is
+    the `_sum_chain` of the diagonal, with the bits of `trace`.
+
+    The spectrum lists the blocks' spectra in block order: a 1x1 block is its
+    real diagonal entry, `f[k].real`; a 2x2 block is m -+ r, m = (a + d)/2 and
+    r = hypot((a - d)/2, |b|) on its real diagonal a, d and its off-diagonal
+    entry symmetrized as b = (m[i,j] + conj(m[j,i]))/2, each of its four
+    entries read once into a walrus name; a block of 3 or more is
+    `*_jacobi_eigenvalues(rows)`, the solver looked up when the kernel runs.
+    Where a + d or a - d overflows, each diagonal is halved before the sum, so
+    m and (a - d)/2 are finite; elsewhere the sum is halved, which keeps a
+    subnormal's bits. |b| is `abs(0.5 * u + 0.5 * v * 1j)` on the sums u and
+    v of b's parts, the `abs` of b, a zero's sign aside, while both sums are
+    finite (`u - u == v - v`); else it is `math.hypot` of the sums of halved
+    parts, which are finite, so the radius is inf only where |b| passes the
+    float range, for which the `abs` of a complex with finite parts would
+    raise."""
     pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in nonzero)})
     blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
     for i, j in pairs:
@@ -354,36 +375,7 @@ def _pattern_plan(
             for k in merged:
                 blocks[k] = merged
     blocks = tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i)
-    defect, solve = _pattern_kernels(pairs, blocks, n)
-    return defect, blocks, solve
 
-
-def _pattern_kernels(
-    pairs: Sequence[tuple[int, int]], blocks: Sequence[Sequence[int]], n: int
-) -> tuple[Callable[[tuple], float], Callable[[tuple], list[float]]]:
-    """The defect and the solve of an n x n pattern: two functions of the
-    flat entries f, compiled by one `eval` from the plan's own int
-    positions, the only values in the source.
-
-    The defect is `max((abs(f[p] - f[q].conjugate()), ..., 0.0))` over the
-    pairs in order. Each term is finite or inf, and `max` keeps the first
-    of equal values, so it is the value a loop from 0.0 keeping each larger
-    term gives; an `abs` that overflows raises at the same pair.
-
-    The solve is `sorted((...))`, the union of the blocks' spectra in block
-    order, ascending: a 1x1 block is its real diagonal entry, `f[k].real`;
-    a 2x2 block is `(m := (a + d)/2) - (r := hypot((a - d)/2, |b|)), m + r`
-    on its real diagonal a, d and its off-diagonal entry symmetrized as
-    b = (m[i,j] + conj(m[j,i]))/2, each of its four entries read once into
-    a walrus name; a block of 3 or more is `*_jacobi_eigenvalues(rows)` on
-    its rows, the solver looked up when the kernel runs. |b| is
-    `abs(0.5 * u + 0.5 * v * 1j)` on the sums u and v of b's parts, the
-    `abs` of the complex b, a zero's sign aside, which `abs` ignores, while
-    both sums are finite (`u - u == v - v`). Where a sum overflows, each
-    part is halved before it is added and |b| is `math.hypot` of the two
-    halved sums, which are finite: the radius is finite wherever |b| is,
-    and inf where |b| passes the float range, for which the `abs` of a
-    complex with finite parts would raise."""
     def solved(block):
         if len(block) == 1:
             return f"f[{block[0] * (n + 1)}].real"
@@ -394,35 +386,44 @@ def _pattern_kernels(
             norm = (f"(abs(0.5 * u + 0.5 * v * 1j) if (u := {x}.real + {y}.real) - u"
                     f" == (v := x.imag - y.imag) - v else"
                     f" math.hypot(0.5 * x.real + 0.5 * y.real, 0.5 * x.imag - 0.5 * y.imag))")
-            return f"(m := 0.5 * ({a} + {d})) - (r := math.hypot(0.5 * (a - d), {norm})), m + r"
+            return (f"(m := 0.5 * p if (w := (p := {a} + {d}) - p == (k := a - d) - k)"
+                    f" else 0.5 * a + 0.5 * d) - (r := math.hypot(0.5 * k if w else"
+                    f" 0.5 * a - 0.5 * d, {norm})), m + r")
         rows = "".join("(" + "".join(f"f[{i * n + j}], " for j in block) + "), " for i in block)
         return f"*_jacobi_eigenvalues(({rows}))"
 
     defects = "".join(f"abs(f[{i * n + j}] - f[{j * n + i}].conjugate()), " for i, j in pairs)
-    return eval(f"lambda f: max(({defects}0.0,)), "
-                f"lambda f: sorted(({''.join(solved(b) + ', ' for b in blocks)}))")
+    check = eval(f"lambda f, h=HERMITICITY_TOL, t=TRACE_TOL: (defect, None, None)"
+                 f" if (defect := max(({defects}0.0,))) > h else (defect, tr, None)"
+                 f" if abs((tr := {_sum_chain(range(0, n * n, n + 1))}) - 1.0) > t"
+                 f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))")
+    return check, blocks
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues, each block of the nonzero pattern solved on its
-    own by the solve kernel `_walk` returns, as `density_matrix` solves it,
-    so a diagonal entry comes back exact. The kernel runs only after the
-    hermiticity check has passed, so a rejected input is never solved.
+    own by the check kernel of m's plan (`_plan`), as `density_matrix` solves
+    it, so a diagonal entry comes back exact. The kernel runs with t = inf, no
+    trace test, and solves only past the hermiticity test, so a rejected input
+    is never solved.
 
     A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
     rounding grows with the entries, so the input check scales as the sweeps
-    do. A block of 3 or more runs cyclic Jacobi rotations with complex
-    phases until its off-diagonal Frobenius norm drops below
-    1e-13 * max(1, ||block||_F); failure to converge in JACOBI_MAX_SWEEPS
-    sweeps raises ArithmeticError. A solve that overflows the float range
-    raises OverflowError; entries near 1e308 can do so.
+    do; only a defect above 1e-10 takes the norm and runs the kernel again.
+    A block of 3 or more runs cyclic Jacobi rotations with complex phases
+    until its off-diagonal Frobenius norm drops below 1e-13 *
+    max(1, ||block||_F); failure to converge in JACOBI_MAX_SWEEPS sweeps
+    raises ArithmeticError. A solve that overflows the float range raises
+    OverflowError, and so does the kernel's trace where its modulus passes
+    that range, which the input check lets through only at ||m||_F = inf.
     """
-    defect, _, solve = _walk(m)
-    if defect > EIGENSOLVER_INPUT_TOL:  # the norm is taken only when needed
-        tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, m._flat)))
-        if defect > tol:
+    check, flat = _plan(m)[0], m._flat
+    defect, _, spectrum = check(flat, EIGENSOLVER_INPUT_TOL, math.inf)
+    if spectrum is None:  # the norm is taken only when needed
+        tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, flat)))
+        defect, _, spectrum = check(flat, tol, math.inf)
+        if spectrum is None:
             raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
-    spectrum = solve(m._flat)
     if math.isinf(spectrum[0]) or math.isinf(spectrum[-1]):  # sorted: any inf is at an end
         raise OverflowError("eigenvalue solve overflowed the float range")
     return tuple(spectrum)
@@ -430,7 +431,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
     """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
-    the solve of a block of 3 or more in `_pattern_kernels`.
+    the solve of a block of 3 or more in `_pattern_plan`'s check kernel.
 
     A block whose largest real or imaginary part reaches 2**500 is solved
     times 2**-e, e the exponent `math.frexp` gives that part, so no part
@@ -497,18 +498,16 @@ def _density_spectrum(
     m: ComplexMatrix | Iterable[Iterable[complex]],
 ) -> tuple[ComplexMatrix, list[float]]:
     """The checks of `density_matrix`: return m, as a ComplexMatrix, and its
-    ascending spectrum, each block of the nonzero pattern solved once."""
+    ascending spectrum, from one call of the check kernel of m's plan."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    defect, _, solve = _walk(m)
-    if defect > HERMITICITY_TOL:
+    defect, tr, spectrum = _plan(m)[0](m._flat)
+    if tr is None:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
-    tr = trace(m)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if spectrum is None:
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
-    spectrum = solve(m._flat)
     if spectrum[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {spectrum[0]:.3e} below {EIGENVALUE_FLOOR:.0e}")
     return m, spectrum
@@ -518,14 +517,14 @@ def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMat
     """Validate m as a density matrix and return it.
 
     Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10, in that order. The plan cached for m's
-    nonzero pattern gives the defect, over the pairs with a nonzero member,
-    and the solve kernel of the pattern's blocks (`_walk`). The solve runs
-    only after the hermiticity and trace checks have passed, so every error
-    keeps its type, its message and its place in that order; it solves
-    each block once, as `hermitian_eigenvalues` solves it, and the smallest
-    eigenvalue is the floor test's. `von_neumann_entropy` runs the same pass
-    and keeps the spectrum.
+    eigenvalues above -1e-10, in that order. One call of the check kernel
+    of the plan cached for m's nonzero pattern (`_pattern_plan`) gives the
+    defect, over the pairs with a nonzero member, then the trace, with the
+    bits of `trace`, then the spectrum: the kernel solves only after the
+    hermiticity and trace tests have passed, so every error keeps its type,
+    its message and its place in that order. It solves each block once, as
+    `hermitian_eigenvalues` solves it, and the smallest eigenvalue is the
+    floor test's. `von_neumann_entropy` runs the same pass and keeps the
+    spectrum.
     """
     return _density_spectrum(m)[0]
-

@@ -1,4 +1,5 @@
 import builtins
+import cmath
 import functools
 import itertools
 import math
@@ -34,8 +35,8 @@ from qerase.linalg import (
     ComplexMatrix,
     _jacobi_eigenvalues,
     _kron,
+    _plan,
     _trace_plan,
-    _walk,
     compose_permutations,
     density_matrix,
     diagonal,
@@ -292,20 +293,20 @@ class TestFlatKernelsBitForBit:
     def test_density_matrix_decides_as_the_row_walk(self):
         """5,000 sparse near-Hermitian matrices: accept or reject, and the
         message, must be those of the row-by-row walk kept below, the
-        pattern plan's defect and blocks the walk's own, bit for bit, and
-        its solve kernel the per-block solve's spectrum; the all-zero matrix
-        and 1x1 matrices as well."""
+        pattern plan's defect and blocks the walk's own, bit for bit, its
+        trace that of `trace` and the spectrum its check kernel solves the
+        per-block solve's; the all-zero matrix and 1x1 matrices as well."""
         seen = {}
         for rows in _sparse_batch():
             want = _outcome(_row_walk_density_check, rows)
             assert _outcome(density_matrix, rows) == want
             assert _outcome(density_matrix, ComplexMatrix(rows)) == want
-            _assert_walk_is_the_row_walk(rows)
+            _assert_plan_is_the_row_walk(rows)
             kind = next((k for k in ("Hermitian", "trace", "eigenvalue") if k in want), want)
             seen[kind] = seen.get(kind, 0) + 1
         assert len(seen) == 4 and min(seen.values()) >= 200, seen
         for rows in ([[complex(-0.0, -0.0)] * 4] * 4, [[0j]], [[complex(1.0, 2e-13)]]):
-            _assert_walk_is_the_row_walk(rows)
+            _assert_plan_is_the_row_walk(rows)
 
     def test_spectra_are_the_per_block_solves(self):
         """On the same 5,000 matrices, and on two whose 1x1 blocks hold
@@ -333,12 +334,13 @@ class TestFlatKernelsBitForBit:
 
     def test_2x2_walk_is_the_pattern_plan(self, monkeypatch):
         """For each of the 16 zero patterns of a 2x2, 300 fillings with zeros
-        of either sign, entries of +-1e300 and non-Hermitian off-diagonals:
-        the walk's defect and blocks, read off the four entries, and the
-        spectrum its solve kernel gives are the bits of the route through
-        the pattern plan, and `density_matrix`, `hermitian_eigenvalues` and
+        of either sign, entries of +-1e300 and +-1.5e308, whose sums
+        overflow, and non-Hermitian off-diagonals: the check kernel of the
+        plan keyed by the layout gives the defect, trace and spectrum bits,
+        tests passed or not, and the blocks of the plan keyed by the full
+        pattern, and `density_matrix`, `hermitian_eigenvalues` and
         `von_neumann_entropy` give the same value or the same error message
-        as on that route."""
+        as on that route and as the three steps do."""
         checks = (density_matrix, hermitian_eigenvalues, von_neumann_entropy)
         rng = random.Random(552)
         kinds = set()
@@ -346,17 +348,70 @@ class TestFlatKernelsBitForBit:
             for _ in range(300):
                 m = _two_by_two(rng, pattern)
                 assert tuple(map(bool, m._flat)) == pattern
-                defect, blocks, solve = _walk(m)
-                want_defect, want_blocks, want_solve = _plan_walk(m)
-                assert (defect.hex(), blocks) == (want_defect.hex(), want_blocks)
-                assert _hexes(solve(m._flat)) == _hexes(want_solve(m._flat))
+                (check, blocks), (want_check, want_blocks) = _plan(m), _full_key_plan(m)
+                assert blocks == want_blocks
+                for tols in ((), (math.inf, math.inf)):
+                    assert _check_bits(check(m._flat, *tols)) == _check_bits(
+                        want_check(m._flat, *tols))
                 got = [_value_or_message(check, m) for check in checks]
                 with monkeypatch.context() as patched:
-                    patched.setattr(qerase.linalg, "_walk", _plan_walk)
+                    patched.setattr(qerase.linalg, "_plan", _full_key_plan)
                     assert got == [_value_or_message(check, m) for check in checks]
+                _assert_as_the_three_steps(m)
                 kinds.update(next((k for k in ("Hermitian", "trace", "overflow", "eigenvalue")
                                    if k in str(out)), "ok") for out in got)
         assert kinds == {"ok", "Hermitian", "trace", "eigenvalue", "overflow"}, kinds
+
+    def test_checks_decide_as_the_three_steps(self):
+        """The one check kernel against the route it replaced, the defect,
+        then `trace`, then the solve, each its own step: `density_matrix`,
+        its spectrum, `von_neumann_entropy` and `hermitian_eigenvalues` give
+        the same value bits or the same error and message on the 5,000
+        sparse matrices, on matrices whose first defect term is nan, which
+        passes every test as a nan does, and on traces within a few ulps of
+        1 +- 1e-12, on both sides of the trace test."""
+        for rows in _sparse_batch():
+            _assert_as_the_three_steps(ComplexMatrix(rows))
+        nan = math.nan
+        for n, k in ((1, 0), (2, 0), (3, 0), (8, 0), (2, 3), (3, 4), (8, 1)):
+            flat = [0j] * (n * n)
+            flat[::n + 1] = [1.0 / n] * n
+            flat[k] = complex(flat[k].real, nan)  # a nan part, past the public checks
+            m = ComplexMatrix._wrap(tuple(flat), n)
+            if k == 0:
+                assert math.isnan(_plan(m)[0](m._flat)[0])
+            _assert_as_the_three_steps(m)
+        for edge in (1.0 + 1e-12, 1.0 - 1e-12):
+            outcomes = set()
+            for k in range(-3, 4):
+                v = edge
+                for _ in range(abs(k)):
+                    v = math.nextafter(v, math.copysign(2.0, k))
+                for m in (ComplexMatrix([[v]]), diagonal([v - 0.25, 0.25]),
+                          diagonal([v - 0.4375] + [0.0625] * 7),
+                          ComplexMatrix([[v - 0.5, 0.125j], [-0.125j, 0.5]])):
+                    _assert_as_the_three_steps(m)
+                    outcomes.add(_outcome(density_matrix, m).split(" ")[0])
+            assert outcomes == {"ok", "trace"}, (edge, outcomes)
+
+    def test_a_long_diagonal_keeps_the_bits_of_trace(self):
+        """A 128x128 diagonal: its trace chain carries its running sum from
+        one run of 100 terms to the next, and the check kernel's trace has
+        the bits of `trace(m)`, -0.0 parts and all, in its output and in the
+        message of a trace that fails; the decision is the three steps'."""
+        rng = random.Random(128)
+        cases = [[1.0 / 128] * 128, [complex(1.0 / 128, -0.0)] * 128]
+        for _ in range(3):
+            cases.append([rng.choice((0.0, -0.0, rng.random() / 64)) for _ in range(128)])
+        for values in cases:
+            m = diagonal(values)
+            for tols in ((), (math.inf, math.inf)):
+                assert repr(_plan(m)[0](m._flat, *tols)[1]) == repr(trace(m))
+            _assert_as_the_three_steps(m)
+        assert _value_or_message(density_matrix, diagonal(cases[0])) == entry_bits(
+            diagonal(cases[0]))
+        assert _value_or_message(density_matrix, diagonal(cases[2])) == (
+            "ValueError", f"trace {trace(diagonal(cases[2]))!r} differs from 1 by more than 1e-12")
 
 
 def _edge_grid():
@@ -385,7 +440,9 @@ def _two_by_two(rng, pattern):
     """A 2x2 whose nonzero entries sit where `pattern` is true, zeros of
     either sign elsewhere: a density matrix, or one with an independent
     off-diagonal, a part of +-1e300, an imaginary diagonal part near the
-    hermiticity tolerance, or Hermitian entries whose spectrum can overflow."""
+    hermiticity tolerance, or Hermitian entries whose diagonal sums can
+    overflow and whose spectrum can: a coupling part of 1e308 between
+    diagonals of +-1.5e308 passes the float range."""
     p = rng.random()
     off = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) * math.sqrt(p * (1.0 - p))
     flat = [complex(p, rng.choice((0.0, -0.0))), off, off.conjugate(),
@@ -394,7 +451,7 @@ def _two_by_two(rng, pattern):
         flat[0 if pattern[0] else 3] = complex(1.0, rng.choice((0.0, -0.0)))
     kind = rng.randrange(5)
     if kind == 4:
-        big = complex(rng.choice((1e300, -1e300)), rng.choice((1e300, -1e300)))
+        big = complex(rng.choice((1e300, -1e300, 1e308)), rng.choice((1e300, -1e300, 1e308)))
         flat = [complex(rng.choice((1e300, 1.5e308, -1.5e308))), big, big.conjugate(),
                 complex(rng.choice((1e300, 1.5e308, -1.5e308)))]
     elif kind == 1:
@@ -413,16 +470,21 @@ def _two_by_two(rng, pattern):
     return ComplexMatrix._from_flat(tuple(flat), 2)
 
 
-def _plan_walk(m):
-    """`_walk`'s route for every size: the plan cached per nonzero pattern,
-    built and compiled here, in a cache of the test's own, its defect kernel
-    run on m."""
+def _full_key_plan(m):
+    """`_plan`'s route for every size, a 2x2 keyed by its full pattern: the
+    plan cached per nonzero pattern, built and compiled here, in a cache of
+    the test's own."""
     flat, n = m._flat, m.dim
-    defect, blocks, solve = _own_pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
-    return defect(flat), blocks, solve
+    return _own_pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
 
 
 _own_pattern_plan = functools.cache(qerase.linalg._pattern_plan.__wrapped__)
+
+
+def _check_bits(out):
+    """A check kernel's (defect, trace, spectrum) as bits, None kept."""
+    defect, tr, spectrum = out
+    return defect.hex(), repr(tr), spectrum if spectrum is None else _hexes(spectrum)
 
 
 def _hexes(values):
@@ -451,7 +513,8 @@ def _sparse_batch():
 def _per_block_spectrum(m):
     """The ascending union of the blocks' spectra, each block solved by its
     own call in block order: a 1x1 block its real diagonal entry, a 2x2 the
-    closed form, a larger one the Jacobi loop."""
+    closed form, each sum that overflows formed from halved terms, a larger
+    one the Jacobi loop."""
     flat, n = m._flat, m.dim
     spectrum = []
     for block in _row_walk(m)[1]:
@@ -460,8 +523,16 @@ def _per_block_spectrum(m):
         elif len(block) == 2:
             i, j = block
             a, d = flat[i * (n + 1)].real, flat[j * (n + 1)].real
-            off = 0.5 * (flat[i * n + j] + flat[j * n + i].conjugate())
-            mean, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(off))
+            x, y = flat[i * n + j], flat[j * n + i]
+            if math.isfinite(a + d) and math.isfinite(a - d):
+                mean, half = 0.5 * (a + d), 0.5 * (a - d)
+            else:  # each diagonal halved before a sum that overflows
+                mean, half = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
+            if cmath.isfinite(x + y.conjugate()):
+                norm = abs(0.5 * (x + y.conjugate()))
+            else:  # each part halved before a sum that overflows
+                norm = math.hypot(0.5 * x.real + 0.5 * y.real, 0.5 * x.imag - 0.5 * y.imag)
+            radius = math.hypot(half, norm)
             spectrum += (mean - radius, mean + radius)
         else:
             spectrum += _jacobi_eigenvalues(tuple(tuple(flat[i * n + j] for j in block)
@@ -470,13 +541,81 @@ def _per_block_spectrum(m):
     return spectrum
 
 
-def _assert_walk_is_the_row_walk(rows):
+def _assert_plan_is_the_row_walk(rows):
     m = ComplexMatrix(rows)
-    defect, blocks, solve = _walk(m)
+    check, blocks = _plan(m)
+    defect, tr, spectrum = check(m._flat, math.inf, math.inf)  # every test passes
     want_defect, want_blocks = _row_walk(m)
     assert defect.hex() == want_defect.hex()
+    assert repr(tr) == repr(trace(m))
     assert blocks == tuple(map(tuple, want_blocks))
-    assert _hexes(solve(m._flat)) == _hexes(_per_block_spectrum(m))
+    assert _hexes(spectrum) == _hexes(_per_block_spectrum(m))
+
+
+def _three_step_defect(m):
+    """The first of the three steps: `max` over the hermiticity terms of
+    the pairs i <= j of m's pattern key, in order, then 0.0, as the defect
+    kernel formed it; a 2x2 is keyed by its layout."""
+    flat, n = m._flat, m.dim
+    if n == 2:
+        key = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)
+    else:
+        key = tuple(itertools.compress(range(n * n), flat))
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in key)})
+    return max([abs(flat[i * n + j] - flat[j * n + i].conjugate()) for i, j in pairs] + [0.0])
+
+
+def _three_step_density(m):
+    """`density_matrix`'s checks as three steps, each run only past the test
+    before it: the defect, then `trace(m)`, then the per-block solve; its
+    spectrum, or its error."""
+    defect = _three_step_defect(m)
+    if defect > qerase.linalg.HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {qerase.linalg.HERMITICITY_TOL:.0e}"
+        )
+    tr = trace(m)
+    if abs(tr - 1.0) > qerase.linalg.TRACE_TOL:
+        raise ValueError(f"trace {tr!r} differs from 1 by more than {qerase.linalg.TRACE_TOL:.0e}")
+    spectrum = _per_block_spectrum(m)
+    if spectrum[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {spectrum[0]:.3e} below {EIGENVALUE_FLOOR:.0e}")
+    return tuple(spectrum)
+
+
+def _three_step_entropy(m):
+    s = 0.0
+    for lam in _three_step_density(m):
+        if lam > 0.0:
+            s -= lam * math.log(lam)
+    return max(s, 0.0)
+
+
+def _three_step_eigenvalues(m):
+    """`hermitian_eigenvalues` as two steps: the defect, scaled by the norm
+    where it passes 1e-10, then the per-block solve."""
+    defect = _three_step_defect(m)
+    tol = qerase.linalg.EIGENSOLVER_INPUT_TOL
+    if defect > tol:
+        tol *= max(1.0, math.hypot(*map(abs, m._flat)))
+        if defect > tol:
+            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3g}")
+    spectrum = _per_block_spectrum(m)
+    if math.isinf(spectrum[0]) or math.isinf(spectrum[-1]):
+        raise OverflowError("eigenvalue solve overflowed the float range")
+    return tuple(spectrum)
+
+
+def _assert_as_the_three_steps(m):
+    """Each check's value bits, or its error and message, are the three
+    steps': the density check's spectrum, the entropy and the eigenvalues."""
+    checks = ((lambda m: tuple(qerase.linalg._density_spectrum(m)[1]), _three_step_density),
+              (von_neumann_entropy, _three_step_entropy),
+              (hermitian_eigenvalues, _three_step_eigenvalues))
+    for check, want in checks:
+        assert _value_or_message(check, m) == _value_or_message(want, m)
+    assert _value_or_message(density_matrix, m) == _value_or_message(
+        lambda m: _three_step_density(m) and m, m)
 
 
 def _outcome(check, rows):
@@ -920,18 +1059,20 @@ class TestTraceKernels:
     def test_import_builds_no_kernel(self):
         """A fresh interpreter that imports the modules makes no `eval`
         call from the package, whatever its source (`namedtuple`'s own, in
-        the standard library, are not the package's); its first marginal
+        the standard library, are not the package's; the recorder evaluates
+        in its caller's namespaces, as `eval` does); its first marginal
         compiles one kernel, by one `eval`, and so does each first density
-        check of a pattern, both its kernels at once, and each first
-        Kronecker table; a second round compiles nothing."""
+        check of a pattern, its one check kernel, and each first Kronecker
+        table; a second round compiles nothing."""
         code = (
             "import builtins, sys\n"
             "kernels = []\n"
             "real = builtins.eval\n"
             "def seen(source, *rest):\n"
-            "    if sys._getframe(1).f_globals.get('__name__', '').startswith('qerase'):\n"
+            "    caller = sys._getframe(1)\n"
+            "    if caller.f_globals.get('__name__', '').startswith('qerase'):\n"
             "        kernels.append(source)\n"
-            "    return real(source, *rest)\n"
+            "    return real(source, *(rest or (caller.f_globals, caller.f_locals)))\n"
             "builtins.eval = seen\n"
             "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
             "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
@@ -1026,10 +1167,56 @@ class TestEigensolver:
         [[1e308, 1e300], [1e300, 1e308]],
         [[1e308, 1e300], [1e300, -1e308]],
         [[1.7e308, 1.7e308], [1.7e308, 0.0]],
+        [[1e308, 1.0], [1.0, -1e308]],
     ])
     def test_overflowing_solve_raises(self, rows):
-        # the closed form's (a + d)/2 or hypot overflows: an error, not an infinity
-        with pytest.raises(OverflowError):
+        """Where a + d or a - d overflows, the closed form halves each
+        diagonal before the sum, so 1e308 +- 1e300 and +-1e308 come back
+        within a few ulps of numpy's spectrum. Only an eigenvalue past the
+        float range, as numpy's at 1.7e308 is, raises: an error, not an
+        infinity."""
+        want = np.linalg.eigvalsh(np.array(rows))
+        if np.isinf(want).any():
+            with pytest.raises(OverflowError):
+                hermitian_eigenvalues(ComplexMatrix(rows))
+        else:
+            got = hermitian_eigenvalues(ComplexMatrix(rows))
+            assert all(abs(lam - w) <= 4 * math.ulp(w) for lam, w in zip(got, want)), (got, want)
+
+    def test_subnormal_and_normal_diagonals_keep_their_bits(self):
+        """Halving each diagonal before the sum would round a subnormal on its
+        own: 0.5 * 5e-324 is 0. Where a + d and a - d are finite, the 2x2
+        solve halves the sums, as the row reference does, so diagonals of
+        subnormal, tiny normal and plain values, between couplings drawn
+        from the same values, keep their bits, and some of them would not
+        under halving first."""
+        rng = random.Random(1308)
+        tiny = (5e-324, -5e-324, 1.5e-323, -2.5e-323, 2.2250738585072e-308, 0.0, -0.0)
+
+        def part():
+            return rng.choice((rng.choice(tiny), rng.gauss(0.0, 1.0), rng.choice((1e300, -1e300)),
+                               math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, -1000))))
+
+        halved_first_differs = 0
+        for _ in range(2000):
+            a, d = part(), part()
+            m = ComplexMatrix([[a, complex(part(), part())], [complex(part(), part()), d]])
+            halved_first_differs += (0.5 * a + 0.5 * d).hex() != (0.5 * (a + d)).hex()
+            got = _plan(m)[0](m._flat, math.inf, math.inf)[2]
+            assert _hexes(got) == _hexes(_per_block_spectrum(m))
+        assert halved_first_differs > 50
+
+    def test_a_trace_past_the_float_range_raises_where_the_norm_is_inf(self):
+        """The check kernel forms the trace before it solves, also for
+        `hermitian_eigenvalues`, whose t = inf makes the trace test pass
+        every finite trace. Its `abs` raises only where the trace's modulus
+        passes the float range, and a defect that large passes the input
+        check only where ||m||_F, and so the tolerance, is inf: there the
+        call raises OverflowError rather than solving an unchecked input."""
+        z = complex(0.65e308, 0.65e308)
+        rows = [[z, 1e308, 0.0], [1e308, z, 0.0], [0.0, 0.0, 0.5]]
+        assert math.hypot(*map(abs, itertools.chain.from_iterable(rows))) == math.inf
+        with pytest.raises(OverflowError, match="absolute value too large"):
             hermitian_eigenvalues(ComplexMatrix(rows))
 
     def test_scaled_input_check_still_rejects_non_hermitian(self):
@@ -1329,7 +1516,8 @@ class TestDensityValidation:
         for _ in range(2000):
             m = ComplexMatrix([[part(), complex(part(), part())],
                                [complex(part(), part()), part()]])
-            assert _hexes(_walk(m)[2](m._flat)) == _hexes(_per_block_spectrum(m))
+            assert _hexes(_plan(m)[0](m._flat, math.inf, math.inf)[2]) == _hexes(
+                _per_block_spectrum(m))
 
     def test_a_huge_block_of_three_is_solved_scaled(self):
         """A 3x3 block, diagonal 0.25/0.25/0.5, with a Hermitian coupling x
@@ -1387,14 +1575,14 @@ class TestDensityValidation:
         grid, a second pass with `builtins.eval` refusing gives the same
         bits, and so does a density check of every matrix the first pass
         checked, one of each of the grid's nonzero patterns and more: every
-        pattern's kernels, the Kronecker table and analyze's route kernel come
+        pattern's check kernel, the Kronecker table and analyze's route kernel come
         from the caches, the route one hit per analyze."""
         seen = []
-        walk = qerase.linalg._walk
+        plan = qerase.linalg._plan
 
         def recorded(m):
             seen.append(m)
-            return walk(m)
+            return plan(m)
 
         def outputs():
             return [_edge_outputs(b, spec) for b, spec in _edge_grid()]
@@ -1404,7 +1592,7 @@ class TestDensityValidation:
                     for m in seen]
 
         with monkeypatch.context() as patched:
-            patched.setattr(qerase.linalg, "_walk", recorded)
+            patched.setattr(qerase.linalg, "_plan", recorded)
             want = outputs()
         want_checks = checks()
         assert len({(m.dim, tuple(map(bool, m._flat))) for m in seen}) >= 8

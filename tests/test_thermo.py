@@ -596,20 +596,23 @@ class TestEigensolveCount:
     @pytest.fixture
     def solved_blocks(self, monkeypatch):
         """(entries, block) of every block whose spectrum is solved: each
-        solve kernel `_walk` hands out records its blocks when it runs."""
+        check kernel `_plan` hands out records its blocks when it returns a
+        spectrum, which it solves only past its tests."""
         calls = []
-        original = qerase.linalg._walk
+        original = qerase.linalg._plan
 
-        def walked(m):
-            defect, blocks, solve = original(m)
+        def planned(m):
+            check, blocks = original(m)
 
-            def counted(flat):
-                calls.extend((flat, tuple(block)) for block in blocks)
-                return solve(flat)
+            def counted(flat, *tols):
+                out = check(flat, *tols)
+                if out[2] is not None:
+                    calls.extend((flat, tuple(block)) for block in blocks)
+                return out
 
-            return defect, blocks, counted
+            return counted, blocks
 
-        monkeypatch.setattr(qerase.linalg, "_walk", walked)
+        monkeypatch.setattr(qerase.linalg, "_plan", planned)
         return calls
 
     def test_composite_state_has_two_coherent_blocks(self):
