@@ -22,7 +22,9 @@ import sys
 
 from .linalg import ComplexMatrix
 from .states import BlochVector, ThermalSpec
-from .thermo import _heat_memory, _limit_rule, analyze, entropy_decrease, heat_reservoir
+from .thermo import (
+    _heat_memory, _in_units, _limit_rule, analyze, entropy_decrease, heat_reservoir,
+)
 
 SCHEMA_VERSION = "1"
 K_B_SI = 1.380649e-23  # J/K
@@ -216,16 +218,15 @@ def cmd_convert_units(args: argparse.Namespace) -> dict:
     delta = args.delta_si
     if delta <= 0.0 or not math.isfinite(delta):
         raise ValueError(f"--delta-si must be positive, got {delta!r}")
-    scale = delta / K_B_SI  # kelvin per natural unit
     if args.kelvin is not None:
-        kelvin, natural = args.kelvin, args.kelvin / scale
+        kelvin, natural = args.kelvin, _in_units(args.kelvin, K_B_SI, delta)
     else:
-        kelvin, natural = args.natural * scale, args.natural
+        kelvin, natural = _in_units(args.natural, delta, K_B_SI), args.natural
     spec = ThermalSpec.from_temperature(kelvin, delta, K_B_SI)  # as `erase --delta-si` builds it
     return {
         "delta_si": delta,
         "k_B": K_B_SI,
-        "kelvin_per_natural": scale,
+        "kelvin_per_natural": delta / K_B_SI,
         "kelvin": kelvin,
         "natural": natural,
         "beta_delta": spec.beta * spec.delta,

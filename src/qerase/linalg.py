@@ -11,14 +11,11 @@ derived from it. The package forms its matrices from flat entries or diagonal
 values, each scanned for finiteness once. Permutations, Kronecker kernels and
 partial traces are plans over the flat tuple, each validated and cached once
 per shape; a Kronecker kernel may carry a relabeling. A partial trace plan is
-one function compiled from its plain int positions, `lambda f: (0 + f[p] +
-f[q] + ..., ...)`: adding left to right from int 0 is what `sum` does, so each
-entry has `sum`'s bits, a -0.0 part turned into +0.0 included, without a call
-per entry. `_trace_groups` gives the plan's positions and `_sum_chains` their
-source, so another kernel can hold the same sums: `thermo` reads the final
-memory marginal off the initial state through the channel's relabeling in one
-such kernel. Every state here is a qubit (x) a diagonal reservoir, formed from
-the diagonal's n values, one product per distinct entry, by one function
+one function compiled from the positions `_trace_groups` describes, each
+entry a chain `_sum_chain` describes, with no call per entry; `thermo`'s
+route kernel holds the same chains, read through the channel's relabeling.
+Every state here is a qubit (x) a diagonal reservoir, formed from the
+diagonal's n values, one product per distinct entry, by one function
 compiled per shape that returns the products, each made once into a walrus
 name, and the entries that name them, `lambda a, v: (((t0 := a[0] * v[0]),
 ...), (t0, t4, ...))`; the public `kron` is the plain product. The density
@@ -42,7 +39,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -171,7 +168,8 @@ def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[in
 
 
 def trace(m: ComplexMatrix) -> complex:
-    return sum(m._flat[::m._dim + 1])
+    """The diagonal added left to right from int 0, as `_sum_chain` adds it."""
+    return reduce(operator.add, m._flat[::m._dim + 1], 0)
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -238,8 +236,8 @@ def partial_trace(
     `dims` lists subsystem dimensions with the leftmost factor most
     significant in the flat index; the kept subsystems retain their
     relative order. One cached kernel sums each kept entry's terms in
-    increasing flat index, as `sum` does; the entries are then scanned for
-    finiteness, since a sum of finite entries can overflow.
+    increasing flat index, from int 0 as `trace` does; the entries are then
+    scanned for finiteness, since a sum of finite entries can overflow.
     """
     kernel, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
     return ComplexMatrix._from_flat(kernel(rho._flat), dim)
@@ -251,12 +249,10 @@ def _trace_plan(
 ) -> tuple[Callable[[tuple], tuple], int]:
     """Validate a partial trace of an n x n matrix once; return its kernel
     and the output dimension. The kernel maps the flat entries to the
-    kept-block entries in row-major order, each the sum of its terms by the
-    traced digits in lexicographic order, which is increasing flat index;
-    with `corner`, to entry (0, 0) alone, a 1-tuple. It is compiled once
-    here, `lambda f: (<_sum_chains>)`, from the positions `_trace_groups`
-    computes off n and the enumeration order, never from the values passed
-    in."""
+    kept-block entries in row-major order, each the chain of its positions
+    in `_trace_groups`; with `corner`, to entry (0, 0) alone, a 1-tuple. It
+    is compiled once here, `lambda f: (<_sum_chains>)`, from those
+    positions, never from the values passed in."""
     groups, dim = _trace_groups(dims, keep, n)
     return eval(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})"), dim
 
@@ -268,8 +264,13 @@ def _trace_groups(
     kept-block entry in row-major order, the flat positions of its terms in
     increasing order, and the output dimension.
 
-    Non-integral values are rejected, not truncated. An integral float such
-    as 2.0 hashes like 2, so the two share a cached plan.
+    Subsystem k's digit moves a flat index by stride[k] = prod(dims[k+1:]).
+    The kept offsets u and the traced offsets t are the digit-times-stride
+    sums over the kept and over the traced subsystems, their digits in
+    lexicographic order, which is increasing offset; entry (u, v) sums the
+    positions (u + t) n + (v + t) over the traced offsets. Non-integral
+    values are rejected, not truncated. An integral float such as 2.0 hashes
+    like 2, so the two share a cached plan.
     """
     if any(int(d) != d for d in dims):
         raise ValueError("subsystem dimensions must be integers")
@@ -286,16 +287,12 @@ def _trace_groups(
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices out of range for {len(dims)} subsystems")
-    labels = [  # (kept digits, traced digits) of each flat index
-        (tuple(d for k, d in enumerate(digits) if k in keep),
-         tuple(d for k, d in enumerate(digits) if k not in keep))
-        for digits in itertools.product(*map(range, dims))
-    ]
-    index = {label: i for i, label in enumerate(labels)}
-    blocks = sorted({kept for kept, _ in labels})
-    rests = sorted({traced for _, traced in labels})
-    return [[index[u, t] * n + index[v, t] for t in rests]
-            for u in blocks for v in blocks], len(blocks)
+    stride = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    kept, traced = (
+        [sum(map(operator.mul, digits, [stride[k] for k in part]))
+         for digits in itertools.product(*[range(dims[k]) for k in part])]
+        for part in (keep, [k for k in range(len(dims)) if k not in keep]))
+    return [[(u + t) * n + v + t for t in traced] for u in kept for v in kept], len(kept)
 
 
 def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
@@ -306,12 +303,13 @@ def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
 def _sum_chain(group: Sequence[int]) -> str:
     """The source of `0 + f[p] + f[q] + ...` over the plain int positions.
 
-    The chain runs left to right from int 0, exactly as `sum` adds complex
-    values (through Python 3.13), so it rounds as `sum` does and turns a
-    -0.0 part into +0.0 as `sum` does. The positions are the plan's own
-    ints, the only values in the source. A chain nests one level per term,
-    so a group of more than 100 terms carries its running sum in `s` from
-    one run of 100 to the next, within what the compiler can nest."""
+    The chain runs left to right from int 0, exactly as `trace` adds the
+    diagonal and as `sum` adds complex values through Python 3.13, so it
+    rounds as they do and turns a -0.0 part into +0.0 as they do. The
+    positions are the plan's own ints, the only values in the source. A
+    chain nests one level per term, so a group of more than 100 terms
+    carries its running sum in `s` from one run of 100 to the next, within
+    what the compiler can nest."""
     runs = ["".join(f" + f[{p}]" for p in group[i:i + 100]) for i in range(0, len(group), 100)]
     return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 

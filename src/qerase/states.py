@@ -17,7 +17,9 @@ BLOCH_NORM_TOL = 1e-12
 
 
 class BlochVector(Record):
-    """Bloch vector of the memory qubit; must satisfy |r| <= 1."""
+    """Bloch vector of the memory qubit. Its components must be finite, and
+    each of them and |r| at most 1 + BLOCH_NORM_TOL (1e-12); anything else
+    raises ValueError."""
 
     __slots__ = ("r_x", "r_y", "r_z")
 

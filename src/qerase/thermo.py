@@ -7,8 +7,9 @@ energies by delta and temperatures by delta / k_B, the latter in one helper,
 `_in_units`. Every closed form has a trace-based twin, and `analyze`
 cross-checks the two routes, in units of the gap, before reporting. The
 channel permutes the 8 basis states, so the twins are read off the initial
-state by one function compiled on first use per erasure permutation,
-`_route_kernel`, with the bits of propagating the state and tracing it.
+state by one function compiled on first use per erasure permutation, with
+the bits of propagating the state and tracing it; `_route_kernel` describes
+its source.
 """
 
 import math
@@ -132,21 +133,22 @@ def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
     `_limit_temperature` in spec's units as `analyze` reports it. It does
     not depend on spec.beta: +inf for pure inputs with r_z < 1, NaN at r_z = 1.
     """
-    return _in_units(_limit_temperature(b), spec)
+    return _in_units(_limit_temperature(b), spec.delta, spec.k_B)
 
 
-def _in_units(t: float, spec: ThermalSpec) -> float:
-    """A temperature t in units of delta / k_B in spec's own units,
-    (t delta) / k_B; t (delta / k_B) would overflow to a false inf wherever
-    delta / k_B passes the float range. Where the product t delta falls
-    below the normal range, only its few subnormal bits would reach the
-    quotient, so it is formed from delta times 2**600, exactly, and the
-    quotient, below 2**52 there, is scaled back: full precision wherever
-    t delta is at least 2**-1622."""
-    product = t * spec.delta
+def _in_units(t: float, a: float, b: float) -> float:
+    """A temperature t in units of a / b, formed as (t a) / b: at (a, b) =
+    (delta, k_B), t in units of delta / k_B in spec's own units, and at
+    (k_B, delta) the reverse. t (a / b) would overflow to a false inf, and
+    give NaN at t = 0, wherever a / b passes the float range. Where the
+    product t a falls below the normal range, only its few subnormal bits
+    would reach the quotient, so it is formed from a times 2**600, exactly,
+    and the quotient, below 2**52 there, is scaled back: full precision
+    wherever t a is at least 2**-1622."""
+    product = t * a
     if t and abs(product) < 2.0 ** -1022:
-        return t * (spec.delta * 2.0 ** 600) / spec.k_B * 2.0 ** -600
-    return product / spec.k_B
+        return t * (a * 2.0 ** 600) / b * 2.0 ** -600
+    return product / b
 
 
 LandauerVerdict = namedtuple("LandauerVerdict", "violated margin")
@@ -240,22 +242,17 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     are equal, NaN matching NaN; its tolerance scales on the rule, never on
     the closed form, and is 0 where the rule is +inf or NaN.
 
-    The channel is a permutation, so every traced quantity is a fixed set
-    of entries of the initial state. `apply_channel`'s checks run on it and
-    return the permutation they checked; the route kernel compiled for that
-    permutation reads off the initial state the final memory marginal, with
-    the bits of `memory_marginal(apply_channel(rho))`, and the four level
-    sums, with the bits of a loop over the two diagonals, so no final state
-    is formed. A heat is Tr[(rho_f - rho_i)(H_sub (x) 1)], which reads only
-    the diagonal, so no marginal is formed for it. The marginal is checked
-    finite, as `memory_marginal` checks it, and a density matrix by the
-    entropy.
+    `apply_channel`'s checks run on the initial state and return the
+    permutation they checked, and `_route_kernel` for that permutation reads
+    the traced marginal and level sums off the initial state, so no final
+    state is formed. The marginal is checked finite, as `memory_marginal`
+    checks it, and a density matrix by the entropy.
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
     # = composite_initial(b, spec), from the memory state formed above
     rho_initial, perm = _checked_input(_kron(rho_memory, _reservoir_diagonal(x)))
-    marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(perm)(rho_initial._flat)
+    _, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(perm)(rho_initial._flat)
     delta_s = entropy_decrease(b)
     s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(
         ComplexMatrix._from_flat(marginal, 2))
@@ -274,56 +271,46 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     # landauer_check's inputs hold once `analyze` has judged the records: k_B
     # by ThermalSpec, T >= 0 as the reciprocal of a non-negative product,
     # dS >= 0 (a NaN dS fails its record), so the margin rule applies directly
-    d, temperature = spec.delta, spec.temperature
-    margin = _landauer_margin(d * q_m, temperature, delta_s, spec.k_B)
+    d, k_B, temperature = spec.delta, spec.k_B, spec.temperature
+    margin = _landauer_margin(d * q_m, temperature, delta_s, k_B)
     return ErasureReport(delta_s, d * q_m, d * q_r, d * -q_m, d * radiated, d * u_i, d * u_f,
-                         _in_units(t_limit, spec), temperature, margin > 0.0, margin), records
+                         _in_units(t_limit, d, k_B), temperature, margin > 0.0, margin), records
 
 
 @lru_cache(maxsize=64)
 def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """`_cross_check`'s trace route for the channel `perm`: one function of
     the initial state's flat entries f, compiled by one `eval` from plain int
-    positions, `lambda f: ((<marginal>), q_m, q_r, u_i, u_f)`.
+    positions, `lambda f: (((r9 := f[9].real), (r18 := f[18].real), ...),
+    (<marginal>), q_m, q_r, u_i, u_f)`, whose first output only binds names.
 
-    The channel moves entry (i, j) to (perm[i], perm[j]), so the marginal is
-    the four chains (`linalg._sum_chains`) that `memory_marginal` sums on
-    `permute(rho, perm)`, each position read back through the relabeling.
-    The level sums run over the real parts of the final (a) and initial (b)
-    diagonals, each entry of f read once into a walrus name: the heats add
-    each change a - b times its memory or reservoir level, the energies each
+    The channel moves entry (i, j) to (perm[i], perm[j]), so the final state's
+    flat position p holds the initial one source[p]. The marginal is the four
+    chains (`linalg._sum_chains`) that `memory_marginal` sums on
+    `permute(rho, perm)`, each position read through source. Level k's
+    initial population is r<9k>, its final one r<source[9k]>, and its change
+    (final - initial); the leading tuple reads the real part of each
+    diagonal entry a level sum names once into r<p>, in increasing p. A
+    heat, Tr[(rho_f - rho_i)(H_sub (x) 1)], reads only the diagonal: it adds
+    each change times its memory or reservoir level, and an energy adds each
     population times its composite level, left to right from 0.0 as a loop
     over the 8 levels adds them (`sum` compensates floats from Python 3.12
     on). A term of level 0 is left out: a checked state's populations are
-    finite, so the term is a zero, which leaves a running sum from +0.0, never
-    -0.0, as it is. A term of level 1 is its value and one of level 2 twice
-    it, exactly, so each sum keeps the bits of the loop."""
+    finite, so the term is a zero, which leaves a running sum from +0.0,
+    never -0.0, as it is. A term of level 1 is its value and one of level 2
+    twice it, exactly, so each sum keeps the bits of the loop."""
     source = _relabeling(perm, 8)(range(64))  # final flat position -> initial one
     groups, _ = _trace_groups(SUBSYSTEM_DIMS, (MEMORY,), 8)
-    bound = set()
-
-    def named(name, expr):  # the first occurrence in the source binds the name
-        if name in bound:
-            return name
-        bound.add(name)
-        return f"({name} := {expr()})"
-
-    def real(p):  # the real part of the diagonal entry at flat position p
-        return named(f"r{p}", lambda: f"f[{p}].real")
-
-    def before(k):
-        return real(9 * k)
-
-    def after(k):
-        return real(source[9 * k])
-
-    def change(k):
-        return named(f"c{k}", lambda: f"{after(k)} - {before(k)}")
-
+    initial = [f"r{9 * k}" for k in range(8)]
+    final = [f"r{source[9 * k]}" for k in range(8)]
+    changes = [f"({now} - {was})" for now, was in zip(final, initial)]
     sums = ", ".join(
-        "0.0" + "".join(f" + {value(k)}" + (f" * {n}" if n > 1 else "")
-                        for k, n in enumerate(levels) if n)
-        for value, levels in ((change, _MEMORY_LEVELS), (change, _RESERVOIR_LEVELS),
-                              (before, _COMPOSITE_LEVELS), (after, _COMPOSITE_LEVELS)))
+        "0.0" + "".join(f" + {value}" + (f" * {n}" if n > 1 else "")
+                        for value, n in zip(values, levels) if n)
+        for values, levels in ((changes, _MEMORY_LEVELS), (changes, _RESERVOIR_LEVELS),
+                               (initial, _COMPOSITE_LEVELS), (final, _COMPOSITE_LEVELS)))
+    summed = [k for k, n in enumerate(_COMPOSITE_LEVELS) if n]  # the levels a sum reads
+    reals = "".join(f"(r{p} := f[{p}].real), "
+                    for p in sorted({9 * k for k in summed} | {source[9 * k] for k in summed}))
     marginal = _sum_chains([[source[p] for p in group] for group in groups])
-    return eval(f"lambda f: (({marginal}), {sums})")
+    return eval(f"lambda f: (({reals}), ({marginal}), {sums})")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qerase.cli
 import qerase.thermo
@@ -578,6 +581,86 @@ class TestConvertUnits:
         assert code == 2
         assert out == ""
         assert "temperature must be >= 0, got nan" in err
+
+    @pytest.mark.parametrize("direction, value, kelvin, natural", [
+        ("--natural", "0", 0.0, 0.0),
+        ("--natural", "1e-300", 7.24297051604e22, 1e-300),
+        ("--kelvin", "1e300", 1e300, 1.380649e-23),
+        ("--kelvin", "inf", "infinite", "infinite"),
+    ])
+    def test_a_gap_past_k_B_times_the_float_range_converts(
+        self, capsys, direction, value, kelvin, natural
+    ):
+        # delta / k_B overflows: each temperature is formed as (t a) / b, so
+        # 0 natural units is 0 K, not 0 * inf, and a finite kelvin value is
+        # not divided by inf into a false 0
+        code, out, _ = run_cli(capsys, "convert-units", "--delta-si", "1e300", direction, value)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kelvin_per_natural"] == "infinite"
+        assert (doc["kelvin"], doc["natural"]) == (kelvin, natural)
+
+
+DOUBLE_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+TAGS = ("infinite", "-infinite", "undefined")
+doubles = st.one_of(  # by exponent, over the whole range, and its edges
+    st.sampled_from(DOUBLE_EDGES),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024)),
+)
+radii = st.one_of(  # [0, 1] by exponent, and near purity
+    st.sampled_from((0.0, 5e-324, 2.2250738585072014e-308, 1.0)),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 0)),
+    st.builds(lambda e: 1.0 - math.ldexp(1.0, -e), st.integers(1, 53)),
+)
+DIRECTIONS = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (-0.6, 0.0, 0.8),
+              (0.48, -0.6, 0.64))
+
+
+def _bloch_argument(r, direction):
+    return "--bloch=" + ",".join(repr(r * c) for c in direction)
+
+
+thermals = st.tuples(st.sampled_from(("--beta", "--temperature")), doubles.map(repr))
+commands = st.one_of(
+    st.builds(lambda bloch, gap, delta, thermal: ("erase", bloch, gap, repr(delta), *thermal),
+              st.builds(_bloch_argument, radii, st.sampled_from(DIRECTIONS)),
+              st.sampled_from(("--delta", "--delta-si")), doubles, thermals),
+    st.builds(lambda r, delta, thermal: ("sweep", "--r", repr(r), "--n-theta", "3",
+                                         "--n-phi", "2", "--delta", repr(delta), *thermal),
+              radii, doubles, thermals),
+    st.builds(lambda delta, direction, t: ("convert-units", "--delta-si", repr(delta),
+                                           direction, repr(t)),
+              doubles, st.sampled_from(("--kelvin", "--natural")), doubles),
+    st.builds(lambda delta: ("verify", "--delta", repr(delta), "--draws", "3"), doubles),
+)
+
+
+class TestInputDomain:
+    """Every subcommand over its input domain: gaps, temperatures, inverse
+    temperatures and radii drawn by exponent over the whole double range,
+    with its edges, and Bloch vectors near purity."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(commands)
+    def test_every_run_exits_0_or_refuses_a_zero_gap(self, argv):
+        """Inside the domain each run exits 0 and prints only finite numbers
+        or tags. A gap of 0 is the one input outside it, which exits 2 with
+        a message, except `verify --delta 0`, which skips the commutator
+        check. No run exits 1 or raises."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        gap = float(argv[argv.index("--delta-si" if "--delta-si" in argv else "--delta") + 1])
+        if gap == 0.0 and argv[0] != "verify":
+            assert (code, out.getvalue()) == (2, ""), argv
+            assert err.getvalue().startswith("error: ") and "must be positive" in err.getvalue()
+            return
+        assert (code, err.getvalue()) == (0, ""), argv
+        if argv[0] == "sweep":
+            rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+            assert all(cell in TAGS or math.isfinite(float(cell)) for row in rows for cell in row)
+        else:  # JSON prints a float that is not finite only as a bare Infinity or NaN
+            json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{argv}: {name}"))
 
 
 class TestParserPlumbing:

@@ -783,7 +783,7 @@ class TestPartialTraceCount:
         assert planned == [((2, 2, 2), (0,), 8)]  # one marginal, the memory's
         info = qerase.thermo._route_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION)(rho._flat)[0]
+        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION)(rho._flat)[1]
         assert len(marginal) == 4 and marginal == want
 
     def test_one_route_is_compiled_per_permutation(self, wrong_channel):
@@ -823,7 +823,7 @@ class TestFusedRouteBitForBit:
         """The same, from the route kernel of the permutation the channel's
         checks return and from `_cross_check`'s entropy record."""
         rho_initial, perm = qerase.channel._checked_input(composite_initial(b, spec))
-        marginal, *sums = qerase.thermo._route_kernel(perm)(rho_initial._flat)
+        _, marginal, *sums = qerase.thermo._route_kernel(perm)(rho_initial._flat)
         [(name, _, s_drop, _, _), *_] = qerase.thermo._cross_check(b, spec)[1]
         assert name == "entropy decrease"
         return (entry_bits(ComplexMatrix._from_flat(marginal, 2)),
@@ -841,6 +841,33 @@ class TestFusedRouteBitForBit:
                 assert self._fused(b, spec) == self._reference(b, spec), (b, spec, low, high)
         monkeypatch.undo()  # the erasure again: no swapped route may serve it
         assert [repr(raised(lambda: analyze(b, spec))) for b, spec in draws] == reports
+
+    def test_the_route_reads_each_population_once(self):
+        """On entries that count their `.real` reads, every diagonal position
+        a level sum uses is read exactly once, through the name it is bound
+        to, and no other `.real` is read; the outputs keep their bits."""
+        reads = {}
+
+        class Counted(complex):
+            @property
+            def real(self):
+                reads[self.position] = reads.get(self.position, 0) + 1
+                return complex.real.__get__(self)
+
+        def counted(p, value):
+            entry = Counted(value)
+            entry.position = p
+            return entry
+
+        b, spec = BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)
+        flat = composite_initial(b, spec)._flat
+        kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION)
+        got = kernel(tuple(itertools.starmap(counted, enumerate(flat))))
+        source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
+        levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
+        used = {9 * k for k in levels} | {9 * source[k] for k in levels}
+        assert reads == dict.fromkeys(used, 1)
+        assert repr(got[1:]) == repr(kernel(flat)[1:])
 
 
 class TestAnalyze:
