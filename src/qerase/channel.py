@@ -152,10 +152,10 @@ def reservoir_marginal(rho: ComplexMatrix) -> ComplexMatrix:
 def memory_ground_fidelity(rho: ComplexMatrix) -> float:
     """Overlap <g| tr_R(rho) |g> of the memory marginal with the ground state.
 
-    The bits of `memory_marginal(rho)[0, 0].real`: the memory trace plan's
-    one-entry kernel sums the terms of entry (0, 0) alone, as the full
-    kernel sums them. Only that sum is checked finite, so an overflow in one
-    of the marginal's other three entries does not raise."""
+    The bits of `memory_marginal(rho)[0, 0].real`, from the one-entry kernel
+    of the memory trace plan (`_trace_plan` with corner). Only that sum is
+    checked finite, so an overflow in one of the marginal's other three
+    entries does not raise."""
     kernel, _ = _trace_plan(SUBSYSTEM_DIMS, (MEMORY,), rho._dim, True)
     overlap, = kernel(rho._flat)
     if not cmath.isfinite(overlap):

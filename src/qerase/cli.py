@@ -21,7 +21,7 @@ import math
 import sys
 
 from .linalg import ComplexMatrix
-from .states import BlochVector, ThermalSpec
+from .states import BlochVector, ThermalSpec, _check_positive
 from .thermo import (
     _heat_memory, _in_units, _limit_rule, analyze, entropy_decrease, heat_reservoir,
 )
@@ -61,8 +61,7 @@ def _fmt(x: float | bool) -> str:
 
 
 def _parse_float(text: str) -> float:
-    word = text.strip().lower()
-    if word in ("inf", "infinity", "infinite"):
+    if text.strip().lower() == "infinite":  # float reads "inf" and "infinity"
         return math.inf
     try:
         return float(text)
@@ -216,8 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 def cmd_convert_units(args: argparse.Namespace) -> dict:
     delta = args.delta_si
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError(f"--delta-si must be positive, got {delta!r}")
+    _check_positive("--delta-si", delta)
     if args.kelvin is not None:
         kelvin, natural = args.kelvin, _in_units(args.kelvin, K_B_SI, delta)
     else:

@@ -1,37 +1,23 @@
 """Dense complex matrices sized for few-qubit work, and basis permutations.
 
-Everything here is plain Python on tuples of complex numbers: Kronecker
-products, partial traces, density-matrix validation and a Hermitian
-eigensolver that solves each block of the nonzero pattern alone: in closed
-form up to 2x2, by cyclic Jacobi above. Dimensions never exceed 8x8 in this
-package, so no external linear-algebra dependency is used.
+Plain Python on tuples of complex numbers: dimensions never exceed 8x8 in
+this package, so no external linear-algebra dependency is used.
 
-A matrix is one flat row-major tuple of its n * n entries; `rows` is a view
-derived from it. The package forms its matrices from flat entries or diagonal
-values, each scanned for finiteness once. Permutations, Kronecker kernels and
-partial traces are plans over the flat tuple, each validated and cached once
-per shape; a Kronecker kernel may carry a relabeling. A partial trace plan is
-one function compiled from the positions `_trace_groups` describes, each
-entry a chain `_sum_chain` describes, with no call per entry; `thermo`'s
-route kernel holds the same chains, read through the channel's relabeling.
-Every state here is a qubit (x) a diagonal reservoir, formed from the
-diagonal's n values, one product per distinct entry, by one function
-compiled per shape that returns the products, each made once into a walrus
-name, and the entries that name them, `lambda a, v: (((t0 := a[0] * v[0]),
-...), (t0, t4, ...))`; the public `kron` is the plain product. The density
-check reads a plan cached per nonzero pattern that carries one function
-compiled by one `eval` from its positions, `check(f, h, t)`: the hermiticity
-defect, `max((abs(f[p] - f[q].conjugate()), ..., 0.0))`, then, at most h, the
-trace, a chain over the diagonal, then, within t of 1, the sorted solve of the
-blocks, so one call runs all three and solves only past both tests;
-`hermitian_eigenvalues` calls it with t = inf. A 2x2 block's sum of two
-diagonals or of a coupling's two parts that overflows is formed from halved
-terms, so its eigenvalues stay finite wherever they are. A 2x2 is keyed by its
-layout, whether its off-diagonal pair is nonzero, rather than by its full
-pattern. Only first use compiles; importing the module compiles nothing.
+A matrix is one flat row-major tuple of its n * n entries, every one finite;
+`rows` is a view derived from it. The package forms its matrices from flat
+entries or diagonal values, each scanned for finiteness once. A basis
+permutation is a tuple, its column -> row map: `perm[c]` is the row of the 1
+in column c. It is applied and composed without a dense matrix.
 
-A basis permutation is a tuple, its column -> row map: `perm[c]` is the row
-of the 1 in column c. It is applied and composed without a dense matrix.
+Each plan is validated and cached once per shape; its kernel is compiled
+from plain int positions on first use, so importing the module compiles
+nothing. The builders:
+- `_relabeling`: the getter of the flat entries in a permutation's order;
+- `_kron_kernel`: a product with a diagonal right factor, for `_kron`;
+- `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
+  positions in `_trace_groups`;
+- `_pattern_plan`: the density check and the solve of a nonzero pattern,
+  looked up by `_plan`, a block of 3 or more solved by `_jacobi_eigenvalues`.
 """
 
 import cmath
@@ -174,8 +160,8 @@ def trace(m: ComplexMatrix) -> complex:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; the left factor is the most significant subsystem.
-    One multiplication per entry, then one finiteness scan: a product of
-    finite entries can overflow."""
+    Each entry is one product, and ValueError is raised where one overflows.
+    No plan is cached: the package's own products go through `_kron`."""
     flat = tuple(x * y for ra in a.rows for rb in b.rows for x in ra for y in rb)
     return ComplexMatrix._from_flat(flat, a._dim * b._dim)
 
@@ -184,15 +170,14 @@ def _kron(
     a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None = None
 ) -> ComplexMatrix:
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
-    None, bit for bit from na^2 (nb + 1) products: each of its entries is
-    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so the kernel
-    cached per (na, nb, perm) makes each a[p] times each value and one 0j
-    once and returns those products with the entries they form. One scan of
-    the products checks values and products alike: x * 0j is finite for
-    finite x, and a value v that is not finite makes every a[p] * v
-    non-finite (x * nan, x * inf and 0 * inf are), so the products are
-    rejected exactly when `diagonal` or the whole product would be. A perm
-    that is not a permutation is refused when the kernel is looked up,
+    None, bit for bit, from the products of `_kron_kernel`: every state the
+    package forms is a qubit (x) a diagonal reservoir or path mixture.
+
+    One scan of the products checks values and products alike: x * 0j is
+    finite for finite x, and a value v that is not finite makes every
+    a[p] * v non-finite (x * nan, x * inf and 0 * inf are), so the products
+    are rejected exactly when `diagonal` or the whole product would be. A
+    perm that is not a permutation is refused when the kernel is looked up,
     before the scan."""
     factors = [*map(complex, values), 0j]
     nb = len(factors) - 1
@@ -209,15 +194,18 @@ def _kron_kernel(
     na: int, nb: int, perm: tuple[int, ...] | None
 ) -> Callable[[tuple, list], tuple[tuple, tuple]]:
     """One function compiled by one `eval` per shape, of a's na * na flat
-    entries a and nb + 1 factors v: `lambda a, v: (((t0 := a[0] * v[0]),
-    ..., (tK := a[na^2 - 1] * v[nb])), (tI, tJ, ...))`. The first tuple
-    holds each product once, p major, the products a loop over a and then v
-    makes, so scanning it is scanning every product `_kron` forms. The
-    second lists the (na nb)^2 entries in row-major order, entry (ia nb +
-    ib, ja nb + jb) the product of a[ia, ja] with v[ib] where ib == jb and
-    with v[nb], the 0j, elsewhere; unless perm is None, `_relabeling`,
-    which validates perm, composes the order `permute` gives into that
-    list. The source holds only plain int positions, never the values."""
+    entries a and nb + 1 factors v, the values as complex and a 0j:
+    `lambda a, v: (((t0 := a[0] * v[0]), ..., (tK := a[na^2 - 1] * v[nb])),
+    (tI, tJ, ...))`. Each entry of `kron(a, diagonal(values))` is
+    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so these na^2
+    (nb + 1) products form it bit for bit, each made once. The first tuple
+    holds them, p major, the products a loop over a and then v makes, so
+    scanning it is scanning every product `_kron` forms. The second lists
+    the (na nb)^2 entries in row-major order, entry (ia nb + ib, ja nb + jb)
+    the product of a[ia, ja] with v[ib] where ib == jb and with v[nb], the
+    0j, elsewhere; unless perm is None, `_relabeling`, which validates perm,
+    composes the order `permute` gives into that list. The source holds
+    only plain int positions, never the values."""
     width = nb + 1
     order = [(ia * na + ja) * width + (ib if ib == jb else nb)
              for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
@@ -231,13 +219,15 @@ def _kron_kernel(
 def partial_trace(
     rho: ComplexMatrix, dims: Sequence[int], keep: Iterable[int]
 ) -> ComplexMatrix:
-    """Trace out the subsystems not in `keep`.
+    """Trace out the subsystems not in `keep`; the kept ones retain their
+    relative order.
 
     `dims` lists subsystem dimensions with the leftmost factor most
-    significant in the flat index; the kept subsystems retain their
-    relative order. One cached kernel sums each kept entry's terms in
-    increasing flat index, from int 0 as `trace` does; the entries are then
-    scanned for finiteness, since a sum of finite entries can overflow.
+    significant in the flat index. Each kept entry is its terms added in
+    increasing flat index from int 0, with the bits of `trace`, by the kernel
+    `_trace_plan` caches per (dims, keep, n). Raises ValueError before any
+    sum where `_trace_groups` rejects dims or keep, and after, where a sum
+    overflows the float range.
     """
     kernel, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
     return ComplexMatrix._from_flat(kernel(rho._flat), dim)
@@ -249,10 +239,12 @@ def _trace_plan(
 ) -> tuple[Callable[[tuple], tuple], int]:
     """Validate a partial trace of an n x n matrix once; return its kernel
     and the output dimension. The kernel maps the flat entries to the
-    kept-block entries in row-major order, each the chain of its positions
-    in `_trace_groups`; with `corner`, to entry (0, 0) alone, a 1-tuple. It
-    is compiled once here, `lambda f: (<_sum_chains>)`, from those
-    positions, never from the values passed in."""
+    kept-block entries in row-major order, each the `_sum_chain` of its
+    positions in `_trace_groups`. With `corner` it maps them to entry (0, 0)
+    alone, a 1-tuple: the chain the full kernel sums first, with its bits,
+    for a caller that reads only that entry. It is compiled once here,
+    `lambda f: (<_sum_chains>)`, from those positions, never from the values
+    passed in."""
     groups, dim = _trace_groups(dims, keep, n)
     return eval(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})"), dim
 
@@ -399,21 +391,18 @@ def _pattern_plan(
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
-    """Ascending eigenvalues, each block of the nonzero pattern solved on its
-    own by the check kernel of m's plan (`_plan`), as `density_matrix` solves
-    it, so a diagonal entry comes back exact. The kernel runs with t = inf, no
-    trace test, and solves only past the hermiticity test, so a rejected input
-    is never solved.
+    """Ascending eigenvalues of m, each block of its nonzero pattern solved
+    on its own, so a diagonal entry comes back exact: the solve of m's check
+    kernel (`_plan`), run with t = inf, no trace test, as `density_matrix`
+    runs it with its tolerances.
 
-    A hermiticity defect above 1e-10 * max(1, ||m||_F) raises ValueError:
-    rounding grows with the entries, so the input check scales as the sweeps
-    do; only a defect above 1e-10 takes the norm and runs the kernel again.
-    A block of 3 or more runs cyclic Jacobi rotations with complex phases
-    until its off-diagonal Frobenius norm drops below 1e-13 *
-    max(1, ||block||_F); failure to converge in JACOBI_MAX_SWEEPS sweeps
-    raises ArithmeticError. A solve that overflows the float range raises
-    OverflowError, and so does the kernel's trace where its modulus passes
-    that range, which the input check lets through only at ||m||_F = inf.
+    Raises ValueError, before any solve, for a hermiticity defect above
+    1e-10 * max(1, ||m||_F): rounding grows with the entries, so the input
+    check scales as the sweeps do; only a defect above 1e-10 takes the norm
+    and runs the kernel again. Raises ArithmeticError where a Jacobi block
+    does not converge (`_jacobi_eigenvalues`), and OverflowError where the
+    solve overflows the float range, or the modulus of the kernel's trace
+    does, which the input check lets through only at ||m||_F = inf.
     """
     check, flat = _plan(m)[0], m._flat
     defect, _, spectrum = check(flat, EIGENSOLVER_INPUT_TOL, math.inf)
@@ -429,7 +418,9 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
 
 def _jacobi_eigenvalues(rows: tuple[tuple[complex, ...], ...]) -> tuple[float, ...]:
     """Ascending eigenvalues by cyclic Jacobi rotations with complex phases:
-    the solve of a block of 3 or more in `_pattern_plan`'s check kernel.
+    the solve of a block of 3 or more in `_pattern_plan`'s check kernel. The
+    sweeps stop once the off-diagonal Frobenius norm drops below 1e-13 *
+    max(1, ||block||_F), and raise ArithmeticError after JACOBI_MAX_SWEEPS.
 
     A block whose largest real or imaginary part reaches 2**500 is solved
     times 2**-e, e the exponent `math.frexp` gives that part, so no part
@@ -512,17 +503,14 @@ def _density_spectrum(
 
 
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:
-    """Validate m as a density matrix and return it.
+    """Validate m as a density matrix and return it as a ComplexMatrix.
 
-    Checks hermiticity within 1e-12, unit trace within 1e-12, and
-    eigenvalues above -1e-10, in that order. One call of the check kernel
-    of the plan cached for m's nonzero pattern (`_pattern_plan`) gives the
-    defect, over the pairs with a nonzero member, then the trace, with the
-    bits of `trace`, then the spectrum: the kernel solves only after the
-    hermiticity and trace tests have passed, so every error keeps its type,
-    its message and its place in that order. It solves each block once, as
-    `hermitian_eigenvalues` solves it, and the smallest eigenvalue is the
-    floor test's. `von_neumann_entropy` runs the same pass and keeps the
-    spectrum.
+    Rows that do not form a ComplexMatrix raise its ValueError. Then each
+    test raises ValueError, in this order: a hermiticity defect above 1e-12,
+    "matrix is not Hermitian: ..."; a trace, with the bits of `trace`,
+    further than 1e-12 from 1, "trace ... differs from 1 ..."; an eigenvalue
+    below -1e-10, "matrix has eigenvalue ...". The three are one call of m's
+    check kernel (`_plan`), which solves, as `hermitian_eigenvalues` does,
+    only past the first two.
     """
     return _density_spectrum(m)[0]

@@ -130,7 +130,9 @@ DEFAULT_CIRCUIT_PERMUTATION = circuit_permutation(default_erasure_circuit())
 def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Send polarization state `pol` on paths weighted by `dist` through the
     default circuit; returns the full 8x8 mode state, the bits of
-    `permute(kron(qubit, diagonal([p_1, p_2, 0, 0])), ...)` in one gather."""
+    `permute(kron(qubit, diagonal([p_1, p_2, 0, 0])),
+    DEFAULT_CIRCUIT_PERMUTATION)`: `_kron` gathers the products straight
+    into the circuit's mode order."""
     return _kron(qubit_from_bloch(pol), [dist.p_1, dist.p_2, 0.0, 0.0],
                  DEFAULT_CIRCUIT_PERMUTATION)
 
@@ -145,11 +147,11 @@ def path_final_closed_form(pol: BlochVector, dist: PathDistribution) -> ComplexM
 
 
 def polarization_marginal(rho: ComplexMatrix) -> ComplexMatrix:
-    return partial_trace(rho, (2, 4), keep={0})
+    return partial_trace(rho, (2, 4), keep=(0,))
 
 
 def path_marginal(rho: ComplexMatrix) -> ComplexMatrix:
-    return partial_trace(rho, (2, 4), keep={1})
+    return partial_trace(rho, (2, 4), keep=(1,))
 
 
 def verify_encoding_equivalence() -> tuple[str, ...]:

@@ -143,8 +143,9 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
-    """8x8 initial state: memory qubit (x) preselected thermal reservoir,
-    formed from the reservoir's diagonal with the bits of their `kron`."""
+    """8x8 initial state, memory qubit (x) preselected thermal reservoir:
+    `_kron` of the qubit and the values of `_reservoir_diagonal`, with the
+    bits of `kron(qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec)))`."""
     return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
 
 

@@ -4,12 +4,9 @@ Conventions: entropies in nats, heat positive when it flows *into* the
 named subsystem. Each closed form `_f` works in units of the gap, on b and
 x = beta delta; only its public `f(b, spec)` and `analyze`'s report scale
 energies by delta and temperatures by delta / k_B, the latter in one helper,
-`_in_units`. Every closed form has a trace-based twin, and `analyze`
-cross-checks the two routes, in units of the gap, before reporting. The
-channel permutes the 8 basis states, so the twins are read off the initial
-state by one function compiled on first use per erasure permutation, with
-the bits of propagating the state and tracing it; `_route_kernel` describes
-its source.
+`_in_units`. Every closed form has a trace-based twin: `_cross_check`
+compares the two routes, in units of the gap, and `_route_kernel` builds
+the kernel that reads the twins off the initial state.
 """
 
 import math
@@ -49,13 +46,10 @@ _COMPOSITE_LEVELS = tuple(m + e for m, e in zip(_MEMORY_LEVELS, _RESERVOIR_LEVEL
 
 
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
-    """-Tr[rho ln rho] in nats, summed over the ascending spectrum.
-
-    The spectrum is the one the density-matrix validation solved for its
-    eigenvalue floor, each block of the nonzero pattern once: the bits
-    `hermitian_eigenvalues` gives. Eigenvalues in [-1e-10, 0] are treated as
-    exact zeros; anything lower is rejected by that validation.
-    """
+    """-Tr[rho ln rho] in nats, summed over the ascending spectrum that
+    `density_matrix`'s check of rho solves for its eigenvalue floor, with the
+    bits of `hermitian_eigenvalues`; rho fails with that check's ValueError.
+    Eigenvalues in [-1e-10, 0] count as exact zeros."""
     s = 0.0
     for lam in _density_spectrum(rho)[1]:
         if lam > 0.0:
@@ -204,17 +198,14 @@ class ErasureReport(Record):
 
 
 def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
-    """Run the channel on (b, spec) and report all erasure thermodynamics.
+    """Run the channel on (b, spec) and report all erasure thermodynamics:
+    the closed forms, each energy times delta, T_limit in units of delta / k_B.
 
-    The closed forms are what gets reported, once `_cross_check`'s records
-    are judged in order: the first whose residual is not within its
-    tolerance raises ArithmeticError, as a negative entropy decrease, which
-    the route tolerance can miss near purity, does after them. The records
-    are in units of the gap, so each tolerance is the same at every delta and
-    k_B: the entropy and the energies agree with their trace routes to 1e-10;
-    T_limit agrees with the one rule, `_limit_rule`, on the closed-form dS
-    and Q_M, to 1e-10 relative to the rule's value above 1, and exactly where
-    the rule is +inf or NaN.
+    Raises ArithmeticError, in this order: where `apply_channel` refuses the
+    erasure permutation; for the first of `_cross_check`'s records that
+    fails, "<name>: closed form ... and trace route ... disagree" ("rule"
+    for the limit temperature); for a negative entropy decrease, which the
+    route tolerance can miss near purity, "entropy decrease: ... negative".
     """
     report, records = _cross_check(b, spec)
     for name, closed, traced, residual, tol in records:
@@ -229,18 +220,24 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
 def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list[tuple]]:
     """`analyze`'s report on (b, spec) and its records (name, closed,
     traced, residual, tol) for the entropy decrease, the memory heat, the
-    reservoir heat, the photon energy and the limit temperature, in that
-    order, judged by none.
+    reservoir heat, the photon energy and the limit temperature, judged here
+    by none. `analyze` judges them in that order and raises for the first
+    whose residual is not within its tolerance.
 
-    All records are made before any is judged, so `verify` reads the
-    entropy record whatever a later one holds. Nothing between them raises
-    on a ThermalSpec's inputs: the closed forms, the rule, the margin and
+    The records are in units of the gap, so each tolerance is the same at
+    every delta and k_B: the entropy and the energies agree with their trace
+    routes to 1e-10; T_limit agrees with the one rule, `_limit_rule`, on the
+    closed-form dS and Q_M, to 1e-10 relative to the rule's value above 1,
+    and exactly where the rule is +inf or NaN. A residual is |closed -
+    traced|, which a NaN on either route, or inf against inf, leaves above
+    any tolerance. T_limit's is 0 where closed form and rule are equal, NaN
+    matching NaN; its tolerance scales on the rule, never on the closed form.
+
+    All records are made before any is judged, so `verify` reads the entropy
+    record whatever a later one holds. Nothing between them raises on a
+    ThermalSpec's inputs: the closed forms, the rule, the margin and
     `spec.temperature` are plain arithmetic, so `analyze` raises for the
-    record it would raise for judging each as it is made. A residual is
-    |closed - traced|, which a NaN on either route, or inf against inf,
-    leaves above any tolerance. T_limit's is 0 where closed form and rule
-    are equal, NaN matching NaN; its tolerance scales on the rule, never on
-    the closed form, and is 0 where the rule is +inf or NaN.
+    record it would raise for judging each as it is made.
 
     `apply_channel`'s checks run on the initial state and return the
     permutation they checked, and `_route_kernel` for that permutation reads
@@ -279,10 +276,11 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
 
 @lru_cache(maxsize=64)
 def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """`_cross_check`'s trace route for the channel `perm`: one function of
-    the initial state's flat entries f, compiled by one `eval` from plain int
-    positions, `lambda f: (((r9 := f[9].real), (r18 := f[18].real), ...),
-    (<marginal>), q_m, q_r, u_i, u_f)`, whose first output only binds names.
+    """`_cross_check`'s trace route for the channel `perm`, with the bits of
+    propagating the state and tracing it: one function of the initial
+    state's flat entries f, compiled by one `eval` from plain int positions,
+    `lambda f: (((r9 := f[9].real), (r18 := f[18].real), ...), (<marginal>),
+    q_m, q_r, u_i, u_f)`, whose first output only binds names.
 
     The channel moves entry (i, j) to (perm[i], perm[j]), so the final state's
     flat position p holds the initial one source[p]. The marginal is the four

@@ -635,6 +635,28 @@ commands = st.one_of(
 )
 
 
+def _leaves(value):
+    """Every scalar of a JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+weights = st.one_of(  # signed, by exponent, and the edges of [0, 1]
+    st.sampled_from((0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+                     math.nan, math.inf)),
+    st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from((1.0, -1.0)),
+              st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024)),
+)
+polarizations = st.one_of(
+    st.sampled_from(("H", "V")),
+    st.builds(lambda r, direction: ",".join(repr(r * c) for c in direction),
+              st.one_of(radii, st.floats(0.0, 1.0)), st.sampled_from(DIRECTIONS)),
+)
+
+
 class TestInputDomain:
     """Every subcommand over its input domain: gaps, temperatures, inverse
     temperatures and radii drawn by exponent over the whole double range,
@@ -662,6 +684,28 @@ class TestInputDomain:
         else:  # JSON prints a float that is not finite only as a bare Infinity or NaN
             json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{argv}: {name}"))
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(polarizations, weights, st.sampled_from(("json", "text")))
+    def test_optics_exits_0_or_refuses_a_weight_outside_0_1(self, pol, p1, fmt):
+        """Each weight in [0, 1] runs and prints only finite numbers; any
+        other exits 2 with a message. The `=` form passes a negative weight,
+        which argparse would read as an option."""
+        argv = ["optics", f"--pol={pol}", f"--p1={p1!r}", "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if not 0.0 <= p1 <= 1.0:
+            assert (code, out.getvalue()) == (2, ""), argv
+            assert err.getvalue().startswith("error: "), argv
+            return
+        assert (code, err.getvalue()) == (0, ""), argv
+        if fmt == "json":  # a float that is not finite prints as a bare Infinity or NaN, or a tag
+            doc = json.loads(out.getvalue(),
+                             parse_constant=lambda name: pytest.fail(f"{argv}: {name}"))
+            assert not set(TAGS) & set(_leaves(doc)), argv
+        else:
+            assert not any(word in out.getvalue() for word in ("inf", "nan", "undefined")), argv
+
 
 class TestParserPlumbing:
     def test_subcommand_required(self):
@@ -672,6 +716,24 @@ class TestParserPlumbing:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "qerase"
+
+    @pytest.mark.parametrize("text, code", [
+        ("inf", 0), (" INF ", 0), ("Infinity", 0), ("+inf", 0), ("infinite", 0),
+        ("INFINITE", 0), ("infinit", 2), ("-infinite", 2),
+    ])
+    def test_beta_reads_each_spelling_of_infinity(self, capsys, text, code):
+        """`--beta` reads what `float` reads as inf, in any case, signed or
+        padded, and the tag `infinite` that the CLI prints; nothing else."""
+        try:
+            got = main(["erase", f"--beta={text}"])
+        except SystemExit as exc:  # argparse's rejection
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code
+        if code:
+            assert "not a number" in err
+        else:
+            assert json.loads(out)["inputs"]["beta"] == "infinite"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

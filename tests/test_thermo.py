@@ -1285,3 +1285,41 @@ class TestScaleCovariance:
             assert repr(got) == repr(want)
             if math.isinf(got) and math.isfinite(natural):
                 assert abs(Fraction(natural) * scale) >= OVERFLOW
+
+
+# positive doubles by exponent over the whole range, subnormals included
+positive_doubles = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                             st.integers(-1073, 1024))
+scales = st.one_of(st.sampled_from(EDGE_GAPS), positive_doubles)
+thermal_inputs = st.tuples(st.sampled_from(("beta", "temperature")),
+                           st.one_of(st.sampled_from((0.0, math.inf)), positive_doubles))
+bloch_vectors = st.one_of(
+    st.sampled_from((BlochVector(0.0, 0.0, 1.0), BlochVector(0.0, 0.0, -1.0))),
+    st.builds(  # 1 - r log-uniform in [1e-16, 1], in any direction
+        lambda u, theta, phi: BlochVector(
+            (1.0 - 10.0 ** u) * math.sin(theta) * math.cos(phi),
+            (1.0 - 10.0 ** u) * math.sin(theta) * math.sin(phi),
+            (1.0 - 10.0 ** u) * math.cos(theta)),
+        st.floats(-16.0, 0.0), st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+)
+
+
+class TestAnalyzeDomain:
+    """`analyze` over its whole input domain: beta or T in {0, inf} or drawn
+    by exponent, gap and k_B drawn by exponent with the double range's
+    edges, and Bloch vectors from the centre to within 1e-16 of purity."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(bloch_vectors, thermal_inputs, scales, scales)
+    def test_every_input_gives_a_consistent_report(self, b, thermal, delta, k_B):
+        """A report, never a refusal; no field NaN but T_limit, which is NaN
+        exactly where r_z == 1; the verdict is the sign of the margin."""
+        kind, value = thermal
+        spec = (ThermalSpec.from_beta(value, delta, k_B) if kind == "beta"
+                else ThermalSpec.from_temperature(value, delta, k_B))
+        report = analyze(b, spec)
+        for field in ErasureReport.__slots__:
+            if field != "t_limit":
+                assert not math.isnan(getattr(report, field)), (field, b, spec)
+        assert math.isnan(report.t_limit) == (b.r_z == 1.0), (b, spec)
+        assert report.landauer_violated == (report.landauer_margin > 0.0)
