@@ -201,10 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
     from . import verify  # only this subcommand loads the battery
 
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    if not 0.0 <= args.delta < math.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {args.delta!r}")
-    if args.draws < 1:
-        raise ValueError(f"draws must be >= 1, got {args.draws!r}")
+    verify._check_battery_inputs(args.delta, args.draws)
     results = verify.run_verification(delta=args.delta, draws=args.draws, seed=seed)
     return {
         "parameters": {"delta": args.delta, "draws": args.draws, "seed": seed},

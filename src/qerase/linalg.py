@@ -146,8 +146,11 @@ def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[tuple], tuple]:
 
 
 def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
-    """Column -> row map of the product of the permutations; `first` acts first."""
+    """Column -> row map of the product of permutations of 0..len(first) - 1,
+    each checked; `first` acts first."""
     product = tuple(first)
+    for perm in (product, *rest):
+        _check_permutation(perm, len(product))
     for perm in rest:
         product = tuple(perm[row] for row in product)
     return product

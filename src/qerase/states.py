@@ -8,7 +8,6 @@ memory (x) energy (x) ancilla, index = 4m + 2e + a.
 """
 
 import math
-from functools import lru_cache
 
 from .linalg import ComplexMatrix, _kron, density_matrix, diagonal
 from .record import Record, _set_field
@@ -144,22 +143,19 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state, memory qubit (x) preselected thermal reservoir:
-    `_kron` of the qubit and the values of `_reservoir_diagonal`, with the
-    bits of `kron(qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec)))`."""
+    `_kron` of the qubit and the four values `_reservoir_diagonal` forms from
+    the Gibbs weights, with the bits of
+    `kron(qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec)))`."""
     return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
 
 
-@lru_cache(maxsize=64)
-def _reservoir_diagonal(x: float) -> tuple[complex, ...]:
-    """The preselected thermal reservoir's four diagonal values at a
-    validated spec's x = beta * delta, its matrix built and validated once
-    per x, the only value they depend on; the tuple is shared, immutable.
-    The key is one float, so a hit hashes no ThermalSpec.
-
-    They are preselect_l0(gibbs_four_level(spec))'s diagonal entry for entry,
-    built from the Gibbs weights with the same divisions: the l0 weights p/2
-    over the l0 sector's weight."""
+def _reservoir_diagonal(x: float) -> tuple[float, ...]:
+    """The preselected thermal reservoir's four diagonal values at x = beta *
+    delta >= 0, formed from `_gibbs(x)` with preselect_l0's divisions: the
+    l0 weights p/2 over the l0 sector's weight. They are finite and >= 0 for
+    every such x, and the state they enter is density-checked where it
+    enters the channel."""
     p_g, p_e = _gibbs(x)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
-    return density_matrix(diagonal((g / weight, 0.0, e / weight, 0.0)))._flat[::5]
+    return (g / weight, 0.0, e / weight, 0.0)

@@ -154,12 +154,16 @@ def landauer_check(
     """Check Q_M <= -k_B T dS for heat released against entropy removed.
 
     The margin is Q_M + k_B T dS; a positive margin means less heat was
-    dissipated than the bound demands, i.e. the bound is violated.
+    dissipated than the bound demands, i.e. the bound is violated. A NaN
+    margin, from a NaN Q_M or from -inf + inf, decides nothing: ValueError.
     """
     _check_positive("k_B", k_B)
     _check_nonnegative("temperature", temperature)
     _check_nonnegative("entropy decrease", delta_s)
     margin = _landauer_margin(q_memory, temperature, delta_s, k_B)
+    if math.isnan(margin):
+        raise ValueError(f"Landauer margin is NaN: Q_M = {q_memory!r}, T = {temperature!r}, "
+                         f"dS = {delta_s!r}")
     return LandauerVerdict(violated=margin > 0.0, margin=margin)
 
 

@@ -279,11 +279,21 @@ def check_encoding_equivalence() -> CheckResult:
     )
 
 
+def _check_battery_inputs(delta: float, draws: int) -> None:
+    """A finite gap >= 0 (0 skips the commutator check) and one draw or more."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws!r}")
+
+
 def run_verification(
     delta: float = 1.0, draws: int = 1000, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Full battery. `draws` scales the sampling checks; the eigensolver-heavy
-    ones run a fixed small count so the battery stays fast."""
+    ones run a fixed small count so the battery stays fast. Inputs that
+    `qerase verify` refuses raise ValueError before any check runs."""
+    _check_battery_inputs(delta, draws)
     rng = random.Random(seed)
     small = max(5, draws // 40)
     return [

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+import qerase.linalg
 from conftest import (
     assert_matrix_close,
     numpy_permutation,
     random_bloch,
+    random_density,
     random_matrix,
     to_numpy,
 )
@@ -28,6 +30,7 @@ from qerase.channel import (
     reservoir_final_closed_form,
     reservoir_marginal,
 )
+from qerase.thermo import von_neumann_entropy
 
 BETAS = (0.0, 0.1, 1.0, 10.0, math.inf)
 
@@ -164,6 +167,36 @@ class TestApplyChannel:
             marginal = memory_marginal(final)
             assert marginal[1, 1] == 0.0
             assert marginal[0, 1] == 0.0
+
+    def test_erases_every_l0_sector_state(self, monkeypatch):
+        """The channel resets the memory of any state on the ancilla's l0
+        sector, correlated or entangled memory-energy states included, not
+        only the product states the package forms. Their 4x4 block reaches
+        the Jacobi solver, which is why the general Hermitian solve stays."""
+        solved = []
+        original = qerase.linalg._jacobi_eigenvalues
+
+        def counted(rows):
+            solved.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(qerase.linalg, "_jacobi_eigenvalues", counted)
+        rng = random.Random(47)
+        l0 = (0, 2, 4, 6)  # index 4m + 2e + a with a = l0
+        for _ in range(20):
+            block = random_density(rng, 4)
+            rows = [[0j] * 8 for _ in range(8)]
+            for i, row in zip(l0, block.rows):
+                for j, x in zip(l0, row):
+                    rows[i][j] = x
+            rho = ComplexMatrix(rows)
+            solved.clear()
+            final = apply_channel(rho)
+            assert solved == [4]
+            assert memory_ground_fidelity(final) >= 1.0 - 1e-12
+            assert memory_marginal(final)[1, 1] == 0.0
+            assert von_neumann_entropy(final) == pytest.approx(
+                von_neumann_entropy(rho), abs=1e-10)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="8"):

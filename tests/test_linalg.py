@@ -115,9 +115,9 @@ class TestInternalConstructor:
 
     def test_the_package_builds_no_matrix_from_rows(self, monkeypatch, capsys):
         """Every matrix qerase forms for itself comes from flat entries or
-        diagonal values: analyze in natural and SI units with a cold and a
-        warm reservoir cache, the propagate calls, the preselection and the
-        closed-form final state, verify and two CLI runs never parse rows."""
+        diagonal values: analyze in natural and SI units, twice each, the
+        propagate calls, the preselection and the closed-form final state,
+        verify and two CLI runs never parse rows."""
         from qerase.cli import main
         from qerase.verify import run_verification
 
@@ -131,9 +131,8 @@ class TestInternalConstructor:
         b = BlochVector(0.3, -0.2, 0.4)
         specs = [ThermalSpec.from_beta(0.7),
                  ThermalSpec.from_temperature(300.0, delta=1.986e-22, k_B=1.380649e-23)]
-        qerase.states._reservoir_diagonal.cache_clear()
         monkeypatch.setattr(ComplexMatrix, "__init__", counted)
-        for spec in specs + specs:  # cold, then warm
+        for spec in specs + specs:
             qerase.analyze(b, spec)
         for spec in specs:
             final = qerase.apply_channel(qerase.composite_initial(b, spec))
@@ -783,6 +782,17 @@ class TestPermutations:
                 want = numpy_permutation(perm) @ want
             got = numpy_permutation(compose_permutations(*perms))
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("perms", [
+        ((1, 0), (0, 0)),        # a later operand repeats a row
+        ((0, 1), (5, 6, 7)),     # a later operand is longer
+        ((0, 1, 2), (1, 0)),     # a later operand is shorter
+        ((0, 0),),               # the first operand alone
+        ((1, 2), (0, 1)),        # the first operand is no permutation of 0..1
+    ])
+    def test_compose_refuses_an_operand_that_is_no_permutation(self, perms):
+        with pytest.raises(ValueError, match="not a permutation of 0.."):
+            compose_permutations(*perms)
 
 
 class TestProducts:

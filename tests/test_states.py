@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qerase.states
 from conftest import assert_matrix_close, entry_bits, raised, random_density
+from qerase.channel import apply_channel
 from qerase.linalg import ComplexMatrix, density_matrix, diagonal, kron, trace
 from qerase.states import (
     BlochVector,
@@ -18,6 +19,7 @@ from qerase.states import (
     qubit_from_bloch,
     thermal_probs,
 )
+from qerase.thermo import analyze
 
 unit_interval = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 bloch_vectors = (
@@ -296,8 +298,7 @@ class TestCompositeInitial:
 
     @pytest.fixture
     def reservoir_builds(self, monkeypatch):
-        """Count reservoir builds, each of which reads the Gibbs weights once,
-        starting from an empty reservoir cache."""
+        """Record the x of each read of the Gibbs weights."""
         calls = []
         original = qerase.states._gibbs
 
@@ -305,23 +306,17 @@ class TestCompositeInitial:
             calls.append(x)
             return original(x)
 
-        qerase.states._reservoir_diagonal.cache_clear()
         monkeypatch.setattr(qerase.states, "_gibbs", counted)
-        yield calls
-        qerase.states._reservoir_diagonal.cache_clear()
+        return calls
 
-    def test_reservoir_state_is_built_once_per_thermal_point(self, reservoir_builds):
+    def test_each_call_reads_the_weights_once_at_beta_delta(self, reservoir_builds):
         b = BlochVector(0.5, 0.1, -0.2)
-        first, equal = ThermalSpec.from_beta(0.7), ThermalSpec.from_beta(0.7)
-        assert first == equal and first is not equal
-        composite_initial(b, first)
-        composite_initial(BlochVector(0.0, 0.3, 0.1), equal)
-        assert len(reservoir_builds) == 1
+        composite_initial(b, ThermalSpec.from_beta(0.7))
+        assert reservoir_builds == [0.7]
+        # x = beta * delta is the one value the weights read
         composite_initial(b, ThermalSpec.from_beta(0.7, delta=2.0))
-        assert len(reservoir_builds) == 2
-        # the cache key is x = beta * delta, the one value the weights read
-        composite_initial(b, ThermalSpec.from_beta(1.4))
-        assert reservoir_builds == [0.7, 1.4]
+        composite_initial(BlochVector(0.0, 0.3, 0.1), ThermalSpec.from_beta(1.4))
+        assert reservoir_builds == [0.7, 1.4, 1.4]
 
     def test_reservoir_is_shared_by_specs_that_differ_only_in_k_b(self, reservoir_builds):
         # the reservoir depends on beta and delta alone, and k_B only
@@ -331,35 +326,57 @@ class TestCompositeInitial:
         si = ThermalSpec(beta=0.7, delta=2.0, k_B=1.380649e-23)
         assert natural != si
         assert composite_initial(b, natural) == composite_initial(b, si)
-        assert len(reservoir_builds) == 1
+        assert reservoir_builds == [1.4, 1.4]
 
     @pytest.mark.parametrize("units", ["natural", "si"])
     @pytest.mark.parametrize("beta_delta", [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, math.inf])
     def test_reservoir_has_the_preselected_bits(self, beta_delta, units):
-        """The reservoir is cached as the four values of one diagonal built
-        from the Gibbs weights; each, signed zeros included, has the bits of
-        the diagonal of preselect_l0 applied to the Gibbs state."""
+        """The reservoir is formed as the four values of one diagonal from
+        the Gibbs weights; each, signed zeros included, has the bits of the
+        diagonal of preselect_l0 applied to the Gibbs state."""
         delta, k_B = (1.986e-22, 1.380649e-23) if units == "si" else (1.0, 1.0)
         specs = [ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)]
         if units == "si":
             specs.append(ThermalSpec.from_temperature(300.0, delta=delta, k_B=k_B))
 
         def bits(values):
-            return [(x.real.hex(), x.imag.hex()) for x in values]
+            return [(complex(x).real.hex(), complex(x).imag.hex()) for x in values]
 
         for spec in specs:
             want = bits(preselect_l0(gibbs_four_level(spec))._flat[::5])
             x = spec.beta * spec.delta
-            assert bits(qerase.states._reservoir_diagonal.__wrapped__(x)) == want
+            assert bits(qerase.states._reservoir_diagonal(x)) == want
+
+    @pytest.mark.parametrize(
+        "x", [0.0, 5e-324, 1e-300, 1.0, 50.0, 1e300, 1.7976931348623157e308, math.inf]
+    )
+    def test_reservoir_values_are_finite_and_nonnegative(self, x):
+        # the invariant that makes the reservoir a density matrix's diagonal
+        # for every x = beta * delta a ThermalSpec admits
+        values = qerase.states._reservoir_diagonal(x)
+        assert len(values) == 4
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert math.fsum(values) == pytest.approx(1.0, abs=1e-15)
+
+    def test_unphysical_weights_are_refused_where_the_state_enters_the_channel(
+        self, monkeypatch
+    ):
+        # the reservoir's values are not checked where they are formed; a
+        # negative weight still reaches the 8x8 density check on both paths
+        monkeypatch.setattr(qerase.states, "_gibbs", lambda x: (1.2, -0.2))
+        b, spec = BlochVector(0.5, 0.1, -0.2), ThermalSpec.from_beta(0.7)
+        with pytest.raises(ValueError, match="matrix has eigenvalue -"):
+            analyze(b, spec)
+        with pytest.raises(ValueError, match="matrix has eigenvalue -"):
+            apply_channel(composite_initial(b, spec))
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
-    def test_cached_reservoir_gives_the_uncached_product(self, beta):
+    def test_reservoir_gives_the_kron_of_the_preselected_state(self, beta):
         b = BlochVector(0.5, 0.1, -0.2)
         spec = ThermalSpec.from_beta(beta)
-        for _ in range(2):  # the cold call and the cached one
-            assert composite_initial(b, spec) == kron(
-                qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec))
-            )
+        assert composite_initial(b, spec) == kron(
+            qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec))
+        )
 
     @settings(max_examples=30)
     @given(bloch_vectors, st.floats(min_value=0.0, max_value=20.0, allow_nan=False))

@@ -370,6 +370,23 @@ class TestBattery:
         assert len(results) == 13
         assert all_passed(results)
 
+    @pytest.mark.parametrize("delta, draws, message", [
+        (-1.0, 5, "delta must be finite and >= 0, got -1.0"),
+        (math.nan, 5, "delta must be finite and >= 0, got nan"),
+        (math.inf, 5, "delta must be finite and >= 0, got inf"),
+        (1.0, 0, "draws must be >= 1, got 0"),
+    ])
+    def test_refuses_what_the_cli_refuses_before_any_check(
+        self, monkeypatch, delta, draws, message
+    ):
+        def unitarity(perm):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("qerase.verify.check_unitarity", unitarity)
+        with pytest.raises(ValueError) as exc:
+            run_verification(delta=delta, draws=draws)
+        assert str(exc.value) == message
+
     def test_all_passed_rejects_failures(self):
         good = CheckResult(name="a", status="pass", detail="")
         bad = CheckResult(name="b", status="fail", detail="")
