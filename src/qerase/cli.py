@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="level gap in joules; implies --units SI")
     p_erase.add_argument("--units", choices=("natural", "SI"), default=None)
     p_erase.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p_erase.add_argument("--output", default=None, metavar="PATH")
     p_erase.set_defaults(handler=cmd_erase)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a Bloch-sphere grid")
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_thermal.add_argument("--beta", type=_parse_float, default=None,
                                help="inverse temperature for Q_R (default inf)")
     sweep_thermal.add_argument("--temperature", type=_parse_float, default=None)
-    p_sweep.add_argument("--output", default=None, metavar="PATH")
     p_sweep.set_defaults(handler=cmd_sweep, format="csv")
 
     p_optics = sub.add_parser("optics", help="single-photon simulation of the channel")
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_optics.add_argument("--p1", type=float, default=1.0,
                           help="weight on input path 1 (default 1; path 2 gets the rest)")
     p_optics.add_argument("--format", choices=("json", "text"), default="json")
-    p_optics.add_argument("--output", default=None, metavar="PATH")
     p_optics.set_defaults(handler=cmd_optics)
 
     p_verify = sub.add_parser("verify", help="run the self-check battery")
@@ -371,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--draws", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=None)  # None: verify.DEFAULT_SEED
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
-    p_verify.add_argument("--output", default=None, metavar="PATH")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_convert = sub.add_parser("convert-units",
@@ -381,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     convert_group.add_argument("--kelvin", type=_parse_float, default=None)
     convert_group.add_argument("--natural", type=_parse_float, default=None,
                                help="temperature in units of delta/k_B")
-    p_convert.add_argument("--output", default=None, metavar="PATH")
     p_convert.set_defaults(handler=cmd_convert_units, format="json")
 
+    for p in sub.choices.values():  # last, so each help lists it last
+        p.add_argument("--output", default=None, metavar="PATH")
     return parser
 
 

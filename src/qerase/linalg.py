@@ -10,8 +10,8 @@ permutation is a tuple, its column -> row map: `perm[c]` is the row of the 1
 in column c. It is applied and composed without a dense matrix.
 
 Each plan is validated and cached once per shape; its kernel is compiled
-from plain int positions on first use, so importing the module compiles
-nothing. The builders:
+from plain int positions on first use, by `_compile`, so importing the
+module compiles nothing. The builders:
 - `_relabeling`: the getter of the flat entries in a permutation's order;
 - `_kron_kernel`: a product with a diagonal right factor, for `_kron`;
 - `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
@@ -192,12 +192,18 @@ def _kron(
     return ComplexMatrix._wrap(entries, a._dim * nb)
 
 
+def _compile(source: str, name: str) -> Callable:
+    """The lambda `source`, evaluated in this module's namespace under the file
+    name `<qerase {name}>`: a traceback names the builder and key that raised."""
+    return eval(compile(source, f"<qerase {name}>", "eval"), globals())
+
+
 @lru_cache(maxsize=64)
 def _kron_kernel(
     na: int, nb: int, perm: tuple[int, ...] | None
 ) -> Callable[[tuple, list], tuple[tuple, tuple]]:
-    """One function compiled by one `eval` per shape, of a's na * na flat
-    entries a and nb + 1 factors v, the values as complex and a 0j:
+    """The `_compile`d function per shape of a's na * na flat entries a and
+    nb + 1 factors v, the values as complex and a 0j:
     `lambda a, v: (((t0 := a[0] * v[0]), ..., (tK := a[na^2 - 1] * v[nb])),
     (tI, tJ, ...))`. Each entry of `kron(a, diagonal(values))` is
     a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so these na^2
@@ -216,7 +222,8 @@ def _kron_kernel(
         order = _relabeling(perm, na * nb)(order)
     products = "".join(f"(t{p * width + k} := a[{p}] * v[{k}]), "
                        for p in range(na * na) for k in range(width))
-    return eval(f"lambda a, v: (({products}), ({''.join(f't{t}, ' for t in order)}))")
+    return _compile(f"lambda a, v: (({products}), ({''.join(f't{t}, ' for t in order)}))",
+                    f"kron {na}x{na} by {nb} {perm}")
 
 
 def partial_trace(
@@ -245,11 +252,12 @@ def _trace_plan(
     kept-block entries in row-major order, each the `_sum_chain` of its
     positions in `_trace_groups`. With `corner` it maps them to entry (0, 0)
     alone, a 1-tuple: the chain the full kernel sums first, with its bits,
-    for a caller that reads only that entry. It is compiled once here,
+    for a caller that reads only that entry. It is `_compile`d once here,
     `lambda f: (<_sum_chains>)`, from those positions, never from the values
     passed in."""
     groups, dim = _trace_groups(dims, keep, n)
-    return eval(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})"), dim
+    return _compile(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})",
+                    f"trace {n}x{n} {dims} {keep}{' corner' if corner else ''}"), dim
 
 
 def _trace_groups(
@@ -334,8 +342,8 @@ def _pattern_plan(
     block when m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a
     relabeling and its spectrum is the union of the blocks' spectra.
 
-    The kernel, compiled by one `eval` from the plan's own int positions, the
-    only values in the source, is `check(f, h=HERMITICITY_TOL, t=TRACE_TOL)`
+    The kernel, `_compile`d from the plan's own int positions, the only
+    values in the source, is `check(f, h=HERMITICITY_TOL, t=TRACE_TOL)`
     on the flat entries f, its default tolerances bound when it is compiled.
     It returns `(defect, None, None)` if the defect is above h, else
     `(defect, trace, None)` if |trace - 1| > t, else `(defect, trace,
@@ -386,10 +394,11 @@ def _pattern_plan(
         return f"*_jacobi_eigenvalues(({rows}))"
 
     defects = "".join(f"abs(f[{i * n + j}] - f[{j * n + i}].conjugate()), " for i, j in pairs)
-    check = eval(f"lambda f, h=HERMITICITY_TOL, t=TRACE_TOL: (defect, None, None)"
-                 f" if (defect := max(({defects}0.0,))) > h else (defect, tr, None)"
-                 f" if abs((tr := {_sum_chain(range(0, n * n, n + 1))}) - 1.0) > t"
-                 f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))")
+    check = _compile(f"lambda f, h=HERMITICITY_TOL, t=TRACE_TOL: (defect, None, None)"
+                     f" if (defect := max(({defects}0.0,))) > h else (defect, tr, None)"
+                     f" if abs((tr := {_sum_chain(range(0, n * n, n + 1))}) - 1.0) > t"
+                     f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))",
+                     f"pattern {n}x{n} {nonzero}")
     return check, blocks
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .linalg import (
     ComplexMatrix,
     _check_permutation,
+    _compile,
     _density_spectrum,
     _kron,
     _relabeling,
@@ -282,7 +283,7 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
 def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """`_cross_check`'s trace route for the channel `perm`, with the bits of
     propagating the state and tracing it: one function of the initial
-    state's flat entries f, compiled by one `eval` from plain int positions,
+    state's flat entries f, `linalg._compile`d from plain int positions,
     `lambda f: (((r9 := f[9].real), (r18 := f[18].real), ...), (<marginal>),
     q_m, q_r, u_i, u_f)`, whose first output only binds names.
 
@@ -315,4 +316,4 @@ def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
     reals = "".join(f"(r{p} := f[{p}].real), "
                     for p in sorted({9 * k for k in summed} | {source[9 * k] for k in summed}))
     marginal = _sum_chains([[source[p] for p in group] for group in groups])
-    return eval(f"lambda f: (({reals}), ({marginal}), {sums})")
+    return _compile(f"lambda f: (({reals}), ({marginal}), {sums})", f"route {perm}")

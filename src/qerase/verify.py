@@ -105,19 +105,20 @@ def check_circuit_synthesis() -> CheckResult:
 def _sampled(name, draws, rng, deviation, tol, fail_fmt, pass_fmt) -> CheckResult:
     """Draw `draws` Bloch vectors, the k-th at beta = BETA_GRID[k % 5], and
     fail at the first whose `deviation(b, spec)` exceeds `tol`. `fail_fmt`
-    gets `k` and that `gap`; `pass_fmt` gets `draws` and the `worst` gap. A
-    draw whose deviation raises ArithmeticError, as `analyze` does when its
-    two routes disagree, fails with the error's message."""
+    gets `k` and that `gap`, so a NaN gap fails too; `pass_fmt` gets `draws`
+    and the `worst` gap. A draw whose deviation raises ArithmeticError, as
+    `analyze` does when its two routes disagree, or ValueError, as a density
+    check does, fails with the error's message."""
     worst = 0.0
     for k in range(draws):
         b = random_bloch(rng)
         try:
             gap = deviation(b, ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)]))
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             return _result(name, False, f"draw {k}: {exc}")
-        worst = max(worst, gap)
-        if gap > tol:
+        if not gap <= tol:
             return _result(name, False, fail_fmt.format(k=k, gap=gap))
+        worst = max(worst, gap)
     return _result(name, True, pass_fmt.format(draws=draws, worst=worst))
 
 
@@ -141,7 +142,7 @@ def check_memory_reset(draws: int, rng: random.Random) -> CheckResult:
         spec = ThermalSpec(beta=BETA_GRID[k % len(BETA_GRID)])
         try:
             fid = memory_ground_fidelity(apply_channel(composite_initial(b, spec)))
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             return _result("memory_reset", False, f"draw {k}: {exc}")
         worst = min(worst, fid)
         if fid < 1.0 - 1e-12:

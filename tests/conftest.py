@@ -1,5 +1,6 @@
 import random
 from contextlib import contextmanager
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ def raised(call):
         return call()
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def decimal_qubit_spectrum(m: ComplexMatrix) -> tuple[Decimal, Decimal]:
+    """Both eigenvalues of a 2x2 matrix's Hermitian part, (a+d)/2 -/+
+    sqrt(((a-d)/2)^2 + |b|^2) with b = (m01 + conj(m10))/2, in 50-digit
+    decimal arithmetic: exact to far below a double's ulp."""
+    (a, b), (c, d) = m.rows
+    with localcontext(Context(prec=50)):
+        a, d = Decimal(a.real), Decimal(d.real)
+        re = (Decimal(b.real) + Decimal(c.real)) / 2
+        im = (Decimal(b.imag) - Decimal(c.imag)) / 2
+        radius = (((a - d) / 2) ** 2 + re**2 + im**2).sqrt()
+        return (a + d) / 2 - radius, (a + d) / 2 + radius
 
 
 def random_matrix(rng: random.Random, n: int) -> ComplexMatrix:

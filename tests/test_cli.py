@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -716,6 +717,16 @@ class TestParserPlumbing:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "qerase"
+
+    def test_output_is_each_subcommand_s_last_option(self):
+        """Every subcommand takes `--output PATH`, added after its own
+        options, so each help lists it last."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["convert-units", "erase", "optics", "sweep", "verify"]
+        for name, parser in sub.choices.items():
+            last = parser._actions[-1]
+            assert (last.option_strings, last.default, last.metavar) == (
+                ["--output"], None, "PATH"), name
 
     @pytest.mark.parametrize("text, code", [
         ("inf", 0), (" INF ", 0), ("Infinity", 0), ("+inf", 0), ("infinite", 0),

@@ -1,4 +1,3 @@
-import builtins
 import cmath
 import functools
 import itertools
@@ -21,6 +20,7 @@ import qerase.states
 import qerase.thermo
 from conftest import (
     assert_matrix_close,
+    decimal_qubit_spectrum,
     entry_bits,
     numpy_permutation,
     raised,
@@ -411,6 +411,12 @@ class TestFlatKernelsBitForBit:
             diagonal(cases[0]))
         assert _value_or_message(density_matrix, diagonal(cases[2])) == (
             "ValueError", f"trace {trace(diagonal(cases[2]))!r} differs from 1 by more than 1e-12")
+
+
+def _compiles():
+    """Each kernel builder's cache misses, one per kernel it has compiled."""
+    return [f.cache_info().misses for f in (qerase.linalg._kron_kernel, qerase.linalg._trace_plan,
+                                            qerase.linalg._pattern_plan, qerase.thermo._route_kernel)]
 
 
 def _edge_grid():
@@ -1043,7 +1049,7 @@ class TestTraceKernels:
             assert entry_bits(got) == entry_bits(want)
         _trace_plan.cache_clear()
 
-    def test_a_warm_trace_compiles_nothing(self, monkeypatch):
+    def test_a_warm_trace_compiles_nothing(self):
         b = BlochVector(0.3, -0.2, 0.4)
         spec = ThermalSpec.from_beta(0.7)
         rng = random.Random(64)
@@ -1059,47 +1065,60 @@ class TestTraceKernels:
                     qerase.memory_ground_fidelity(final).hex(), repr(qerase.analyze(b, spec)))
 
         want = outputs()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a warm trace compiled a kernel")
-
-        monkeypatch.setattr(builtins, "eval", refuse)
+        cold = _compiles()
         assert outputs() == want
+        assert _compiles() == cold
 
     def test_import_builds_no_kernel(self):
-        """A fresh interpreter that imports the modules makes no `eval`
-        call from the package, whatever its source (`namedtuple`'s own, in
-        the standard library, are not the package's; the recorder evaluates
-        in its caller's namespaces, as `eval` does); its first marginal
-        compiles one kernel, by one `eval`, and so does each first density
-        check of a pattern, its one check kernel, and each first Kronecker
-        table; a second round compiles nothing."""
+        """A fresh interpreter that imports the modules compiles no kernel;
+        its first marginal compiles one trace kernel, and each first density
+        check of a pattern its one check kernel, and each first Kronecker
+        table its one product kernel; a second round compiles nothing. Only
+        the four builders call `_compile` (`test_stdlib_only`), so their
+        misses count every compile."""
         code = (
-            "import builtins, sys\n"
-            "kernels = []\n"
-            "real = builtins.eval\n"
-            "def seen(source, *rest):\n"
-            "    caller = sys._getframe(1)\n"
-            "    if caller.f_globals.get('__name__', '').startswith('qerase'):\n"
-            "        kernels.append(source)\n"
-            "    return real(source, *(rest or (caller.f_globals, caller.f_locals)))\n"
-            "builtins.eval = seen\n"
             "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
-            "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
-            "qerase.channel.memory_marginal(qerase.linalg.diagonal([0.125] * 8))\n"
-            "print(len(kernels), qerase.linalg._trace_plan.cache_info().misses)\n"
             "from qerase.linalg import _kron, density_matrix, diagonal\n"
+            "def misses():\n"
+            "    print(*[f.cache_info().misses for f in (qerase.linalg._kron_kernel,\n"
+            "        qerase.linalg._trace_plan, qerase.linalg._pattern_plan,\n"
+            "        qerase.thermo._route_kernel)])\n"
+            "misses()\n"
+            "qerase.channel.memory_marginal(diagonal([0.125] * 8))\n"
+            "misses()\n"
             "for _ in range(2):\n"
             "    density_matrix(diagonal([0.5, 0.5]))\n"
             "    density_matrix(diagonal([0.125] * 8))\n"
             "    _kron(diagonal([1.0, 0.0]), [0.5, 0.5])\n"
-            "    print(len(kernels))\n"
+            "    misses()\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n") == ["0 0", "1 1", "4", "4", ""]
+        assert proc.stdout.split("\n") == ["0 0 0 0", "0 1 0 0", "1 1 2 0", "1 1 2 0", ""]
+
+    def test_each_kernel_is_named_by_its_builder_and_key(self):
+        """`_compile` names each kernel's code `<qerase {builder} {key}>`."""
+        perm = qerase.channel.ERASURE_PERMUTATION
+        kernels = {
+            "kron 2x2 by 4 None": qerase.linalg._kron_kernel(2, 4, None),
+            "trace 8x8 (2, 2, 2) (0,) corner": _trace_plan((2, 2, 2), (0,), 8, True)[0],
+            "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2)[0],
+            f"route {perm}": qerase.thermo._route_kernel(perm),
+        }
+        assert {f"<qerase {name}>" for name in kernels} == {
+            kernel.__code__.co_filename for kernel in kernels.values()}
+
+    def test_a_kernel_that_raises_is_named_in_the_traceback(self):
+        """An `abs` that overflows in the defect raises inside the pattern's
+        check kernel, and the innermost frame names that kernel."""
+        with pytest.raises(OverflowError) as info:
+            density_matrix(ComplexMatrix([[0.5, 1.5e308 + 1.5e308j], [0, 0.5]]))
+        tb = info.tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_filename == "<qerase pattern 2x2 (0, 1, 2, 3)>"
 
 
 class TestEigensolver:
@@ -1337,29 +1356,18 @@ class TestDensityValidation:
         """Both eigenvalues of 6,000 density blocks, near-pure ones
         included, within 1 ulp(1) of a 50-digit oracle."""
         rng = random.Random(25)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            for m in itertools.chain.from_iterable(self._qubit_blocks(rng) for _ in range(10)):
-                (a, b), (_, d) = m.rows
-                a, d = Decimal(a.real), Decimal(d.real)
-                radius = (((a - d) / 2) ** 2 + Decimal(b.real) ** 2 + Decimal(b.imag) ** 2).sqrt()
-                exact = ((a + d) / 2 - radius, (a + d) / 2 + radius)
-                for lam, want in zip(hermitian_eigenvalues(m), exact):
-                    assert abs(Decimal(lam) - want) <= Decimal(math.ulp(1.0))
+        for m in itertools.chain.from_iterable(self._qubit_blocks(rng) for _ in range(10)):
+            for lam, want in zip(hermitian_eigenvalues(m), decimal_qubit_spectrum(m)):
+                assert abs(Decimal(lam) - want) <= Decimal(math.ulp(1.0))
 
     def test_closed_form_2x2_matches_exact_arithmetic_on_indefinite_blocks(self):
         rng = random.Random(23)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            for _ in range(300):
-                m = random_hermitian(rng, 2)
-                (a, b), (_, d) = m.rows
-                a, d = Decimal(a.real), Decimal(d.real)
-                radius = (((a - d) / 2) ** 2 + Decimal(b.real) ** 2 + Decimal(b.imag) ** 2).sqrt()
-                exact = ((a + d) / 2 - radius, (a + d) / 2 + radius)
-                scale = float(max(map(abs, exact)))
-                for lam, want in zip(hermitian_eigenvalues(m), exact):
-                    assert abs(Decimal(lam) - want) <= 2 * Decimal(math.ulp(scale))
+        for _ in range(300):
+            m = random_hermitian(rng, 2)
+            exact = decimal_qubit_spectrum(m)
+            scale = float(max(map(abs, exact)))
+            for lam, want in zip(hermitian_eigenvalues(m), exact):
+                assert abs(Decimal(lam) - want) <= 2 * Decimal(math.ulp(scale))
 
     def test_block_screen_decides_as_the_full_spectrum(self):
         """Random, randomly permuted block-diagonal states with the smallest
@@ -1582,10 +1590,10 @@ class TestDensityValidation:
 
     def test_warm_density_checks_and_tables_compile_nothing(self, monkeypatch):
         """After one pass of analyze and the propagate calls over the edge
-        grid, a second pass with `builtins.eval` refusing gives the same
-        bits, and so does a density check of every matrix the first pass
-        checked, one of each of the grid's nonzero patterns and more: every
-        pattern's check kernel, the Kronecker table and analyze's route kernel come
+        grid, a second pass compiles no kernel and gives the same bits, and
+        so does a density check of every matrix the first pass checked, one
+        of each of the grid's nonzero patterns and more: every pattern's
+        check kernel, the Kronecker table and analyze's route kernel come
         from the caches, the route one hit per analyze."""
         seen = []
         plan = qerase.linalg._plan
@@ -1607,13 +1615,11 @@ class TestDensityValidation:
         want_checks = checks()
         assert len({(m.dim, tuple(map(bool, m._flat))) for m in seen}) >= 8
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a warm density check or product compiled a kernel")
-
+        cold = _compiles()
         routes = qerase.thermo._route_kernel.cache_info()
-        monkeypatch.setattr(builtins, "eval", refuse)
         assert outputs() == want
         assert checks() == want_checks
+        assert _compiles() == cold
         warm = qerase.thermo._route_kernel.cache_info()
         assert (warm.misses, warm.hits - routes.hits) == (routes.misses, len(_edge_grid()))
 

@@ -94,6 +94,58 @@ def test_import_guard_sees_an_unused_name(tmp_path):
     assert unused_imports(probe) == ["math", "d"]
 
 
+COMPILERS = {"eval", "exec", "compile"}
+BUILDERS = {"linalg._kron_kernel", "linalg._trace_plan", "linalg._pattern_plan",
+            "thermo._route_kernel"}
+
+
+def references(path: Path) -> list[tuple[str, str]]:
+    """(module.function, name) for every name or attribute one source file
+    reads, the function being the top-level definition it sits in, or
+    `module.<module>` outside one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.append((where, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.append((where, node.attr))
+    return found
+
+
+def cached(path: Path) -> set[str]:
+    """module.function of every top-level function in one source file that
+    an `lru_cache(...)` decorates."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "lru_cache"
+                    for d in node.decorator_list)}
+
+
+def test_only_compile_turns_source_into_code():
+    """`eval`, `exec` and `compile` appear only inside `linalg._compile`, and
+    `_compile` is called only by the four `lru_cache`d kernel builders, so
+    each builder's `cache_info().misses` counts its compiles."""
+    found = [ref for path in SOURCES for ref in references(path)]
+    assert sorted({where for where, name in found if name in COMPILERS}) == ["linalg._compile"]
+    assert {where for where, name in found if name == "_compile"} == BUILDERS
+    assert BUILDERS <= set().union(*map(cached, SOURCES))
+
+
+def test_compile_guard_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import builtins\nrun = exec\n"
+        "def f(s):\n    return builtins.eval(s)\n"
+        "class C:\n    def g(self, s):\n        return compile(s, '', 'eval')\n"
+    )
+    assert [ref for ref in references(probe) if ref[1] in COMPILERS] == [
+        ("probe.<module>", "exec"), ("probe.f", "eval"), ("probe.C", "compile")]
+
+
 def loaded_modules(*args: str) -> set[str]:
     """Every module a fresh `python -S` loads while running `args`, read from
     its `-X importtime` log; module names do not depend on the host's speed."""
@@ -158,3 +210,30 @@ def test_erase_command_leaves_out_optics_and_csv():
     loaded = loaded_modules(*ERASE)
     assert "qerase.thermo" in loaded
     assert sorted(loaded & {"qerase.optics", "csv"}) == []
+
+
+FIRST_OPS = (
+    "import qerase\n"
+    "b, spec = qerase.BlochVector(0.3, -0.2, 0.4), qerase.ThermalSpec.from_beta(0.7)\n"
+    "qerase.analyze(b, spec)\n"
+    "final = qerase.apply_channel(qerase.composite_initial(b, spec))\n"
+    "photon = qerase.simulate(b, qerase.PathDistribution.from_beta(0.7))\n"
+    "qerase.memory_ground_fidelity(final), qerase.reservoir_marginal(final)\n"
+    "qerase.path_marginal(photon), qerase.polarization_marginal(photon)\n"
+    "from qerase import linalg, thermo\n"
+    "builders = (linalg._kron_kernel, linalg._trace_plan, linalg._pattern_plan,\n"
+    "            thermo._route_kernel)\n"
+    "assert all(f.cache_info().misses for f in builders)\n"
+)
+
+
+def test_compiling_kernels_loads_no_linecache():
+    """A kernel is compiled under its `<qerase ...>` name and its source is
+    not registered for tracebacks, so neither `erase` nor a first `analyze`
+    and propagate op, which compile every builder's kernels, loads
+    `linecache` or the `tokenize` it imports beyond what the bare
+    interpreter loads (3.13 loads `linecache` at start-up)."""
+    bare = loaded_modules("-c", "pass")
+    for loaded in (loaded_modules(*ERASE), loaded_modules("-c", FIRST_OPS)):
+        assert "qerase.thermo" in loaded
+        assert sorted((loaded - bare) & {"linecache", "tokenize"}) == []

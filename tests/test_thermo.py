@@ -17,6 +17,7 @@ import qerase.linalg
 import qerase.thermo
 from qerase.cli import main
 from conftest import (
+    decimal_qubit_spectrum,
     entry_bits,
     numpy_permutation,
     raised,
@@ -175,17 +176,11 @@ def _block_state(rng, n):
 
 
 def _decimal_entropy(rho):
-    """-sum lam ln lam over the exact spectrum of a 2x2 state's Hermitian
-    part, (a+d)/2 -/+ sqrt(((a-d)/2)^2 + |b|^2) with b = (rho01 + conj(rho10))/2,
-    in 50-digit decimal arithmetic. Negative eigenvalues count as zeros, as
-    in von_neumann_entropy. Returns the entropy and the exact eigenvalues."""
-    (a, b), (c, d) = rho.rows
+    """-sum lam ln lam over `decimal_qubit_spectrum(rho)`, in 50-digit
+    decimal arithmetic. Negative eigenvalues count as zeros, as in
+    von_neumann_entropy. Returns the entropy and the exact eigenvalues."""
+    spectrum = decimal_qubit_spectrum(rho)
     with decimal.localcontext(decimal.Context(prec=50)):
-        a, d = decimal.Decimal(a.real), decimal.Decimal(d.real)
-        re = (decimal.Decimal(b.real) + decimal.Decimal(c.real)) / 2
-        im = (decimal.Decimal(b.imag) - decimal.Decimal(c.imag)) / 2
-        radius = (((a - d) / 2) ** 2 + re**2 + im**2).sqrt()
-        spectrum = ((a + d) / 2 - radius, (a + d) / 2 + radius)
         s = -sum(lam * lam.ln() for lam in spectrum if lam > 0)
         return max(s, decimal.Decimal(0)), spectrum
 
@@ -1171,14 +1166,6 @@ class TestAnalyze:
                 assert report.landauer_violated == (report.landauer_margin > 0.0)
 
 
-def _outcome(call):
-    """The value of call(), or its error as (type name, message)."""
-    try:
-        return call()
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 EDGE_GAPS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 ENERGIES = ("q_memory", "q_reservoir", "q_environment", "photon_energy", "u_initial", "u_final")
 # the smallest value whose double is inf: 2**1024 less half an ulp of the largest double
@@ -1272,8 +1259,8 @@ class TestScaleCovariance:
         b = BlochVector(r * math.sin(theta) * math.cos(phi), r * math.sin(theta) * math.sin(phi),
                         r * math.cos(theta))
         spec = ThermalSpec(beta=beta_delta / delta, delta=delta, k_B=k_B)
-        report = _outcome(lambda: analyze(b, spec))
-        unit = _outcome(lambda: analyze(b, ThermalSpec(beta=spec.beta * delta)))
+        report = raised(lambda: analyze(b, spec))
+        unit = raised(lambda: analyze(b, ThermalSpec(beta=spec.beta * delta)))
         if not isinstance(unit, ErasureReport):
             assert report == unit
             return

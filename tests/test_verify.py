@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qerase.channel
+import qerase.states
+import qerase.thermo
 import qerase.verify
 from conftest import numpy_permutation, to_numpy
 from qerase.cli import main
@@ -155,6 +157,12 @@ class TestCheckFailures:
         result = check_memory_reset(draws=5, rng=random.Random(4))
         assert (result.status, result.detail) == ("fail", "draw 0: fidelity 0.5")
 
+    def test_a_nan_deviation_fails_its_draw(self, monkeypatch):
+        # a NaN is over no tolerance by `>`, and `max` would drop it
+        monkeypatch.setattr(qerase.thermo, "entropy_decrease", lambda b: math.nan)
+        result = check_memory_entropy_drop(draws=5, rng=random.Random(1))
+        assert (result.status, result.detail) == ("fail", "draw 0: route gap nan")
+
     def test_reservoir_heat_sign_catches_a_negative_heat(self, monkeypatch):
         monkeypatch.setattr(qerase.verify, "heat_reservoir", lambda b, spec: -1e-3)
         result = check_reservoir_heat_sign(draws=5, rng=random.Random(4))
@@ -297,6 +305,26 @@ class TestWrongChannelMaps:
         assert main(["verify", "--draws", "40"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
+        assert [c["name"] for c in doc["checks"]] == [r.name for r in results]
+
+
+    def test_battery_lists_every_check_when_a_state_is_refused(self, monkeypatch, capsys):
+        # a reservoir with a negative population fails the density check of
+        # every state a sampled check forms: those checks fail and name the
+        # draw and the refusal, the battery still lists all 13, and the CLI
+        # exits 1, not 2, its code for input it refuses
+        monkeypatch.setattr(qerase.states, "_gibbs", lambda x: (1.2, -0.2))
+        results = run_verification(draws=5)
+        assert len(results) == 13
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == [
+            "closed_form", "memory_reset", "entropy_conservation", "memory_entropy_drop",
+            "memory_heat_temperature_independence", "energy_conservation",
+        ]
+        for result in failed:
+            assert re.fullmatch(r"draw 0: matrix has eigenvalue \S+ below -1e-10", result.detail)
+        assert main(["verify", "--draws", "5"]) == 1
+        doc = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in doc["checks"]] == [r.name for r in results]
 
 
