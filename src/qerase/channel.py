@@ -96,16 +96,21 @@ def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
 
 def _checked_input(rho: ComplexMatrix) -> tuple[ComplexMatrix, tuple[int, ...]]:
     """The checks of `apply_channel`, in its order: rho validated as an 8x8
-    density matrix, and the erasure permutation it applies, read once and
-    checked against the CNOT composition."""
+    density matrix, and the erasure permutation it applies (`_checked_map`)."""
     rho = density_matrix(rho)
     if rho.dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho.dim}")
+    return rho, _checked_map()
+
+
+def _checked_map() -> tuple[int, ...]:
+    """The permutation half of `_checked_input`: `ERASURE_PERMUTATION`, read
+    once, or ArithmeticError where it is not the CNOT composition."""
     perm = ERASURE_PERMUTATION
     if perm != _CNOT_PERMUTATION:
         raise ArithmeticError(f"erasure permutation: {perm} "
                               f"is not the CNOT circuit's {_CNOT_PERMUTATION}")
-    return rho, perm
+    return perm
 
 
 def reservoir_final_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

@@ -14,10 +14,13 @@ from plain int positions on first use, by `_compile`, so importing the
 module compiles nothing. The builders:
 - `_relabeling`: the getter of the flat entries in a permutation's order;
 - `_kron_kernel`: a product with a diagonal right factor, for `_kron`;
+- `_product_kernel`: its products alone, which `thermo._route_kernel` reads;
 - `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
   positions in `_trace_groups`;
 - `_pattern_plan`: the density check and the solve of a nonzero pattern,
-  looked up by `_plan`, a block of 3 or more solved by `_jacobi_eigenvalues`.
+  looked up by `_plan`, written by `_check_source` (`thermo._route_kernel`
+  uses it too) and judged by `_judged`; a block of 3 or more is solved by
+  `_jacobi_eigenvalues`.
 """
 
 import cmath
@@ -119,7 +122,13 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
-    if sorted(perm) != list(range(n)):
+    """ValueError unless perm lists 0..n - 1, each an `operator.index`
+    integer: 0.0 sorts and compares as 0, but is refused."""
+    try:
+        entries = sorted(map(operator.index, perm))
+    except TypeError:
+        entries = None
+    if entries != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(perm)}")
 
 
@@ -210,20 +219,38 @@ def _kron_kernel(
     (nb + 1) products form it bit for bit, each made once. The first tuple
     holds them, p major, the products a loop over a and then v makes, so
     scanning it is scanning every product `_kron` forms. The second lists
-    the (na nb)^2 entries in row-major order, entry (ia nb + ib, ja nb + jb)
-    the product of a[ia, ja] with v[ib] where ib == jb and with v[nb], the
-    0j, elsewhere; unless perm is None, `_relabeling`, which validates perm,
-    composes the order `permute` gives into that list. The source holds
-    only plain int positions, never the values."""
-    width = nb + 1
-    order = [(ia * na + ja) * width + (ib if ib == jb else nb)
-             for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
+    the (na nb)^2 entries in row-major order (`_kron_order`); unless perm is
+    None, `_relabeling`, which validates perm, composes the order `permute`
+    gives into that list. The source holds only plain int positions, never
+    the values."""
+    order = _kron_order(na, nb)
     if perm is not None:
         order = _relabeling(perm, na * nb)(order)
-    products = "".join(f"(t{p * width + k} := a[{p}] * v[{k}]), "
-                       for p in range(na * na) for k in range(width))
-    return _compile(f"lambda a, v: (({products}), ({''.join(f't{t}, ' for t in order)}))",
+    return _compile(f"lambda a, v: (({_products(na, nb)}), ({''.join(f't{t}, ' for t in order)}))",
                     f"kron {na}x{na} by {nb} {perm}")
+
+
+@lru_cache(maxsize=8)
+def _product_kernel(na: int, nb: int) -> Callable[[tuple, list], tuple]:
+    """`_kron_kernel(na, nb, None)`'s first output alone, from the same
+    source, `lambda a, v: ((t0 := a[0] * v[0]), ...)`, for a caller that
+    reads each entry as its product, which `_kron_order` names."""
+    return _compile(f"lambda a, v: ({_products(na, nb)})", f"products {na}x{na} by {nb}")
+
+
+def _products(na: int, nb: int) -> str:
+    """The source of each product a[p] * v[k], p major, bound to t<p (nb +
+    1) + k>."""
+    return "".join(f"(t{p * (nb + 1) + k} := a[{p}] * v[{k}]), "
+                   for p in range(na * na) for k in range(nb + 1))
+
+
+def _kron_order(na: int, nb: int) -> list[int]:
+    """The index in `_products` of each entry of `kron(a, diagonal(values))`,
+    row-major: entry (ia nb + ib, ja nb + jb) is a[ia, ja] times v[ib] where
+    ib == jb and times v[nb], the 0j, elsewhere."""
+    return [(ia * na + ja) * (nb + 1) + (ib if ib == jb else nb)
+            for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
 
 
 def partial_trace(
@@ -256,7 +283,8 @@ def _trace_plan(
     `lambda f: (<_sum_chains>)`, from those positions, never from the values
     passed in."""
     groups, dim = _trace_groups(dims, keep, n)
-    return _compile(f"lambda f: ({_sum_chains(groups[:1 if corner else None])})",
+    chains = _sum_chains([[f"f[{p}]" for p in group] for group in groups[:1 if corner else None]])
+    return _compile(f"lambda f: ({chains})",
                     f"trace {n}x{n} {dims} {keep}{' corner' if corner else ''}"), dim
 
 
@@ -271,21 +299,17 @@ def _trace_groups(
     The kept offsets u and the traced offsets t are the digit-times-stride
     sums over the kept and over the traced subsystems, their digits in
     lexicographic order, which is increasing offset; entry (u, v) sums the
-    positions (u + t) n + (v + t) over the traced offsets. Non-integral
-    values are rejected, not truncated. An integral float such as 2.0 hashes
-    like 2, so the two share a cached plan.
+    positions (u + t) n + (v + t) over the traced offsets. Non-finite and
+    non-integral values are rejected (`_integers`), not truncated. An
+    integral float such as 2.0 hashes like 2, so the two share a cached plan.
     """
-    if any(int(d) != d for d in dims):
-        raise ValueError("subsystem dimensions must be integers")
-    dims = tuple(map(int, dims))
+    dims = _integers(dims, "subsystem dimensions")
     if any(d <= 0 for d in dims):
         raise ValueError("subsystem dimensions must be positive")
     total = math.prod(dims)
     if total != n:
         raise ValueError(f"dimension mismatch: product of dims is {total}, matrix is {n}")
-    if any(int(k) != k for k in keep):
-        raise ValueError("keep indices must be integers")
-    keep = tuple(sorted(set(map(int, keep))))
+    keep = tuple(sorted(set(_integers(keep, "keep indices"))))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= len(dims):
@@ -298,13 +322,23 @@ def _trace_groups(
     return [[(u + t) * n + v + t for t in traced] for u in kept for v in kept], len(kept)
 
 
-def _sum_chains(groups: Sequence[Sequence[int]]) -> str:
+def _integers(values: tuple, what: str) -> tuple[int, ...]:
+    """values as plain ints, or ValueError for a NaN or infinite one, then
+    for a fractional one."""
+    if any(v != v or v in (math.inf, -math.inf) for v in values):
+        raise ValueError(f"{what} must be finite")
+    if any(int(v) != v for v in values):
+        raise ValueError(f"{what} must be integers")
+    return tuple(map(int, values))
+
+
+def _sum_chains(groups: Sequence[Sequence[str]]) -> str:
     """The `_sum_chain` of each group, each followed by a comma."""
     return "".join(_sum_chain(group) + "," for group in groups)
 
 
-def _sum_chain(group: Sequence[int]) -> str:
-    """The source of `0 + f[p] + f[q] + ...` over the plain int positions.
+def _sum_chain(terms: Sequence[str]) -> str:
+    """The source of `0 + f[p] + f[q] + ...` over the terms, such as `f[p]`.
 
     The chain runs left to right from int 0, exactly as `trace` adds the
     diagonal and as `sum` adds complex values through Python 3.13, so it
@@ -313,7 +347,7 @@ def _sum_chain(group: Sequence[int]) -> str:
     chain nests one level per term, so a group of more than 100 terms
     carries its running sum in `s` from one run of 100 to the next, within
     what the compiler can nest."""
-    runs = ["".join(f" + f[{p}]" for p in group[i:i + 100]) for i in range(0, len(group), 100)]
+    runs = ["".join(f" + {term}" for term in terms[i:i + 100]) for i in range(0, len(terms), 100)]
     return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 
 
@@ -336,17 +370,28 @@ def _plan(m: ComplexMatrix) -> tuple[Callable[..., tuple], tuple[tuple[int, ...]
 def _pattern_plan(
     nonzero: tuple[int, ...], n: int
 ) -> tuple[Callable[..., tuple], tuple[tuple[int, ...], ...]]:
-    """For the n x n pattern whose nonzero flat positions are `nonzero`: its
-    check kernel and its blocks, each once, in order of smallest index, merged
-    here over each pair i <= j with a nonzero member. Indices i and j share a
-    block when m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a
-    relabeling and its spectrum is the union of the blocks' spectra.
+    """The check kernel and the blocks of the n x n pattern whose nonzero
+    flat positions are `nonzero` (`_check_source`): `_compile`d here as
+    `check(f, htol=HERMITICITY_TOL, ttol=TRACE_TOL)` on the flat entries f,
+    its default tolerances bound when it is compiled."""
+    source, blocks = _check_source(nonzero, n, [f"f[{p}]" for p in range(n * n)])
+    return _compile(f"lambda f, htol=HERMITICITY_TOL, ttol=TRACE_TOL: {source}",
+                    f"pattern {n}x{n} {nonzero}"), blocks
 
-    The kernel, `_compile`d from the plan's own int positions, the only
-    values in the source, is `check(f, h=HERMITICITY_TOL, t=TRACE_TOL)`
-    on the flat entries f, its default tolerances bound when it is compiled.
-    It returns `(defect, None, None)` if the defect is above h, else
-    `(defect, trace, None)` if |trace - 1| > t, else `(defect, trace,
+
+def _check_source(
+    nonzero: Sequence[int], n: int, f: Sequence[str]
+) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The source of the density check of the n x n pattern whose nonzero
+    flat positions are `nonzero`, entry p read as f[p], its tolerances named
+    `htol` and `ttol`, holding no value but the plan's own int positions;
+    and its blocks, each once, in order of smallest index, merged over each
+    pair i <= j with a nonzero member. Indices i and j share a block when
+    m[i, j] or m[j, i] is nonzero, so m is block diagonal up to a relabeling
+    and its spectrum is the union of the blocks' spectra.
+
+    The check is `(defect, None, None)` if the defect is above htol, else
+    `(defect, trace, None)` if |trace - 1| > ttol, else `(defect, trace,
     sorted(spectrum))`: the conditional expression solves only past both
     tests. The defect is `max((abs(f[p] - f[q].conjugate()), ..., 0.0))` over
     the pairs in order. Each term is finite or inf, and `max` keeps the first
@@ -379,33 +424,31 @@ def _pattern_plan(
 
     def solved(block):
         if len(block) == 1:
-            return f"f[{block[0] * (n + 1)}].real"
+            return f"{f[block[0] * (n + 1)]}.real"
         if len(block) == 2:
             i, j = block
-            a, d = f"(a := f[{i * (n + 1)}].real)", f"(d := f[{j * (n + 1)}].real)"
-            x, y = f"(x := f[{i * n + j}])", f"(y := f[{j * n + i}])"
+            a, d = f"(a := {f[i * (n + 1)]}.real)", f"(d := {f[j * (n + 1)]}.real)"
+            x, y = f"(x := {f[i * n + j]})", f"(y := {f[j * n + i]})"
             norm = (f"(abs(0.5 * u + 0.5 * v * 1j) if (u := {x}.real + {y}.real) - u"
                     f" == (v := x.imag - y.imag) - v else"
                     f" math.hypot(0.5 * x.real + 0.5 * y.real, 0.5 * x.imag - 0.5 * y.imag))")
             return (f"(m := 0.5 * p if (w := (p := {a} + {d}) - p == (k := a - d) - k)"
                     f" else 0.5 * a + 0.5 * d) - (r := math.hypot(0.5 * k if w else"
                     f" 0.5 * a - 0.5 * d, {norm})), m + r")
-        rows = "".join("(" + "".join(f"f[{i * n + j}], " for j in block) + "), " for i in block)
+        rows = "".join("(" + "".join(f"{f[i * n + j]}, " for j in block) + "), " for i in block)
         return f"*_jacobi_eigenvalues(({rows}))"
 
-    defects = "".join(f"abs(f[{i * n + j}] - f[{j * n + i}].conjugate()), " for i, j in pairs)
-    check = _compile(f"lambda f, h=HERMITICITY_TOL, t=TRACE_TOL: (defect, None, None)"
-                     f" if (defect := max(({defects}0.0,))) > h else (defect, tr, None)"
-                     f" if abs((tr := {_sum_chain(range(0, n * n, n + 1))}) - 1.0) > t"
-                     f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))",
-                     f"pattern {n}x{n} {nonzero}")
-    return check, blocks
+    defects = "".join(f"abs({f[i * n + j]} - {f[j * n + i]}.conjugate()), " for i, j in pairs)
+    return (f"(defect, None, None) if (defect := max(({defects}0.0,))) > htol"
+            f" else (defect, tr, None)"
+            f" if abs((tr := {_sum_chain(f[::n + 1])}) - 1.0) > ttol"
+            f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))"), blocks
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     """Ascending eigenvalues of m, each block of its nonzero pattern solved
     on its own, so a diagonal entry comes back exact: the solve of m's check
-    kernel (`_plan`), run with t = inf, no trace test, as `density_matrix`
+    kernel (`_plan`), run with ttol = inf, no trace test, as `density_matrix`
     runs it with its tolerances.
 
     Raises ValueError, before any solve, for a hermiticity defect above
@@ -502,7 +545,13 @@ def _density_spectrum(
     ascending spectrum, from one call of the check kernel of m's plan."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    defect, tr, spectrum = _plan(m)[0](m._flat)
+    return m, _judged(*_plan(m)[0](m._flat))
+
+
+def _judged(defect: float, tr: complex | None, spectrum: list[float] | None) -> list[float]:
+    """The spectrum of a check's `(defect, trace, spectrum)` at
+    `density_matrix`'s tolerances, or the ValueError of its first failed
+    test: hermiticity, trace, then the eigenvalue floor."""
     if tr is None:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -511,7 +560,7 @@ def _density_spectrum(
         raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")
     if spectrum[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {spectrum[0]:.3e} below {EIGENVALUE_FLOOR:.0e}")
-    return m, spectrum
+    return spectrum
 
 
 def density_matrix(m: ComplexMatrix | Iterable[Iterable[complex]]) -> ComplexMatrix:

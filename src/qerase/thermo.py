@@ -9,6 +9,8 @@ compares the two routes, in units of the gap, and `_route_kernel` builds
 the kernel that reads the twins off the initial state.
 """
 
+import cmath
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -17,9 +19,12 @@ from functools import lru_cache
 from .linalg import (
     ComplexMatrix,
     _check_permutation,
+    _check_source,
     _compile,
     _density_spectrum,
-    _kron,
+    _judged,
+    _kron_order,
+    _product_kernel,
     _relabeling,
     _sum_chains,
     _trace_groups,
@@ -34,7 +39,8 @@ from .states import (
     _reservoir_diagonal,
     qubit_from_bloch,
 )
-from .channel import MEMORY, SUBSYSTEM_DIMS, _bits, _checked_input
+from .channel import MEMORY, SUBSYSTEM_DIMS, _bits, _checked_map
+from . import channel  # its `_CNOT_PERMUTATION`, read per call as `_checked_map` reads it
 
 LN2 = math.log(2.0)
 ROUTE_TOL = 1e-10
@@ -244,17 +250,24 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     `spec.temperature` are plain arithmetic, so `analyze` raises for the
     record it would raise for judging each as it is made.
 
-    `apply_channel`'s checks run on the initial state and return the
-    permutation they checked, and `_route_kernel` for that permutation reads
-    the traced marginal and level sums off the initial state, so no final
-    state is formed. The marginal is checked finite, as `memory_marginal`
-    checks it, and a density matrix by the entropy.
+    The initial state is only its 20 Kronecker products t, scanned for
+    finiteness as `_kron` scans them. One `_route_kernel` call, keyed by the
+    CNOT composition and the nonzero products, checks the state as
+    `apply_channel` does and reads the traced marginal and level sums off
+    t. Then, in `_checked_input`'s order, the verdict is judged and the
+    erasure map checked to be that composition (`channel._checked_map`), so
+    a refused map builds no kernel. The marginal is checked finite, as
+    `memory_marginal` checks it, and a density matrix by the entropy.
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
-    # = composite_initial(b, spec), from the memory state formed above
-    rho_initial, perm = _checked_input(_kron(rho_memory, _reservoir_diagonal(x)))
-    _, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(perm)(rho_initial._flat)
+    t = _product_kernel(2, 4)(rho_memory._flat, [*map(complex, _reservoir_diagonal(x)), 0j])
+    if not all(map(cmath.isfinite, t)):
+        raise ValueError("matrix entries must be finite")
+    check, _, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(
+        channel._CNOT_PERMUTATION, tuple(itertools.compress(range(20), t)))(t)
+    _judged(*check)
+    _checked_map()
     delta_s = entropy_decrease(b)
     s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(
         ComplexMatrix._from_flat(marginal, 2))
@@ -280,19 +293,24 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
 
 
 @lru_cache(maxsize=64)
-def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """`_cross_check`'s trace route for the channel `perm`, with the bits of
-    propagating the state and tracing it: one function of the initial
-    state's flat entries f, `linalg._compile`d from plain int positions,
-    `lambda f: (((r9 := f[9].real), (r18 := f[18].real), ...), (<marginal>),
-    q_m, q_r, u_i, u_f)`, whose first output only binds names.
+def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """`_cross_check`'s check and trace route for the channel `perm` on an
+    initial state whose nonzero products are `key`, with the bits of checking
+    the gathered state, propagating it and tracing it: one function of the
+    20 products t (`linalg._product_kernel(2, 4)`), `linalg._compile`d from
+    plain int positions, `lambda t, htol=HERMITICITY_TOL, ttol=TRACE_TOL:
+    ((<check>), ((r9 := t[1].real), ...), (<marginal>), q_m, q_r, u_i,
+    u_f)`, whose second output only binds names. The initial flat position
+    p holds t[order[p]] (`linalg._kron_order`). The check, first, is the 8x8
+    `linalg._check_source` of the pattern key gives, so it returns and
+    raises as that pattern's check kernel does on the gathered entries.
 
     The channel moves entry (i, j) to (perm[i], perm[j]), so the final state's
     flat position p holds the initial one source[p]. The marginal is the four
     chains (`linalg._sum_chains`) that `memory_marginal` sums on
     `permute(rho, perm)`, each position read through source. Level k's
     initial population is r<9k>, its final one r<source[9k]>, and its change
-    (final - initial); the leading tuple reads the real part of each
+    (final - initial); the second tuple reads the real part of each
     diagonal entry a level sum names once into r<p>, in increasing p. A
     heat, Tr[(rho_f - rho_i)(H_sub (x) 1)], reads only the diagonal: it adds
     each change times its memory or reservoir level, and an energy adds each
@@ -302,6 +320,9 @@ def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
     finite, so the term is a zero, which leaves a running sum from +0.0,
     never -0.0, as it is. A term of level 1 is its value and one of level 2
     twice it, exactly, so each sum keeps the bits of the loop."""
+    order = _kron_order(2, 4)  # the memory qubit (x) the reservoir's 4 values
+    entries = [f"t[{k}]" for k in order]
+    check, _ = _check_source([p for p, k in enumerate(order) if k in key], 8, entries)
     source = _relabeling(perm, 8)(range(64))  # final flat position -> initial one
     groups, _ = _trace_groups(SUBSYSTEM_DIMS, (MEMORY,), 8)
     initial = [f"r{9 * k}" for k in range(8)]
@@ -313,7 +334,8 @@ def _route_kernel(perm: tuple[int, ...]) -> Callable[[tuple], tuple]:
         for values, levels in ((changes, _MEMORY_LEVELS), (changes, _RESERVOIR_LEVELS),
                                (initial, _COMPOSITE_LEVELS), (final, _COMPOSITE_LEVELS)))
     summed = [k for k, n in enumerate(_COMPOSITE_LEVELS) if n]  # the levels a sum reads
-    reals = "".join(f"(r{p} := f[{p}].real), "
+    reals = "".join(f"(r{p} := {entries[p]}.real), "
                     for p in sorted({9 * k for k in summed} | {source[9 * k] for k in summed}))
-    marginal = _sum_chains([[source[p] for p in group] for group in groups])
-    return _compile(f"lambda f: (({reals}), ({marginal}), {sums})", f"route {perm}")
+    marginal = _sum_chains([[entries[source[p]] for p in group] for group in groups])
+    return _compile(f"lambda t, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
+                    f" (({check}), ({reals}), ({marginal}), {sums})", f"route {perm} {key}")

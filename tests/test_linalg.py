@@ -415,8 +415,9 @@ class TestFlatKernelsBitForBit:
 
 def _compiles():
     """Each kernel builder's cache misses, one per kernel it has compiled."""
-    return [f.cache_info().misses for f in (qerase.linalg._kron_kernel, qerase.linalg._trace_plan,
-                                            qerase.linalg._pattern_plan, qerase.thermo._route_kernel)]
+    return [f.cache_info().misses for f in (
+        qerase.linalg._kron_kernel, qerase.linalg._product_kernel, qerase.linalg._trace_plan,
+        qerase.linalg._pattern_plan, qerase.thermo._route_kernel)]
 
 
 def _edge_grid():
@@ -795,10 +796,24 @@ class TestPermutations:
         ((0, 1, 2), (1, 0)),     # a later operand is shorter
         ((0, 0),),               # the first operand alone
         ((1, 2), (0, 1)),        # the first operand is no permutation of 0..1
+        ((1, 0), (0.0, 1)),      # a later operand's 0.0 sorts and compares as 0
+        ((0.0, 1), (1, 0)),      # so does the first operand's
+        ((1, 0), (Decimal(0), 1)),
     ])
     def test_compose_refuses_an_operand_that_is_no_permutation(self, perms):
         with pytest.raises(ValueError, match="not a permutation of 0.."):
             compose_permutations(*perms)
+
+    def test_an_entry_that_is_no_integer_is_no_permutation(self):
+        """An entry `operator.index` refuses is refused with the permutation
+        message, however it sorts: `permute`, which validates a plan when it
+        first caches it, refuses (1.0, 0) where no equal int plan is cached."""
+        rho = diagonal([0.25, 0.75])
+        qerase.linalg._relabeling.cache_clear()
+        for perm in ((1.0, 0), (True, 0.0), (1, "0"), (0.5, 1)):
+            with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: "):
+                permute(rho, perm)
+        assert permute(rho, (1, 0)) == diagonal([0.75, 0.25])
 
 
 class TestProducts:
@@ -915,6 +930,20 @@ class TestPartialTrace:
                 partial_trace(diagonal([1.0] * 4), (2.5, 2), {0})
             with pytest.raises(ValueError, match="keep indices must be integers"):
                 partial_trace(diagonal([1.0] * 4), (2, 2), {0.5})
+
+    @pytest.mark.parametrize("dims, keep, what", [
+        ((2, 2, math.inf), (0,), "subsystem dimensions"),
+        ((2, 2, -math.inf), (0,), "subsystem dimensions"),
+        ((2, math.nan, 2), (0,), "subsystem dimensions"),
+        ((2, 2, 2), (math.inf,), "keep indices"),
+        ((2, 2, 2), (0, math.nan), "keep indices"),
+    ])
+    def test_rejects_non_finite_dims_and_keep(self, dims, keep, what):
+        # int(inf) raises OverflowError and int(nan) a ValueError about the
+        # conversion: each is refused, before any int(), with its own message
+        for _ in ("not cached", "cached"):
+            with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+                partial_trace(diagonal([0.125] * 8), dims, keep)
 
     def test_rejects_non_integral_dims_and_keep(self):
         rho = diagonal([0.25] * 4)
@@ -1073,16 +1102,16 @@ class TestTraceKernels:
         """A fresh interpreter that imports the modules compiles no kernel;
         its first marginal compiles one trace kernel, and each first density
         check of a pattern its one check kernel, and each first Kronecker
-        table its one product kernel; a second round compiles nothing. Only
-        the four builders call `_compile` (`test_stdlib_only`), so their
+        table its one `_kron_kernel`; a second round compiles nothing. Only
+        the five builders call `_compile` (`test_stdlib_only`), so their
         misses count every compile."""
         code = (
             "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
             "from qerase.linalg import _kron, density_matrix, diagonal\n"
             "def misses():\n"
             "    print(*[f.cache_info().misses for f in (qerase.linalg._kron_kernel,\n"
-            "        qerase.linalg._trace_plan, qerase.linalg._pattern_plan,\n"
-            "        qerase.thermo._route_kernel)])\n"
+            "        qerase.linalg._product_kernel, qerase.linalg._trace_plan,\n"
+            "        qerase.linalg._pattern_plan, qerase.thermo._route_kernel)])\n"
             "misses()\n"
             "qerase.channel.memory_marginal(diagonal([0.125] * 8))\n"
             "misses()\n"
@@ -1096,16 +1125,17 @@ class TestTraceKernels:
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n") == ["0 0 0 0", "0 1 0 0", "1 1 2 0", "1 1 2 0", ""]
+        assert proc.stdout.split("\n") == ["0 0 0 0 0", "0 0 1 0 0", "1 0 1 2 0", "1 0 1 2 0", ""]
 
     def test_each_kernel_is_named_by_its_builder_and_key(self):
         """`_compile` names each kernel's code `<qerase {builder} {key}>`."""
-        perm = qerase.channel.ERASURE_PERMUTATION
+        perm, key = qerase.channel.ERASURE_PERMUTATION, (0, 2, 15, 17)
         kernels = {
             "kron 2x2 by 4 None": qerase.linalg._kron_kernel(2, 4, None),
+            "products 2x2 by 4": qerase.linalg._product_kernel(2, 4),
             "trace 8x8 (2, 2, 2) (0,) corner": _trace_plan((2, 2, 2), (0,), 8, True)[0],
             "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2)[0],
-            f"route {perm}": qerase.thermo._route_kernel(perm),
+            f"route {perm} {key}": qerase.thermo._route_kernel(perm, key),
         }
         assert {f"<qerase {name}>" for name in kernels} == {
             kernel.__code__.co_filename for kernel in kernels.values()}

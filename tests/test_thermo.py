@@ -1,3 +1,4 @@
+import collections
 import decimal
 import importlib.util
 import itertools
@@ -6,6 +7,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from qerase.linalg import (
 from qerase.states import (
     BlochVector,
     ThermalSpec,
+    _reservoir_diagonal,
     composite_initial,
     qubit_from_bloch,
 )
@@ -433,6 +436,11 @@ class TestCommutator:
         # is not available here; the identity works as the trivial case
         assert commutator_norm(tuple(range(8)), ThermalSpec(beta=1.0)) == 0.0
 
+    def test_refuses_a_permutation_with_a_float_entry(self):
+        # 0.0 sorts as 0, but indexes no level: a ValueError, not a TypeError
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.7: "):
+            commutator_norm((0.0, *range(1, 8)), ThermalSpec(beta=1.0))
+
     # `levels`: the spec whose gap sets the level energies
     @pytest.mark.parametrize("levels", [
         ThermalSpec(beta=1.0, delta=0.6),
@@ -576,6 +584,21 @@ class TestLandauerCheck:
         assert verdict.violated == (verdict.margin > 0.0)
 
 
+def _initial_products(b, spec):
+    """The 20 Kronecker products of composite_initial(b, spec) that
+    `_cross_check` forms, and the key of the nonzero ones."""
+    t = qerase.linalg._product_kernel(2, 4)(
+        qubit_from_bloch(b)._flat, [*map(complex, _reservoir_diagonal(spec.beta * spec.delta)), 0j])
+    return t, tuple(itertools.compress(range(20), t))
+
+
+def _fused_blocks(key):
+    """The blocks of the 8x8 density check the route kernel of `key` runs."""
+    order = qerase.linalg._kron_order(2, 4)
+    nonzero = [p for p, k in enumerate(order) if k in key]
+    return qerase.linalg._check_source(nonzero, 8, [f"f[{p}]" for p in range(64)])[1]
+
+
 class TestEigensolveCount:
     """The density checks on the propagation path solve no 8x8 spectrum:
     its states are 1x1 and 2x2 blocks, and the validation solves each block
@@ -599,8 +622,9 @@ class TestEigensolveCount:
     @pytest.fixture
     def solved_blocks(self, monkeypatch):
         """(entries, block) of every block whose spectrum is solved: each
-        check kernel `_plan` hands out records its blocks when it returns a
-        spectrum, which it solves only past its tests."""
+        check kernel `_plan` hands out, and the check of each route kernel,
+        records its blocks when it returns a spectrum, which it solves only
+        past its tests."""
         calls = []
         original = qerase.linalg._plan
 
@@ -616,6 +640,20 @@ class TestEigensolveCount:
             return counted, blocks
 
         monkeypatch.setattr(qerase.linalg, "_plan", planned)
+        route = qerase.thermo._route_kernel
+
+        def routed(perm, key):
+            kernel = route(perm, key)
+
+            def counted(t):
+                out = kernel(t)
+                if out[0][2] is not None:
+                    calls.extend((t, tuple(block)) for block in _fused_blocks(key))
+                return out
+
+            return counted
+
+        monkeypatch.setattr(qerase.thermo, "_route_kernel", routed)
         return calls
 
     def test_composite_state_has_two_coherent_blocks(self):
@@ -634,8 +672,8 @@ class TestEigensolveCount:
         assert solved_blocks and all(len(block) <= 2 for _, block in solved_blocks)
 
     def test_analyze_solves_only_the_two_entropies(self, solved_dims, solved_blocks):
-        # the 8x8 check solves the coherent pairs {0,4} and {2,6} and four
-        # 1x1 blocks; the initial memory is one 2x2 block; the final one,
+        # the 8x8 check, in the route kernel, solves the coherent pairs {0,4}
+        # and {2,6} and four 1x1 blocks; the initial memory is one 2x2 block; the final one,
         # erased to |g>, is two 1x1 blocks; the reservoir's values are formed
         # unchecked, so a repeat call solves the same blocks
         for _ in range(2):
@@ -647,21 +685,28 @@ class TestEigensolveCount:
         assert solved_dims == []
 
     def test_warm_analyze_keys_its_2x2_checks_by_layout(self, monkeypatch):
-        # apply_channel's 8x8 check keys the pattern plan by its nonzero
-        # positions; the two 2x2 entropies form no pattern key, each keyed
-        # by its layout alone, a linked or a diagonal 2x2
-        calls = []
-        original = qerase.linalg._pattern_plan
+        # the 8x8 check keys its route kernel by the nonzero products, no
+        # pattern of 64 entries; the two 2x2 entropies form no pattern key,
+        # each keyed by its layout alone, a linked or a diagonal 2x2
+        calls, routes = [], []
+        original, route = qerase.linalg._pattern_plan, qerase.thermo._route_kernel
 
         def counted(nonzero, n):
             calls.append((n, nonzero))
             return original(nonzero, n)
 
+        def routed(perm, key):
+            routes.append((perm, key))
+            return route(perm, key)
+
         analyze(self.B, self.SPEC)  # warms the plan caches
         monkeypatch.setattr(qerase.linalg, "_pattern_plan", counted)
+        monkeypatch.setattr(qerase.thermo, "_route_kernel", routed)
         analyze(self.B, self.SPEC)
-        assert [n for n, _ in calls] == [8, 2, 2]
-        assert all(key in ((0, 1, 2, 3), (0, 3)) for _, key in calls[1:])
+        assert [n for n, _ in calls] == [2, 2]
+        assert all(key in ((0, 1, 2, 3), (0, 3)) for _, key in calls)
+        # every entry of the qubit times the two nonzero reservoir values
+        assert routes == [(ERASURE_PERMUTATION, tuple(k for k in range(20) if k % 5 in (0, 2)))]
 
     def test_dense_state_entropy_solves_once(self, monkeypatch):
         loop_sizes = []
@@ -785,7 +830,8 @@ class TestPartialTraceCount:
         assert planned == [((2, 2, 2), (0,), 8)]  # one marginal, the memory's
         info = qerase.thermo._route_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION)(rho._flat)[1]
+        t, key = _initial_products(self.B, self.SPEC)
+        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t)[2]
         assert len(marginal) == 4 and marginal == want
 
     def test_one_route_is_compiled_per_permutation(self, wrong_channel):
@@ -823,9 +869,13 @@ class TestFusedRouteBitForBit:
     @staticmethod
     def _fused(b, spec):
         """The same, from the route kernel of the permutation the channel's
-        checks return and from `_cross_check`'s entropy record."""
+        checks return and of the initial state's nonzero products, and from
+        `_cross_check`'s entropy record; the kernel's density check is, bit
+        for bit, the check kernel of the gathered state's pattern."""
         rho_initial, perm = qerase.channel._checked_input(composite_initial(b, spec))
-        _, marginal, *sums = qerase.thermo._route_kernel(perm)(rho_initial._flat)
+        t, key = _initial_products(b, spec)
+        check, _, marginal, *sums = qerase.thermo._route_kernel(perm, key)(t)
+        assert repr(check) == repr(qerase.linalg._plan(rho_initial)[0](rho_initial._flat))
         [(name, _, s_drop, _, _), *_] = qerase.thermo._cross_check(b, spec)[1]
         assert name == "entropy decrease"
         return (entry_bits(ComplexMatrix._from_flat(marginal, 2)),
@@ -845,31 +895,38 @@ class TestFusedRouteBitForBit:
         assert [repr(raised(lambda: analyze(b, spec))) for b, spec in draws] == reports
 
     def test_the_route_reads_each_population_once(self):
-        """On entries that count their `.real` reads, every diagonal position
-        a level sum uses is read exactly once, through the name it is bound
-        to, and no other `.real` is read; the outputs keep their bits."""
-        reads = {}
+        """On products that count their `.real` reads, the route reads the
+        product of every diagonal position a level sum uses exactly once more
+        than the density check alone, through the name it is bound to, and
+        no other `.real`; the outputs keep their bits."""
+        reads = collections.Counter()
 
         class Counted(complex):
             @property
             def real(self):
-                reads[self.position] = reads.get(self.position, 0) + 1
+                reads[self.position] += 1
                 return complex.real.__get__(self)
 
-        def counted(p, value):
+        def counted(k, value):
             entry = Counted(value)
-            entry.position = p
+            entry.position = k
             return entry
 
         b, spec = BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)
-        flat = composite_initial(b, spec)._flat
-        kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION)
-        got = kernel(tuple(itertools.starmap(counted, enumerate(flat))))
+        t, key = _initial_products(b, spec)
+        kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)
+        products = tuple(itertools.starmap(counted, enumerate(t)))
+        got = kernel(products)
+        fused = dict(reads)
+        reads.clear()
+        order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
+        entries = ComplexMatrix._wrap(tuple(products[k] for k in order), 8)
+        assert repr(qerase.linalg._plan(entries)[0](entries._flat)) == repr(got[0])
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
-        used = {9 * k for k in levels} | {9 * source[k] for k in levels}
-        assert reads == dict.fromkeys(used, 1)
-        assert repr(got[1:]) == repr(kernel(flat)[1:])
+        used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
+        assert fused == dict(reads + collections.Counter(used))
+        assert repr(got[1:]) == repr(kernel(t)[1:])
 
 
 class TestAnalyze:
@@ -1317,3 +1374,103 @@ class TestAnalyzeDomain:
                 assert not math.isnan(getattr(report, field)), (field, b, spec)
         assert math.isnan(report.t_limit) == (b.r_z == 1.0), (b, spec)
         assert report.landauer_violated == (report.landauer_margin > 0.0)
+
+
+class TestCrossCheckAsTheUnfusedComposition:
+    """`_cross_check`, which reads the 20 Kronecker products through one
+    route kernel, bit for bit and refusal for refusal the composition that
+    kernel fuses: `_checked_input` on the gathered composite_initial(b,
+    spec), then the memory marginal and the loop trace of the populations of
+    `apply_channel`'s final state."""
+
+    NAMED = [
+        # a[1] * v[2] = 5e-301 * e^-69 / (1 + e^-69) underflows to 0, as a[2] * v[2] does
+        (BlochVector(1e-300, 0.0, 0.2), ThermalSpec.from_beta(69.0)),
+        (BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.0)),
+        (BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(math.inf)),
+        (BlochVector(0.0, 0.0, 1.0), ThermalSpec.from_beta(1.0)),  # the ground state
+        (BlochVector(5e-324, 0.0, -0.5), ThermalSpec.from_beta(1.0)),  # a subnormal coherence
+    ]
+
+    @staticmethod
+    def _both(b, spec):
+        """`_cross_check`'s outcome's repr, and that of the same records
+        formed with the route kernel replaced by the unfused composition."""
+
+        def unfused(perm, key):
+            def kernel(t):
+                rho, perm = qerase.channel._checked_input(composite_initial(b, spec))
+                check = qerase.linalg._plan(rho)[0](rho._flat)
+                marginal = memory_marginal(apply_channel(rho))._flat
+                traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
+                return (check, None, marginal, traced["memory heat"], traced["reservoir heat"],
+                        u_i, u_f)
+
+            return kernel
+
+        fused = repr(raised(lambda: qerase.thermo._cross_check(b, spec)))
+        with mock.patch.object(qerase.thermo, "_route_kernel", unfused):
+            return fused, repr(raised(lambda: qerase.thermo._cross_check(b, spec)))
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(bloch_vectors, thermal_inputs, scales, scales)
+    def test_every_domain_draw_gives_the_unfused_bits(self, b, thermal, delta, k_B):
+        kind, value = thermal
+        spec = (ThermalSpec.from_beta(value, delta, k_B) if kind == "beta"
+                else ThermalSpec.from_temperature(value, delta, k_B))
+        fused, unfused = self._both(b, spec)
+        assert fused == unfused, (b, spec)
+
+    @pytest.mark.parametrize("b, spec", NAMED)
+    def test_each_named_case_gives_the_unfused_bits(self, b, spec):
+        fused, unfused = self._both(b, spec)
+        assert fused == unfused
+        assert fused.startswith("(ErasureReport(")
+        if b.r_x == 1e-300:  # the case keys on a product that underflowed
+            t, key = _initial_products(b, spec)
+            assert t[5] != 0 and t[7] == t[12] == 0 and key == (0, 2, 5, 10, 15, 17)
+
+    @pytest.mark.parametrize("state, swap, alone, want", [
+        ("negative", None, False, "ValueError: matrix has eigenvalue -"),
+        ("excess", None, False, "ValueError: trace (1.4"),
+        ("skew", None, False, "ValueError: matrix is not Hermitian: "),
+        (None, (0, 5), True, "ArithmeticError: erasure permutation: ("),
+        ("negative", (0, 5), True, "ValueError: matrix has eigenvalue -"),
+        ("skew", (0, 5), True, "ValueError: matrix is not Hermitian: "),
+        (None, (0, 2), False, "ArithmeticError: reservoir heat: "),
+        ("negative", (0, 2), False, "ValueError: matrix has eigenvalue -"),
+        ("excess", (0, 5), False, "ValueError: trace (1.4"),
+        ("infinite", (0, 5), True, "ValueError: matrix entries must be finite"),
+    ])
+    def test_each_refusal_keeps_its_type_message_and_order(
+        self, monkeypatch, wrong_channel, state, swap, alone, want
+    ):
+        """A negative Gibbs weight, reservoir values that sum to 1.4 or hold
+        an inf, which the products' finiteness scan refuses first, a qubit
+        that is not Hermitian, the erasure map changed alone or,
+        through `wrong_channel`, with its CNOT reference, and a state and a
+        map at once: the density verdict comes first, then the map check,
+        then the records, as in the unfused composition, with the same type
+        and message."""
+        if state == "negative":
+            monkeypatch.setattr(qerase.states, "_gibbs", lambda x: (1.2, -0.2))
+        elif state in ("excess", "infinite"):
+            values = (0.7, 0.0, 0.7, 0.0) if state == "excess" else (math.inf, 0.0, 0.0, 0.0)
+            for module in (qerase.states, qerase.thermo):
+                monkeypatch.setattr(module, "_reservoir_diagonal", lambda x: values)
+        elif state == "skew":
+            skew = ComplexMatrix([[0.5, 0.3], [0.1, 0.5]])
+            for module in (qerase.states, qerase.thermo):
+                monkeypatch.setattr(module, "qubit_from_bloch", lambda b: skew)
+        if swap is not None:
+            low, high = swap
+            perm = tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION)
+            if alone:
+                monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", perm)
+            else:
+                wrong_channel(perm)
+        b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0)
+        fused, unfused = self._both(b, spec)
+        assert fused == unfused
+        kind, message = raised(lambda: analyze(b, spec))
+        assert f"{kind}: {message}".startswith(want)
