@@ -13,8 +13,10 @@ Each plan is validated and cached once per shape; its kernel is compiled
 from plain int positions on first use, by `_compile`, so importing the
 module compiles nothing. The builders:
 - `_relabeling`: the getter of the flat entries in a permutation's order;
-- `_kron_kernel`: a product with a diagonal right factor, for `_kron`;
-- `_product_kernel`: its products alone, which `thermo._route_kernel` reads;
+- `_product_kernel`: the products of a Kronecker product with a diagonal
+  right factor, checked by `_kron_products` for `_kron` and for
+  `thermo._cross_check`, whose `_route_kernel` reads them;
+- `_kron_gather`: the getter of those products in `_kron`'s entry order;
 - `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
   positions in `_trace_groups`;
 - `_pattern_plan`: the density check and the solve of a nonzero pattern,
@@ -149,9 +151,7 @@ def _relabeling(perm: tuple[int, ...], n: int) -> Callable[[tuple], tuple]:
     their new order."""
     _check_permutation(perm, n)
     inverse = sorted(range(n), key=perm.__getitem__)  # row r comes from inverse[r]
-    if n == 1:  # itemgetter of one position returns the entry, not a tuple
-        return lambda flat: (flat[0],)
-    return operator.itemgetter(*[r * n + c for r in inverse for c in inverse])
+    return _getter([r * n + c for r in inverse for c in inverse])
 
 
 def compose_permutations(first: Sequence[int], *rest: Sequence[int]) -> tuple[int, ...]:
@@ -182,23 +182,42 @@ def _kron(
     a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None = None
 ) -> ComplexMatrix:
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
-    None, bit for bit, from the products of `_kron_kernel`: every state the
-    package forms is a qubit (x) a diagonal reservoir or path mixture.
+    None, bit for bit for complex values: every state the package forms is a
+    qubit (x) a diagonal reservoir or path mixture. It refuses as that
+    reference does, in its order: the products are checked
+    (`_kron_products`) before `_kron_gather` validates perm."""
+    products, nb = _kron_products(a, values), len(values)
+    return ComplexMatrix._wrap(_kron_gather(a._dim, nb, perm)(products), a._dim * nb)
 
-    One scan of the products checks values and products alike: x * 0j is
-    finite for finite x, and a value v that is not finite makes every
-    a[p] * v non-finite (x * nan, x * inf and 0 * inf are), so the products
-    are rejected exactly when `diagonal` or the whole product would be. A
-    perm that is not a permutation is refused when the kernel is looked up,
-    before the scan."""
-    factors = [*map(complex, values), 0j]
-    nb = len(factors) - 1
-    if not nb:
+
+def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex, ...]:
+    """`_product_kernel`'s products of a's entries and the n >= 1 values, as
+    given, each scanned for finiteness: x * 0j is finite for finite x, and a
+    value v that is not finite makes every a[p] * v non-finite (x * nan, x *
+    inf and 0 * inf are), so they are refused exactly where `diagonal` or
+    `kron` would be."""
+    if not values:
         raise ValueError("matrix must have at least one row")
-    products, entries = _kron_kernel(a._dim, nb, perm)(a._flat, factors)
+    products = _product_kernel(a._dim, len(values))(a._flat, [*values, 0j])
     if not all(map(cmath.isfinite, products)):
         raise ValueError("matrix entries must be finite")
-    return ComplexMatrix._wrap(entries, a._dim * nb)
+    return products
+
+
+@lru_cache(maxsize=64)
+def _kron_gather(na: int, nb: int, perm: tuple[int, ...] | None) -> Callable[[tuple], tuple]:
+    """The getter of `kron(a, diagonal(values))`'s row-major entries from
+    `_product_kernel(na, nb)`'s products (`_kron_order`), relabeled as
+    `permute` relabels them unless perm is None (`_relabeling`, which
+    validates perm)."""
+    order = _kron_order(na, nb)
+    return _getter(order if perm is None else _relabeling(perm, na * nb)(order))
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """`operator.itemgetter(*positions)`, which gives a tuple for one position too."""
+    get = operator.itemgetter(*positions)  # of one position, it returns the entry itself
+    return get if len(positions) > 1 else lambda flat: (get(flat),)
 
 
 def _compile(source: str, name: str) -> Callable:
@@ -207,48 +226,22 @@ def _compile(source: str, name: str) -> Callable:
     return eval(compile(source, f"<qerase {name}>", "eval"), globals())
 
 
-@lru_cache(maxsize=64)
-def _kron_kernel(
-    na: int, nb: int, perm: tuple[int, ...] | None
-) -> Callable[[tuple, list], tuple[tuple, tuple]]:
-    """The `_compile`d function per shape of a's na * na flat entries a and
-    nb + 1 factors v, the values as complex and a 0j:
-    `lambda a, v: (((t0 := a[0] * v[0]), ..., (tK := a[na^2 - 1] * v[nb])),
-    (tI, tJ, ...))`. Each entry of `kron(a, diagonal(values))` is
-    a[p] * complex(v_k) or a[p] * 0j, `diagonal`'s zero, so these na^2
-    (nb + 1) products form it bit for bit, each made once. The first tuple
-    holds them, p major, the products a loop over a and then v makes, so
-    scanning it is scanning every product `_kron` forms. The second lists
-    the (na nb)^2 entries in row-major order (`_kron_order`); unless perm is
-    None, `_relabeling`, which validates perm, composes the order `permute`
-    gives into that list. The source holds only plain int positions, never
-    the values."""
-    order = _kron_order(na, nb)
-    if perm is not None:
-        order = _relabeling(perm, na * nb)(order)
-    return _compile(f"lambda a, v: (({_products(na, nb)}), ({''.join(f't{t}, ' for t in order)}))",
-                    f"kron {na}x{na} by {nb} {perm}")
-
-
 @lru_cache(maxsize=8)
 def _product_kernel(na: int, nb: int) -> Callable[[tuple, list], tuple]:
-    """`_kron_kernel(na, nb, None)`'s first output alone, from the same
-    source, `lambda a, v: ((t0 := a[0] * v[0]), ...)`, for a caller that
-    reads each entry as its product, which `_kron_order` names."""
-    return _compile(f"lambda a, v: ({_products(na, nb)})", f"products {na}x{na} by {nb}")
-
-
-def _products(na: int, nb: int) -> str:
-    """The source of each product a[p] * v[k], p major, bound to t<p (nb +
-    1) + k>."""
-    return "".join(f"(t{p * (nb + 1) + k} := a[{p}] * v[{k}]), "
-                   for p in range(na * na) for k in range(nb + 1))
+    """The `_compile`d function of a's na * na flat entries a and nb + 1
+    factors v, the values and a 0j, `lambda a, v: (a[0] * v[0], ..., a[na^2
+    - 1] * v[nb])`, p major. Each entry of `kron(a, diagonal(values))` is
+    a[p] * v_k or a[p] * 0j, `diagonal`'s zero, so these products form it
+    bit for bit, each made once; `_kron_order` names each entry's. The
+    source holds only plain int positions, never the values."""
+    products = "".join(f"a[{p}] * v[{k}], " for p in range(na * na) for k in range(nb + 1))
+    return _compile(f"lambda a, v: ({products})", f"products {na}x{na} by {nb}")
 
 
 def _kron_order(na: int, nb: int) -> list[int]:
-    """The index in `_products` of each entry of `kron(a, diagonal(values))`,
-    row-major: entry (ia nb + ib, ja nb + jb) is a[ia, ja] times v[ib] where
-    ib == jb and times v[nb], the 0j, elsewhere."""
+    """The index among `_product_kernel(na, nb)`'s products of each entry of
+    `kron(a, diagonal(values))`, row-major: entry (ia nb + ib, ja nb + jb) is
+    a[ia, ja] times v[ib] where ib == jb and times v[nb], the 0j, elsewhere."""
     return [(ia * na + ja) * (nb + 1) + (ib if ib == jb else nb)
             for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
 

@@ -133,7 +133,7 @@ def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     `permute(kron(qubit, diagonal([p_1, p_2, 0, 0])),
     DEFAULT_CIRCUIT_PERMUTATION)`: `_kron` gathers the products straight
     into the circuit's mode order."""
-    return _kron(qubit_from_bloch(pol), [dist.p_1, dist.p_2, 0.0, 0.0],
+    return _kron(qubit_from_bloch(pol), [complex(dist.p_1), complex(dist.p_2), 0j, 0j],
                  DEFAULT_CIRCUIT_PERMUTATION)
 
 

@@ -149,13 +149,14 @@ def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
 
 
-def _reservoir_diagonal(x: float) -> tuple[float, ...]:
+def _reservoir_diagonal(x: float) -> tuple[complex, ...]:
     """The preselected thermal reservoir's four diagonal values at x = beta *
-    delta >= 0, formed from `_gibbs(x)` with preselect_l0's divisions: the
-    l0 weights p/2 over the l0 sector's weight. They are finite and >= 0 for
-    every such x, and the state they enter is density-checked where it
-    enters the channel."""
+    delta >= 0, as complex, the form `_kron` multiplies by, formed from
+    `_gibbs(x)` with preselect_l0's divisions: the l0 weights p/2 over the
+    l0 sector's weight. Their real parts are finite and >= 0 for every such
+    x, and the state they enter is density-checked where it enters the
+    channel."""
     p_g, p_e = _gibbs(x)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
-    return (g / weight, 0.0, e / weight, 0.0)
+    return (complex(g / weight), 0j, complex(e / weight), 0j)

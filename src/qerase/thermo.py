@@ -9,7 +9,6 @@ compares the two routes, in units of the gap, and `_route_kernel` builds
 the kernel that reads the twins off the initial state.
 """
 
-import cmath
 import itertools
 import math
 from collections import namedtuple
@@ -24,7 +23,7 @@ from .linalg import (
     _density_spectrum,
     _judged,
     _kron_order,
-    _product_kernel,
+    _kron_products,
     _relabeling,
     _sum_chains,
     _trace_groups,
@@ -251,9 +250,9 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     record it would raise for judging each as it is made.
 
     The initial state is only its 20 Kronecker products t, scanned for
-    finiteness as `_kron` scans them. One `_route_kernel` call, keyed by the
-    CNOT composition and the nonzero products, checks the state as
-    `apply_channel` does and reads the traced marginal and level sums off
+    finiteness by `_kron`'s own `_kron_products`. One `_route_kernel` call,
+    keyed by the CNOT composition and the nonzero products, checks the state
+    as `apply_channel` does and reads the traced marginal and level sums off
     t. Then, in `_checked_input`'s order, the verdict is judged and the
     erasure map checked to be that composition (`channel._checked_map`), so
     a refused map builds no kernel. The marginal is checked finite, as
@@ -261,9 +260,7 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
-    t = _product_kernel(2, 4)(rho_memory._flat, [*map(complex, _reservoir_diagonal(x)), 0j])
-    if not all(map(cmath.isfinite, t)):
-        raise ValueError("matrix entries must be finite")
+    t = _kron_products(rho_memory, _reservoir_diagonal(x))
     check, _, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(
         channel._CNOT_PERMUTATION, tuple(itertools.compress(range(20), t)))(t)
     _judged(*check)
@@ -297,7 +294,7 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     """`_cross_check`'s check and trace route for the channel `perm` on an
     initial state whose nonzero products are `key`, with the bits of checking
     the gathered state, propagating it and tracing it: one function of the
-    20 products t (`linalg._product_kernel(2, 4)`), `linalg._compile`d from
+    20 products t (`linalg._kron_products`), `linalg._compile`d from
     plain int positions, `lambda t, htol=HERMITICITY_TOL, ttol=TRACE_TOL:
     ((<check>), ((r9 := t[1].real), ...), (<marginal>), q_m, q_r, u_i,
     u_f)`, whose second output only binds names. The initial flat position

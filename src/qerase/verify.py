@@ -7,9 +7,10 @@ its column -> row tuple, and the permutation check reads the map that
 """
 
 import math
+import operator
 import random
 
-from .linalg import diagonal
+from .linalg import _check_permutation, diagonal
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, composite_initial
 from .channel import (
@@ -67,12 +68,13 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
 
 
 def check_unitarity(perm: tuple[int, ...]) -> CheckResult:
-    """A basis permutation has U†U = 1, exactly, when it is a bijection of 0..7."""
-    ok = sorted(perm) == list(range(8))
-    return _result(
-        "unitarity", ok,
-        "U†U = 1 within 1e-12" if ok else f"U†U != 1: {tuple(perm)} is no bijection of 0..7",
-    )
+    """A basis permutation has U†U = 1, exactly, when it is a bijection of
+    0..7, judged by the package's one rule, `_check_permutation`."""
+    try:
+        _check_permutation(perm, 8)
+    except ValueError:
+        return _result("unitarity", False, f"U†U != 1: {tuple(perm)} is no bijection of 0..7")
+    return _result("unitarity", True, "U†U = 1 within 1e-12")
 
 
 def check_permutation_identity() -> CheckResult:
@@ -281,9 +283,14 @@ def check_encoding_equivalence() -> CheckResult:
 
 
 def _check_battery_inputs(delta: float, draws: int) -> None:
-    """A finite gap >= 0 (0 skips the commutator check) and one draw or more."""
+    """A finite gap >= 0 (0 skips the commutator check) and an integer
+    count of one draw or more."""
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    try:
+        operator.index(draws)
+    except TypeError:
+        raise ValueError(f"draws must be an integer, got {draws!r}") from None
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws!r}")
 

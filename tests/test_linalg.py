@@ -252,6 +252,12 @@ class TestFlatKernelsBitForBit:
         bad = (0,) * n  # not a permutation, refused with permute's message
         assert raised(lambda: _kron(a, values, bad)) == raised(
             lambda: permute(kron(a, diagonal(values)), bad))
+        # a bad value and a bad perm: the value is refused first, as `diagonal`
+        # refuses it before `permute` sees the perm
+        values[0] = math.inf
+        want = raised(lambda: permute(kron(a, diagonal(values)), bad))
+        assert want == ("ValueError", "matrix entries must be finite")
+        assert raised(lambda: _kron(a, values, bad)) == want
 
     def test_diagonal_kron_rejects_values_as_diagonal_does(self):
         """The product table is the only scan: a value that is not finite
@@ -416,8 +422,18 @@ class TestFlatKernelsBitForBit:
 def _compiles():
     """Each kernel builder's cache misses, one per kernel it has compiled."""
     return [f.cache_info().misses for f in (
-        qerase.linalg._kron_kernel, qerase.linalg._product_kernel, qerase.linalg._trace_plan,
-        qerase.linalg._pattern_plan, qerase.thermo._route_kernel)]
+        qerase.linalg._product_kernel, qerase.linalg._trace_plan, qerase.linalg._pattern_plan,
+        qerase.thermo._route_kernel)]
+
+
+def _assert_the_two_kron_orders():
+    """The gather cache holds a qubit (x) 4 values in the plain order and in
+    `DEFAULT_CIRCUIT_PERMUTATION`'s, and no other."""
+    info = qerase.linalg._kron_gather.cache_info()
+    assert info.misses == info.currsize == 2, info
+    for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
+        qerase.linalg._kron_gather(2, 4, perm)
+    assert qerase.linalg._kron_gather.cache_info().misses == 2
 
 
 def _edge_grid():
@@ -1102,16 +1118,16 @@ class TestTraceKernels:
         """A fresh interpreter that imports the modules compiles no kernel;
         its first marginal compiles one trace kernel, and each first density
         check of a pattern its one check kernel, and each first Kronecker
-        table its one `_kron_kernel`; a second round compiles nothing. Only
-        the five builders call `_compile` (`test_stdlib_only`), so their
+        shape its one `_product_kernel`; a second round compiles nothing.
+        Only the four builders call `_compile` (`test_stdlib_only`), so their
         misses count every compile."""
         code = (
             "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
             "from qerase.linalg import _kron, density_matrix, diagonal\n"
             "def misses():\n"
-            "    print(*[f.cache_info().misses for f in (qerase.linalg._kron_kernel,\n"
-            "        qerase.linalg._product_kernel, qerase.linalg._trace_plan,\n"
-            "        qerase.linalg._pattern_plan, qerase.thermo._route_kernel)])\n"
+            "    print(*[f.cache_info().misses for f in (qerase.linalg._product_kernel,\n"
+            "        qerase.linalg._trace_plan, qerase.linalg._pattern_plan,\n"
+            "        qerase.thermo._route_kernel)])\n"
             "misses()\n"
             "qerase.channel.memory_marginal(diagonal([0.125] * 8))\n"
             "misses()\n"
@@ -1125,13 +1141,12 @@ class TestTraceKernels:
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n") == ["0 0 0 0 0", "0 0 1 0 0", "1 0 1 2 0", "1 0 1 2 0", ""]
+        assert proc.stdout.split("\n") == ["0 0 0 0", "0 1 0 0", "1 1 2 0", "1 1 2 0", ""]
 
     def test_each_kernel_is_named_by_its_builder_and_key(self):
         """`_compile` names each kernel's code `<qerase {builder} {key}>`."""
         perm, key = qerase.channel.ERASURE_PERMUTATION, (0, 2, 15, 17)
         kernels = {
-            "kron 2x2 by 4 None": qerase.linalg._kron_kernel(2, 4, None),
             "products 2x2 by 4": qerase.linalg._product_kernel(2, 4),
             "trace 8x8 (2, 2, 2) (0,) corner": _trace_plan((2, 2, 2), (0,), 8, True)[0],
             "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2)[0],
@@ -1659,18 +1674,30 @@ class TestDensityValidation:
         analyze and the propagate calls over pure states on and off the z
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
         must fill a small part of the pattern-plan cache and evict nothing,
-        and fill two Kronecker kernels, both a qubit's 4 entries times 4
-        diagonal values, each holding its own products."""
+        and compile one Kronecker product kernel, a qubit's 4 entries times
+        4 diagonal values, whose products two gathers read."""
         qerase.linalg._pattern_plan.cache_clear()
-        qerase.linalg._kron_kernel.cache_clear()
+        qerase.linalg._product_kernel.cache_clear()
+        qerase.linalg._kron_gather.cache_clear()
         for b, spec in _edge_grid():
             _edge_outputs(b, spec)
         info = qerase.linalg._pattern_plan.cache_info()
         assert info.misses == info.currsize <= info.maxsize // 4, info
-        # the plain order of the composite state, and simulate's with the
-        # circuit's relabeling
-        info = qerase.linalg._kron_kernel.cache_info()
-        assert info.misses == info.currsize == 2, info
-        for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
-            qerase.linalg._kron_kernel(2, 4, perm)
-        assert qerase.linalg._kron_kernel.cache_info().misses == 2
+        info = qerase.linalg._product_kernel.cache_info()
+        assert info.misses == info.currsize == 1, info
+        _assert_the_two_kron_orders()
+
+    def test_analyze_and_the_propagate_states_share_one_product_kernel(self):
+        """`analyze`, `composite_initial` and `simulate` read the products of
+        one `_product_kernel`, a qubit's 4 entries times 4 values, and two
+        gathers, the composite state's plain order and simulate's with the
+        circuit's relabeling; `analyze` needs no gather."""
+        qerase.linalg._product_kernel.cache_clear()
+        qerase.linalg._kron_gather.cache_clear()
+        b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
+        qerase.analyze(b, spec)
+        assert qerase.linalg._kron_gather.cache_info().misses == 0
+        qerase.composite_initial(b, spec)
+        qerase.simulate(b, qerase.PathDistribution.from_beta(0.7))
+        assert qerase.linalg._product_kernel.cache_info().misses == 1
+        _assert_the_two_kron_orders()

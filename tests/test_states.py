@@ -355,8 +355,9 @@ class TestCompositeInitial:
         # for every x = beta * delta a ThermalSpec admits
         values = qerase.states._reservoir_diagonal(x)
         assert len(values) == 4
-        assert all(math.isfinite(v) and v >= 0.0 for v in values)
-        assert math.fsum(values) == pytest.approx(1.0, abs=1e-15)
+        assert all(type(v) is complex for v in values)
+        assert all(math.isfinite(v.real) and v.real >= 0.0 and v.imag == 0.0 for v in values)
+        assert math.fsum(v.real for v in values) == pytest.approx(1.0, abs=1e-15)
 
     def test_unphysical_weights_are_refused_where_the_state_enters_the_channel(
         self, monkeypatch

@@ -95,8 +95,8 @@ def test_import_guard_sees_an_unused_name(tmp_path):
 
 
 COMPILERS = {"eval", "exec", "compile"}
-BUILDERS = {"linalg._kron_kernel", "linalg._product_kernel", "linalg._trace_plan",
-            "linalg._pattern_plan", "thermo._route_kernel"}
+BUILDERS = {"linalg._product_kernel", "linalg._trace_plan", "linalg._pattern_plan",
+            "thermo._route_kernel"}
 
 
 def references(path: Path) -> list[tuple[str, str]]:
@@ -127,7 +127,7 @@ def cached(path: Path) -> set[str]:
 
 def test_only_compile_turns_source_into_code():
     """`eval`, `exec` and `compile` appear only inside `linalg._compile`, and
-    `_compile` is called only by the five `lru_cache`d kernel builders, so
+    `_compile` is called only by the four `lru_cache`d kernel builders, so
     each builder's `cache_info().misses` counts its compiles."""
     found = [ref for path in SOURCES for ref in references(path)]
     assert sorted({where for where, name in found if name in COMPILERS}) == ["linalg._compile"]
@@ -221,8 +221,8 @@ FIRST_OPS = (
     "qerase.memory_ground_fidelity(final), qerase.reservoir_marginal(final)\n"
     "qerase.path_marginal(photon), qerase.polarization_marginal(photon)\n"
     "from qerase import linalg, thermo\n"
-    "builders = (linalg._kron_kernel, linalg._product_kernel, linalg._trace_plan,\n"
-    "            linalg._pattern_plan, thermo._route_kernel)\n"
+    "builders = (linalg._product_kernel, linalg._trace_plan, linalg._pattern_plan,\n"
+    "            thermo._route_kernel)\n"
     "assert all(f.cache_info().misses for f in builders)\n"
 )
 

@@ -587,8 +587,7 @@ class TestLandauerCheck:
 def _initial_products(b, spec):
     """The 20 Kronecker products of composite_initial(b, spec) that
     `_cross_check` forms, and the key of the nonzero ones."""
-    t = qerase.linalg._product_kernel(2, 4)(
-        qubit_from_bloch(b)._flat, [*map(complex, _reservoir_diagonal(spec.beta * spec.delta)), 0j])
+    t = qerase.linalg._kron_products(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
     return t, tuple(itertools.compress(range(20), t))
 
 

@@ -15,7 +15,7 @@ import qerase.thermo
 import qerase.verify
 from conftest import numpy_permutation, to_numpy
 from qerase.cli import main
-from qerase.linalg import ComplexMatrix
+from qerase.linalg import ComplexMatrix, compose_permutations
 from qerase.states import ThermalSpec
 from qerase.thermo import ErasureReport, commutator_norm
 from qerase.channel import ERASURE_PERMUTATION, build_circuit, circuit_permutation
@@ -79,6 +79,16 @@ class TestIndividualChecks:
         # column 1 lands on row 0 as column 0 does, so row 5 is never reached
         assert check_unitarity((0, 0, 3, 6, 2, 7, 1, 4)).status == "fail"
         assert check_unitarity(ERASURE_PERMUTATION[:7]).status == "fail"
+
+    def test_unitarity_judges_as_the_package_judges_a_permutation(self):
+        # 0.0 sorts and compares as 0, but cannot index a basis: refused as
+        # `linalg._check_permutation` refuses it
+        perm = (0.0, 1, 2, 3, 4, 5, 6, 7)
+        with pytest.raises(ValueError, match="not a permutation of 0..7"):
+            compose_permutations(perm)
+        result = check_unitarity(perm)
+        assert (result.status, result.detail) == (
+            "fail", f"U†U != 1: {perm} is no bijection of 0..7")
 
     def test_permutation_identity_passes(self):
         result = check_permutation_identity()
@@ -403,6 +413,8 @@ class TestBattery:
         (math.nan, 5, "delta must be finite and >= 0, got nan"),
         (math.inf, 5, "delta must be finite and >= 0, got inf"),
         (1.0, 0, "draws must be >= 1, got 0"),
+        (1.0, 2.5, "draws must be an integer, got 2.5"),
+        (1.0, 40.0, "draws must be an integer, got 40.0"),
     ])
     def test_refuses_what_the_cli_refuses_before_any_check(
         self, monkeypatch, delta, draws, message
