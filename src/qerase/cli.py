@@ -174,6 +174,11 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def cmd_optics(args: argparse.Namespace) -> dict:
+    """The photon's run through the default circuit, printed only once it is
+    checked: ArithmeticError where the simulated path marginal is further
+    than `optics.PROBABILITY_TOL` from its closed form in any entry (a NaN
+    too), then where the circuit is not the abstract channel on the
+    physical inputs, so a wrong circuit exits 1, as a failed `erase` does."""
     from . import optics  # only this subcommand simulates the photon
 
     dist = optics.PathDistribution(p_1=args.p1, p_2=1.0 - args.p1)
@@ -181,6 +186,12 @@ def cmd_optics(args: argparse.Namespace) -> dict:
     marginal = optics.path_marginal(state)
     closed = optics.path_final_closed_form(args.pol, dist)
     deviation = max(abs(m - c) for m, c in zip(marginal._flat, closed._flat))
+    if not deviation <= optics.PROBABILITY_TOL:
+        raise ArithmeticError(f"path marginal: simulation and closed form differ by {deviation!r},"
+                              f" more than {optics.PROBABILITY_TOL:.0e}")
+    mismatches = optics.verify_encoding_equivalence()
+    if mismatches:
+        raise ArithmeticError("encoding: " + "; ".join(mismatches))
     return {
         "inputs": {
             "pol": (args.pol.r_x, args.pol.r_y, args.pol.r_z),
@@ -193,7 +204,7 @@ def cmd_optics(args: argparse.Namespace) -> dict:
         "path_labels": optics.PATH_LABELS,
         "path_marginal": marginal,
         "closed_form_max_deviation": deviation,
-        "encoding_equivalent": not optics.verify_encoding_equivalence(),
+        "encoding_equivalent": not mismatches,
     }
 
 

@@ -350,7 +350,7 @@ def _plan(m: ComplexMatrix) -> tuple[Callable[..., tuple], tuple[tuple[int, ...]
     3) where its off-diagonal pair is nonzero and (0, 3) otherwise: its
     blocks and solve depend on nothing else, and a pair of zeros the key
     lists adds a defect term of 0.0, which raises nothing and raises no
-    `max`."""
+    `max`. `thermo._route_kernel` picks its 2x2 layouts by the same rule."""
     flat, n = m._flat, m._dim
     if n == 2:
         nonzero = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)

@@ -6,7 +6,9 @@ x = beta delta; only its public `f(b, spec)` and `analyze`'s report scale
 energies by delta and temperatures by delta / k_B, the latter in one helper,
 `_in_units`. Every closed form has a trace-based twin: `_cross_check`
 compares the two routes, in units of the gap, and `_route_kernel` builds
-the kernel that reads the twins off the initial state.
+the kernel that reads the twins off the initial state and checks, in the
+same call, the three density matrices the comparison rests on: the initial
+state, the initial memory qubit and the traced final memory.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from .linalg import (
     _kron_order,
     _kron_products,
     _relabeling,
-    _sum_chains,
+    _sum_chain,
     _trace_groups,
 )
 from .record import Record, _set_field
@@ -56,8 +58,15 @@ def von_neumann_entropy(rho: ComplexMatrix) -> float:
     `density_matrix`'s check of rho solves for its eigenvalue floor, with the
     bits of `hermitian_eigenvalues`; rho fails with that check's ValueError.
     Eigenvalues in [-1e-10, 0] count as exact zeros."""
+    return _entropy(_density_spectrum(rho)[1])
+
+
+def _entropy(spectrum: list[float]) -> float:
+    """-sum lam ln lam over a checked spectrum's positive eigenvalues, left
+    to right from 0.0, at least 0.0: `von_neumann_entropy`'s one loop, which
+    `_cross_check` runs on the spectra its route kernel solves."""
     s = 0.0
-    for lam in _density_spectrum(rho)[1]:
+    for lam in spectrum:
         if lam > 0.0:
             s -= lam * math.log(lam)
     return max(s, 0.0)
@@ -124,8 +133,10 @@ def _limit_rule(q_m: float, delta_s: float) -> float:
     return -q_m / delta_s
 
 
-def _limit_temperature(b: BlochVector) -> float:
-    return _limit_rule(_heat_memory(b), entropy_decrease(b))
+def _limit_temperature(b: BlochVector, delta_s: float) -> float:
+    """T_limit in units of delta / k_B, from b's memory heat and delta_s,
+    the `entropy_decrease(b)` its caller has already computed."""
+    return _limit_rule(_heat_memory(b), delta_s)
 
 
 def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
@@ -133,7 +144,7 @@ def limit_temperature(b: BlochVector, spec: ThermalSpec) -> float:
     `_limit_temperature` in spec's units as `analyze` reports it. It does
     not depend on spec.beta: +inf for pure inputs with r_z < 1, NaN at r_z = 1.
     """
-    return _in_units(_limit_temperature(b), spec.delta, spec.k_B)
+    return _in_units(_limit_temperature(b, entropy_decrease(b)), spec.delta, spec.k_B)
 
 
 def _in_units(t: float, a: float, b: float) -> float:
@@ -252,25 +263,31 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     The initial state is only its 20 Kronecker products t, scanned for
     finiteness by `_kron`'s own `_kron_products`. One `_route_kernel` call,
     keyed by the CNOT composition and the nonzero products, checks the state
-    as `apply_channel` does and reads the traced marginal and level sums off
-    t. Then, in `_checked_input`'s order, the verdict is judged and the
-    erasure map checked to be that composition (`channel._checked_map`), so
-    a refused map builds no kernel. The marginal is checked finite, as
-    `memory_marginal` checks it, and a density matrix by the entropy.
+    as `apply_channel` does, reads the level sums off t, and checks the
+    initial qubit and the traced marginal as `von_neumann_entropy` checks
+    them. Then, in `_checked_input`'s order, the state's verdict is judged
+    and the erasure map checked to be that composition
+    (`channel._checked_map`), so a refused map builds no kernel; then, in
+    the order the entropy drop met them, the qubit's verdict, the
+    marginal's finiteness, as `ComplexMatrix._from_flat` checks it, and the
+    marginal's verdict. Each spectrum is summed by `_entropy`. dS is
+    computed once, for its record and for the limit temperature.
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
     t = _kron_products(rho_memory, _reservoir_diagonal(x))
-    check, _, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(
-        channel._CNOT_PERMUTATION, tuple(itertools.compress(range(20), t)))(t)
+    check, _, qubit, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(
+        channel._CNOT_PERMUTATION, tuple(itertools.compress(range(20), t)))(t, rho_memory._flat)
     _judged(*check)
     _checked_map()
     delta_s = entropy_decrease(b)
-    s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(
-        ComplexMatrix._from_flat(marginal, 2))
+    s_initial = _entropy(_judged(*qubit))
+    if marginal is None:  # as `ComplexMatrix._from_flat` refuses the marginal
+        raise ValueError("matrix entries must be finite")
+    s_drop = s_initial - _entropy(_judged(*marginal))
 
     q_m, q_r, radiated = _heat_memory(b), _heat_reservoir(b, x), _photon_energy(b, x)
-    t_limit, rule = _limit_temperature(b), _limit_rule(q_m, delta_s)
+    t_limit, rule = _limit_temperature(b, delta_s), _limit_rule(q_m, delta_s)
     same = t_limit == rule or math.isnan(t_limit) and math.isnan(rule)
     records = [
         ("entropy decrease", delta_s, s_drop, abs(delta_s - s_drop), ROUTE_TOL),
@@ -291,24 +308,38 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
 
 @lru_cache(maxsize=64)
 def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """`_cross_check`'s check and trace route for the channel `perm` on an
+    """`_cross_check`'s checks and trace route for the channel `perm` on an
     initial state whose nonzero products are `key`, with the bits of checking
-    the gathered state, propagating it and tracing it: one function of the
-    20 products t (`linalg._kron_products`), `linalg._compile`d from
-    plain int positions, `lambda t, htol=HERMITICITY_TOL, ttol=TRACE_TOL:
-    ((<check>), ((r9 := t[1].real), ...), (<marginal>), q_m, q_r, u_i,
-    u_f)`, whose second output only binds names. The initial flat position
-    p holds t[order[p]] (`linalg._kron_order`). The check, first, is the 8x8
-    `linalg._check_source` of the pattern key gives, so it returns and
-    raises as that pattern's check kernel does on the gathered entries.
+    the gathered state, propagating it, tracing it and checking the memory
+    before and after: one function of the 20 products t
+    (`linalg._kron_products`) and the initial qubit's 4 flat entries q,
+    `linalg._compile`d from plain int positions, `lambda t, q,
+    htol=HERMITICITY_TOL, ttol=TRACE_TOL: ((<check>), ((r9 := t[1].real),
+    ...), (<qubit check>), (<marginal check>) if <finite> else None, q_m,
+    q_r, u_i, u_f)`, whose second output only binds names. The initial flat
+    position p holds t[order[p]] (`linalg._kron_order`). The check, first,
+    is the 8x8 `linalg._check_source` of the pattern key gives, so it
+    returns and raises as that pattern's check kernel does on the gathered
+    entries.
+
+    Each 2x2 check holds `_check_source`'s checks of both layouts
+    `linalg._plan` keys a 2x2 by, and picks one in the kernel on each call
+    by `_plan`'s rule: (0, 1, 2, 3) where entry 1 or entry 2 is nonzero,
+    else (0, 3). So it returns and raises as the check kernel `_plan`
+    hands out for the same 4 entries does, and no 2x2 pattern plan is
+    looked up. The qubit's reads q.
 
     The channel moves entry (i, j) to (perm[i], perm[j]), so the final state's
     flat position p holds the initial one source[p]. The marginal is the four
-    chains (`linalg._sum_chains`) that `memory_marginal` sums on
-    `permute(rho, perm)`, each position read through source. Level k's
-    initial population is r<9k>, its final one r<source[9k]>, and its change
-    (final - initial); the second tuple reads the real part of each
-    diagonal entry a level sum names once into r<p>, in increasing p. A
+    chains (`linalg._sum_chain`) that `memory_marginal` sums on
+    `permute(rho, perm)`, each position read through source, bound to g0 to
+    g3 in the test `0 == (g0 := <chain>) - g0 == ... == (g3 := <chain>) -
+    g3`, true exactly where all four are finite (z - z is 0j for a finite z
+    and has a NaN part otherwise), as `ComplexMatrix._from_flat` scans
+    them; only then is the marginal's check, which reads g0 to g3, run.
+    Level k's initial population is r<9k>, its final one r<source[9k]>, and
+    its change (final - initial); the second tuple reads the real part of
+    each diagonal entry a level sum names once into r<p>, in increasing p. A
     heat, Tr[(rho_f - rho_i)(H_sub (x) 1)], reads only the diagonal: it adds
     each change times its memory or reservoir level, and an energy adds each
     population times its composite level, left to right from 0.0 as a loop
@@ -316,7 +347,12 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     on). A term of level 0 is left out: a checked state's populations are
     finite, so the term is a zero, which leaves a running sum from +0.0,
     never -0.0, as it is. A term of level 1 is its value and one of level 2
-    twice it, exactly, so each sum keeps the bits of the loop."""
+    twice it, exactly, so each sum keeps the bits of the loop.
+
+    The kernel's own names, the parameters, r<p> and g0 to g3, are none of
+    the walrus names `_check_source` binds (defect, tr, a, d, x, y, u, v, m,
+    p, w, k, r, and s in a chain of over 100 terms), so no check rebinds
+    a name the sums or the marginal's check read."""
     order = _kron_order(2, 4)  # the memory qubit (x) the reservoir's 4 values
     entries = [f"t[{k}]" for k in order]
     check, _ = _check_source([p for p, k in enumerate(order) if k in key], 8, entries)
@@ -333,6 +369,12 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     summed = [k for k, n in enumerate(_COMPOSITE_LEVELS) if n]  # the levels a sum reads
     reals = "".join(f"(r{p} := {entries[p]}.real), "
                     for p in sorted({9 * k for k in summed} | {source[9 * k] for k in summed}))
-    marginal = _sum_chains([[entries[source[p]] for p in group] for group in groups])
-    return _compile(f"lambda t, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
-                    f" (({check}), ({reals}), ({marginal}), {sums})", f"route {perm} {key}")
+    finite = "".join(f" == (g{i} := {_sum_chain([entries[source[p]] for p in group])}) - g{i}"
+                     for i, group in enumerate(groups))
+    qubit, marginal = (
+        f"({_check_source((0, 1, 2, 3), 2, f)[0]}) if {f[1]} or {f[2]}"
+        f" else ({_check_source((0, 3), 2, f)[0]})"
+        for f in ([f"q[{p}]" for p in range(4)], ["g0", "g1", "g2", "g3"]))
+    return _compile(f"lambda t, q, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
+                    f" (({check}), ({reals}), ({qubit}), ({marginal}) if 0{finite} else None,"
+                    f" {sums})", f"route {perm} {key}")

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qerase.cli
+import qerase.optics
 import qerase.thermo
+from qerase.linalg import ComplexMatrix, compose_permutations
 from qerase.states import BlochVector, ThermalSpec
 from qerase.thermo import (
     analyze,
@@ -454,6 +456,33 @@ class TestOpticsCommand:
         _, out, _ = run_cli(capsys, "optics", "--pol", "H", "--format", "text")
         assert "encodings agree  true" in out
         assert "path marginal" in out
+
+    @pytest.mark.parametrize("swap, want", [
+        ((0, 3), "error: path marginal: simulation and closed form differ by 1.0, more than 1e-12"),
+        ((0, 4), "error: encoding: input |H,1>: circuit sends it to |V,1>, channel says |H,1>"),
+    ])
+    def test_a_wrong_circuit_exits_one(self, capsys, monkeypatch, swap, want):
+        """A circuit that sends |H,1> to path 4 moves the path marginal off
+        its closed form; one that flips it to |V,1> keeps the marginal of an
+        H photon on path 1 and breaks the encoding. Either exits 1 with the
+        reason on stderr and prints no number."""
+        wrong = compose_permutations(qerase.optics.DEFAULT_CIRCUIT_PERMUTATION,
+                                     qerase.optics._swap(*swap))
+        monkeypatch.setattr(qerase.optics, "DEFAULT_CIRCUIT_PERMUTATION", wrong)
+        code, out, err = run_cli(capsys, "optics", "--pol", "H", "--p1", "1")
+        assert (code, out, err) == (1, "", want + "\n")
+
+    def test_a_closed_form_off_by_more_than_the_tolerance_exits_one(self, capsys, monkeypatch):
+        original = qerase.optics.path_final_closed_form
+
+        def off(pol, dist):
+            return ComplexMatrix._wrap(tuple(x * (1.0 + 1e-9) for x in original(pol, dist)._flat), 4)
+
+        monkeypatch.setattr(qerase.optics, "path_final_closed_form", off)
+        code, out, err = run_cli(capsys, "optics", "--pol", "0.6,0,0.8", "--p1", "0.75")
+        assert (code, out) == (1, "")
+        assert err == ("error: path marginal: simulation and closed form differ by"
+                       " 6.750000558497504e-10, more than 1e-12\n")
 
     def test_invalid_weight_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "optics", "--p1", "1.5")

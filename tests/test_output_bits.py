@@ -1,4 +1,5 @@
-"""Every output bit of `analyze`, the propagate calls and `verify`, pinned.
+"""Every output bit of `analyze`, its cross-check records, the propagate calls
+and `verify`, pinned.
 
 Each test draws its own seeded inputs, runs them and compares the sha256 of
 the `repr` of the list of outputs (an error as `Type: message`) with a
@@ -29,6 +30,7 @@ DRAWS = 600
 ANALYZE_DIGEST = "822bce11101b94c85f9f98c02a4016181efab31f9c69932404c0df3d9eea0434"
 PROPAGATE_DIGEST = "95c6ee277c632f093f9098d1933964bcd76b7b3938668823359c465e866565df"
 VERIFY_DIGEST = "d081efdba8c07dc5471b9fd15aaaf97db590f5c157f926e253e11be810d4d5e5"
+RECORDS_DIGEST = "15446f565b73b7b5f450eb0efcc277fc33c4c868e5e0d91ab256611c8f32de82"
 
 
 def _ball(rng):
@@ -103,6 +105,14 @@ def _digest(call, inputs):
 def test_analyze_reports():
     inputs = [(b, spec) for b, spec, _ in _draws("analyze")]
     assert _digest(qerase.analyze, inputs) == ANALYZE_DIGEST
+
+
+def test_analyze_records():
+    """The records (name, closed, traced, residual, tol) `analyze` judges:
+    a traced bit, such as the entropy drop, that moves without moving a
+    report shows here."""
+    inputs = [(b, spec) for b, spec, _ in _draws("analyze")]
+    assert _digest(lambda b, spec: qerase.thermo._cross_check(b, spec)[1], inputs) == RECORDS_DIGEST
 
 
 def test_propagate_outputs():

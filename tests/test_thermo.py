@@ -20,7 +20,6 @@ import qerase.thermo
 from qerase.cli import main
 from conftest import (
     decimal_qubit_spectrum,
-    entry_bits,
     numpy_permutation,
     raised,
     random_bloch,
@@ -591,6 +590,13 @@ def _initial_products(b, spec):
     return t, tuple(itertools.compress(range(20), t))
 
 
+def _route_marginal(t, perm):
+    """The flat memory marginal of the state the route kernel of perm reads
+    off the products t: `memory_marginal` of the gathered state permuted."""
+    state = ComplexMatrix._wrap(tuple(t[k] for k in qerase.linalg._kron_order(2, 4)), 8)
+    return memory_marginal(permute(state, perm))._flat
+
+
 def _fused_blocks(key):
     """The blocks of the 8x8 density check the route kernel of `key` runs."""
     order = qerase.linalg._kron_order(2, 4)
@@ -621,9 +627,10 @@ class TestEigensolveCount:
     @pytest.fixture
     def solved_blocks(self, monkeypatch):
         """(entries, block) of every block whose spectrum is solved: each
-        check kernel `_plan` hands out, and the check of each route kernel,
-        records its blocks when it returns a spectrum, which it solves only
-        past its tests."""
+        check kernel `_plan` hands out, and each of the three checks of each
+        route kernel (the 8x8 state's, the qubit's and the marginal's, the
+        last two in the layout `_plan` keys), records its blocks when it
+        returns a spectrum, which it solves only past its tests."""
         calls = []
         original = qerase.linalg._plan
 
@@ -641,13 +648,21 @@ class TestEigensolveCount:
         monkeypatch.setattr(qerase.linalg, "_plan", planned)
         route = qerase.thermo._route_kernel
 
+        def layout(flat):  # the blocks `_plan` keys for a 2x2's entries
+            return original(ComplexMatrix._wrap(flat, 2))[1]
+
         def routed(perm, key):
             kernel = route(perm, key)
 
-            def counted(t):
-                out = kernel(t)
+            def counted(t, q):
+                out = kernel(t, q)
                 if out[0][2] is not None:
                     calls.extend((t, tuple(block)) for block in _fused_blocks(key))
+                if out[2][2] is not None:
+                    calls.extend((q, block) for block in layout(q))
+                if out[3] is not None and out[3][2] is not None:
+                    marginal = _route_marginal(t, perm)
+                    calls.extend((marginal, block) for block in layout(marginal))
                 return out
 
             return counted
@@ -685,8 +700,10 @@ class TestEigensolveCount:
 
     def test_warm_analyze_keys_its_2x2_checks_by_layout(self, monkeypatch):
         # the 8x8 check keys its route kernel by the nonzero products, no
-        # pattern of 64 entries; the two 2x2 entropies form no pattern key,
-        # each keyed by its layout alone, a linked or a diagonal 2x2
+        # pattern of 64 entries; the two 2x2 entropies form no pattern key:
+        # the route kernel holds both layouts of each, a linked and a
+        # diagonal 2x2, and picks one per call, so neither a cold nor a warm
+        # analyze looks up a pattern plan
         calls, routes = [], []
         original, route = qerase.linalg._pattern_plan, qerase.thermo._route_kernel
 
@@ -698,14 +715,15 @@ class TestEigensolveCount:
             routes.append((perm, key))
             return route(perm, key)
 
-        analyze(self.B, self.SPEC)  # warms the plan caches
+        route.cache_clear()
         monkeypatch.setattr(qerase.linalg, "_pattern_plan", counted)
         monkeypatch.setattr(qerase.thermo, "_route_kernel", routed)
-        analyze(self.B, self.SPEC)
-        assert [n for n, _ in calls] == [2, 2]
-        assert all(key in ((0, 1, 2, 3), (0, 3)) for _, key in calls)
+        for _ in range(2):  # cold, then warm
+            analyze(self.B, self.SPEC)
+        assert calls == []
         # every entry of the qubit times the two nonzero reservoir values
-        assert routes == [(ERASURE_PERMUTATION, tuple(k for k in range(20) if k % 5 in (0, 2)))]
+        assert routes == [(ERASURE_PERMUTATION, tuple(k for k in range(20) if k % 5 in (0, 2)))] * 2
+        assert route.cache_info().misses == 1
 
     def test_dense_state_entropy_solves_once(self, monkeypatch):
         loop_sizes = []
@@ -810,7 +828,7 @@ class TestPartialTraceCount:
 
     def test_analyze_traces_out_only_the_final_reservoir(self, monkeypatch):
         rho = composite_initial(self.B, self.SPEC)
-        want = memory_marginal(apply_channel(rho))._flat
+        want = memory_marginal(apply_channel(rho))
         planned = []
         original = qerase.thermo._trace_groups
 
@@ -829,9 +847,11 @@ class TestPartialTraceCount:
         assert planned == [((2, 2, 2), (0,), 8)]  # one marginal, the memory's
         info = qerase.thermo._route_kernel.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        # the route's marginal is checked, bit for bit, as the traced one is
         t, key = _initial_products(self.B, self.SPEC)
-        marginal = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t)[2]
-        assert len(marginal) == 4 and marginal == want
+        q = qubit_from_bloch(self.B)._flat
+        checked = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t, q)[3]
+        assert repr(checked) == repr(qerase.linalg._plan(want)[0](want._flat))
 
     def test_one_route_is_compiled_per_permutation(self, wrong_channel):
         """Each distinct erasure map compiles its route once, however often
@@ -848,22 +868,26 @@ class TestPartialTraceCount:
 
 
 class TestFusedRouteBitForBit:
-    """The route kernel, bit for bit the marginal and the level sums of the
-    final state that `apply_channel` forms: under the erasure over
+    """The route kernel, bit for bit the density checks of the initial
+    memory and of the final memory marginal and the level sums of the final
+    state that `apply_channel` forms: under the erasure over
     TestTracedEnergiesBitForBit's 1,200 draws, and under each of its 28 row
     swaps over a quarter of them, every fourth draw from an offset that
     cycles with the swap, so one swap in four sees the near-pure draws."""
 
     @staticmethod
     def _reference(b, spec):
-        """The final memory marginal's entry bits, and the bits of the
-        entropy drop on it and of the four left-to-right level sums over the
-        two diagonals: the route `analyze` took through the final state."""
+        """The outputs of the check kernels `_plan` hands out for the initial
+        qubit and the final memory marginal, and the bits of the entropy drop
+        on the two and of the four left-to-right level sums over the two
+        diagonals: the route `analyze` took through the final state."""
+        rho_memory = qubit_from_bloch(b)
         marginal = memory_marginal(apply_channel(composite_initial(b, spec)))
-        s_drop = von_neumann_entropy(qubit_from_bloch(b)) - von_neumann_entropy(marginal)
+        s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(marginal)
         traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
         sums = (s_drop, traced["memory heat"], traced["reservoir heat"], u_i, u_f)
-        return entry_bits(marginal), [x.hex() for x in sums]
+        checks = [qerase.linalg._plan(m)[0](m._flat) for m in (rho_memory, marginal)]
+        return repr(checks), [x.hex() for x in sums]
 
     @staticmethod
     def _fused(b, spec):
@@ -873,12 +897,12 @@ class TestFusedRouteBitForBit:
         for bit, the check kernel of the gathered state's pattern."""
         rho_initial, perm = qerase.channel._checked_input(composite_initial(b, spec))
         t, key = _initial_products(b, spec)
-        check, _, marginal, *sums = qerase.thermo._route_kernel(perm, key)(t)
+        check, _, *checks, q_m, q_r, u_i, u_f = qerase.thermo._route_kernel(perm, key)(
+            t, qubit_from_bloch(b)._flat)
         assert repr(check) == repr(qerase.linalg._plan(rho_initial)[0](rho_initial._flat))
         [(name, _, s_drop, _, _), *_] = qerase.thermo._cross_check(b, spec)[1]
         assert name == "entropy decrease"
-        return (entry_bits(ComplexMatrix._from_flat(marginal, 2)),
-                [x.hex() for x in (s_drop, *sums)])
+        return repr(checks), [x.hex() for x in (s_drop, q_m, q_r, u_i, u_f)]
 
     def test_every_route_output_is_the_final_state_route(self, wrong_channel, monkeypatch):
         draws = list(TestTracedEnergiesBitForBit._draws(random.Random(2401)))
@@ -913,9 +937,10 @@ class TestFusedRouteBitForBit:
 
         b, spec = BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)
         t, key = _initial_products(b, spec)
+        q = qubit_from_bloch(b)._flat
         kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)
         products = tuple(itertools.starmap(counted, enumerate(t)))
-        got = kernel(products)
+        got = kernel(products, q)
         fused = dict(reads)
         reads.clear()
         order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
@@ -925,10 +950,29 @@ class TestFusedRouteBitForBit:
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
         used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
         assert fused == dict(reads + collections.Counter(used))
-        assert repr(got[1:]) == repr(kernel(t)[1:])
+        assert repr(got[1:]) == repr(kernel(t, q)[1:])
 
 
 class TestAnalyze:
+    def test_entropy_decrease_is_computed_once_per_call(self, monkeypatch):
+        """`analyze` computes the closed-form dS once and hands it to the
+        limit temperature and the rule, on natural and SI units, at a pure
+        and at a mixed memory."""
+        calls = []
+        original = qerase.thermo.entropy_decrease
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        monkeypatch.setattr(qerase.thermo, "entropy_decrease", counted)
+        si = ThermalSpec.from_temperature(10.0, delta=1.986e-22, k_B=1.380649e-23)
+        draws = [(BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(1.0)),
+                 (BlochVector(0.0, 0.0, 1.0), si), (BlochVector(0.6, 0.0, -0.8), si)]
+        for b, spec in draws:
+            analyze(b, spec)
+        assert calls == [b for b, _ in draws]
+
     def test_report_fields_match_the_closed_forms(self):
         b = BlochVector(0.3, -0.2, 0.4)
         spec = ThermalSpec.from_beta(1.0)
@@ -1354,6 +1398,13 @@ bloch_vectors = st.one_of(
 )
 
 
+def _domain_spec(thermal, delta, k_B):
+    """The ThermalSpec of one draw of `thermal_inputs` and two `scales`."""
+    kind, value = thermal
+    return (ThermalSpec.from_beta(value, delta, k_B) if kind == "beta"
+            else ThermalSpec.from_temperature(value, delta, k_B))
+
+
 class TestAnalyzeDomain:
     """`analyze` over its whole input domain: beta or T in {0, inf} or drawn
     by exponent, gap and k_B drawn by exponent with the double range's
@@ -1364,9 +1415,7 @@ class TestAnalyzeDomain:
     def test_every_input_gives_a_consistent_report(self, b, thermal, delta, k_B):
         """A report, never a refusal; no field NaN but T_limit, which is NaN
         exactly where r_z == 1; the verdict is the sign of the margin."""
-        kind, value = thermal
-        spec = (ThermalSpec.from_beta(value, delta, k_B) if kind == "beta"
-                else ThermalSpec.from_temperature(value, delta, k_B))
+        spec = _domain_spec(thermal, delta, k_B)
         report = analyze(b, spec)
         for field in ErasureReport.__slots__:
             if field != "t_limit":
@@ -1379,8 +1428,9 @@ class TestCrossCheckAsTheUnfusedComposition:
     """`_cross_check`, which reads the 20 Kronecker products through one
     route kernel, bit for bit and refusal for refusal the composition that
     kernel fuses: `_checked_input` on the gathered composite_initial(b,
-    spec), then the memory marginal and the loop trace of the populations of
-    `apply_channel`'s final state."""
+    spec), the check kernels `_plan` hands out for the initial qubit and for
+    the memory marginal of `apply_channel`'s final state, and the loop trace
+    of that state's populations."""
 
     NAMED = [
         # a[1] * v[2] = 5e-301 * e^-69 / (1 + e^-69) underflows to 0, as a[2] * v[2] does
@@ -1397,13 +1447,13 @@ class TestCrossCheckAsTheUnfusedComposition:
         formed with the route kernel replaced by the unfused composition."""
 
         def unfused(perm, key):
-            def kernel(t):
+            def kernel(t, q):
                 rho, perm = qerase.channel._checked_input(composite_initial(b, spec))
-                check = qerase.linalg._plan(rho)[0](rho._flat)
-                marginal = memory_marginal(apply_channel(rho))._flat
+                checks = [qerase.linalg._plan(m)[0](m._flat) for m in (
+                    rho, qerase.states.qubit_from_bloch(b), memory_marginal(apply_channel(rho)))]
                 traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
-                return (check, None, marginal, traced["memory heat"], traced["reservoir heat"],
-                        u_i, u_f)
+                return (checks[0], None, *checks[1:], traced["memory heat"],
+                        traced["reservoir heat"], u_i, u_f)
 
             return kernel
 
@@ -1414,9 +1464,7 @@ class TestCrossCheckAsTheUnfusedComposition:
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(bloch_vectors, thermal_inputs, scales, scales)
     def test_every_domain_draw_gives_the_unfused_bits(self, b, thermal, delta, k_B):
-        kind, value = thermal
-        spec = (ThermalSpec.from_beta(value, delta, k_B) if kind == "beta"
-                else ThermalSpec.from_temperature(value, delta, k_B))
+        spec = _domain_spec(thermal, delta, k_B)
         fused, unfused = self._both(b, spec)
         assert fused == unfused, (b, spec)
 
@@ -1440,27 +1488,36 @@ class TestCrossCheckAsTheUnfusedComposition:
         ("negative", (0, 2), False, "ValueError: matrix has eigenvalue -"),
         ("excess", (0, 5), False, "ValueError: trace (1.4"),
         ("infinite", (0, 5), True, "ValueError: matrix entries must be finite"),
+        ("half", None, False, "ValueError: trace (0.5"),
+        ("half", (0, 5), True, "ArithmeticError: erasure permutation: ("),
+        ("overflow", None, False, "ValueError: trace (inf"),
+        ("overflow", (0, 2), False, "ValueError: trace (inf"),
     ])
     def test_each_refusal_keeps_its_type_message_and_order(
         self, monkeypatch, wrong_channel, state, swap, alone, want
     ):
         """A negative Gibbs weight, reservoir values that sum to 1.4 or hold
         an inf, which the products' finiteness scan refuses first, a qubit
-        that is not Hermitian, the erasure map changed alone or,
-        through `wrong_channel`, with its CNOT reference, and a state and a
-        map at once: the density verdict comes first, then the map check,
-        then the records, as in the unfused composition, with the same type
-        and message."""
+        that is not Hermitian, a qubit of trace 0.5 times reservoir values
+        of sum 2, whose state passes its check and whose qubit fails the
+        entropy's, values of 1.5e308, whose products are finite and whose
+        state's trace and memory marginal are not, the erasure map changed
+        alone or, through `wrong_channel`, with its CNOT reference, and a
+        state and a map at once: the density verdict comes first, then the
+        map check, then the qubit's check and the marginal's, then the
+        records, as in the unfused composition, with the same type and
+        message."""
+        values = {"excess": (0.7, 0.0, 0.7, 0.0), "infinite": (math.inf, 0.0, 0.0, 0.0),
+                  "half": (1.0, 0.0, 1.0, 0.0), "overflow": (1.5e308, 0.0, 1.5e308, 0.0)}
+        qubits = {"skew": ComplexMatrix([[0.5, 0.3], [0.1, 0.5]]),
+                  "half": ComplexMatrix([[0.25, 0.1], [0.1, 0.25]])}
         if state == "negative":
             monkeypatch.setattr(qerase.states, "_gibbs", lambda x: (1.2, -0.2))
-        elif state in ("excess", "infinite"):
-            values = (0.7, 0.0, 0.7, 0.0) if state == "excess" else (math.inf, 0.0, 0.0, 0.0)
-            for module in (qerase.states, qerase.thermo):
-                monkeypatch.setattr(module, "_reservoir_diagonal", lambda x: values)
-        elif state == "skew":
-            skew = ComplexMatrix([[0.5, 0.3], [0.1, 0.5]])
-            for module in (qerase.states, qerase.thermo):
-                monkeypatch.setattr(module, "qubit_from_bloch", lambda b: skew)
+        for module in (qerase.states, qerase.thermo):
+            if state in values:
+                monkeypatch.setattr(module, "_reservoir_diagonal", lambda x: values[state])
+            if state in qubits:
+                monkeypatch.setattr(module, "qubit_from_bloch", lambda b: qubits[state])
         if swap is not None:
             low, high = swap
             perm = tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION)
@@ -1473,3 +1530,95 @@ class TestCrossCheckAsTheUnfusedComposition:
         assert fused == unfused
         kind, message = raised(lambda: analyze(b, spec))
         assert f"{kind}: {message}".startswith(want)
+
+
+class TestFusedSpectra:
+    """The route kernel's two 2x2 checks, of the initial qubit and of the
+    traced marginal, and the entropy drop `_cross_check` sums from them: bit
+    for bit the check kernels `_plan` hands out for `qubit_from_bloch(b)`
+    and `memory_marginal(apply_channel(composite_initial(b, spec)))`, and
+    the difference of their `von_neumann_entropy` (TestFusedRouteBitForBit's
+    `_reference`), over TestAnalyzeDomain's draws and under each row swap of
+    the erasure map."""
+
+    @staticmethod
+    def same(b, spec):
+        return TestFusedRouteBitForBit._fused(b, spec) == TestFusedRouteBitForBit._reference(b, spec)
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(bloch_vectors, thermal_inputs, scales, scales)
+    def test_every_domain_draw(self, b, thermal, delta, k_B):
+        spec = _domain_spec(thermal, delta, k_B)
+        assert self.same(b, spec), (b, spec)
+
+    @pytest.mark.parametrize("low, high", itertools.combinations(range(8), 2))
+    def test_each_row_swap(self, wrong_channel, low, high):
+        """The named cases and a mixed, a near-pure and a pure memory off the
+        z axis, at beta 0, 0.7 and inf: a swap can leave coherence in the
+        final marginal, whose check then takes the linked layout, which the
+        erased marginal's does not."""
+        wrong_channel(tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION))
+        draws = [*TestCrossCheckAsTheUnfusedComposition.NAMED, *(
+            (b, ThermalSpec.from_beta(beta))
+            for b in (BlochVector(0.3, -0.2, 0.4), BlochVector(0.6 - 1e-9, 0.0, -0.8),
+                      BlochVector(0.0, 0.6, 0.8))
+            for beta in (0.0, 0.7, math.inf))]
+        for b, spec in draws:
+            assert self.same(b, spec), (b, spec)
+
+    def test_some_swapped_marginal_keeps_coherence(self, wrong_channel):
+        """The precondition of test_each_row_swap: under some swap the final
+        marginal has a nonzero off-diagonal entry, under the erasure none."""
+        b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
+
+        def linked():
+            m = memory_marginal(apply_channel(composite_initial(b, spec)))
+            return bool(m[0, 1] or m[1, 0])
+
+        assert not linked()
+        found = []
+        for low, high in itertools.combinations(range(8), 2):
+            wrong_channel(tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION))
+            found.append(linked())
+        assert any(found)
+
+    @pytest.mark.parametrize("q", [
+        (0.1 + 0j, 0j, 0j, 0.9 + 0j),
+        (0.1 + 0j, complex(0.0, -0.0), complex(-0.0, 0.0), 0.9 + 0j),
+        (0.1 + 0j, 5e-324 + 0j, 0j, 0.9 + 0j),
+        (0.1 + 0j, 0j, 0.2j, 0.9 + 0j),
+        (0.1 + 0j, 0.2 - 0.1j, 0.2 + 0.1j, 0.9 + 0j),
+        (0.5 + 0j, 0.3 + 0j, 0.1 + 0j, 0.5 + 0j),
+    ])
+    def test_the_qubit_layout_is_the_plans(self, q):
+        """The kernel picks the linked 2x2 layout where `_plan` does, where
+        either off-diagonal entry is nonzero: a diagonal whose solve as a
+        linked block rounds 0.1 to 0.09999999999999998, signed zeros, a
+        subnormal, a skew pair and a Hermitian one give `_plan`'s check."""
+        b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
+        t, key = _initial_products(b, spec)
+        got = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t, q)[2]
+        assert repr(got) == repr(qerase.linalg._plan(ComplexMatrix._wrap(q, 2))[0](q))
+
+    def test_a_non_finite_marginal_is_refused_after_the_qubit(self, monkeypatch):
+        """Where the marginal's sums overflow, the kernel emits no check for
+        it and `_cross_check` refuses it as `ComplexMatrix._from_flat` does,
+        after the qubit's check. The state's own check refuses such a state
+        first, so the verdicts are let through here; the refusal comes after
+        two of them, the state's and the qubit's."""
+        values = (1.5e308, 0.0, 1.5e308, 0.0)
+        b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
+        t = qerase.linalg._kron_products(qubit_from_bloch(b), values)
+        key = tuple(itertools.compress(range(20), t))
+        assert qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(
+            t, qubit_from_bloch(b)._flat)[3] is None
+        judged = []
+
+        def let_through(defect, tr, spectrum):
+            judged.append(spectrum)
+            return spectrum or [1.0]
+
+        monkeypatch.setattr(qerase.thermo, "_reservoir_diagonal", lambda x: values)
+        monkeypatch.setattr(qerase.thermo, "_judged", let_through)
+        assert raised(lambda: analyze(b, spec)) == ("ValueError", "matrix entries must be finite")
+        assert len(judged) == 2 and judged[0] is None and len(judged[1]) == 2
