@@ -61,6 +61,14 @@ CASES = [
     ("sweep_pole", ["sweep", "--r", "1", "--n-theta", "3", "--n-phi", "2"], 0),
     ("sweep_warm", ["sweep", "--r", "0.5", "--n-theta", "4", "--n-phi", "3",
                     "--temperature", "0.9", "--delta", "2"], 0),
+    ("sweep_hot", ["sweep", "--r", "0.5", "--n-theta", "3", "--n-phi", "2",
+                   "--temperature", "inf"], 0),
+    ("sweep_near_pure", ["sweep", "--r", "0.999999999999", "--n-theta", "4", "--n-phi", "3",
+                         "--beta", "50"], 0),
+    ("sweep_subnormal_gap", ["sweep", "--r", "0.5", "--n-theta", "3", "--n-phi", "2",
+                             "--delta", "2.3023e-320", "--temperature", "1"], 0),
+    ("sweep_pure_warm", ["sweep", "--r", "1", "--n-theta", "3", "--n-phi", "2",
+                         "--temperature", "0.9"], 0),
     ("optics_h_json", ["optics", "--pol", "H"], 0),
     ("optics_h_text", ["optics", "--pol", "H", "--format", "text"], 0),
     ("optics_v_json", ["optics", "--pol", "V", "--p1", "0.25"], 0),

@@ -1,5 +1,5 @@
-"""Every output bit of `analyze`, its cross-check records, the propagate calls
-and `verify`, pinned.
+"""Every output bit of `analyze`, its cross-check records, the propagate calls,
+`sweep`'s rows and `verify`, pinned.
 
 Each test draws its own seeded inputs, runs them and compares the sha256 of
 the `repr` of the list of outputs (an error as `Type: message`) with a
@@ -12,14 +12,18 @@ output bit must say which and record the new digest.
 The draws cover the domain of the reports: memories uniform in the Bloch
 ball, near-pure memories with 1 - r log-uniform down to 1e-12 (and the exact
 ground state), beta on the grid {0, 0.1, 1, 10, inf} or a log-uniform
-temperature, and SI gaps in joules and kelvins.
+temperature, and SI gaps in joules and kelvins. `sweep` runs on a grid of
+radii up to the last double below 1, thermal points from beta = 0 to inf
+past 1e+-300, and gaps from a subnormal one to 1e300.
 """
 
 import hashlib
+import itertools
 import math
 import random
 
 import qerase
+from qerase.cli import build_parser, cmd_sweep
 from qerase.verify import run_verification
 
 BETA_GRID = (0.0, 0.1, 1.0, 10.0, math.inf)
@@ -31,6 +35,12 @@ ANALYZE_DIGEST = "822bce11101b94c85f9f98c02a4016181efab31f9c69932404c0df3d9eea04
 PROPAGATE_DIGEST = "95c6ee277c632f093f9098d1933964bcd76b7b3938668823359c465e866565df"
 VERIFY_DIGEST = "d081efdba8c07dc5471b9fd15aaaf97db590f5c157f926e253e11be810d4d5e5"
 RECORDS_DIGEST = "15446f565b73b7b5f450eb0efcc277fc33c4c868e5e0d91ab256611c8f32de82"
+SWEEP_DIGEST = "2c77bcb53f408624b4e0d02c3f3fb56a8e70c6358cba3a2d8770d526f637e3e5"
+
+SWEEP_RADII = ("0", "0.3", "0.5", repr(1.0 - 1e-12), repr(1.0 - 2.0 ** -53), "1")
+SWEEP_THERMAL = (("--beta", "0"), ("--beta", "inf"), ("--beta", "1e300"), ("--beta", "1e-300"),
+                 ("--beta", "50"), ("--temperature", "0.9"), ("--temperature", "20"))
+SWEEP_GAPS = ("1", "2", "0.6", "2.3023e-320", "1e300", "1.986e-22")
 
 
 def _ball(rng):
@@ -117,6 +127,15 @@ def test_analyze_records():
 
 def test_propagate_outputs():
     assert _digest(_propagate, _draws("propagate")) == PROPAGATE_DIGEST
+
+
+def test_sweep_rows():
+    """`cmd_sweep`'s rows, 5 x 4 cells, at every radius, thermal point and gap."""
+    parse = build_parser().parse_args
+    inputs = [(parse(["sweep", "--r", r, "--n-theta", "5", "--n-phi", "4", "--delta", delta,
+                      *thermal]),)
+              for r, thermal, delta in itertools.product(SWEEP_RADII, SWEEP_THERMAL, SWEEP_GAPS)]
+    assert _digest(lambda args: cmd_sweep(args)["rows"], inputs) == SWEEP_DIGEST
 
 
 def test_verification_battery():
