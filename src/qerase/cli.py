@@ -22,9 +22,7 @@ import sys
 
 from .linalg import ComplexMatrix
 from .states import BlochVector, ThermalSpec, _check_positive
-from .thermo import (
-    _heat_memory, _in_units, _limit_rule, analyze, entropy_decrease, heat_reservoir,
-)
+from .thermo import _in_units, analyze
 
 SCHEMA_VERSION = "1"
 K_B_SI = 1.380649e-23  # J/K
@@ -149,7 +147,12 @@ def cmd_erase(args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> dict:
-    """Grid at fixed Bloch radius over the whole sphere."""
+    """Grid at fixed Bloch radius over the whole sphere. Each row is
+    `analyze`'s checked report on its cell at the unit gap and the same x =
+    beta delta: dS and T_limit (in units of delta / k_B) as reported, and
+    Q_M and Q_R, in units of the gap there, times delta. `analyze`'s records
+    depend on b and x alone, so a cell whose routes disagree raises the
+    ArithmeticError that `erase` on it raises, and no row is printed."""
     r, n_theta, n_phi = args.r, args.n_theta, args.n_phi
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {r!r}")
@@ -158,6 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     if n_phi < 1:
         raise ValueError("need at least 1 azimuthal sample")
     spec = _thermal_spec(args, args.delta, 1.0)
+    gap = ThermalSpec.from_beta(spec.beta * spec.delta)
     rows = []
     for i in range(n_theta):
         theta = i * math.pi / (n_theta - 1)
@@ -165,11 +169,10 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         for j in range(n_phi):
             phi = j * 2.0 * math.pi / n_phi
             b = BlochVector(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi), r * cos_t)
-            delta_s, q_m = entropy_decrease(b), _heat_memory(b)  # in units of the gap
-            rows.append((
-                theta, phi, b.r_x, b.r_y, b.r_z, delta_s, spec.delta * q_m,
-                heat_reservoir(b, spec), _limit_rule(q_m, delta_s),
-            ))
+            report = analyze(b, gap)
+            rows.append((theta, phi, b.r_x, b.r_y, b.r_z, report.delta_s,
+                         spec.delta * report.q_memory, spec.delta * report.q_reservoir,
+                         report.t_limit))
     return {"rows": rows}
 
 

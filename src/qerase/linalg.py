@@ -273,10 +273,11 @@ def _trace_plan(
     positions in `_trace_groups`. With `corner` it maps them to entry (0, 0)
     alone, a 1-tuple: the chain the full kernel sums first, with its bits,
     for a caller that reads only that entry. It is `_compile`d once here,
-    `lambda f: (<_sum_chains>)`, from those positions, never from the values
+    `lambda f: (<chain>, ...,)`, from those positions, never from the values
     passed in."""
     groups, dim = _trace_groups(dims, keep, n)
-    chains = _sum_chains([[f"f[{p}]" for p in group] for group in groups[:1 if corner else None]])
+    chains = "".join(_sum_chain([f"f[{p}]" for p in group]) + ","
+                     for group in groups[:1 if corner else None])
     return _compile(f"lambda f: ({chains})",
                     f"trace {n}x{n} {dims} {keep}{' corner' if corner else ''}"), dim
 
@@ -323,11 +324,6 @@ def _integers(values: tuple, what: str) -> tuple[int, ...]:
     if any(int(v) != v for v in values):
         raise ValueError(f"{what} must be integers")
     return tuple(map(int, values))
-
-
-def _sum_chains(groups: Sequence[Sequence[str]]) -> str:
-    """The `_sum_chain` of each group, each followed by a comma."""
-    return "".join(_sum_chain(group) + "," for group in groups)
 
 
 def _sum_chain(terms: Sequence[str]) -> str:

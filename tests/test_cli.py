@@ -339,11 +339,12 @@ class TestSweepCommand:
                 heat_reservoir(b, spec), limit_temperature(b, spec) / spec.delta,
             )]
 
-    def test_each_row_evaluates_entropy_and_memory_heat_once(self, capsys, monkeypatch):
-        """ΔS and Q_M, in units of the gap, run once per row, counted through
-        the CLI's bindings and the thermo module's, which `limit_temperature`
-        reads."""
-        calls = {"entropy_decrease": 0, "_heat_memory": 0}
+    def test_each_row_is_one_analyze_call(self, capsys, monkeypatch):
+        """Each row takes one path, `analyze`'s: one call per cell, which
+        evaluates ΔS once and Q_M twice, for its record and inside
+        `_limit_temperature`, all counted through the thermo module's names
+        and the `analyze` binding the CLI calls."""
+        calls = {"analyze": 0, "entropy_decrease": 0, "_heat_memory": 0}
         for name in calls:
             original = getattr(qerase.thermo, name)
 
@@ -352,13 +353,32 @@ class TestSweepCommand:
                 return original(*args)
 
             monkeypatch.setattr(qerase.thermo, name, counted)
-            monkeypatch.setattr(qerase.cli, name, counted)
+        monkeypatch.setattr(qerase.cli, "analyze", qerase.thermo.analyze)
         code, _, _ = run_cli(
             capsys, "sweep", "--r", "0.5", "--n-theta", "4", "--n-phi", "3",
             "--temperature", "0.9",
         )
         assert code == 0
-        assert calls == {"entropy_decrease": 12, "_heat_memory": 12}
+        assert calls == {"analyze": 12, "entropy_decrease": 12, "_heat_memory": 24}
+
+    @pytest.mark.parametrize("name, record", [
+        ("entropy_decrease", "entropy decrease"),
+        ("_heat_memory", "memory heat"),
+        ("_heat_reservoir", "reservoir heat"),
+    ])
+    def test_a_wrong_closed_form_exits_one(self, capsys, monkeypatch, tmp_path, name, record):
+        """A closed form off by 1e-6 fails its trace route in the first row:
+        `sweep` exits 1 with the record's reason on stderr, as `erase` does,
+        and prints no row, on stdout or to the output file."""
+        original = getattr(qerase.thermo, name)
+        monkeypatch.setattr(qerase.thermo, name, lambda *args: (1.0 + 1e-6) * original(*args))
+        target = tmp_path / "sweep.csv"
+        for output in ([], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, "sweep", "--r", "0.5", "--temperature", "0.9",
+                                     *output)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {record}: closed form ")
+        assert not target.exists()
 
     def test_zero_temperature_default_balances_heats(self, capsys):
         _, out, _ = run_cli(

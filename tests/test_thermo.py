@@ -1,3 +1,4 @@
+import ast
 import collections
 import decimal
 import importlib.util
@@ -951,6 +952,45 @@ class TestFusedRouteBitForBit:
         used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
         assert fused == dict(reads + collections.Counter(used))
         assert repr(got[1:]) == repr(kernel(t, q)[1:])
+
+
+class TestRouteKernelNames:
+    """The route kernel's own names, its parameters, the populations r<p> it
+    binds and the marginal's chains g0 to g3, are none of the walrus names
+    the density checks it embeds bind, so no check can rebind a value that
+    a level sum or the marginal's check reads."""
+
+    # every nonzero pattern of the initial products: the qubit's diagonal,
+    # with and without its coherences, at each pole and inside, by the
+    # reservoir with and without its excited weight
+    BLOCHS = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.3, -0.2, 0.4),
+              (1e-7, 0.0, 1.0), (1e-7, 0.0, -1.0)]
+    SPECS = [ThermalSpec.from_beta(1.0), ThermalSpec.from_beta(math.inf)]
+
+    @staticmethod
+    def _targets(nonzero, n, f):
+        source, _ = qerase.linalg._check_source(nonzero, n, f)
+        return {node.target.id for node in ast.walk(ast.parse(source, mode="eval"))
+                if isinstance(node, ast.NamedExpr)}
+
+    def test_the_kernel_binds_no_name_a_check_binds(self):
+        qubit = [f"q[{p}]" for p in range(4)]
+        layouts = self._targets((0, 1, 2, 3), 2, qubit) | self._targets((0, 3), 2, qubit)
+        order = qerase.linalg._kron_order(2, 4)
+        entries = [f"t[{k}]" for k in order]
+        source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
+        levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
+        own = {"t", "q", "htol", "ttol", "g0", "g1", "g2", "g3",
+               *(f"r{9 * k}" for k in levels), *(f"r{9 * source[k]}" for k in levels)}
+        keys = {_initial_products(BlochVector(*b), spec)[1]
+                for b in self.BLOCHS for spec in self.SPECS}
+        assert len(keys) == 12
+        for key in keys:
+            check = self._targets([p for p, k in enumerate(order) if k in key], 8, entries)
+            targets = layouts | check
+            names = set(qerase.thermo._route_kernel(ERASURE_PERMUTATION, key).__code__.co_varnames)
+            assert names - targets == own, key
+            assert not own & targets, key
 
 
 class TestAnalyze:
