@@ -152,7 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
     beta delta: dS and T_limit (in units of delta / k_B) as reported, and
     Q_M and Q_R, in units of the gap there, times delta. `analyze`'s records
     depend on b and x alone, so a cell whose routes disagree raises the
-    ArithmeticError that `erase` on it raises, and no row is printed."""
+    ArithmeticError that `erase` on it raises, its cell named after the
+    message, and no row is printed."""
     r, n_theta, n_phi = args.r, args.n_theta, args.n_phi
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {r!r}")
@@ -169,7 +170,10 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         for j in range(n_phi):
             phi = j * 2.0 * math.pi / n_phi
             b = BlochVector(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi), r * cos_t)
-            report = analyze(b, gap)
+            try:
+                report = analyze(b, gap)
+            except ArithmeticError as exc:
+                raise type(exc)(f"{exc} (cell i={i}, j={j}: theta={theta!r}, phi={phi!r})")
             rows.append((theta, phi, b.r_x, b.r_y, b.r_z, report.delta_s,
                          spec.delta * report.q_memory, spec.delta * report.q_reservoir,
                          report.t_limit))
@@ -330,13 +334,43 @@ def render(command: str, payload: dict, fmt: str) -> str:
     return LAYOUTS[command, fmt](payload)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, which reads the terminal width only once it
+    formats, in `format_help`: `add_argument` builds a formatter per
+    argument to check its metavar, and the stock one reads the width, and
+    imports `shutil` to do so, each time. The width is argparse's own
+    `columns - 2`, and the help position its rule on that width."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position, 0 if width is None else width)
+        self._width_given, self._help_position = width is not None, max_help_position
+
+    def format_help(self):
+        if not self._width_given:
+            import shutil
+
+            self._width = shutil.get_terminal_size().columns - 2
+            self._max_help_position = min(self._help_position,
+                                          max(self._width - 20, self._indent_increment * 2))
+        return super().format_help()
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """A subcommand's parser, with `_HelpFormatter`."""
+    return argparse.ArgumentParser(formatter_class=_HelpFormatter, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qerase",
         description="Erase a qubit memory through an ancilla-assisted reservoir "
         "channel and report the thermodynamics.",
+        formatter_class=_HelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the prog argparse would format from the usage of a parser with no
+    # positional argument, given so that no width is read here
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                parser_class=_parser)
 
     p_erase = sub.add_parser("erase", help="single run with a full report")
     p_erase.add_argument("--bloch", type=_parse_bloch, default=BlochVector(),

@@ -327,7 +327,8 @@ def _integers(values: tuple, what: str) -> tuple[int, ...]:
 
 
 def _sum_chain(terms: Sequence[str]) -> str:
-    """The source of `0 + f[p] + f[q] + ...` over the terms, such as `f[p]`.
+    """The source of `0 + f[p] + f[q] + ...` over the terms, such as `f[p]`,
+    or `0j`, the complex sum of zeros, for no terms.
 
     The chain runs left to right from int 0, exactly as `trace` adds the
     diagonal and as `sum` adds complex values through Python 3.13, so it
@@ -336,6 +337,8 @@ def _sum_chain(terms: Sequence[str]) -> str:
     chain nests one level per term, so a group of more than 100 terms
     carries its running sum in `s` from one run of 100 to the next, within
     what the compiler can nest."""
+    if not terms:
+        return "0j"
     runs = ["".join(f" + {term}" for term in terms[i:i + 100]) for i in range(0, len(terms), 100)]
     return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 
@@ -382,11 +385,20 @@ def _check_source(
     The check is `(defect, None, None)` if the defect is above htol, else
     `(defect, trace, None)` if |trace - 1| > ttol, else `(defect, trace,
     sorted(spectrum))`: the conditional expression solves only past both
-    tests. The defect is `max((abs(f[p] - f[q].conjugate()), ..., 0.0))` over
-    the pairs in order. Each term is finite or inf, and `max` keeps the first
-    of equal values, so it is the value a loop from 0.0 keeping each larger
-    term gives; an `abs` that overflows raises at the same pair. The trace is
-    the `_sum_chain` of the diagonal, with the bits of `trace`.
+    tests. The defect is `max((<term>, ..., 0.0))` over the pairs in order,
+    `abs(f[p] - f[q].conjugate())` for a pair i < j and `abs(f[p].imag +
+    f[p].imag)` for a diagonal pair: for a finite x, x - conj(x) is exactly
+    complex(0.0, x.imag + x.imag), and every entry a check reads is finite.
+    Each term is finite or inf, and `max` keeps the first of equal values, so
+    it is the value a loop from 0.0 keeping each larger term gives; an `abs`
+    that overflows raises at the same pair.
+
+    The source is folded on the key: a position not in `nonzero` holds a
+    zero, and no sum adds it. The trace is the `_sum_chain` of the diagonal
+    positions in `nonzero`, `0j` where there are none, with the bits of
+    `trace`: a chain from int 0 holds no -0.0 after its first term, so a
+    zero of either sign added to it changes no bit. The solve still reads
+    every diagonal entry, a zero's sign included, which its spectrum keeps.
 
     The spectrum lists the blocks' spectra in block order: a 1x1 block is its
     real diagonal entry, `f[k].real`; a 2x2 block is m -+ r, m = (a + d)/2 and
@@ -427,10 +439,13 @@ def _check_source(
         rows = "".join("(" + "".join(f"{f[i * n + j]}, " for j in block) + "), " for i in block)
         return f"*_jacobi_eigenvalues(({rows}))"
 
-    defects = "".join(f"abs({f[i * n + j]} - {f[j * n + i]}.conjugate()), " for i, j in pairs)
+    defects = "".join(f"abs({f[i * n + i]}.imag + {f[i * n + i]}.imag), " if i == j else
+                      f"abs({f[i * n + j]} - {f[j * n + i]}.conjugate()), " for i, j in pairs)
+    live = set(nonzero)
+    diagonal = [f[p] for p in range(0, n * n, n + 1) if p in live]
     return (f"(defect, None, None) if (defect := max(({defects}0.0,))) > htol"
             f" else (defect, tr, None)"
-            f" if abs((tr := {_sum_chain(f[::n + 1])}) - 1.0) > ttol"
+            f" if abs((tr := {_sum_chain(diagonal)}) - 1.0) > ttol"
             f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))"), blocks
 
 

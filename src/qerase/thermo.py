@@ -325,29 +325,42 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     Each 2x2 check holds `_check_source`'s checks of both layouts
     `linalg._plan` keys a 2x2 by, and picks one in the kernel on each call
     by `_plan`'s rule: (0, 1, 2, 3) where entry 1 or entry 2 is nonzero,
-    else (0, 3). So it returns and raises as the check kernel `_plan`
+    else (0, 3); the marginal's holds (0, 3) alone where key decides the
+    rule (below). So it returns and raises as the check kernel `_plan`
     hands out for the same 4 entries does, and no 2x2 pattern plan is
     looked up. The qubit's reads q.
+
+    The kernel is folded on key, as `_check_source` folds a pattern: a
+    product not in key is a zero, since key is `compress(range(20), t)` and
+    NaN and inf are truthy, and no chain, level sum or other arithmetic
+    takes it. A chain from int 0, and a level sum from 0.0, hold no -0.0
+    after their first term, so a zero of either sign added to one changes
+    no bit, and s + (0.0 - x) is s - x.
 
     The channel moves entry (i, j) to (perm[i], perm[j]), so the final state's
     flat position p holds the initial one source[p]. The marginal is the four
     chains (`linalg._sum_chain`) that `memory_marginal` sums on
-    `permute(rho, perm)`, each position read through source, bound to g0 to
-    g3 in the test `0 == (g0 := <chain>) - g0 == ... == (g3 := <chain>) -
+    `permute(rho, perm)`, each position read through source and left out
+    where key proves it zero, `0j` where none is left. They are bound to g0
+    to g3 in the test `0 == (g0 := <chain>) - g0 == ... == (g3 := <chain>) -
     g3`, true exactly where all four are finite (z - z is 0j for a finite z
     and has a NaN part otherwise), as `ComplexMatrix._from_flat` scans
     them; only then is the marginal's check, which reads g0 to g3, run.
-    Level k's initial population is r<9k>, its final one r<source[9k]>, and
-    its change (final - initial); the second tuple reads the real part of
-    each diagonal entry a level sum names once into r<p>, in increasing p. A
-    heat, Tr[(rho_f - rho_i)(H_sub (x) 1)], reads only the diagonal: it adds
-    each change times its memory or reservoir level, and an energy adds each
-    population times its composite level, left to right from 0.0 as a loop
-    over the 8 levels adds them (`sum` compensates floats from Python 3.12
-    on). A term of level 0 is left out: a checked state's populations are
-    finite, so the term is a zero, which leaves a running sum from +0.0,
-    never -0.0, as it is. A term of level 1 is its value and one of level 2
-    twice it, exactly, so each sum keeps the bits of the loop.
+    Where g1 and g2 are both `0j`, `_plan`'s rule picks the layout (0, 3) on
+    every call, so it is picked here, once. Level k's initial population is
+    r<9k> and its final one r<source[9k]>, each left out where key proves
+    it zero; its change is (final - initial), `- initial` or `+ final` where
+    one side is proven zero, and no term where both are. The second tuple
+    reads the real part of each open diagonal entry a level sum names once
+    into r<p>, in increasing p. A heat, Tr[(rho_f - rho_i)(H_sub (x) 1)],
+    reads only the diagonal: it adds each change times its memory or
+    reservoir level, and an energy adds each population times its composite
+    level, left to right from 0.0 as a loop over the 8 levels adds them
+    (`sum` compensates floats from Python 3.12 on). A term of level 0 is
+    left out: a checked state's populations are finite, so the term is a
+    zero, which leaves the running sum as it is. A term of level 1 is its
+    value and one of level 2 twice it, exactly, so each sum keeps the bits
+    of the loop.
 
     The kernel's own names, the parameters, r<p> and g0 to g3, are none of
     the walrus names `_check_source` binds (defect, tr, a, d, x, y, u, v, m,
@@ -355,26 +368,32 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     a name the sums or the marginal's check read."""
     order = _kron_order(2, 4)  # the memory qubit (x) the reservoir's 4 values
     entries = [f"t[{k}]" for k in order]
-    check, _ = _check_source([p for p, k in enumerate(order) if k in key], 8, entries)
+    live = {p for p, k in enumerate(order) if k in key}  # the positions not proven zero
+    check, _ = _check_source(sorted(live), 8, entries)
     source = _relabeling(perm, 8)(range(64))  # final flat position -> initial one
     groups, _ = _trace_groups(SUBSYSTEM_DIMS, (MEMORY,), 8)
-    initial = [f"r{9 * k}" for k in range(8)]
-    final = [f"r{source[9 * k]}" for k in range(8)]
-    changes = [f"({now} - {was})" for now, was in zip(final, initial)]
+    diagonal = range(0, 64, 9), source[::9]  # each level's initial and final position
+    summed = live & {p for ps in diagonal for p, n in zip(ps, _COMPOSITE_LEVELS) if n}
+    was, now = ([f"r{p}" if p in summed else "" for p in ps] for ps in diagonal)
+    changes = [f" + ({n} - {w})" if n and w else f" + {n}" if n else w and f" - {w}"
+               for n, w in zip(now, was)]
     sums = ", ".join(
-        "0.0" + "".join(f" + {value}" + (f" * {n}" if n > 1 else "")
-                        for value, n in zip(values, levels) if n)
-        for values, levels in ((changes, _MEMORY_LEVELS), (changes, _RESERVOIR_LEVELS),
-                               (initial, _COMPOSITE_LEVELS), (final, _COMPOSITE_LEVELS)))
-    summed = [k for k, n in enumerate(_COMPOSITE_LEVELS) if n]  # the levels a sum reads
-    reals = "".join(f"(r{p} := {entries[p]}.real), "
-                    for p in sorted({9 * k for k in summed} | {source[9 * k] for k in summed}))
-    finite = "".join(f" == (g{i} := {_sum_chain([entries[source[p]] for p in group])}) - g{i}"
-                     for i, group in enumerate(groups))
+        "0.0" + "".join(term + (f" * {n}" if n > 1 else "")
+                        for term, n in zip(terms, levels) if n and term)
+        for terms, levels in ((changes, _MEMORY_LEVELS), (changes, _RESERVOIR_LEVELS),
+                              ([w and f" + {w}" for w in was], _COMPOSITE_LEVELS),
+                              ([n and f" + {n}" for n in now], _COMPOSITE_LEVELS)))
+    reals = "".join(f"(r{p} := {entries[p]}.real), " for p in sorted(summed))
+    chains = [_sum_chain([entries[source[p]] for p in group if source[p] in live])
+              for group in groups]
+    finite = "".join(f" == (g{i} := {chain}) - g{i}" for i, chain in enumerate(chains))
+    g = ["g0", "g1", "g2", "g3"]
     qubit, marginal = (
         f"({_check_source((0, 1, 2, 3), 2, f)[0]}) if {f[1]} or {f[2]}"
         f" else ({_check_source((0, 3), 2, f)[0]})"
-        for f in ([f"q[{p}]" for p in range(4)], ["g0", "g1", "g2", "g3"]))
+        for f in ([f"q[{p}]" for p in range(4)], g))
+    if chains[1] == chains[2] == "0j":  # `_plan`'s rule picks (0, 3) on every call
+        marginal = _check_source((0, 3), 2, g)[0]
     return _compile(f"lambda t, q, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
                     f" (({check}), ({reals}), ({qubit}), ({marginal}) if 0{finite} else None,"
                     f" {sums})", f"route {perm} {key}")

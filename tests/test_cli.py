@@ -380,6 +380,27 @@ class TestSweepCommand:
             assert err.startswith(f"error: {record}: closed form ")
         assert not target.exists()
 
+    def test_a_failing_cell_is_named(self, capsys, monkeypatch, tmp_path):
+        """A failure injected at one mid-grid cell exits 1 with `analyze`'s
+        message, then that cell's indices and angles, and prints no row."""
+        original = qerase.thermo._heat_memory
+        bad = BlochVector(0.5 * math.sin(math.pi / 2) * math.cos(math.pi),
+                          0.5 * math.sin(math.pi / 2) * math.sin(math.pi),
+                          0.5 * math.cos(math.pi / 2))  # cell i=2, j=1 of a 5x2 grid
+
+        def wrong(b):
+            return original(b) + (1e-6 if b == bad else 0.0)
+
+        monkeypatch.setattr(qerase.thermo, "_heat_memory", wrong)
+        target = tmp_path / "sweep.csv"
+        argv = ["sweep", "--r", "0.5", "--n-theta", "5", "--n-phi", "2", "--beta", "1"]
+        for output in ([], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, *argv, *output)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: memory heat: closed form ")
+            assert err.endswith(f" (cell i=2, j=1: theta={math.pi / 2!r}, phi={math.pi!r})\n")
+        assert not target.exists()
+
     def test_zero_temperature_default_balances_heats(self, capsys):
         _, out, _ = run_cli(
             capsys, "sweep", "--r", "0.4", "--n-theta", "3", "--n-phi", "2"
@@ -776,6 +797,35 @@ class TestParserPlumbing:
             last = parser._actions[-1]
             assert (last.option_strings, last.default, last.metavar) == (
                 ["--output"], None, "PATH"), name
+
+    def test_help_is_the_stock_formatter_s(self, monkeypatch):
+        """Every parser formats with the formatter that reads the terminal
+        width only when it formats, and its help and usage at 40, 80 and
+        200 columns are those of a parser built with argparse's own
+        formatter, whose subcommands' prog argparse derives itself."""
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def built():
+            parser = build_parser()
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return [parser, *(sub.choices[name] for name in sorted(sub.choices))]
+
+        ours = built()
+        assert {p.formatter_class for p in ours} == {qerase.cli._HelpFormatter}
+        with monkeypatch.context() as stock:
+            stock.setattr(qerase.cli, "_HelpFormatter", argparse.HelpFormatter)
+            stock.setattr(argparse.ArgumentParser, "add_subparsers",
+                          lambda self, prog, **kwargs: add_subparsers(self, **kwargs))
+            theirs = built()
+        assert {p.formatter_class for p in theirs} == {argparse.HelpFormatter}
+        helps = set()
+        for columns in (40, 80, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            for got, want in zip(ours, theirs):
+                assert got.format_help() == want.format_help(), (columns, got.prog)
+                assert got.format_usage() == want.format_usage(), (columns, got.prog)
+            helps.add(ours[1].format_help())
+        assert len(helps) == 3  # each width wraps the help its own way
 
     @pytest.mark.parametrize("text, code", [
         ("inf", 0), (" INF ", 0), ("Infinity", 0), ("+inf", 0), ("infinite", 0),

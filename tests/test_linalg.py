@@ -418,6 +418,29 @@ class TestFlatKernelsBitForBit:
         assert _value_or_message(density_matrix, diagonal(cases[2])) == (
             "ValueError", f"trace {trace(diagonal(cases[2]))!r} differs from 1 by more than 1e-12")
 
+    def test_the_trace_adds_only_the_diagonal_its_key_leaves_open(self):
+        """The check kernel's trace chain adds only the diagonal entries in
+        its pattern's key, `0j` where there are none, and has the bits of
+        `trace(m)` on the 5,000 sparse matrices, whose zero diagonal entries
+        carry either sign, and on patterns whose diagonal is all zero; such
+        a diagonal fails `density_matrix`'s trace test with `0j`."""
+        z = complex(-0.0, -0.0)
+        hollow = [[[z]], [[z] * 8] * 8,
+                  [[z, 0.5, 0j], [0.5, complex(0.0, -0.0), 0.25j], [0j, -0.25j, z]]]
+        folded = 0
+        for rows in _sparse_batch() + hollow:
+            m = ComplexMatrix(rows)
+            check, n = _plan(m)[0], m.dim
+            for tols in ((), (math.inf, math.inf)):
+                tr = check(m._flat, *tols)[1]
+                if tols or tr is not None:  # at infinite tolerances the trace is always there
+                    assert repr(tr) == repr(trace(m)), rows
+            folded += n != 2 and not all(m._flat[::n + 1])
+        assert folded > 1000
+        for rows in hollow:
+            assert _value_or_message(density_matrix, rows) == (
+                "ValueError", "trace 0j differs from 1 by more than 1e-12")
+
 
 def _compiles():
     """Each kernel builder's cache misses, one per kernel it has compiled."""

@@ -206,10 +206,12 @@ def test_erase_command_leaves_out_typing():
 
 
 def test_erase_command_leaves_out_optics_and_csv():
-    """Only `optics` simulates the photon and only the CSV layouts write CSV."""
+    """Only `optics` simulates the photon, only the CSV layouts write CSV,
+    and only a help or usage message reads the terminal width, through
+    `shutil`."""
     loaded = loaded_modules(*ERASE)
     assert "qerase.thermo" in loaded
-    assert sorted(loaded & {"qerase.optics", "csv"}) == []
+    assert sorted(loaded & {"qerase.optics", "csv", "shutil"}) == []
 
 
 FIRST_OPS = (

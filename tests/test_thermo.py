@@ -921,8 +921,10 @@ class TestFusedRouteBitForBit:
     def test_the_route_reads_each_population_once(self):
         """On products that count their `.real` reads, the route reads the
         product of every diagonal position a level sum uses exactly once more
-        than the density check alone, through the name it is bound to, and
-        no other `.real`; the outputs keep their bits."""
+        than the density check alone, through the name it is bound to, where
+        the key leaves the product open, and never where it proves it zero,
+        and no other `.real`; the outputs keep their bits. On a draw with
+        every product open and on each of TestRouteKernelNames's 12 keys."""
         reads = collections.Counter()
 
         class Counted(complex):
@@ -936,22 +938,80 @@ class TestFusedRouteBitForBit:
             entry.position = k
             return entry
 
-        b, spec = BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)
-        t, key = _initial_products(b, spec)
-        q = qubit_from_bloch(b)._flat
-        kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)
-        products = tuple(itertools.starmap(counted, enumerate(t)))
-        got = kernel(products, q)
-        fused = dict(reads)
-        reads.clear()
         order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
-        entries = ComplexMatrix._wrap(tuple(products[k] for k in order), 8)
-        assert repr(qerase.linalg._plan(entries)[0](entries._flat)) == repr(got[0])
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
-        used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
-        assert fused == dict(reads + collections.Counter(used))
-        assert repr(got[1:]) == repr(kernel(t, q)[1:])
+        draws = [(BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)),
+                 *TestRouteKernelNames.draws()]
+        for b, spec in draws:
+            t, key = _initial_products(b, spec)
+            q = qubit_from_bloch(b)._flat
+            kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)
+            products = tuple(itertools.starmap(counted, enumerate(t)))
+            reads.clear()
+            got = kernel(products, q)
+            fused = dict(reads)
+            reads.clear()
+            entries = ComplexMatrix._wrap(tuple(products[k] for k in order), 8)
+            assert repr(qerase.linalg._plan(entries)[0](entries._flat)) == repr(got[0])
+            used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
+            assert fused == dict(reads + collections.Counter(used & set(key))), (b, spec)
+            assert repr(got[1:]) == repr(kernel(t, q)[1:])
+        assert len(draws) == 13 and len(_initial_products(*draws[0])[1]) == 8
+
+
+class TestRouteKernelFolding:
+    """The route kernel is folded on its key: a product the key proves zero
+    takes part in no sum, neither the density check's trace, nor a chain of
+    the final memory, nor a level sum, and no other arithmetic. Its one read
+    is the `.real` of the 8x8 check's solve, for a product on the diagonal:
+    the spectrum keeps a zero's sign."""
+
+    OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+           "__truediv__", "__neg__", "__abs__", "conjugate")
+
+    def test_no_arithmetic_touches_a_product_the_key_proves_zero(self):
+        touched = collections.Counter()
+
+        def counting(name):
+            def op(self, *args):
+                touched[self.position, name] += 1
+                return getattr(complex, name)(self, *args)
+            return op
+
+        def part(name):
+            def read(self):
+                touched[self.position, name] += 1
+                return getattr(complex, name).__get__(self)
+            return property(read)
+
+        Counted = type("Counted", (complex,), {
+            **{name: counting(name) for name in self.OPS},
+            "real": part("real"), "imag": part("imag")})
+
+        def counted(k, value):
+            entry = Counted(value)
+            entry.position = k
+            return entry
+
+        order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
+        on_diagonal = {order[p] for p in range(0, 64, 9)}
+        folded = 0
+        for b, spec in TestRouteKernelNames.draws():
+            t, key = _initial_products(b, spec)
+            q = qubit_from_bloch(b)._flat
+            kernel = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)
+            touched.clear()
+            got = kernel(tuple(itertools.starmap(counted, enumerate(t))), q)
+            assert got[0][2] is not None and got[3][2] is not None  # both solves ran
+            assert repr(got) == repr(kernel(t, q))
+            for k in sorted(set(range(20)) - set(key)):
+                ops = {name: n for (position, name), n in touched.items() if position == k}
+                assert ops == ({"real": 1} if k in on_diagonal else {}), (b, spec, k, ops)
+                folded += 1
+            assert any(position in key for position, _ in touched), (b, spec)
+        assert folded == 12 * 20 - sum(len(_initial_products(b, spec)[1])
+                                       for b, spec in TestRouteKernelNames.draws())
 
 
 class TestRouteKernelNames:
@@ -967,6 +1027,11 @@ class TestRouteKernelNames:
               (1e-7, 0.0, 1.0), (1e-7, 0.0, -1.0)]
     SPECS = [ThermalSpec.from_beta(1.0), ThermalSpec.from_beta(math.inf)]
 
+    @classmethod
+    def draws(cls):
+        """One (Bloch vector, spec) per key: the 12 of BLOCHS x SPECS."""
+        return [(BlochVector(*b), spec) for b in cls.BLOCHS for spec in cls.SPECS]
+
     @staticmethod
     def _targets(nonzero, n, f):
         source, _ = qerase.linalg._check_source(nonzero, n, f)
@@ -980,12 +1045,12 @@ class TestRouteKernelNames:
         entries = [f"t[{k}]" for k in order]
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
-        own = {"t", "q", "htol", "ttol", "g0", "g1", "g2", "g3",
-               *(f"r{9 * k}" for k in levels), *(f"r{9 * source[k]}" for k in levels)}
-        keys = {_initial_products(BlochVector(*b), spec)[1]
-                for b in self.BLOCHS for spec in self.SPECS}
+        populations = {9 * k for k in levels} | {9 * source[k] for k in levels}
+        keys = {_initial_products(b, spec)[1] for b, spec in self.draws()}
         assert len(keys) == 12
         for key in keys:
+            own = {"t", "q", "htol", "ttol", "g0", "g1", "g2", "g3",
+                   *(f"r{p}" for p in populations if order[p] in key)}  # the open populations
             check = self._targets([p for p, k in enumerate(order) if k in key], 8, entries)
             targets = layouts | check
             names = set(qerase.thermo._route_kernel(ERASURE_PERMUTATION, key).__code__.co_varnames)
