@@ -206,6 +206,39 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="trace"):
             apply_channel(diagonal([1.0] * 8))
 
+    def test_refusal_order(self, monkeypatch):
+        """The density check comes first, then the dimension, then the
+        erasure map: a 4x4 state is refused for its dimension only once it
+        is a density matrix, rows go through the validating constructor, and
+        a wrong map raises only for a state that passed both."""
+        def refusal(rho):
+            with pytest.raises((ValueError, ArithmeticError)) as info:
+                apply_channel(rho)
+            return info.type, str(info.value)
+
+        dim = (ValueError, "expected an 8-dimensional state, got 4")
+        assert refusal(diagonal([0.25] * 4)) == dim
+        assert refusal([[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]) == dim
+        skew = [[0.25, 0.1, 0.0, 0.0], [-0.1, 0.25, 0.0, 0.0],
+                [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.25]]
+        hermiticity = (ValueError, "matrix is not Hermitian: defect 2.000e-01 exceeds 1e-12")
+        assert refusal(skew) == refusal(ComplexMatrix(skew)) == hermiticity
+        assert refusal([[1.0, 0.0], [0.0]]) == (
+            ValueError, "matrix is not square: 2 rows, row of length 1")
+        assert refusal([[math.nan]]) == (ValueError, "matrix entries must be finite")
+        assert refusal([]) == (ValueError, "matrix must have at least one row")
+        rows = [[0.125 if i == j else 0.0 for j in range(8)] for i in range(8)]
+        assert apply_channel(rows) == apply_channel(ComplexMatrix(rows))
+
+        wrong = (1, 0, *ERASURE_PERMUTATION[2:])
+        monkeypatch.setattr(qerase.channel, "ERASURE_PERMUTATION", wrong)
+        assert refusal(skew) == hermiticity
+        assert refusal(diagonal([0.25] * 4)) == dim
+        assert refusal(diagonal([1.0] * 8)) == (
+            ValueError, "trace (8+0j) differs from 1 by more than 1e-12")
+        kind, message = refusal(rows)
+        assert kind is ArithmeticError and message.startswith(f"erasure permutation: {wrong}")
+
 
 class TestMemoryGroundFidelity:
     def test_bits_of_the_marginal_entry(self):

@@ -1,5 +1,6 @@
 """Every output bit of `analyze`, its cross-check records, the propagate calls,
-`sweep`'s rows and `verify`, pinned.
+`sweep`'s rows and `verify`, and the refusals of the calls that build the
+propagated states, pinned.
 
 Each test draws its own seeded inputs, runs them and compares the sha256 of
 the `repr` of the list of outputs (an error as `Type: message`) with a
@@ -23,7 +24,9 @@ import math
 import random
 
 import qerase
+from qerase.channel import _branch_split
 from qerase.cli import build_parser, cmd_sweep
+from qerase.linalg import ComplexMatrix, _kron, diagonal, partial_trace
 from qerase.verify import run_verification
 
 BETA_GRID = (0.0, 0.1, 1.0, 10.0, math.inf)
@@ -36,6 +39,7 @@ PROPAGATE_DIGEST = "95c6ee277c632f093f9098d1933964bcd76b7b3938668823359c465e8665
 VERIFY_DIGEST = "d081efdba8c07dc5471b9fd15aaaf97db590f5c157f926e253e11be810d4d5e5"
 RECORDS_DIGEST = "15446f565b73b7b5f450eb0efcc277fc33c4c868e5e0d91ab256611c8f32de82"
 SWEEP_DIGEST = "2c77bcb53f408624b4e0d02c3f3fb56a8e70c6358cba3a2d8770d526f637e3e5"
+REFUSALS_DIGEST = "5f2c7c6f5296a86bdf84807ad1e1087778eccc754b658dcda7e7913a241cb7bf"
 
 SWEEP_RADII = ("0", "0.3", "0.5", repr(1.0 - 1e-12), repr(1.0 - 2.0 ** -53), "1")
 SWEEP_THERMAL = (("--beta", "0"), ("--beta", "inf"), ("--beta", "1e300"), ("--beta", "1e-300"),
@@ -136,6 +140,64 @@ def test_sweep_rows():
                       *thermal]),)
               for r, thermal, delta in itertools.product(SWEEP_RADII, SWEEP_THERMAL, SWEEP_GAPS)]
     assert _digest(lambda args: cmd_sweep(args)["rows"], inputs) == SWEEP_DIGEST
+
+
+def _refusals():
+    """(type, message) of each refusal of a bad input to `_kron`,
+    `partial_trace`, `_branch_split` and `apply_channel`, in a fixed order;
+    every input is refused."""
+    inf, nan, big, top = math.inf, math.nan, 1e200, 1.7976931348623157e308
+    circuit = qerase.optics.DEFAULT_CIRCUIT_PERMUTATION
+    bad_perms = ((0,) * 8, (1, 0), (*range(7), 8))
+    calls = []
+    cases = [(a, values, perms)
+             for a in (qerase.qubit_from_bloch(qerase.BlochVector(0.3, -0.2, 0.4)),
+                       diagonal([1.0, -0.0]))
+             for values, perms in (([nan, 0.5, 0j, 0j], (None, circuit, *bad_perms)),
+                                   ([0.5, inf, 0j, 0j], (None, circuit, *bad_perms)),
+                                   ([complex(0.5, -inf), 0.5, 0j, 0j], (None, *bad_perms)),
+                                   ([], (None, circuit, *bad_perms)),
+                                   ([0.5, 0.5, 0j, 0j], bad_perms))]
+    overflowing = ComplexMatrix([[big, 0.5j], [-0.5j, 0.5]])  # big * big = inf
+    cases += [(overflowing, values, (None, circuit, *bad_perms))
+              for values in ([big, 0.5, 0j, 0j], [complex(0.0, big), 0.5, 0j, 0j])]
+    for a, values, perms in cases:
+        calls.extend(lambda a=a, values=values, perm=perm: _kron(a, values, perm) for perm in perms)
+    for huge in (diagonal([1e308] * 8), diagonal([complex(-1e308, 1e308)] * 8)):
+        for dims, keep in (((2, 2, 2), (0,)), ((2, 2, 2), (1, 2)), ((2, 4), (0,)),
+                           ((2, 4), (1,)), ((2, 2, 2), (0, 2)), ((2, 3), (0,)), ((2, 4), ())):
+            calls.append(lambda m=huge, dims=dims, keep=keep: partial_trace(m, dims, keep))
+    splits = [(qerase.BlochVector(0.0, 0.0, 1.0 + 1e-12), p) for p in ((top, 0.0), (0.5, top))]
+    splits += [(qerase.BlochVector(0.6, -0.8, 0.0), p) for p in ((inf, 0.0), (0.5, nan), (-inf, inf))]
+    for b, p in splits:
+        calls.extend(lambda b=b, p=p, perm=perm: _branch_split(b, *p, perm)
+                     for perm in (None, qerase.optics.CHANNEL_TO_MODE[:4]))
+    rows = [[0.125 if i == j else 0.0 for j in range(8)] for i in range(8)]
+    skew = [row[:] for row in rows]
+    skew[0][1], skew[1][0] = 0.01, -0.01
+    negative = [row[:] for row in rows]
+    negative[0][0], negative[1][1] = -0.125, 0.375
+    bads = ([], [[1.0, 0.0], [0.0]], [[nan]], [[inf, 0.0], [0.0, 0.0]], skew, ComplexMatrix(skew),
+            [[0.25 if i == j else 0.0 for j in range(8)] for i in range(8)], negative,
+            ComplexMatrix(negative), diagonal([0.25] * 4), diagonal([0.5, 0.5]),
+            diagonal([1.0, 0.0, 0.0, 1.0]), [[0.5, 1j], [-1j, 0.5]])
+    calls.extend(lambda rho=rho: qerase.apply_channel(rho) for rho in bads)
+    out = []
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+        else:
+            raise AssertionError(f"refusal {len(out)} returned")
+    return out
+
+
+def test_refusals():
+    """Every refusal's type and message, in order: a change that moves a
+    finiteness scan, a density check or a permutation check ahead of
+    another changes the digest."""
+    assert hashlib.sha256(repr(_refusals()).encode()).hexdigest() == REFUSALS_DIGEST
 
 
 def test_verification_battery():
