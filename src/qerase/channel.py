@@ -12,14 +12,14 @@ import cmath
 
 from .linalg import (
     ComplexMatrix,
+    _judged,
+    _plan,
     _relabeling,
     _trace_plan,
     compose_permutations,
-    density_matrix,
     diagonal,
     kron,
     partial_trace,
-    permute,
 )
 from .record import Record, _set_field
 from .states import BlochVector, ThermalSpec, thermal_probs
@@ -88,24 +88,27 @@ _CNOT_PERMUTATION = circuit_permutation(build_circuit())
 def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
     """Conjugate rho by the erasure unitary, an exact index relabeling.
 
-    Raises ArithmeticError when `ERASURE_PERMUTATION` is not the map the
-    four CNOTs compose, whether or not the state populates the columns where
+    Refuses, in this order: rows that do not form a ComplexMatrix, with its
+    ValueError; a rho that is not a density matrix, with `density_matrix`'s
+    ValueError, from one call of the check kernel of its plan (`_plan`);
+    a dimension other than 8; and, with ArithmeticError, an
+    `ERASURE_PERMUTATION` that is not the map the four CNOTs compose
+    (`_checked_map`), whether or not the state populates the columns where
     the two differ."""
-    return permute(*_checked_input(rho))
-
-
-def _checked_input(rho: ComplexMatrix) -> tuple[ComplexMatrix, tuple[int, ...]]:
-    """The checks of `apply_channel`, in its order: rho validated as an 8x8
-    density matrix, and the erasure permutation it applies (`_checked_map`)."""
-    rho = density_matrix(rho)
-    if rho.dim != 8:
-        raise ValueError(f"expected an 8-dimensional state, got {rho.dim}")
-    return rho, _checked_map()
+    if not isinstance(rho, ComplexMatrix):
+        rho = ComplexMatrix(rho)
+    flat = rho._flat
+    _judged(*_plan(rho)[0](flat))
+    if rho._dim != 8:
+        raise ValueError(f"expected an 8-dimensional state, got {rho._dim}")
+    final = object.__new__(ComplexMatrix)
+    final._flat, final._dim = _relabeling(_checked_map(), 8)(flat), 8
+    return final
 
 
 def _checked_map() -> tuple[int, ...]:
-    """The permutation half of `_checked_input`: `ERASURE_PERMUTATION`, read
-    once, or ArithmeticError where it is not the CNOT composition."""
+    """The map `apply_channel` applies: `ERASURE_PERMUTATION`, read once, or
+    ArithmeticError where it is not the CNOT composition."""
     perm = ERASURE_PERMUTATION
     if perm != _CNOT_PERMUTATION:
         raise ArithmeticError(f"erasure permutation: {perm} "
@@ -127,18 +130,23 @@ def _branch_split(
     b: BlochVector, p_g: float, p_e: float, perm: tuple[int, ...] | None = None
 ) -> ComplexMatrix:
     """The state above for branch weights p_g and p_e, indexed 2e + a, or,
-    unless perm is None, `permute(state, perm)` in one cached gather."""
+    unless perm is None, `permute(state, perm)` in one cached gather. Its 8
+    computed entries are scanned for finiteness, where a weight that is not
+    finite or a product that overflows is refused; the other 8 are 0j."""
     up = (1.0 + b.r_z) / 2.0
     down = (1.0 - b.r_z) / 2.0
     off = (b.r_x - 1j * b.r_y) / 2.0
+    conj = off.conjugate()
+    entries = (complex(up * p_g), off * p_g, complex(down * p_e), conj * p_e,
+               conj * p_g, complex(down * p_g), off * p_e, complex(up * p_e))
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("matrix entries must be finite")
+    v0, v1, v2, v3, v4, v5, v6, v7 = entries
     z = 0j
-    flat = (
-        complex(up * p_g), z, off * p_g, z,
-        z, complex(down * p_e), z, off.conjugate() * p_e,
-        off.conjugate() * p_g, z, complex(down * p_g), z,
-        z, off * p_e, z, complex(up * p_e),
-    )
-    return ComplexMatrix._from_flat(flat if perm is None else _relabeling(perm, 4)(flat), 4)
+    flat = (v0, z, v1, z, z, v2, z, v3, v4, z, v5, z, z, v6, z, v7)
+    state = object.__new__(ComplexMatrix)
+    state._flat, state._dim = flat if perm is None else _relabeling(perm, 4)(flat), 4
+    return state
 
 
 def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

@@ -14,9 +14,10 @@ from plain int positions on first use, by `_compile`, so importing the
 module compiles nothing. The builders:
 - `_relabeling`: the getter of the flat entries in a permutation's order;
 - `_product_kernel`: the products of a Kronecker product with a diagonal
-  right factor, checked by `_kron_products` for `_kron` and for
+  right factor, scanned by `_kron` and by `_kron_products`, for
   `thermo._cross_check`, whose `_route_kernel` reads them;
-- `_kron_gather`: the getter of those products in `_kron`'s entry order;
+- `_kron_plan`: `_kron`'s product kernel and the getter of its products in
+  its entry order;
 - `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
   positions in `_trace_groups`;
 - `_pattern_plan`: the density check and the solve of a nonzero pattern,
@@ -184,10 +185,20 @@ def _kron(
     """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
     None, bit for bit for complex values: every state the package forms is a
     qubit (x) a diagonal reservoir or path mixture. It refuses as that
-    reference does, in its order: the products are checked
-    (`_kron_products`) before `_kron_gather` validates perm."""
-    products, nb = _kron_products(a, values), len(values)
-    return ComplexMatrix._wrap(_kron_gather(a._dim, nb, perm)(products), a._dim * nb)
+    reference does, in its order: where `_kron_plan` refuses the shape or
+    perm, the products are scanned first (`_kron_products`), as `diagonal`
+    scans the values before `permute` sees perm."""
+    try:
+        kernel, gather, n = _kron_plan(a._dim, len(values), perm)
+    except (TypeError, ValueError):
+        _kron_products(a, values)
+        raise
+    products = kernel(a._flat, values)
+    if not all(map(cmath.isfinite, products)):
+        raise ValueError("matrix entries must be finite")
+    m = object.__new__(ComplexMatrix)
+    m._flat, m._dim = gather(products), n
+    return m
 
 
 def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex, ...]:
@@ -195,23 +206,29 @@ def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex
     given, each scanned for finiteness: x * 0j is finite for finite x, and a
     value v that is not finite makes every a[p] * v non-finite (x * nan, x *
     inf and 0 * inf are), so they are refused exactly where `diagonal` or
-    `kron` would be."""
+    `kron` would be. `_kron` scans its products as this does."""
     if not values:
         raise ValueError("matrix must have at least one row")
-    products = _product_kernel(a._dim, len(values))(a._flat, [*values, 0j])
+    products = _product_kernel(a._dim, len(values))(a._flat, values)
     if not all(map(cmath.isfinite, products)):
         raise ValueError("matrix entries must be finite")
     return products
 
 
 @lru_cache(maxsize=64)
-def _kron_gather(na: int, nb: int, perm: tuple[int, ...] | None) -> Callable[[tuple], tuple]:
-    """The getter of `kron(a, diagonal(values))`'s row-major entries from
-    `_product_kernel(na, nb)`'s products (`_kron_order`), relabeled as
-    `permute` relabels them unless perm is None (`_relabeling`, which
-    validates perm)."""
+def _kron_plan(
+    na: int, nb: int, perm: tuple[int, ...] | None
+) -> tuple[Callable[[tuple, Sequence], tuple], Callable[[tuple], tuple], int]:
+    """The plan of `_kron` for an na x na left factor and nb >= 1 values:
+    the shared `_product_kernel(na, nb)`, the getter of `kron(a,
+    diagonal(values))`'s row-major entries from its products
+    (`_kron_order`), relabeled as `permute` relabels them unless perm is
+    None (`_relabeling`, which validates perm), and the dimension."""
+    if not nb:
+        raise ValueError("matrix must have at least one row")
     order = _kron_order(na, nb)
-    return _getter(order if perm is None else _relabeling(perm, na * nb)(order))
+    gather = _getter(order if perm is None else _relabeling(perm, na * nb)(order))
+    return _product_kernel(na, nb), gather, na * nb
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -227,21 +244,23 @@ def _compile(source: str, name: str) -> Callable:
 
 
 @lru_cache(maxsize=8)
-def _product_kernel(na: int, nb: int) -> Callable[[tuple, list], tuple]:
-    """The `_compile`d function of a's na * na flat entries a and nb + 1
-    factors v, the values and a 0j, `lambda a, v: (a[0] * v[0], ..., a[na^2
-    - 1] * v[nb])`, p major. Each entry of `kron(a, diagonal(values))` is
-    a[p] * v_k or a[p] * 0j, `diagonal`'s zero, so these products form it
-    bit for bit, each made once; `_kron_order` names each entry's. The
-    source holds only plain int positions, never the values."""
-    products = "".join(f"a[{p}] * v[{k}], " for p in range(na * na) for k in range(nb + 1))
+def _product_kernel(na: int, nb: int) -> Callable[[tuple, Sequence], tuple]:
+    """The `_compile`d function of a's na * na flat entries a and the nb
+    values v, `lambda a, v: (a[0] * v[0], ..., a[0] * 0j, ..., a[na^2 - 1] *
+    0j)`, p major, each p's nb products followed by its product with 0j.
+    Each entry of `kron(a, diagonal(values))` is a[p] * v_k or a[p] * 0j,
+    `diagonal`'s zero, so these products form it bit for bit, each made
+    once; `_kron_order` names each entry's. The source holds only plain int
+    positions and the literal 0j, never the values."""
+    products = "".join(f"a[{p}] * {f'v[{k}]' if k < nb else '0j'}, "
+                       for p in range(na * na) for k in range(nb + 1))
     return _compile(f"lambda a, v: ({products})", f"products {na}x{na} by {nb}")
 
 
 def _kron_order(na: int, nb: int) -> list[int]:
     """The index among `_product_kernel(na, nb)`'s products of each entry of
     `kron(a, diagonal(values))`, row-major: entry (ia nb + ib, ja nb + jb) is
-    a[ia, ja] times v[ib] where ib == jb and times v[nb], the 0j, elsewhere."""
+    a[ia, ja] times v[ib] where ib == jb and times 0j, index nb, elsewhere."""
     return [(ia * na + ja) * (nb + 1) + (ib if ib == jb else nb)
             for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
 
@@ -260,7 +279,12 @@ def partial_trace(
     overflows the float range.
     """
     kernel, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
-    return ComplexMatrix._from_flat(kernel(rho._flat), dim)
+    flat = kernel(rho._flat)
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("matrix entries must be finite")
+    m = object.__new__(ComplexMatrix)
+    m._flat, m._dim = flat, dim
+    return m
 
 
 @lru_cache(maxsize=64)
@@ -413,7 +437,8 @@ def _check_source(
     finite (`u - u == v - v`); else it is `math.hypot` of the sums of halved
     parts, which are finite, so the radius is inf only where |b| passes the
     float range, for which the `abs` of a complex with finite parts would
-    raise."""
+    raise. A diagonal entry the caller writes as the literal `0j`, a zero
+    it proves, has its real part written as 0.0, the real part of 0j."""
     pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in nonzero)})
     blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
     for i, j in pairs:
@@ -423,12 +448,15 @@ def _check_source(
                 blocks[k] = merged
     blocks = tuple(tuple(b) for i, b in enumerate(blocks) if b[0] == i)
 
+    def real(p):
+        return "0.0" if f[p] == "0j" else f"{f[p]}.real"
+
     def solved(block):
         if len(block) == 1:
-            return f"{f[block[0] * (n + 1)]}.real"
+            return real(block[0] * (n + 1))
         if len(block) == 2:
             i, j = block
-            a, d = f"(a := {f[i * (n + 1)]}.real)", f"(d := {f[j * (n + 1)]}.real)"
+            a, d = f"(a := {real(i * (n + 1))})", f"(d := {real(j * (n + 1))})"
             x, y = f"(x := {f[i * n + j]})", f"(y := {f[j * n + i]})"
             norm = (f"(abs(0.5 * u + 0.5 * v * 1j) if (u := {x}.real + {y}.real) - u"
                     f" == (v := x.imag - y.imag) - v else"

@@ -7,6 +7,7 @@ Basis order puts the leftmost subsystem most significant:
 memory (x) energy (x) ancilla, index = 4m + 2e + a.
 """
 
+import cmath
 import math
 
 from .linalg import ComplexMatrix, _kron, density_matrix, diagonal
@@ -108,9 +109,12 @@ def _gibbs(x: float) -> tuple[float, float]:
 def qubit_from_bloch(b: BlochVector) -> ComplexMatrix:
     """Qubit density matrix in the (|g>, |e>) basis; sigma_z |g> = +|g>."""
     off = (b.r_x - 1j * b.r_y) / 2.0
-    return ComplexMatrix._from_flat(
-        (complex((1.0 + b.r_z) / 2.0), off, off.conjugate(), complex((1.0 - b.r_z) / 2.0)), 2
-    )
+    flat = (complex((1.0 + b.r_z) / 2.0), off, off.conjugate(), complex((1.0 - b.r_z) / 2.0))
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("matrix entries must be finite")
+    rho = object.__new__(ComplexMatrix)
+    rho._flat, rho._dim = flat, 2
+    return rho
 
 
 def gibbs_four_level(spec: ThermalSpec) -> ComplexMatrix:

@@ -261,17 +261,17 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     record it would raise for judging each as it is made.
 
     The initial state is only its 20 Kronecker products t, scanned for
-    finiteness by `_kron`'s own `_kron_products`. One `_route_kernel` call,
-    keyed by the CNOT composition and the nonzero products, checks the state
-    as `apply_channel` does, reads the level sums off t, and checks the
-    initial qubit and the traced marginal as `von_neumann_entropy` checks
-    them. Then, in `_checked_input`'s order, the state's verdict is judged
-    and the erasure map checked to be that composition
-    (`channel._checked_map`), so a refused map builds no kernel; then, in
-    the order the entropy drop met them, the qubit's verdict, the
-    marginal's finiteness, as `ComplexMatrix._from_flat` checks it, and the
-    marginal's verdict. Each spectrum is summed by `_entropy`. dS is
-    computed once, for its record and for the limit temperature.
+    finiteness by `_kron_products`, as `_kron` scans them. One
+    `_route_kernel` call, keyed by the CNOT composition and the nonzero
+    products, checks the state as `apply_channel` does, reads the level sums
+    off t, and checks the initial qubit and the traced marginal as
+    `von_neumann_entropy` checks them. Then, in `apply_channel`'s order, the
+    state's verdict is judged and the erasure map checked to be that
+    composition (`channel._checked_map`), so a refused map builds no kernel;
+    then, in the order the entropy drop met them, the qubit's verdict, the
+    marginal's finiteness, as `partial_trace` checks it, and the marginal's
+    verdict. Each spectrum is summed by `_entropy`. dS is computed once, for
+    its record and for the limit temperature.
     """
     x = spec.beta * spec.delta
     rho_memory = qubit_from_bloch(b)
@@ -282,7 +282,7 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     _checked_map()
     delta_s = entropy_decrease(b)
     s_initial = _entropy(_judged(*qubit))
-    if marginal is None:  # as `ComplexMatrix._from_flat` refuses the marginal
+    if marginal is None:  # as `partial_trace` refuses the marginal
         raise ValueError("matrix entries must be finite")
     s_drop = s_initial - _entropy(_judged(*marginal))
 
@@ -341,13 +341,17 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     flat position p holds the initial one source[p]. The marginal is the four
     chains (`linalg._sum_chain`) that `memory_marginal` sums on
     `permute(rho, perm)`, each position read through source and left out
-    where key proves it zero, `0j` where none is left. They are bound to g0
-    to g3 in the test `0 == (g0 := <chain>) - g0 == ... == (g3 := <chain>) -
-    g3`, true exactly where all four are finite (z - z is 0j for a finite z
-    and has a NaN part otherwise), as `ComplexMatrix._from_flat` scans
-    them; only then is the marginal's check, which reads g0 to g3, run.
-    Where g1 and g2 are both `0j`, `_plan`'s rule picks the layout (0, 3) on
-    every call, so it is picked here, once. Level k's initial population is
+    where key proves it zero, `0j` where none is left. Each chain that is
+    not that constant is bound to its name g<i> in the test `0 == (g0 :=
+    <chain>) - g0 == ...`, true exactly where all of them are finite (z - z
+    is 0j for a finite z and has a NaN part otherwise), as `partial_trace`
+    scans the four, of which a `0j` is finite; `True` where none is left.
+    Only then is the marginal's check run, on the names and the constants,
+    each folded as `_check_source` folds a zero of its key: a `0j` entry
+    adds no defect term and no trace term, each a +0.0 that leaves its sum
+    or `max` as it is, and its real part is read as 0.0. Where g1 and g2
+    are both `0j`, `_plan`'s rule picks the layout (0, 3) on every call, so
+    it is picked here, once. Level k's initial population is
     r<9k> and its final one r<source[9k]>, each left out where key proves
     it zero; its change is (final - initial), `- initial` or `+ final` where
     one side is proven zero, and no term where both are. The second tuple
@@ -362,7 +366,7 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     value and one of level 2 twice it, exactly, so each sum keeps the bits
     of the loop.
 
-    The kernel's own names, the parameters, r<p> and g0 to g3, are none of
+    The kernel's own names, the parameters, r<p> and g<i>, are none of
     the walrus names `_check_source` binds (defect, tr, a, d, x, y, u, v, m,
     p, w, k, r, and s in a chain of over 100 terms), so no check rebinds
     a name the sums or the marginal's check read."""
@@ -386,14 +390,18 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     reals = "".join(f"(r{p} := {entries[p]}.real), " for p in sorted(summed))
     chains = [_sum_chain([entries[source[p]] for p in group if source[p] in live])
               for group in groups]
-    finite = "".join(f" == (g{i} := {chain}) - g{i}" for i, chain in enumerate(chains))
-    g = ["g0", "g1", "g2", "g3"]
+    g = [chain if chain == "0j" else f"g{i}" for i, chain in enumerate(chains)]
+    finite = "".join(f" == ({n} := {chain}) - {n}" for n, chain in zip(g, chains) if n != chain)
+
+    def checked(f, layout):  # the layout's check, folded on the entries f writes as 0j
+        return _check_source([p for p in layout if f[p] != "0j"], 2, f)[0]
+
     qubit, marginal = (
-        f"({_check_source((0, 1, 2, 3), 2, f)[0]}) if {f[1]} or {f[2]}"
-        f" else ({_check_source((0, 3), 2, f)[0]})"
+        f"({checked(f, (0, 1, 2, 3))}) if {f[1]} or {f[2]} else ({checked(f, (0, 3))})"
         for f in ([f"q[{p}]" for p in range(4)], g))
-    if chains[1] == chains[2] == "0j":  # `_plan`'s rule picks (0, 3) on every call
-        marginal = _check_source((0, 3), 2, g)[0]
+    if g[1] == g[2] == "0j":  # `_plan`'s rule picks (0, 3) on every call
+        marginal = checked(g, (0, 3))
     return _compile(f"lambda t, q, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
-                    f" (({check}), ({reals}), ({qubit}), ({marginal}) if 0{finite} else None,"
+                    f" (({check}), ({reals}), ({qubit}),"
+                    f" ({marginal}) if {'0' + finite if finite else 'True'} else None,"
                     f" {sums})", f"route {perm} {key}")

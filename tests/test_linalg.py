@@ -450,13 +450,15 @@ def _compiles():
 
 
 def _assert_the_two_kron_orders():
-    """The gather cache holds a qubit (x) 4 values in the plain order and in
-    `DEFAULT_CIRCUIT_PERMUTATION`'s, and no other."""
-    info = qerase.linalg._kron_gather.cache_info()
+    """The `_kron` plan cache holds a qubit (x) 4 values in the plain order
+    and in `DEFAULT_CIRCUIT_PERMUTATION`'s, and no other, and both plans
+    hold the one product kernel of that shape."""
+    info = qerase.linalg._kron_plan.cache_info()
     assert info.misses == info.currsize == 2, info
-    for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
-        qerase.linalg._kron_gather(2, 4, perm)
-    assert qerase.linalg._kron_gather.cache_info().misses == 2
+    kernels = {qerase.linalg._kron_plan(2, 4, perm)[0]
+               for perm in (None, DEFAULT_CIRCUIT_PERMUTATION)}
+    assert kernels == {qerase.linalg._product_kernel(2, 4)}
+    assert qerase.linalg._kron_plan.cache_info().misses == 2
 
 
 def _edge_grid():
@@ -1141,16 +1143,17 @@ class TestTraceKernels:
         """A fresh interpreter that imports the modules compiles no kernel;
         its first marginal compiles one trace kernel, and each first density
         check of a pattern its one check kernel, and each first Kronecker
-        shape its one `_product_kernel`; a second round compiles nothing.
-        Only the four builders call `_compile` (`test_stdlib_only`), so their
-        misses count every compile."""
+        shape its one `_product_kernel`, read through one `_kron` plan; a
+        second round compiles nothing and builds no plan. Only the four
+        builders call `_compile` (`test_stdlib_only`), so their misses count
+        every compile; the last count is `_kron_plan`'s."""
         code = (
             "import qerase.linalg, qerase.channel, qerase.optics, qerase.thermo\n"
             "from qerase.linalg import _kron, density_matrix, diagonal\n"
             "def misses():\n"
             "    print(*[f.cache_info().misses for f in (qerase.linalg._product_kernel,\n"
             "        qerase.linalg._trace_plan, qerase.linalg._pattern_plan,\n"
-            "        qerase.thermo._route_kernel)])\n"
+            "        qerase.thermo._route_kernel, qerase.linalg._kron_plan)])\n"
             "misses()\n"
             "qerase.channel.memory_marginal(diagonal([0.125] * 8))\n"
             "misses()\n"
@@ -1164,7 +1167,8 @@ class TestTraceKernels:
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n") == ["0 0 0 0", "0 1 0 0", "1 1 2 0", "1 1 2 0", ""]
+        assert proc.stdout.split("\n") == [
+            "0 0 0 0 0", "0 1 0 0 0", "1 1 2 0 1", "1 1 2 0 1", ""]
 
     def test_each_kernel_is_named_by_its_builder_and_key(self):
         """`_compile` names each kernel's code `<qerase {builder} {key}>`."""
@@ -1678,7 +1682,8 @@ class TestDensityValidation:
                     for m in seen]
 
         with monkeypatch.context() as patched:
-            patched.setattr(qerase.linalg, "_plan", recorded)
+            for module in (qerase.linalg, qerase.channel):  # apply_channel looks up its own
+                patched.setattr(module, "_plan", recorded)
             want = outputs()
         want_checks = checks()
         assert len({(m.dim, tuple(map(bool, m._flat))) for m in seen}) >= 8
@@ -1701,7 +1706,7 @@ class TestDensityValidation:
         4 diagonal values, whose products two gathers read."""
         qerase.linalg._pattern_plan.cache_clear()
         qerase.linalg._product_kernel.cache_clear()
-        qerase.linalg._kron_gather.cache_clear()
+        qerase.linalg._kron_plan.cache_clear()
         for b, spec in _edge_grid():
             _edge_outputs(b, spec)
         info = qerase.linalg._pattern_plan.cache_info()
@@ -1712,14 +1717,14 @@ class TestDensityValidation:
 
     def test_analyze_and_the_propagate_states_share_one_product_kernel(self):
         """`analyze`, `composite_initial` and `simulate` read the products of
-        one `_product_kernel`, a qubit's 4 entries times 4 values, and two
-        gathers, the composite state's plain order and simulate's with the
-        circuit's relabeling; `analyze` needs no gather."""
+        one `_product_kernel`, a qubit's 4 entries times 4 values; the last
+        two through two `_kron` plans, the composite state's plain order and
+        simulate's with the circuit's relabeling; `analyze` needs no plan."""
         qerase.linalg._product_kernel.cache_clear()
-        qerase.linalg._kron_gather.cache_clear()
+        qerase.linalg._kron_plan.cache_clear()
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
         qerase.analyze(b, spec)
-        assert qerase.linalg._kron_gather.cache_info().misses == 0
+        assert qerase.linalg._kron_plan.cache_info().misses == 0
         qerase.composite_initial(b, spec)
         qerase.simulate(b, qerase.PathDistribution.from_beta(0.7))
         assert qerase.linalg._product_kernel.cache_info().misses == 1

@@ -168,7 +168,8 @@ def _refusals():
                            ((2, 4), (1,)), ((2, 2, 2), (0, 2)), ((2, 3), (0,)), ((2, 4), ())):
             calls.append(lambda m=huge, dims=dims, keep=keep: partial_trace(m, dims, keep))
     splits = [(qerase.BlochVector(0.0, 0.0, 1.0 + 1e-12), p) for p in ((top, 0.0), (0.5, top))]
-    splits += [(qerase.BlochVector(0.6, -0.8, 0.0), p) for p in ((inf, 0.0), (0.5, nan), (-inf, inf))]
+    splits += [(qerase.BlochVector(0.6, -0.8, 0.0), p)
+               for p in ((inf, 0.0), (0.5, nan), (-inf, inf))]
     for b, p in splits:
         calls.extend(lambda b=b, p=p, perm=perm: _branch_split(b, *p, perm)
                      for perm in (None, qerase.optics.CHANNEL_TO_MODE[:4]))

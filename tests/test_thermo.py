@@ -591,6 +591,17 @@ def _initial_products(b, spec):
     return t, tuple(itertools.compress(range(20), t))
 
 
+def _open_chains(key, perm=ERASURE_PERMUTATION):
+    """The names g<i> of the final memory's entries, i = 2 row + column,
+    that hold a product the key leaves open; the others are 0j. Entry (i,
+    j) sums the final (4i + k, 4j + k) over k, and the channel moves
+    initial row c to row perm[c]."""
+    origin = {row: col for col, row in enumerate(perm)}
+    order = qerase.linalg._kron_order(2, 4)
+    return {f"g{2 * i + j}" for i in (0, 1) for j in (0, 1)
+            if any(order[origin[4 * i + k] * 8 + origin[4 * j + k]] in key for k in range(4))}
+
+
 def _route_marginal(t, perm):
     """The flat memory marginal of the state the route kernel of perm reads
     off the products t: `memory_marginal` of the gathered state permuted."""
@@ -647,6 +658,7 @@ class TestEigensolveCount:
             return counted, blocks
 
         monkeypatch.setattr(qerase.linalg, "_plan", planned)
+        monkeypatch.setattr(qerase.channel, "_plan", planned)  # apply_channel's check
         route = qerase.thermo._route_kernel
 
         def layout(flat):  # the blocks `_plan` keys for a 2x2's entries
@@ -868,6 +880,13 @@ class TestPartialTraceCount:
         assert (info.misses, info.currsize, info.hits) == (4, 4, 14)
 
 
+def _channel_checks(rho):
+    """`apply_channel`'s checks of a state `composite_initial` forms, each
+    its own step, in its order: rho's density check, then the erasure map
+    it applies (`channel._checked_map`)."""
+    return density_matrix(rho), qerase.channel._checked_map()
+
+
 class TestFusedRouteBitForBit:
     """The route kernel, bit for bit the density checks of the initial
     memory and of the final memory marginal and the level sums of the final
@@ -896,7 +915,7 @@ class TestFusedRouteBitForBit:
         checks return and of the initial state's nonzero products, and from
         `_cross_check`'s entropy record; the kernel's density check is, bit
         for bit, the check kernel of the gathered state's pattern."""
-        rho_initial, perm = qerase.channel._checked_input(composite_initial(b, spec))
+        rho_initial, perm = _channel_checks(composite_initial(b, spec))
         t, key = _initial_products(b, spec)
         check, _, *checks, q_m, q_r, u_i, u_f = qerase.thermo._route_kernel(perm, key)(
             t, qubit_from_bloch(b)._flat)
@@ -965,7 +984,9 @@ class TestRouteKernelFolding:
     takes part in no sum, neither the density check's trace, nor a chain of
     the final memory, nor a level sum, and no other arithmetic. Its one read
     is the `.real` of the 8x8 check's solve, for a product on the diagonal:
-    the spectrum keeps a zero's sign."""
+    the spectrum keeps a zero's sign. A chain of the final memory the key
+    proves 0j is bound to no name g<i>: neither the finiteness test nor the
+    marginal's check reads it."""
 
     OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
            "__truediv__", "__neg__", "__abs__", "conjugate")
@@ -996,7 +1017,7 @@ class TestRouteKernelFolding:
 
         order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
         on_diagonal = {order[p] for p in range(0, 64, 9)}
-        folded = 0
+        folded = chains = 0
         for b, spec in TestRouteKernelNames.draws():
             t, key = _initial_products(b, spec)
             q = qubit_from_bloch(b)._flat
@@ -1010,15 +1031,21 @@ class TestRouteKernelFolding:
                 assert ops == ({"real": 1} if k in on_diagonal else {}), (b, spec, k, ops)
                 folded += 1
             assert any(position in key for position, _ in touched), (b, spec)
+            code = kernel.__code__
+            bound = {name for name in (*code.co_varnames, *code.co_names) if name[0] == "g"}
+            assert bound == _open_chains(key), (b, spec, bound)
+            chains += 4 - len(bound)
         assert folded == 12 * 20 - sum(len(_initial_products(b, spec)[1])
                                        for b, spec in TestRouteKernelNames.draws())
+        assert chains == 12 * 4 - sum(len(_open_chains(_initial_products(b, spec)[1]))
+                                      for b, spec in TestRouteKernelNames.draws()) > 0
 
 
 class TestRouteKernelNames:
     """The route kernel's own names, its parameters, the populations r<p> it
-    binds and the marginal's chains g0 to g3, are none of the walrus names
-    the density checks it embeds bind, so no check can rebind a value that
-    a level sum or the marginal's check reads."""
+    binds and the marginal's open chains among g0 to g3, are none of the
+    walrus names the density checks it embeds bind, so no check can rebind
+    a value that a level sum or the marginal's check reads."""
 
     # every nonzero pattern of the initial products: the qubit's diagonal,
     # with and without its coherences, at each pole and inside, by the
@@ -1049,7 +1076,7 @@ class TestRouteKernelNames:
         keys = {_initial_products(b, spec)[1] for b, spec in self.draws()}
         assert len(keys) == 12
         for key in keys:
-            own = {"t", "q", "htol", "ttol", "g0", "g1", "g2", "g3",
+            own = {"t", "q", "htol", "ttol", *_open_chains(key),  # the open chains
                    *(f"r{p}" for p in populations if order[p] in key)}  # the open populations
             check = self._targets([p for p, k in enumerate(order) if k in key], 8, entries)
             targets = layouts | check
@@ -1532,10 +1559,11 @@ class TestAnalyzeDomain:
 class TestCrossCheckAsTheUnfusedComposition:
     """`_cross_check`, which reads the 20 Kronecker products through one
     route kernel, bit for bit and refusal for refusal the composition that
-    kernel fuses: `_checked_input` on the gathered composite_initial(b,
-    spec), the check kernels `_plan` hands out for the initial qubit and for
-    the memory marginal of `apply_channel`'s final state, and the loop trace
-    of that state's populations."""
+    kernel fuses: `apply_channel`'s checks (`_channel_checks`) on the
+    gathered composite_initial(b, spec), the check kernels `_plan` hands
+    out for the initial qubit and for the memory marginal of
+    `apply_channel`'s final state, and the loop trace of that state's
+    populations."""
 
     NAMED = [
         # a[1] * v[2] = 5e-301 * e^-69 / (1 + e^-69) underflows to 0, as a[2] * v[2] does
@@ -1553,7 +1581,7 @@ class TestCrossCheckAsTheUnfusedComposition:
 
         def unfused(perm, key):
             def kernel(t, q):
-                rho, perm = qerase.channel._checked_input(composite_initial(b, spec))
+                rho, perm = _channel_checks(composite_initial(b, spec))
                 checks = [qerase.linalg._plan(m)[0](m._flat) for m in (
                     rho, qerase.states.qubit_from_bloch(b), memory_marginal(apply_channel(rho)))]
                 traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
