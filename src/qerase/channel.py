@@ -98,7 +98,7 @@ def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
     if not isinstance(rho, ComplexMatrix):
         rho = ComplexMatrix(rho)
     flat = rho._flat
-    _judged(*_plan(rho)[0](flat))
+    _judged(*_plan(rho)(flat))
     if rho._dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho._dim}")
     final = object.__new__(ComplexMatrix)

@@ -22,8 +22,7 @@ module compiles nothing. The builders:
   positions in `_trace_groups`;
 - `_pattern_plan`: the density check and the solve of a nonzero pattern,
   looked up by `_plan`, written by `_check_source` (`thermo._route_kernel`
-  uses it too) and judged by `_judged`; a block of 3 or more is solved by
-  `_jacobi_eigenvalues`.
+  uses it too) and judged by `_judged`.
 """
 
 import cmath
@@ -141,9 +140,12 @@ def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
 
     Entry (i, j) moves to (perm[i], perm[j]): an exact relabeling, so no
     arithmetic touches the entries, and they were checked finite when rho
-    was built.
+    was built. perm is checked on each call: the cache finds (1, 0)'s
+    getter for (1.0, 0).
     """
-    return ComplexMatrix._wrap(_relabeling(tuple(perm), rho._dim)(rho._flat), rho._dim)
+    perm = tuple(perm)
+    _check_permutation(perm, rho._dim)
+    return ComplexMatrix._wrap(_relabeling(perm, rho._dim)(rho._flat), rho._dim)
 
 
 @lru_cache(maxsize=64)
@@ -367,32 +369,21 @@ def _sum_chain(terms: Sequence[str]) -> str:
     return f"0{runs[0]}" if len(runs) == 1 else f"(s := 0{', s := s'.join(runs)})[-1]"
 
 
-def _plan(m: ComplexMatrix) -> tuple[Callable[..., tuple], tuple[tuple[int, ...], ...]]:
-    """The check kernel and the blocks of the plan cached for m's nonzero
-    pattern (`_pattern_plan`). A 2x2 is keyed by its layout alone, (0, 1, 2,
-    3) where its off-diagonal pair is nonzero and (0, 3) otherwise: its
-    blocks and solve depend on nothing else, and a pair of zeros the key
-    lists adds a defect term of 0.0, which raises nothing and raises no
-    `max`. `thermo._route_kernel` picks its 2x2 layouts by the same rule."""
-    flat, n = m._flat, m._dim
-    if n == 2:
-        nonzero = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)
-    else:
-        nonzero = tuple(itertools.compress(range(n * n), flat))
-    return _pattern_plan(nonzero, n)
+def _plan(m: ComplexMatrix) -> Callable[..., tuple]:
+    """The check kernel cached for m's nonzero pattern (`_pattern_plan`)."""
+    n = m._dim
+    return _pattern_plan(tuple(itertools.compress(range(n * n), m._flat)), n)
 
 
 @lru_cache(maxsize=64)
-def _pattern_plan(
-    nonzero: tuple[int, ...], n: int
-) -> tuple[Callable[..., tuple], tuple[tuple[int, ...], ...]]:
-    """The check kernel and the blocks of the n x n pattern whose nonzero
-    flat positions are `nonzero` (`_check_source`): `_compile`d here as
-    `check(f, htol=HERMITICITY_TOL, ttol=TRACE_TOL)` on the flat entries f,
-    its default tolerances bound when it is compiled."""
-    source, blocks = _check_source(nonzero, n, [f"f[{p}]" for p in range(n * n)])
+def _pattern_plan(nonzero: tuple[int, ...], n: int) -> Callable[..., tuple]:
+    """The check kernel of the n x n pattern whose nonzero flat positions
+    are `nonzero` (`_check_source`): `_compile`d here as `check(f,
+    htol=HERMITICITY_TOL, ttol=TRACE_TOL)` on the flat entries f, its
+    default tolerances bound when it is compiled."""
+    source, _ = _check_source(nonzero, n, [f"f[{p}]" for p in range(n * n)])
     return _compile(f"lambda f, htol=HERMITICITY_TOL, ttol=TRACE_TOL: {source}",
-                    f"pattern {n}x{n} {nonzero}"), blocks
+                    f"pattern {n}x{n} {nonzero}")
 
 
 def _check_source(
@@ -438,7 +429,14 @@ def _check_source(
     parts, which are finite, so the radius is inf only where |b| passes the
     float range, for which the `abs` of a complex with finite parts would
     raise. A diagonal entry the caller writes as the literal `0j`, a zero
-    it proves, has its real part written as 0.0, the real part of 0j."""
+    it proves, has its real part written as 0.0, the real part of 0j.
+
+    The one 2x2 layout rule: an open pair that is zero on a call solves as
+    the diagonal, `sorted(((m - r, m + r) if f[1] or f[2] else (f[0].real,
+    f[3].real)))`, as m -+ r can round a diagonal. So a 2x2 source gives the
+    exact pattern's bits on every 2x2 whose zeros cover its key's complement:
+    a zero pair adds a defect term of 0.0, which raises nothing and raises
+    no `max`. A larger source does not pick: its key decides its pairs."""
     pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in nonzero)})
     blocks = [[i] for i in range(n)]  # blocks[i]: the ascending list i's block shares
     for i, j in pairs:
@@ -471,10 +469,13 @@ def _check_source(
                       f"abs({f[i * n + j]} - {f[j * n + i]}.conjugate()), " for i, j in pairs)
     live = set(nonzero)
     diagonal = [f[p] for p in range(0, n * n, n + 1) if p in live]
+    spectrum = "".join(solved(b) + ", " for b in blocks)
+    if n == 2 and len(blocks) == 1:  # the pair is open: a zero pair solves as the diagonal
+        spectrum = f"({spectrum}) if {f[1]} or {f[2]} else ({real(0)}, {real(3)})"
     return (f"(defect, None, None) if (defect := max(({defects}0.0,))) > htol"
             f" else (defect, tr, None)"
             f" if abs((tr := {_sum_chain(diagonal)}) - 1.0) > ttol"
-            f" else (defect, tr, sorted(({''.join(solved(b) + ', ' for b in blocks)})))"), blocks
+            f" else (defect, tr, sorted(({spectrum})))"), blocks
 
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
@@ -491,7 +492,7 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> tuple[float, ...]:
     solve overflows the float range, or the modulus of the kernel's trace
     does, which the input check lets through only at ||m||_F = inf.
     """
-    check, flat = _plan(m)[0], m._flat
+    check, flat = _plan(m), m._flat
     defect, _, spectrum = check(flat, EIGENSOLVER_INPUT_TOL, math.inf)
     if spectrum is None:  # the norm is taken only when needed
         tol = EIGENSOLVER_INPUT_TOL * max(1.0, math.hypot(*map(abs, flat)))
@@ -577,7 +578,7 @@ def _density_spectrum(
     ascending spectrum, from one call of the check kernel of m's plan."""
     if not isinstance(m, ComplexMatrix):
         m = ComplexMatrix(m)
-    return m, _judged(*_plan(m)[0](m._flat))
+    return m, _judged(*_plan(m)(m._flat))
 
 
 def _judged(defect: float, tr: complex | None, spectrum: list[float] | None) -> list[float]:

@@ -320,15 +320,10 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     position p holds t[order[p]] (`linalg._kron_order`). The check, first,
     is the 8x8 `linalg._check_source` of the pattern key gives, so it
     returns and raises as that pattern's check kernel does on the gathered
-    entries.
-
-    Each 2x2 check holds `_check_source`'s checks of both layouts
-    `linalg._plan` keys a 2x2 by, and picks one in the kernel on each call
-    by `_plan`'s rule: (0, 1, 2, 3) where entry 1 or entry 2 is nonzero,
-    else (0, 3); the marginal's holds (0, 3) alone where key decides the
-    rule (below). So it returns and raises as the check kernel `_plan`
-    hands out for the same 4 entries does, and no 2x2 pattern plan is
-    looked up. The qubit's reads q.
+    entries. The qubit's check, on q, and the marginal's are each the 2x2
+    `_check_source` of the positions the kernel leaves open, so each returns
+    and raises as the check kernel `_plan` hands out for the same 4 entries
+    does, and no 2x2 pattern plan is looked up.
 
     The kernel is folded on key, as `_check_source` folds a pattern: a
     product not in key is a zero, since key is `compress(range(20), t)` and
@@ -349,12 +344,11 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     Only then is the marginal's check run, on the names and the constants,
     each folded as `_check_source` folds a zero of its key: a `0j` entry
     adds no defect term and no trace term, each a +0.0 that leaves its sum
-    or `max` as it is, and its real part is read as 0.0. Where g1 and g2
-    are both `0j`, `_plan`'s rule picks the layout (0, 3) on every call, so
-    it is picked here, once. Level k's initial population is
-    r<9k> and its final one r<source[9k]>, each left out where key proves
-    it zero; its change is (final - initial), `- initial` or `+ final` where
-    one side is proven zero, and no term where both are. The second tuple
+    or `max` as it is, and its real part is read as 0.0. Level k's initial
+    population is r<9k> and its final one r<source[9k]>, each left out where
+    key proves it zero; its change is (final - initial), `- initial` or `+
+    final` where one side is proven zero, and no term where both are. The
+    second tuple
     reads the real part of each open diagonal entry a level sum names once
     into r<p>, in increasing p. A heat, Tr[(rho_f - rho_i)(H_sub (x) 1)],
     reads only the diagonal: it adds each change times its memory or
@@ -392,15 +386,8 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
               for group in groups]
     g = [chain if chain == "0j" else f"g{i}" for i, chain in enumerate(chains)]
     finite = "".join(f" == ({n} := {chain}) - {n}" for n, chain in zip(g, chains) if n != chain)
-
-    def checked(f, layout):  # the layout's check, folded on the entries f writes as 0j
-        return _check_source([p for p in layout if f[p] != "0j"], 2, f)[0]
-
-    qubit, marginal = (
-        f"({checked(f, (0, 1, 2, 3))}) if {f[1]} or {f[2]} else ({checked(f, (0, 3))})"
-        for f in ([f"q[{p}]" for p in range(4)], g))
-    if g[1] == g[2] == "0j":  # `_plan`'s rule picks (0, 3) on every call
-        marginal = checked(g, (0, 3))
+    qubit, marginal = (_check_source([p for p in range(4) if f[p] != "0j"], 2, f)[0]
+                       for f in ([f"q[{p}]" for p in range(4)], g))
     return _compile(f"lambda t, q, htol=HERMITICITY_TOL, ttol=TRACE_TOL:"
                     f" (({check}), ({reals}), ({qubit}),"
                     f" ({marginal}) if {'0' + finite if finite else 'True'} else None,"

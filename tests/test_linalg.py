@@ -340,27 +340,28 @@ class TestFlatKernelsBitForBit:
     def test_2x2_walk_is_the_pattern_plan(self, monkeypatch):
         """For each of the 16 zero patterns of a 2x2, 300 fillings with zeros
         of either sign, entries of +-1e300 and +-1.5e308, whose sums
-        overflow, and non-Hermitian off-diagonals: the check kernel of the
-        plan keyed by the layout gives the defect, trace and spectrum bits,
-        tests passed or not, and the blocks of the plan keyed by the full
-        pattern, and `density_matrix`, `hermitian_eigenvalues` and
+        overflow, and non-Hermitian off-diagonals: the full-layout check
+        kernel, `_pattern_plan((0, 1, 2, 3), 2)`, which the route kernel's
+        qubit check compiles, gives the defect, trace and spectrum bits of
+        the kernel `_plan` keys by the exact pattern, tests passed or not, at
+        `density_matrix`'s tolerances, at `hermitian_eigenvalues`' and at
+        none; and `density_matrix`, `hermitian_eigenvalues` and
         `von_neumann_entropy` give the same value or the same error message
-        as on that route and as the three steps do."""
+        on either kernel and as the three steps do."""
         checks = (density_matrix, hermitian_eigenvalues, von_neumann_entropy)
         rng = random.Random(552)
         kinds = set()
+        tolerances = ((), (qerase.linalg.EIGENSOLVER_INPUT_TOL, math.inf), (math.inf, math.inf))
         for pattern in itertools.product((False, True), repeat=4):
             for _ in range(300):
                 m = _two_by_two(rng, pattern)
                 assert tuple(map(bool, m._flat)) == pattern
-                (check, blocks), (want_check, want_blocks) = _plan(m), _full_key_plan(m)
-                assert blocks == want_blocks
-                for tols in ((), (math.inf, math.inf)):
-                    assert _check_bits(check(m._flat, *tols)) == _check_bits(
-                        want_check(m._flat, *tols))
+                kernel, full = _plan(m), _full_layout_plan(m)
+                for tols in tolerances:
+                    assert _check_bits(kernel(m._flat, *tols)) == _check_bits(full(m._flat, *tols))
                 got = [_value_or_message(check, m) for check in checks]
                 with monkeypatch.context() as patched:
-                    patched.setattr(qerase.linalg, "_plan", _full_key_plan)
+                    patched.setattr(qerase.linalg, "_plan", _full_layout_plan)
                     assert got == [_value_or_message(check, m) for check in checks]
                 _assert_as_the_three_steps(m)
                 kinds.update(next((k for k in ("Hermitian", "trace", "overflow", "eigenvalue")
@@ -384,7 +385,7 @@ class TestFlatKernelsBitForBit:
             flat[k] = complex(flat[k].real, nan)  # a nan part, past the public checks
             m = ComplexMatrix._wrap(tuple(flat), n)
             if k == 0:
-                assert math.isnan(_plan(m)[0](m._flat)[0])
+                assert math.isnan(_plan(m)(m._flat)[0])
             _assert_as_the_three_steps(m)
         for edge in (1.0 + 1e-12, 1.0 - 1e-12):
             outcomes = set()
@@ -411,7 +412,7 @@ class TestFlatKernelsBitForBit:
         for values in cases:
             m = diagonal(values)
             for tols in ((), (math.inf, math.inf)):
-                assert repr(_plan(m)[0](m._flat, *tols)[1]) == repr(trace(m))
+                assert repr(_plan(m)(m._flat, *tols)[1]) == repr(trace(m))
             _assert_as_the_three_steps(m)
         assert _value_or_message(density_matrix, diagonal(cases[0])) == entry_bits(
             diagonal(cases[0]))
@@ -430,12 +431,12 @@ class TestFlatKernelsBitForBit:
         folded = 0
         for rows in _sparse_batch() + hollow:
             m = ComplexMatrix(rows)
-            check, n = _plan(m)[0], m.dim
+            check, n = _plan(m), m.dim
             for tols in ((), (math.inf, math.inf)):
                 tr = check(m._flat, *tols)[1]
                 if tols or tr is not None:  # at infinite tolerances the trace is always there
                     assert repr(tr) == repr(trace(m)), rows
-            folded += n != 2 and not all(m._flat[::n + 1])
+            folded += not all(m._flat[::n + 1])
         assert folded > 1000
         for rows in hollow:
             assert _value_or_message(density_matrix, rows) == (
@@ -517,12 +518,12 @@ def _two_by_two(rng, pattern):
     return ComplexMatrix._from_flat(tuple(flat), 2)
 
 
-def _full_key_plan(m):
-    """`_plan`'s route for every size, a 2x2 keyed by its full pattern: the
-    plan cached per nonzero pattern, built and compiled here, in a cache of
-    the test's own."""
-    flat, n = m._flat, m.dim
-    return _own_pattern_plan(tuple(itertools.compress(range(n * n), flat)), n)
+def _full_layout_plan(m):
+    """The check kernel of a 2x2's full layout, (0, 1, 2, 3), whatever m's
+    pattern: the one the route kernel's qubit check compiles, built and
+    compiled here, in a cache of the test's own."""
+    assert m.dim == 2
+    return _own_pattern_plan((0, 1, 2, 3), 2)
 
 
 _own_pattern_plan = functools.cache(qerase.linalg._pattern_plan.__wrapped__)
@@ -590,7 +591,7 @@ def _per_block_spectrum(m):
 
 def _assert_plan_is_the_row_walk(rows):
     m = ComplexMatrix(rows)
-    check, blocks = _plan(m)
+    check, blocks = _plan(m), _pattern_blocks(m)
     defect, tr, spectrum = check(m._flat, math.inf, math.inf)  # every test passes
     want_defect, want_blocks = _row_walk(m)
     assert defect.hex() == want_defect.hex()
@@ -599,15 +600,19 @@ def _assert_plan_is_the_row_walk(rows):
     assert _hexes(spectrum) == _hexes(_per_block_spectrum(m))
 
 
+def _pattern_blocks(m):
+    """The blocks `_check_source` gives m's nonzero pattern."""
+    n = m.dim
+    nonzero = tuple(itertools.compress(range(n * n), m._flat))
+    return qerase.linalg._check_source(nonzero, n, [f"f[{p}]" for p in range(n * n)])[1]
+
+
 def _three_step_defect(m):
     """The first of the three steps: `max` over the hermiticity terms of
-    the pairs i <= j of m's pattern key, in order, then 0.0, as the defect
-    kernel formed it; a 2x2 is keyed by its layout."""
+    the pairs i <= j of m's nonzero pattern, every size keyed alike, in
+    order, then 0.0, as the defect kernel formed it."""
     flat, n = m._flat, m.dim
-    if n == 2:
-        key = (0, 1, 2, 3) if flat[1] or flat[2] else (0, 3)
-    else:
-        key = tuple(itertools.compress(range(n * n), flat))
+    key = tuple(itertools.compress(range(n * n), flat))
     pairs = sorted({(min(i, j), max(i, j)) for i, j in (divmod(p, n) for p in key)})
     return max([abs(flat[i * n + j] - flat[j * n + i].conjugate()) for i, j in pairs] + [0.0])
 
@@ -1176,7 +1181,7 @@ class TestTraceKernels:
         kernels = {
             "products 2x2 by 4": qerase.linalg._product_kernel(2, 4),
             "trace 8x8 (2, 2, 2) (0,) corner": _trace_plan((2, 2, 2), (0,), 8, True)[0],
-            "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2)[0],
+            "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2),
             f"route {perm} {key}": qerase.thermo._route_kernel(perm, key),
         }
         assert {f"<qerase {name}>" for name in kernels} == {
@@ -1184,13 +1189,14 @@ class TestTraceKernels:
 
     def test_a_kernel_that_raises_is_named_in_the_traceback(self):
         """An `abs` that overflows in the defect raises inside the pattern's
-        check kernel, and the innermost frame names that kernel."""
+        check kernel, and the innermost frame names that kernel, keyed by
+        the matrix's nonzero pattern, as every size is."""
         with pytest.raises(OverflowError) as info:
             density_matrix(ComplexMatrix([[0.5, 1.5e308 + 1.5e308j], [0, 0.5]]))
         tb = info.tb
         while tb.tb_next is not None:
             tb = tb.tb_next
-        assert tb.tb_frame.f_code.co_filename == "<qerase pattern 2x2 (0, 1, 2, 3)>"
+        assert tb.tb_frame.f_code.co_filename == "<qerase pattern 2x2 (0, 1, 3)>"
 
 
 class TestEigensolver:
@@ -1303,7 +1309,7 @@ class TestEigensolver:
             a, d = part(), part()
             m = ComplexMatrix([[a, complex(part(), part())], [complex(part(), part()), d]])
             halved_first_differs += (0.5 * a + 0.5 * d).hex() != (0.5 * (a + d)).hex()
-            got = _plan(m)[0](m._flat, math.inf, math.inf)[2]
+            got = _plan(m)(m._flat, math.inf, math.inf)[2]
             assert _hexes(got) == _hexes(_per_block_spectrum(m))
         assert halved_first_differs > 50
 
@@ -1606,7 +1612,7 @@ class TestDensityValidation:
         for _ in range(2000):
             m = ComplexMatrix([[part(), complex(part(), part())],
                                [complex(part(), part()), part()]])
-            assert _hexes(_plan(m)[0](m._flat, math.inf, math.inf)[2]) == _hexes(
+            assert _hexes(_plan(m)(m._flat, math.inf, math.inf)[2]) == _hexes(
                 _per_block_spectrum(m))
 
     def test_a_huge_block_of_three_is_solved_scaled(self):

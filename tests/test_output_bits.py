@@ -194,11 +194,44 @@ def _refusals():
     return out
 
 
+# permutations with a float entry; a cache keyed by the tuple finds the
+# entry of its integer twin for each, as (1.0, 0) == (1, 0), with one hash
+FLOAT_PERMUTATIONS = ((1.0, 0), (0, 1.0), (1.0, 0.0),
+                      tuple(map(float, qerase.ERASURE_PERMUTATION)),
+                      (*qerase.ERASURE_PERMUTATION[:-1], float(qerase.ERASURE_PERMUTATION[-1])))
+
+
+def _clear_builder_caches():
+    for builder in (qerase.linalg._relabeling, qerase.linalg._kron_plan,
+                    qerase.linalg._product_kernel, qerase.linalg._trace_plan,
+                    qerase.linalg._pattern_plan, qerase.thermo._route_kernel):
+        builder.cache_clear()
+
+
+def _refusal(call):
+    """(type, message) of call's refusal, or the repr of what it returns."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 def test_refusals():
     """Every refusal's type and message, in order: a change that moves a
     finiteness scan, a density check or a permutation check ahead of
-    another changes the digest."""
-    assert hashlib.sha256(repr(_refusals()).encode()).hexdigest() == REFUSALS_DIGEST
+    another changes the digest. It holds with every builder's cache
+    cleared and again warm. `permute` refuses each permutation with a float
+    entry, as README says, cold and after its integer twin has run."""
+    _clear_builder_caches()
+    for _ in ("cold", "warm"):
+        assert hashlib.sha256(repr(_refusals()).encode()).hexdigest() == REFUSALS_DIGEST
+    for perm in FLOAT_PERMUTATIONS:
+        rho = diagonal([0.125 * (k + 1) for k in range(len(perm))])
+        _clear_builder_caches()
+        cold = _refusal(lambda: qerase.linalg.permute(rho, perm))
+        qerase.linalg.permute(rho, tuple(map(int, perm)))  # the twin fills the cache
+        warm = _refusal(lambda: qerase.linalg.permute(rho, perm))
+        assert cold == warm == ("ValueError", f"not a permutation of 0..{len(perm) - 1}: {perm}")
 
 
 def test_verification_battery():

@@ -609,11 +609,12 @@ def _route_marginal(t, perm):
     return memory_marginal(permute(state, perm))._flat
 
 
-def _fused_blocks(key):
-    """The blocks of the 8x8 density check the route kernel of `key` runs."""
-    order = qerase.linalg._kron_order(2, 4)
-    nonzero = [p for p, k in enumerate(order) if k in key]
-    return qerase.linalg._check_source(nonzero, 8, [f"f[{p}]" for p in range(64)])[1]
+def _pattern_blocks(flat, n):
+    """The blocks `_check_source` gives the nonzero pattern of n x n flat
+    entries: those that a check kernel of any key covering the pattern
+    solves on them, a 2x2 whose pair is zero on the call as its diagonal."""
+    nonzero = tuple(itertools.compress(range(n * n), flat))
+    return qerase.linalg._check_source(nonzero, n, [f"f[{p}]" for p in range(n * n)])[1]
 
 
 class TestEigensolveCount:
@@ -641,13 +642,14 @@ class TestEigensolveCount:
         """(entries, block) of every block whose spectrum is solved: each
         check kernel `_plan` hands out, and each of the three checks of each
         route kernel (the 8x8 state's, the qubit's and the marginal's, the
-        last two in the layout `_plan` keys), records its blocks when it
-        returns a spectrum, which it solves only past its tests."""
+        last two the blocks of their entries' nonzero pattern), records its
+        blocks when it returns a spectrum, which it solves only past its
+        tests."""
         calls = []
         original = qerase.linalg._plan
 
         def planned(m):
-            check, blocks = original(m)
+            check, blocks = original(m), _pattern_blocks(m._flat, m.dim)
 
             def counted(flat, *tols):
                 out = check(flat, *tols)
@@ -655,14 +657,11 @@ class TestEigensolveCount:
                     calls.extend((flat, tuple(block)) for block in blocks)
                 return out
 
-            return counted, blocks
+            return counted
 
         monkeypatch.setattr(qerase.linalg, "_plan", planned)
         monkeypatch.setattr(qerase.channel, "_plan", planned)  # apply_channel's check
         route = qerase.thermo._route_kernel
-
-        def layout(flat):  # the blocks `_plan` keys for a 2x2's entries
-            return original(ComplexMatrix._wrap(flat, 2))[1]
 
         def routed(perm, key):
             kernel = route(perm, key)
@@ -670,12 +669,13 @@ class TestEigensolveCount:
             def counted(t, q):
                 out = kernel(t, q)
                 if out[0][2] is not None:
-                    calls.extend((t, tuple(block)) for block in _fused_blocks(key))
+                    state = [t[k] for k in qerase.linalg._kron_order(2, 4)]
+                    calls.extend((t, block) for block in _pattern_blocks(state, 8))
                 if out[2][2] is not None:
-                    calls.extend((q, block) for block in layout(q))
+                    calls.extend((q, block) for block in _pattern_blocks(q, 2))
                 if out[3] is not None and out[3][2] is not None:
                     marginal = _route_marginal(t, perm)
-                    calls.extend((marginal, block) for block in layout(marginal))
+                    calls.extend((marginal, block) for block in _pattern_blocks(marginal, 2))
                 return out
 
             return counted
@@ -714,9 +714,9 @@ class TestEigensolveCount:
     def test_warm_analyze_keys_its_2x2_checks_by_layout(self, monkeypatch):
         # the 8x8 check keys its route kernel by the nonzero products, no
         # pattern of 64 entries; the two 2x2 entropies form no pattern key:
-        # the route kernel holds both layouts of each, a linked and a
-        # diagonal 2x2, and picks one per call, so neither a cold nor a warm
-        # analyze looks up a pattern plan
+        # the route kernel holds one 2x2 check of each, on the positions it
+        # leaves open, which solves a zero pair as the diagonal, so neither
+        # a cold nor a warm analyze looks up a pattern plan
         calls, routes = [], []
         original, route = qerase.linalg._pattern_plan, qerase.thermo._route_kernel
 
@@ -864,7 +864,7 @@ class TestPartialTraceCount:
         t, key = _initial_products(self.B, self.SPEC)
         q = qubit_from_bloch(self.B)._flat
         checked = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t, q)[3]
-        assert repr(checked) == repr(qerase.linalg._plan(want)[0](want._flat))
+        assert repr(checked) == repr(qerase.linalg._plan(want)(want._flat))
 
     def test_one_route_is_compiled_per_permutation(self, wrong_channel):
         """Each distinct erasure map compiles its route once, however often
@@ -906,7 +906,7 @@ class TestFusedRouteBitForBit:
         s_drop = von_neumann_entropy(rho_memory) - von_neumann_entropy(marginal)
         traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
         sums = (s_drop, traced["memory heat"], traced["reservoir heat"], u_i, u_f)
-        checks = [qerase.linalg._plan(m)[0](m._flat) for m in (rho_memory, marginal)]
+        checks = [qerase.linalg._plan(m)(m._flat) for m in (rho_memory, marginal)]
         return repr(checks), [x.hex() for x in sums]
 
     @staticmethod
@@ -919,7 +919,7 @@ class TestFusedRouteBitForBit:
         t, key = _initial_products(b, spec)
         check, _, *checks, q_m, q_r, u_i, u_f = qerase.thermo._route_kernel(perm, key)(
             t, qubit_from_bloch(b)._flat)
-        assert repr(check) == repr(qerase.linalg._plan(rho_initial)[0](rho_initial._flat))
+        assert repr(check) == repr(qerase.linalg._plan(rho_initial)(rho_initial._flat))
         [(name, _, s_drop, _, _), *_] = qerase.thermo._cross_check(b, spec)[1]
         assert name == "entropy decrease"
         return repr(checks), [x.hex() for x in (s_drop, q_m, q_r, u_i, u_f)]
@@ -972,7 +972,7 @@ class TestFusedRouteBitForBit:
             fused = dict(reads)
             reads.clear()
             entries = ComplexMatrix._wrap(tuple(products[k] for k in order), 8)
-            assert repr(qerase.linalg._plan(entries)[0](entries._flat)) == repr(got[0])
+            assert repr(qerase.linalg._plan(entries)(entries._flat)) == repr(got[0])
             used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
             assert fused == dict(reads + collections.Counter(used & set(key))), (b, spec)
             assert repr(got[1:]) == repr(kernel(t, q)[1:])
@@ -1067,7 +1067,7 @@ class TestRouteKernelNames:
 
     def test_the_kernel_binds_no_name_a_check_binds(self):
         qubit = [f"q[{p}]" for p in range(4)]
-        layouts = self._targets((0, 1, 2, 3), 2, qubit) | self._targets((0, 3), 2, qubit)
+        two_by_two = self._targets((0, 1, 2, 3), 2, qubit)  # the names of every 2x2 check
         order = qerase.linalg._kron_order(2, 4)
         entries = [f"t[{k}]" for k in order]
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
@@ -1079,7 +1079,7 @@ class TestRouteKernelNames:
             own = {"t", "q", "htol", "ttol", *_open_chains(key),  # the open chains
                    *(f"r{p}" for p in populations if order[p] in key)}  # the open populations
             check = self._targets([p for p, k in enumerate(order) if k in key], 8, entries)
-            targets = layouts | check
+            targets = two_by_two | check
             names = set(qerase.thermo._route_kernel(ERASURE_PERMUTATION, key).__code__.co_varnames)
             assert names - targets == own, key
             assert not own & targets, key
@@ -1582,7 +1582,7 @@ class TestCrossCheckAsTheUnfusedComposition:
         def unfused(perm, key):
             def kernel(t, q):
                 rho, perm = _channel_checks(composite_initial(b, spec))
-                checks = [qerase.linalg._plan(m)[0](m._flat) for m in (
+                checks = [qerase.linalg._plan(m)(m._flat) for m in (
                     rho, qerase.states.qubit_from_bloch(b), memory_marginal(apply_channel(rho)))]
                 traced, u_i, u_f = TestTracedEnergiesBitForBit._level_sums(b, spec)
                 return (checks[0], None, *checks[1:], traced["memory heat"],
@@ -1688,7 +1688,7 @@ class TestFusedSpectra:
     def test_each_row_swap(self, wrong_channel, low, high):
         """The named cases and a mixed, a near-pure and a pure memory off the
         z axis, at beta 0, 0.7 and inf: a swap can leave coherence in the
-        final marginal, whose check then takes the linked layout, which the
+        final marginal, whose check then solves the linked block, which the
         erased marginal's does not."""
         wrong_channel(tuple({low: high, high: low}.get(row, row) for row in ERASURE_PERMUTATION))
         draws = [*TestCrossCheckAsTheUnfusedComposition.NAMED, *(
@@ -1724,14 +1724,15 @@ class TestFusedSpectra:
         (0.5 + 0j, 0.3 + 0j, 0.1 + 0j, 0.5 + 0j),
     ])
     def test_the_qubit_layout_is_the_plans(self, q):
-        """The kernel picks the linked 2x2 layout where `_plan` does, where
-        either off-diagonal entry is nonzero: a diagonal whose solve as a
-        linked block rounds 0.1 to 0.09999999999999998, signed zeros, a
+        """The kernel's qubit check solves the linked 2x2 block where either
+        off-diagonal entry is nonzero and the diagonal elsewhere, as the
+        kernel `_plan` keys by the exact pattern does: a diagonal whose solve
+        as a linked block rounds 0.1 to 0.09999999999999998, signed zeros, a
         subnormal, a skew pair and a Hermitian one give `_plan`'s check."""
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
         t, key = _initial_products(b, spec)
         got = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t, q)[2]
-        assert repr(got) == repr(qerase.linalg._plan(ComplexMatrix._wrap(q, 2))[0](q))
+        assert repr(got) == repr(qerase.linalg._plan(ComplexMatrix._wrap(q, 2))(q))
 
     def test_a_non_finite_marginal_is_refused_after_the_qubit(self, monkeypatch):
         """Where the marginal's sums overflow, the kernel emits no check for
