@@ -14,10 +14,11 @@ from plain int positions on first use, by `_compile`, so importing the
 module compiles nothing. The builders:
 - `_relabeling`: the getter of the flat entries in a permutation's order;
 - `_product_kernel`: the products of a Kronecker product with a diagonal
-  right factor, scanned by `_kron` and by `_kron_products`, for
-  `thermo._cross_check`, whose `_route_kernel` reads them;
+  right factor, from the factor's leading populated values and one 0j,
+  scanned by `_kron` and by `_kron_products`, for `thermo._cross_check`,
+  whose `_route_kernel` reads them;
 - `_kron_plan`: `_kron`'s product kernel and the getter of its products in
-  its entry order;
+  its entry order, `_kron_order`;
 - `_trace_plan`: a partial trace, each entry the `_sum_chain` of its
   positions in `_trace_groups`;
 - `_pattern_plan`: the density check and the solve of a nonzero pattern,
@@ -182,16 +183,19 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
 
 def _kron(
-    a: ComplexMatrix, values: Sequence[complex], perm: tuple[int, ...] | None = None
+    a: ComplexMatrix, values: Sequence[complex], n: int, perm: tuple[int, ...] | None = None
 ) -> ComplexMatrix:
-    """`permute(kron(a, diagonal(values)), perm)`, or that `kron` for perm
-    None, bit for bit for complex values: every state the package forms is a
-    qubit (x) a diagonal reservoir or path mixture. It refuses as that
-    reference does, in its order: where `_kron_plan` refuses the shape or
-    perm, the products are scanned first (`_kron_products`), as `diagonal`
-    scans the values before `permute` sees perm."""
+    """`permute(kron(a, diagonal([*values, 0j, ...])), perm)`, the diagonal
+    padded with 0j to its dimension n, or that `kron` for perm None, bit for
+    bit for complex values: every state the package forms is a qubit (x) a
+    diagonal reservoir or path mixture whose populated weights lead. n is
+    given, never read off perm, so a perm of another length is refused. It
+    refuses as that reference does, in its order: where `_kron_plan` refuses
+    the shape or perm, the products are scanned first (`_kron_products`), as
+    `diagonal` scans the values before `permute` sees perm; no values, or
+    more than n, are refused."""
     try:
-        kernel, gather, n = _kron_plan(a._dim, len(values), perm)
+        kernel, gather, dim = _kron_plan(a._dim, len(values), n, perm)
     except (TypeError, ValueError):
         _kron_products(a, values)
         raise
@@ -199,16 +203,17 @@ def _kron(
     if not all(map(cmath.isfinite, products)):
         raise ValueError("matrix entries must be finite")
     m = object.__new__(ComplexMatrix)
-    m._flat, m._dim = gather(products), n
+    m._flat, m._dim = gather(products), dim
     return m
 
 
 def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex, ...]:
-    """`_product_kernel`'s products of a's entries and the n >= 1 values, as
+    """`_product_kernel`'s products of a's entries and the nv >= 1 values, as
     given, each scanned for finiteness: x * 0j is finite for finite x, and a
     value v that is not finite makes every a[p] * v non-finite (x * nan, x *
     inf and 0 * inf are), so they are refused exactly where `diagonal` or
-    `kron` would be. `_kron` scans its products as this does."""
+    `kron` would be. For a qubit and the two l0 weights, 12 products, where
+    four values took 20. `_kron` scans its products as this does."""
     if not values:
         raise ValueError("matrix must have at least one row")
     products = _product_kernel(a._dim, len(values))(a._flat, values)
@@ -219,18 +224,13 @@ def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex
 
 @lru_cache(maxsize=64)
 def _kron_plan(
-    na: int, nb: int, perm: tuple[int, ...] | None
+    na: int, nv: int, n: int, perm: tuple[int, ...] | None
 ) -> tuple[Callable[[tuple, Sequence], tuple], Callable[[tuple], tuple], int]:
-    """The plan of `_kron` for an na x na left factor and nb >= 1 values:
-    the shared `_product_kernel(na, nb)`, the getter of `kron(a,
-    diagonal(values))`'s row-major entries from its products
-    (`_kron_order`), relabeled as `permute` relabels them unless perm is
-    None (`_relabeling`, which validates perm), and the dimension."""
-    if not nb:
-        raise ValueError("matrix must have at least one row")
-    order = _kron_order(na, nb)
-    gather = _getter(order if perm is None else _relabeling(perm, na * nb)(order))
-    return _product_kernel(na, nb), gather, na * nb
+    """The plan of `_kron` for an na x na left factor and the nv leading
+    values of an n x n diagonal: the shared `_product_kernel(na, nv)`, the
+    getter of its products in `_kron`'s entry order (`_kron_order`) and the
+    dimension na * n."""
+    return _product_kernel(na, nv), _getter(_kron_order(na, nv, n, perm)), na * n
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -246,25 +246,34 @@ def _compile(source: str, name: str) -> Callable:
 
 
 @lru_cache(maxsize=8)
-def _product_kernel(na: int, nb: int) -> Callable[[tuple, Sequence], tuple]:
-    """The `_compile`d function of a's na * na flat entries a and the nb
+def _product_kernel(na: int, nv: int) -> Callable[[tuple, Sequence], tuple]:
+    """The `_compile`d function of a's na * na flat entries a and the nv
     values v, `lambda a, v: (a[0] * v[0], ..., a[0] * 0j, ..., a[na^2 - 1] *
-    0j)`, p major, each p's nb products followed by its product with 0j.
-    Each entry of `kron(a, diagonal(values))` is a[p] * v_k or a[p] * 0j,
-    `diagonal`'s zero, so these products form it bit for bit, each made
+    0j)`, p major, each p's nv products followed by its product with 0j.
+    Each entry of `kron(a, diagonal([*v, 0j, ...]))` is a[p] * v_k or a[p] *
+    0j, `diagonal`'s zero, so these products form it bit for bit, each made
     once; `_kron_order` names each entry's. The source holds only plain int
     positions and the literal 0j, never the values."""
-    products = "".join(f"a[{p}] * {f'v[{k}]' if k < nb else '0j'}, "
-                       for p in range(na * na) for k in range(nb + 1))
-    return _compile(f"lambda a, v: ({products})", f"products {na}x{na} by {nb}")
+    products = "".join(f"a[{p}] * {f'v[{k}]' if k < nv else '0j'}, "
+                       for p in range(na * na) for k in range(nv + 1))
+    return _compile(f"lambda a, v: ({products})", f"products {na}x{na} by {nv}")
 
 
-def _kron_order(na: int, nb: int) -> list[int]:
-    """The index among `_product_kernel(na, nb)`'s products of each entry of
-    `kron(a, diagonal(values))`, row-major: entry (ia nb + ib, ja nb + jb) is
-    a[ia, ja] times v[ib] where ib == jb and times 0j, index nb, elsewhere."""
-    return [(ia * na + ja) * (nb + 1) + (ib if ib == jb else nb)
-            for ia in range(na) for ib in range(nb) for ja in range(na) for jb in range(nb)]
+def _kron_order(na: int, nv: int, n: int, perm: tuple[int, ...] | None = None) -> Sequence[int]:
+    """The index among `_product_kernel(na, nv)`'s products of each entry of
+    `kron(a, diagonal(v))`, v the nv values padded with 0j to n, row-major,
+    relabeled as `permute` relabels them unless perm is None (`_relabeling`,
+    which validates perm): entry (ia n + ib, ja n + jb) is a[ia, ja] times
+    v[ib] where ib == jb < nv and times 0j, index nv, elsewhere. `_kron_plan`
+    gathers by it, and `thermo._route_kernel` reads the products through it.
+    Refuses no values, or more than n, as ValueError."""
+    if not nv:
+        raise ValueError("matrix must have at least one row")
+    if nv > n:
+        raise ValueError(f"{nv} values exceed the diagonal's dimension {n}")
+    order = [(ia * na + ja) * (nv + 1) + (ib if ib == jb < nv else nv)
+             for ia in range(na) for ib in range(n) for ja in range(na) for jb in range(n)]
+    return order if perm is None else _relabeling(perm, na * n)(order)
 
 
 def partial_trace(

@@ -12,6 +12,7 @@ import math
 from .linalg import ComplexMatrix, _kron, partial_trace
 from .record import Record, _set_field
 from .states import BlochVector, _check_nonnegative, _gibbs, qubit_from_bloch
+from .states import _CHANNEL_TO_MODE as CHANNEL_TO_MODE
 from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
 
 POL_H, POL_V = 0, 1
@@ -36,8 +37,8 @@ def mode_index(pol: int, path: int) -> int:
     return 4 * pol + (path - 1)
 
 
-# abstract basis index 4m + 2e + a -> mode index: pol = m, path = 1 + e + 2a
-CHANNEL_TO_MODE = tuple(mode_index(m, 1 + e + 2 * a) for m, e, a in map(_bits, range(8)))
+# abstract basis index 4m + 2e + a -> mode index 4m + e + 2a, pol = m and
+# path = 1 + e + 2a: CHANNEL_TO_MODE, imported from `states`
 # the l0-preselected sector: the photon enters on path 1 or 2
 PHYSICAL_INPUT_INDICES = tuple(i for i in range(8) if not _bits(i)[2])
 
@@ -131,9 +132,10 @@ def simulate(pol: BlochVector, dist: PathDistribution) -> ComplexMatrix:
     """Send polarization state `pol` on paths weighted by `dist` through the
     default circuit; returns the full 8x8 mode state, the bits of
     `permute(kron(qubit, diagonal([p_1, p_2, 0, 0])),
-    DEFAULT_CIRCUIT_PERMUTATION)`: `_kron` gathers the products straight
+    DEFAULT_CIRCUIT_PERMUTATION)`: `_kron` forms it from the two input
+    weights, padded to the four paths, and gathers the products straight
     into the circuit's mode order."""
-    return _kron(qubit_from_bloch(pol), [complex(dist.p_1), complex(dist.p_2), 0j, 0j],
+    return _kron(qubit_from_bloch(pol), (complex(dist.p_1), complex(dist.p_2)), 4,
                  DEFAULT_CIRCUIT_PERMUTATION)
 
 

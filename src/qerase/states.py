@@ -15,6 +15,10 @@ from .record import Record, _set_field
 
 BLOCH_NORM_TOL = 1e-12
 
+# basis index 4m + 2e + a -> 4m + e + 2a, its own inverse: from the order in
+# which the l0 sector leads, and to the photon's mode index (optics.CHANNEL_TO_MODE)
+_CHANNEL_TO_MODE = tuple(4 * m + e + 2 * a for m in (0, 1) for e in (0, 1) for a in (0, 1))
+
 
 class BlochVector(Record):
     """Bloch vector of the memory qubit. Its components must be finite, and
@@ -147,20 +151,23 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:
     """8x8 initial state, memory qubit (x) preselected thermal reservoir:
-    `_kron` of the qubit and the four values `_reservoir_diagonal` forms from
-    the Gibbs weights, with the bits of
+    `_kron` of the qubit and the two l0 weights `_reservoir_diagonal` forms
+    from the Gibbs weights, the reservoir's diagonal in the order 4m + e +
+    2a, where they lead, relabeled to 4m + 2e + a, with the bits of
     `kron(qubit_from_bloch(b), preselect_l0(gibbs_four_level(spec)))`."""
-    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
+    return _kron(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta), 4,
+                 _CHANNEL_TO_MODE)
 
 
-def _reservoir_diagonal(x: float) -> tuple[complex, ...]:
-    """The preselected thermal reservoir's four diagonal values at x = beta *
-    delta >= 0, as complex, the form `_kron` multiplies by, formed from
-    `_gibbs(x)` with preselect_l0's divisions: the l0 weights p/2 over the
-    l0 sector's weight. Their real parts are finite and >= 0 for every such
-    x, and the state they enter is density-checked where it enters the
-    channel."""
+def _reservoir_diagonal(x: float) -> tuple[complex, complex]:
+    """The preselected thermal reservoir's two populated diagonal values, its
+    l0 weights (g, l0) and (e, l0), at x = beta * delta >= 0, as complex,
+    the form `_kron` multiplies by, formed from `_gibbs(x)` with
+    preselect_l0's divisions: the l0 weights p/2 over the l0 sector's
+    weight. Its two l1 values are 0j, which `_kron` pads. Their real parts
+    are finite and >= 0 for every such x, and the state they enter is
+    density-checked where it enters the channel."""
     p_g, p_e = _gibbs(x)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e
-    return (complex(g / weight), 0j, complex(e / weight), 0j)
+    return (complex(g / weight), complex(e / weight))

@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .record import Record, _set_field
 from .states import (
+    _CHANNEL_TO_MODE,
     BlochVector,
     ThermalSpec,
     _check_nonnegative,
@@ -260,8 +261,9 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     `spec.temperature` are plain arithmetic, so `analyze` raises for the
     record it would raise for judging each as it is made.
 
-    The initial state is only its 20 Kronecker products t, scanned for
-    finiteness by `_kron_products`, as `_kron` scans them. One
+    The initial state is only its 12 Kronecker products t, of the qubit and
+    the reservoir's two l0 weights, scanned for finiteness by
+    `_kron_products`, as `_kron` scans them. One
     `_route_kernel` call, keyed by the CNOT composition and the nonzero
     products, checks the state as `apply_channel` does, reads the level sums
     off t, and checks the initial qubit and the traced marginal as
@@ -277,7 +279,7 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     rho_memory = qubit_from_bloch(b)
     t = _kron_products(rho_memory, _reservoir_diagonal(x))
     check, _, qubit, marginal, q_m_trace, q_r_trace, u_i, u_f = _route_kernel(
-        channel._CNOT_PERMUTATION, tuple(itertools.compress(range(20), t)))(t, rho_memory._flat)
+        channel._CNOT_PERMUTATION, tuple(itertools.compress(range(12), t)))(t, rho_memory._flat)
     _judged(*check)
     _checked_map()
     delta_s = entropy_decrease(b)
@@ -311,13 +313,15 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     """`_cross_check`'s checks and trace route for the channel `perm` on an
     initial state whose nonzero products are `key`, with the bits of checking
     the gathered state, propagating it, tracing it and checking the memory
-    before and after: one function of the 20 products t
-    (`linalg._kron_products`) and the initial qubit's 4 flat entries q,
-    `linalg._compile`d from plain int positions, `lambda t, q,
-    htol=HERMITICITY_TOL, ttol=TRACE_TOL: ((<check>), ((r9 := t[1].real),
-    ...), (<qubit check>), (<marginal check>) if <finite> else None, q_m,
-    q_r, u_i, u_f)`, whose second output only binds names. The initial flat
-    position p holds t[order[p]] (`linalg._kron_order`). The check, first,
+    before and after: one function of the 12 products t
+    (`linalg._kron_products`) of the qubit and the reservoir's two l0
+    weights, and the initial qubit's 4 flat entries q, `linalg._compile`d
+    from plain int positions, `lambda t, q, htol=HERMITICITY_TOL,
+    ttol=TRACE_TOL: ((<check>), ((r18 := t[1].real), ...), (<qubit check>),
+    (<marginal check>) if <finite> else None, q_m, q_r, u_i, u_f)`, whose
+    second output only binds names. The initial flat position p holds
+    t[order[p]], order the layout `composite_initial`'s `_kron` plan gathers
+    by (`linalg._kron_order` with its relabeling). The check, first,
     is the 8x8 `linalg._check_source` of the pattern key gives, so it
     returns and raises as that pattern's check kernel does on the gathered
     entries. The qubit's check, on q, and the marginal's are each the 2x2
@@ -326,7 +330,7 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     does, and no 2x2 pattern plan is looked up.
 
     The kernel is folded on key, as `_check_source` folds a pattern: a
-    product not in key is a zero, since key is `compress(range(20), t)` and
+    product not in key is a zero, since key is `compress(range(12), t)` and
     NaN and inf are truthy, and no chain, level sum or other arithmetic
     takes it. A chain from int 0, and a level sum from 0.0, hold no -0.0
     after their first term, so a zero of either sign added to one changes
@@ -364,7 +368,7 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     the walrus names `_check_source` binds (defect, tr, a, d, x, y, u, v, m,
     p, w, k, r, and s in a chain of over 100 terms), so no check rebinds
     a name the sums or the marginal's check read."""
-    order = _kron_order(2, 4)  # the memory qubit (x) the reservoir's 4 values
+    order = _kron_order(2, 2, 4, _CHANNEL_TO_MODE)  # as `composite_initial` gathers
     entries = [f"t[{k}]" for k in order]
     live = {p for p, k in enumerate(order) if k in key}  # the positions not proven zero
     check, _ = _check_source(sorted(live), 8, entries)

@@ -221,14 +221,15 @@ class TestFlatKernelsBitForBit:
 
     @pytest.mark.parametrize("na, nb", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
     def test_diagonal_kron(self, na, nb):
-        """The diagonal route, from a's entries and b's n values, gives the
-        bits of `kron(a, diagonal(values))`, plain and relabeled, or its
-        error: entries and values with zeros of either sign, and every
-        fifth draw a 1e200 * 1e200 product that overflows."""
+        """The diagonal route, from a's entries and nb leading values of an
+        n x n diagonal, n = nb on even draws and nb + 2 on odd ones, gives
+        the bits of `kron(a, diagonal(values padded with 0j to n))`, plain
+        and relabeled, or its error: entries and values with zeros of either
+        sign, and every fifth draw a 1e200 * 1e200 product that overflows."""
         rng = random.Random(560 + 10 * na + nb)
-        n = na * nb
-        perms = [DEFAULT_CIRCUIT_PERMUTATION] if n == 8 else []
         for trial in range(25):
+            n = nb + 2 * (trial % 2)
+            perms = [DEFAULT_CIRCUIT_PERMUTATION] if na * n == 8 else []
             a = random_matrix(rng, na)
             values = [rng.choice((0.0, -0.0, rng.gauss(0.0, 1.0),
                                   complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))))
@@ -237,27 +238,28 @@ class TestFlatKernelsBitForBit:
                 a = ComplexMatrix([[1e200 if (i, j) == (0, 0) else x for j, x in enumerate(row)]
                                    for i, row in enumerate(a.rows)])
                 values[rng.randrange(nb)] = 1e200
-            perm = list(range(n))
+            perm = list(range(na * n))
             rng.shuffle(perm)
+            padded = [*values, *[0j] * (n - nb)]
             for p in (None, tuple(perm), *perms):
                 def dense(p=p):
-                    joint = kron(a, diagonal(values))
+                    joint = kron(a, diagonal(padded))
                     return joint if p is None else permute(joint, p)
 
                 # equal matrices hold equal tuples; the bits tell -0.0 from 0.0
-                got, want = raised(lambda p=p: _kron(a, values, p)), raised(dense)
+                got, want = raised(lambda p=p: _kron(a, values, n, p)), raised(dense)
                 assert got == want
                 if isinstance(want, ComplexMatrix):
                     assert entry_bits(got) == entry_bits(want)
-        bad = (0,) * n  # not a permutation, refused with permute's message
-        assert raised(lambda: _kron(a, values, bad)) == raised(
-            lambda: permute(kron(a, diagonal(values)), bad))
+        bad = (0,) * (na * n)  # not a permutation, refused with permute's message
+        assert raised(lambda: _kron(a, values, n, bad)) == raised(
+            lambda: permute(kron(a, diagonal(padded)), bad))
         # a bad value and a bad perm: the value is refused first, as `diagonal`
         # refuses it before `permute` sees the perm
-        values[0] = math.inf
-        want = raised(lambda: permute(kron(a, diagonal(values)), bad))
+        values[0] = padded[0] = math.inf
+        want = raised(lambda: permute(kron(a, diagonal(padded)), bad))
         assert want == ("ValueError", "matrix entries must be finite")
-        assert raised(lambda: _kron(a, values, bad)) == want
+        assert raised(lambda: _kron(a, values, n, bad)) == want
 
     def test_diagonal_kron_rejects_values_as_diagonal_does(self):
         """The product table is the only scan: a value that is not finite
@@ -277,8 +279,9 @@ class TestFlatKernelsBitForBit:
                 want = raised(lambda: diagonal(values))
                 assert want == ("ValueError", "matrix entries must be finite")
                 for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
-                    assert raised(lambda: _kron(a, values, perm)) == want
-            assert raised(lambda: _kron(a, [], None)) == raised(lambda: diagonal([]))
+                    assert raised(lambda: _kron(a, values, 4, perm)) == want
+                    assert raised(lambda: _kron(a, [0.5, bad], 4, perm)) == want
+            assert raised(lambda: _kron(a, [], 4, None)) == raised(lambda: diagonal([]))
 
     @pytest.mark.parametrize("dims, keep", [
         *(((2, 2, 2), set(keep)) for r in (1, 2, 3) for keep in itertools.combinations(range(3), r)),
@@ -443,6 +446,100 @@ class TestFlatKernelsBitForBit:
                 "ValueError", "trace 0j differs from 1 by more than 1e-12")
 
 
+# parts of every size: zeros of either sign, subnormals, +-1e+-300, plain values
+PADDED_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300,
+                0.75, -1.5)
+
+
+class TestPaddedKron:
+    """`_kron(a, values, n, perm)` is `permute(kron(a, diagonal([*values, 0j,
+    ...])), perm)`, the values padded with 0j to n, by the `repr` of every
+    entry, and refuses as the call with every diagonal value given did:
+    with that reference's type and message, in its order."""
+
+    @staticmethod
+    def _reference(a, values, n, perm):
+        joint = kron(a, diagonal([*values, *[0j] * (n - len(values))]))
+        return joint if perm is None else permute(joint, perm)
+
+    @staticmethod
+    def _entries(m):
+        return [repr(x) for x in m._flat] if isinstance(m, ComplexMatrix) else m
+
+    def test_every_entry_keeps_its_bits(self):
+        rng = random.Random(5151)
+        formed = 0
+        for na, nv, n in ((1, 1, 1), (1, 1, 3), (2, 1, 2), (2, 1, 4), (2, 2, 4), (2, 3, 4),
+                          (2, 4, 4), (3, 2, 3)):
+            perms = [None, tuple(rng.sample(range(na * n), na * n))]
+            if na * n == 8:
+                perms += [DEFAULT_CIRCUIT_PERMUTATION, qerase.states._CHANNEL_TO_MODE]
+            for _ in range(40):
+                a = ComplexMatrix([[complex(rng.choice(PADDED_PARTS), rng.choice(PADDED_PARTS))
+                                    for _ in range(na)] for _ in range(na)])
+                values = [complex(rng.choice(PADDED_PARTS), rng.choice(PADDED_PARTS))
+                          for _ in range(nv)]
+                for perm in perms:
+                    got = raised(lambda: _kron(a, values, n, perm))
+                    want = raised(lambda: self._reference(a, values, n, perm))
+                    assert self._entries(got) == self._entries(want), (a, values, n, perm)
+                    formed += isinstance(want, ComplexMatrix)
+        assert formed > 300  # the rest overflow, as the reference does
+
+    def test_each_refusal_is_the_four_value_calls(self):
+        """NaN, inf and overflowing products, before a bad perm; a bad perm,
+        one of the wrong length among them, since n is never read off perm;
+        a float perm on a cold cache. No values are refused as `diagonal`
+        refuses them, and more values than n as such, after the scan."""
+        qubit = qubit_from_bloch(BlochVector(0.3, -0.2, 0.4))
+        big = ComplexMatrix([[1e200, 0.5j], [-0.5j, 0.5]])  # big * big = inf
+        bad_perms = ((0,) * 8, (1, 0), (*range(7), 8), tuple(range(4)))
+        cases = [(qubit, [math.nan, 0.5]), (qubit, [0.5, math.inf]),
+                 (qubit, [complex(0.5, -math.inf)]), (big, [1e200, 0.5]),
+                 (big, [complex(0.0, 1e200), 0.5]), (qubit, [0.5, 0.5])]
+        refused = []
+        for a, values in cases:
+            for perm in (None, DEFAULT_CIRCUIT_PERMUTATION, *bad_perms):
+                got = raised(lambda: _kron(a, values, 4, perm))
+                want = raised(lambda: self._reference(a, values, 4, perm))
+                assert self._entries(got) == self._entries(want), (values, perm)
+                refused += [got] if isinstance(got, tuple) else []
+        assert len(refused) == 5 * 6 + 4
+        for perm in (None, DEFAULT_CIRCUIT_PERMUTATION, *bad_perms):
+            assert raised(lambda: _kron(qubit, [], 4, perm)) == raised(lambda: diagonal([]))
+            assert raised(lambda: _kron(qubit, [0.5, 0.5, 0j, 0j], 2, perm)) == (
+                "ValueError", "4 values exceed the diagonal's dimension 2")
+            assert raised(lambda: _kron(qubit, [math.nan, 0.5, 0j], 2, perm)) == (
+                "ValueError", "matrix entries must be finite")
+        for perm in (tuple(map(float, DEFAULT_CIRCUIT_PERMUTATION)), (0.0, *range(1, 8))):
+            qerase.linalg._kron_plan.cache_clear()
+            qerase.linalg._relabeling.cache_clear()
+            want = raised(lambda: self._reference(qubit, [0.5, 0.5], 4, perm))
+            assert want == ("ValueError", f"not a permutation of 0..7: {perm}")
+            assert raised(lambda: _kron(qubit, [0.5, 0.5], 4, perm)) == want
+
+    def test_the_propagate_states_keep_their_four_value_bits(self):
+        """`composite_initial` and `simulate` form their states from two
+        weights with the bits of the four-value Kronecker products they
+        formed before: the reservoir's (g, 0j, e, 0j) in index 2e + a, and
+        the paths' (p_1, p_2, 0j, 0j) in the circuit's mode order."""
+        blochs = [(0.3, -0.2, 0.4), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1e-300, 0.0, 1.0),
+                  (0.6, -0.8, 0.0), (-0.0, 0.5, -0.0)]
+        specs = [qerase.ThermalSpec.from_beta(beta) for beta in (0.0, 1e-300, 0.7, 50.0, 800.0)]
+        specs += [qerase.ThermalSpec.from_temperature(t, 1.986e-22, 1.380649e-23)
+                  for t in (300.0, 1.0, 0.0)]
+        for b in [BlochVector(*b) for b in blochs]:
+            qubit = qubit_from_bloch(b)
+            for spec in specs:
+                g, e = qerase.states._reservoir_diagonal(spec.beta * spec.delta)
+                want = kron(qubit, diagonal([g, 0j, e, 0j]))
+                assert self._entries(qerase.composite_initial(b, spec)) == self._entries(want)
+                dist = qerase.PathDistribution.from_beta(spec.beta * spec.delta)
+                want = permute(kron(qubit, diagonal([dist.p_1, dist.p_2, 0j, 0j])),
+                               DEFAULT_CIRCUIT_PERMUTATION)
+                assert self._entries(qerase.simulate(b, dist)) == self._entries(want)
+
+
 def _compiles():
     """Each kernel builder's cache misses, one per kernel it has compiled."""
     return [f.cache_info().misses for f in (
@@ -451,14 +548,15 @@ def _compiles():
 
 
 def _assert_the_two_kron_orders():
-    """The `_kron` plan cache holds a qubit (x) 4 values in the plain order
-    and in `DEFAULT_CIRCUIT_PERMUTATION`'s, and no other, and both plans
-    hold the one product kernel of that shape."""
+    """The `_kron` plan cache holds a qubit (x) the 2 leading values of a 4x4
+    diagonal in the composite state's relabeling and in
+    `DEFAULT_CIRCUIT_PERMUTATION`'s, and no other, and both plans hold the
+    one product kernel of that shape."""
     info = qerase.linalg._kron_plan.cache_info()
     assert info.misses == info.currsize == 2, info
-    kernels = {qerase.linalg._kron_plan(2, 4, perm)[0]
-               for perm in (None, DEFAULT_CIRCUIT_PERMUTATION)}
-    assert kernels == {qerase.linalg._product_kernel(2, 4)}
+    kernels = {qerase.linalg._kron_plan(2, 2, 4, perm)[0]
+               for perm in (qerase.states._CHANNEL_TO_MODE, DEFAULT_CIRCUIT_PERMUTATION)}
+    assert kernels == {qerase.linalg._product_kernel(2, 2)}
     assert qerase.linalg._kron_plan.cache_info().misses == 2
 
 
@@ -1165,7 +1263,7 @@ class TestTraceKernels:
             "for _ in range(2):\n"
             "    density_matrix(diagonal([0.5, 0.5]))\n"
             "    density_matrix(diagonal([0.125] * 8))\n"
-            "    _kron(diagonal([1.0, 0.0]), [0.5, 0.5])\n"
+            "    _kron(diagonal([1.0, 0.0]), [0.5, 0.5], 2)\n"
             "    misses()\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
@@ -1177,9 +1275,9 @@ class TestTraceKernels:
 
     def test_each_kernel_is_named_by_its_builder_and_key(self):
         """`_compile` names each kernel's code `<qerase {builder} {key}>`."""
-        perm, key = qerase.channel.ERASURE_PERMUTATION, (0, 2, 15, 17)
+        perm, key = qerase.channel.ERASURE_PERMUTATION, (0, 1, 9, 10)
         kernels = {
-            "products 2x2 by 4": qerase.linalg._product_kernel(2, 4),
+            "products 2x2 by 2": qerase.linalg._product_kernel(2, 2),
             "trace 8x8 (2, 2, 2) (0,) corner": _trace_plan((2, 2, 2), (0,), 8, True)[0],
             "pattern 2x2 (0, 3)": qerase.linalg._pattern_plan((0, 3), 2),
             f"route {perm} {key}": qerase.thermo._route_kernel(perm, key),
@@ -1709,7 +1807,7 @@ class TestDensityValidation:
         axis, the exact ground state, beta in {0, 1, inf} and an SI gap
         must fill a small part of the pattern-plan cache and evict nothing,
         and compile one Kronecker product kernel, a qubit's 4 entries times
-        4 diagonal values, whose products two gathers read."""
+        the 2 leading diagonal values, whose products two gathers read."""
         qerase.linalg._pattern_plan.cache_clear()
         qerase.linalg._product_kernel.cache_clear()
         qerase.linalg._kron_plan.cache_clear()
@@ -1722,10 +1820,10 @@ class TestDensityValidation:
         _assert_the_two_kron_orders()
 
     def test_analyze_and_the_propagate_states_share_one_product_kernel(self):
-        """`analyze`, `composite_initial` and `simulate` read the products of
-        one `_product_kernel`, a qubit's 4 entries times 4 values; the last
-        two through two `_kron` plans, the composite state's plain order and
-        simulate's with the circuit's relabeling; `analyze` needs no plan."""
+        """`analyze`, `composite_initial` and `simulate` read the 12 products
+        of one `_product_kernel`, a qubit's 4 entries times 2 values and 0j;
+        the last two through two `_kron` plans, the composite state's
+        relabeling and simulate's circuit's; `analyze` needs no plan."""
         qerase.linalg._product_kernel.cache_clear()
         qerase.linalg._kron_plan.cache_clear()
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)

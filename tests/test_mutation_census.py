@@ -117,10 +117,6 @@ REFUSED = {  # label: the exception types it raised
         ('ArithmeticError', 'ZeroDivisionError'),
     '_photon_energy: _gibbs(x)[1]: 1 -> 1.000001': ('TypeError',),
     '_reservoir_diagonal: g + e: + -> -': ('ValueError', 'ZeroDivisionError'),
-    '_reservoir_diagonal: (complex(g / weight), 0j, complex(e / weight)...: 0j -> 1e-06':
-        ('ValueError',),
-    '_reservoir_diagonal: (complex(g / weight), 0j, complex(e / weight)... #2: 0j -> 1e-06':
-        ('ValueError',),
     '_reservoir_diagonal: g / weight: / -> *': ('ValueError',),
     'qubit_from_bloch: (b.r_x - 1j * b.r_y) / 2.0: / -> *': ('ValueError',),
     'qubit_from_bloch: (b.r_x - 1j * b.r_y) / 2.0 #2: 2.0 -> 2.000002': ('ArithmeticError',),

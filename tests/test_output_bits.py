@@ -161,8 +161,9 @@ def _refusals():
     overflowing = ComplexMatrix([[big, 0.5j], [-0.5j, 0.5]])  # big * big = inf
     cases += [(overflowing, values, (None, circuit, *bad_perms))
               for values in ([big, 0.5, 0j, 0j], [complex(0.0, big), 0.5, 0j, 0j])]
-    for a, values, perms in cases:
-        calls.extend(lambda a=a, values=values, perm=perm: _kron(a, values, perm) for perm in perms)
+    for a, values, perms in cases:  # the two leading values, padded with 0j to four
+        calls.extend(lambda a=a, values=values[:2], perm=perm: _kron(a, values, 4, perm)
+                     for perm in perms)
     for huge in (diagonal([1e308] * 8), diagonal([complex(-1e308, 1e308)] * 8)):
         for dims, keep in (((2, 2, 2), (0,)), ((2, 2, 2), (1, 2)), ((2, 4), (0,)),
                            ((2, 4), (1,)), ((2, 2, 2), (0, 2)), ((2, 3), (0,)), ((2, 4), ())):

@@ -585,10 +585,18 @@ class TestLandauerCheck:
 
 
 def _initial_products(b, spec):
-    """The 20 Kronecker products of composite_initial(b, spec) that
-    `_cross_check` forms, and the key of the nonzero ones."""
+    """The 12 Kronecker products of composite_initial(b, spec) that
+    `_cross_check` forms, of the qubit and the reservoir's two l0 weights,
+    and the key of the nonzero ones."""
     t = qerase.linalg._kron_products(qubit_from_bloch(b), _reservoir_diagonal(spec.beta * spec.delta))
-    return t, tuple(itertools.compress(range(20), t))
+    return t, tuple(itertools.compress(range(12), t))
+
+
+def _initial_order():
+    """Initial flat position -> product: the layout `composite_initial`'s
+    `_kron` plan gathers the 12 products by, through which the route kernel
+    reads them."""
+    return qerase.linalg._kron_order(2, 2, 4, qerase.states._CHANNEL_TO_MODE)
 
 
 def _open_chains(key, perm=ERASURE_PERMUTATION):
@@ -597,7 +605,7 @@ def _open_chains(key, perm=ERASURE_PERMUTATION):
     j) sums the final (4i + k, 4j + k) over k, and the channel moves
     initial row c to row perm[c]."""
     origin = {row: col for col, row in enumerate(perm)}
-    order = qerase.linalg._kron_order(2, 4)
+    order = _initial_order()
     return {f"g{2 * i + j}" for i in (0, 1) for j in (0, 1)
             if any(order[origin[4 * i + k] * 8 + origin[4 * j + k]] in key for k in range(4))}
 
@@ -605,7 +613,7 @@ def _open_chains(key, perm=ERASURE_PERMUTATION):
 def _route_marginal(t, perm):
     """The flat memory marginal of the state the route kernel of perm reads
     off the products t: `memory_marginal` of the gathered state permuted."""
-    state = ComplexMatrix._wrap(tuple(t[k] for k in qerase.linalg._kron_order(2, 4)), 8)
+    state = ComplexMatrix._wrap(tuple(t[k] for k in _initial_order()), 8)
     return memory_marginal(permute(state, perm))._flat
 
 
@@ -669,7 +677,7 @@ class TestEigensolveCount:
             def counted(t, q):
                 out = kernel(t, q)
                 if out[0][2] is not None:
-                    state = [t[k] for k in qerase.linalg._kron_order(2, 4)]
+                    state = [t[k] for k in _initial_order()]
                     calls.extend((t, block) for block in _pattern_blocks(state, 8))
                 if out[2][2] is not None:
                     calls.extend((q, block) for block in _pattern_blocks(q, 2))
@@ -735,7 +743,7 @@ class TestEigensolveCount:
             analyze(self.B, self.SPEC)
         assert calls == []
         # every entry of the qubit times the two nonzero reservoir values
-        assert routes == [(ERASURE_PERMUTATION, tuple(k for k in range(20) if k % 5 in (0, 2)))] * 2
+        assert routes == [(ERASURE_PERMUTATION, tuple(k for k in range(12) if k % 3 in (0, 1)))] * 2
         assert route.cache_info().misses == 1
 
     def test_dense_state_entropy_solves_once(self, monkeypatch):
@@ -957,7 +965,7 @@ class TestFusedRouteBitForBit:
             entry.position = k
             return entry
 
-        order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
+        order = _initial_order()  # initial flat position -> product
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
         draws = [(BlochVector(0.48, -0.6, 0.64 - 1e-9), ThermalSpec.from_beta(0.7)),
@@ -982,9 +990,10 @@ class TestFusedRouteBitForBit:
 class TestRouteKernelFolding:
     """The route kernel is folded on its key: a product the key proves zero
     takes part in no sum, neither the density check's trace, nor a chain of
-    the final memory, nor a level sum, and no other arithmetic. Its one read
-    is the `.real` of the 8x8 check's solve, for a product on the diagonal:
-    the spectrum keeps a zero's sign. A chain of the final memory the key
+    the final memory, nor a level sum, and no other arithmetic. Its only
+    reads are the `.real` of the 8x8 check's solve, one for each diagonal
+    entry it fills (a qubit entry's product with 0j fills its two l1
+    entries): the spectrum keeps a zero's sign. A chain of the final memory the key
     proves 0j is bound to no name g<i>: neither the finiteness test nor the
     marginal's check reads it."""
 
@@ -1015,8 +1024,8 @@ class TestRouteKernelFolding:
             entry.position = k
             return entry
 
-        order = qerase.linalg._kron_order(2, 4)  # initial flat position -> product
-        on_diagonal = {order[p] for p in range(0, 64, 9)}
+        order = _initial_order()  # initial flat position -> product
+        on_diagonal = collections.Counter(order[p] for p in range(0, 64, 9))
         folded = chains = 0
         for b, spec in TestRouteKernelNames.draws():
             t, key = _initial_products(b, spec)
@@ -1026,16 +1035,17 @@ class TestRouteKernelFolding:
             got = kernel(tuple(itertools.starmap(counted, enumerate(t))), q)
             assert got[0][2] is not None and got[3][2] is not None  # both solves ran
             assert repr(got) == repr(kernel(t, q))
-            for k in sorted(set(range(20)) - set(key)):
+            for k in sorted(set(range(12)) - set(key)):
                 ops = {name: n for (position, name), n in touched.items() if position == k}
-                assert ops == ({"real": 1} if k in on_diagonal else {}), (b, spec, k, ops)
+                want = {"real": on_diagonal[k]} if k in on_diagonal else {}
+                assert ops == want, (b, spec, k, ops)
                 folded += 1
             assert any(position in key for position, _ in touched), (b, spec)
             code = kernel.__code__
             bound = {name for name in (*code.co_varnames, *code.co_names) if name[0] == "g"}
             assert bound == _open_chains(key), (b, spec, bound)
             chains += 4 - len(bound)
-        assert folded == 12 * 20 - sum(len(_initial_products(b, spec)[1])
+        assert folded == 12 * 12 - sum(len(_initial_products(b, spec)[1])
                                        for b, spec in TestRouteKernelNames.draws())
         assert chains == 12 * 4 - sum(len(_open_chains(_initial_products(b, spec)[1]))
                                       for b, spec in TestRouteKernelNames.draws()) > 0
@@ -1068,7 +1078,7 @@ class TestRouteKernelNames:
     def test_the_kernel_binds_no_name_a_check_binds(self):
         qubit = [f"q[{p}]" for p in range(4)]
         two_by_two = self._targets((0, 1, 2, 3), 2, qubit)  # the names of every 2x2 check
-        order = qerase.linalg._kron_order(2, 4)
+        order = _initial_order()
         entries = [f"t[{k}]" for k in order]
         source = {row: col for col, row in enumerate(ERASURE_PERMUTATION)}  # final level's origin
         levels = [k for k in range(8) if _COMPOSITE_LEVELS[k]]
@@ -1608,7 +1618,7 @@ class TestCrossCheckAsTheUnfusedComposition:
         assert fused.startswith("(ErasureReport(")
         if b.r_x == 1e-300:  # the case keys on a product that underflowed
             t, key = _initial_products(b, spec)
-            assert t[5] != 0 and t[7] == t[12] == 0 and key == (0, 2, 5, 10, 15, 17)
+            assert t[3] != 0 and t[4] == t[7] == 0 and key == (0, 1, 3, 6, 9, 10)
 
     @pytest.mark.parametrize("state, swap, alone, want", [
         ("negative", None, False, "ValueError: matrix has eigenvalue -"),
@@ -1640,8 +1650,8 @@ class TestCrossCheckAsTheUnfusedComposition:
         map check, then the qubit's check and the marginal's, then the
         records, as in the unfused composition, with the same type and
         message."""
-        values = {"excess": (0.7, 0.0, 0.7, 0.0), "infinite": (math.inf, 0.0, 0.0, 0.0),
-                  "half": (1.0, 0.0, 1.0, 0.0), "overflow": (1.5e308, 0.0, 1.5e308, 0.0)}
+        values = {"excess": (0.7, 0.7), "infinite": (math.inf, 0.0), "half": (1.0, 1.0),
+                  "overflow": (1.5e308, 1.5e308)}  # the two l0 weights
         qubits = {"skew": ComplexMatrix([[0.5, 0.3], [0.1, 0.5]]),
                   "half": ComplexMatrix([[0.25, 0.1], [0.1, 0.25]])}
         if state == "negative":
@@ -1740,10 +1750,10 @@ class TestFusedSpectra:
         after the qubit's check. The state's own check refuses such a state
         first, so the verdicts are let through here; the refusal comes after
         two of them, the state's and the qubit's."""
-        values = (1.5e308, 0.0, 1.5e308, 0.0)
+        values = (1.5e308, 1.5e308)  # the two l0 weights
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
         t = qerase.linalg._kron_products(qubit_from_bloch(b), values)
-        key = tuple(itertools.compress(range(20), t))
+        key = tuple(itertools.compress(range(12), t))
         assert qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(
             t, qubit_from_bloch(b)._flat)[3] is None
         judged = []
