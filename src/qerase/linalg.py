@@ -212,8 +212,8 @@ def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex
     given, each scanned for finiteness: x * 0j is finite for finite x, and a
     value v that is not finite makes every a[p] * v non-finite (x * nan, x *
     inf and 0 * inf are), so they are refused exactly where `diagonal` or
-    `kron` would be. For a qubit and the two l0 weights, 12 products, where
-    four values took 20. `_kron` scans its products as this does."""
+    `kron` would be: 12 products for a qubit and the two l0 weights. `_kron`
+    scans its products as this does."""
     if not values:
         raise ValueError("matrix must have at least one row")
     products = _product_kernel(a._dim, len(values))(a._flat, values)

@@ -12,6 +12,7 @@ import math
 from .linalg import ComplexMatrix, _kron, partial_trace
 from .record import Record, _set_field
 from .states import BlochVector, _check_nonnegative, _gibbs, qubit_from_bloch
+# abstract basis index 4m + 2e + a -> mode index: pol = m, path = 1 + e + 2a
 from .states import _CHANNEL_TO_MODE as CHANNEL_TO_MODE
 from .channel import ERASURE_PERMUTATION, _bits, _branch_split, circuit_permutation
 
@@ -37,8 +38,6 @@ def mode_index(pol: int, path: int) -> int:
     return 4 * pol + (path - 1)
 
 
-# abstract basis index 4m + 2e + a -> mode index 4m + e + 2a, pol = m and
-# path = 1 + e + 2a: CHANNEL_TO_MODE, imported from `states`
 # the l0-preselected sector: the photon enters on path 1 or 2
 PHYSICAL_INPUT_INDICES = tuple(i for i in range(8) if not _bits(i)[2])
 

@@ -164,9 +164,9 @@ def _reservoir_diagonal(x: float) -> tuple[complex, complex]:
     l0 weights (g, l0) and (e, l0), at x = beta * delta >= 0, as complex,
     the form `_kron` multiplies by, formed from `_gibbs(x)` with
     preselect_l0's divisions: the l0 weights p/2 over the l0 sector's
-    weight. Its two l1 values are 0j, which `_kron` pads. Their real parts
-    are finite and >= 0 for every such x, and the state they enter is
-    density-checked where it enters the channel."""
+    weight; its two l1 values are the 0j that `_kron` pads. The weights'
+    real parts are finite and >= 0 for every such x, and the state they
+    enter is density-checked where it enters the channel."""
     p_g, p_e = _gibbs(x)
     g, e = p_g / 2.0, p_e / 2.0
     weight = g + e

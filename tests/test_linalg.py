@@ -221,15 +221,15 @@ class TestFlatKernelsBitForBit:
 
     @pytest.mark.parametrize("na, nb", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
     def test_diagonal_kron(self, na, nb):
-        """The diagonal route, from a's entries and nb leading values of an
-        n x n diagonal, n = nb on even draws and nb + 2 on odd ones, gives
-        the bits of `kron(a, diagonal(values padded with 0j to n))`, plain
-        and relabeled, or its error: entries and values with zeros of either
-        sign, and every fifth draw a 1e200 * 1e200 product that overflows."""
+        """The diagonal route, from a's entries and b's nb values, gives the
+        bits of `kron(a, diagonal(values))`, plain and relabeled, or its
+        error: entries and values with zeros of either sign, and every
+        fifth draw a 1e200 * 1e200 product that overflows. `TestPaddedKron`
+        pads the values."""
         rng = random.Random(560 + 10 * na + nb)
+        n = na * nb
+        perms = [DEFAULT_CIRCUIT_PERMUTATION] if n == 8 else []
         for trial in range(25):
-            n = nb + 2 * (trial % 2)
-            perms = [DEFAULT_CIRCUIT_PERMUTATION] if na * n == 8 else []
             a = random_matrix(rng, na)
             values = [rng.choice((0.0, -0.0, rng.gauss(0.0, 1.0),
                                   complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))))
@@ -238,28 +238,27 @@ class TestFlatKernelsBitForBit:
                 a = ComplexMatrix([[1e200 if (i, j) == (0, 0) else x for j, x in enumerate(row)]
                                    for i, row in enumerate(a.rows)])
                 values[rng.randrange(nb)] = 1e200
-            perm = list(range(na * n))
+            perm = list(range(n))
             rng.shuffle(perm)
-            padded = [*values, *[0j] * (n - nb)]
             for p in (None, tuple(perm), *perms):
                 def dense(p=p):
-                    joint = kron(a, diagonal(padded))
+                    joint = kron(a, diagonal(values))
                     return joint if p is None else permute(joint, p)
 
                 # equal matrices hold equal tuples; the bits tell -0.0 from 0.0
-                got, want = raised(lambda p=p: _kron(a, values, n, p)), raised(dense)
+                got, want = raised(lambda p=p: _kron(a, values, nb, p)), raised(dense)
                 assert got == want
                 if isinstance(want, ComplexMatrix):
                     assert entry_bits(got) == entry_bits(want)
-        bad = (0,) * (na * n)  # not a permutation, refused with permute's message
-        assert raised(lambda: _kron(a, values, n, bad)) == raised(
-            lambda: permute(kron(a, diagonal(padded)), bad))
+        bad = (0,) * n  # not a permutation, refused with permute's message
+        assert raised(lambda: _kron(a, values, nb, bad)) == raised(
+            lambda: permute(kron(a, diagonal(values)), bad))
         # a bad value and a bad perm: the value is refused first, as `diagonal`
         # refuses it before `permute` sees the perm
-        values[0] = padded[0] = math.inf
-        want = raised(lambda: permute(kron(a, diagonal(padded)), bad))
+        values[0] = math.inf
+        want = raised(lambda: permute(kron(a, diagonal(values)), bad))
         assert want == ("ValueError", "matrix entries must be finite")
-        assert raised(lambda: _kron(a, values, n, bad)) == want
+        assert raised(lambda: _kron(a, values, nb, bad)) == want
 
     def test_diagonal_kron_rejects_values_as_diagonal_does(self):
         """The product table is the only scan: a value that is not finite
@@ -280,7 +279,6 @@ class TestFlatKernelsBitForBit:
                 assert want == ("ValueError", "matrix entries must be finite")
                 for perm in (None, DEFAULT_CIRCUIT_PERMUTATION):
                     assert raised(lambda: _kron(a, values, 4, perm)) == want
-                    assert raised(lambda: _kron(a, [0.5, bad], 4, perm)) == want
             assert raised(lambda: _kron(a, [], 4, None)) == raised(lambda: diagonal([]))
 
     @pytest.mark.parametrize("dims, keep", [

@@ -192,8 +192,7 @@ def _function_mutants(module, name):
     label names the function, the site's source (its operation's, for a
     constant; past 48 characters, its first 45 and "..."), with ` #j` on
     its j-th repeat, and the change, so it holds while other sites come and
-    go; the mutant reads module's globals, as
-    the function does."""
+    go; the mutant reads module's globals, as the function does."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(module, name))))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     seen = collections.Counter()
@@ -301,17 +300,17 @@ def test_no_mutant_survives_that_the_table_does_not_list():
 
 
 def test_every_listed_survivor_still_survives():
-    result = _result()
     """A survivor that is now caught leaves the table in the same change."""
+    result = _result()
     survivors = {label for label, verdict in result.items() if verdict[0] == "survives"}
     assert sorted(set(SURVIVORS) - survivors) == []
     assert all(reason for reason in SURVIVORS.values())
 
 
 def test_each_refused_mutant_raises_the_listed_types():
-    result = _result()
     """What each refused mutant raises, so a crash, a `TypeError` or a
     `ZeroDivisionError` say, is never counted as a catch unseen."""
+    result = _result()
     assert {label: verdict[1] for label, verdict in result.items()
             if verdict[0] == "refused"} == REFUSED
 
