@@ -219,7 +219,6 @@ def cmd_verify(args: argparse.Namespace) -> dict:
     from . import verify  # only this subcommand loads the battery
 
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    verify._check_battery_inputs(args.delta, args.draws)
     results = verify.run_verification(delta=args.delta, draws=args.draws, seed=seed)
     return {
         "parameters": {"delta": args.delta, "draws": args.draws, "seed": seed},

@@ -121,9 +121,9 @@ def commutator_norm(perm: Sequence[int], spec: ThermalSpec) -> float:
     difference, in row perm[c] and zeros elsewhere: the norm is delta times
     the root of the exact integer sum of their squares.
     """
-    levels = _COMPOSITE_LEVELS
-    _check_permutation(perm, len(levels))
-    return spec.delta * math.sqrt(sum((levels[c] - levels[r]) ** 2 for c, r in enumerate(perm)))
+    _check_permutation(perm, len(_COMPOSITE_LEVELS))
+    return spec.delta * math.sqrt(sum((_COMPOSITE_LEVELS[c] - _COMPOSITE_LEVELS[r]) ** 2
+                                      for c, r in enumerate(perm)))
 
 
 def _limit_rule(q_m: float, delta_s: float) -> float:
@@ -224,13 +224,14 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     the closed forms, each energy times delta, T_limit in units of delta / k_B.
 
     Raises ArithmeticError, in this order: where `apply_channel` refuses the
-    erasure permutation; for the first of `_cross_check`'s records that
-    fails, "<name>: closed form ... and trace route ... disagree" ("rule"
-    for the limit temperature); for a negative entropy decrease, which the
-    route tolerance can miss near purity, "entropy decrease: ... negative".
+    erasure permutation; for the first of `_cross_check`'s records, in their
+    order, that fails, "<name>: closed form ... and trace route ...
+    disagree" ("rule" for the limit temperature); for a negative entropy
+    decrease, which the route tolerance can miss near purity, "entropy
+    decrease: ... negative".
     """
     report, records = _cross_check(b, spec)
-    for name, closed, traced, residual, tol in records:
+    for name, (closed, traced, residual, tol) in records.items():
         if not residual <= tol:  # a NaN on either route fails too
             route = "rule" if name == "limit temperature" else "trace route"
             raise ArithmeticError(f"{name}: closed form {closed!r} and {route} {traced!r} disagree")
@@ -239,12 +240,13 @@ def analyze(b: BlochVector, spec: ThermalSpec) -> ErasureReport:
     return report
 
 
-def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list[tuple]]:
-    """`analyze`'s report on (b, spec) and its records (name, closed,
-    traced, residual, tol) for the entropy decrease, the memory heat, the
-    reservoir heat, the photon energy and the limit temperature, judged here
-    by none. `analyze` judges them in that order and raises for the first
-    whose residual is not within its tolerance.
+def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, dict]:
+    """`analyze`'s report on (b, spec) and its records, judged here by none:
+    a dict from each record's name to its comparison (closed, traced,
+    residual, tol). Its literal below is the one list of the names, the
+    entropy decrease, the memory heat, the reservoir heat, the photon energy
+    and the limit temperature, in the order `analyze` judges them, raising
+    for the first whose residual is not within its tolerance.
 
     The records are in units of the gap, so each tolerance is the same at
     every delta and k_B: the entropy and the energies agree with their trace
@@ -291,14 +293,14 @@ def _cross_check(b: BlochVector, spec: ThermalSpec) -> tuple[ErasureReport, list
     q_m, q_r, radiated = _heat_memory(b), _heat_reservoir(b, x), _photon_energy(b, x)
     t_limit, rule = _limit_temperature(b, delta_s), _limit_rule(q_m, delta_s)
     same = t_limit == rule or math.isnan(t_limit) and math.isnan(rule)
-    records = [
-        ("entropy decrease", delta_s, s_drop, abs(delta_s - s_drop), ROUTE_TOL),
-        ("memory heat", q_m, q_m_trace, abs(q_m - q_m_trace), ROUTE_TOL),
-        ("reservoir heat", q_r, q_r_trace, abs(q_r - q_r_trace), ROUTE_TOL),
-        ("photon energy", radiated, u_i - u_f, abs(radiated - (u_i - u_f)), ROUTE_TOL),
-        ("limit temperature", t_limit, rule, 0.0 if same else abs(t_limit - rule),
-         ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0),
-    ]
+    records = {
+        "entropy decrease": (delta_s, s_drop, abs(delta_s - s_drop), ROUTE_TOL),
+        "memory heat": (q_m, q_m_trace, abs(q_m - q_m_trace), ROUTE_TOL),
+        "reservoir heat": (q_r, q_r_trace, abs(q_r - q_r_trace), ROUTE_TOL),
+        "photon energy": (radiated, u_i - u_f, abs(radiated - (u_i - u_f)), ROUTE_TOL),
+        "limit temperature": (t_limit, rule, 0.0 if same else abs(t_limit - rule),
+                              ROUTE_TOL * max(1.0, abs(rule)) if math.isfinite(rule) else 0.0),
+    }
     # landauer_check's inputs hold once `analyze` has judged the records: k_B
     # by ThermalSpec, T >= 0 as the reciprocal of a non-negative product,
     # dS >= 0 (a NaN dS fails its record), so the margin rule applies directly
@@ -361,8 +363,8 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     (`sum` compensates floats from Python 3.12 on). A term of level 0 is
     left out: a checked state's populations are finite, so the term is a
     zero, which leaves the running sum as it is. A term of level 1 is its
-    value and one of level 2 twice it, exactly, so each sum keeps the bits
-    of the loop.
+    value, exactly, and one of any other level n its value `* n`, as the
+    loop forms it, so each sum keeps the bits of the loop.
 
     The kernel's own names, the parameters, r<p> and g<i>, are none of
     the walrus names `_check_source` binds (defect, tr, a, d, x, y, u, v, m,
@@ -380,7 +382,7 @@ def _route_kernel(perm: tuple[int, ...], key: tuple[int, ...]) -> Callable[[tupl
     changes = [f" + ({n} - {w})" if n and w else f" + {n}" if n else w and f" - {w}"
                for n, w in zip(now, was)]
     sums = ", ".join(
-        "0.0" + "".join(term + (f" * {n}" if n > 1 else "")
+        "0.0" + "".join(term + (f" * {n}" if n != 1 else "")
                         for term, n in zip(terms, levels) if n and term)
         for terms, levels in ((changes, _MEMORY_LEVELS), (changes, _RESERVOIR_LEVELS),
                               ([w and f" + {w}" for w in was], _COMPOSITE_LEVELS),

@@ -165,10 +165,12 @@ def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
 
 
 def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
-    """Each draw reads the residual of `analyze`'s entropy record: the
-    closed-form dS against the drop in the memory's spectral entropy."""
+    """Each draw reads the residual of `analyze`'s record named "entropy
+    decrease": the closed-form dS against the drop in the memory's spectral
+    entropy."""
     return _sampled(
-        "memory_entropy_drop", draws, rng, lambda b, spec: _cross_check(b, spec)[1][0][3], 1e-10,
+        "memory_entropy_drop", draws, rng,
+        lambda b, spec: _cross_check(b, spec)[1]["entropy decrease"][2], 1e-10,
         "draw {k}: route gap {gap:.3e}",
         "{draws} draws, closed vs spectral within {worst:.3e}",
     )

@@ -573,10 +573,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_two_before_the_battery(self, capsys, monkeypatch, delta):
-        def battery(**kwargs):
+        def first_check(*args):
             raise AssertionError("the battery ran")
 
-        monkeypatch.setattr("qerase.verify.run_verification", battery)
+        # `run_verification` checks its inputs first, then runs this check
+        monkeypatch.setattr("qerase.verify.check_unitarity", first_check)
         code, out, err = run_cli(capsys, "verify", "--delta", delta)
         assert code == 2
         assert out == ""

@@ -66,8 +66,8 @@ RESERVOIR_HEAT = "Q_R moves by at most 9.1e-11, under ROUTE_TOL, where (1 - r_z)
 PHOTON = "the photon energy moves by under ROUTE_TOL, absolute, where p_e is small (beta >= 10)"
 GIBBS = ("p_e moves, so the photon energy by under ROUTE_TOL where p_e is small, and U_i and "
          "U_f with it; only their difference has a record")
-ENERGIES = ("U_i and U_f move together, by up to 3.4e-5 or, for a level the route kernel reads "
-            "as 1, by delta; only their difference, the photon energy, has a record")
+ENERGIES = ("U_i and U_f move together, by up to 3.4e-5; only their difference, the photon "
+            "energy, has a record")
 QUBIT = ("the excited population moves by 5e-13 at 1 - r = 1e-6, within TRACE_TOL, and U_i "
          "and U_f by under ROUTE_TOL")
 RULE = "T_limit's record compares the closed form with this same rule, so nothing checks it"

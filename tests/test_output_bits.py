@@ -122,11 +122,25 @@ def test_analyze_reports():
 
 
 def test_analyze_records():
-    """The records (name, closed, traced, residual, tol) `analyze` judges:
-    a traced bit, such as the entropy drop, that moves without moving a
-    report shows here."""
+    """The records `analyze` judges, each hashed as the tuple of its name
+    and its comparison (closed, traced, residual, tol), in judging order: a
+    traced bit, such as the entropy drop, that moves without moving a report
+    shows here."""
+
+    def records(b, spec):
+        return [(name, *comparison)
+                for name, comparison in qerase.thermo._cross_check(b, spec)[1].items()]
+
     inputs = [(b, spec) for b, spec, _ in _draws("analyze")]
-    assert _digest(lambda b, spec: qerase.thermo._cross_check(b, spec)[1], inputs) == RECORDS_DIGEST
+    assert _digest(records, inputs) == RECORDS_DIGEST
+
+
+def test_analyze_records_are_keyed_in_judging_order():
+    """The record names, in the order `analyze` judges them, on every draw."""
+    names = ["entropy decrease", "memory heat", "reservoir heat", "photon energy",
+             "limit temperature"]
+    for b, spec, _ in _draws("analyze"):
+        assert list(qerase.thermo._cross_check(b, spec)[1]) == names, (b, spec)
 
 
 def test_propagate_outputs():

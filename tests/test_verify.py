@@ -173,6 +173,25 @@ class TestCheckFailures:
         result = check_memory_entropy_drop(draws=5, rng=random.Random(1))
         assert (result.status, result.detail) == ("fail", "draw 0: route gap nan")
 
+    def test_memory_entropy_drop_reads_the_record_named_entropy_decrease(self, monkeypatch):
+        # every residual made distinct and the entropy record moved last: the
+        # check reports the residual of the record of that name, wherever it is
+        residuals = {"memory heat": 1e-3, "reservoir heat": 2e-3, "photon energy": 3e-3,
+                     "limit temperature": 4e-3, "entropy decrease": 5e-3}
+        original = qerase.verify._cross_check
+
+        def reordered(b, spec):
+            report, records = original(b, spec)
+            moved = {}
+            for name, residual in residuals.items():
+                closed, traced, _, tol = records[name]
+                moved[name] = closed, traced, residual, tol
+            return report, moved
+
+        monkeypatch.setattr(qerase.verify, "_cross_check", reordered)
+        result = check_memory_entropy_drop(draws=5, rng=random.Random(1))
+        assert (result.status, result.detail) == ("fail", "draw 0: route gap 5.000e-03")
+
     def test_reservoir_heat_sign_catches_a_negative_heat(self, monkeypatch):
         monkeypatch.setattr(qerase.verify, "heat_reservoir", lambda b, spec: -1e-3)
         result = check_reservoir_heat_sign(draws=5, rng=random.Random(4))
