@@ -13,6 +13,7 @@ import cmath
 from .linalg import (
     ComplexMatrix,
     _judged,
+    _matrix,
     _plan,
     _relabeling,
     _trace_plan,
@@ -101,9 +102,7 @@ def apply_channel(rho: ComplexMatrix) -> ComplexMatrix:
     _judged(*_plan(rho)(flat))
     if rho._dim != 8:
         raise ValueError(f"expected an 8-dimensional state, got {rho._dim}")
-    final = object.__new__(ComplexMatrix)
-    final._flat, final._dim = _relabeling(_checked_map(), 8)(flat), 8
-    return final
+    return _matrix(_relabeling(_checked_map(), 8)(flat), 8)
 
 
 def _checked_map() -> tuple[int, ...]:
@@ -144,9 +143,7 @@ def _branch_split(
     v0, v1, v2, v3, v4, v5, v6, v7 = entries
     z = 0j
     flat = (v0, z, v1, z, z, v2, z, v3, v4, z, v5, z, z, v6, z, v7)
-    state = object.__new__(ComplexMatrix)
-    state._flat, state._dim = flat if perm is None else _relabeling(perm, 4)(flat), 4
-    return state
+    return _matrix(flat if perm is None else _relabeling(perm, 4)(flat), 4)
 
 
 def final_state_closed_form(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

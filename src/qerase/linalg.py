@@ -5,9 +5,11 @@ this package, so no external linear-algebra dependency is used.
 
 A matrix is one flat row-major tuple of its n * n entries, every one finite;
 `rows` is a view derived from it. The package forms its matrices from flat
-entries or diagonal values, each scanned for finiteness once. A basis
-permutation is a tuple, its column -> row map: `perm[c]` is the row of the 1
-in column c. It is applied and composed without a dense matrix.
+entries or diagonal values, each scanned for finiteness once, through two
+formers only: `_matrix`, for entries already known finite, and `_checked`,
+which scans computed ones. A basis permutation is a tuple, its column -> row
+map: `perm[c]` is the row of the 1 in column c. It is applied and composed
+without a dense matrix.
 
 Each plan is validated and cached once per shape; its kernel is compiled
 from plain int positions on first use, by `_compile`, so importing the
@@ -59,27 +61,6 @@ class ComplexMatrix:
         self._flat = tuple(itertools.chain.from_iterable(entries))
         self._dim = n
 
-    @classmethod
-    def _from_flat(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
-        """Wrap n * n complex values in row-major order, built from checked
-        entries; a product or a sum of finite entries can still overflow.
-        Formed here, not through `_wrap`: one call fewer per matrix."""
-        if not all(map(cmath.isfinite, flat)):
-            raise ValueError("matrix entries must be finite")
-        m = object.__new__(cls)
-        m._flat = flat
-        m._dim = n
-        return m
-
-    @classmethod
-    def _wrap(cls, flat: tuple[complex, ...], n: int) -> "ComplexMatrix":
-        """Wrap n * n complex values in row-major order that are already
-        known finite: the entries of a checked matrix, only moved."""
-        m = object.__new__(cls)
-        m._flat = flat
-        m._dim = n
-        return m
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -110,6 +91,26 @@ class ComplexMatrix:
         return type(self), (self.rows,)
 
 
+def _matrix(flat: tuple[complex, ...], n: int) -> ComplexMatrix:
+    """The n x n matrix of the n * n complex entries flat, row-major, already
+    known finite: a checked matrix's entries, only moved, or entries its
+    caller has scanned."""
+    m = object.__new__(ComplexMatrix)
+    m._flat, m._dim = flat, n
+    return m
+
+
+def _checked(flat: tuple[complex, ...], n: int) -> ComplexMatrix:
+    """`_matrix(flat, n)` for computed entries, a product or a sum of finite
+    ones, which can still overflow: ValueError where one is not finite.
+    Formed in this frame, not through `_matrix`: one call fewer per matrix."""
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("matrix entries must be finite")
+    m = object.__new__(ComplexMatrix)
+    m._flat, m._dim = flat, n
+    return m
+
+
 def diagonal(values: Sequence[complex]) -> ComplexMatrix:
     """The n x n matrix with the n >= 1 values, as complex, on its diagonal.
     One scan of the values checks every entry: the rest are 0j."""
@@ -121,7 +122,7 @@ def diagonal(values: Sequence[complex]) -> ComplexMatrix:
         raise ValueError("matrix entries must be finite")
     flat = [0j] * (n * n)
     flat[::n + 1] = entries
-    return ComplexMatrix._wrap(tuple(flat), n)
+    return _matrix(tuple(flat), n)
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -146,7 +147,7 @@ def permute(rho: ComplexMatrix, perm: Sequence[int]) -> ComplexMatrix:
     """
     perm = tuple(perm)
     _check_permutation(perm, rho._dim)
-    return ComplexMatrix._wrap(_relabeling(perm, rho._dim)(rho._flat), rho._dim)
+    return _matrix(_relabeling(perm, rho._dim)(rho._flat), rho._dim)
 
 
 @lru_cache(maxsize=64)
@@ -179,7 +180,7 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     Each entry is one product, and ValueError is raised where one overflows.
     No plan is cached: the package's own products go through `_kron`."""
     flat = tuple(x * y for ra in a.rows for rb in b.rows for x in ra for y in rb)
-    return ComplexMatrix._from_flat(flat, a._dim * b._dim)
+    return _checked(flat, a._dim * b._dim)
 
 
 def _kron(
@@ -202,9 +203,7 @@ def _kron(
     products = kernel(a._flat, values)
     if not all(map(cmath.isfinite, products)):
         raise ValueError("matrix entries must be finite")
-    m = object.__new__(ComplexMatrix)
-    m._flat, m._dim = gather(products), dim
-    return m
+    return _matrix(gather(products), dim)
 
 
 def _kron_products(a: ComplexMatrix, values: Sequence[complex]) -> tuple[complex, ...]:
@@ -290,12 +289,7 @@ def partial_trace(
     overflows the float range.
     """
     kernel, dim = _trace_plan(tuple(dims), tuple(keep), rho._dim)
-    flat = kernel(rho._flat)
-    if not all(map(cmath.isfinite, flat)):
-        raise ValueError("matrix entries must be finite")
-    m = object.__new__(ComplexMatrix)
-    m._flat, m._dim = flat, dim
-    return m
+    return _checked(kernel(rho._flat), dim)
 
 
 @lru_cache(maxsize=64)

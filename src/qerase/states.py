@@ -7,10 +7,9 @@ Basis order puts the leftmost subsystem most significant:
 memory (x) energy (x) ancilla, index = 4m + 2e + a.
 """
 
-import cmath
 import math
 
-from .linalg import ComplexMatrix, _kron, density_matrix, diagonal
+from .linalg import ComplexMatrix, _checked, _kron, density_matrix, diagonal
 from .record import Record, _set_field
 
 BLOCH_NORM_TOL = 1e-12
@@ -114,11 +113,7 @@ def qubit_from_bloch(b: BlochVector) -> ComplexMatrix:
     """Qubit density matrix in the (|g>, |e>) basis; sigma_z |g> = +|g>."""
     off = (b.r_x - 1j * b.r_y) / 2.0
     flat = (complex((1.0 + b.r_z) / 2.0), off, off.conjugate(), complex((1.0 - b.r_z) / 2.0))
-    if not all(map(cmath.isfinite, flat)):
-        raise ValueError("matrix entries must be finite")
-    rho = object.__new__(ComplexMatrix)
-    rho._flat, rho._dim = flat, 2
-    return rho
+    return _checked(flat, 2)
 
 
 def gibbs_four_level(spec: ThermalSpec) -> ComplexMatrix:
@@ -146,7 +141,7 @@ def preselect_l0(rho: ComplexMatrix) -> ComplexMatrix:
     block = [0j] * 16
     for p in (0, 2, 8, 10):  # the l0 block: rows and columns 0 and 2
         block[p] = flat[p] / weight
-    return density_matrix(ComplexMatrix._from_flat(tuple(block), 4))
+    return density_matrix(_checked(tuple(block), 4))
 
 
 def composite_initial(b: BlochVector, spec: ThermalSpec) -> ComplexMatrix:

@@ -22,6 +22,7 @@ from .channel import (
     memory_ground_fidelity,
 )
 from .thermo import (
+    ROUTE_TOL,
     _cross_check,
     analyze,
     commutator_norm,
@@ -166,11 +167,11 @@ def check_entropy_conservation(draws: int, rng: random.Random) -> CheckResult:
 
 def check_memory_entropy_drop(draws: int, rng: random.Random) -> CheckResult:
     """Each draw reads the residual of `analyze`'s record named "entropy
-    decrease": the closed-form dS against the drop in the memory's spectral
-    entropy."""
+    decrease", the closed-form dS against the drop in the memory's spectral
+    entropy, and judges it by the record's tolerance, `ROUTE_TOL`."""
     return _sampled(
         "memory_entropy_drop", draws, rng,
-        lambda b, spec: _cross_check(b, spec)[1]["entropy decrease"][2], 1e-10,
+        lambda b, spec: _cross_check(b, spec)[1]["entropy decrease"][2], ROUTE_TOL,
         "draw {k}: route gap {gap:.3e}",
         "{draws} draws, closed vs spectral within {worst:.3e}",
     )
@@ -187,10 +188,11 @@ def check_memory_heat_temperature_independence(
         reports = [analyze(b, spec).q_memory for spec in specs]
         return max(max(reports) - min(reports), abs(reports[0] - heat_memory(b, specs[0])))
 
+    tol = 1e-12
     return _sampled(
-        "memory_heat_temperature_independence", draws, rng, deviation, 1e-12,
+        "memory_heat_temperature_independence", draws, rng, deviation, tol,
         "draw {k}: Q_M spread {gap:.3e} across beta grid",
-        f"{{draws}} draws x {len(BETA_GRID)} betas, Q_M spread <= 1e-12",
+        f"{{draws}} draws x {len(BETA_GRID)} betas, Q_M spread <= {tol!r}",
     )
 
 
@@ -233,9 +235,7 @@ def check_energy_conservation(draws: int, rng: random.Random) -> CheckResult:
 def check_commutator(delta: float) -> CheckResult:
     if delta == 0.0:
         return CheckResult(
-            name="commutator_nonzero",
-            status="skip",
-            detail="degenerate levels (delta = 0): U commutes with H",
+            "commutator_nonzero", "skip", "degenerate levels (delta = 0): U commutes with H"
         )
     # compared in units of the gap, where the norm is 2*sqrt(2) at every delta
     norm, expected = commutator_norm(ERASURE_PERMUTATION, ThermalSpec(beta=0.0)), math.sqrt(8.0)

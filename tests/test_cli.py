@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qerase.cli
 import qerase.optics
 import qerase.thermo
-from qerase.linalg import ComplexMatrix, compose_permutations
+from qerase.linalg import _matrix, compose_permutations
 from qerase.states import BlochVector, ThermalSpec
 from qerase.thermo import (
     analyze,
@@ -517,7 +517,7 @@ class TestOpticsCommand:
         original = qerase.optics.path_final_closed_form
 
         def off(pol, dist):
-            return ComplexMatrix._wrap(tuple(x * (1.0 + 1e-9) for x in original(pol, dist)._flat), 4)
+            return _matrix(tuple(x * (1.0 + 1e-9) for x in original(pol, dist)._flat), 4)
 
         monkeypatch.setattr(qerase.optics, "path_final_closed_form", off)
         code, out, err = run_cli(capsys, "optics", "--pol", "0.6,0,0.8", "--p1", "0.75")

@@ -33,8 +33,10 @@ from conftest import (
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
+    _checked,
     _jacobi_eigenvalues,
     _kron,
+    _matrix,
     _plan,
     _trace_plan,
     compose_permutations,
@@ -88,8 +90,12 @@ class TestComplexMatrix:
 
 
 class TestInternalConstructor:
-    """kron, permute and partial_trace skip the public constructor's
-    conversion; their results must still be what it would build."""
+    """Every function that forms its matrix through `_matrix` or `_checked`
+    skips the public constructor's conversion: permute, kron, partial_trace,
+    `_kron` (composite_initial and simulate), apply_channel,
+    qubit_from_bloch, both closed forms (`_branch_split` with and without its
+    perm), diagonal and preselect_l0. Their results must still be what it
+    would build."""
 
     def test_results_match_public_construction(self):
         rng = random.Random(31)
@@ -104,6 +110,16 @@ class TestInternalConstructor:
         rho = random_density(rng, 8)
         for dims, keep in (((2, 4), {0}), ((2, 4), {1}), ((2, 2, 2), {0, 2}), ((8,), {0})):
             results.append(partial_trace(rho, dims, keep))
+        for b, beta in ((BlochVector(0.3, -0.2, 0.4), 0.7), (BlochVector(0.0, 0.0, 1.0), math.inf),
+                        (BlochVector(-0.6, 0.0, -0.8), 0.0)):
+            spec = ThermalSpec.from_beta(beta)
+            dist = qerase.PathDistribution.from_beta(beta)
+            initial = qerase.composite_initial(b, spec)
+            results += [initial, qerase.simulate(b, dist), qerase.apply_channel(initial),
+                        qubit_from_bloch(b), qerase.reservoir_final_closed_form(b, spec),
+                        qerase.path_final_closed_form(b, dist),
+                        qerase.preselect_l0(qerase.gibbs_four_level(spec))]
+        results += [diagonal([1.0]), diagonal([0.25, 0.75j, -0.0]), diagonal((1, 2.5, 0, 3))]
         for m in results:
             rebuilt = ComplexMatrix(m.rows)
             assert m == rebuilt and hash(m) == hash(rebuilt)
@@ -384,7 +400,7 @@ class TestFlatKernelsBitForBit:
             flat = [0j] * (n * n)
             flat[::n + 1] = [1.0 / n] * n
             flat[k] = complex(flat[k].real, nan)  # a nan part, past the public checks
-            m = ComplexMatrix._wrap(tuple(flat), n)
+            m = _matrix(tuple(flat), n)
             if k == 0:
                 assert math.isnan(_plan(m)(m._flat)[0])
             _assert_as_the_three_steps(m)
@@ -611,7 +627,7 @@ def _two_by_two(rng, pattern):
             flat[k] = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
         elif not flat[k]:
             flat[k] = complex(rng.choice((0.0, -0.0)), 0.25)
-    return ComplexMatrix._from_flat(tuple(flat), 2)
+    return _checked(tuple(flat), 2)
 
 
 def _full_layout_plan(m):
@@ -1160,7 +1176,7 @@ def _extreme_matrix(rng, n):
     def part():
         return rng.choice((0.0, -0.0, 0.0, -0.0, 1e308, -1e308, 1.0, rng.gauss(0.0, 1.0)))
 
-    return ComplexMatrix._wrap(tuple(complex(part(), part()) for _ in range(n * n)), n)
+    return _matrix(tuple(complex(part(), part()) for _ in range(n * n)), n)
 
 
 class _Sly(int):
@@ -1202,8 +1218,8 @@ class TestTraceKernels:
         rng = random.Random(62)
         for dims, keep in (((2, 150), (0,)), ((1, 101), (0,)), ((3, 100), (0,))):
             n = math.prod(dims)
-            m = ComplexMatrix._wrap(tuple(complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))
-                                          for _ in range(n * n)), n)
+            m = _matrix(tuple(complex(rng.gauss(0.0, 1.0), rng.choice((0.0, -0.0)))
+                          for _ in range(n * n)), n)
             want = ComplexMatrix(_reference_partial_trace(m.rows, dims, keep))
             assert entry_bits(partial_trace(m, dims, keep)) == entry_bits(want)
 

@@ -120,7 +120,7 @@ REFUSED = {  # label: the exception types it raised
     '_reservoir_diagonal: g / weight: / -> *': ('ValueError',),
     'qubit_from_bloch: (b.r_x - 1j * b.r_y) / 2.0: / -> *': ('ValueError',),
     'qubit_from_bloch: (b.r_x - 1j * b.r_y) / 2.0 #2: 2.0 -> 2.000002': ('ArithmeticError',),
-    'qubit_from_bloch: (flat, 2): 2 -> 2.000002': ('TypeError',),
+    'qubit_from_bloch: _checked(flat, 2): 2 -> 2.000002': ('TypeError',),
     'qubit_from_bloch: 1j * b.r_y: * -> /': ('ValueError', 'ZeroDivisionError'),
     'qubit_from_bloch: (1.0 + b.r_z) / 2.0: / -> *': ('ValueError',),
     'qubit_from_bloch: (1.0 - b.r_z) / 2.0: / -> *': ('ValueError',),

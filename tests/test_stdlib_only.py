@@ -135,6 +135,15 @@ def test_only_compile_turns_source_into_code():
     assert BUILDERS <= set().union(*map(cached, SOURCES))
 
 
+def test_only_the_two_formers_form_a_matrix():
+    """`__new__` is read once in `linalg._matrix` and once in
+    `linalg._checked`, and nowhere else: every matrix the package forms from
+    flat entries, without the public constructor, is formed by one of them."""
+    found = [ref for path in SOURCES for ref in references(path)]
+    assert sorted(where for where, name in found if name == "__new__") == [
+        "linalg._checked", "linalg._matrix"]
+
+
 def test_compile_guard_sees_every_spelling(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(

@@ -30,6 +30,7 @@ from conftest import (
 from qerase.linalg import (
     EIGENVALUE_FLOOR,
     ComplexMatrix,
+    _matrix,
     density_matrix,
     diagonal,
     hermitian_eigenvalues,
@@ -613,7 +614,7 @@ def _open_chains(key, perm=ERASURE_PERMUTATION):
 def _route_marginal(t, perm):
     """The flat memory marginal of the state the route kernel of perm reads
     off the products t: `memory_marginal` of the gathered state permuted."""
-    state = ComplexMatrix._wrap(tuple(t[k] for k in _initial_order()), 8)
+    state = _matrix(tuple(t[k] for k in _initial_order()), 8)
     return memory_marginal(permute(state, perm))._flat
 
 
@@ -1003,7 +1004,7 @@ class TestFusedRouteBitForBit:
             got = kernel(products, q)
             fused = dict(reads)
             reads.clear()
-            entries = ComplexMatrix._wrap(tuple(products[k] for k in order), 8)
+            entries = _matrix(tuple(products[k] for k in order), 8)
             assert repr(qerase.linalg._plan(entries)(entries._flat)) == repr(got[0])
             used = {order[9 * k] for k in levels} | {order[9 * source[k]] for k in levels}
             assert fused == dict(reads + collections.Counter(used & set(key))), (b, spec)
@@ -1766,14 +1767,14 @@ class TestFusedSpectra:
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
         t, key = _initial_products(b, spec)
         got = qerase.thermo._route_kernel(ERASURE_PERMUTATION, key)(t, q)[2]
-        assert repr(got) == repr(qerase.linalg._plan(ComplexMatrix._wrap(q, 2))(q))
+        assert repr(got) == repr(qerase.linalg._plan(_matrix(q, 2))(q))
 
     def test_a_non_finite_marginal_is_refused_after_the_qubit(self, monkeypatch):
         """Where the marginal's sums overflow, the kernel emits no check for
-        it and `_cross_check` refuses it as `ComplexMatrix._from_flat` does,
-        after the qubit's check. The state's own check refuses such a state
-        first, so the verdicts are let through here; the refusal comes after
-        two of them, the state's and the qubit's."""
+        it and `_cross_check` refuses it as `linalg._checked` does, after the
+        qubit's check. The state's own check refuses such a state first, so
+        the verdicts are let through here; the refusal comes after two of
+        them, the state's and the qubit's."""
         values = (1.5e308, 1.5e308)  # the two l0 weights
         b, spec = BlochVector(0.3, -0.2, 0.4), ThermalSpec.from_beta(0.7)
         t = qerase.linalg._kron_products(qubit_from_bloch(b), values)

@@ -192,6 +192,22 @@ class TestCheckFailures:
         result = check_memory_entropy_drop(draws=5, rng=random.Random(1))
         assert (result.status, result.detail) == ("fail", "draw 0: route gap 5.000e-03")
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_memory_entropy_drop_judges_by_the_records_tolerance(self, monkeypatch, above):
+        # a residual of exactly the tolerance the record carries passes, and
+        # the next double above it fails
+        original = qerase.verify._cross_check
+
+        def at_tolerance(b, spec):
+            report, records = original(b, spec)
+            closed, traced, _, tol = records["entropy decrease"]
+            residual = math.nextafter(tol, 1.0) if above else tol
+            return report, {**records, "entropy decrease": (closed, traced, residual, tol)}
+
+        monkeypatch.setattr(qerase.verify, "_cross_check", at_tolerance)
+        result = check_memory_entropy_drop(draws=5, rng=random.Random(1))
+        assert result.status == ("fail" if above else "pass")
+
     def test_reservoir_heat_sign_catches_a_negative_heat(self, monkeypatch):
         monkeypatch.setattr(qerase.verify, "heat_reservoir", lambda b, spec: -1e-3)
         result = check_reservoir_heat_sign(draws=5, rng=random.Random(4))
